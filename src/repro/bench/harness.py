@@ -15,11 +15,13 @@ EXPERIMENTS.md for paper-vs-measured values).
 
 from __future__ import annotations
 
-import tracemalloc
+import multiprocessing
+import resource
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..baselines import AngropLike, ROPGadgetLike, SGCLike
+from ..binfmt.image import BinaryImage
 from ..compiler.link import LinkedProgram
 from ..emulator.cpu import run_image
 from ..gadgets.classify import count_by_type, scan_syntactic_gadgets
@@ -477,42 +479,52 @@ class Table7Row:
     peak_mb: float
 
 
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _table7_rows(tool: str, image_bytes: bytes) -> List[Table7Row]:
+    """One tool's rows, measured in the process that runs it.
+
+    Stage times are the tool's own clocks (span walls for
+    Gadget-Planner); peak MB is this process's peak RSS, interpreter and
+    imports included.
+    """
+    image = BinaryImage.from_bytes(image_bytes)
+    if tool == "gadget_planner":
+        t = GadgetPlanner(image, extraction=BENCH_EXTRACTION, planner=BENCH_PLANNER).run().timings
+        stages = [
+            ("gadget extraction", t.extraction),
+            ("subsumption testing", t.subsumption),
+            ("planning", t.planning),
+            ("post-processing", t.postprocessing),
+            ("total", t.total),
+        ]
+    else:
+        report = _make_tool(tool).run(image)
+        stages = [
+            ("gadgets finding", report.finding_time),
+            ("chain generating", report.chaining_time),
+            ("total", report.finding_time + report.chaining_time),
+        ]
+    peak_mb = _peak_rss_mb()
+    return [Table7Row(tool, stage, seconds, peak_mb) for stage, seconds in stages]
+
+
 def table7_performance(config: str = "llvm_obf", seed: int = DEFAULT_SEED) -> List[Table7Row]:
+    """Per-stage time and peak memory of each tool on obfuscated netperf.
+
+    Each tool runs untraced in a fresh child process, so ``getrusage``'s
+    peak RSS belongs to that tool alone.
+    """
     from .netperf import netperf_image
 
-    linked = netperf_image(CONFIGS[config], seed=seed)
+    image_bytes = netperf_image(CONFIGS[config], seed=seed).image.to_bytes()
     rows: List[Table7Row] = []
-
-    # Gadget-Planner, instrumented per stage.
-    tracemalloc.start()
-    planner = GadgetPlanner(linked.image, extraction=BENCH_EXTRACTION, planner=BENCH_PLANNER)
-    report = planner.run()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    peak_mb = peak / 1e6
-    t = report.timings
-    rows += [
-        Table7Row("gadget_planner", "gadget extraction", t.extraction, peak_mb),
-        Table7Row("gadget_planner", "subsumption testing", t.subsumption, peak_mb),
-        Table7Row("gadget_planner", "planning", t.planning, peak_mb),
-        Table7Row("gadget_planner", "post-processing", t.postprocessing, peak_mb),
-        Table7Row("gadget_planner", "total", t.total, peak_mb),
-    ]
-    for tool in ("angrop", "sgc"):
-        tracemalloc.start()
-        baseline_report = _make_tool(tool).run(linked.image)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        rows += [
-            Table7Row(tool, "gadgets finding", baseline_report.finding_time, peak / 1e6),
-            Table7Row(tool, "chain generating", baseline_report.chaining_time, peak / 1e6),
-            Table7Row(
-                tool,
-                "total",
-                baseline_report.finding_time + baseline_report.chaining_time,
-                peak / 1e6,
-            ),
-        ]
+    for tool in ("gadget_planner", "angrop", "sgc"):
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            rows += pool.apply(_table7_rows, (tool, image_bytes))
     return rows
 
 
@@ -521,142 +533,4 @@ def format_table7(rows: List[Table7Row]) -> str:
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(f"{r.tool:<16}{r.stage:<22}{r.seconds:>10.2f}{r.peak_mb:>10.1f}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Pipeline performance — parallel sharding + persistent cache (repro.pipeline)
-# ---------------------------------------------------------------------------
-
-
-def pipeline_benchmark(
-    config_name: str = "llvm_obf",
-    seed: int = DEFAULT_SEED,
-    jobs_list: Sequence[int] = (1, 2, 4),
-    cache_dir=None,
-) -> Dict:
-    """Measure the repro.pipeline fast paths on obfuscated netperf.
-
-    Returns a JSON-ready dict: per-``jobs`` extraction/winnow timings
-    with speedups over the serial reference (and a byte-identity flag
-    for each), plus a cold/warm persistent-cache pair.  ``cpu_count``
-    is recorded so a 1-core CI runner's ~1× "speedups" read as what
-    they are — the honest-measurement policy applied to perf claims.
-
-    All wall numbers come from the span-derived ``wall_total`` stats
-    fields (:mod:`repro.obs`), the same measurements a ``--trace`` run
-    exports — not from a second ad-hoc clock around the calls.
-    """
-    import os
-    import shutil
-    import tempfile
-
-    from ..gadgets.extract import ExtractionStats, extract_gadgets
-    from ..gadgets.subsumption import SubsumptionStats, deduplicate_gadgets
-    from ..pipeline import ResultCache, extract_pool, pool_to_bytes, winnow_pool
-    from .netperf import netperf_image
-
-    image = netperf_image(CONFIGS[config_name], seed=seed).image
-    config = BENCH_EXTRACTION
-    result: Dict = {
-        "benchmark": "netperf",
-        "config": config_name,
-        "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "runs": [],
-        "cache": {},
-    }
-
-    # Serial reference (the path every parallel run must reproduce).
-    ser_es, ser_ss = ExtractionStats(), SubsumptionStats()
-    serial_records = extract_gadgets(image, config, ser_es)
-    serial_extract_wall = ser_es.wall_total
-    serial_survivors = deduplicate_gadgets(serial_records, stats=ser_ss)
-    serial_winnow_wall = ser_ss.wall_total
-    serial_pool = pool_to_bytes(serial_records)
-    serial_winnowed = pool_to_bytes(serial_survivors)
-    result["serial"] = {
-        "extracted": len(serial_records),
-        "winnowed": len(serial_survivors),
-        "extract_seconds": serial_extract_wall,
-        "winnow_seconds": serial_winnow_wall,
-        "solver_checks": ser_ss.solver_checks,
-        "memo_hit_rate": ser_ss.memo_hit_rate,
-    }
-
-    for jobs in jobs_list:
-        es, ss = ExtractionStats(), SubsumptionStats()
-        records = extract_pool(image, config, es, jobs=jobs)
-        extract_wall = es.wall_total
-        survivors = winnow_pool(records, ss, jobs=jobs)
-        winnow_wall = ss.wall_total
-        result["runs"].append(
-            {
-                "jobs": jobs,
-                "extract_seconds": extract_wall,
-                "winnow_seconds": winnow_wall,
-                "extract_speedup": serial_extract_wall / extract_wall if extract_wall else 0.0,
-                "winnow_speedup": serial_winnow_wall / winnow_wall if winnow_wall else 0.0,
-                "extract_identical": pool_to_bytes(records) == serial_pool,
-                "winnow_identical": pool_to_bytes(survivors) == serial_winnowed,
-                "memo_hit_rate": ss.memo_hit_rate,
-            }
-        )
-
-    root = cache_dir or tempfile.mkdtemp(prefix="nfl-bench-cache-")
-    try:
-        cache = ResultCache(root=root)
-        cold_es, cold_ss = ExtractionStats(), SubsumptionStats()
-        image_bytes = image.to_bytes()
-        cold = extract_pool(image, config, cold_es, jobs=1, cache=cache, image_bytes=image_bytes)
-        winnow_pool(
-            cold, cold_ss, jobs=1, cache=cache, image_bytes=image_bytes, config=config
-        )
-        cold_wall = cold_es.wall_total + cold_ss.wall_total
-        warm_es, warm_ss = ExtractionStats(), SubsumptionStats()
-        warm = extract_pool(image, config, warm_es, jobs=1, cache=cache, image_bytes=image_bytes)
-        winnow_pool(
-            warm, warm_ss, jobs=1, cache=cache, image_bytes=image_bytes, config=config
-        )
-        warm_wall = warm_es.wall_total + warm_ss.wall_total
-        result["cache"] = {
-            "cold_seconds": cold_wall,
-            "warm_seconds": warm_wall,
-            "speedup": cold_wall / warm_wall if warm_wall else 0.0,
-            "warm_symex_invocations": warm_es.symex_invocations,
-            "warm_solver_checks": warm_ss.solver_checks,
-            "warm_extract_hit": warm_es.cache_hit,
-            "warm_winnow_hit": warm_ss.cache_hit,
-            "warm_identical": pool_to_bytes(warm) == serial_pool,
-            "hit_rate": cache.stats.hit_rate,
-        }
-    finally:
-        if cache_dir is None:
-            shutil.rmtree(root, ignore_errors=True)
-    return result
-
-
-def format_pipeline_bench(result: Dict) -> str:
-    lines = [
-        f"pipeline perf on {result['benchmark']}/{result['config']} "
-        f"(cpu_count={result['cpu_count']})",
-        f"serial: extract {result['serial']['extract_seconds']:.2f}s "
-        f"({result['serial']['extracted']} gadgets), "
-        f"winnow {result['serial']['winnow_seconds']:.2f}s "
-        f"({result['serial']['winnowed']} kept)",
-        f"{'jobs':>5}{'extract s':>11}{'x':>6}{'winnow s':>10}{'x':>6}{'identical':>11}",
-    ]
-    for run in result["runs"]:
-        identical = run["extract_identical"] and run["winnow_identical"]
-        lines.append(
-            f"{run['jobs']:>5}{run['extract_seconds']:>11.2f}{run['extract_speedup']:>6.2f}"
-            f"{run['winnow_seconds']:>10.2f}{run['winnow_speedup']:>6.2f}"
-            f"{'yes' if identical else 'NO':>11}"
-        )
-    c = result["cache"]
-    lines.append(
-        f"cache: cold {c['cold_seconds']:.2f}s -> warm {c['warm_seconds']:.3f}s "
-        f"({c['speedup']:.0f}x), warm symex={c['warm_symex_invocations']}, "
-        f"hit_rate={c['hit_rate']:.2f}"
-    )
     return "\n".join(lines)

@@ -187,7 +187,7 @@ def cmd_census(args: argparse.Namespace) -> int:
                 image,
                 policies,
                 extraction=config,
-                jobs=args.jobs or 1,
+                jobs=args.jobs,
                 cache=_make_cache(args),
             )
         print(format_defense_census(doc, title=args.binary))
@@ -336,9 +336,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes (default: os.cpu_count())",
+        help="worker processes for extraction and winnowing (default: 1)",
     )
     p.add_argument(
         "--cache-dir",

@@ -18,11 +18,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..binfmt.image import BinaryImage
-from ..gadgets.extract import ExtractionConfig, ExtractionStats
-from ..gadgets.subsumption import SubsumptionStats
+from ..gadgets.extract import ExtractionConfig
 from ..obs import span
 from ..pipeline.cache import ResultCache
-from ..pipeline.parallel import extract_pool, winnow_pool
+from ..pipeline.parallel import run_pipeline
 from .cfi import CFITargets
 from .policy import CFIMode, DefensePolicy, POLICIES, parse_policy
 from .survive import SurvivalCensus, filter_pool
@@ -75,21 +74,8 @@ def defense_census(
     """Surviving-gadget counts per policy for one image (no planning)."""
     extraction = extraction or ExtractionConfig()
     resolved = resolve_policies(policies)
-    ex_stats = ExtractionStats()
-    sub_stats = SubsumptionStats()
     with span("defense.census") as sp:
-        image_bytes = image.to_bytes() if cache is not None else None
-        pool = extract_pool(
-            image, extraction, ex_stats, jobs=jobs, cache=cache, image_bytes=image_bytes
-        )
-        deduped = winnow_pool(
-            pool,
-            sub_stats,
-            jobs=jobs,
-            cache=cache,
-            image_bytes=image_bytes,
-            config=extraction,
-        )
+        pool, deduped = run_pipeline(image, extraction, jobs=jobs, cache=cache)
         targets = None
         if any(p.cfi is not CFIMode.OFF for p in resolved):
             targets = CFITargets.build(image)

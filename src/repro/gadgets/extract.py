@@ -29,7 +29,7 @@ so every byte of the section is decoded exactly once per extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
@@ -62,9 +62,10 @@ class ExtractionConfig:
 class ExtractionStats:
     """Observability for the extraction stage (filled if passed in).
 
-    The ``wall_*`` fields are derived from :mod:`repro.obs` spans —
-    the same measurements a ``--trace`` run exports — so the CLI
-    summary, ``BENCH_*.json`` and the trace never disagree.
+    ``wall_total`` sums the walls of the stage's :mod:`repro.obs` spans
+    (cache lookup and store included) — the same measurements a
+    ``--trace`` run exports — so the CLI summary and the trace never
+    disagree.
     """
 
     candidates: int = 0  # after the syntactic stage
@@ -74,9 +75,6 @@ class ExtractionStats:
     jobs: int = 1  # worker processes that ran the symex stage
     cache_hits: int = 0  # persistent-cache lookups that short-circuited
     cache_misses: int = 0
-    wall_candidates: float = 0.0  # candidate enumeration + syntactic scan
-    wall_prefilter: float = 0.0  # semantic prefilter
-    wall_symex: float = 0.0  # symbolic execution (sum over workers' share)
     wall_total: float = 0.0  # end-to-end, including cache and merge
 
     @property
@@ -206,7 +204,6 @@ def plan_candidates(
         cand_sp.add("candidates", len(candidates))
         if stats is not None:
             stats.candidates = len(candidates)
-            stats.wall_candidates += cand_sp.wall
         if config.semantic_prefilter:
             with span("extract.prefilter") as pre_sp:
                 analyzer = WindowAnalyzer(graph, max_insns=config.max_insns)
@@ -214,7 +211,6 @@ def plan_candidates(
             pre_sp.add("culled", len(candidates) - len(kept))
             if stats is not None:
                 stats.semantically_culled = len(candidates) - len(kept)
-                stats.wall_prefilter += pre_sp.wall
             candidates = kept
         plan_sp.add("candidates", len(candidates))
     return graph, candidates
@@ -228,9 +224,11 @@ def make_executor(
 ) -> SymbolicExecutor:
     """The symbolic executor the extraction stage runs candidates on.
 
-    Worker processes call this without a ``graph`` (shipping one per
-    worker costs more than lazily re-decoding); the decode cache only
-    affects speed, never which paths are found.
+    ``graph`` preloads the executor's decode cache.  Worker processes
+    started by fork share the parent's graph copy-on-write and pass it;
+    other start methods pass ``None`` and decode lazily, since shipping
+    a graph per worker costs more than re-decoding.  The decode cache
+    only affects speed, never which paths are found.
     """
     executor = SymbolicExecutor(
         code,
@@ -254,7 +252,7 @@ def run_candidates(
 
     Ids are assigned sequentially from ``start_id`` in candidate order,
     so a sharded run that concatenates per-shard results in shard order
-    and renumbers reproduces the serial numbering exactly.
+    and renumbers reproduces the in-process numbering exactly.
     """
     records: List[GadgetRecord] = []
     gadget_id = start_id
@@ -283,32 +281,44 @@ def run_candidates(
         # into the exported counters (trace byte-stability).
         sp.add("insns", executor.insns_executed - insns_at_entry)
         sp.add("paths", executor.paths_completed - paths_at_entry)
-    if stats is not None:
-        stats.wall_symex += sp.wall
     return records
+
+
+def symex_in_process(
+    image: BinaryImage,
+    graph: DecodeGraph,
+    candidates: List[int],
+    config: ExtractionConfig,
+    stats: ExtractionStats,
+) -> List[GadgetRecord]:
+    """Stage 3 on one executor in this process."""
+    executor = make_executor(image.text.data, image.text.addr, config, graph)
+    return run_candidates(executor, candidates, config, stats)
 
 
 def extract_gadgets(
     image: BinaryImage,
     config: Optional[ExtractionConfig] = None,
     stats: Optional[ExtractionStats] = None,
+    *,
+    fan_out: Callable[..., List[GadgetRecord]] = symex_in_process,
 ) -> List[GadgetRecord]:
-    """Run the full extraction stage over an image, serially.
+    """Run the full extraction stage over an image.
 
-    :mod:`repro.pipeline` runs the same three stages with the symex
-    stage sharded over worker processes and the result pool cached on
-    disk; this function remains the single-process reference path the
-    parallel pipeline is asserted byte-identical against.
+    This is the stage's one driver.  ``fan_out(image, graph,
+    candidates, config, stats)`` runs stage 3 and returns the records in
+    candidate order, ids from 0: in this process by default, while
+    :mod:`repro.pipeline` passes one that maps candidate chunks over
+    worker processes, which reproduces this pool byte for byte.
     """
     config = config or ExtractionConfig()
+    stats = stats if stats is not None else ExtractionStats()
     with span("extract") as root:
         graph, candidates = plan_candidates(image, config, stats)
-        executor = make_executor(image.text.data, image.text.addr, config, graph)
         with span("extract.symex") as sym_sp:
-            records = run_candidates(executor, candidates, config, stats)
+            records = fan_out(image, graph, candidates, config, stats)
         sym_sp.add("records", len(records))
         root.add("records", len(records))
-    if stats is not None:
-        stats.records = len(records)
-        stats.wall_total += root.wall
+    stats.records = len(records)
+    stats.wall_total += root.wall
     return records

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.registers import ALL_REGS
 from ..obs import metrics, span
@@ -44,6 +44,9 @@ from ..symex.expr import Bool, bool_and, bool_not, bv_eq, eval_bool, eval_bv
 from .record import GadgetRecord
 
 _NUM_PROBES = 4
+
+#: Conflict budget of the winnow's solver when the caller supplies none.
+WINNOW_MAX_CONFLICTS = 2000
 
 
 def _probe_value(name: str, trial: int) -> int:
@@ -193,7 +196,7 @@ def subsumes(
     stats: Optional["SubsumptionStats"] = None,
 ) -> bool:
     """True iff g1 subsumes g2 per eqn. (1)."""
-    solver = solver or Solver(max_conflicts=2000)
+    solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
     return _posts_equal(g1, g2, solver, exact) and _pre_implies(
         g1.pre_cond, g2.pre_cond, solver, memo, stats
     )
@@ -233,8 +236,8 @@ def bucketize(records: Sequence[GadgetRecord]) -> List[List[GadgetRecord]]:
     """Group records into fingerprint buckets.
 
     Buckets are returned in fingerprint first-occurrence order, which is
-    what the serial winnow iterates — a sharded winnow that processes
-    and concatenates buckets in this order reproduces the serial
+    what the in-process winnow iterates — a sharded winnow that
+    processes and concatenates buckets in this order reproduces its
     survivor order exactly (the final stable location sort preserves
     the concatenation order among location ties).
     """
@@ -275,22 +278,46 @@ def winnow_bucket(
     return kept
 
 
+def winnow_buckets(
+    buckets: Sequence[Sequence[GadgetRecord]],
+    solver: Solver,
+    stats: SubsumptionStats,
+    exact: bool = False,
+    memo: Optional[ImplicationMemo] = None,
+) -> List[GadgetRecord]:
+    """Winnow buckets in order on one solver; survivors in bucket order."""
+    memo = {} if memo is None else memo
+    survivors: List[GadgetRecord] = []
+    with span("winnow.buckets.run") as sp:
+        for bucket in buckets:
+            survivors.extend(winnow_bucket(bucket, solver, stats, exact=exact, memo=memo))
+        sp.add("buckets", len(buckets))
+        sp.add("survivors", len(survivors))
+        sp.add("solver_checks", stats.solver_checks)
+    return survivors
+
+
 def deduplicate_gadgets(
     records: Sequence[GadgetRecord],
     *,
     solver: Optional[Solver] = None,
     stats: Optional[SubsumptionStats] = None,
     exact: bool = False,
+    fan_out: Callable[..., List[GadgetRecord]] = winnow_buckets,
 ) -> List[GadgetRecord]:
     """Winnow the pool: keep one representative per equivalence class,
     preferring the loosest pre-condition, then the shortest gadget.
 
-    :mod:`repro.pipeline` runs the same winnow with the buckets sharded
-    over worker processes and the survivor pool cached on disk; this
-    function remains the single-process reference path the parallel
-    winnow is asserted byte-identical against.
+    This is the stage's one driver.  ``fan_out(buckets, solver, stats,
+    exact)`` winnows the fingerprint buckets and returns the survivors
+    in bucket order: in this process by default, while
+    :mod:`repro.pipeline` passes one that maps bucket chunks over worker
+    processes.  Subsumption decisions depend only on the records and
+    the solver's conflict budget, and the final stable location sort
+    restores the in-process survivor order, so both pools are byte
+    identical.
     """
-    solver = solver or Solver(max_conflicts=2000)
+    solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
     stats = stats if stats is not None else SubsumptionStats()
     stats.input_count = len(records)
     with span("winnow") as root:
@@ -298,12 +325,8 @@ def deduplicate_gadgets(
             buckets = bucketize(records)
         bkt_sp.add("buckets", len(buckets))
         stats.buckets = len(buckets)
-
-        memo: ImplicationMemo = {}
-        survivors: List[GadgetRecord] = []
         with span("winnow.buckets") as run_sp:
-            for bucket in buckets:
-                survivors.extend(winnow_bucket(bucket, solver, stats, exact=exact, memo=memo))
+            survivors = fan_out(buckets, solver, stats, exact)
             run_sp.add("solver_checks", stats.solver_checks)
             run_sp.add("memo_hits", stats.memo_hits)
         survivors.sort(key=lambda g: g.location)

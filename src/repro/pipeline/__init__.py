@@ -6,8 +6,9 @@ Three cooperating pieces (see DESIGN.md's inventory):
   for gadget records and pools (workers and the cache both need it);
 * :mod:`~repro.pipeline.cache` — persistent content-addressed pool
   store keyed by (image bytes, config, pipeline/format versions);
-* :mod:`~repro.pipeline.parallel` — sharded extraction and winnowing
-  with merges that are byte-identical to the serial reference paths.
+* :mod:`~repro.pipeline.parallel` — :func:`run_pipeline`, the stage
+  drivers behind the cache, with an optional fan-out over worker
+  processes whose merges are byte-identical to ``jobs=1``.
 """
 
 from .cache import CACHE_DIR_ENV, CacheStats, PIPELINE_VERSION, ResultCache, default_cache_dir

@@ -1,23 +1,31 @@
-"""Sharded extraction/winnowing with deterministic merges.
+"""The pipeline: the extract and winnow drivers plus a cache and a fan-out.
 
-The two heavy stages parallelize along natural seams:
+The stages themselves are composed once, in
+:func:`repro.gadgets.extract.extract_gadgets` and
+:func:`repro.gadgets.subsumption.deduplicate_gadgets`.  This module adds
+the two things those drivers leave out:
+
+* a persistent :class:`ResultCache` in front of each stage, and
+* with ``jobs > 1``, a fan-out of each stage's independent units over
+  worker processes.
+
+The units split along natural seams:
 
 * **Extraction** — candidate windows are independent, so the candidate
   list is split into contiguous chunks and each worker symbolically
-  executes its chunk on a private executor.  The serial path assigns
-  gadget ids sequentially over kept records in candidate order, so
+  executes its chunk on a private executor.  The driver assigns gadget
+  ids sequentially over kept records in candidate order, so
   concatenating per-chunk results in chunk order and renumbering
-  reproduces the serial pool byte for byte.
+  reproduces the in-process pool byte for byte.
 
 * **Winnowing** — fingerprint buckets cannot subsume across buckets,
   so buckets shard freely.  Buckets are kept in fingerprint
-  first-occurrence order (what the serial winnow iterates); the final
-  stable location sort then reproduces the serial survivor order.
+  first-occurrence order (what the in-process winnow iterates); the
+  final stable location sort then reproduces its survivor order.
 
 Workers exchange records via the canonical encoding in
 :mod:`repro.pipeline.serialize` rather than pickle, which keeps the
-"parallel == serial" property a one-line bytes comparison.  Either
-stage can short-circuit entirely through a :class:`ResultCache`.
+"sharded == in-process" property a one-line bytes comparison.
 
 Observability rides the same channel: each worker chunk runs under its
 own :class:`repro.obs.Tracer` and ships its span tree (plus a metrics
@@ -30,36 +38,29 @@ for any worker count.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..binfmt.image import BinaryImage
 from ..gadgets.extract import (
     ExtractionConfig,
     ExtractionStats,
+    extract_gadgets,
     make_executor,
-    plan_candidates,
     run_candidates,
+    symex_in_process,
 )
 from ..gadgets.record import GadgetRecord
 from ..gadgets.subsumption import (
-    ImplicationMemo,
     SubsumptionStats,
-    bucketize,
-    winnow_bucket,
+    deduplicate_gadgets,
+    winnow_buckets,
 )
-from ..obs import Tracer, active_tracer, metrics, reset_metrics, span, tracing
+from ..obs import Tracer, active_tracer, add, metrics, reset_metrics, span, tracing
 from ..solver.solver import Solver
 from ..staticanalysis.decode_graph import DecodeGraph
 from .cache import ResultCache
 from .serialize import pool_from_bytes, pool_to_bytes
-
-#: Conservative solver budget matching the serial winnow default.
-_WINNOW_MAX_CONFLICTS = 2000
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
 
 
 def _mp_context():
@@ -83,10 +84,49 @@ def _chunk(items: Sequence, count: int) -> List[List]:
     return chunks
 
 
-# -- extraction workers -------------------------------------------------------
+def _map_shards(
+    jobs: int, units: Sequence, func: Callable, initializer: Callable, initargs: tuple
+) -> Tuple[int, List[tuple]]:
+    """Map ``func`` over chunks of ``units`` on a process pool.
+
+    Returns (workers used, per-chunk results in chunk order).  Every
+    result ends with (span tree, metrics snapshot); both are merged into
+    the parent here, the trees under the innermost open span.
+    """
+    workers = max(1, min(jobs, len(units)))
+    chunks = _chunk(units, workers * 4)
+    with _mp_context().Pool(workers, initializer=initializer, initargs=initargs) as pool:
+        results = pool.map(func, list(enumerate(chunks)), chunksize=1)
+    tracer = active_tracer()
+    registry = metrics()
+    for *_, tree, snapshot in results:
+        if tracer is not None:
+            tracer.adopt(tree)
+        registry.merge(snapshot)
+    add("shards", len(chunks))
+    return workers, results
+
+
+# -- workers ------------------------------------------------------------------
 
 #: Per-process state, set up once by the pool initializer.
 _WORKER: Dict[str, object] = {}
+
+
+def _run_chunk(index: int, run: Callable[[], List[GadgetRecord]]) -> Tuple[bytes, dict, dict]:
+    """Run one chunk under its own tracer.
+
+    Returns (pool bytes, span tree dict, metrics snapshot); the span
+    tree carries the chunk's wall/CPU time and counters back to the
+    parent trace.
+    """
+    reset_metrics()
+    tracer = Tracer()
+    with tracing(tracer):
+        records = run()
+    tree = tracer.roots[0].to_dict()
+    tree["counters"]["shard"] = index
+    return pool_to_bytes(records), tree, metrics().to_dict()
 
 
 def _init_extract_worker(
@@ -109,24 +149,129 @@ def _init_extract_worker(
 
 
 def _extract_chunk(item: Tuple[int, List[int]]) -> Tuple[bytes, dict, dict]:
-    """Run one candidate chunk.
-
-    Returns (pool bytes, span tree dict, metrics snapshot); the span
-    tree carries the chunk's wall/CPU time and counters back to the
-    parent trace.
-    """
     index, candidates = item
-    reset_metrics()
-    tracer = Tracer()
-    with tracing(tracer):
-        records = run_candidates(
-            _WORKER["executor"],  # type: ignore[arg-type]
-            candidates,
-            _WORKER["config"],  # type: ignore[arg-type]
-        )
-    tree = tracer.roots[0].to_dict()
-    tree["counters"]["shard"] = index
-    return pool_to_bytes(records), tree, metrics().to_dict()
+    executor, config = _WORKER["executor"], _WORKER["config"]
+    return _run_chunk(index, lambda: run_candidates(executor, candidates, config))  # type: ignore
+
+
+def _symex_sharded(
+    jobs: int,
+    image: BinaryImage,
+    graph: DecodeGraph,
+    candidates: List[int],
+    config: ExtractionConfig,
+    stats: ExtractionStats,
+) -> List[GadgetRecord]:
+    """The extract driver's fan-out: candidate chunks over ``jobs`` workers."""
+    graph_arg = graph if _mp_context().get_start_method() == "fork" else None
+    workers, results = _map_shards(
+        jobs,
+        candidates,
+        _extract_chunk,
+        _init_extract_worker,
+        (image.text.data, image.text.addr, config, graph_arg),
+    )
+    records = [record for blob, _, _ in results for record in pool_from_bytes(blob)]
+    for new_id, record in enumerate(records):
+        record.gadget_id = new_id
+    stats.symex_invocations += len(candidates)
+    stats.jobs = workers
+    return records
+
+
+def _init_winnow_worker(exact: bool, max_conflicts: int) -> None:
+    _WORKER["solver"] = Solver(max_conflicts=max_conflicts)
+    _WORKER["memo"] = {}
+    _WORKER["exact"] = exact
+
+
+def _winnow_chunk(item: Tuple[int, List[bytes]]) -> Tuple[bytes, SubsumptionStats, dict, dict]:
+    """Winnow a chunk of serialized buckets: survivors in bucket order
+    and the chunk's own stats, besides what :func:`_run_chunk` returns."""
+    index, bucket_blobs = item
+    local = SubsumptionStats()
+    blob, tree, snapshot = _run_chunk(
+        index,
+        lambda: winnow_buckets(
+            [pool_from_bytes(b) for b in bucket_blobs],
+            _WORKER["solver"],  # type: ignore[arg-type]
+            local,
+            bool(_WORKER["exact"]),
+            _WORKER["memo"],  # type: ignore[arg-type]
+        ),
+    )
+    return blob, local, tree, snapshot
+
+
+def _winnow_sharded(
+    jobs: int,
+    buckets: List[List[GadgetRecord]],
+    solver: Solver,
+    stats: SubsumptionStats,
+    exact: bool,
+) -> List[GadgetRecord]:
+    """The winnow driver's fan-out: bucket chunks over ``jobs`` workers,
+    each on a solver with the caller's conflict budget."""
+    workers, results = _map_shards(
+        jobs,
+        [pool_to_bytes(bucket) for bucket in buckets],
+        _winnow_chunk,
+        _init_winnow_worker,
+        (exact, solver.max_conflicts),
+    )
+    survivors: List[GadgetRecord] = []
+    for blob, local, _, _ in results:
+        survivors.extend(pool_from_bytes(blob))
+        stats.solver_checks += local.solver_checks
+        stats.implication_queries += local.implication_queries
+        stats.memo_hits += local.memo_hits
+    stats.jobs = workers
+    return survivors
+
+
+# -- cache and stage entry points ---------------------------------------------
+
+
+def _through_cache(
+    stage: str,
+    kind: str,
+    cache: Optional[ResultCache],
+    image_bytes: Optional[bytes],
+    config: ExtractionConfig,
+    stats: Union[ExtractionStats, SubsumptionStats],
+    meta_fields: Tuple[str, ...],
+    size_field: str,
+    compute: Callable[[], List[GadgetRecord]],
+) -> List[GadgetRecord]:
+    """``compute()``'s pool, answered from ``cache`` when it holds one.
+
+    A miss computes and stores the pool together with the ``stats``
+    fields named in ``meta_fields``; a hit restores those fields and
+    sets ``size_field`` to the pool size.  The ``<stage>.cache`` and
+    ``<stage>.cache.store`` spans sit beside the stage's own span, and
+    their walls count towards ``stats.wall_total``.
+    """
+    if cache is None:
+        return compute()
+    with span(f"{stage}.cache") as load_sp:
+        hit = cache.load_pool(kind, image_bytes, config)
+    stats.wall_total += load_sp.wall
+    if hit is not None:
+        pool, meta = hit
+        load_sp.add("hits")
+        stats.cache_hits += 1
+        for name in meta_fields:
+            setattr(stats, name, int(meta.get(name, 0)))
+        setattr(stats, size_field, len(pool))
+        return pool
+    load_sp.add("misses")
+    stats.cache_misses += 1
+    pool = compute()
+    with span(f"{stage}.cache.store") as store_sp:
+        meta = {name: getattr(stats, name) for name in meta_fields}
+        cache.store_pool(kind, image_bytes, config, pool, meta=meta)
+    stats.wall_total += store_sp.wall
+    return pool
 
 
 def extract_pool(
@@ -134,139 +279,40 @@ def extract_pool(
     config: Optional[ExtractionConfig] = None,
     stats: Optional[ExtractionStats] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     image_bytes: Optional[bytes] = None,
 ) -> List[GadgetRecord]:
-    """Extraction with optional sharding and persistent caching.
+    """:func:`~repro.gadgets.extract.extract_gadgets` behind the cache,
+    fanned out over ``jobs`` worker processes when ``jobs > 1``.
 
-    Byte-identical to :func:`repro.gadgets.extract.extract_gadgets` for
-    every ``jobs`` value (asserted in tests); ``jobs`` defaults to
-    ``os.cpu_count()``.
+    The pool is byte-identical for every ``jobs`` value (asserted in
+    tests).  A cache hit reports the requested ``jobs``.
     """
     config = config or ExtractionConfig()
     stats = stats if stats is not None else ExtractionStats()
-    requested_jobs = jobs if jobs is not None else _default_jobs()
-    with span("extract") as root:
-        if cache is not None and image_bytes is None:
-            image_bytes = image.to_bytes()
-        if cache is not None:
-            with span("extract.cache") as cache_sp:
-                hit = cache.load_pool("extract", image_bytes, config)
-            if hit is not None:
-                records, meta = hit
-                cache_sp.add("hits", 1)
-                stats.cache_hits += 1
-                # A warm run still reports its configured worker count —
-                # zero symex jobs ran, but `jobs=0`-style summaries and
-                # BENCH artifacts must not misstate the configuration.
-                stats.jobs = requested_jobs
-                stats.candidates = int(meta.get("candidates", 0))
-                stats.semantically_culled = int(meta.get("semantically_culled", 0))
-                stats.records = len(records)
-                root.add("records", len(records))
-                root.add("cache_hit", 1)
-                stats.wall_total += root.wall_so_far()
-                return records
-            cache_sp.add("misses", 1)
-            stats.cache_misses += 1
-
-        graph, candidates = plan_candidates(image, config, stats)
-        jobs = max(1, min(requested_jobs, len(candidates) or 1))
-        stats.jobs = jobs
-
-        with span("extract.symex") as sym_sp:
-            if jobs == 1:
-                executor = make_executor(image.text.data, image.text.addr, config, graph)
-                records = run_candidates(executor, candidates, config, stats)
-            else:
-                chunks = _chunk(candidates, jobs * 4)
-                ctx = _mp_context()
-                graph_arg = graph if ctx.get_start_method() == "fork" else None
-                with ctx.Pool(
-                    jobs,
-                    initializer=_init_extract_worker,
-                    initargs=(image.text.data, image.text.addr, config, graph_arg),
-                ) as pool:
-                    results = pool.map(_extract_chunk, list(enumerate(chunks)), chunksize=1)
-                tracer = active_tracer()
-                registry = metrics()
-                records = []
-                for blob, tree, snapshot in results:
-                    records.extend(pool_from_bytes(blob))
-                    stats.wall_symex += float(tree["wall"])
-                    if tracer is not None:
-                        tracer.adopt(tree, parent=sym_sp)
-                    registry.merge(snapshot)
-                for new_id, record in enumerate(records):
-                    record.gadget_id = new_id
-                stats.symex_invocations += len(candidates)
-                sym_sp.add("shards", len(chunks))
-            sym_sp.add("records", len(records))
-
-        stats.records = len(records)
-        root.add("records", len(records))
-        if cache is not None:
-            with span("extract.cache.store"):
-                cache.store_pool(
-                    "extract",
-                    image_bytes,
-                    config,
-                    records,
-                    meta={
-                        "candidates": stats.candidates,
-                        "semantically_culled": stats.semantically_culled,
-                    },
-                )
-    stats.wall_total += root.wall
-    return records
-
-
-# -- winnow workers -----------------------------------------------------------
-
-
-def _init_winnow_worker(exact: bool) -> None:
-    _WORKER["solver"] = Solver(max_conflicts=_WINNOW_MAX_CONFLICTS)
-    _WORKER["memo"] = {}
-    _WORKER["exact"] = exact
-
-
-def _winnow_chunk(item: Tuple[int, List[bytes]]) -> Tuple[bytes, dict, dict, dict]:
-    """Winnow a chunk of serialized buckets.
-
-    Returns (survivor pool bytes in bucket order, local stat counters,
-    span tree dict, metrics snapshot).
-    """
-    index, bucket_blobs = item
-    solver: Solver = _WORKER["solver"]  # type: ignore[assignment]
-    memo: ImplicationMemo = _WORKER["memo"]  # type: ignore[assignment]
-    exact = bool(_WORKER["exact"])
-    local = SubsumptionStats()
-    survivors: List[GadgetRecord] = []
-    reset_metrics()
-    tracer = Tracer()
-    with tracing(tracer):
-        with span("winnow.buckets.run") as sp:
-            for blob in bucket_blobs:
-                bucket = pool_from_bytes(blob)
-                survivors.extend(winnow_bucket(bucket, solver, local, exact=exact, memo=memo))
-            sp.add("shard", index)
-            sp.add("buckets", len(bucket_blobs))
-            sp.add("survivors", len(survivors))
-            sp.add("solver_checks", local.solver_checks)
-    counters = {
-        "solver_checks": local.solver_checks,
-        "implication_queries": local.implication_queries,
-        "memo_hits": local.memo_hits,
-    }
-    return pool_to_bytes(survivors), counters, tracer.roots[0].to_dict(), metrics().to_dict()
+    if cache is not None and image_bytes is None:
+        image_bytes = image.to_bytes()
+    fan_out = partial(_symex_sharded, jobs) if jobs > 1 else symex_in_process
+    stats.jobs = jobs
+    return _through_cache(
+        "extract",
+        "extract",
+        cache,
+        image_bytes,
+        config,
+        stats,
+        ("candidates", "semantically_culled"),
+        "records",
+        lambda: extract_gadgets(image, config, stats, fan_out=fan_out),
+    )
 
 
 def winnow_pool(
     records: Sequence[GadgetRecord],
     stats: Optional[SubsumptionStats] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     exact: bool = False,
     solver: Optional[Solver] = None,
     cache: Optional[ResultCache] = None,
@@ -274,118 +320,58 @@ def winnow_pool(
     image_bytes: Optional[bytes] = None,
     config: Optional[ExtractionConfig] = None,
 ) -> List[GadgetRecord]:
-    """Winnowing with optional per-bucket sharding and caching.
+    """:func:`~repro.gadgets.subsumption.deduplicate_gadgets` behind the
+    cache, fanned out over ``jobs`` worker processes when ``jobs > 1``.
 
-    Byte-identical to
-    :func:`repro.gadgets.subsumption.deduplicate_gadgets` for every
-    ``jobs`` value: subsumption decisions depend only on the records
-    (solver UNSAT answers are deterministic), never on which process or
-    memo evaluated them.
+    The survivors are byte-identical for every ``jobs`` value:
+    subsumption decisions depend only on the records and the solver's
+    budget, never on which process or memo evaluated them.
 
     Caching keys on (image bytes, extraction config), the inputs the
     extracted pool is itself a pure function of; both must be supplied
     for the cache to engage.
     """
     stats = stats if stats is not None else SubsumptionStats()
-    requested_jobs = jobs if jobs is not None else _default_jobs()
-    kind = "winnow-exact" if exact else "winnow"
-    can_cache = cache is not None and config is not None and (
-        image is not None or image_bytes is not None
+    if config is None or (image is None and image_bytes is None):
+        cache = None
+    if cache is not None and image_bytes is None:
+        image_bytes = image.to_bytes()
+    fan_out = partial(_winnow_sharded, jobs) if jobs > 1 else winnow_buckets
+    stats.jobs = jobs
+    return _through_cache(
+        "winnow",
+        "winnow-exact" if exact else "winnow",
+        cache,
+        image_bytes,
+        config,
+        stats,
+        ("input_count", "buckets"),
+        "output_count",
+        lambda: deduplicate_gadgets(
+            records, solver=solver, stats=stats, exact=exact, fan_out=fan_out
+        ),
     )
-    with span("winnow") as root:
-        if can_cache and image_bytes is None:
-            image_bytes = image.to_bytes()
-        if can_cache:
-            with span("winnow.cache") as cache_sp:
-                hit = cache.load_pool(kind, image_bytes, config)
-            if hit is not None:
-                survivors, meta = hit
-                cache_sp.add("hits", 1)
-                stats.cache_hits += 1
-                stats.jobs = requested_jobs  # see extract_pool: true config
-                stats.input_count = int(meta.get("input_count", len(records)))
-                stats.buckets = int(meta.get("buckets", 0))
-                stats.output_count = len(survivors)
-                root.add("output", len(survivors))
-                root.add("cache_hit", 1)
-                stats.wall_total += root.wall_so_far()
-                return survivors
-            cache_sp.add("misses", 1)
-            stats.cache_misses += 1
-
-        stats.input_count = len(records)
-        with span("winnow.bucketize") as bkt_sp:
-            buckets = bucketize(records)
-        bkt_sp.add("buckets", len(buckets))
-        stats.buckets = len(buckets)
-
-        jobs = max(1, min(requested_jobs, len(buckets) or 1))
-        stats.jobs = jobs
-
-        with span("winnow.buckets") as run_sp:
-            if jobs == 1:
-                solver = solver or Solver(max_conflicts=_WINNOW_MAX_CONFLICTS)
-                memo: ImplicationMemo = {}
-                survivors: List[GadgetRecord] = []
-                with span("winnow.buckets.run") as sp:
-                    for bucket in buckets:
-                        survivors.extend(
-                            winnow_bucket(bucket, solver, stats, exact=exact, memo=memo)
-                        )
-                    sp.add("buckets", len(buckets))
-                    sp.add("survivors", len(survivors))
-                    sp.add("solver_checks", stats.solver_checks)
-            else:
-                chunks = _chunk([pool_to_bytes(b) for b in buckets], jobs * 4)
-                ctx = _mp_context()
-                with ctx.Pool(jobs, initializer=_init_winnow_worker, initargs=(exact,)) as pool:
-                    results = pool.map(_winnow_chunk, list(enumerate(chunks)), chunksize=1)
-                tracer = active_tracer()
-                registry = metrics()
-                survivors = []
-                for blob, counters, tree, snapshot in results:
-                    survivors.extend(pool_from_bytes(blob))
-                    stats.solver_checks += counters["solver_checks"]
-                    stats.implication_queries += counters["implication_queries"]
-                    stats.memo_hits += counters["memo_hits"]
-                    if tracer is not None:
-                        tracer.adopt(tree, parent=run_sp)
-                    registry.merge(snapshot)
-                run_sp.add("shards", len(chunks))
-            run_sp.add("solver_checks", stats.solver_checks)
-
-        survivors.sort(key=lambda g: g.location)
-        stats.output_count = len(survivors)
-        root.add("input", stats.input_count)
-        root.add("output", len(survivors))
-        if can_cache:
-            with span("winnow.cache.store"):
-                cache.store_pool(
-                    kind,
-                    image_bytes,
-                    config,
-                    survivors,
-                    meta={"input_count": stats.input_count, "buckets": stats.buckets},
-                )
-    stats.wall_total += root.wall
-    return survivors
 
 
 def run_pipeline(
     image: BinaryImage,
     config: Optional[ExtractionConfig] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     winnow: bool = True,
+    solver: Optional[Solver] = None,
     extraction_stats: Optional[ExtractionStats] = None,
     winnow_stats: Optional[SubsumptionStats] = None,
 ) -> Tuple[List[GadgetRecord], Optional[List[GadgetRecord]]]:
     """Extract (and optionally winnow) with shared jobs/cache settings.
 
-    Returns ``(extracted, winnowed-or-None)``.  Under an active tracer
-    the whole run lands beneath one ``pipeline`` root span with the
-    ``extract`` and ``winnow`` trees as children.
+    Returns ``(extracted, winnowed-or-None)``.  ``solver`` winnows (its
+    conflict budget also bounds every worker's solver); by default a
+    fresh solver with the winnow's default budget.  Under an active
+    tracer the whole run lands beneath one ``pipeline`` root span with
+    the ``extract`` and ``winnow`` trees (and their cache spans) as
+    children.
     """
     config = config or ExtractionConfig()
     with span("pipeline"):
@@ -399,6 +385,7 @@ def run_pipeline(
             records,
             winnow_stats,
             jobs=jobs,
+            solver=solver,
             cache=cache,
             image_bytes=image_bytes,
             config=config,

@@ -28,7 +28,7 @@ from ..solver.solver import Solver
 from ..gadgets.extract import ExtractionConfig, ExtractionStats
 from ..gadgets.subsumption import SubsumptionStats
 from ..pipeline.cache import ResultCache
-from ..pipeline.parallel import extract_pool, winnow_pool
+from ..pipeline.parallel import run_pipeline
 from .conditions import MemCondition, RegCondition
 from .goals import (
     AttackGoal,
@@ -56,9 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class StageTimings:
     """Wall-clock per stage (Table VII).
 
-    Each field is the wall time of the matching :mod:`repro.obs` stage
-    span (``plan.extract`` / ``plan.winnow`` / ``plan.goals`` /
-    ``plan.assemble``), so the report and a ``--trace`` export agree.
+    Extraction and subsumption are the stage stats' ``wall_total`` (the
+    ``extract`` / ``winnow`` spans plus their cache spans); planning and
+    post-processing are the ``plan.goals`` / ``plan.assemble`` span
+    walls.  The report and a ``--trace`` export therefore agree.
     """
 
     extraction: float = 0.0
@@ -114,7 +115,7 @@ class GadgetPlanner:
         planner: Optional[PlannerConfig] = None,
         solver: Optional[Solver] = None,
         validate: bool = True,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache: Optional[ResultCache] = None,
         defense: Optional["DefensePolicy"] = None,
     ) -> None:
@@ -129,10 +130,9 @@ class GadgetPlanner:
         # easy; a hard one returning UNKNOWN just skips that provider.
         self.solver = solver or Solver(max_conflicts=4000)
         self.validate = validate
-        # None keeps the historic single-process behavior; pass an
-        # explicit worker count (or a ResultCache) to opt into the
-        # repro.pipeline fast paths — the pools are byte-identical.
-        self.jobs = jobs if jobs is not None else 1
+        # Worker processes for extraction and winnowing; the pools are
+        # byte-identical for any count.
+        self.jobs = jobs
         self.cache = cache
         self._locate_cache: Dict[int, Optional[int]] = {}
 
@@ -167,31 +167,19 @@ class GadgetPlanner:
             report.defense_policy = self.defense.name
 
         with span("plan") as plan_root:
-            with span("plan.extract") as extract_sp:
-                image_bytes = self.image.to_bytes() if self.cache is not None else None
-                records = extract_pool(
-                    self.image,
-                    self.extraction_config,
-                    report.extraction_stats,
-                    jobs=self.jobs,
-                    cache=self.cache,
-                    image_bytes=image_bytes,
-                )
+            records, deduped = run_pipeline(
+                self.image,
+                self.extraction_config,
+                jobs=self.jobs,
+                cache=self.cache,
+                solver=self.solver,
+                extraction_stats=report.extraction_stats,
+                winnow_stats=report.subsumption_stats,
+            )
             report.gadgets_total = len(records)
-            report.timings.extraction = extract_sp.wall
-
-            with span("plan.winnow") as winnow_sp:
-                deduped = winnow_pool(
-                    records,
-                    report.subsumption_stats,
-                    jobs=self.jobs,
-                    solver=self.solver,
-                    cache=self.cache,
-                    image_bytes=image_bytes,
-                    config=self.extraction_config,
-                )
-                report.gadgets_after_subsumption = len(deduped)
-            report.timings.subsumption = winnow_sp.wall
+            report.gadgets_after_subsumption = len(deduped)
+            report.timings.extraction = report.extraction_stats.wall_total
+            report.timings.subsumption = report.subsumption_stats.wall_total
 
             if self.defense is not None:
                 # A pure post-filter over the winnowed pool: the cached

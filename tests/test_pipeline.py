@@ -1,18 +1,27 @@
 """repro.pipeline — determinism, serialization, and cache correctness.
 
 The performance layer's contract is strict: for any worker count the
-parallel pools are byte-identical to the serial reference paths, and a
-cache hit returns the identical pool while performing zero symbolic
+pools are byte-identical to the in-process stage drivers, and a cache
+hit returns the identical pool while performing zero symbolic
 execution.  Everything here runs on small windows so tier-1 stays fast;
-the timing/speedup claims live in ``benchmarks/test_pipeline_perf.py``.
+timings are measured by the repository benchmark, ``nflbench``.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.bench.harness import build
 from repro.gadgets.extract import ExtractionConfig, ExtractionStats, extract_gadgets
 from repro.gadgets.record import GadgetRecord
-from repro.gadgets.subsumption import SubsumptionStats, deduplicate_gadgets
+from repro.gadgets.subsumption import (
+    WINNOW_MAX_CONFLICTS,
+    SubsumptionStats,
+    bucketize,
+    deduplicate_gadgets,
+    fingerprint,
+    winnow_bucket,
+)
 from repro.pipeline import (
     ResultCache,
     extract_pool,
@@ -24,7 +33,7 @@ from repro.pipeline import (
     winnow_pool,
 )
 from repro.solver.solver import Solver
-from repro.symex.expr import bv_add, bv_const, bv_eq, bv_sym
+from repro.symex.expr import bv_add, bv_const, bv_eq, bv_ne, bv_sub, bv_sym
 
 SMALL = ExtractionConfig(max_insns=5, max_paths=2)
 
@@ -102,6 +111,30 @@ def test_parallel_winnow_byte_identical(name, config_name):
         assert pool_to_bytes(parallel) == serial, f"jobs={jobs}"
         assert stats.solver_checks == ser_stats.solver_checks
         assert stats.output_count == ser_stats.output_count
+
+    # The caller's conflict budget holds in every worker: with one
+    # conflict the probe's implication answers UNKNOWN and both probe
+    # records survive; the default budget proves it and drops one.
+    probed = _budget_probe(records[0]) + [
+        r for r in records if fingerprint(r) != fingerprint(records[0])
+    ]
+    tiny = deduplicate_gadgets(probed, solver=Solver(max_conflicts=1))
+    assert len(tiny) == len(deduplicate_gadgets(probed)) + 1
+    for jobs in (1, 2):
+        parallel = winnow_pool(probed, jobs=jobs, solver=Solver(max_conflicts=1))
+        assert pool_to_bytes(parallel) == pool_to_bytes(tiny), f"jobs={jobs}"
+
+
+def _budget_probe(record):
+    """Two copies of ``record`` whose subsumption needs a solver proof of
+    ``(x - y == 0) -> (x == y)`` (about 200 conflicts)."""
+    x, y = bv_sym("rax0"), bv_sym("rbx0")
+    weaker = [bv_eq(x, y)]
+    stronger = [bv_eq(bv_sub(x, y), bv_const(0)), bv_ne(x, bv_const(5))]
+    return [
+        dataclasses.replace(record, location=record.location + 1, pre_cond=weaker),
+        dataclasses.replace(record, location=record.location + 2, pre_cond=stronger),
+    ]
 
 
 # -- persistent cache -------------------------------------------------------
@@ -203,7 +236,10 @@ def test_winnow_memo_counters():
     assert stats.memo_hits <= stats.implication_queries
     assert 0.0 <= stats.memo_hit_rate <= 1.0
     # The memo must not change the outcome.
-    assert pool_to_bytes(survivors) == pool_to_bytes(winnow_pool(records, jobs=1))
+    solver = Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
+    unmemoized = [g for bucket in bucketize(records) for g in winnow_bucket(bucket, solver)]
+    unmemoized.sort(key=lambda g: g.location)
+    assert pool_to_bytes(survivors) == pool_to_bytes(unmemoized)
 
 
 # -- CLI --------------------------------------------------------------------
