@@ -7,6 +7,11 @@ pool.  Both runs are recorded with ``repro.obs`` tracers; the cold
 trace is written to JSONL and validated against the trace schema, and
 two warm traces must agree byte for byte once timestamps are stripped.
 
+A solver smoke traces one query the word-level pass refutes by
+abstraction: the export must hold its ``solver.blast`` (vars, clauses)
+and ``solver.sat`` (conflicts) spans, and ``nfl trace``'s summary its
+slow-query log.
+
 A defense-census smoke rides on the warm cache: the combined
 coarse-CFI + W^X policy filtered over the same obfuscated image must
 leave a nonzero surviving pool and produce a schema-valid census
@@ -22,6 +27,7 @@ from repro.bench.harness import build
 from repro.gadgets.extract import ExtractionConfig, ExtractionStats
 from repro.obs import (
     Tracer,
+    format_trace_summary,
     metrics,
     reset_metrics,
     strip_timestamps,
@@ -29,6 +35,8 @@ from repro.obs import (
     validate_trace_file,
 )
 from repro.pipeline import ResultCache, pool_to_bytes, run_pipeline
+from repro.solver import Solver
+from repro.symex.expr import CmpOp, bv_const, bv_sym, bv_udiv, cmp
 
 #: The extraction stage's spans directly under the ``pipeline`` root.
 STAGE_SPANS = ("extract.cache", "extract", "extract.cache.store")
@@ -85,8 +93,30 @@ def main() -> int:
         warm_tracer2.to_lines()
     ), "warm traces must be byte-stable modulo timestamps"
     print("pipeline smoke OK")
+    solver_smoke()
     defense_smoke(image, config)
     return 0
+
+
+def solver_smoke() -> None:
+    """Solver spans and the slow-query log in a schema-valid trace."""
+    quotient = bv_udiv(bv_sym("x"), bv_sym("y"))
+    query = [cmp(CmpOp.ULT, quotient, bv_const(3)), cmp(CmpOp.ULT, bv_const(5), quotient)]
+    reset_metrics()
+    tracer = Tracer()
+    with tracing(tracer):
+        assert Solver().check(query).is_unsat
+    with tempfile.TemporaryDirectory(prefix="nfl-smoke-") as td:
+        trace_path = Path(td) / "solver.jsonl"
+        tracer.write_jsonl(trace_path, metrics=metrics().to_dict())
+        spans = validate_trace_file(trace_path)
+        summary = format_trace_summary(trace_path.read_text().splitlines())
+    by_name = {s["name"]: s for s in spans}
+    assert {"vars", "clauses"} <= set(by_name["solver.blast"]["counters"]), by_name
+    assert "conflicts" in by_name["solver.sat"]["counters"], by_name
+    assert "solver.slow_queries (slowest 1):" in summary, summary
+    assert "rule=abstraction" in summary, summary
+    print(f"solver smoke OK ({by_name['solver.blast']['counters']['clauses']} clauses)")
 
 
 def defense_smoke(image, config) -> None:

@@ -28,7 +28,7 @@ from ..binfmt.image import make_image
 from ..isa.encoding import encode_program
 from ..obs import metrics, span
 from .corpus import save_case
-from .gen import gen_bytes, gen_program, gen_window
+from .gen import gen_bytes, gen_formula, gen_program, gen_window
 from .oracles import (
     Case,
     EmulatorFactory,
@@ -38,6 +38,7 @@ from .oracles import (
     check_prefilter,
     check_roundtrip,
     check_serialize,
+    check_solver_preprocess,
     check_window,
     check_winnow,
 )
@@ -53,6 +54,7 @@ SCHEDULE = {
     "pipeline": (50, 7),
     "planner": (100, 41),
     "obfuscation": (25, 11),
+    "solver_preprocess": (8, 1),
 }
 
 ORACLE_NAMES = tuple(SCHEDULE)
@@ -96,7 +98,7 @@ class FuzzReport:
             stat = self.stats.get(name)
             if stat is None or stat.runs == 0:
                 continue
-            lines.append(f"  {name:<12} runs={stat.runs:<4} failures={stat.failures}")
+            lines.append(f"  {name:<17} runs={stat.runs:<4} failures={stat.failures}")
         for failure in self.failures:
             size = window_insn_count(failure.shrunk) if failure.shrunk.kind == "window" else 0
             where = f" -> {failure.banked}" if failure.banked else ""
@@ -256,6 +258,18 @@ def run_fuzz(
                         case,
                         check_obfuscation(source, configs, seed=seed),
                     )
+            if due("solver_preprocess", i):
+                rng = random.Random(f"{seed}:{i}:solver_preprocess")
+                env_seed = rng.randrange(1 << 30)
+                conjuncts = gen_formula(random.Random(env_seed))
+                case = Case(
+                    oracle="solver_preprocess",
+                    kind="formula",
+                    text=bytes(range(len(conjuncts))),
+                    env_seed=env_seed,
+                )
+                with span("fuzz.solver_preprocess"):
+                    record("solver_preprocess", i, case, check_solver_preprocess(conjuncts))
         root.add("iters", iters)
         root.add("failures", report.total_failures)
     return report

@@ -1,12 +1,14 @@
 """Seeded input generators for the differential fuzzer.
 
-Three families, mirroring the tentpole's (a)/(b)/(c):
+Four families:
 
 * :func:`gen_program` — well-formed mini-C programs whose only output
   is a self-checksum ``print``, suitable for cross-config equivalence;
 * :func:`gen_bytes` — raw byte images (unaligned-decode stress);
 * :func:`gen_window` — laid-out instruction windows ending in an
-  indirect transfer (the gadget-chain shape extraction consumes).
+  indirect transfer (the gadget-chain shape extraction consumes);
+* :func:`gen_formula` — small bit-vector conjunctions shaped to meet
+  the solver's word-level refutation rules.
 
 Everything is driven by an explicit ``random.Random`` so a campaign
 iteration is reproducible from ``(seed, iteration, oracle)`` alone.
@@ -25,7 +27,24 @@ from typing import List, Optional, Tuple
 from ..binfmt.image import DATA_BASE, TEXT_BASE
 from ..isa.encoding import encode_program
 from ..isa.instructions import Instruction, Op
-from ..isa.registers import Reg
+from ..isa.registers import MASK64, Reg
+from ..symex.expr import (
+    BV,
+    Bool,
+    CmpOp,
+    bool_not,
+    bv_add,
+    bv_and,
+    bv_const,
+    bv_ite,
+    bv_mul,
+    bv_sub,
+    bv_sym,
+    bv_udiv,
+    bv_umod,
+    bv_xor,
+    cmp,
+)
 
 #: (instruction, jcc-target-item-index-or-None) — the editable form.
 WindowSpec = List[Tuple[Instruction, Optional[int]]]
@@ -203,3 +222,67 @@ def gen_program(rng: random.Random) -> str:
         "}",
     ]
     return "\n".join(lines) + "\n"
+
+
+#: Masks on leaves, as on byte loads.  Few free bits keep a multiplier
+#: to a few thousand clauses and the reference CDCL search short.
+_OPERAND_MASKS = (0xF, 0xFF)
+_FORMULA_CONSTS = (0, 1, 2, 3, 5, 7, 0xFF, 1 << 63, MASK64)
+_ORDER_FAMILIES = ((CmpOp.ULT, CmpOp.ULE), (CmpOp.SLT, CmpOp.SLE))
+
+
+def gen_formula(rng: random.Random) -> List[Bool]:
+    """A conjunction over 2–3 symbols with ``mul``/``udiv``/``umod``/``ite``
+    terms, biased toward what the solver's word-level pass looks for: a
+    conjunct's negation, an order cycle (strict or not, sometimes mixing
+    the unsigned and signed families), and non-linear terms shared
+    between conjuncts.
+
+    A 64-bit divider costs most of a second to encode, so only about
+    one formula in eight may use ``udiv``/``umod``.
+    """
+    syms = [bv_sym(name) for name in ("x", "y", "z")[: rng.choice((2, 3))]]
+    nonlinear_ops = (bv_mul, bv_udiv, bv_umod) if rng.random() < 0.125 else (bv_mul,)
+    shared: List[BV] = []
+
+    def leaf() -> BV:
+        roll = rng.random()
+        if roll < 0.2:
+            return bv_const(rng.choice(_FORMULA_CONSTS))
+        sym = rng.choice(syms)
+        return bv_and(sym, bv_const(rng.choice(_OPERAND_MASKS))) if roll < 0.85 else sym
+
+    def nonlinear() -> BV:
+        if shared and rng.random() < 0.5:
+            return rng.choice(shared)
+        term = rng.choice(nonlinear_ops)(leaf(), leaf())
+        shared.append(term)
+        return term
+
+    def term(depth: int) -> BV:
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return leaf()
+        if roll < 0.6:
+            return nonlinear()
+        if roll < 0.7:
+            return bv_ite(atom(depth - 1), term(depth - 1), term(depth - 1))
+        op = rng.choice((bv_add, bv_sub, bv_and, bv_xor))
+        return op(term(depth - 1), term(depth - 1))
+
+    def atom(depth: int) -> Bool:
+        return cmp(rng.choice(list(CmpOp)), term(depth), term(depth))
+
+    conjuncts = [atom(2) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.35:
+        conjuncts.append(bool_not(rng.choice(conjuncts)))
+    if rng.random() < 0.35:
+        ring = [term(1) for _ in range(rng.choice((2, 3)))]
+        strict, loose = rng.choice(_ORDER_FAMILIES)
+        for k, (low, high) in enumerate(zip(ring, ring[1:] + ring[:1])):
+            op = strict if k == 0 and rng.random() < 0.7 else loose
+            if rng.random() < 0.15:
+                op = rng.choice(rng.choice(_ORDER_FAMILIES))
+            conjuncts.append(cmp(op, low, high))
+    rng.shuffle(conjuncts)
+    return conjuncts

@@ -36,6 +36,11 @@ The oracles:
     A defenses-off policy produces the same payloads as no policy.
 ``obfuscation``
     Every obfuscation config preserves a program's concrete output.
+``solver_preprocess``
+    The solver's word-level pass never refutes a conjunction that a
+    plain :class:`~repro.solver.bitblast.BitBlaster` + CDCL search
+    satisfies, the solver as a whole never answers UNSAT there either,
+    and every SAT model it returns satisfies the conjunction.
 """
 
 from __future__ import annotations
@@ -56,11 +61,15 @@ from ..isa.instructions import opcode_operands
 from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
 from ..obfuscation.pipeline import CONFIGS, build_program
 from ..pipeline import pool_from_bytes, pool_to_bytes, run_pipeline
+from ..solver.bitblast import BitBlaster
+from ..solver.sat import SATBudgetExceeded, SATSolver
+from ..solver.solver import Solver
 from ..symex.executor import EndKind, SymbolicExecutor
-from ..symex.expr import eval_bool, eval_bv
+from ..symex.expr import Bool, eval_bool, eval_bv
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
 from ..staticanalysis.decode_graph import shared_decode_graph
 from ..staticanalysis.window import WindowAnalyzer
+from .gen import gen_formula
 
 EmulatorFactory = Callable[..., Emulator]
 
@@ -74,7 +83,9 @@ class Case:
     """One replayable fuzz case (what the corpus serializes)."""
 
     oracle: str
-    kind: str  # "window" | "image" | "program"
+    kind: str  # "window" | "image" | "program" | "formula"
+    #: Code bytes; for a "formula" case, the indices of the conjuncts of
+    #: ``gen_formula(Random(env_seed))`` it keeps, one byte each.
     text: bytes = b""
     offset: int = 0
     env_seed: int = 0
@@ -499,6 +510,57 @@ def check_obfuscation(source: str, configs: Sequence[str], *, seed: int = 0) -> 
 
 
 # ---------------------------------------------------------------------------
+# solver word-level pass vs plain bit-blasting
+# ---------------------------------------------------------------------------
+
+#: Conflict budget of the plain reference search; an overrun is inconclusive.
+_PLAIN_MAX_CONFLICTS = 20_000
+
+
+def _plain_satisfiable(conjuncts: Sequence[Bool]) -> Optional[bool]:
+    """Blast and search with no preprocessing and no clause budget."""
+    sat = SATSolver()
+    blaster = BitBlaster(sat)
+    for c in conjuncts:
+        blaster.assert_bool(c)
+    try:
+        return sat.solve(max_conflicts=_PLAIN_MAX_CONFLICTS).satisfiable
+    except SATBudgetExceeded:
+        return None
+
+
+def formula_conjuncts(case: Case) -> List[Bool]:
+    """The conjunction a "formula" case names."""
+    conjuncts = gen_formula(random.Random(case.env_seed))
+    return [conjuncts[k] for k in case.text if k < len(conjuncts)]
+
+
+def check_solver_preprocess(conjuncts: Sequence[Bool]) -> List[str]:
+    """The word-level pass and the solver against plain bit-blasting.
+
+    The plain search runs only when one of them answers UNSAT, so a
+    formula whose answer is SAT costs no reference blast.
+    """
+    plain: List[Optional[bool]] = []
+
+    def plain_sat() -> bool:
+        if not plain:
+            plain.append(_plain_satisfiable(conjuncts))
+        return plain[0] is True
+
+    failures: List[str] = []
+    rule = Solver().refute(conjuncts)
+    if rule is not None and plain_sat():
+        failures.append(f"solver_preprocess: rule {rule} refuted a satisfiable conjunction")
+    result = Solver().check(list(conjuncts))
+    if result.is_sat and not all(eval_bool(c, result.model) for c in conjuncts):
+        failures.append(f"solver_preprocess: model {result.model} violates the conjunction")
+    if result.is_unsat and plain_sat():
+        failures.append("solver_preprocess: solver answered UNSAT, plain blasting SAT")
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # case dispatch (corpus replay + shrinker re-checks)
 # ---------------------------------------------------------------------------
 
@@ -532,6 +594,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_planner(case.text)
     if case.oracle == "obfuscation":
         return check_obfuscation(case.source, case.configs or ("none",), seed=case.env_seed)
+    if case.oracle == "solver_preprocess":
+        return check_solver_preprocess(formula_conjuncts(case))
     raise ValueError(f"unknown oracle {case.oracle!r}")
 
 

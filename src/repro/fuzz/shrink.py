@@ -75,7 +75,9 @@ def shrink_case(
 
     if case.kind == "window":
         return _shrink_window(case, fails, budget)
-    if case.kind == "image":
+    if case.kind in ("image", "formula"):
+        # A formula case's bytes are conjunct indices: dropping one
+        # drops a conjunct.
         return _shrink_bytes(case, fails, budget)
     if case.kind == "program":
         return _shrink_program(case, fails, budget)

@@ -16,11 +16,13 @@ in different buckets cannot have equal post-conditions; within a
 bucket, equality is decided in three tiers:
 
 1. syntactic identity (free);
-2. random evaluation on 16 further sample vectors — any disagreement
+2. random evaluation on 12 further sample vectors — any disagreement
    proves inequality; full agreement is accepted as equality.  (With
    independent 64-bit probes a false collision is vanishingly unlikely;
-   pass ``exact=True`` to confirm each equality with the solver, at
-   ~100× the cost, dominated by bit-blasting 64×64 multipliers.)
+   pass ``exact=True`` to confirm each equality with the solver.  On
+   the six nflbench cold-sweep and census images, every post pair
+   compared within a bucket is syntactically identical, so
+   ``exact=True`` sends no extra query and costs the same.)
 3. pre-condition *implication* (the directional part of eqn. 1) is
    checked with the solver — sampling cannot prove implications.
 
@@ -45,8 +47,10 @@ from .record import GadgetRecord
 
 _NUM_PROBES = 4
 
-#: Conflict budget of the winnow's solver when the caller supplies none.
-WINNOW_MAX_CONFLICTS = 2000
+#: Conflict budget of the winnow's solver when the caller supplies none;
+#: the planner's solver has the same budget, so ``nfl extract`` and
+#: ``nfl plan`` winnow alike and share one cache entry.
+WINNOW_MAX_CONFLICTS = 4000
 
 
 def _probe_value(name: str, trial: int) -> int:

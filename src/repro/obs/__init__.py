@@ -7,7 +7,8 @@ Two cooperating pieces:
   schema validation, and worker-tree adoption for multiprocessing
   stages;
 * :mod:`~repro.obs.metrics` — a process-local registry of counters,
-  gauges and power-of-two histograms, mergeable across workers.
+  gauges, power-of-two histograms and top-N slow logs, mergeable
+  across workers.
 
 Instrumented stages create spans unconditionally (a span with no
 active tracer still measures, so ``ExtractionStats``/
@@ -16,7 +17,15 @@ the same measurements) and only pay the tree-keeping cost under
 ``with tracing(Tracer()):`` — what the ``--trace FILE`` CLI flag does.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, metrics, reset_metrics
+from .metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    SlowLog,
+    metrics,
+    reset_metrics,
+)
 from .trace import (
     TIMESTAMP_FIELDS,
     TRACE_FORMAT,
@@ -39,6 +48,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "SlowLog",
     "Span",
     "TIMESTAMP_FIELDS",
     "TRACE_FORMAT",

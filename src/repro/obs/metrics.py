@@ -1,15 +1,17 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local metrics registry: counters, gauges, histograms, slow logs.
 
-Deliberately dependency-free and deterministic: histograms bucket by
-power of two (``bit_length``), so two runs over the same inputs export
-identical snapshots.  Worker processes keep their own registry and
-ship :meth:`MetricsRegistry.to_dict` snapshots back with their span
-trees; the parent folds them in with :meth:`MetricsRegistry.merge`.
+Deliberately dependency-free: histograms bucket by power of two
+(``bit_length``), so two runs over the same inputs export identical
+counters, gauges and histograms.  Slow logs hold measured times and are
+the one part of a snapshot that differs between runs.  Worker processes
+keep their own registry and ship :meth:`MetricsRegistry.to_dict`
+snapshots back with their span trees; the parent folds them in with
+:meth:`MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 
 class Counter:
@@ -78,13 +80,36 @@ class Histogram:
         }
 
 
+class SlowLog:
+    """The ``limit`` slowest entries observed, slowest first.
+
+    Each entry is a flat JSON-ready dict whose ``wall`` field is the
+    measured time in seconds; the rest describes what was slow.
+    """
+
+    __slots__ = ("limit", "entries")
+
+    def __init__(self, limit: int = 10) -> None:
+        self.limit = limit
+        self.entries: List[Dict[str, Any]] = []
+
+    def observe(self, wall: float, **fields: Any) -> None:
+        self.entries.append({"wall": round(wall, 6), **fields})
+        self.entries.sort(key=lambda entry: -entry["wall"])
+        del self.entries[self.limit :]
+
+    def to_list(self) -> List[Dict[str, Any]]:
+        return [dict(entry) for entry in self.entries]
+
+
 class MetricsRegistry:
-    """Named counters/gauges/histograms for one process."""
+    """Named counters/gauges/histograms/slow logs for one process."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._slow_logs: Dict[str, SlowLog] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -104,13 +129,25 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram()
         return histogram
 
+    def slow_log(self, name: str) -> SlowLog:
+        log = self._slow_logs.get(name)
+        if log is None:
+            log = self._slow_logs[name] = SlowLog()
+        return log
+
     def to_dict(self) -> Dict[str, Any]:
-        """A deterministic, JSON-ready snapshot (names sorted)."""
-        return {
+        """A JSON-ready snapshot (names sorted); ``slow_logs`` appears
+        only once some slow log exists."""
+        snapshot: Dict[str, Any] = {
             "counters": {k: self._counters[k].value for k in sorted(self._counters)},
             "gauges": {k: self._gauges[k].value for k in sorted(self._gauges)},
             "histograms": {k: self._histograms[k].to_dict() for k in sorted(self._histograms)},
         }
+        if self._slow_logs:
+            snapshot["slow_logs"] = {
+                k: self._slow_logs[k].to_list() for k in sorted(self._slow_logs)
+            }
+        return snapshot
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
         """Fold a worker's :meth:`to_dict` snapshot into this registry."""
@@ -136,11 +173,16 @@ class MetricsRegistry:
             for bucket, count in data.get("buckets", {}).items():
                 bucket = int(bucket)
                 histogram.buckets[bucket] = histogram.buckets.get(bucket, 0) + int(count)
+        for name, entries in snapshot.get("slow_logs", {}).items():
+            log = self.slow_log(name)
+            for entry in entries:
+                log.observe(**entry)
 
     def reset(self) -> None:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._slow_logs.clear()
 
 
 #: The process-wide registry most instrumentation writes to.

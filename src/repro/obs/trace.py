@@ -321,7 +321,8 @@ def validate_trace_file(path: Any) -> List[Dict[str, Any]]:
 
 def strip_timestamps(lines: List[str]) -> List[str]:
     """The export with timestamp fields removed — two runs of the same
-    workload must agree on this projection byte for byte."""
+    workload must agree on this projection byte for byte.  Slow logs
+    are measured times through and through, so they go too."""
     stable: List[str] = []
     for line in lines:
         if not line.strip():
@@ -329,12 +330,27 @@ def strip_timestamps(lines: List[str]) -> List[str]:
         record = json.loads(line)
         for field in TIMESTAMP_FIELDS:
             record.pop(field, None)
+        if record.get("type") == "metrics":
+            record["metrics"].pop("slow_logs", None)
         stable.append(json.dumps(record, sort_keys=True))
     return stable
 
 
+def _slow_logs(lines: List[str]) -> Dict[str, List[Dict[str, Any]]]:
+    """The metrics line's slow logs, if the trace has one."""
+    for line in reversed(lines):
+        if line.strip():
+            record = json.loads(line)
+            if record.get("type") == "metrics":
+                return record["metrics"].get("slow_logs", {})
+            return {}
+    return {}
+
+
 def format_trace_summary(lines: List[str]) -> str:
-    """A human tree rendering of a JSONL trace (``nfl trace FILE``)."""
+    """A human tree rendering of a JSONL trace (``nfl trace FILE``),
+    followed by any slow log in its metrics snapshot (for instance the
+    solver's slowest queries)."""
     spans = validate_trace_lines(lines)
     depth: Dict[int, int] = {}
     out: List[str] = []
@@ -350,4 +366,9 @@ def format_trace_summary(lines: List[str]) -> str:
             f"{'  ' * d}{record['name']:<{max(1, 36 - 2 * d)}}"
             f" wall={record['wall']:.3f}s cpu={record['cpu']:.3f}s{suffix}"
         )
+    for name, entries in _slow_logs(lines).items():
+        out.append(f"{name} (slowest {len(entries)}):")
+        for entry in entries:
+            fields = " ".join(f"{k}={entry[k]}" for k in sorted(entry) if k != "wall")
+            out.append(f"  wall={entry['wall']:.4f}s {fields}")
     return "\n".join(out)

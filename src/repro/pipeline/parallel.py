@@ -52,12 +52,13 @@ from ..gadgets.extract import (
 )
 from ..gadgets.record import GadgetRecord
 from ..gadgets.subsumption import (
+    WINNOW_MAX_CONFLICTS,
     SubsumptionStats,
     deduplicate_gadgets,
     winnow_buckets,
 )
 from ..obs import Tracer, active_tracer, add, metrics, reset_metrics, span, tracing
-from ..solver.solver import Solver
+from ..solver.solver import DEFAULT_MAX_BLAST_CLAUSES, Solver
 from ..staticanalysis.decode_graph import DecodeGraph
 from .cache import ResultCache
 from .serialize import pool_from_bytes, pool_to_bytes
@@ -179,8 +180,8 @@ def _symex_sharded(
     return records
 
 
-def _init_winnow_worker(exact: bool, max_conflicts: int) -> None:
-    _WORKER["solver"] = Solver(max_conflicts=max_conflicts)
+def _init_winnow_worker(exact: bool, max_conflicts: int, max_blast_clauses: int) -> None:
+    _WORKER["solver"] = Solver(max_conflicts=max_conflicts, max_blast_clauses=max_blast_clauses)
     _WORKER["memo"] = {}
     _WORKER["exact"] = exact
 
@@ -211,13 +212,13 @@ def _winnow_sharded(
     exact: bool,
 ) -> List[GadgetRecord]:
     """The winnow driver's fan-out: bucket chunks over ``jobs`` workers,
-    each on a solver with the caller's conflict budget."""
+    each on a solver with the caller's budgets."""
     workers, results = _map_shards(
         jobs,
         [pool_to_bytes(bucket) for bucket in buckets],
         _winnow_chunk,
         _init_winnow_worker,
-        (exact, solver.max_conflicts),
+        (exact, solver.max_conflicts, solver.max_blast_clauses),
     )
     survivors: List[GadgetRecord] = []
     for blob, local, _, _ in results:
@@ -328,9 +329,14 @@ def winnow_pool(
     budget, never on which process or memo evaluated them.
 
     Caching keys on (image bytes, extraction config), the inputs the
-    extracted pool is itself a pure function of; both must be supplied
-    for the cache to engage.
+    extracted pool is itself a pure function of, and on the solver's
+    two budgets: a query that overruns one answers UNKNOWN and keeps a
+    gadget another budget might drop.  The default budgets, which
+    ``nfl extract`` and the planner share, keep the plain ``winnow``
+    kind.  Image and config must both be supplied for the cache to
+    engage.
     """
+    solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
     stats = stats if stats is not None else SubsumptionStats()
     if config is None or (image is None and image_bytes is None):
         cache = None
@@ -338,9 +344,13 @@ def winnow_pool(
         image_bytes = image.to_bytes()
     fan_out = partial(_winnow_sharded, jobs) if jobs > 1 else winnow_buckets
     stats.jobs = jobs
+    kind = "winnow-exact" if exact else "winnow"
+    budgets = (solver.max_conflicts, solver.max_blast_clauses)
+    if budgets != (WINNOW_MAX_CONFLICTS, DEFAULT_MAX_BLAST_CLAUSES):
+        kind += ":%d:%d" % budgets
     return _through_cache(
         "winnow",
-        "winnow-exact" if exact else "winnow",
+        kind,
         cache,
         image_bytes,
         config,

@@ -26,7 +26,7 @@ from ..binfmt.image import BinaryImage
 from ..obs import span
 from ..solver.solver import Solver
 from ..gadgets.extract import ExtractionConfig, ExtractionStats
-from ..gadgets.subsumption import SubsumptionStats
+from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, SubsumptionStats
 from ..pipeline.cache import ResultCache
 from ..pipeline.parallel import run_pipeline
 from .conditions import MemCondition, RegCondition
@@ -128,7 +128,7 @@ class GadgetPlanner:
         self.defense = defense if defense is not None and defense.enabled else None
         # A tight conflict budget: planner queries are overwhelmingly
         # easy; a hard one returning UNKNOWN just skips that provider.
-        self.solver = solver or Solver(max_conflicts=4000)
+        self.solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
         self.validate = validate
         # Worker processes for extraction and winnowing; the pools are
         # byte-identical for any count.

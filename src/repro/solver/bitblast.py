@@ -4,11 +4,16 @@ Each 64-bit expression becomes a vector of 64 "bits" (LSB first), where
 a bit is either a Python ``bool`` (a known constant — kept out of the
 CNF entirely) or a SAT literal.  Expression nodes are cached
 structurally, so shared subtrees are encoded once.
+
+Encoding, not search, is what a large query costs (a 64-bit divider is
+~175k clauses and most of a second of Python), so a blaster built with
+``max_clauses`` counts clauses as it emits them and raises
+:class:`BlastError` the moment the count passes the budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 from ..symex.expr import (
     BV,
@@ -34,14 +39,17 @@ Bit = Union[bool, int]  # constant or SAT literal
 
 
 class BlastError(ValueError):
-    """An expression form the blaster cannot encode."""
+    """An expression form the blaster cannot encode, or an encoding
+    that would pass the clause budget."""
 
 
 class BitBlaster:
     """Encodes expressions into a :class:`SATSolver` instance."""
 
-    def __init__(self, solver: SATSolver):
+    def __init__(self, solver: SATSolver, *, max_clauses: Optional[int] = None):
         self.solver = solver
+        self.max_clauses = max_clauses
+        self.clauses = 0  # clauses emitted so far
         self._bv_cache: Dict[BV, List[Bit]] = {}
         self._bool_cache: Dict[Bool, Bit] = {}
         self._sym_bits: Dict[str, List[int]] = {}
@@ -50,6 +58,12 @@ class BitBlaster:
 
     def _new_lit(self) -> int:
         return self.solver.new_var()
+
+    def _clause(self, *lits: int) -> None:
+        self.clauses += 1
+        if self.max_clauses is not None and self.clauses > self.max_clauses:
+            raise BlastError(f"encoding passes the {self.max_clauses}-clause budget")
+        self.solver.add_clause(lits)
 
     def _gate_and(self, a: Bit, b: Bit) -> Bit:
         if a is False or b is False:
@@ -61,9 +75,9 @@ class BitBlaster:
         if a == b:
             return a
         out = self._new_lit()
-        self.solver.add_clause([-out, a])
-        self.solver.add_clause([-out, b])
-        self.solver.add_clause([out, -a, -b])
+        self._clause(-out, a)
+        self._clause(-out, b)
+        self._clause(out, -a, -b)
         return out
 
     def _gate_or(self, a: Bit, b: Bit) -> Bit:
@@ -81,10 +95,10 @@ class BitBlaster:
         if a == b:
             return False
         out = self._new_lit()
-        self.solver.add_clause([-out, a, b])
-        self.solver.add_clause([-out, -a, -b])
-        self.solver.add_clause([out, -a, b])
-        self.solver.add_clause([out, a, -b])
+        self._clause(-out, a, b)
+        self._clause(-out, -a, -b)
+        self._clause(out, -a, b)
+        self._clause(out, a, -b)
         return out
 
     @staticmethod
@@ -99,7 +113,8 @@ class BitBlaster:
             return then
         if sel is False:
             return other
-        if then == other:
+        # Compare types too: literal 1 == True in Python.
+        if then == other and isinstance(then, bool) == isinstance(other, bool):
             return then
         return self._gate_or(self._gate_and(sel, then), self._gate_and(self._neg(sel), other))
 
@@ -300,9 +315,9 @@ class BitBlaster:
             return
         if bit is False:
             # Directly unsatisfiable: add the empty clause.
-            self.solver.add_clause([])
+            self._clause()
             return
-        self.solver.add_clause([bit])
+        self._clause(bit)
 
     def extract_value(self, name: str, model: Dict[int, bool]) -> int:
         """Recover a symbol's 64-bit value from a SAT model."""

@@ -11,22 +11,42 @@ Layered decision procedure:
 3. **Random sampling**: a handful of random assignments to the free
    variables; any hit is a model.  Catches loose constraint systems
    without touching CNF.
-4. **Bit-blasting + CDCL SAT** (:mod:`repro.solver.bitblast`,
-   :mod:`repro.solver.sat`) as the complete fallback, with a conflict
-   budget so pathological queries return UNKNOWN instead of hanging.
+4. **Word-level refutation** (:meth:`Solver.refute`), cheapest rule
+   first: a conjunct together with its negation; a cycle of unsigned
+   (or of signed) order atoms with a strict edge; and the query with
+   every non-linear term (``udiv``, ``umod``, ``mul`` of two
+   non-constant operands) abstracted as a fresh variable, blasted and
+   found UNSAT.  The abstraction over-approximates, so its UNSAT is
+   the query's; when it is SAT the full query is blasted, as in
+   lemmas-on-demand SMT solvers.  This layer only ever answers UNSAT.
+5. **Bit-blasting + CDCL SAT** (:mod:`repro.solver.bitblast`,
+   :mod:`repro.solver.sat`) as the complete fallback.  Two budgets
+   bound it: a clause budget on the encoding (``max_blast_clauses``)
+   and a conflict budget on the search (``max_conflicts``); either
+   overrun answers UNKNOWN instead of costing seconds and megabytes.
+
+Every query that reaches layer 4 opens ``solver.blast`` spans (``vars``
+and ``clauses`` counters) and ``solver.sat`` spans (``conflicts``),
+bumps ``solver.refuted.<rule>`` when a rule refutes it, and is entered
+in the ``solver.slow_queries`` slow log, which ``nfl trace`` prints.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..symex.expr import (
     BV,
+    BVBin,
+    BVBinOp,
     BVConst,
+    BVIte,
     BVSym,
+    BVUn,
     Bool,
     BoolConn,
     BoolConst,
@@ -40,7 +60,7 @@ from ..symex.expr import (
     free_symbols,
     substitute,
 )
-from ..obs import metrics
+from ..obs import metrics, span
 from .bitblast import BitBlaster, BlastError
 from .sat import SATBudgetExceeded, SATSolver
 
@@ -121,6 +141,128 @@ def _propagate_equalities(conjuncts: List[Bool]) -> tuple[List[Bool], Dict[str, 
     return final, bindings, True
 
 
+# -- word-level refutation ------------------------------------------------------
+
+#: Order comparisons by family: an unsigned and a signed atom never
+#: share a cycle.  The flag marks strict edges.
+_ORDER_EDGES = {
+    CmpOp.ULT: ("unsigned", True),
+    CmpOp.ULE: ("unsigned", False),
+    CmpOp.SLT: ("signed", True),
+    CmpOp.SLE: ("signed", False),
+}
+
+
+def _has_complement(conjuncts: Sequence[Bool]) -> bool:
+    """Some conjunct's negation is itself a conjunct."""
+    present = set(conjuncts)
+    return any(bool_not(c) in present for c in conjuncts)
+
+
+def _has_order_cycle(conjuncts: Sequence[Bool]) -> bool:
+    """``a < b`` with a path of ``<``/``<=`` atoms from ``b`` back to
+    ``a`` in the same family: ``a < a``, a contradiction."""
+    graphs: Dict[str, Dict[BV, List[BV]]] = {}
+    strict: List[tuple] = []
+    for c in conjuncts:
+        if isinstance(c, Cmp) and c.op in _ORDER_EDGES:
+            family, is_strict = _ORDER_EDGES[c.op]
+            graphs.setdefault(family, {}).setdefault(c.lhs, []).append(c.rhs)
+            if is_strict:
+                strict.append((family, c.lhs, c.rhs))
+    for family, low, high in strict:
+        graph = graphs[family]
+        seen = {high}
+        stack = [high]
+        while stack:
+            node = stack.pop()
+            if node == low:
+                return True
+            for succ in graph.get(node, ()):
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+    return False
+
+
+_NONLINEAR = (BVBinOp.MUL, BVBinOp.UDIV, BVBinOp.UMOD)
+
+#: Prefix of the abstraction's fresh symbols; no program symbol has it.
+_FRESH_PREFIX = "#nl"
+
+
+class _Abstraction:
+    """Rewrites terms with each non-linear term (both operands
+    non-constant) replaced by a fresh symbol; equal terms get the same
+    symbol, so the abstraction keeps their equality."""
+
+    def __init__(self) -> None:
+        self.fresh: Dict[BV, BVSym] = {}
+        self._done: Dict[object, object] = {}
+
+    def bool(self, expr: Bool) -> Bool:
+        done = self._done.get(expr)
+        if done is None:
+            if isinstance(expr, Cmp):
+                done = Cmp(expr.op, self.bv(expr.lhs), self.bv(expr.rhs))
+            elif isinstance(expr, BoolExpr):
+                done = BoolExpr(expr.conn, tuple(self.bool(a) for a in expr.args))
+            else:
+                done = expr
+            self._done[expr] = done
+        return done  # type: ignore[return-value]
+
+    def bv(self, expr: BV) -> BV:
+        done = self._done.get(expr)
+        if done is None:
+            if isinstance(expr, BVBin):
+                lhs, rhs = self.bv(expr.lhs), self.bv(expr.rhs)
+                done = BVBin(expr.op, lhs, rhs)
+                nonlinear = expr.op in _NONLINEAR
+                if nonlinear and not isinstance(lhs, BVConst) and not isinstance(rhs, BVConst):
+                    fresh = self.fresh.get(done)
+                    if fresh is None:
+                        fresh = self.fresh[done] = BVSym(f"{_FRESH_PREFIX}{len(self.fresh)}")
+                    done = fresh
+            elif isinstance(expr, BVUn):
+                done = BVUn(expr.op, self.bv(expr.arg))
+            elif isinstance(expr, BVIte):
+                done = BVIte(self.bool(expr.cond), self.bv(expr.then), self.bv(expr.other))
+            else:
+                done = expr
+            self._done[expr] = done
+        return done  # type: ignore[return-value]
+
+
+def _abstract_nonlinear(conjuncts: Sequence[Bool]) -> Optional[List[Bool]]:
+    """The conjuncts with non-linear terms abstracted, or None when
+    there are none (the abstraction would be the query itself)."""
+    abstraction = _Abstraction()
+    abstract = [abstraction.bool(c) for c in conjuncts]
+    return abstract if abstraction.fresh else None
+
+
+def _query_digest(conjuncts: Sequence[Bool]) -> str:
+    """A short stable name for a query in the slow-query log."""
+    text = "\n".join(str(c) for c in conjuncts)
+    return hashlib.blake2b(text.encode(), digest_size=6).hexdigest()
+
+
+@dataclass
+class _QueryCost:
+    """What one SAT-path query spent, summed over its blasts."""
+
+    vars: int = 0
+    clauses: int = 0
+    conflicts: int = 0
+    solved: bool = False  # some CDCL search ran
+
+
+#: Clause budget of one blast: above the 64-bit restoring divider
+#: (175,311 clauses), the largest encoding any tier-1 query needs.
+DEFAULT_MAX_BLAST_CLAUSES = 250_000
+
+
 class Solver:
     """Stateless checker over conjunctions of :class:`Bool` constraints.
 
@@ -134,12 +276,14 @@ class Solver:
         self,
         *,
         max_conflicts: int = 200_000,
+        max_blast_clauses: int = DEFAULT_MAX_BLAST_CLAUSES,
         sample_attempts: int = 24,
         rng_seed: int = 0x5EED,
         memoize: bool = True,
         memo_limit: int = 100_000,
     ) -> None:
         self.max_conflicts = max_conflicts
+        self.max_blast_clauses = max_blast_clauses
         self.sample_attempts = sample_attempts
         self._rng = random.Random(rng_seed)
         self.memoize = memoize
@@ -147,7 +291,7 @@ class Solver:
         self._memo: Dict[tuple, SolverResult] = {}
         self.queries = 0
         self.memo_hits = 0
-        self.sat_calls = 0  # checks that fell through to bit-blasting
+        self.sat_calls = 0  # checks that sampling left to layers 4-5
         self.sat_conflicts = 0  # CDCL conflicts spent across those calls
         self.unknowns = 0  # budget/blast failures answered UNKNOWN
 
@@ -230,35 +374,95 @@ class Solver:
                 return None
         return None
 
+    def refute(
+        self, conjuncts: Sequence[Bool], cost: Optional[_QueryCost] = None
+    ) -> Optional[str]:
+        """The word-level rule that refutes the conjunction, or None.
+
+        Rules run cheapest first: ``complement``, ``order_cycle``, then
+        ``abstraction`` (blast the query with its non-linear terms
+        abstracted; an UNSAT there is UNSAT here, while SAT or UNKNOWN
+        says nothing).  None never means SAT.
+        """
+        if _has_complement(conjuncts):
+            return "complement"
+        if _has_order_cycle(conjuncts):
+            return "order_cycle"
+        abstract = _abstract_nonlinear(conjuncts)
+        if abstract is None:
+            return None
+        if self._blast_and_solve(abstract, [], cost or _QueryCost()).is_unsat:
+            return "abstraction"
+        return None
+
     def _check_with_sat(
         self, conjuncts: List[Bool], symbols: List[str], bindings: Dict[str, int]
     ) -> SolverResult:
         self.sat_calls += 1
         registry = metrics()
         registry.counter("solver.sat_calls").inc()
+        cost = _QueryCost()
+        with span("solver.query") as query_sp:
+            rule = self.refute(conjuncts, cost)
+            if rule is not None:
+                registry.counter(f"solver.refuted.{rule}").inc()
+                result = SolverResult(Status.UNSAT)
+            else:
+                result = self._blast_and_solve(conjuncts, symbols, cost)
+        if result.status is Status.UNKNOWN:
+            self.unknowns += 1
+            registry.counter("solver.unknowns").inc()
+        if result.is_sat:
+            result.model.update(bindings)
+        if cost.solved:
+            registry.histogram("solver.conflicts_per_check").observe(cost.conflicts)
+        registry.slow_log("solver.slow_queries").observe(
+            query_sp.wall,
+            digest=_query_digest(conjuncts),
+            vars=cost.vars,
+            clauses=cost.clauses,
+            conflicts=cost.conflicts,
+            status=result.status.value,
+            rule=rule or "-",
+        )
+        return result
+
+    def _blast_and_solve(
+        self, conjuncts: Sequence[Bool], symbols: List[str], cost: _QueryCost
+    ) -> SolverResult:
+        """Blast and search within both budgets; UNKNOWN on an overrun.
+        A SAT answer carries the values of ``symbols``."""
         sat = SATSolver()
-        blaster = BitBlaster(sat)
-        try:
-            for c in conjuncts:
-                blaster.assert_bool(c)
-        except BlastError:
-            self.unknowns += 1
-            registry.counter("solver.unknowns").inc()
+        blaster = BitBlaster(sat, max_clauses=self.max_blast_clauses)
+        with span("solver.blast") as blast_sp:
+            try:
+                for c in conjuncts:
+                    blaster.assert_bool(c)
+                blasted = True
+            except BlastError:
+                blasted = False
+            blast_sp.add("vars", sat.num_vars)
+            blast_sp.add("clauses", blaster.clauses)
+        cost.vars += sat.num_vars
+        cost.clauses += blaster.clauses
+        if not blasted:
             return SolverResult(Status.UNKNOWN)
-        try:
-            result = sat.solve(max_conflicts=self.max_conflicts)
-        except SATBudgetExceeded as budget:
-            self.unknowns += 1
-            self.sat_conflicts += budget.conflicts
-            registry.counter("solver.unknowns").inc()
-            registry.histogram("solver.conflicts_per_check").observe(budget.conflicts)
+        with span("solver.sat") as sat_sp:
+            try:
+                result = sat.solve(max_conflicts=self.max_conflicts)
+                conflicts = result.conflicts
+            except SATBudgetExceeded as budget:
+                result = None
+                conflicts = budget.conflicts
+            sat_sp.add("conflicts", conflicts)
+        self.sat_conflicts += conflicts
+        cost.conflicts += conflicts
+        cost.solved = True
+        if result is None:
             return SolverResult(Status.UNKNOWN)
-        self.sat_conflicts += result.conflicts
-        registry.histogram("solver.conflicts_per_check").observe(result.conflicts)
         if not result.satisfiable:
             return SolverResult(Status.UNSAT)
         model = {name: blaster.extract_value(name, result.model) for name in symbols}
-        model.update(bindings)
         return SolverResult(Status.SAT, model=model)
 
 

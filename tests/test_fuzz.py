@@ -148,6 +148,32 @@ def test_campaign_deterministic_and_green():
     assert first.stats["emu_symex"].runs == 12
 
 
+def test_solver_preprocess_oracle_green_and_replayable():
+    import random
+
+    from repro.fuzz.gen import gen_formula
+    from repro.fuzz.oracles import check_solver_preprocess, formula_conjuncts
+
+    conjuncts = gen_formula(random.Random(7))
+    assert len(conjuncts) >= 3
+    assert check_solver_preprocess(conjuncts) == []
+    case = Case(oracle="solver_preprocess", kind="formula", text=bytes([0, 2]), env_seed=7)
+    assert formula_conjuncts(case) == [conjuncts[0], conjuncts[2]]
+    assert run_case(case) == []
+
+
+def test_solver_preprocess_oracle_catches_unsound_refutation(monkeypatch):
+    """A pass that refutes everything is caught against plain blasting,
+    and the shrinker cuts the case to one (satisfiable) conjunct."""
+    from repro.solver.solver import Solver
+
+    monkeypatch.setattr(Solver, "refute", lambda self, conjuncts, cost=None: "complement")
+    case = Case(oracle="solver_preprocess", kind="formula", text=bytes([0, 1]), env_seed=7)
+    failures = run_case(case)
+    assert failures and "rule complement refuted a satisfiable" in failures[0]
+    assert len(shrink_case(case).text) == 1
+
+
 def test_campaign_rejects_unknown_oracle():
     import pytest
 

@@ -12,6 +12,7 @@ import pytest
 from repro.obs import (
     Histogram,
     MetricsRegistry,
+    SlowLog,
     Span,
     TraceSchemaError,
     Tracer,
@@ -236,6 +237,35 @@ def test_histogram_buckets_are_power_of_two():
     hist.observe(8)  # bit_length 4
     buckets = hist.to_dict()["buckets"]
     assert buckets == {"0": 1, "1": 1, "3": 1, "4": 1}
+
+
+def test_slow_log_keeps_the_slowest_and_merges():
+    reg = MetricsRegistry()
+    assert "slow_logs" not in reg.to_dict()
+    for k in range(15):
+        reg.slow_log("queries").observe(k / 100, digest=f"d{k}")
+    log = reg.slow_log("queries")
+    assert log.limit == SlowLog().limit == 10
+    assert [e["digest"] for e in log.entries] == [f"d{k}" for k in range(14, 4, -1)]
+    worker = MetricsRegistry()
+    worker.slow_log("queries").observe(1.0, digest="worker")
+    reg.merge(worker.to_dict())
+    merged = reg.to_dict()["slow_logs"]["queries"]
+    assert merged[0] == {"wall": 1.0, "digest": "worker"}
+    assert len(merged) == 10 and merged[-1]["digest"] == "d6"
+
+
+def test_trace_summary_prints_slow_logs():
+    reg = MetricsRegistry()
+    reg.slow_log("solver.slow_queries").observe(0.25, digest="abc", clauses=7)
+    lines = _sample_tracer().to_lines(metrics=reg.to_dict())
+    summary = format_trace_summary(lines)
+    assert "solver.slow_queries (slowest 1):" in summary
+    assert "wall=0.2500s clauses=7 digest=abc" in summary
+    # Slow logs are timings: the stable projection leaves them out.
+    assert strip_timestamps(lines) == strip_timestamps(
+        _sample_tracer().to_lines(metrics=MetricsRegistry().to_dict())
+    )
 
 
 def test_global_registry_reset():

@@ -198,6 +198,39 @@ def test_winnow_cache_round_trip(tmp_path):
     assert warm_stats.solver_checks == 0, "warm winnow must not re-check"
 
 
+def test_winnow_cache_keyed_by_solver_budget(tmp_path):
+    """A winnow at one conflict budget never serves a planner at another:
+    a 2000-conflict winnow then a 4000-conflict ``GadgetPlanner`` on one
+    cache is a winnow miss.  A default-budget winnow, as ``nfl extract``
+    runs it, fills the plain ``winnow`` entry the planner then hits."""
+    from repro.planner import GadgetPlanner
+
+    image = _image("bubble_sort", "none")
+    records = extract_gadgets(image, SMALL)
+
+    def planner_winnow(cache):
+        planner = GadgetPlanner(image, extraction=SMALL, cache=cache, validate=False)
+        assert planner.solver.max_conflicts == WINNOW_MAX_CONFLICTS == 4000
+        report = planner.run(goals=[])
+        assert report.extraction_stats.cache_hits == 1
+        return report.subsumption_stats
+
+    cache = ResultCache(root=tmp_path / "budgets")
+    extract_pool(image, SMALL, cache=cache)
+    winnow_pool(
+        records, solver=Solver(max_conflicts=2000), cache=cache, image=image, config=SMALL
+    )
+    stats = planner_winnow(cache)
+    assert stats.cache_misses == 1 and stats.cache_hits == 0
+
+    shared = ResultCache(root=tmp_path / "shared")
+    extract_pool(image, SMALL, cache=shared)
+    winnowed = winnow_pool(records, cache=shared, image=image, config=SMALL)
+    assert planner_winnow(shared).cache_hits == 1
+    loaded, _ = shared.load_pool("winnow", image.to_bytes(), SMALL)
+    assert pool_to_bytes(loaded) == pool_to_bytes(winnowed)
+
+
 def test_run_pipeline_warm_end_to_end(tmp_path):
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)

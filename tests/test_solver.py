@@ -1,11 +1,16 @@
 """Tests for the BV solver frontend: fast paths, bit-blasting, models."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import Tracer, metrics, reset_metrics, tracing
 from repro.solver import Solver, Status
 from repro.symex.expr import (
     MASK64,
     CmpOp,
+    bool_and,
+    bool_not,
     bool_or,
     bv_add,
     bv_and,
@@ -178,3 +183,181 @@ def test_property_model_satisfies_constraints(a):
     env = dict(result.model)
     for c in constraints:
         assert eval_bool(c, env)
+
+
+# -- word-level refutation -----------------------------------------------------
+
+FLAGS_LE = bool_or(
+    bv_ne(bv_sym("flag_zf"), bv_const(0)),
+    bool_and(bv_ne(bv_sym("flag_sf"), bv_const(0)), bv_eq(bv_sym("flag_of"), bv_const(0))),
+    bool_and(bv_eq(bv_sym("flag_sf"), bv_const(0)), bv_ne(bv_sym("flag_of"), bv_const(0))),
+)
+
+
+def _traced_check(solver, constraints):
+    """(result, spans by name, registry counters) of one check."""
+    reset_metrics()
+    tracer = Tracer()
+    with tracing(tracer):
+        result = solver.check(constraints)
+    spans = {}
+    for root in tracer.roots:
+        for node, _ in root.walk():
+            spans.setdefault(node.name, []).append(node)
+    return result, spans, metrics().to_dict()["counters"]
+
+
+def _refuted_by(constraints):
+    result, spans, counters = _traced_check(Solver(), constraints)
+    assert result.is_unsat
+    rules = [k[len("solver.refuted.") :] for k in counters if k.startswith("solver.refuted.")]
+    return rules, spans
+
+
+def test_refutes_complementary_eq_ne_without_blasting():
+    rules, spans = _refuted_by([bv_eq(X, bv_add(Y, bv_const(3))), bv_ne(X, bv_add(Y, bv_const(3)))])
+    assert rules == ["complement"]
+    assert "solver.blast" not in spans
+
+
+def test_refutes_complementary_ult_ule_pair():
+    # not (x u< y) is y u<= x.
+    rules, spans = _refuted_by([cmp(CmpOp.ULT, X, Y), cmp(CmpOp.ULE, Y, X)])
+    assert rules == ["complement"]
+    assert "solver.blast" not in spans
+
+
+def test_refutes_strict_two_cycle():
+    rules, spans = _refuted_by([cmp(CmpOp.ULT, X, Y), cmp(CmpOp.ULT, Y, X)])
+    assert rules == ["order_cycle"]
+    assert "solver.blast" not in spans
+
+
+def test_refutes_three_term_strict_cycle():
+    rules, _ = _refuted_by(
+        [cmp(CmpOp.SLT, X, Y), cmp(CmpOp.SLE, Y, Z), cmp(CmpOp.SLE, Z, X)]
+    )
+    assert rules == ["order_cycle"]
+
+
+def test_refutes_logged_winnow_divider_query():
+    """The implication query every cold winnow used to pay a 175k-clause
+    divider for: (rax0 udiv rcx0) != 0 and == 0, plus the flags test."""
+    quotient = bv_udiv(bv_sym("rax0"), bv_sym("rcx0"))
+    for phi in (FLAGS_LE, bool_not(FLAGS_LE)):
+        rules, spans = _refuted_by(
+            [bv_ne(quotient, bv_const(0)), bv_eq(quotient, bv_const(0)), phi]
+        )
+        assert rules == ["complement"]
+        assert "solver.blast" not in spans
+
+
+def test_refutes_through_nonlinear_abstraction():
+    quotient = bv_udiv(X, Y)
+    rules, spans = _refuted_by(
+        [cmp(CmpOp.ULT, quotient, bv_const(3)), cmp(CmpOp.ULT, bv_const(5), quotient)]
+    )
+    assert rules == ["abstraction"]
+    # One blast, of the abstract query: no divider was encoded.
+    (blast,) = spans["solver.blast"]
+    assert blast.counters["clauses"] < 2_000
+
+
+def _assert_sat_unrefuted(constraints):
+    result, spans, counters = _traced_check(Solver(sample_attempts=0), constraints)
+    assert result.is_sat
+    assert all(eval_bool(c, result.model) for c in constraints)
+    assert not [k for k in counters if k.startswith("solver.refuted.")]
+    return spans
+
+
+def test_nonstrict_two_cycle_not_refuted():
+    _assert_sat_unrefuted([cmp(CmpOp.ULE, X, Y), cmp(CmpOp.ULE, Y, X)])
+
+
+def test_mixed_order_families_not_refuted():
+    # x u< y and y s< x: x = 0, y = 2^64 - 1 (signed -1).
+    _assert_sat_unrefuted([cmp(CmpOp.ULT, X, Y), cmp(CmpOp.SLT, Y, X)])
+
+
+def test_division_sat_not_refuted():
+    _assert_sat_unrefuted([bv_eq(bv_udiv(X, Y), bv_const(3)), bv_eq(Y, bv_const(5))])
+
+
+def test_division_sat_through_refinement():
+    """The abstract query is SAT, so the full query is blasted too and
+    its model comes from the divider."""
+    spans = _assert_sat_unrefuted(
+        [
+            bv_eq(bv_udiv(X, Y), bv_const(3)),
+            cmp(CmpOp.ULT, bv_const(4), Y),
+            cmp(CmpOp.ULT, Y, bv_const(6)),
+        ]
+    )
+    abstract, full = spans["solver.blast"]
+    assert abstract.counters["clauses"] < full.counters["clauses"]
+
+
+def test_over_blast_budget_answers_unknown():
+    budget = 2_000
+    solver = Solver(max_blast_clauses=budget, sample_attempts=0)
+    result, spans, counters = _traced_check(
+        solver, [bv_eq(bv_mul(X, X), bv_const(4)), cmp(CmpOp.ULT, X, bv_const(8)), bv_ne(X, 2)]
+    )
+    assert result.status is Status.UNKNOWN
+    assert counters["solver.unknowns"] == 1 and solver.unknowns == 1
+    # The abstract query fits; the multiplier stops one clause past the budget.
+    assert [b.counters["clauses"] for b in spans["solver.blast"]][-1] == budget + 1
+    assert "solver.sat" in spans  # only the abstract query was searched
+    assert Solver(sample_attempts=0).check(
+        [bv_eq(bv_mul(X, X), bv_const(4)), cmp(CmpOp.ULT, X, bv_const(8)), bv_ne(X, 2)]
+    ).is_unsat
+
+
+def _probe_records():
+    """Two records with equal posts whose subsumption is the implication
+    (x*x == 4 and x u< 8) -> x == 2: true, but provable only through the
+    64-bit multiplier."""
+    from repro.binfmt.image import make_image
+    from repro.gadgets.extract import ExtractionConfig, extract_gadgets
+    from repro.isa.encoding import encode_program
+    from repro.isa.instructions import Instruction, Op
+    from repro.isa.registers import Reg
+
+    text = encode_program([Instruction(op=Op.POP1, dst=Reg.RAX), Instruction(op=Op.RET)])
+    records = extract_gadgets(make_image(text), ExtractionConfig(max_insns=3))
+    (record,) = [r for r in records if r.insns[0].op is Op.POP1]
+    x = bv_sym("rbx0")
+    weaker = [bv_eq(x, bv_const(2))]
+    stronger = [bv_eq(bv_mul(x, x), bv_const(4)), cmp(CmpOp.ULT, x, bv_const(8))]
+    return [
+        dataclasses.replace(record, location=record.location + 1, pre_cond=weaker),
+        dataclasses.replace(record, location=record.location + 2, pre_cond=stronger),
+    ]
+
+
+def test_winnow_keeps_gadget_when_blast_over_budget():
+    from repro.gadgets.subsumption import winnow_bucket
+
+    bucket = _probe_records()
+    assert len(winnow_bucket(bucket, Solver(max_conflicts=4000))) == 1
+    kept = winnow_bucket(bucket, Solver(max_conflicts=4000, max_blast_clauses=2_000))
+    assert len(kept) == 2
+
+
+def test_cold_winnow_blasts_nothing_large():
+    """Non-timing guard: a cold winnow of binary_search/none (the image
+    whose implication queries used to encode a 175k-clause divider)
+    blasts no query over 10,000 clauses."""
+    from repro.bench.harness import BENCH_EXTRACTION, build
+    from repro.gadgets.extract import extract_gadgets
+    from repro.gadgets.subsumption import deduplicate_gadgets
+
+    records = extract_gadgets(build("binary_search", "none").image, BENCH_EXTRACTION)
+    reset_metrics()
+    tracer = Tracer()
+    with tracing(tracer):
+        deduplicate_gadgets(records, solver=Solver(max_conflicts=4000))
+    blasts = [n for root in tracer.roots for n, _ in root.walk() if n.name == "solver.blast"]
+    assert max((b.counters["clauses"] for b in blasts), default=0) <= 10_000
+    assert metrics().to_dict()["counters"].get("solver.refuted.complement", 0) >= 2
