@@ -7,10 +7,10 @@ pool.  Both runs are recorded with ``repro.obs`` tracers; the cold
 trace is written to JSONL and validated against the trace schema, and
 two warm traces must agree byte for byte once timestamps are stripped.
 
-A solver smoke traces one query the word-level pass refutes by
-abstraction: the export must hold its ``solver.blast`` (vars, clauses)
-and ``solver.sat`` (conflicts) spans, and ``nfl trace``'s summary its
-slow-query log.
+A solver smoke traces one query the word-level pass refutes and one it
+leaves to the blast: the export must hold the latter's ``solver.blast``
+(vars, clauses) and ``solver.sat`` (conflicts) spans, and ``nfl
+trace``'s summary a slow-query log with both.
 
 A defense-census smoke rides on the warm cache: the combined
 coarse-CFI + W^X policy filtered over the same obfuscated image must
@@ -36,7 +36,7 @@ from repro.obs import (
 )
 from repro.pipeline import ResultCache, pool_to_bytes, run_pipeline
 from repro.solver import Solver
-from repro.symex.expr import CmpOp, bv_const, bv_sym, bv_udiv, cmp
+from repro.symex.expr import CmpOp, bv_const, bv_ne, bv_sym, cmp
 
 #: The extraction stage's spans directly under the ``pipeline`` root.
 STAGE_SPANS = ("extract.cache", "extract", "extract.cache.store")
@@ -100,12 +100,15 @@ def main() -> int:
 
 def solver_smoke() -> None:
     """Solver spans and the slow-query log in a schema-valid trace."""
-    quotient = bv_udiv(bv_sym("x"), bv_sym("y"))
-    query = [cmp(CmpOp.ULT, quotient, bv_const(3)), cmp(CmpOp.ULT, bv_const(5), quotient)]
+    x, y = bv_sym("x"), bv_sym("y")
+    cycle = [cmp(CmpOp.ULT, x, y), cmp(CmpOp.ULT, y, x)]
+    # x u< y u< 2 forces x = 0: UNSAT, but only a blast can tell.
+    blasted = [cmp(CmpOp.ULT, x, y), cmp(CmpOp.ULT, y, bv_const(2)), bv_ne(x, bv_const(0))]
     reset_metrics()
     tracer = Tracer()
     with tracing(tracer):
-        assert Solver().check(query).is_unsat
+        assert Solver().check(cycle).is_unsat
+        assert Solver().check(blasted).is_unsat
     with tempfile.TemporaryDirectory(prefix="nfl-smoke-") as td:
         trace_path = Path(td) / "solver.jsonl"
         tracer.write_jsonl(trace_path, metrics=metrics().to_dict())
@@ -114,8 +117,8 @@ def solver_smoke() -> None:
     by_name = {s["name"]: s for s in spans}
     assert {"vars", "clauses"} <= set(by_name["solver.blast"]["counters"]), by_name
     assert "conflicts" in by_name["solver.sat"]["counters"], by_name
-    assert "solver.slow_queries (slowest 1):" in summary, summary
-    assert "rule=abstraction" in summary, summary
+    assert "solver.slow_queries (slowest 2):" in summary, summary
+    assert "rule=order_cycle" in summary and "rule=-" in summary, summary
     print(f"solver smoke OK ({by_name['solver.blast']['counters']['clauses']} clauses)")
 
 

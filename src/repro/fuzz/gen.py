@@ -236,7 +236,7 @@ def gen_formula(rng: random.Random) -> List[Bool]:
     terms, biased toward what the solver's word-level pass looks for: a
     conjunct's negation, an order cycle (strict or not, sometimes mixing
     the unsigned and signed families), and non-linear terms shared
-    between conjuncts.
+    between conjuncts, as in the winnow's divider queries.
 
     A 64-bit divider costs most of a second to encode, so only about
     one formula in eight may use ``udiv``/``umod``.

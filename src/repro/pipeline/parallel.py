@@ -58,7 +58,7 @@ from ..gadgets.subsumption import (
     winnow_buckets,
 )
 from ..obs import Tracer, active_tracer, add, metrics, reset_metrics, span, tracing
-from ..solver.solver import DEFAULT_MAX_BLAST_CLAUSES, Solver
+from ..solver.solver import Solver
 from ..staticanalysis.decode_graph import DecodeGraph
 from .cache import ResultCache
 from .serialize import pool_from_bytes, pool_to_bytes
@@ -180,8 +180,8 @@ def _symex_sharded(
     return records
 
 
-def _init_winnow_worker(exact: bool, max_conflicts: int, max_blast_clauses: int) -> None:
-    _WORKER["solver"] = Solver(max_conflicts=max_conflicts, max_blast_clauses=max_blast_clauses)
+def _init_winnow_worker(exact: bool, max_conflicts: int) -> None:
+    _WORKER["solver"] = Solver(max_conflicts=max_conflicts)
     _WORKER["memo"] = {}
     _WORKER["exact"] = exact
 
@@ -212,13 +212,13 @@ def _winnow_sharded(
     exact: bool,
 ) -> List[GadgetRecord]:
     """The winnow driver's fan-out: bucket chunks over ``jobs`` workers,
-    each on a solver with the caller's budgets."""
+    each on a solver with the caller's conflict budget."""
     workers, results = _map_shards(
         jobs,
         [pool_to_bytes(bucket) for bucket in buckets],
         _winnow_chunk,
         _init_winnow_worker,
-        (exact, solver.max_conflicts, solver.max_blast_clauses),
+        (exact, solver.max_conflicts),
     )
     survivors: List[GadgetRecord] = []
     for blob, local, _, _ in results:
@@ -330,9 +330,9 @@ def winnow_pool(
 
     Caching keys on (image bytes, extraction config), the inputs the
     extracted pool is itself a pure function of, and on the solver's
-    two budgets: a query that overruns one answers UNKNOWN and keeps a
-    gadget another budget might drop.  The default budgets, which
-    ``nfl extract`` and the planner share, keep the plain ``winnow``
+    conflict budget: a query that overruns it answers UNKNOWN and keeps
+    a gadget a larger budget might drop.  The default budget, which
+    ``nfl extract`` and the planner share, keeps the plain ``winnow``
     kind.  Image and config must both be supplied for the cache to
     engage.
     """
@@ -345,9 +345,8 @@ def winnow_pool(
     fan_out = partial(_winnow_sharded, jobs) if jobs > 1 else winnow_buckets
     stats.jobs = jobs
     kind = "winnow-exact" if exact else "winnow"
-    budgets = (solver.max_conflicts, solver.max_blast_clauses)
-    if budgets != (WINNOW_MAX_CONFLICTS, DEFAULT_MAX_BLAST_CLAUSES):
-        kind += ":%d:%d" % budgets
+    if solver.max_conflicts != WINNOW_MAX_CONFLICTS:
+        kind += ":%d" % solver.max_conflicts
     return _through_cache(
         "winnow",
         kind,

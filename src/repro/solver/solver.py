@@ -11,24 +11,22 @@ Layered decision procedure:
 3. **Random sampling**: a handful of random assignments to the free
    variables; any hit is a model.  Catches loose constraint systems
    without touching CNF.
-4. **Word-level refutation** (:meth:`Solver.refute`), cheapest rule
-   first: a conjunct together with its negation; a cycle of unsigned
-   (or of signed) order atoms with a strict edge; and the query with
-   every non-linear term (``udiv``, ``umod``, ``mul`` of two
-   non-constant operands) abstracted as a fresh variable, blasted and
-   found UNSAT.  The abstraction over-approximates, so its UNSAT is
-   the query's; when it is SAT the full query is blasted, as in
-   lemmas-on-demand SMT solvers.  This layer only ever answers UNSAT.
+4. **Word-level refutation** (:meth:`Solver.refute`): a conjunct
+   together with its negation, or a cycle of unsigned (or of signed)
+   order atoms with a strict edge.  Both are contradictions a blast
+   would only rediscover, after encoding every term they mention (a
+   64-bit divider is 175k clauses).  This layer only ever answers UNSAT.
 5. **Bit-blasting + CDCL SAT** (:mod:`repro.solver.bitblast`,
    :mod:`repro.solver.sat`) as the complete fallback.  Two budgets
-   bound it: a clause budget on the encoding (``max_blast_clauses``)
-   and a conflict budget on the search (``max_conflicts``); either
-   overrun answers UNKNOWN instead of costing seconds and megabytes.
+   bound it: :data:`MAX_BLAST_CLAUSES` on the encoding and
+   ``max_conflicts`` on the search; either overrun answers UNKNOWN
+   instead of costing seconds and megabytes.
 
-Every query that reaches layer 4 opens ``solver.blast`` spans (``vars``
-and ``clauses`` counters) and ``solver.sat`` spans (``conflicts``),
-bumps ``solver.refuted.<rule>`` when a rule refutes it, and is entered
-in the ``solver.slow_queries`` slow log, which ``nfl trace`` prints.
+Every query that reaches layer 4 opens a ``solver.query`` span, with
+``solver.blast`` (``vars`` and ``clauses`` counters) and ``solver.sat``
+(``conflicts``) beneath it when it is blasted, bumps
+``solver.refuted.<rule>`` when a rule refutes it, and is entered in the
+``solver.slow_queries`` slow log, which ``nfl trace`` prints.
 """
 
 from __future__ import annotations
@@ -41,12 +39,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..symex.expr import (
     BV,
-    BVBin,
-    BVBinOp,
     BVConst,
-    BVIte,
     BVSym,
-    BVUn,
     Bool,
     BoolConn,
     BoolConst,
@@ -185,82 +179,17 @@ def _has_order_cycle(conjuncts: Sequence[Bool]) -> bool:
     return False
 
 
-_NONLINEAR = (BVBinOp.MUL, BVBinOp.UDIV, BVBinOp.UMOD)
-
-#: Prefix of the abstraction's fresh symbols; no program symbol has it.
-_FRESH_PREFIX = "#nl"
-
-
-class _Abstraction:
-    """Rewrites terms with each non-linear term (both operands
-    non-constant) replaced by a fresh symbol; equal terms get the same
-    symbol, so the abstraction keeps their equality."""
-
-    def __init__(self) -> None:
-        self.fresh: Dict[BV, BVSym] = {}
-        self._done: Dict[object, object] = {}
-
-    def bool(self, expr: Bool) -> Bool:
-        done = self._done.get(expr)
-        if done is None:
-            if isinstance(expr, Cmp):
-                done = Cmp(expr.op, self.bv(expr.lhs), self.bv(expr.rhs))
-            elif isinstance(expr, BoolExpr):
-                done = BoolExpr(expr.conn, tuple(self.bool(a) for a in expr.args))
-            else:
-                done = expr
-            self._done[expr] = done
-        return done  # type: ignore[return-value]
-
-    def bv(self, expr: BV) -> BV:
-        done = self._done.get(expr)
-        if done is None:
-            if isinstance(expr, BVBin):
-                lhs, rhs = self.bv(expr.lhs), self.bv(expr.rhs)
-                done = BVBin(expr.op, lhs, rhs)
-                nonlinear = expr.op in _NONLINEAR
-                if nonlinear and not isinstance(lhs, BVConst) and not isinstance(rhs, BVConst):
-                    fresh = self.fresh.get(done)
-                    if fresh is None:
-                        fresh = self.fresh[done] = BVSym(f"{_FRESH_PREFIX}{len(self.fresh)}")
-                    done = fresh
-            elif isinstance(expr, BVUn):
-                done = BVUn(expr.op, self.bv(expr.arg))
-            elif isinstance(expr, BVIte):
-                done = BVIte(self.bool(expr.cond), self.bv(expr.then), self.bv(expr.other))
-            else:
-                done = expr
-            self._done[expr] = done
-        return done  # type: ignore[return-value]
-
-
-def _abstract_nonlinear(conjuncts: Sequence[Bool]) -> Optional[List[Bool]]:
-    """The conjuncts with non-linear terms abstracted, or None when
-    there are none (the abstraction would be the query itself)."""
-    abstraction = _Abstraction()
-    abstract = [abstraction.bool(c) for c in conjuncts]
-    return abstract if abstraction.fresh else None
-
-
 def _query_digest(conjuncts: Sequence[Bool]) -> str:
     """A short stable name for a query in the slow-query log."""
     text = "\n".join(str(c) for c in conjuncts)
     return hashlib.blake2b(text.encode(), digest_size=6).hexdigest()
 
 
-@dataclass
-class _QueryCost:
-    """What one SAT-path query spent, summed over its blasts."""
-
-    vars: int = 0
-    clauses: int = 0
-    conflicts: int = 0
-    solved: bool = False  # some CDCL search ran
-
-
 #: Clause budget of one blast: above the 64-bit restoring divider
 #: (175,311 clauses), the largest encoding any tier-1 query needs.
-DEFAULT_MAX_BLAST_CLAUSES = 250_000
+#: Winnow pools depend on it, so changing it means bumping
+#: ``repro.pipeline.PIPELINE_VERSION``.
+MAX_BLAST_CLAUSES = 250_000
 
 
 class Solver:
@@ -276,14 +205,12 @@ class Solver:
         self,
         *,
         max_conflicts: int = 200_000,
-        max_blast_clauses: int = DEFAULT_MAX_BLAST_CLAUSES,
         sample_attempts: int = 24,
         rng_seed: int = 0x5EED,
         memoize: bool = True,
         memo_limit: int = 100_000,
     ) -> None:
         self.max_conflicts = max_conflicts
-        self.max_blast_clauses = max_blast_clauses
         self.sample_attempts = sample_attempts
         self._rng = random.Random(rng_seed)
         self.memoize = memoize
@@ -374,25 +301,15 @@ class Solver:
                 return None
         return None
 
-    def refute(
-        self, conjuncts: Sequence[Bool], cost: Optional[_QueryCost] = None
-    ) -> Optional[str]:
-        """The word-level rule that refutes the conjunction, or None.
-
-        Rules run cheapest first: ``complement``, ``order_cycle``, then
-        ``abstraction`` (blast the query with its non-linear terms
-        abstracted; an UNSAT there is UNSAT here, while SAT or UNKNOWN
-        says nothing).  None never means SAT.
-        """
+    @staticmethod
+    def refute(conjuncts: Sequence[Bool]) -> Optional[str]:
+        """The word-level rule that refutes the conjunction, cheapest
+        first (``complement``, then ``order_cycle``), or None.  None
+        never means SAT."""
         if _has_complement(conjuncts):
             return "complement"
         if _has_order_cycle(conjuncts):
             return "order_cycle"
-        abstract = _abstract_nonlinear(conjuncts)
-        if abstract is None:
-            return None
-        if self._blast_and_solve(abstract, [], cost or _QueryCost()).is_unsat:
-            return "abstraction"
         return None
 
     def _check_with_sat(
@@ -401,9 +318,9 @@ class Solver:
         self.sat_calls += 1
         registry = metrics()
         registry.counter("solver.sat_calls").inc()
-        cost = _QueryCost()
+        cost = {"vars": 0, "clauses": 0, "conflicts": 0}
         with span("solver.query") as query_sp:
-            rule = self.refute(conjuncts, cost)
+            rule = self.refute(conjuncts)
             if rule is not None:
                 registry.counter(f"solver.refuted.{rule}").inc()
                 result = SolverResult(Status.UNSAT)
@@ -414,26 +331,23 @@ class Solver:
             registry.counter("solver.unknowns").inc()
         if result.is_sat:
             result.model.update(bindings)
-        if cost.solved:
-            registry.histogram("solver.conflicts_per_check").observe(cost.conflicts)
         registry.slow_log("solver.slow_queries").observe(
             query_sp.wall,
             digest=_query_digest(conjuncts),
-            vars=cost.vars,
-            clauses=cost.clauses,
-            conflicts=cost.conflicts,
+            **cost,
             status=result.status.value,
             rule=rule or "-",
         )
         return result
 
     def _blast_and_solve(
-        self, conjuncts: Sequence[Bool], symbols: List[str], cost: _QueryCost
+        self, conjuncts: Sequence[Bool], symbols: List[str], cost: Dict[str, int]
     ) -> SolverResult:
         """Blast and search within both budgets; UNKNOWN on an overrun.
-        A SAT answer carries the values of ``symbols``."""
+        A SAT answer carries the values of ``symbols``; what the query
+        cost is recorded in ``cost``."""
         sat = SATSolver()
-        blaster = BitBlaster(sat, max_clauses=self.max_blast_clauses)
+        blaster = BitBlaster(sat, max_clauses=MAX_BLAST_CLAUSES)
         with span("solver.blast") as blast_sp:
             try:
                 for c in conjuncts:
@@ -443,8 +357,7 @@ class Solver:
                 blasted = False
             blast_sp.add("vars", sat.num_vars)
             blast_sp.add("clauses", blaster.clauses)
-        cost.vars += sat.num_vars
-        cost.clauses += blaster.clauses
+        cost.update(vars=sat.num_vars, clauses=blaster.clauses)
         if not blasted:
             return SolverResult(Status.UNKNOWN)
         with span("solver.sat") as sat_sp:
@@ -456,8 +369,8 @@ class Solver:
                 conflicts = budget.conflicts
             sat_sp.add("conflicts", conflicts)
         self.sat_conflicts += conflicts
-        cost.conflicts += conflicts
-        cost.solved = True
+        cost["conflicts"] = conflicts
+        metrics().histogram("solver.conflicts_per_check").observe(conflicts)
         if result is None:
             return SolverResult(Status.UNKNOWN)
         if not result.satisfiable:

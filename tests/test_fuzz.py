@@ -167,7 +167,7 @@ def test_solver_preprocess_oracle_catches_unsound_refutation(monkeypatch):
     and the shrinker cuts the case to one (satisfiable) conjunct."""
     from repro.solver.solver import Solver
 
-    monkeypatch.setattr(Solver, "refute", lambda self, conjuncts, cost=None: "complement")
+    monkeypatch.setattr(Solver, "refute", staticmethod(lambda conjuncts: "complement"))
     case = Case(oracle="solver_preprocess", kind="formula", text=bytes([0, 1]), env_seed=7)
     failures = run_case(case)
     assert failures and "rule complement refuted a satisfiable" in failures[0]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import Tracer, metrics, reset_metrics, tracing
 from repro.solver import Solver, Status
+from repro.solver import solver as solver_module
 from repro.symex.expr import (
     MASK64,
     CmpOp,
@@ -252,23 +253,11 @@ def test_refutes_logged_winnow_divider_query():
         assert "solver.blast" not in spans
 
 
-def test_refutes_through_nonlinear_abstraction():
-    quotient = bv_udiv(X, Y)
-    rules, spans = _refuted_by(
-        [cmp(CmpOp.ULT, quotient, bv_const(3)), cmp(CmpOp.ULT, bv_const(5), quotient)]
-    )
-    assert rules == ["abstraction"]
-    # One blast, of the abstract query: no divider was encoded.
-    (blast,) = spans["solver.blast"]
-    assert blast.counters["clauses"] < 2_000
-
-
 def _assert_sat_unrefuted(constraints):
-    result, spans, counters = _traced_check(Solver(sample_attempts=0), constraints)
+    result, _, counters = _traced_check(Solver(sample_attempts=0), constraints)
     assert result.is_sat
     assert all(eval_bool(c, result.model) for c in constraints)
     assert not [k for k in counters if k.startswith("solver.refuted.")]
-    return spans
 
 
 def test_nonstrict_two_cycle_not_refuted():
@@ -284,34 +273,20 @@ def test_division_sat_not_refuted():
     _assert_sat_unrefuted([bv_eq(bv_udiv(X, Y), bv_const(3)), bv_eq(Y, bv_const(5))])
 
 
-def test_division_sat_through_refinement():
-    """The abstract query is SAT, so the full query is blasted too and
-    its model comes from the divider."""
-    spans = _assert_sat_unrefuted(
-        [
-            bv_eq(bv_udiv(X, Y), bv_const(3)),
-            cmp(CmpOp.ULT, bv_const(4), Y),
-            cmp(CmpOp.ULT, Y, bv_const(6)),
-        ]
-    )
-    abstract, full = spans["solver.blast"]
-    assert abstract.counters["clauses"] < full.counters["clauses"]
-
-
-def test_over_blast_budget_answers_unknown():
+def test_over_blast_budget_answers_unknown(monkeypatch):
     budget = 2_000
-    solver = Solver(max_blast_clauses=budget, sample_attempts=0)
-    result, spans, counters = _traced_check(
-        solver, [bv_eq(bv_mul(X, X), bv_const(4)), cmp(CmpOp.ULT, X, bv_const(8)), bv_ne(X, 2)]
-    )
+    monkeypatch.setattr(solver_module, "MAX_BLAST_CLAUSES", budget)
+    query = [bv_eq(bv_mul(X, X), bv_const(4)), cmp(CmpOp.ULT, X, bv_const(8)), bv_ne(X, 2)]
+    solver = Solver(sample_attempts=0)
+    result, spans, counters = _traced_check(solver, query)
     assert result.status is Status.UNKNOWN
     assert counters["solver.unknowns"] == 1 and solver.unknowns == 1
-    # The abstract query fits; the multiplier stops one clause past the budget.
-    assert [b.counters["clauses"] for b in spans["solver.blast"]][-1] == budget + 1
-    assert "solver.sat" in spans  # only the abstract query was searched
-    assert Solver(sample_attempts=0).check(
-        [bv_eq(bv_mul(X, X), bv_const(4)), cmp(CmpOp.ULT, X, bv_const(8)), bv_ne(X, 2)]
-    ).is_unsat
+    # The multiplier stops one clause past the budget and is never searched.
+    (blast,) = spans["solver.blast"]
+    assert blast.counters["clauses"] == budget + 1
+    assert "solver.sat" not in spans
+    monkeypatch.undo()
+    assert Solver(sample_attempts=0).check(query).is_unsat
 
 
 def _probe_records():
@@ -336,13 +311,13 @@ def _probe_records():
     ]
 
 
-def test_winnow_keeps_gadget_when_blast_over_budget():
+def test_winnow_keeps_gadget_when_blast_over_budget(monkeypatch):
     from repro.gadgets.subsumption import winnow_bucket
 
     bucket = _probe_records()
     assert len(winnow_bucket(bucket, Solver(max_conflicts=4000))) == 1
-    kept = winnow_bucket(bucket, Solver(max_conflicts=4000, max_blast_clauses=2_000))
-    assert len(kept) == 2
+    monkeypatch.setattr(solver_module, "MAX_BLAST_CLAUSES", 2_000)
+    assert len(winnow_bucket(bucket, Solver(max_conflicts=4000))) == 2
 
 
 def test_cold_winnow_blasts_nothing_large():
