@@ -6,8 +6,8 @@
     nfl run prog.nflf [--step-limit N]
     nfl disasm prog.nflf [--start ADDR] [--count N]
     nfl gadgets prog.nflf [--types]
-    nfl extract prog.nflf [--jobs N] [--cache-dir PATH] [--no-cache] [--trace FILE]
-    nfl census prog.nflf [--static] [--semantic] [--defenses [--policies P1,P2]] [--jobs N]
+    nfl extract prog.nflf [--no-winnow] [--cache-dir PATH] [--no-cache] [--trace FILE]
+    nfl census prog.nflf [--static] [--semantic] [--defenses [--policies P1,P2]]
     nfl plan prog.nflf [--goal execve|mprotect|mmap|all] [--defense POLICY] [--max-plans N]
     nfl fuzz [--seed N] [--iters N] [--oracle O1,O2] [--replay-corpus]
     nfl trace trace.jsonl
@@ -24,7 +24,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Union
 
 from .binfmt.image import BinaryImage
 from .emulator.cpu import run_image
@@ -131,18 +131,23 @@ def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     return ResultCache()
 
 
+def _cache_outcome(stats: Union[ExtractionStats, SubsumptionStats]) -> str:
+    return "cache=" + ("hit" if stats.cache_hit else "miss" if stats.cache_misses else "off")
+
+
 def _pipeline_stats_line(es: ExtractionStats, ss: Optional[SubsumptionStats]) -> str:
+    """One line per run: each stage's counters, cache outcome and wall."""
     parts = [
-        f"jobs={es.jobs}",
         f"symex={es.symex_invocations}",
         f"culled={es.semantically_culled}/{es.candidates}",
-        "cache=" + ("hit" if es.cache_hit else "miss" if es.cache_misses else "off"),
+        _cache_outcome(es),
         f"extract {es.wall_total:.2f}s",
     ]
     if ss is not None:
         parts += [
             f"solver_checks={ss.solver_checks}",
             f"memo={ss.memo_hits}/{ss.implication_queries}",
+            _cache_outcome(ss),
             f"winnow {ss.wall_total:.2f}s",
         ]
     return "  ".join(parts)
@@ -156,7 +161,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         records, survivors = run_pipeline(
             image,
             config,
-            jobs=args.jobs,
             cache=_make_cache(args),
             winnow=not args.no_winnow,
             extraction_stats=es,
@@ -187,7 +191,6 @@ def cmd_census(args: argparse.Namespace) -> int:
                 image,
                 policies,
                 extraction=config,
-                jobs=args.jobs,
                 cache=_make_cache(args),
             )
         print(format_defense_census(doc, title=args.binary))
@@ -204,7 +207,6 @@ def cmd_census(args: argparse.Namespace) -> int:
             records, survivors = run_pipeline(
                 image,
                 config,
-                jobs=args.jobs,
                 cache=_make_cache(args),
                 extraction_stats=es,
                 winnow_stats=ss,
@@ -333,13 +335,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for extraction and winnowing (default: 1)",
-    )
     p.add_argument(
         "--cache-dir",
         metavar="PATH",

@@ -21,7 +21,7 @@ from ..binfmt.image import BinaryImage
 from ..gadgets.extract import ExtractionConfig
 from ..obs import span
 from ..pipeline.cache import ResultCache
-from ..pipeline.parallel import run_pipeline
+from ..pipeline.stages import run_pipeline
 from .cfi import CFITargets
 from .policy import CFIMode, DefensePolicy, POLICIES, parse_policy
 from .survive import SurvivalCensus, filter_pool
@@ -68,14 +68,13 @@ def defense_census(
     policies: Optional[Sequence[object]] = None,
     *,
     extraction: Optional[ExtractionConfig] = None,
-    jobs: int = 1,
     cache: Optional[ResultCache] = None,
 ) -> Dict:
     """Surviving-gadget counts per policy for one image (no planning)."""
     extraction = extraction or ExtractionConfig()
     resolved = resolve_policies(policies)
     with span("defense.census") as sp:
-        pool, deduped = run_pipeline(image, extraction, jobs=jobs, cache=cache)
+        pool, deduped = run_pipeline(image, extraction, cache=cache)
         targets = None
         if any(p.cfi is not CFIMode.OFF for p in resolved):
             targets = CFITargets.build(image)
@@ -102,7 +101,6 @@ def defense_matrix_entry(
     goals=None,
     extraction: Optional[ExtractionConfig] = None,
     planner=None,
-    jobs: int = 1,
     cache: Optional[ResultCache] = None,
 ) -> List[Dict]:
     """One benchmark row per policy: surviving pool + planner outcomes.
@@ -119,7 +117,6 @@ def defense_matrix_entry(
             image,
             extraction=extraction,
             planner=planner,
-            jobs=jobs,
             cache=cache,
             defense=policy,
         )

@@ -26,7 +26,6 @@ from .oracles import (
     Case,
     Inconclusive,
     check_obfuscation,
-    check_pipeline,
     check_planner,
     check_prefilter,
     check_roundtrip,
@@ -60,7 +59,6 @@ __all__ = [
     "Case",
     "Inconclusive",
     "check_obfuscation",
-    "check_pipeline",
     "check_planner",
     "check_prefilter",
     "check_roundtrip",

@@ -6,7 +6,7 @@ seed: two runs with the same arguments produce byte-identical
 summaries (no wall-clock, no paths, no ordering races on stdout).
 
 Cheap oracles (round-trip, emulator-vs-symex) run every iteration;
-expensive ones (winnow, pipeline, planner, obfuscation) run on fixed
+expensive ones (winnow, planner, obfuscation) run on fixed
 sparse schedules so ``--iters 200`` stays within a CI smoke budget.
 When the caller restricts ``--oracle``, the schedule collapses to
 every-iteration for the selected oracles.
@@ -33,7 +33,6 @@ from .oracles import (
     Case,
     EmulatorFactory,
     check_obfuscation,
-    check_pipeline,
     check_planner,
     check_prefilter,
     check_roundtrip,
@@ -51,7 +50,6 @@ SCHEDULE = {
     "prefilter": (5, 2),
     "winnow": (10, 3),
     "serialize": (10, 3),
-    "pipeline": (50, 7),
     "planner": (100, 41),
     "obfuscation": (25, 11),
     "solver_preprocess": (8, 1),
@@ -227,12 +225,6 @@ def run_fuzz(
                             ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64),
                         )
                         record("serialize", i, case, check_serialize(records))
-            if due("pipeline", i):
-                rng = random.Random(f"{seed}:{i}:pipeline")
-                text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(2))
-                case = Case(oracle="pipeline", kind="image", text=text)
-                with span("fuzz.pipeline"):
-                    record("pipeline", i, case, check_pipeline(text))
             if due("planner", i):
                 rng = random.Random(f"{seed}:{i}:planner")
                 text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))

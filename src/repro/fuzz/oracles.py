@@ -29,9 +29,6 @@ The oracles:
     the ones the winnower itself used).
 ``serialize``
     ``pool_from_bytes(pool_to_bytes(pool))`` is byte-stable.
-``pipeline``
-    ``jobs=1`` and ``jobs=2`` extraction+winnow produce byte-identical
-    pools.
 ``planner``
     A defenses-off policy produces the same payloads as no policy.
 ``obfuscation``
@@ -60,7 +57,7 @@ from ..isa.encoding import DecodeError, decode, decode_window, encode
 from ..isa.instructions import opcode_operands
 from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
 from ..obfuscation.pipeline import CONFIGS, build_program
-from ..pipeline import pool_from_bytes, pool_to_bytes, run_pipeline
+from ..pipeline import pool_from_bytes, pool_to_bytes
 from ..solver.bitblast import BitBlaster
 from ..solver.sat import SATBudgetExceeded, SATSolver
 from ..solver.solver import Solver
@@ -438,7 +435,7 @@ def check_winnow(text: bytes, *, config: Optional[ExtractionConfig] = None) -> L
 
 
 # ---------------------------------------------------------------------------
-# serialization / parallel pipeline / planner identities
+# serialization / planner identities
 # ---------------------------------------------------------------------------
 
 
@@ -450,19 +447,6 @@ def check_serialize(records: Sequence[GadgetRecord]) -> List[str]:
     if len(back) != len(records):
         return [f"serialize: {len(records)} records in, {len(back)} out"]
     return []
-
-
-def check_pipeline(text: bytes, *, config: Optional[ExtractionConfig] = None) -> List[str]:
-    image = make_image(text)
-    config = config or ExtractionConfig(max_insns=5, max_paths=4, max_candidates=48)
-    serial_records, serial_surv = run_pipeline(image, config, jobs=1)
-    para_records, para_surv = run_pipeline(image, config, jobs=2)
-    failures: List[str] = []
-    if pool_to_bytes(serial_records) != pool_to_bytes(para_records):
-        failures.append("pipeline: jobs=1 vs jobs=2 extraction pools differ")
-    if pool_to_bytes(serial_surv or []) != pool_to_bytes(para_surv or []):
-        failures.append("pipeline: jobs=1 vs jobs=2 winnowed pools differ")
-    return failures
 
 
 def check_planner(text: bytes, *, config: Optional[ExtractionConfig] = None) -> List[str]:
@@ -588,8 +572,6 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
             image, ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64)
         )
         return check_serialize(records)
-    if case.oracle == "pipeline":
-        return check_pipeline(case.text)
     if case.oracle == "planner":
         return check_planner(case.text)
     if case.oracle == "obfuscation":

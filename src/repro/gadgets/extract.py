@@ -29,7 +29,7 @@ so every byte of the section is decoded exactly once per extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
@@ -72,10 +72,9 @@ class ExtractionStats:
     semantically_culled: int = 0  # candidates the prefilter removed
     symex_invocations: int = 0  # windows actually executed symbolically
     records: int = 0
-    jobs: int = 1  # worker processes that ran the symex stage
     cache_hits: int = 0  # persistent-cache lookups that short-circuited
     cache_misses: int = 0
-    wall_total: float = 0.0  # end-to-end, including cache and merge
+    wall_total: float = 0.0  # end-to-end, including cache lookup and store
 
     @property
     def cull_ratio(self) -> float:
@@ -216,28 +215,17 @@ def plan_candidates(
     return graph, candidates
 
 
-def make_executor(
-    code: bytes,
-    base_addr: int,
-    config: ExtractionConfig,
-    graph: Optional[DecodeGraph] = None,
-) -> SymbolicExecutor:
-    """The symbolic executor the extraction stage runs candidates on.
-
-    ``graph`` preloads the executor's decode cache.  Worker processes
-    started by fork share the parent's graph copy-on-write and pass it;
-    other start methods pass ``None`` and decode lazily, since shipping
-    a graph per worker costs more than re-decoding.  The decode cache
-    only affects speed, never which paths are found.
-    """
+def make_executor(graph: DecodeGraph, config: ExtractionConfig) -> SymbolicExecutor:
+    """The symbolic executor the extraction stage runs candidates on,
+    over ``graph``'s section with its decode cache preloaded (which only
+    affects speed, never which paths are found)."""
     executor = SymbolicExecutor(
-        code,
-        base_addr,
+        graph.code,
+        graph.base_addr,
         max_insns=config.max_insns,
         max_paths=config.max_paths if config.include_conditional else 1,
     )
-    if graph is not None:
-        executor.preload_decode_cache(graph.addr_decode_cache())
+    executor.preload_decode_cache(graph.addr_decode_cache())
     return executor
 
 
@@ -246,16 +234,13 @@ def run_candidates(
     candidates: List[int],
     config: ExtractionConfig,
     stats: Optional[ExtractionStats] = None,
-    start_id: int = 0,
 ) -> List[GadgetRecord]:
     """Stage 3: symbolically execute candidates, in order, into records.
 
-    Ids are assigned sequentially from ``start_id`` in candidate order,
-    so a sharded run that concatenates per-shard results in shard order
-    and renumbers reproduces the in-process numbering exactly.
+    Ids are assigned sequentially from 0 in candidate order.
     """
     records: List[GadgetRecord] = []
-    gadget_id = start_id
+    gadget_id = 0
     steps_histogram = metrics().histogram("symex.steps_per_candidate")
     insns_at_entry = executor.insns_executed
     paths_at_entry = executor.paths_completed
@@ -276,47 +261,29 @@ def run_candidates(
             steps_histogram.observe(executor.insns_executed - steps_before)
         sp.add("candidates", len(candidates))
         sp.add("records", len(records))
-        # Deltas, not lifetime totals: a pool worker reuses one executor
-        # across chunks, and chunk->process scheduling must not leak
-        # into the exported counters (trace byte-stability).
+        # Deltas, not lifetime totals: a caller may pass an executor
+        # that has already run other candidates.
         sp.add("insns", executor.insns_executed - insns_at_entry)
         sp.add("paths", executor.paths_completed - paths_at_entry)
     return records
-
-
-def symex_in_process(
-    image: BinaryImage,
-    graph: DecodeGraph,
-    candidates: List[int],
-    config: ExtractionConfig,
-    stats: ExtractionStats,
-) -> List[GadgetRecord]:
-    """Stage 3 on one executor in this process."""
-    executor = make_executor(image.text.data, image.text.addr, config, graph)
-    return run_candidates(executor, candidates, config, stats)
 
 
 def extract_gadgets(
     image: BinaryImage,
     config: Optional[ExtractionConfig] = None,
     stats: Optional[ExtractionStats] = None,
-    *,
-    fan_out: Callable[..., List[GadgetRecord]] = symex_in_process,
 ) -> List[GadgetRecord]:
     """Run the full extraction stage over an image.
 
-    This is the stage's one driver.  ``fan_out(image, graph,
-    candidates, config, stats)`` runs stage 3 and returns the records in
-    candidate order, ids from 0: in this process by default, while
-    :mod:`repro.pipeline` passes one that maps candidate chunks over
-    worker processes, which reproduces this pool byte for byte.
+    This is the stage's one driver; :mod:`repro.pipeline` only puts the
+    result cache in front of it.
     """
     config = config or ExtractionConfig()
     stats = stats if stats is not None else ExtractionStats()
     with span("extract") as root:
         graph, candidates = plan_candidates(image, config, stats)
         with span("extract.symex") as sym_sp:
-            records = fan_out(image, graph, candidates, config, stats)
+            records = run_candidates(make_executor(graph, config), candidates, config, stats)
         sym_sp.add("records", len(records))
         root.add("records", len(records))
     stats.records = len(records)

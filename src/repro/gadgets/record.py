@@ -101,8 +101,8 @@ class GadgetRecord:
         """Canonical byte encoding (see :mod:`repro.pipeline.serialize`).
 
         Equal records produce equal bytes, and ``from_bytes`` restores a
-        structurally identical record — the round-trip the worker pool
-        and the persistent result cache both rely on.
+        structurally identical record — the round-trip the persistent
+        result cache relies on.
         """
         from ..pipeline.serialize import record_to_bytes
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.registers import ALL_REGS
 from ..obs import metrics, span
@@ -214,7 +214,6 @@ class SubsumptionStats:
     solver_checks: int = 0
     implication_queries: int = 0  # non-trivial pre-implication decisions
     memo_hits: int = 0  # answered from the implication memo
-    jobs: int = 1  # worker processes that ran the winnow
     cache_hits: int = 0  # persistent-cache lookups that short-circuited
     cache_misses: int = 0
     wall_total: float = 0.0
@@ -237,14 +236,9 @@ class SubsumptionStats:
 
 
 def bucketize(records: Sequence[GadgetRecord]) -> List[List[GadgetRecord]]:
-    """Group records into fingerprint buckets.
-
-    Buckets are returned in fingerprint first-occurrence order, which is
-    what the in-process winnow iterates — a sharded winnow that
-    processes and concatenates buckets in this order reproduces its
-    survivor order exactly (the final stable location sort preserves
-    the concatenation order among location ties).
-    """
+    """Group records into fingerprint buckets, in fingerprint
+    first-occurrence order (the final stable location sort keeps that
+    order among location ties)."""
     buckets: Dict[Tuple, List[GadgetRecord]] = defaultdict(list)
     for record in records:
         buckets[fingerprint(record)].append(record)
@@ -263,8 +257,8 @@ def winnow_bucket(
     exact: bool = False,
     memo: Optional[ImplicationMemo] = None,
 ) -> List[GadgetRecord]:
-    """Winnow one fingerprint bucket; buckets are independent, so this
-    is the unit of work a parallel winnow shards across processes."""
+    """Winnow one fingerprint bucket; records in different buckets
+    never subsume each other."""
     # Candidate order: fewest preconditions first, then shortest —
     # the preferred representative wins ties cheaply.
     ordered = sorted(bucket, key=lambda g: (len(g.pre_cond), g.num_insns, g.location))
@@ -287,10 +281,10 @@ def winnow_buckets(
     solver: Solver,
     stats: SubsumptionStats,
     exact: bool = False,
-    memo: Optional[ImplicationMemo] = None,
 ) -> List[GadgetRecord]:
-    """Winnow buckets in order on one solver; survivors in bucket order."""
-    memo = {} if memo is None else memo
+    """Winnow buckets in order on one solver and one implication memo;
+    survivors in bucket order."""
+    memo: ImplicationMemo = {}
     survivors: List[GadgetRecord] = []
     with span("winnow.buckets.run") as sp:
         for bucket in buckets:
@@ -307,19 +301,13 @@ def deduplicate_gadgets(
     solver: Optional[Solver] = None,
     stats: Optional[SubsumptionStats] = None,
     exact: bool = False,
-    fan_out: Callable[..., List[GadgetRecord]] = winnow_buckets,
 ) -> List[GadgetRecord]:
     """Winnow the pool: keep one representative per equivalence class,
     preferring the loosest pre-condition, then the shortest gadget.
 
-    This is the stage's one driver.  ``fan_out(buckets, solver, stats,
-    exact)`` winnows the fingerprint buckets and returns the survivors
-    in bucket order: in this process by default, while
-    :mod:`repro.pipeline` passes one that maps bucket chunks over worker
-    processes.  Subsumption decisions depend only on the records and
-    the solver's conflict budget, and the final stable location sort
-    restores the in-process survivor order, so both pools are byte
-    identical.
+    This is the stage's one driver; :mod:`repro.pipeline` only puts the
+    result cache in front of it.  Subsumption decisions depend only on
+    the records and the solver's conflict budget.
     """
     solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
     stats = stats if stats is not None else SubsumptionStats()
@@ -330,7 +318,7 @@ def deduplicate_gadgets(
         bkt_sp.add("buckets", len(buckets))
         stats.buckets = len(buckets)
         with span("winnow.buckets") as run_sp:
-            survivors = fan_out(buckets, solver, stats, exact)
+            survivors = winnow_buckets(buckets, solver, stats, exact)
             run_sp.add("solver_checks", stats.solver_checks)
             run_sp.add("memo_hits", stats.memo_hits)
         survivors.sort(key=lambda g: g.location)

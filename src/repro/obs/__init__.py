@@ -3,12 +3,10 @@
 Two cooperating pieces:
 
 * :mod:`~repro.obs.trace` — hierarchical trace spans (wall/CPU time,
-  integer counters, parent links) with deterministic JSONL export,
-  schema validation, and worker-tree adoption for multiprocessing
-  stages;
+  integer counters, parent links) with deterministic JSONL export and
+  schema validation;
 * :mod:`~repro.obs.metrics` — a process-local registry of counters,
-  gauges, power-of-two histograms and top-N slow logs, mergeable
-  across workers.
+  gauges, power-of-two histograms and top-N slow logs.
 
 Instrumented stages create spans unconditionally (a span with no
 active tracer still measures, so ``ExtractionStats``/
@@ -34,7 +32,6 @@ from .trace import (
     TraceSchemaError,
     Tracer,
     active_tracer,
-    add,
     format_trace_summary,
     span,
     strip_timestamps,
@@ -56,7 +53,6 @@ __all__ = [
     "TraceSchemaError",
     "Tracer",
     "active_tracer",
-    "add",
     "format_trace_summary",
     "metrics",
     "reset_metrics",

@@ -3,10 +3,7 @@
 Deliberately dependency-free: histograms bucket by power of two
 (``bit_length``), so two runs over the same inputs export identical
 counters, gauges and histograms.  Slow logs hold measured times and are
-the one part of a snapshot that differs between runs.  Worker processes
-keep their own registry and ship :meth:`MetricsRegistry.to_dict`
-snapshots back with their span trees; the parent folds them in with
-:meth:`MetricsRegistry.merge`.
+the one part of a snapshot that differs between runs.
 """
 
 from __future__ import annotations
@@ -148,35 +145,6 @@ class MetricsRegistry:
                 k: self._slow_logs[k].to_list() for k in sorted(self._slow_logs)
             }
         return snapshot
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a worker's :meth:`to_dict` snapshot into this registry."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(int(value))
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            histogram.count += int(data.get("count", 0))
-            histogram.total += int(data.get("sum", 0))
-            for bound in ("min", "max"):
-                value = data.get(bound)
-                if value is None:
-                    continue
-                current = getattr(histogram, bound)
-                if current is None:
-                    setattr(histogram, bound, int(value))
-                elif bound == "min":
-                    histogram.min = min(current, int(value))
-                else:
-                    histogram.max = max(current, int(value))
-            for bucket, count in data.get("buckets", {}).items():
-                bucket = int(bucket)
-                histogram.buckets[bucket] = histogram.buckets.get(bucket, 0) + int(count)
-        for name, entries in snapshot.get("slow_logs", {}).items():
-            log = self.slow_log(name)
-            for entry in entries:
-                log.observe(**entry)
 
     def reset(self) -> None:
         self._counters.clear()

@@ -9,12 +9,10 @@ timing has exactly one source of truth whether or not a trace is being
 recorded.  When a :class:`Tracer` is active (``with tracing(t):``),
 spans additionally attach themselves to the tracer's tree.
 
-Worker processes build their own little trees, ship them back as plain
-dicts (:meth:`Span.to_dict` — JSON/pickle friendly), and the parent
-adopts them in shard order (:meth:`Tracer.adopt`).  Because shard
-order is fixed by the chunking, the merged tree is deterministic: two
-runs over the same inputs export byte-identical JSONL apart from the
-timestamp fields (``wall`` / ``cpu``).
+A tree is built in the order its spans open, so two runs over the same
+inputs export byte-identical JSONL apart from the timestamp fields
+(``wall`` / ``cpu``).  :meth:`Span.to_dict` / :meth:`Span.from_dict`
+turn a tree into plain dicts and back.
 
 The JSONL schema (one object per line, sorted keys):
 
@@ -82,7 +80,7 @@ class Span:
         if self._tracer is not None:
             self._tracer._pop(self)
 
-    # -- worker transport ---------------------------------------------------
+    # -- plain-dict form -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-friendly tree rooted at this span."""
@@ -133,15 +131,6 @@ class Tracer:
     def span(self, name: str) -> Span:
         return Span(name, tracer=self)
 
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
-    def add(self, key: str, n: int = 1) -> None:
-        """Bump a counter on the innermost open span, if any."""
-        if self._stack:
-            self._stack[-1].add(key, n)
-
     def _push(self, span: Span) -> None:
         if self._stack:
             self._stack[-1].children.append(span)
@@ -158,22 +147,6 @@ class Tracer:
             if self._stack[index] is span:
                 del self._stack[index]
                 return
-
-    def adopt(self, tree: Dict[str, Any], parent: Optional[Span] = None) -> Span:
-        """Attach a worker's serialized span tree under ``parent``
-        (default: the innermost open span, else a new root).
-
-        Callers adopt shard trees in shard order, which makes the
-        merged forest deterministic — the same discipline as the
-        byte-identical pool merges.
-        """
-        span = Span.from_dict(tree)
-        target = parent if parent is not None else self.current
-        if target is not None:
-            target.children.append(span)
-        else:
-            self.roots.append(span)
-        return span
 
     # -- export -------------------------------------------------------------
 
@@ -250,12 +223,6 @@ def tracing(tracer: Tracer) -> Iterator[Tracer]:
 def span(name: str) -> Span:
     """A span against the active tracer (still measures without one)."""
     return Span(name, tracer=_ACTIVE)
-
-
-def add(key: str, n: int = 1) -> None:
-    """Bump a counter on the active tracer's innermost span, if any."""
-    if _ACTIVE is not None:
-        _ACTIVE.add(key, n)
 
 
 # -- schema validation / loading ---------------------------------------------

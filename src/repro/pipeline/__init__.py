@@ -3,16 +3,14 @@
 Three cooperating pieces (see DESIGN.md's inventory):
 
 * :mod:`~repro.pipeline.serialize` — canonical, versioned byte encoding
-  for gadget records and pools (workers and the cache both need it);
+  for gadget records and pools (what the cache stores);
 * :mod:`~repro.pipeline.cache` — persistent content-addressed pool
   store keyed by (image bytes, config, pipeline/format versions);
-* :mod:`~repro.pipeline.parallel` — :func:`run_pipeline`, the stage
-  drivers behind the cache, with an optional fan-out over worker
-  processes whose merges are byte-identical to ``jobs=1``.
+* :mod:`~repro.pipeline.stages` — :func:`run_pipeline`, the stage
+  drivers behind the cache, in one process.
 """
 
 from .cache import CACHE_DIR_ENV, CacheStats, PIPELINE_VERSION, ResultCache, default_cache_dir
-from .parallel import extract_pool, run_pipeline, winnow_pool
 from .serialize import (
     FORMAT_VERSION,
     SerializationError,
@@ -22,6 +20,7 @@ from .serialize import (
     record_from_bytes,
     record_to_bytes,
 )
+from .stages import extract_pool, run_pipeline, winnow_pool
 
 __all__ = [
     "CACHE_DIR_ENV",

@@ -36,7 +36,9 @@ from ..gadgets.record import GadgetRecord
 from .serialize import FORMAT_VERSION, config_key_bytes, pool_from_bytes, pool_to_bytes
 
 #: Bump when extraction/winnow semantics change: every old key dies.
-PIPELINE_VERSION = 2
+#: 3: the winnow's default conflict budget went from 2000 to 4000, and
+#: a ``winnow`` entry written at 2000 must not be served at 4000.
+PIPELINE_VERSION = 3
 
 #: Environment override for the default cache root.
 CACHE_DIR_ENV = "NFL_CACHE_DIR"

@@ -1,8 +1,7 @@
 """Stable binary serialization for gadget pools.
 
-Both halves of the performance layer need :class:`GadgetRecord` as
-bytes: worker processes ship extracted batches back to the parent, and
-the persistent cache stores whole pools on disk.  ``pickle`` would
+The persistent cache stores whole pools of :class:`GadgetRecord` on
+disk, so records need a byte form.  ``pickle`` would
 work, but its output is not canonical (memo ids, protocol drift), and
 the cache is *content-addressed* — two byte-identical pools must hash
 identically across processes and Python versions.  So records get an
@@ -17,7 +16,7 @@ explicit, versioned encoding instead:
   pools small and round-trips arbitrary-width Python ints exactly.
 
 ``pool_to_bytes(records)`` is deterministic given the records, which
-is what makes "parallel pool is byte-identical to the serial pool"
+is what makes "the cached pool is byte-identical to the computed pool"
 testable with a single bytes comparison.
 """
 

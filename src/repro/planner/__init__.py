@@ -28,7 +28,7 @@ from ..solver.solver import Solver
 from ..gadgets.extract import ExtractionConfig, ExtractionStats
 from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, SubsumptionStats
 from ..pipeline.cache import ResultCache
-from ..pipeline.parallel import run_pipeline
+from ..pipeline.stages import run_pipeline
 from .conditions import MemCondition, RegCondition
 from .goals import (
     AttackGoal,
@@ -105,7 +105,13 @@ class PlannerReport:
 
 
 class GadgetPlanner:
-    """The full pipeline against one binary image."""
+    """The full pipeline against one binary image.
+
+    ``jobs`` is accepted and ignored: the pipeline always runs in this
+    process.  It is kept only because the benchmark
+    (``nflbench/workloads.py`` and ``nflbench/reference.py``) still
+    passes it; no other caller may.
+    """
 
     def __init__(
         self,
@@ -130,9 +136,6 @@ class GadgetPlanner:
         # easy; a hard one returning UNKNOWN just skips that provider.
         self.solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
         self.validate = validate
-        # Worker processes for extraction and winnowing; the pools are
-        # byte-identical for any count.
-        self.jobs = jobs
         self.cache = cache
         self._locate_cache: Dict[int, Optional[int]] = {}
 
@@ -170,7 +173,6 @@ class GadgetPlanner:
             records, deduped = run_pipeline(
                 self.image,
                 self.extraction_config,
-                jobs=self.jobs,
                 cache=self.cache,
                 solver=self.solver,
                 extraction_stats=report.extraction_stats,

@@ -157,7 +157,7 @@ def test_extract_trace_flag_writes_valid_jsonl(compiled, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     assert (
         main(
-            ["extract", str(compiled), "--max-insns", "4", "--jobs", "1",
+            ["extract", str(compiled), "--max-insns", "4",
              "--no-cache", "--trace", str(trace)]
         )
         == 0
@@ -169,9 +169,16 @@ def test_extract_trace_flag_writes_valid_jsonl(compiled, tmp_path, capsys):
     assert "spans written" in captured.err
 
 
+def test_extract_rejects_jobs_flag(compiled, capsys):
+    """The pipeline runs in one process; there is no worker count to set."""
+    with pytest.raises(SystemExit):
+        main(["extract", str(compiled), "--jobs", "2", "--no-cache"])
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_trace_subcommand_summarizes(compiled, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
-    main(["extract", str(compiled), "--max-insns", "4", "--jobs", "1",
+    main(["extract", str(compiled), "--max-insns", "4",
           "--no-cache", "--trace", str(trace)])
     capsys.readouterr()
     assert main(["trace", str(trace)]) == 0

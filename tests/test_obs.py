@@ -2,7 +2,7 @@
 
 The contract under test: spans always measure (tracer or not), traces
 export deterministically (byte-stable modulo the timestamp fields), and
-worker snapshots merge into the parent registry without losing counts.
+the metrics registry snapshots what it counted.
 """
 
 import json
@@ -67,20 +67,6 @@ def test_span_dict_round_trip():
     assert [c.name for c in restored.children] == ["child"]
     assert restored.children[0].wall == 0.25
     assert restored.find("child") is restored.children[0]
-
-
-def test_tracer_adopt_attaches_worker_tree_in_order():
-    tracer = Tracer()
-    with tracing(tracer):
-        with span("stage") as stage:
-            for shard in range(3):
-                worker = Tracer()
-                with tracing(worker):
-                    with span("stage.run") as sp:
-                        sp.add("shard", shard)
-                tracer.adopt(worker.roots[0].to_dict(), parent=stage)
-    shards = [c.counters["shard"] for c in tracer.roots[0].children]
-    assert shards == [0, 1, 2], "adoption order must be shard order"
 
 
 def test_abandoned_generator_span_does_not_misparent():
@@ -210,25 +196,6 @@ def test_registry_counters_gauges_histograms():
     assert reg.histogram("sizes").mean == pytest.approx(106 / 4)
 
 
-def test_registry_merge_folds_worker_snapshots():
-    parent = MetricsRegistry()
-    parent.counter("calls").inc(2)
-    parent.histogram("sizes").observe(10)
-    worker = MetricsRegistry()
-    worker.counter("calls").inc(3)
-    worker.gauge("depth").set(4)
-    worker.histogram("sizes").observe(1)
-    worker.histogram("sizes").observe(200)
-    parent.merge(worker.to_dict())
-    snap = parent.to_dict()
-    assert snap["counters"]["calls"] == 5
-    assert snap["gauges"]["depth"] == 4
-    hist = snap["histograms"]["sizes"]
-    assert hist["count"] == 3
-    assert hist["min"] == 1 and hist["max"] == 200
-    assert hist["sum"] == 211
-
-
 def test_histogram_buckets_are_power_of_two():
     hist = Histogram()
     hist.observe(0)
@@ -239,7 +206,7 @@ def test_histogram_buckets_are_power_of_two():
     assert buckets == {"0": 1, "1": 1, "3": 1, "4": 1}
 
 
-def test_slow_log_keeps_the_slowest_and_merges():
+def test_slow_log_keeps_the_slowest():
     reg = MetricsRegistry()
     assert "slow_logs" not in reg.to_dict()
     for k in range(15):
@@ -247,12 +214,10 @@ def test_slow_log_keeps_the_slowest_and_merges():
     log = reg.slow_log("queries")
     assert log.limit == SlowLog().limit == 10
     assert [e["digest"] for e in log.entries] == [f"d{k}" for k in range(14, 4, -1)]
-    worker = MetricsRegistry()
-    worker.slow_log("queries").observe(1.0, digest="worker")
-    reg.merge(worker.to_dict())
-    merged = reg.to_dict()["slow_logs"]["queries"]
-    assert merged[0] == {"wall": 1.0, "digest": "worker"}
-    assert len(merged) == 10 and merged[-1]["digest"] == "d6"
+    reg.slow_log("queries").observe(1.0, digest="slowest")
+    snapshot = reg.to_dict()["slow_logs"]["queries"]
+    assert snapshot[0] == {"wall": 1.0, "digest": "slowest"}
+    assert len(snapshot) == 10 and snapshot[-1]["digest"] == "d6"
 
 
 def test_trace_summary_prints_slow_logs():

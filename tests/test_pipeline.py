@@ -1,9 +1,8 @@
 """repro.pipeline — determinism, serialization, and cache correctness.
 
-The performance layer's contract is strict: for any worker count the
-pools are byte-identical to the in-process stage drivers, and a cache
-hit returns the identical pool while performing zero symbolic
-execution.  Everything here runs on small windows so tier-1 stays fast;
+The performance layer's contract is strict: the pools are
+byte-identical to the stage drivers', and a cache hit returns the
+identical pool while performing zero symbolic execution.  Everything here runs on small windows so tier-1 stays fast;
 timings are measured by the repository benchmark, ``nflbench``.
 """
 
@@ -84,45 +83,37 @@ def test_pool_round_trip_and_determinism():
     assert pool_to_bytes(extract_gadgets(image, SMALL)) == blob
 
 
-# -- parallel == serial -----------------------------------------------------
+# -- pipeline entry == stage driver -----------------------------------------
 
 
 @pytest.mark.parametrize("name,config_name", TARGETS)
 def test_parallel_extraction_byte_identical(name, config_name):
     image = _image(name, config_name)
-    serial = pool_to_bytes(extract_gadgets(image, SMALL))
-    for jobs in (1, 2, 4):
-        stats = ExtractionStats()
-        parallel = extract_pool(image, SMALL, stats, jobs=jobs)
-        assert pool_to_bytes(parallel) == serial, f"jobs={jobs}"
-        assert stats.jobs == jobs
-        assert stats.records == len(parallel)
+    stats = ExtractionStats()
+    pool = extract_pool(image, SMALL, stats)
+    assert pool_to_bytes(pool) == pool_to_bytes(extract_gadgets(image, SMALL))
+    assert stats.records == len(pool)
 
 
 @pytest.mark.parametrize("name,config_name", TARGETS)
 def test_parallel_winnow_byte_identical(name, config_name):
     image = _image(name, config_name)
     records = extract_gadgets(image, SMALL)
-    ser_stats = SubsumptionStats()
-    serial = pool_to_bytes(deduplicate_gadgets(records, stats=ser_stats))
-    for jobs in (1, 2, 4):
-        stats = SubsumptionStats()
-        parallel = winnow_pool(records, stats, jobs=jobs)
-        assert pool_to_bytes(parallel) == serial, f"jobs={jobs}"
-        assert stats.solver_checks == ser_stats.solver_checks
-        assert stats.output_count == ser_stats.output_count
+    driver_stats = SubsumptionStats()
+    expected = pool_to_bytes(deduplicate_gadgets(records, stats=driver_stats))
+    stats = SubsumptionStats()
+    assert pool_to_bytes(winnow_pool(records, stats)) == expected
+    assert stats.solver_checks == driver_stats.solver_checks
+    assert stats.output_count == driver_stats.output_count
 
-    # The caller's conflict budget holds in every worker: with one
-    # conflict the probe's implication answers UNKNOWN and both probe
-    # records survive; the default budget proves it and drops one.
+    # The caller's conflict budget holds: with one conflict the probe's
+    # implication answers UNKNOWN and both probe records survive; the
+    # default budget proves it and drops one.
     probed = _budget_probe(records[0]) + [
         r for r in records if fingerprint(r) != fingerprint(records[0])
     ]
-    tiny = deduplicate_gadgets(probed, solver=Solver(max_conflicts=1))
-    assert len(tiny) == len(deduplicate_gadgets(probed)) + 1
-    for jobs in (1, 2):
-        parallel = winnow_pool(probed, jobs=jobs, solver=Solver(max_conflicts=1))
-        assert pool_to_bytes(parallel) == pool_to_bytes(tiny), f"jobs={jobs}"
+    tiny = winnow_pool(probed, solver=Solver(max_conflicts=1))
+    assert len(tiny) == len(winnow_pool(probed)) + 1
 
 
 def _budget_probe(record):
@@ -144,11 +135,11 @@ def test_cache_hit_identical_and_skips_symex(tmp_path):
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
     cold_stats = ExtractionStats()
-    cold = extract_pool(image, SMALL, cold_stats, jobs=1, cache=cache)
+    cold = extract_pool(image, SMALL, cold_stats, cache=cache)
     assert cold_stats.cache_misses == 1 and cold_stats.symex_invocations > 0
 
     warm_stats = ExtractionStats()
-    warm = extract_pool(image, SMALL, warm_stats, jobs=1, cache=cache)
+    warm = extract_pool(image, SMALL, warm_stats, cache=cache)
     assert pool_to_bytes(warm) == pool_to_bytes(cold)
     assert warm_stats.cache_hits == 1
     assert warm_stats.symex_invocations == 0, "warm run must not re-execute"
@@ -160,28 +151,28 @@ def test_cache_hit_identical_and_skips_symex(tmp_path):
 def test_cache_invalidates_on_image_and_config_change(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "llvm_obf")
-    extract_pool(image, SMALL, jobs=1, cache=cache)
+    extract_pool(image, SMALL, cache=cache)
 
     # Different image bytes -> different key -> miss.
     other_stats = ExtractionStats()
-    extract_pool(_image("binary_search", "llvm_obf"), SMALL, other_stats, jobs=1, cache=cache)
+    extract_pool(_image("binary_search", "llvm_obf"), SMALL, other_stats, cache=cache)
     assert other_stats.cache_hits == 0 and other_stats.cache_misses == 1
 
     # Different config -> different key -> miss.
     tweaked = ExtractionConfig(max_insns=SMALL.max_insns + 1, max_paths=SMALL.max_paths)
     cfg_stats = ExtractionStats()
-    extract_pool(image, tweaked, cfg_stats, jobs=1, cache=cache)
+    extract_pool(image, tweaked, cfg_stats, cache=cache)
     assert cfg_stats.cache_hits == 0 and cfg_stats.cache_misses == 1
 
 
 def test_cache_corrupt_entry_is_a_miss(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "none")
-    extract_pool(image, SMALL, jobs=1, cache=cache)
+    extract_pool(image, SMALL, cache=cache)
     (entry,) = list(tmp_path.rglob("*.pool"))
     entry.write_bytes(b"NFLC garbage")
     stats = ExtractionStats()
-    records = extract_pool(image, SMALL, stats, jobs=1, cache=cache)
+    records = extract_pool(image, SMALL, stats, cache=cache)
     assert stats.cache_hits == 0 and stats.cache_misses == 1
     assert records == extract_gadgets(image, SMALL)
 
@@ -190,9 +181,9 @@ def test_winnow_cache_round_trip(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "llvm_obf")
     records = extract_gadgets(image, SMALL)
-    cold = winnow_pool(records, jobs=1, cache=cache, image=image, config=SMALL)
+    cold = winnow_pool(records, cache=cache, image=image, config=SMALL)
     warm_stats = SubsumptionStats()
-    warm = winnow_pool(records, warm_stats, jobs=1, cache=cache, image=image, config=SMALL)
+    warm = winnow_pool(records, warm_stats, cache=cache, image=image, config=SMALL)
     assert pool_to_bytes(warm) == pool_to_bytes(cold)
     assert warm_stats.cache_hits == 1
     assert warm_stats.solver_checks == 0, "warm winnow must not re-check"
@@ -234,15 +225,33 @@ def test_winnow_cache_keyed_by_solver_budget(tmp_path):
 def test_run_pipeline_warm_end_to_end(tmp_path):
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
-    cold_records, cold_survivors = run_pipeline(image, SMALL, jobs=2, cache=cache)
+    cold_records, cold_survivors = run_pipeline(image, SMALL, cache=cache)
     es, ss = ExtractionStats(), SubsumptionStats()
     records, survivors = run_pipeline(
-        image, SMALL, jobs=2, cache=cache, extraction_stats=es, winnow_stats=ss
+        image, SMALL, cache=cache, extraction_stats=es, winnow_stats=ss
     )
     assert es.cache_hit and ss.cache_hit
     assert es.symex_invocations == 0 and ss.solver_checks == 0
     assert pool_to_bytes(records) == pool_to_bytes(cold_records)
     assert pool_to_bytes(survivors) == pool_to_bytes(cold_survivors)
+
+
+def test_cache_entry_from_an_older_pipeline_version_is_a_miss(tmp_path, monkeypatch):
+    """Version 3 retired the ``winnow`` entries that ``nfl extract`` wrote
+    at a 2000-conflict budget under version 2."""
+    import repro.pipeline.cache as cache_module
+
+    assert cache_module.PIPELINE_VERSION == 3
+    image = _image("bubble_sort", "none")
+    records = extract_gadgets(image, SMALL)
+    cache = ResultCache(root=tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "PIPELINE_VERSION", 2)
+        cache.store_pool("winnow", image.to_bytes(), SMALL, records)
+        assert cache.load_pool("winnow", image.to_bytes(), SMALL) is not None
+    stats = SubsumptionStats()
+    winnow_pool(records, stats, cache=cache, image=image, config=SMALL)
+    assert stats.cache_misses == 1 and stats.cache_hits == 0
 
 
 # -- memoization ------------------------------------------------------------
@@ -293,14 +302,12 @@ def test_cli_extract_cold_then_warm(tmp_path, capsys):
         "5",
         "--max-paths",
         "2",
-        "--jobs",
-        "2",
         "--cache-dir",
         str(cache_dir),
     ]
     assert main(argv) == 0
     cold_out = capsys.readouterr().out
-    assert "cache=miss" in cold_out and "jobs=2" in cold_out
+    assert "cache=miss" in cold_out
 
     assert main(argv) == 0
     warm_out = capsys.readouterr().out
@@ -316,31 +323,17 @@ def test_cli_census_semantic_no_cache(tmp_path, capsys):
     binary = tmp_path / "prog.nflf"
     binary.write_bytes(image.to_bytes())
     assert (
-        main(["census", str(binary), "--semantic", "--max-insns", "4", "--jobs", "1", "--no-cache"])
+        main(["census", str(binary), "--semantic", "--max-insns", "4", "--no-cache"])
         == 0
     )
     out = capsys.readouterr().out
     assert "after subsumption" in out and "cache=off" in out
 
 
-# -- warm-cache stats regression --------------------------------------------
-
-
-def test_warm_cache_reports_requested_jobs(tmp_path):
-    """A cache hit used to leave ``stats.jobs`` at its default (1),
-    misreporting the run's configuration in summaries and BENCH files."""
-    image = _image("bubble_sort", "llvm_obf")
-    cache = ResultCache(root=tmp_path)
-    run_pipeline(image, SMALL, jobs=2, cache=cache)  # populate
-
-    es, ss = ExtractionStats(), SubsumptionStats()
-    run_pipeline(image, SMALL, jobs=3, cache=cache, extraction_stats=es, winnow_stats=ss)
-    assert es.cache_hit and ss.cache_hit
-    assert es.jobs == 3, "warm extract must report the configured jobs"
-    assert ss.jobs == 3, "warm winnow must report the configured jobs"
-
-
-def test_cli_warm_summary_line_reports_jobs(tmp_path, capsys):
+def test_cli_summary_line_reports_winnow_cache(tmp_path, capsys):
+    """The stats line reports each stage's own cache outcome: after an
+    ``--no-winnow`` run fills only the extract entry, the next run hits
+    the extract cache and misses the winnow cache."""
     from repro.cli import main
 
     image = _image("bubble_sort", "llvm_obf")
@@ -349,37 +342,18 @@ def test_cli_warm_summary_line_reports_jobs(tmp_path, capsys):
     argv = [
         "extract", str(binary),
         "--max-insns", "5", "--max-paths", "2",
-        "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+        "--cache-dir", str(tmp_path / "cache"),
     ]
-    assert main(argv) == 0
+    assert main(argv + ["--no-winnow"]) == 0
     capsys.readouterr()
     assert main(argv) == 0
-    warm_line = next(
-        line for line in capsys.readouterr().out.splitlines() if "cache=hit" in line
-    )
-    assert "jobs=2" in warm_line
+    extract_part, winnow_part = capsys.readouterr().out.splitlines()[1].split("extract ")
+    assert "cache=hit" in extract_part and "symex=0" in extract_part
+    assert "cache=miss" in winnow_part
 
-
-# -- worker decode-graph preload --------------------------------------------
-
-
-def test_extract_worker_initializer_preloads_graph():
-    from repro.gadgets.extract import plan_candidates
-    from repro.pipeline.parallel import _WORKER, _extract_chunk, _init_extract_worker
-
-    image = _image("bubble_sort", "none")
-    graph, candidates = plan_candidates(image, SMALL)
-    serial = pool_to_bytes(extract_gadgets(image, SMALL))
-
-    _init_extract_worker(image.text.data, image.text.addr, SMALL, graph)
-    assert _WORKER["executor"]._decode_cache, "graph cache must be preloaded"
-    with_graph, tree, _ = _extract_chunk((0, candidates))
-    assert tree["name"] == "extract.symex.run" and tree["counters"]["shard"] == 0
-
-    # Spawn-style contexts pass no graph; the pool must not change.
-    _init_extract_worker(image.text.data, image.text.addr, SMALL, None)
-    without_graph, _, _ = _extract_chunk((0, candidates))
-    assert with_graph == without_graph == serial
+    assert main(argv) == 0
+    extract_part, winnow_part = capsys.readouterr().out.splitlines()[1].split("extract ")
+    assert "cache=hit" in extract_part and "cache=hit" in winnow_part
 
 
 # -- cache corruption and concurrency ---------------------------------------
@@ -446,24 +420,22 @@ def test_cache_concurrent_stores_race_benignly(tmp_path):
 # -- trace structure ---------------------------------------------------------
 
 
-def _traced_pipeline(image, cache, jobs):
+def _traced_pipeline(image, cache):
     from repro.obs import Tracer, metrics, reset_metrics, tracing
 
     es, ss = ExtractionStats(), SubsumptionStats()
     reset_metrics()
     tracer = Tracer()
     with tracing(tracer):
-        run_pipeline(image, SMALL, jobs=jobs, cache=cache, extraction_stats=es, winnow_stats=ss)
+        run_pipeline(image, SMALL, cache=cache, extraction_stats=es, winnow_stats=ss)
     return tracer.to_lines(metrics=metrics().to_dict()), es, ss
 
 
-def test_trace_covers_pipeline_with_worker_shards(tmp_path):
-    import pytest as _pytest
-
+def test_trace_covers_pipeline_in_one_process():
     from repro.obs import validate_trace_lines
 
     image = _image("bubble_sort", "llvm_obf")
-    lines, es, ss = _traced_pipeline(image, None, jobs=4)
+    lines, es, ss = _traced_pipeline(image, None)
     spans = validate_trace_lines(lines)
     names = {s["name"] for s in spans}
     assert {
@@ -472,25 +444,21 @@ def test_trace_covers_pipeline_with_worker_shards(tmp_path):
         "extract.plan",
         "extract.candidates",
         "extract.symex",
-        "extract.symex.run",
         "winnow",
         "winnow.bucketize",
         "winnow.buckets",
-        "winnow.buckets.run",
     } <= names
-    # Per-worker shard spans land under the symex stage, in shard order.
-    symex_id = next(s["id"] for s in spans if s["name"] == "extract.symex")
-    shards = [
-        s["counters"]["shard"]
-        for s in spans
-        if s["parent"] == symex_id and s["name"] == "extract.symex.run"
-    ]
-    assert shards == sorted(shards) and len(shards) >= 2
+    # One executor and one winnow loop, each counting the whole stage.
+    (symex_run,) = [s for s in spans if s["name"] == "extract.symex.run"]
+    (buckets_run,) = [s for s in spans if s["name"] == "winnow.buckets.run"]
+    assert symex_run["counters"]["candidates"] == es.symex_invocations > 0
+    assert buckets_run["counters"]["survivors"] == ss.output_count > 0
+    assert not [s["name"] for s in spans if "shard" in s["counters"]]
     # The stats fields are span-derived: the trace and the summary agree.
     extract_root = next(s for s in spans if s["name"] == "extract")
-    assert extract_root["wall"] == _pytest.approx(es.wall_total, rel=0.05)
+    assert extract_root["wall"] == pytest.approx(es.wall_total, rel=0.05)
     winnow_root = next(s for s in spans if s["name"] == "winnow")
-    assert winnow_root["wall"] == _pytest.approx(ss.wall_total, rel=0.05)
+    assert winnow_root["wall"] == pytest.approx(ss.wall_total, rel=0.05)
 
 
 def test_warm_trace_byte_stable_modulo_timestamps(tmp_path):
@@ -498,9 +466,9 @@ def test_warm_trace_byte_stable_modulo_timestamps(tmp_path):
 
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
-    run_pipeline(image, SMALL, jobs=2, cache=cache)  # populate
+    run_pipeline(image, SMALL, cache=cache)  # populate
 
-    first, es1, _ = _traced_pipeline(image, cache, jobs=4)
-    second, es2, _ = _traced_pipeline(image, cache, jobs=4)
+    first, es1, _ = _traced_pipeline(image, cache)
+    second, es2, _ = _traced_pipeline(image, cache)
     assert es1.symex_invocations == 0 and es2.symex_invocations == 0
     assert strip_timestamps(first) == strip_timestamps(second)
