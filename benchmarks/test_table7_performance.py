@@ -15,7 +15,8 @@ from repro.bench import (
     netperf_image,
     table7_performance,
 )
-from repro.gadgets import ExtractionConfig, ExtractionStats, extract_gadgets
+from repro.fuzz.oracles import reference_scan
+from repro.gadgets import ExtractionConfig, ExtractionStats, extract, extract_gadgets
 from repro.gadgets.extract import candidate_offsets
 from repro.obfuscation.pipeline import CONFIGS
 from repro.staticanalysis import DecodeGraph
@@ -38,12 +39,13 @@ def test_table7_performance(benchmark, record_table):
     assert angrop_total.seconds <= gp["total"].seconds, "angrop should be the fastest"
 
 
-def test_extraction_stage_speedup(benchmark, record_table):
+def test_extraction_stage_speedup(benchmark, record_table, monkeypatch):
     """The static-analysis layer's effect on the extraction stage:
 
-    * the shared :class:`DecodeGraph` (decode each byte once, plus the
-      ever-reaches precheck) accelerates the candidate scan several-fold
-      over the legacy per-offset decode loop, with identical candidates;
+    * the candidate scan's bounded DFS over the shared
+      :class:`DecodeGraph`'s successor table is several-fold faster than
+      the same walk decoding at every step (the fuzz oracle's
+      reference), with identical candidates;
     * the semantic prefilter then drops a quarter-plus of the surviving
       candidates before symbolic execution, with an identical pool.
     """
@@ -54,12 +56,19 @@ def test_extraction_stage_speedup(benchmark, record_table):
         max_candidates=BENCH_EXTRACTION.max_candidates,
     )
 
+    def decode_walk(graph, offset, config):
+        return reference_scan(graph.code, graph.base_addr, offset, config)
+
+    def scan():
+        return candidate_offsets(image, config, DecodeGraph(image.text.data, image.text.addr))
+
     def run():
         t0 = time.perf_counter()
-        legacy = candidate_offsets(image, config, None)
+        with monkeypatch.context() as patch:
+            patch.setattr(extract, "syntactic_scan", decode_walk)
+            legacy = scan()
         t1 = time.perf_counter()
-        graph = DecodeGraph(image.text.data, image.text.addr)
-        shared = candidate_offsets(image, config, graph)
+        shared = scan()
         t2 = time.perf_counter()
         stats = ExtractionStats()
         extract_gadgets(image, config, stats)
@@ -71,7 +80,7 @@ def test_extraction_stage_speedup(benchmark, record_table):
     )
     text = (
         f"candidate scan, legacy decode loop:  {legacy_s:.2f}s\n"
-        f"candidate scan, shared decode graph: {shared_s:.2f}s "
+        f"candidate scan, successor table:     {shared_s:.2f}s "
         f"({legacy_s / shared_s:.1f}x faster)\n"
         f"full extraction (graph + prefilter): {full_s:.2f}s\n"
         f"candidates: {len(shared)}, culled by prefilter: "

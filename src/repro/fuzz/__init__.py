@@ -29,6 +29,7 @@ from .oracles import (
     check_planner,
     check_prefilter,
     check_roundtrip,
+    check_scan,
     check_serialize,
     check_window,
     check_winnow,
@@ -62,6 +63,7 @@ __all__ = [
     "check_planner",
     "check_prefilter",
     "check_roundtrip",
+    "check_scan",
     "check_serialize",
     "check_window",
     "check_winnow",

@@ -5,7 +5,7 @@ Each iteration derives one ``random.Random`` per oracle from
 seed: two runs with the same arguments produce byte-identical
 summaries (no wall-clock, no paths, no ordering races on stdout).
 
-Cheap oracles (round-trip, emulator-vs-symex) run every iteration;
+Cheap oracles (round-trip, emulator-vs-symex, scan) run every iteration;
 expensive ones (winnow, planner, obfuscation) run on fixed
 sparse schedules so ``--iters 200`` stays within a CI smoke budget.
 When the caller restricts ``--oracle``, the schedule collapses to
@@ -36,6 +36,7 @@ from .oracles import (
     check_planner,
     check_prefilter,
     check_roundtrip,
+    check_scan,
     check_serialize,
     check_solver_preprocess,
     check_window,
@@ -53,6 +54,7 @@ SCHEDULE = {
     "planner": (100, 41),
     "obfuscation": (25, 11),
     "solver_preprocess": (8, 1),
+    "scan": (1, 0),
 }
 
 ORACLE_NAMES = tuple(SCHEDULE)
@@ -61,6 +63,10 @@ ORACLE_NAMES = tuple(SCHEDULE)
 #: single-pass configs; the heavyweight VM/JIT ones are covered by the
 #: tier-1 suite).
 _OBF_ROTATION = ("substitution", "bogus_control_flow", "flattening", "encode_data", "llvm_obf")
+
+#: Step caps the scan oracle draws: small ones that bind on a fuzz
+#: image, so the DFS order decides the answer, and the default.
+_SCAN_STEPS = (1, 2, 3, 4, 5, 6, 7, 8, ExtractionConfig().max_scan_steps)
 
 
 @dataclass
@@ -262,6 +268,18 @@ def run_fuzz(
                 )
                 with span("fuzz.solver_preprocess"):
                     record("solver_preprocess", i, case, check_solver_preprocess(conjuncts))
+            if due("scan", i):
+                rng = random.Random(f"{seed}:{i}:scan")
+                # Random bytes between laid-out windows: the windows'
+                # in-range conditional jumps give the DFS a choice to
+                # order, which a purely random image almost never does.
+                text = b"".join(
+                    gen_bytes(rng, 6) + encode_program(gen_window(rng)) for _ in range(4)
+                )
+                steps = rng.choice(_SCAN_STEPS)
+                case = Case(oracle="scan", kind="image", text=text, max_insns=steps)
+                with span("fuzz.scan"):
+                    record("scan", i, case, check_scan(text, max_scan_steps=steps))
         root.add("iters", iters)
         root.add("failures", report.total_failures)
     return report

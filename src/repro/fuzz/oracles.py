@@ -33,6 +33,10 @@ The oracles:
     A defenses-off policy produces the same payloads as no policy.
 ``obfuscation``
     Every obfuscation config preserves a program's concrete output.
+``scan``
+    The syntactic scan's bounded DFS over the decode graph's successor
+    table accepts exactly the offsets that the same DFS decoding at
+    every step accepts, under every pair of walk rules.
 ``solver_preprocess``
     The solver's word-level pass never refutes a conjunction that a
     plain :class:`~repro.solver.bitblast.BitBlaster` + CDCL search
@@ -50,11 +54,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..binfmt.image import TEXT_BASE, make_image
 from ..emulator.cpu import DivideError, Emulator, EmulatorError, run_image
 from ..emulator.memory import MemoryFault
-from ..gadgets.extract import ExtractionConfig, extract_gadgets
+from ..gadgets.extract import ExtractionConfig, extract_gadgets, syntactic_scan
 from ..gadgets.record import GadgetRecord
 from ..gadgets.subsumption import deduplicate_gadgets, fingerprint
 from ..isa.encoding import DecodeError, decode, decode_window, encode
-from ..isa.instructions import opcode_operands
+from ..isa.instructions import Op, opcode_operands
 from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
 from ..obfuscation.pipeline import CONFIGS, build_program
 from ..pipeline import pool_from_bytes, pool_to_bytes
@@ -64,7 +68,7 @@ from ..solver.solver import Solver
 from ..symex.executor import EndKind, SymbolicExecutor
 from ..symex.expr import Bool, eval_bool, eval_bv
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
-from ..staticanalysis.decode_graph import shared_decode_graph
+from ..staticanalysis.decode_graph import INDIRECT_ENDS, shared_decode_graph
 from ..staticanalysis.window import WindowAnalyzer
 from .gen import gen_formula
 
@@ -86,6 +90,7 @@ class Case:
     text: bytes = b""
     offset: int = 0
     env_seed: int = 0
+    #: Window length; for a "scan" case, the scan's ``max_scan_steps``.
     max_insns: int = 8
     max_paths: int = 4
     source: str = ""
@@ -359,6 +364,74 @@ def check_prefilter(text: bytes, *, max_insns: int = 6, max_paths: int = 6) -> L
 
 
 # ---------------------------------------------------------------------------
+# syntactic scan: successor-table DFS vs per-offset decode walk
+# ---------------------------------------------------------------------------
+
+#: The four (merge_direct_jumps, include_conditional) ablation pairs.
+_SCAN_RULES = ((True, True), (True, False), (False, True), (False, False))
+
+
+def reference_scan(code: bytes, base: int, offset: int, config: ExtractionConfig) -> bool:
+    """The syntactic scan as a walk that decodes at every step.
+
+    The same bounded DFS as :func:`~repro.gadgets.extract.syntactic_scan`,
+    with the walk rules spelled out on each decoded instruction instead
+    of read from a successor table: the reference the table walk is
+    checked against.
+    """
+    work = [offset]
+    seen = set()
+    while work and len(seen) < config.max_scan_steps:
+        cursor = work.pop()
+        if cursor in seen or not 0 <= cursor < len(code):
+            continue
+        seen.add(cursor)
+        try:
+            insn = decode(code, cursor, addr=base + cursor)
+        except DecodeError:
+            continue
+        if insn.op in INDIRECT_ENDS:
+            return True
+        if insn.op == Op.HLT:
+            continue
+        if insn.op in (Op.JMP_REL, Op.CALL_REL):
+            if config.merge_direct_jumps:
+                work.append(insn.target - base)
+        elif insn.is_cond_jump():
+            if config.include_conditional:
+                work.append(insn.target - base)
+            work.append(insn.end - base)
+        else:
+            work.append(insn.end - base)
+    return False
+
+
+def check_scan(text: bytes, *, max_scan_steps: int) -> List[str]:
+    """The table walk agrees with :func:`reference_scan` at every offset,
+    under all four walk-rule pairs; reports the first offset that
+    differs per pair."""
+    graph = shared_decode_graph(text, TEXT_BASE)
+    failures: List[str] = []
+    for merge, conditional in _SCAN_RULES:
+        config = ExtractionConfig(
+            merge_direct_jumps=merge,
+            include_conditional=conditional,
+            max_scan_steps=max_scan_steps,
+        )
+        for off in range(len(text)):
+            got = syntactic_scan(graph, off, config)
+            want = reference_scan(text, TEXT_BASE, off, config)
+            if got != want:
+                failures.append(
+                    f"scan: at +{off} (merge={merge}, conditional={conditional}, "
+                    f"steps={max_scan_steps}) the table walk says {got}, "
+                    f"the decode walk {want}"
+                )
+                break
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # winnow subsumption vs fresh concrete probes
 # ---------------------------------------------------------------------------
 
@@ -578,6 +651,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_obfuscation(case.source, case.configs or ("none",), seed=case.env_seed)
     if case.oracle == "solver_preprocess":
         return check_solver_preprocess(formula_conjuncts(case))
+    if case.oracle == "scan":
+        return check_scan(case.text, max_scan_steps=case.max_insns)
     raise ValueError(f"unknown oracle {case.oracle!r}")
 
 

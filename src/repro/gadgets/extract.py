@@ -12,8 +12,9 @@ Candidate start addresses come from two sources, matching Sec. IV-B:
 
 Three stages of filtering feed the symbolic executor:
 
-1. a cheap syntactic prefilter (``syntactic_scan``) culls offsets that
-   cannot reach an indirect transfer under the configured walk rules;
+1. a cheap syntactic prefilter (``syntactic_scan``) culls offsets from
+   which a bounded DFS over the decode graph's successor table, under
+   the configured walk rules, reaches no indirect transfer;
 2. a *semantic* prefilter (``staticanalysis.WindowAnalyzer``) culls
    survivors whose decode-graph distance to any indirect transfer
    exceeds the window budget — a sound proof that symbolic execution
@@ -23,7 +24,9 @@ Three stages of filtering feed the symbolic executor:
    several records, one per feasible side — Fig. 4's distinct feature).
 
 All three stages share one :class:`~repro.staticanalysis.DecodeGraph`,
-so every byte of the section is decoded exactly once per extraction.
+so every byte of the section is decoded exactly once per extraction;
+the syntactic scan walks plain successor offsets and never touches an
+instruction.
 """
 
 from __future__ import annotations
@@ -33,15 +36,11 @@ from typing import List, Optional, Set, Tuple
 
 from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
-from ..isa.instructions import Op
 from ..obs import metrics, span
 from ..staticanalysis.decode_graph import DecodeGraph, shared_decode_graph
 from ..staticanalysis.window import WindowAnalyzer
 from ..symex.executor import SymbolicExecutor
 from .record import GadgetRecord, record_from_path
-
-#: Instructions that end a gadget usefully.
-_INDIRECT_ENDS = {Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL}
 
 
 @dataclass
@@ -85,63 +84,32 @@ class ExtractionStats:
         return self.cache_hits > 0
 
 
-def syntactic_scan(
-    code: bytes,
-    base: int,
-    offset: int,
-    config: ExtractionConfig,
-    graph: Optional[DecodeGraph] = None,
-) -> bool:
+def syntactic_scan(graph: DecodeGraph, offset: int, config: ExtractionConfig) -> bool:
     """Cheap prefilter: can *some* walk from ``offset`` reach an indirect
     transfer within budget?  Conditional jumps explore both sides (a
     bounded DFS) — essential on flattened code, where nearly every path
     to a ``ret`` goes through dispatcher compare-and-branch chains.
 
-    With a shared ``graph``, offsets that can *never* reach a transfer
-    under the configured walk rules are rejected without walking, and
-    the DFS reuses the graph's decode cache; the accept/reject result
-    is identical either way.
+    The walk rules come from ``graph.successors`` under the config's
+    ablation knobs.  The budget ``max_scan_steps`` counts distinct
+    offsets visited in DFS order (taken side of a conditional jump
+    below its fall-through on the stack), not walk depth: a short walk
+    to a transfer that the DFS reaches late does not count.
     """
-    if graph is not None:
-        reachable = graph.ever_reaches(
-            merge_direct_jumps=config.merge_direct_jumps,
-            include_conditional=config.include_conditional,
-        )
-        if offset not in reachable:
-            return False
-        decode_at = graph.decode_at
-    else:
-        from ..isa.encoding import DecodeError, decode
-
-        def decode_at(cursor: int):
-            try:
-                return decode(code, cursor, addr=base + cursor)
-            except DecodeError:
-                return None
-
+    succ = graph.successors(config.merge_direct_jumps, config.include_conditional)
+    if not 0 <= offset < len(succ):
+        return False
     work: List[int] = [offset]
     seen: Set[int] = set()
     while work and len(seen) < config.max_scan_steps:
         cursor = work.pop()
-        if cursor in seen or not 0 <= cursor < len(code):
+        if cursor in seen:
             continue
         seen.add(cursor)
-        insn = decode_at(cursor)
-        if insn is None:
-            continue
-        if insn.op in _INDIRECT_ENDS:
+        nexts = succ[cursor]
+        if nexts is None:
             return True
-        if insn.op == Op.HLT:
-            continue
-        if insn.op in (Op.JMP_REL, Op.CALL_REL):
-            if config.merge_direct_jumps:
-                work.append(insn.target - base)
-        elif insn.is_cond_jump():
-            if config.include_conditional:
-                work.append(insn.target - base)
-            work.append(insn.end - base)
-        else:
-            work.append(insn.end - base)
+        work.extend(nexts)
     return False
 
 
@@ -150,13 +118,18 @@ def candidate_offsets(
     config: ExtractionConfig,
     graph: Optional[DecodeGraph] = None,
 ) -> List[int]:
-    """Candidate start addresses, aligned probes first."""
+    """Candidate start addresses, aligned probes first.
+
+    ``graph`` defaults to the process-wide :func:`shared_decode_graph`
+    of the image's text section.
+    """
     text = image.text
-    code = text.data
     base = text.addr
+    if graph is None:
+        graph = shared_decode_graph(text.data, base)
     aligned: List[int] = []
     seen: Set[int] = set()
-    cfg = recover_cfg(image, decoder=graph.decode_addr if graph is not None else None)
+    cfg = recover_cfg(image, decoder=graph.decode_addr)
     for block in cfg.blocks.values():
         for insn in block.instructions:
             if insn.addr not in seen:
@@ -164,12 +137,11 @@ def candidate_offsets(
                 aligned.append(insn.addr)
     unaligned: List[int] = []
     if config.probe_unaligned:
-        for offset in range(len(code)):
+        for offset in range(len(text.data)):
             addr = base + offset
             if addr not in seen:
                 unaligned.append(addr)
-    candidates = [a for a in aligned if syntactic_scan(code, base, a - base, config, graph)]
-    candidates += [a for a in unaligned if syntactic_scan(code, base, a - base, config, graph)]
+    candidates = [a for a in aligned + unaligned if syntactic_scan(graph, a - base, config)]
     if config.max_candidates is not None and len(candidates) > config.max_candidates:
         # Sample evenly instead of truncating, so the cap preserves the
         # aligned/unaligned mix and spans the whole text section.

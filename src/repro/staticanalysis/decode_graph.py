@@ -15,18 +15,19 @@ induced control-flow graph:
   whose distance exceeds the window budget provably yields only DEAD
   paths under symbolic execution — the sound cull used by the semantic
   prefilter (see ``window.py`` for the argument).
-* ``ever_reaches`` — per syntactic-scan configuration, the set of
-  offsets from which *some* walk under the scan's (config-dependent)
-  successor rules reaches an indirect transfer at any depth.  Offsets
-  outside this set make ``syntactic_scan`` return False regardless of
-  its step cap, so the scan can be skipped outright.
+* ``successors`` — per pair of walk rules, the successor offsets of
+  every offset as plain ints: ``None`` at an indirect transfer, ``()``
+  at a dead end, else the offsets a walk continues at.  This is the one
+  place the walk rules are written down; the syntactic scan runs its
+  bounded DFS over these tables, and ``dist_to_transfer`` is a reverse
+  BFS over the executor's pair of them.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import Instruction, Op
@@ -68,7 +69,7 @@ class DecodeGraph:
                 pass
         self.insns = insns
         self._dist: Optional[List[int]] = None
-        self._ever_reaches: Dict[Tuple[bool, bool], FrozenSet[int]] = {}
+        self._successors: Dict[Tuple[bool, bool], List[Optional[Tuple[int, ...]]]] = {}
 
     # -- decoding ---------------------------------------------------------
 
@@ -86,25 +87,47 @@ class DecodeGraph:
         """An address-keyed decode cache (SymbolicExecutor's format)."""
         return {self.base_addr + o: insn for o, insn in enumerate(self.insns)}
 
-    # -- executor-rule successors -----------------------------------------
+    # -- walk rules -------------------------------------------------------
 
-    def _executor_successors(self, offset: int) -> List[int]:
-        """Offsets a symbolic path at ``offset`` may continue at.
+    def successors(
+        self, merge_direct_jumps: bool, include_conditional: bool
+    ) -> List[Optional[Tuple[int, ...]]]:
+        """Per-offset successor table under one pair of walk rules.
 
-        Over-approximates the executor: both sides of every conditional
-        jump are listed even when the executor would statically resolve
-        one away, and fork budgets are ignored.  Terminators and dead
-        ends have no successors.
+        Entry ``o`` is ``None`` if the instruction at ``o`` is an
+        indirect transfer; ``()`` at a dead end (no decode, ``hlt``, or
+        a direct jump/call when ``merge_direct_jumps`` is off); else
+        the in-range offsets a walk continues at, the taken side of a
+        conditional jump (only when ``include_conditional``) before its
+        fall-through.  Successors outside the section are dropped, as a
+        walk stepping there stops.  ``(True, True)`` are the symbolic
+        executor's rules, over-approximated: both sides of every
+        conditional jump are listed even when the executor would
+        statically resolve one away.  Built once per rule pair.
         """
-        insn = self.insns[offset]
-        if insn is None or insn.op in INDIRECT_ENDS or insn.op == Op.HLT:
-            return []
+        key = (merge_direct_jumps, include_conditional)
+        table = self._successors.get(key)
+        if table is not None:
+            return table
+        n = len(self.insns)
         base = self.base_addr
-        if insn.op in (Op.JMP_REL, Op.CALL_REL):
-            return [insn.target - base]
-        if insn.is_cond_jump():
-            return [insn.target - base, insn.end - base]
-        return [insn.end - base]
+        table = []
+        for insn in self.insns:
+            if insn is None or insn.op == Op.HLT:
+                table.append(())
+                continue
+            if insn.op in INDIRECT_ENDS:
+                table.append(None)
+                continue
+            if insn.op in (Op.JMP_REL, Op.CALL_REL):
+                succs = (insn.target - base,) if merge_direct_jumps else ()
+            elif insn.is_cond_jump() and include_conditional:
+                succs = (insn.target - base, insn.end - base)
+            else:
+                succs = (insn.end - base,)
+            table.append(tuple(o for o in succs if 0 <= o < n))
+        self._successors[key] = table
+        return table
 
     # -- distance to an indirect transfer ---------------------------------
 
@@ -122,17 +145,13 @@ class DecodeGraph:
             preds: List[List[int]] = [[] for _ in range(n)]
             queue: deque = deque()
             dist = [UNREACHABLE] * n
-            for offset in range(n):
-                insn = self.insns[offset]
-                if insn is None:
-                    continue
-                if insn.op in INDIRECT_ENDS:
+            for offset, succs in enumerate(self.successors(True, True)):
+                if succs is None:
                     dist[offset] = 1
                     queue.append(offset)
                     continue
-                for succ in self._executor_successors(offset):
-                    if 0 <= succ < n:
-                        preds[succ].append(offset)
+                for succ in succs:
+                    preds[succ].append(offset)
             while queue:
                 offset = queue.popleft()
                 d = dist[offset]
@@ -158,59 +177,3 @@ class DecodeGraph:
             return False
         d = self.dist_to_transfer[offset]
         return d != UNREACHABLE and d <= budget
-
-    # -- syntactic-scan reachability ---------------------------------------
-
-    def ever_reaches(
-        self, *, merge_direct_jumps: bool, include_conditional: bool
-    ) -> FrozenSet[int]:
-        """Offsets from which the syntactic scan's walk rules can reach
-        an indirect transfer at *any* depth.
-
-        The scan follows direct jumps/calls only when
-        ``merge_direct_jumps`` and the taken side of a conditional jump
-        only when ``include_conditional``; its bounded DFS explores a
-        subset of these walks, so membership here is a necessary
-        condition for ``syntactic_scan`` returning True.
-        """
-        key = (merge_direct_jumps, include_conditional)
-        cached = self._ever_reaches.get(key)
-        if cached is not None:
-            return cached
-        n = len(self.insns)
-        preds: List[List[int]] = [[] for _ in range(n)]
-        queue: deque = deque()
-        reached = [False] * n
-        base = self.base_addr
-        for offset in range(n):
-            insn = self.insns[offset]
-            if insn is None:
-                continue
-            if insn.op in INDIRECT_ENDS:
-                reached[offset] = True
-                queue.append(offset)
-                continue
-            if insn.op == Op.HLT:
-                continue
-            succs: List[int] = []
-            if insn.op in (Op.JMP_REL, Op.CALL_REL):
-                if merge_direct_jumps:
-                    succs.append(insn.target - base)
-            elif insn.is_cond_jump():
-                if include_conditional:
-                    succs.append(insn.target - base)
-                succs.append(insn.end - base)
-            else:
-                succs.append(insn.end - base)
-            for succ in succs:
-                if 0 <= succ < n:
-                    preds[succ].append(offset)
-        while queue:
-            offset = queue.popleft()
-            for pred in preds[offset]:
-                if not reached[pred]:
-                    reached[pred] = True
-                    queue.append(pred)
-        result = frozenset(o for o in range(n) if reached[o])
-        self._ever_reaches[key] = result
-        return result

@@ -15,6 +15,7 @@ from repro.fuzz import (
     case_to_dict,
     check_prefilter,
     check_roundtrip,
+    check_scan,
     check_window,
     gen_bytes,
     gen_program,
@@ -29,6 +30,7 @@ from repro.fuzz import (
     window_insn_count,
 )
 from repro.fuzz.campaign import ORACLE_NAMES
+from repro.isa import assemble_unit
 from repro.isa.encoding import decode_window, encode_program
 from repro.isa.instructions import Instruction, Op
 from repro.isa.registers import MASK64, Reg
@@ -139,6 +141,54 @@ def test_prefilter_oracle_green():
     assert check_prefilter(text, max_insns=6, max_paths=6) == []
 
 
+def _depth_budget_scan(graph, offset, config):
+    """A planted bug: ``max_scan_steps`` read as walk depth (BFS levels)
+    instead of distinct offsets in DFS order."""
+    succ = graph.successors(config.merge_direct_jumps, config.include_conditional)
+    level, seen = {offset}, set()
+    for _ in range(config.max_scan_steps):
+        nxt = set()
+        for cursor in level - seen:
+            seen.add(cursor)
+            if succ[cursor] is None:
+                return True
+            nxt.update(succ[cursor])
+        level = nxt
+    return False
+
+
+_JE_OVER_HLT = assemble_unit(
+    "cmp rax, 0\nje out\nnop\nnop\nnop\nnop\nhlt\nout: ret", base_addr=0
+).code
+
+
+def test_scan_oracle_green():
+    for steps in (1, 3, 6, 7, 48):
+        assert check_scan(_JE_OVER_HLT, max_scan_steps=steps) == []
+    report = run_fuzz(seed=4, iters=30, oracles=["scan"])
+    assert report.stats["scan"].runs == 30 and report.total_failures == 0
+
+
+def test_scan_oracle_flags_depth_budget_scan(monkeypatch):
+    import repro.fuzz.oracles as oracles
+
+    monkeypatch.setattr(oracles, "syntactic_scan", _depth_budget_scan)
+    failures = check_scan(_JE_OVER_HLT, max_scan_steps=3)
+    # From the cmp, depth 3 reaches the ret past the je; the DFS spends
+    # its three steps on cmp, je and the first nop.  The two rule pairs
+    # that follow the taken side fail, each at its first offset.
+    assert failures == [
+        "scan: at +0 (merge=True, conditional=True, steps=3) "
+        "the table walk says True, the decode walk False",
+        "scan: at +0 (merge=False, conditional=True, steps=3) "
+        "the table walk says True, the decode walk False",
+    ]
+    case = Case(oracle="scan", kind="image", text=_JE_OVER_HLT, max_insns=3)
+    assert run_case(case) == failures
+    report = run_fuzz(seed=4, iters=30, oracles=["scan"], shrink=False)
+    assert report.total_failures > 0
+
+
 def test_campaign_deterministic_and_green():
     first = run_fuzz(seed=11, iters=12)
     second = run_fuzz(seed=11, iters=12)
@@ -179,7 +229,7 @@ def test_campaign_rejects_unknown_oracle():
 
     with pytest.raises(ValueError):
         run_fuzz(seed=0, iters=1, oracles=["nope"])
-    assert set(ORACLE_NAMES) >= {"roundtrip", "emu_symex", "prefilter", "winnow"}
+    assert set(ORACLE_NAMES) >= {"roundtrip", "emu_symex", "prefilter", "winnow", "scan"}
 
 
 # ---------------------------------------------------------------------------

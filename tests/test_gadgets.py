@@ -12,8 +12,10 @@ from repro.gadgets import (
     subsumes,
     total_gadgets,
 )
+from repro.gadgets.extract import syntactic_scan
 from repro.gadgets.subsumption import SubsumptionStats
 from repro.isa import Op, Reg, assemble_unit
+from repro.staticanalysis import DecodeGraph
 from repro.symex import bv_const, stack_sym
 
 
@@ -161,6 +163,24 @@ def test_max_candidates_cap():
     many = extract_gadgets(image, ExtractionConfig())
     assert len(few) <= len(many)
     assert len(few) <= 3 * 6  # ≤ candidates × fork budget
+
+
+def test_scan_budget_counts_dfs_steps_not_walk_depth():
+    """``max_scan_steps`` caps distinct offsets in DFS order.  From the
+    ``je`` the shortest walk to ``ret`` is 2 instructions, but the DFS
+    pops the fall-through first and spends five steps on ``nop``s and
+    the ``hlt`` before it reaches the taken side.  Redefining the budget
+    as depth changes which offsets are candidates, so it must come with
+    a ``PIPELINE_VERSION`` bump and regenerated references."""
+    image = image_for("cmp rax, 0\nje out\nnop\nnop\nnop\nnop\nhlt\nout: ret")
+    graph = DecodeGraph(image.text.data, image.text.addr)
+    je = 6
+    assert graph.decode_at(je).op == Op.JE
+    assert graph.dist_to_transfer[je] == 2
+    for steps in range(1, 7):
+        assert not syntactic_scan(graph, je, ExtractionConfig(max_scan_steps=steps))
+    for steps in (7, 8, 48):
+        assert syntactic_scan(graph, je, ExtractionConfig(max_scan_steps=steps))
 
 
 # ---------------------------------------------------------------------------

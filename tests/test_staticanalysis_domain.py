@@ -188,6 +188,77 @@ def test_budget_bounds_reachability():
     assert not WindowAnalyzer(graph, max_insns=6).reaches_transfer(0x400000)
 
 
+def test_successor_table_entries():
+    code = assemble(
+        """
+        cmp rax, 0
+        je out
+        jmp out
+        hlt
+        out: ret
+        """,
+        base_addr=0x400000,
+    )
+    graph = DecodeGraph(code, 0x400000)
+    je, jmp, hlt, ret = 6, 11, 16, 17
+    both = graph.successors(True, True)
+    assert both[je] == (ret, jmp)  # taken side first, popped last
+    assert both[jmp] == (ret,)
+    assert both[hlt] == ()
+    assert both[ret] is None
+    plain = graph.successors(False, False)
+    assert plain[je] == (jmp,)
+    assert plain[jmp] == ()
+    assert graph.successors(True, True) is both  # built once per rule pair
+
+
+def _dist_by_executor_rule(graph):
+    """``dist_to_transfer`` as computed before it read the successor
+    table: a reverse BFS over the symbolic executor's rules written out
+    on each instruction."""
+    from collections import deque
+
+    from repro.isa import Op
+
+    ends = {Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL}
+    n, base = len(graph.insns), graph.base_addr
+    preds = [[] for _ in range(n)]
+    dist = [-1] * n
+    queue = deque()
+    for offset, insn in enumerate(graph.insns):
+        if insn is None or insn.op == Op.HLT:
+            continue
+        if insn.op in ends:
+            dist[offset] = 1
+            queue.append(offset)
+            continue
+        if insn.op in (Op.JMP_REL, Op.CALL_REL):
+            succs = [insn.target - base]
+        elif insn.is_cond_jump():
+            succs = [insn.target - base, insn.end - base]
+        else:
+            succs = [insn.end - base]
+        for succ in succs:
+            if 0 <= succ < n:
+                preds[succ].append(offset)
+    while queue:
+        offset = queue.popleft()
+        for pred in preds[offset]:
+            if dist[pred] == -1:
+                dist[pred] = dist[offset] + 1
+                queue.append(pred)
+    return dist
+
+
+def test_dist_to_transfer_unchanged_on_benchmark_images():
+    from nflbench.reference import CENSUS_IMAGES, COLD_IMAGES, build
+
+    for key in CENSUS_IMAGES + COLD_IMAGES:
+        text = build(key).image.text
+        graph = DecodeGraph(text.data, text.addr)
+        assert graph.dist_to_transfer == _dist_by_executor_rule(graph), key
+
+
 # ---------------------------------------------------------------------------
 # Taint over mini-C IR
 # ---------------------------------------------------------------------------
