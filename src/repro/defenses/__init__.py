@@ -44,7 +44,7 @@ from .policy import (
     POLICIES,
     parse_policy,
 )
-from .survive import SurvivalCensus, filter_pool, gadget_survives
+from .survive import SurvivalCensus, filter_pool, gadget_survives, killed_by
 
 __all__ = [
     "ASLR_SLIDE",
@@ -68,6 +68,7 @@ __all__ = [
     "format_defense_census",
     "format_defense_matrix",
     "gadget_survives",
+    "killed_by",
     "parse_policy",
     "resolve_policies",
     "validate_defense_matrix",

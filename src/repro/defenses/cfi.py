@@ -25,12 +25,11 @@ gives the defender no label there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
 from ..isa.instructions import Op
-from ..staticanalysis.decode_graph import DecodeGraph
 from .policy import CFIMode
 
 #: Kinds of indirect control transfer a CFI check distinguishes.
@@ -48,16 +47,9 @@ class CFITargets:
     entries: FrozenSet[int]
 
     @classmethod
-    def build(
-        cls, image: BinaryImage, graph: Optional[DecodeGraph] = None
-    ) -> "CFITargets":
-        """Derive the target sets from the image's recovered CFG.
-
-        Pass the extraction pipeline's :class:`DecodeGraph` to reuse its
-        decode cache; the resulting sets are identical either way.
-        """
-        decoder = graph.decode_addr if graph is not None else None
-        cfg = recover_cfg(image, decoder=decoder)
+    def build(cls, image: BinaryImage) -> "CFITargets":
+        """Derive the target sets from the image's recovered CFG."""
+        cfg = recover_cfg(image)
         aligned = set()
         return_sites = set()
         for block in cfg.blocks.values():

@@ -30,16 +30,10 @@ from typing import List, Optional, Tuple
 
 from ..binfmt.image import BinaryImage
 from ..emulator.cpu import Emulator
-from ..emulator.memory import PAGE_SIZE, PERM_R, PERM_W
-from ..emulator.syscalls import (
-    AttackTriggered,
-    PROT_EXEC,
-    PROT_WRITE,
-    Sys,
-    SyscallEvent,
-)
+from ..emulator.memory import PERM_W
+from ..emulator.syscalls import PROT_EXEC, PROT_WRITE, Sys, SyscallEvent
 from ..isa.instructions import Instruction, Op
-from ..isa.registers import ALL_REGS, MASK64, Reg
+from ..isa.registers import MASK64, Reg
 from ..obs import metrics, span
 from .cfi import CFITargets, KIND_CALL, KIND_JUMP, KIND_RET
 from .policy import CFIMode, DefensePolicy
@@ -149,24 +143,15 @@ class PolicyEnforcer:
                 return None
             if prot & PROT_WRITE:
                 return self._deny(sys_no, args, "W+X mprotect request")
-            if self._emu is not None and self._any_page_writable(addr, length):
+            if self._emu is not None and self._emu.memory.any_page_with(
+                PERM_W, addr, length
+            ):
                 return self._deny(sys_no, args, "mprotect +X on writable pages")
         elif sys_no is Sys.MMAP and self.policy.wx_strict_mmap:
             prot = args[2]
             if prot & PROT_EXEC and prot & PROT_WRITE:
                 return self._deny(sys_no, args, "W+X mmap request")
         return None
-
-    def _any_page_writable(self, addr: int, length: int) -> bool:
-        assert self._emu is not None
-        memory = self._emu.memory
-        cursor = addr
-        end = addr + max(length, 1)
-        while cursor < end:
-            if memory.perms_at(cursor) & PERM_W:
-                return True
-            cursor += PAGE_SIZE
-        return False
 
     def _deny(self, sys_no: Sys, args: tuple, reason: str) -> int:
         self.denied_syscalls.append((sys_no, args[:3]))
@@ -207,6 +192,16 @@ class EnforcedRun:
     cfi_checks: int = 0
     slide_applied: int = 0
 
+    @property
+    def blocked(self) -> bool:
+        """Did the policy defeat the run (a kill, a vetoed syscall or
+        an ASLR miss), rather than the payload itself?"""
+        return not self.ok and bool(
+            self.outcome in ("cfi", "shadow_stack")
+            or self.denied_syscalls
+            or self.slide_applied
+        )
+
 
 def _slide_image_words(payload_words, image: BinaryImage, slide: int):
     """Shift every payload word that points into an image section.
@@ -239,12 +234,13 @@ def validate_payload_with_policy(
 ) -> EnforcedRun:
     """Run ``payload`` against ``image`` with ``policy`` enforced.
 
-    Mirrors :func:`repro.planner.payload.validate_payload` (same threat
-    model, stack placement, and goal matching) with the policy hooks
-    installed and the ASLR knowledge model applied to the injected
-    words.  Does not mutate ``payload.validated``.
+    Delivers through :func:`repro.planner.payload.deliver_payload`, the
+    unprotected validator's path (same threat model, stack placement
+    and goal matching), with the ASLR knowledge model applied to the
+    injected words and the policy hooks installed at the moment of
+    diversion.  Does not mutate ``payload.validated``.
     """
-    from ..planner.payload import JUNK_REGION, _event_matches
+    from ..planner.payload import deliver_payload, event_matches
 
     with span("defense.enforce") as sp:
         leaks_used = 0
@@ -259,71 +255,27 @@ def validate_payload_with_policy(
                 entry = (entry + ASLR_SLIDE) & MASK64
                 slide_applied = ASLR_SLIDE
 
-        emu = Emulator(image, stop_on_attack=True, step_limit=step_limit)
-        emu.memory.map(JUNK_REGION, 0x2000, PERM_R | PERM_W)
-        if "__sm_start" in image.symbols:
-            resume = image.symbols.get("_start", image.entry)
-            emu.cpu.rip = image.symbols["__sm_start"]
-            try:
-                while emu.cpu.rip != resume and emu.steps < step_limit:
-                    emu.step()
-            except Exception:
-                return EnforcedRun(ok=False, outcome="crash", leaks_used=leaks_used)
-
-        # Mitigations watch the run only from the moment of diversion:
-        # the decoder stub above is legitimate program execution.
         enforcer = PolicyEnforcer(policy, targets, image=image)
-        enforcer.install(emu)
-
-        for reg in ALL_REGS:
-            if reg is not Reg.RSP:
-                emu.cpu.set(reg, JUNK_REGION + 0x800)
-        base = emu.cpu.get(Reg.RSP)
-        import struct
-
-        blob = b"".join(struct.pack("<Q", w & MASK64) for w in words)
+        run = EnforcedRun(ok=False, outcome="crash", leaks_used=leaks_used)
         try:
-            emu.memory.write(base, blob)
-        except Exception:
-            return EnforcedRun(ok=False, outcome="crash", leaks_used=leaks_used)
-        emu.cpu.set(Reg.RSP, base + 8)
-        emu.cpu.rip = entry
-
-        try:
-            while True:
-                emu.step()
-        except AttackTriggered as attack:
-            matched = _event_matches(attack.event, resolved)
-            sp.add("attacks" if matched else "misses")
-            sp.add("cfi_checks", enforcer.checks)
-            return EnforcedRun(
-                ok=matched,
-                outcome="attack" if matched else "no_attack",
-                event=attack.event,
-                denied_syscalls=len(enforcer.denied_syscalls),
-                leaks_used=leaks_used,
-                cfi_checks=enforcer.checks,
-                slide_applied=slide_applied,
+            run.event = deliver_payload(
+                image, words, entry, step_limit=step_limit, on_divert=enforcer.install
             )
         except DefenseViolation as violation:
+            run.outcome = violation.kind
+            run.violation = str(violation)
             sp.add("violations")
-            sp.add("cfi_checks", enforcer.checks)
-            return EnforcedRun(
-                ok=False,
-                outcome=violation.kind,
-                violation=str(violation),
-                denied_syscalls=len(enforcer.denied_syscalls),
-                leaks_used=leaks_used,
-                cfi_checks=enforcer.checks,
-                slide_applied=slide_applied,
-            )
         except Exception:
             sp.add("crashes")
-            return EnforcedRun(
-                ok=False,
-                outcome="crash",
-                denied_syscalls=len(enforcer.denied_syscalls),
-                leaks_used=leaks_used,
-                cfi_checks=enforcer.checks,
-                slide_applied=slide_applied,
-            )
+        else:
+            if run.event is None:
+                return run  # the payload never got control
+            run.ok = event_matches(run.event, resolved)
+            run.outcome = "attack" if run.ok else "no_attack"
+            sp.add("attacks" if run.ok else "misses")
+        if run.outcome != "crash":
+            sp.add("cfi_checks", enforcer.checks)
+        run.denied_syscalls = len(enforcer.denied_syscalls)
+        run.cfi_checks = enforcer.checks
+        run.slide_applied = slide_applied
+        return run

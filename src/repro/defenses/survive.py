@@ -1,12 +1,13 @@
 """Gadget survival under a defense policy — the filtering layer.
 
-:func:`gadget_survives` is a *necessary* condition: it keeps a gadget
-only if some chain position could legally use it under the policy.  It
-deliberately over-approximates — the enforcement layer
-(:mod:`repro.defenses.enforce`) is the precise check a finished payload
-must still pass — so "surviving gadgets" upper-bounds the residual
-attack surface, the quantity the census reports per defense ×
-obfuscation.
+:func:`killed_by` is the one survival rule; :func:`gadget_survives`
+and :func:`filter_pool` both read it.  It is a *necessary* condition:
+a gadget survives only if some chain position could legally use it
+under the policy.  It deliberately over-approximates — the
+enforcement layer (:mod:`repro.defenses.enforce`) is the precise check
+a finished payload must still pass — so "surviving gadgets"
+upper-bounds the residual attack surface, the quantity the census
+reports per defense × obfuscation.
 
 Per mitigation:
 
@@ -30,21 +31,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..binfmt.image import BinaryImage
 from ..gadgets.record import GadgetRecord
 from ..obs import metrics, span
-from ..staticanalysis.decode_graph import DecodeGraph
 from ..symex.executor import EndKind
 from .cfi import CFITargets
 from .policy import CFIMode, DefensePolicy
 
 
-def gadget_survives(
+#: What kills a record (:func:`killed_by`) → the counter it bumps.
+_KILL_COUNTERS = {
+    "cfi": "defense.gadgets_killed_cfi",
+    "shadow_stack": "defense.gadgets_killed_shadow",
+}
+
+
+def killed_by(
     policy: DefensePolicy,
     record: GadgetRecord,
     targets: Optional[CFITargets] = None,
-) -> bool:
-    """Could any chain position legally use ``record`` under ``policy``?
+) -> Optional[str]:
+    """The mitigation that rules ``record`` out under ``policy``:
+    ``"cfi"``, ``"shadow_stack"``, or None when it survives.
 
     ``targets`` is required when the policy enables CFI (the check is
     image-relative); pass the :class:`CFITargets` built for the record's
@@ -54,13 +61,23 @@ def gadget_survives(
         if targets is None:
             raise ValueError("CFI survival needs the image's CFITargets")
         if policy.cfi is CFIMode.COARSE:
-            if record.location not in targets.aligned:
-                return False
-        elif not targets.fine_reachable(record.location):
-            return False
+            cfi_ok = record.location in targets.aligned
+        else:
+            cfi_ok = targets.fine_reachable(record.location)
+        if not cfi_ok:
+            return "cfi"
     if policy.shadow_stack and record.end is EndKind.RET:
-        return False
-    return True
+        return "shadow_stack"
+    return None
+
+
+def gadget_survives(
+    policy: DefensePolicy,
+    record: GadgetRecord,
+    targets: Optional[CFITargets] = None,
+) -> bool:
+    """Could any chain position legally use ``record`` under ``policy``?"""
+    return killed_by(policy, record, targets) is None
 
 
 @dataclass
@@ -94,64 +111,40 @@ def filter_pool(
     policy: DefensePolicy,
     records: Sequence[GadgetRecord],
     *,
-    image: Optional[BinaryImage] = None,
     targets: Optional[CFITargets] = None,
-    graph: Optional[DecodeGraph] = None,
     census: Optional[SurvivalCensus] = None,
 ) -> List[GadgetRecord]:
-    """The pool's survivors under ``policy``, in original order.
+    """The pool's survivors under ``policy`` (:func:`killed_by`), in
+    original order.
 
     A pure post-filter: the input pool (and anything cached by
-    :mod:`repro.pipeline`) is never mutated, and with a no-op policy the
-    very same list object comes back.  Builds :class:`CFITargets` from
-    ``image`` on demand when CFI is enabled and none were passed.
+    :mod:`repro.pipeline`) is never mutated, and with a policy that
+    kills no gadget the very same list object comes back.
     """
-    if not policy.enabled or (
-        policy.cfi is CFIMode.OFF and not policy.shadow_stack
-    ):
-        if census is not None:
-            census.pool_size = len(records)
-            census.surviving = len(records)
+    if policy.cfi is CFIMode.OFF and not policy.shadow_stack:
+        survivors = records if isinstance(records, list) else list(records)
+    else:
+        counters = metrics()
+        survivors = []
+        with span("defense.filter") as sp:
             for record in records:
-                census.by_jmp_type[record.jmp_type.value] = (
-                    census.by_jmp_type.get(record.jmp_type.value, 0) + 1
-                )
-        return list(records) if not isinstance(records, list) else records
-
-    if policy.cfi is not CFIMode.OFF and targets is None:
-        if image is None:
-            raise ValueError("CFI filtering needs the image or its CFITargets")
-        targets = CFITargets.build(image, graph)
-
-    counters = metrics()
-    survivors: List[GadgetRecord] = []
-    with span("defense.filter") as sp:
-        for record in records:
-            if policy.cfi is not CFIMode.OFF:
-                assert targets is not None
-                if policy.cfi is CFIMode.COARSE:
-                    cfi_ok = record.location in targets.aligned
-                else:
-                    cfi_ok = targets.fine_reachable(record.location)
-                if not cfi_ok:
-                    if census is not None:
-                        census.killed_cfi += 1
-                    counters.counter("defense.gadgets_killed_cfi").inc()
+                killer = killed_by(policy, record, targets)
+                if killer is None:
+                    survivors.append(record)
                     continue
-            if policy.shadow_stack and record.end is EndKind.RET:
+                counters.counter(_KILL_COUNTERS[killer]).inc()
                 if census is not None:
-                    census.killed_shadow_stack += 1
-                counters.counter("defense.gadgets_killed_shadow").inc()
-                continue
-            survivors.append(record)
-            if census is not None:
-                census.by_jmp_type[record.jmp_type.value] = (
-                    census.by_jmp_type.get(record.jmp_type.value, 0) + 1
-                )
-        sp.add("pool", len(records))
-        sp.add("surviving", len(survivors))
-    counters.counter("defense.gadgets_surviving").inc(len(survivors))
+                    if killer == "cfi":
+                        census.killed_cfi += 1
+                    else:
+                        census.killed_shadow_stack += 1
+            sp.add("pool", len(records))
+            sp.add("surviving", len(survivors))
+        counters.counter("defense.gadgets_surviving").inc(len(survivors))
     if census is not None:
         census.pool_size = len(records)
         census.surviving = len(survivors)
+        for record in survivors:
+            kind = record.jmp_type.value
+            census.by_jmp_type[kind] = census.by_jmp_type.get(kind, 0) + 1
     return survivors

@@ -105,6 +105,17 @@ class Memory:
             page += PAGE_SIZE
         return run
 
+    def any_page_with(self, perm: int, addr: int, length: int) -> bool:
+        """Does ``perm`` hold on any of the ``ceil(length / PAGE_SIZE)``
+        (at least one) pages from ``addr``'s page on?  Walks the mapped
+        pages, so a guest-chosen ``length`` costs O(mapped pages)."""
+        first = addr & PAGE_MASK
+        end = first + -(-max(length, 1) // PAGE_SIZE) * PAGE_SIZE
+        return any(
+            first <= page < end and perms & perm
+            for page, perms in self._perms.items()
+        )
+
     def _page_for(self, addr: int, needed: int, kind: str) -> bytearray:
         page_addr = addr & PAGE_MASK
         perms = self._perms.get(page_addr)

@@ -21,7 +21,7 @@ from .corpus import (
     replay_corpus,
     save_case,
 )
-from .gen import gen_bytes, gen_program, gen_window, relayout, spec_of
+from .gen import gen_bytes, gen_chain_tail, gen_program, gen_window, relayout, spec_of
 from .oracles import (
     Case,
     Inconclusive,
@@ -53,6 +53,7 @@ __all__ = [
     "replay_corpus",
     "save_case",
     "gen_bytes",
+    "gen_chain_tail",
     "gen_program",
     "gen_window",
     "relayout",

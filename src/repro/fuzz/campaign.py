@@ -28,7 +28,7 @@ from ..binfmt.image import make_image
 from ..isa.encoding import encode_program
 from ..obs import metrics, span
 from .corpus import save_case
-from .gen import gen_bytes, gen_formula, gen_program, gen_window
+from .gen import gen_bytes, gen_chain_tail, gen_formula, gen_program, gen_window
 from .oracles import (
     Case,
     EmulatorFactory,
@@ -234,6 +234,7 @@ def run_fuzz(
             if due("planner", i):
                 rng = random.Random(f"{seed}:{i}:planner")
                 text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
+                text += gen_chain_tail(rng)
                 case = Case(oracle="planner", kind="image", text=text)
                 with span("fuzz.planner"):
                     record("planner", i, case, check_planner(text))

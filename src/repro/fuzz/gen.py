@@ -6,7 +6,8 @@ Four families:
   is a self-checksum ``print``, suitable for cross-config equivalence;
 * :func:`gen_bytes` — raw byte images (unaligned-decode stress);
 * :func:`gen_window` — laid-out instruction windows ending in an
-  indirect transfer (the gadget-chain shape extraction consumes);
+  indirect transfer (the gadget-chain shape extraction consumes), and
+  :func:`gen_chain_tail`, the gadgets a planner case chains;
 * :func:`gen_formula` — small bit-vector conjunctions shaped to meet
   the solver's word-level refutation rules.
 
@@ -163,6 +164,16 @@ def gen_window(rng: random.Random, max_body: int = 6) -> List[Instruction]:
         term = Instruction(op=term_op)
     spec.append((term, None))
     return relayout(spec, TEXT_BASE)
+
+
+def gen_chain_tail(rng: random.Random) -> bytes:
+    """``pop r; ret`` for each syscall-argument register plus
+    ``syscall; ret``, in random order.  Appended to a planner case's
+    windows so the standard goals have chains to assemble and deliver."""
+    heads = [Instruction(op=Op.POP1, dst=r) for r in (Reg.RAX, Reg.RDI, Reg.RSI, Reg.RDX)]
+    heads.append(Instruction(op=Op.SYSCALL))
+    rng.shuffle(heads)
+    return encode_program([insn for head in heads for insn in (head, Instruction(op=Op.RET))])
 
 
 def gen_bytes(rng: random.Random, size: int = 48) -> bytes:

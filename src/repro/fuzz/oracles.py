@@ -30,7 +30,9 @@ The oracles:
 ``serialize``
     ``pool_from_bytes(pool_to_bytes(pool))`` is byte-stable.
 ``planner``
-    A defenses-off policy produces the same payloads as no policy.
+    Every assembled payload gets the same verdict and syscall event
+    from the unprotected validator and from enforced validation under
+    the ``none`` policy.
 ``obfuscation``
     Every obfuscation config preserves a program's concrete output.
 ``scan``
@@ -523,24 +525,27 @@ def check_serialize(records: Sequence[GadgetRecord]) -> List[str]:
 
 
 def check_planner(text: bytes, *, config: Optional[ExtractionConfig] = None) -> List[str]:
+    from ..defenses.enforce import validate_payload_with_policy
     from ..defenses.policy import POLICIES
-    from ..planner import GadgetPlanner
+    from ..planner import GadgetPlanner, resolve_goal, standard_goals
+    from ..planner.payload import validate_payload
     from ..planner.search import PlannerConfig
 
     image = make_image(text)
     config = config or ExtractionConfig(max_insns=5, max_paths=4, max_candidates=48)
     pcfg = PlannerConfig(max_nodes=400, max_plans=2, max_steps=6)
     base = GadgetPlanner(image, extraction=config, planner=pcfg, validate=False).run()
-    off = GadgetPlanner(
-        image, extraction=config, planner=pcfg, validate=False, defense=POLICIES["none"]
-    ).run()
+    goals = {goal.name: goal for goal in standard_goals(image)}
     failures: List[str] = []
-    if base.per_goal != off.per_goal:
-        failures.append(f"planner: per_goal differs: {base.per_goal} != {off.per_goal}")
-    base_payloads = [p.describe() for p in base.payloads]
-    off_payloads = [p.describe() for p in off.payloads]
-    if base_payloads != off_payloads:
-        failures.append("planner: defenses-off payloads differ from no-policy payloads")
+    for index, payload in enumerate(base.payloads):
+        resolved = resolve_goal(image, goals[payload.goal_name])
+        enforced = validate_payload_with_policy(image, payload, resolved, POLICIES["none"])
+        plain = validate_payload(image, payload, resolved)
+        if (enforced.ok, enforced.event) != (plain, payload.event):
+            failures.append(
+                f"planner: payload {index} validates {plain} with event {payload.event} "
+                f"unprotected, but {enforced.ok} with event {enforced.event} under none"
+            )
     return failures
 
 

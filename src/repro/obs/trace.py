@@ -62,11 +62,6 @@ class Span:
         """Bump an integer counter on this span."""
         self.counters[key] = self.counters.get(key, 0) + n
 
-    def wall_so_far(self) -> float:
-        """Elapsed wall time while the span is still open (early
-        returns read this before ``__exit__`` stamps ``wall``)."""
-        return time.perf_counter() - self._t0
-
     def __enter__(self) -> "Span":
         if self._tracer is not None:
             self._tracer._push(self)

@@ -162,6 +162,25 @@ class GadgetPlanner:
         self._locate_cache[value] = found
         return found
 
+    def _validate(self, payload, resolved, targets, report: PlannerReport) -> bool:
+        """Validate ``payload``, under the defense when there is one,
+        and count the runs the defense blocked."""
+        if self.defense is None:
+            return validate_payload(self.image, payload, resolved)
+        from ..defenses.enforce import validate_payload_with_policy
+
+        run = validate_payload_with_policy(
+            self.image, payload, resolved, self.defense, targets=targets
+        )
+        payload.validated = run.ok
+        payload.event = run.event
+        payload.leak_steps = run.leaks_used
+        if run.ok:
+            report.leaks_used += run.leaks_used
+        elif run.blocked:
+            report.blocked_by_defense += 1
+        return run.ok
+
     def run(self, goals: Optional[Sequence[AttackGoal]] = None) -> PlannerReport:
         report = PlannerReport()
         goals = list(goals) if goals is not None else standard_goals(self.image)
@@ -187,19 +206,15 @@ class GadgetPlanner:
                 # A pure post-filter over the winnowed pool: the cached
                 # pools above are shared across policies untouched.
                 from ..defenses.cfi import CFITargets
+                from ..defenses.policy import CFIMode
                 from ..defenses.survive import SurvivalCensus, filter_pool
 
                 with span("plan.defense_filter") as def_sp:
-                    from ..defenses.policy import CFIMode
-
                     if self.defense.cfi is not CFIMode.OFF:
                         cfi_targets = CFITargets.build(self.image)
                     report.survival = SurvivalCensus(policy=self.defense.name)
                     deduped = filter_pool(
-                        self.defense,
-                        deduped,
-                        targets=cfi_targets,
-                        census=report.survival,
+                        self.defense, deduped, targets=cfi_targets, census=report.survival
                     )
                     report.gadgets_surviving = len(deduped)
                     def_sp.add("surviving", len(deduped))
@@ -242,31 +257,10 @@ class GadgetPlanner:
                     key = (resolved.goal.name, frozenset(g.location for g in payload.chain))
                     if key in seen_chains:
                         continue
-                    if self.validate:
-                        if self.defense is not None:
-                            from ..defenses.enforce import validate_payload_with_policy
-
-                            run = validate_payload_with_policy(
-                                self.image,
-                                payload,
-                                resolved,
-                                self.defense,
-                                targets=cfi_targets,
-                            )
-                            payload.validated = run.ok
-                            payload.event = run.event
-                            payload.leak_steps = run.leaks_used
-                            if not run.ok:
-                                if (
-                                    run.outcome in ("cfi", "shadow_stack")
-                                    or run.denied_syscalls
-                                    or run.slide_applied
-                                ):
-                                    report.blocked_by_defense += 1
-                                continue
-                            report.leaks_used += run.leaks_used
-                        elif not validate_payload(self.image, payload, resolved):
-                            continue
+                    if self.validate and not self._validate(
+                        payload, resolved, cfi_targets, report
+                    ):
+                        continue
                     seen_chains.add(key)
                     report.payloads.append(payload)
                     report.per_goal[resolved.goal.name] = (

@@ -221,13 +221,7 @@ def provide_reg_condition(
     pre = discharge_preconditions(gadget, solver)
     if pre is None:
         return None
-    merged = provision.merged_with(pre)
-    # A gadget cannot regress a condition onto a register it needs at
-    # entry equal to something it also claims to provide differently.
-    for rc in merged.regressed:
-        if rc.reg == cond.reg and gadget.post_regs[cond.reg] == bv_const(cond.value):
-            continue
-    return merged
+    return provision.merged_with(pre)
 
 
 def _provide_via_known_bytes(

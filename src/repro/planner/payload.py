@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..binfmt.image import BinaryImage
 from ..emulator.cpu import Emulator
 from ..emulator.memory import PERM_R, PERM_W
 from ..emulator.syscalls import AttackTriggered, SyscallEvent
-from ..isa.registers import ALL_REGS, Reg
+from ..isa.registers import ALL_REGS, MASK64, Reg
 from ..solver.solver import Solver
 from ..symex.expr import BV, Bool, bv_const, bv_eq, bv_sym, free_symbols, substitute
 from ..symex.state import stack_sym_offset
@@ -165,20 +165,31 @@ def assemble_payload(
 # ---------------------------------------------------------------------------
 
 
-def validate_payload(
+def deliver_payload(
     image: BinaryImage,
-    payload: AttackPayload,
-    resolved: ResolvedGoal,
+    words: Sequence[int],
+    entry: int,
     *,
     step_limit: int = 500_000,
-) -> bool:
-    """Execute the payload against the image; set ``payload.validated``.
+    on_divert: Optional[Callable[[Emulator], object]] = None,
+) -> Optional[SyscallEvent]:
+    """Plant ``words`` on a fresh process's stack, divert to ``entry``
+    and run to the first attack syscall; return its event.
 
-    Self-modifying binaries decode themselves at startup, and the
-    attack happens against the *running* process — so the decoder stub
-    is executed first, exactly as it would have by the time any memory
+    Returns None when the payload never gets control: the decoder stub
+    crashed, or the words do not fit the stack headroom.  Whatever stops
+    a diverted run short of an attack syscall (a fault, the step limit,
+    a mitigation's kill) propagates.
+
+    This is the threat model's one delivery path.  Self-modifying
+    binaries decode themselves at startup, and the attack happens
+    against the *running* process — so the decoder stub is executed
+    first, exactly as it would have by the time any memory
     vulnerability fires.  (Gadgets extracted from statically-encoded
     regions therefore fail validation: they do not exist at runtime.)
+    ``on_divert`` is called with the emulator just before control
+    transfers to ``entry``; mitigations install their hooks there, so
+    they watch the payload but not the legitimate decoder stub.
     """
     emu = Emulator(image, stop_on_attack=True, step_limit=step_limit)
     emu.memory.map(JUNK_REGION, 0x2000, PERM_R | PERM_W)
@@ -189,8 +200,7 @@ def validate_payload(
             while emu.cpu.rip != resume and emu.steps < step_limit:
                 emu.step()
         except Exception:
-            payload.validated = False
-            return False
+            return None
     for reg in ALL_REGS:
         if reg is not Reg.RSP:
             emu.cpu.set(reg, JUNK_REGION + 0x800)
@@ -198,27 +208,43 @@ def validate_payload(
     # at rsp is the overwritten return address.
     base = emu.cpu.get(Reg.RSP)
     try:
-        emu.memory.write(base, payload.to_bytes())
+        emu.memory.write(base, b"".join(struct.pack("<Q", w & MASK64) for w in words))
     except Exception:
-        payload.validated = False  # does not fit the stack headroom
-        return False
+        return None  # does not fit the stack headroom
     emu.cpu.set(Reg.RSP, base + 8)
-    emu.cpu.rip = payload.entry_address
+    if on_divert is not None:
+        on_divert(emu)
+    emu.cpu.rip = entry
 
     try:
         while True:
             emu.step()
     except AttackTriggered as attack:
-        event = attack.event
-        payload.event = event
-        payload.validated = _event_matches(event, resolved)
-        return payload.validated
+        return attack.event
+
+
+def validate_payload(
+    image: BinaryImage,
+    payload: AttackPayload,
+    resolved: ResolvedGoal,
+    *,
+    step_limit: int = 500_000,
+) -> bool:
+    """Deliver the payload; it is valid when the run raises the goal
+    syscall with exactly the planned arguments.  Sets
+    ``payload.validated``, and ``payload.event`` when a syscall ran."""
+    try:
+        event = deliver_payload(image, payload.words, payload.entry_address, step_limit=step_limit)
     except Exception:
-        payload.validated = False
-        return False
+        event = None
+    if event is not None:
+        payload.event = event
+    payload.validated = event is not None and event_matches(event, resolved)
+    return payload.validated
 
 
-def _event_matches(event: SyscallEvent, resolved: ResolvedGoal) -> bool:
+def event_matches(event: SyscallEvent, resolved: ResolvedGoal) -> bool:
+    """Is ``event`` the goal syscall with the goal's arguments?"""
     if event.number != resolved.goal.syscall:
         return False
     arg_regs = (Reg.RDI, Reg.RSI, Reg.RDX)

@@ -10,15 +10,19 @@ planner behaviour exactly.
 """
 
 import json
+import time
 
 import pytest
 
 from repro.binfmt import make_image
+from repro.binfmt.image import STACK_TOP
 from repro.defenses import (
+    ASLR_SLIDE,
     CFIMode,
     CFITargets,
     DefensePolicy,
     DefenseViolation,
+    EnforcedRun,
     KIND_CALL,
     KIND_JUMP,
     KIND_RET,
@@ -37,7 +41,16 @@ from repro.emulator import Sys
 from repro.gadgets.extract import extract_gadgets
 from repro.gadgets.subsumption import deduplicate_gadgets
 from repro.isa import Reg, assemble_unit
-from repro.planner import GadgetPlanner, PlannerConfig, mprotect_goal, resolve_goal
+from repro.obs import Tracer, tracing
+from repro.planner import (
+    AttackPayload,
+    GadgetPlanner,
+    PlannerConfig,
+    mmap_goal,
+    mprotect_goal,
+    resolve_goal,
+    validate_payload,
+)
 from repro.symex.executor import EndKind
 
 
@@ -306,6 +319,41 @@ WX_MMAP = """
 """
 
 
+def _mprotect_program(addr, length, prot=5):
+    return image_for(
+        f"""
+        mov rax, 10
+        mov rdi, {addr:#x}
+        mov rsi, {length:#x}
+        mov rdx, {prot}
+        syscall
+        hlt
+        """,
+        data=b"\x00" * 16,
+    )
+
+
+def test_wx_check_on_huge_unmapped_range_returns_promptly():
+    # The range starts just above the stack and holds no mapped page:
+    # nothing to deny, and the check must not walk 2**48 pages.
+    image = _mprotect_program(STACK_TOP, 1 << 60)
+    emu, enforcer = enforced_emulator(image, POLICIES["wx"], stop_on_attack=False)
+    started = time.perf_counter()
+    emu.run()
+    assert time.perf_counter() - started < 5.0
+    assert enforcer.denied_syscalls == []
+    assert len(emu.syscalls.events) == 1
+
+
+def test_wx_denies_huge_range_covering_a_writable_page():
+    # From .text over the unmapped gap into writable .data and the stack.
+    image = _mprotect_program(0x400000, 1 << 60)
+    emu, enforcer = enforced_emulator(image, POLICIES["wx"], stop_on_attack=False)
+    emu.run()
+    assert len(enforcer.denied_syscalls) == 1
+    assert emu.syscalls.events == []
+
+
 def test_wx_mmap_bypass_allowed_unless_strict():
     image = image_for(WX_MMAP)
     emu, enforcer = enforced_emulator(image, POLICIES["wx"], stop_on_attack=False)
@@ -388,20 +436,66 @@ def test_planner_disabled_defense_is_byte_identical(rich_image):
 
 
 def test_enforced_validation_matches_unprotected_run(rich_image):
-    """A payload the planner validated also validates under the
-    enforcement path with no defenses — same threat model."""
+    """Enforcement with no defense delivers exactly like the
+    unprotected validator — same threat model, same verdict, same
+    syscall — on every planner payload, on one whose entry is unmapped
+    and on one aimed at the wrong goal."""
     report = run_planner(rich_image, None)
-    payload = report.payloads[0]
+    assert report.payloads
     resolved = resolve_goal(rich_image, mprotect_goal(addr=0x600000))
-    run = validate_payload_with_policy(
-        rich_image, payload, resolved, POLICIES["none"]
-    )
-    assert run.ok and run.outcome == "attack"
+    wrong_goal = resolve_goal(rich_image, mmap_goal(length=7))
+    first = report.payloads[0]
+    cases = [(p, resolved, "attack") for p in report.payloads] + [
+        (
+            AttackPayload("mprotect", list(first.words), [], entry_address=0x10),
+            resolved,
+            "crash",
+        ),
+        (first, wrong_goal, "no_attack"),
+    ]
+    for payload, goal, outcome in cases:
+        run = validate_payload_with_policy(
+            rich_image, payload, goal, POLICIES["none"]
+        )
+        assert run.outcome == outcome
+        payload.event = None
+        assert validate_payload(rich_image, payload, goal) is run.ok
+        assert payload.event == run.event
+        assert (run.event is None) == (outcome == "crash")
     run_wx = validate_payload_with_policy(
-        rich_image, payload, resolved, POLICIES["wx"]
+        rich_image, first, resolved, POLICIES["wx"]
     )
     assert not run_wx.ok
     assert run_wx.denied_syscalls >= 1
+
+
+def _enforce_counters(image, payload, resolved, policy):
+    tracer = Tracer()
+    with tracing(tracer):
+        run = validate_payload_with_policy(image, payload, resolved, policy)
+    (enforce,) = [sp for sp, _ in tracer.iter_spans() if sp.name == "defense.enforce"]
+    return run, enforce.counters
+
+
+def test_crashes_before_diversion_apply_no_slide_and_count_no_crash(rich_image):
+    report = run_planner(rich_image, None)
+    payload = report.payloads[0]
+    resolved = resolve_goal(rich_image, mprotect_goal(addr=0x600000))
+    # Words past the stack headroom never get planted.
+    oversized = AttackPayload(
+        "mprotect", [payload.entry_address] * 0x4001, [], payload.entry_address
+    )
+    # A self-modifying decoder stub that faults never reaches the payload.
+    crashing_stub = image_for(RICH_GADGETS + "__sm_start:\n    mov rax, 0x10\n    jmp rax\n")
+    for image, candidate in ((rich_image, oversized), (crashing_stub, payload)):
+        run, counters = _enforce_counters(image, candidate, resolved, POLICIES["aslr"])
+        assert run == EnforcedRun(ok=False, outcome="crash")
+        assert counters == {}
+    # Once diverted, a crash carries the slide and is counted.
+    stray = AttackPayload("mprotect", list(payload.words), [], entry_address=0x10)
+    run, counters = _enforce_counters(rich_image, stray, resolved, POLICIES["aslr"])
+    assert run == EnforcedRun(ok=False, outcome="crash", slide_applied=ASLR_SLIDE)
+    assert counters == {"crashes": 1}
 
 
 # -- census + schema ----------------------------------------------------------

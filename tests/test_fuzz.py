@@ -6,6 +6,7 @@ and the DEC/Jcc carry-flag regression the fuzzer surfaced.
 """
 
 import json
+import random
 
 from repro.binfmt.image import make_image
 from repro.emulator.cpu import Emulator
@@ -13,11 +14,13 @@ from repro.fuzz import (
     Case,
     case_from_dict,
     case_to_dict,
+    check_planner,
     check_prefilter,
     check_roundtrip,
     check_scan,
     check_window,
     gen_bytes,
+    gen_chain_tail,
     gen_program,
     gen_window,
     load_corpus,
@@ -187,6 +190,29 @@ def test_scan_oracle_flags_depth_budget_scan(monkeypatch):
     assert run_case(case) == failures
     report = run_fuzz(seed=4, iters=30, oracles=["scan"], shrink=False)
     assert report.total_failures > 0
+
+
+def test_planner_oracle_delivers_every_payload():
+    text = gen_chain_tail(random.Random(0))
+    assert check_planner(text) == []
+    # The tail alone gives every standard goal but execve a chain.
+    case = Case(oracle="planner", kind="image", text=text)
+    assert run_case(case) == []
+
+
+def test_planner_oracle_flags_enforcement_that_slides_undefended_payloads(monkeypatch):
+    import repro.defenses.enforce as enforce
+    from repro.defenses import POLICIES
+
+    real = enforce.validate_payload_with_policy
+
+    def always_slid(image, payload, resolved, policy, **kwargs):
+        return real(image, payload, resolved, POLICIES["aslr"], **kwargs)
+
+    monkeypatch.setattr(enforce, "validate_payload_with_policy", always_slid)
+    failures = check_planner(gen_chain_tail(random.Random(0)))
+    assert failures
+    assert all("validates True" in f and "False with event None" in f for f in failures)
 
 
 def test_campaign_deterministic_and_green():
