@@ -1,4 +1,4 @@
-"""Ablation: the semantic gadget prefilter (staticanalysis.window).
+"""Ablation: the semantic gadget prefilter (DecodeGraph.reaches_transfer_within).
 
 The prefilter sits between the syntactic scan and the symbolic
 executor: candidates whose decode graph proves them unable to reach an

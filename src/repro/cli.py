@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-insns", type=int, default=8)
     p.set_defaults(func=cmd_gadgets)
 
-    p = sub.add_parser("extract", help="semantic gadget extraction (parallel + cached)")
+    p = sub.add_parser("extract", help="semantic gadget extraction (cached)")
     p.add_argument("binary")
     p.add_argument("--max-insns", type=int, default=12)
     p.add_argument("--max-paths", type=int, default=6)
@@ -393,9 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("census", help="gadget-set quality census (static dataflow)")
+    p = sub.add_parser("census", help="gadget-set quality census")
     p.add_argument("binary")
-    p.add_argument("--static", action="store_true", help="add semantic window metrics")
+    p.add_argument(
+        "--static", action="store_true", help="add solver-free window metrics from symbolic paths"
+    )
     p.add_argument("--semantic", action="store_true", help="run the full extraction pipeline")
     p.add_argument(
         "--defenses",

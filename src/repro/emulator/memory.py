@@ -106,13 +106,14 @@ class Memory:
         return run
 
     def any_page_with(self, perm: int, addr: int, length: int) -> bool:
-        """Does ``perm`` hold on any of the ``ceil(length / PAGE_SIZE)``
-        (at least one) pages from ``addr``'s page on?  Walks the mapped
-        pages, so a guest-chosen ``length`` costs O(mapped pages)."""
+        """Is any of the ``ceil(length / PAGE_SIZE)`` (at least one)
+        pages from ``addr``'s page on mapped with every bit of ``perm``
+        (``perm=0``: mapped at all)?  Walks the mapped pages, so a
+        guest-chosen ``length`` costs O(mapped pages)."""
         first = addr & PAGE_MASK
         end = first + -(-max(length, 1) // PAGE_SIZE) * PAGE_SIZE
         return any(
-            first <= page < end and perms & perm
+            first <= page < end and perms & perm == perm
             for page, perms in self._perms.items()
         )
 

@@ -26,6 +26,10 @@ PROT_ALL = PROT_READ | PROT_WRITE | PROT_EXEC
 #: Where anonymous ``mmap(addr=0)`` allocations land when the handler
 #: models the call (far from image, stack, and validation scratch).
 MMAP_BASE = 0x7F0000000000
+#: Longest ``mmap`` the model backs (64 MiB); memory keeps one entry per
+#: page, so longer requests get ``-ENOMEM`` instead of a walk over a
+#: guest-chosen number of pages.
+MMAP_MAX_LENGTH = 1 << 26
 
 _EINVAL = -22 & ((1 << 64) - 1)
 _ENOMEM = -12 & ((1 << 64) - 1)
@@ -221,18 +225,16 @@ class SyscallHandler:
         """
         length = event.length or 0
         prot = event.prot or 0
-        if length <= 0 or prot & ~PROT_ALL:
-            return _EINVAL
-        pages = (length + PAGE_SIZE - 1) // PAGE_SIZE
         addr = event.addr or 0
+        if length <= 0 or prot & ~PROT_ALL or addr % PAGE_SIZE != 0:
+            return _EINVAL
+        if length > MMAP_MAX_LENGTH:
+            return _ENOMEM
+        size = -(-length // PAGE_SIZE) * PAGE_SIZE
         if addr == 0:
             addr = self.mmap_cursor
-            self.mmap_cursor += pages * PAGE_SIZE
-        elif addr % PAGE_SIZE != 0:
-            return _EINVAL
-        if any(
-            self.memory.is_mapped(addr + i * PAGE_SIZE) for i in range(pages)
-        ):
+            self.mmap_cursor += size
+        if self.memory.any_page_with(0, addr, size):
             return _ENOMEM  # no MAP_FIXED clobbering in the model
-        self.memory.map(addr, pages * PAGE_SIZE, prot)
+        self.memory.map(addr, size, prot)
         return addr

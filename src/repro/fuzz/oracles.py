@@ -20,9 +20,9 @@ The oracles:
     instruction trace and lands on the same post-registers and jump
     target.
 ``prefilter``
-    Static-analysis soundness: any window the
-    :class:`~repro.staticanalysis.window.WindowAnalyzer` culls yields
-    zero usable symbolic paths.
+    Static-analysis soundness: any window that
+    :meth:`~repro.staticanalysis.DecodeGraph.reaches_transfer_within`
+    culls yields zero usable symbolic paths.
 ``winnow``
     Subsumption only drops records with a same-fingerprint survivor
     that agrees under fresh concrete probes (trial keys disjoint from
@@ -71,7 +71,6 @@ from ..symex.executor import EndKind, SymbolicExecutor
 from ..symex.expr import Bool, eval_bool, eval_bv
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
 from ..staticanalysis.decode_graph import INDIRECT_ENDS, shared_decode_graph
-from ..staticanalysis.window import WindowAnalyzer
 from .gen import gen_formula
 
 EmulatorFactory = Callable[..., Emulator]
@@ -257,7 +256,9 @@ def _check_window_outcome(
     image = make_image(text)
     base = image.text.addr
     addr = base + offset
-    executor = SymbolicExecutor(text, base, max_insns=max_insns, max_paths=max_paths)
+    executor = SymbolicExecutor(
+        shared_decode_graph(text, base), max_insns=max_insns, max_paths=max_paths
+    )
     paths = [p for p in executor.execute_paths(addr) if p.is_usable]
     if not paths:
         return OracleOutcome()
@@ -347,14 +348,14 @@ def _check_window_outcome(
 
 
 def check_prefilter(text: bytes, *, max_insns: int = 6, max_paths: int = 6) -> List[str]:
-    """Nothing the WindowAnalyzer culls may have a usable symbolic path."""
+    """Nothing the decode-graph prefilter culls may have a usable
+    symbolic path."""
     base = TEXT_BASE
     graph = shared_decode_graph(text, base)
-    analyzer = WindowAnalyzer(graph, max_insns=max_insns)
-    executor = SymbolicExecutor(text, base, max_insns=max_insns, max_paths=max_paths)
+    executor = SymbolicExecutor(graph, max_insns=max_insns, max_paths=max_paths)
     failures: List[str] = []
     for off in range(len(text)):
-        if analyzer.reaches_transfer(base + off):
+        if graph.reaches_transfer_within(off, max_insns):
             continue
         usable = [p for p in executor.execute_paths(base + off) if p.is_usable]
         if usable:

@@ -15,8 +15,8 @@ Three stages of filtering feed the symbolic executor:
 1. a cheap syntactic prefilter (``syntactic_scan``) culls offsets from
    which a bounded DFS over the decode graph's successor table, under
    the configured walk rules, reaches no indirect transfer;
-2. a *semantic* prefilter (``staticanalysis.WindowAnalyzer``) culls
-   survivors whose decode-graph distance to any indirect transfer
+2. a *semantic* prefilter (``DecodeGraph.reaches_transfer_within``)
+   culls survivors whose decode-graph distance to any indirect transfer
    exceeds the window budget — a sound proof that symbolic execution
    would yield only DEAD paths, so the gadget pool is unchanged;
 3. survivors get full symbolic execution, and each usable path becomes
@@ -38,7 +38,6 @@ from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
 from ..obs import metrics, span
 from ..staticanalysis.decode_graph import DecodeGraph, shared_decode_graph
-from ..staticanalysis.window import WindowAnalyzer
 from ..symex.executor import SymbolicExecutor
 from .record import GadgetRecord, record_from_path
 
@@ -177,8 +176,11 @@ def plan_candidates(
             stats.candidates = len(candidates)
         if config.semantic_prefilter:
             with span("extract.prefilter") as pre_sp:
-                analyzer = WindowAnalyzer(graph, max_insns=config.max_insns)
-                kept = [a for a in candidates if analyzer.reaches_transfer(a)]
+                base = graph.base_addr
+                kept = [
+                    a for a in candidates
+                    if graph.reaches_transfer_within(a - base, config.max_insns)
+                ]
             pre_sp.add("culled", len(candidates) - len(kept))
             if stats is not None:
                 stats.semantically_culled = len(candidates) - len(kept)
@@ -189,16 +191,12 @@ def plan_candidates(
 
 def make_executor(graph: DecodeGraph, config: ExtractionConfig) -> SymbolicExecutor:
     """The symbolic executor the extraction stage runs candidates on,
-    over ``graph``'s section with its decode cache preloaded (which only
-    affects speed, never which paths are found)."""
-    executor = SymbolicExecutor(
-        graph.code,
-        graph.base_addr,
+    reading instructions from ``graph``."""
+    return SymbolicExecutor(
+        graph,
         max_insns=config.max_insns,
         max_paths=config.max_paths if config.include_conditional else 1,
     )
-    executor.preload_decode_cache(graph.addr_decode_cache())
-    return executor
 
 
 def run_candidates(

@@ -48,9 +48,13 @@ def _jmp_type(path: PathSummary) -> JmpType:
     return JmpType.UIJ
 
 
-@dataclass
+@dataclass(frozen=True)
 class GadgetRecord:
-    """Table II: the complete semantic description of one gadget."""
+    """Table II: the complete semantic description of one gadget.
+
+    Frozen: pools, caches and planner libraries share records, so no
+    caller may change one in place.
+    """
 
     gadget_id: int
     location: int  # address of the first instruction

@@ -18,11 +18,10 @@ bucket, equality is decided in three tiers:
 1. syntactic identity (free);
 2. random evaluation on 12 further sample vectors — any disagreement
    proves inequality; full agreement is accepted as equality.  (With
-   independent 64-bit probes a false collision is vanishingly unlikely;
-   pass ``exact=True`` to confirm each equality with the solver.  On
-   the six nflbench cold-sweep and census images, every post pair
-   compared within a bucket is syntactically identical, so
-   ``exact=True`` sends no extra query and costs the same.)
+   independent 64-bit probes a false collision is vanishingly unlikely.
+   On the six nflbench cold-sweep and census images, every post pair
+   compared within a bucket is syntactically identical, so a solver
+   proof of equality would send no query.)
 3. pre-condition *implication* (the directional part of eqn. 1) is
    checked with the solver — sampling cannot prove implications.
 
@@ -42,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..isa.registers import ALL_REGS
 from ..obs import metrics, span
 from ..solver.solver import Solver
-from ..symex.expr import Bool, bool_and, bool_not, bv_eq, eval_bool, eval_bv
+from ..symex.expr import Bool, bool_and, bool_not, eval_bool, eval_bv
 from .record import GadgetRecord
 
 _NUM_PROBES = 4
@@ -102,24 +101,17 @@ def _sampled_equal(ea, eb) -> bool:
     return True
 
 
-def _exprs_equal(ea, eb, solver: Solver, exact: bool) -> bool:
-    """Tiered equality: syntactic → sampling → optional solver proof."""
-    if ea == eb:
-        return True
-    if not _sampled_equal(ea, eb):
-        return False
-    if not exact:
-        return True
-    result = solver.check([bool_not(bv_eq(ea, eb))])
-    return not result.is_sat  # UNSAT or UNKNOWN → treat as equal
+def _exprs_equal(ea, eb) -> bool:
+    """Tiered equality: syntactic, then sampling."""
+    return ea == eb or _sampled_equal(ea, eb)
 
 
-def _posts_equal(a: GadgetRecord, b: GadgetRecord, solver: Solver, exact: bool = False) -> bool:
+def _posts_equal(a: GadgetRecord, b: GadgetRecord) -> bool:
     """post_a == post_b for every register and the jump target."""
     for r in ALL_REGS:
-        if not _exprs_equal(a.post_regs[r], b.post_regs[r], solver, exact):
+        if not _exprs_equal(a.post_regs[r], b.post_regs[r]):
             return False
-    if not _exprs_equal(a.jump_target, b.jump_target, solver, exact):
+    if not _exprs_equal(a.jump_target, b.jump_target):
         return False
     # Memory effects: compare syntactically (conservative).
     if len(a.mem_writes) != len(b.mem_writes):
@@ -195,13 +187,12 @@ def subsumes(
     g2: GadgetRecord,
     solver: Optional[Solver] = None,
     *,
-    exact: bool = False,
     memo: Optional[ImplicationMemo] = None,
     stats: Optional["SubsumptionStats"] = None,
 ) -> bool:
     """True iff g1 subsumes g2 per eqn. (1)."""
     solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
-    return _posts_equal(g1, g2, solver, exact) and _pre_implies(
+    return _posts_equal(g1, g2) and _pre_implies(
         g1.pre_cond, g2.pre_cond, solver, memo, stats
     )
 
@@ -254,7 +245,6 @@ def winnow_bucket(
     solver: Solver,
     stats: Optional[SubsumptionStats] = None,
     *,
-    exact: bool = False,
     memo: Optional[ImplicationMemo] = None,
 ) -> List[GadgetRecord]:
     """Winnow one fingerprint bucket; records in different buckets
@@ -268,7 +258,7 @@ def winnow_bucket(
         for keeper in kept:
             if stats is not None:
                 stats.solver_checks += 1
-            if subsumes(keeper, record, solver, exact=exact, memo=memo, stats=stats):
+            if subsumes(keeper, record, solver, memo=memo, stats=stats):
                 dominated = True
                 break
         if not dominated:
@@ -280,7 +270,6 @@ def winnow_buckets(
     buckets: Sequence[Sequence[GadgetRecord]],
     solver: Solver,
     stats: SubsumptionStats,
-    exact: bool = False,
 ) -> List[GadgetRecord]:
     """Winnow buckets in order on one solver and one implication memo;
     survivors in bucket order."""
@@ -288,7 +277,7 @@ def winnow_buckets(
     survivors: List[GadgetRecord] = []
     with span("winnow.buckets.run") as sp:
         for bucket in buckets:
-            survivors.extend(winnow_bucket(bucket, solver, stats, exact=exact, memo=memo))
+            survivors.extend(winnow_bucket(bucket, solver, stats, memo=memo))
         sp.add("buckets", len(buckets))
         sp.add("survivors", len(survivors))
         sp.add("solver_checks", stats.solver_checks)
@@ -300,7 +289,6 @@ def deduplicate_gadgets(
     *,
     solver: Optional[Solver] = None,
     stats: Optional[SubsumptionStats] = None,
-    exact: bool = False,
 ) -> List[GadgetRecord]:
     """Winnow the pool: keep one representative per equivalence class,
     preferring the loosest pre-condition, then the shortest gadget.
@@ -318,7 +306,7 @@ def deduplicate_gadgets(
         bkt_sp.add("buckets", len(buckets))
         stats.buckets = len(buckets)
         with span("winnow.buckets") as run_sp:
-            survivors = winnow_buckets(buckets, solver, stats, exact)
+            survivors = winnow_buckets(buckets, solver, stats)
             run_sp.add("solver_checks", stats.solver_checks)
             run_sp.add("memo_hits", stats.memo_hits)
         survivors.sort(key=lambda g: g.location)

@@ -100,7 +100,6 @@ def winnow_pool(
     records: Sequence[GadgetRecord],
     stats: Optional[SubsumptionStats] = None,
     *,
-    exact: bool = False,
     solver: Optional[Solver] = None,
     cache: Optional[ResultCache] = None,
     image: Optional[BinaryImage] = None,
@@ -124,7 +123,7 @@ def winnow_pool(
         cache = None
     if cache is not None and image_bytes is None:
         image_bytes = image.to_bytes()
-    kind = "winnow-exact" if exact else "winnow"
+    kind = "winnow"
     if solver.max_conflicts != WINNOW_MAX_CONFLICTS:
         kind += ":%d" % solver.max_conflicts
     return _through_cache(
@@ -136,7 +135,7 @@ def winnow_pool(
         stats,
         ("input_count", "buckets"),
         "output_count",
-        lambda: deduplicate_gadgets(records, solver=solver, stats=stats, exact=exact),
+        lambda: deduplicate_gadgets(records, solver=solver, stats=stats),
     )
 
 

@@ -30,6 +30,10 @@ from .library import ChainKind, GadgetLibrary
 from .plan import GOAL_STEP, OpenCondition, PartialPlan
 
 
+#: Syscall gadgets a goal seeds plans from (dead seeds are cheap).
+MAX_GOAL_GADGETS = 256
+
+
 @dataclass
 class PlannerConfig:
     """Search budgets and knobs."""
@@ -38,8 +42,6 @@ class PlannerConfig:
     max_plans: int = 12  # complete plans to emit per goal
     max_steps: int = 10  # gadget instances per plan
     providers_per_cond: int = 6  # branching factor cap
-    max_goal_gadgets: int = 256  # syscall gadgets to seed from (dead seeds are cheap)
-    allow_connectors: bool = True
 
 
 @dataclass
@@ -54,11 +56,10 @@ def _seed_plans(
     library: GadgetLibrary,
     resolved: ResolvedGoal,
     solver: Solver,
-    config: PlannerConfig,
 ) -> List[PartialPlan]:
     """One initial plan per viable syscall gadget (Algorithm 1 line 4)."""
     seeds: List[PartialPlan] = []
-    for goal_gadget in library.goal_gadgets[: config.max_goal_gadgets]:
+    for goal_gadget in library.goal_gadgets[:MAX_GOAL_GADGETS]:
         bindings: List = []
         open_regs: List[RegCondition] = []
         feasible = True
@@ -117,7 +118,7 @@ def search_plans(
     search_sp = span("plan.search")
     search_sp.__enter__()
     try:
-        for seed in _seed_plans(library, resolved, solver, config):
+        for seed in _seed_plans(library, resolved, solver):
             stats.seeds += 1
             push(seed)
 
@@ -202,8 +203,6 @@ def _expand_reg(
             break
         kind = library.kind_of(gadget)
         if kind is ChainKind.CONNECTOR:
-            if not config.allow_connectors:
-                continue
             if plan.immediate_pre_goal is not None:
                 continue
             if open_cond.consumer != GOAL_STEP:

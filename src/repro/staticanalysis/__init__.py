@@ -1,37 +1,31 @@
-"""Abstract-interpretation static analysis layer.
+"""Static analysis layer.
 
-Two engines over one abstract-domain core (:mod:`.domain`):
+Two engines:
 
-* the **window dataflow analysis** (:mod:`.decode_graph`,
-  :mod:`.window`, :mod:`.metrics`) — per-candidate
-  :class:`~.window.WindowSummary` values used as a sound semantic
-  prefilter in gadget extraction and for solver-free gadget-set quality
-  metrics;
-* the **mini-C overflow checker** (:mod:`.taint`, :mod:`.lint`) — the
-  taint/interval analysis behind ``nfl lint`` that discovers the
-  netperf ``break_args`` bug instead of hardcoding it.
+* the **window analysis** (:mod:`.decode_graph`, :mod:`.window`,
+  :mod:`.metrics`) — a shared decode graph whose reachability tables
+  are the sound semantic prefilter of gadget extraction, and
+  per-candidate :class:`~.window.WindowSummary` values read off the
+  symbolic executor's paths for solver-free gadget-set quality metrics;
+* the **mini-C overflow checker** (:mod:`.domain`, :mod:`.taint`,
+  :mod:`.lint`) — the taint/interval analysis behind ``nfl lint`` that
+  discovers the netperf ``break_args`` bug instead of hardcoding it.
 """
 
 from .decode_graph import DecodeGraph, shared_decode_graph
-from .domain import BOT, Const, InitReg, Interval, TOP, Tribool
+from .domain import Interval
 from .lint import check_module_source, format_findings
 from .metrics import GadgetSetMetrics, classify_summary, compute_metrics, format_metrics
 from .taint import DEFAULT_SOURCES, ModuleChecker, OverflowFinding
-from .window import WindowAnalyzer, WindowSummary
+from .window import WindowSummary, summarize_window
 
 __all__ = [
-    "BOT",
-    "Const",
     "DecodeGraph",
     "DEFAULT_SOURCES",
     "GadgetSetMetrics",
-    "InitReg",
     "Interval",
     "ModuleChecker",
     "OverflowFinding",
-    "TOP",
-    "Tribool",
-    "WindowAnalyzer",
     "WindowSummary",
     "check_module_source",
     "classify_summary",
@@ -39,4 +33,5 @@ __all__ = [
     "format_findings",
     "format_metrics",
     "shared_decode_graph",
+    "summarize_window",
 ]

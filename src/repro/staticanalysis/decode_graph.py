@@ -2,10 +2,10 @@
 
 Gadget candidates overlap almost completely: every byte offset of the
 text section starts a window, and two windows one byte apart share all
-but one decode.  Both the syntactic scan and the semantic prefilter
-therefore work over a :class:`DecodeGraph` that decodes each offset of
-the section exactly once and precomputes reachability facts on the
-induced control-flow graph:
+but one decode.  The syntactic scan, the semantic prefilter and the
+symbolic executor therefore all work over a :class:`DecodeGraph` that
+decodes each offset of the section exactly once and precomputes
+reachability facts on the induced control-flow graph:
 
 * ``dist_to_transfer`` — for every offset, the minimum number of
   executed instructions (counting the terminator) of any walk that ends
@@ -14,7 +14,7 @@ induced control-flow graph:
   conditional jump explored, ``hlt``/decode-failure dead).  A candidate
   whose distance exceeds the window budget provably yields only DEAD
   paths under symbolic execution — the sound cull used by the semantic
-  prefilter (see ``window.py`` for the argument).
+  prefilter (see :meth:`DecodeGraph.reaches_transfer_within`).
 * ``successors`` — per pair of walk rules, the successor offsets of
   every offset as plain ints: ``None`` at an indirect transfer, ``()``
   at a dead end, else the offsets a walk continues at.  This is the one
@@ -82,10 +82,6 @@ class DecodeGraph:
     def decode_addr(self, addr: int) -> Optional[Instruction]:
         """Address-keyed variant of :meth:`decode_at`."""
         return self.decode_at(addr - self.base_addr)
-
-    def addr_decode_cache(self) -> Dict[int, Optional[Instruction]]:
-        """An address-keyed decode cache (SymbolicExecutor's format)."""
-        return {self.base_addr + o: insn for o, insn in enumerate(self.insns)}
 
     # -- walk rules -------------------------------------------------------
 

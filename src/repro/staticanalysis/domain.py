@@ -1,252 +1,15 @@
-"""Abstract domains shared by both static-analysis engines.
+"""The abstract domain of the mini-C overflow checker.
 
-Three small lattices cover everything the window analyser and the
-mini-C checker need:
-
-* :class:`AbsVal` — a flat constant domain over 64-bit words, extended
-  with symbolic ``initial-register + constant`` values so that stack
-  pointer deltas stay precise through ``push``/``pop``/``add rsp``
-  sequences.  The crucial design rule is *mirroring*: an abstract value
-  is ``Const(c)`` only when the symbolic executor's expression for the
-  same computation folds to the literal ``BVConst(c)``.  That invariant
-  is what makes branch pruning in the window analyser sound with
-  respect to the symbolic pipeline (see ``window.py``).
-* :class:`Tribool` — three-valued booleans for abstract flags.
-* :class:`Interval` — unsigned intervals with widening, used by the
-  mini-C overflow checker for array-index bounds.
-
-Taint is represented as a plain ``frozenset`` of source tokens (empty =
-untainted); joins are set unions, so no dedicated class is needed.
+:class:`Interval` — unsigned intervals with widening, which the checker
+(:mod:`.taint`) uses for array-index bounds.  Taint is represented as a
+plain ``frozenset`` of source tokens (empty = untainted); joins are set
+unions, so no dedicated class is needed.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional, Union
-
-MASK64 = (1 << 64) - 1
-
-
-def _signed(value: int) -> int:
-    value &= MASK64
-    return value - (1 << 64) if value >> 63 else value
-
-
-# ---------------------------------------------------------------------------
-# Flat constant / initial-register-offset domain
-# ---------------------------------------------------------------------------
-
-
-class _Top:
-    """Unknown value (lattice top)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "TOP"
-
-
-class _Bot:
-    """Unreachable value (lattice bottom)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "BOT"
-
-
-TOP = _Top()
-BOT = _Bot()
-
-
-@dataclass(frozen=True)
-class Const:
-    """A known 64-bit constant (always stored masked)."""
-
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value & MASK64)
-
-    def __repr__(self) -> str:
-        return f"Const({self.value:#x})"
-
-
-@dataclass(frozen=True)
-class InitReg:
-    """``initial value of register `reg` + offset`` (e.g. rsp0 + 8).
-
-    ``reg`` is kept as a plain int (the register number) so this module
-    stays independent of the ISA package.
-    """
-
-    reg: int
-    offset: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", _signed(self.offset))
-
-    def __repr__(self) -> str:
-        return f"InitReg(r{self.reg}{self.offset:+d})"
-
-
-AbsVal = Union[_Top, _Bot, Const, InitReg]
-
-
-def join(a: AbsVal, b: AbsVal) -> AbsVal:
-    """Least upper bound in the flat lattice."""
-    if a is BOT:
-        return b
-    if b is BOT:
-        return a
-    if a == b:
-        return a
-    return TOP
-
-
-def is_const(v: AbsVal) -> bool:
-    return isinstance(v, Const)
-
-
-def const_value(v: AbsVal) -> Optional[int]:
-    return v.value if isinstance(v, Const) else None
-
-
-def abs_add(a: AbsVal, b: AbsVal) -> AbsVal:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if isinstance(a, InitReg) and isinstance(b, Const):
-        return InitReg(a.reg, a.offset + b.value)
-    if isinstance(a, Const) and isinstance(b, InitReg):
-        return InitReg(b.reg, b.offset + a.value)
-    return TOP
-
-
-def abs_sub(a: AbsVal, b: AbsVal) -> AbsVal:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if isinstance(a, InitReg) and isinstance(b, Const):
-        return InitReg(a.reg, a.offset - b.value)
-    # x - x folds to 0 in the symbolic expression language (structural
-    # equality), so mirroring it here preserves the Const invariant.
-    if a == b and not isinstance(a, _Top):
-        return Const(0)
-    return TOP
-
-
-def abs_binop(op: str, a: AbsVal, b: AbsVal) -> AbsVal:
-    """Mirror of the executor's ALU ops over the flat domain.
-
-    Only folds that ``repro.symex.expr`` performs syntactically are
-    reproduced; everything else is TOP.
-    """
-    if op == "add":
-        return abs_add(a, b)
-    if op == "sub":
-        return abs_sub(a, b)
-    if op == "xor" and a == b and not isinstance(a, _Top) and not isinstance(a, _Bot):
-        return Const(0)  # bv_xor(e, e) -> 0
-    if not (isinstance(a, Const) and isinstance(b, Const)):
-        # and/or of structurally equal expressions fold to the value
-        # itself — the abstract value is unchanged, so return it.
-        if op in ("and", "or") and a == b and isinstance(a, InitReg):
-            return a
-        return TOP
-    x, y = a.value, b.value
-    if op == "mul":
-        return Const(x * y)
-    if op == "and":
-        return Const(x & y)
-    if op == "or":
-        return Const(x | y)
-    if op == "xor":
-        return Const(x ^ y)
-    if op == "udiv":
-        return Const(x // y) if y else TOP
-    if op == "umod":
-        return Const(x % y) if y else TOP
-    raise AssertionError(f"unhandled abstract binop {op}")
-
-
-def abs_shift(op: str, a: AbsVal, amount: int) -> AbsVal:
-    amount &= 0x3F
-    if amount == 0:
-        return a
-    if not isinstance(a, Const):
-        return TOP
-    if op == "shl":
-        return Const(a.value << amount)
-    if op == "shr":
-        return Const(a.value >> amount)
-    if op == "sar":
-        return Const(_signed(a.value) >> amount)
-    raise AssertionError(f"unhandled abstract shift {op}")
-
-
-def abs_unop(op: str, a: AbsVal) -> AbsVal:
-    if not isinstance(a, Const):
-        return TOP
-    if op == "not":
-        return Const(~a.value)
-    if op == "neg":
-        return Const(-a.value)
-    raise AssertionError(f"unhandled abstract unop {op}")
-
-
-# ---------------------------------------------------------------------------
-# Three-valued booleans (abstract flags / branch conditions)
-# ---------------------------------------------------------------------------
-
-
-class Tribool(enum.Enum):
-    FALSE = 0
-    TRUE = 1
-    UNKNOWN = 2
-
-    @classmethod
-    def of(cls, value: bool) -> "Tribool":
-        return cls.TRUE if value else cls.FALSE
-
-    @property
-    def definite(self) -> bool:
-        return self is not Tribool.UNKNOWN
-
-    def __invert__(self) -> "Tribool":
-        if self is Tribool.UNKNOWN:
-            return self
-        return Tribool.of(self is Tribool.FALSE)
-
-    def __and__(self, other: "Tribool") -> "Tribool":
-        if self is Tribool.FALSE or other is Tribool.FALSE:
-            return Tribool.FALSE
-        if self is Tribool.TRUE and other is Tribool.TRUE:
-            return Tribool.TRUE
-        return Tribool.UNKNOWN
-
-    def __or__(self, other: "Tribool") -> "Tribool":
-        if self is Tribool.TRUE or other is Tribool.TRUE:
-            return Tribool.TRUE
-        if self is Tribool.FALSE and other is Tribool.FALSE:
-            return Tribool.FALSE
-        return Tribool.UNKNOWN
-
-    def __xor__(self, other: "Tribool") -> "Tribool":
-        if not self.definite or not other.definite:
-            return Tribool.UNKNOWN
-        return Tribool.of(self is not other)
-
-
-UNKNOWN = Tribool.UNKNOWN
-
-
-def tribool_join(a: Tribool, b: Tribool) -> Tribool:
-    return a if a is b else Tribool.UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# Unsigned intervals with widening (mini-C checker)
-# ---------------------------------------------------------------------------
+from typing import Union
 
 #: Sentinel for an unbounded upper limit.
 INF = float("inf")

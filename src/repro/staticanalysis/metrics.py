@@ -4,9 +4,9 @@
 paper) say little about *usability*, and scores gadget sets by their
 functional diversity and by the availability of a few special-purpose
 gadget kinds instead.  This module computes the analogous metrics over
-:class:`~.window.WindowSummary` values — i.e. from the static dataflow
-summaries alone, without symbolic execution — so a full-binary
-"semantic census" stays cheap enough to run inside benchmarks.
+:class:`~.window.WindowSummary` values — the symbolic executor's paths
+with their expressions dropped, so no solver runs — which keeps a
+full-binary "semantic census" cheap enough to run inside benchmarks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, Iterable
 
 from ..isa.registers import Reg
 from ..symex.executor import EndKind
-from .domain import TOP
 from .window import WindowSummary
 
 #: Functional gadget classes, in reporting order.
@@ -29,7 +28,7 @@ GADGET_CLASSES = (
     "reg_move",  # clobbers a non-rsp register without consuming payload
     "stack_write",  # writes a known rsp-relative slot
     "mem_write",  # writes through a computed (non-stack) pointer
-    "stack_pivot",  # leaves rsp at a non-constant offset
+    "stack_pivot",  # leaves rsp at a non-constant or path-dependent offset
     "branch",  # contains a resolvable conditional jump
 )
 
@@ -38,7 +37,7 @@ _JOP_ENDS = frozenset({EndKind.JMP_REG, EndKind.JMP_MEM})
 
 def classify_summary(summary: WindowSummary) -> FrozenSet[str]:
     """The functional classes a window may provide."""
-    if not summary.reaches_transfer:
+    if not summary.usable:
         return frozenset()
     classes = set()
     if EndKind.RET in summary.ends:
@@ -59,7 +58,7 @@ def classify_summary(summary: WindowSummary) -> FrozenSet[str]:
         classes.add("stack_write")
     if summary.has_wild_writes:
         classes.add("mem_write")
-    if summary.stack_delta is TOP:
+    if delta is None:
         classes.add("stack_pivot")
     if summary.conditional:
         classes.add("branch")

@@ -1,548 +1,84 @@
-"""Flow-sensitive abstract interpretation of gadget windows.
+"""Per-window summaries read off the symbolic executor's paths.
 
-:class:`WindowAnalyzer` runs the same machine the symbolic executor
-runs, but over the cheap abstract domain of ``domain.py``: registers
-hold flat ``Const`` / ``InitReg + offset`` / ``TOP`` values, flags are
-three-valued, and the stack is a map from known rsp0-relative offsets
-to abstract values.  One pass over a window yields a
-:class:`WindowSummary` — the clobbered-register set, the stack-pointer
-delta as a lattice value, the memory-write footprint, and the set of
-reachable indirect-transfer kinds — without building a single symbolic
-expression.
-
-Two soundness properties connect this to the symbolic pipeline:
-
-* **Prefilter** (:meth:`WindowAnalyzer.reaches_transfer`): a candidate
-  is culled only when the decode graph proves no executor walk of at
-  most ``max_insns`` instructions ends at an indirect transfer.  Every
-  symbolic path is such a walk (merged direct jumps included), so a
-  culled candidate yields only DEAD paths — zero Table II records.
-* **Mirroring**: the interpreter claims a definite abstract fact
-  (``Const``, a definite :class:`~.domain.Tribool`) only where the
-  executor's expression folds to the corresponding literal
-  (``BVConst`` / ``BoolConst``).  In particular a conditional branch is
-  pruned to one side only when the executor would statically resolve it
-  the same way, so the abstractly explored paths are a superset of the
-  symbolic ones and every summary field is a *may* over-approximation.
+:func:`summarize_window` runs one candidate window through a
+:class:`~repro.symex.executor.SymbolicExecutor` and folds its usable
+paths into a :class:`WindowSummary`: the transfer kinds the window can
+end with, the registers some path clobbers, each path's stack-pointer
+delta, its memory-write footprint, and whether some path went through
+a conditional jump.  These are the Table II facts of the window's
+records, with the expressions dropped, so the solver-free metrics of
+:mod:`.metrics` describe exactly the paths extraction would turn into
+records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Set
 
-from ..isa.instructions import Instruction, Op, OP_TABLE
 from ..isa.registers import ALL_REGS, Reg
-from ..symex.executor import EndKind
-from .decode_graph import DecodeGraph
-from .domain import (
-    BOT,
-    TOP,
-    AbsVal,
-    Const,
-    InitReg,
-    Tribool,
-    abs_add,
-    abs_binop,
-    abs_shift,
-    abs_sub,
-    abs_unop,
-    join,
-)
-
-_RSP = int(Reg.RSP)
-
-
-def _initial_regs() -> Dict[Reg, AbsVal]:
-    return {r: InitReg(int(r)) for r in ALL_REGS}
-
-
-def _tricmp(op: str, a: AbsVal, b: AbsVal) -> Tribool:
-    """Mirror of ``expr.cmp``'s folding over the abstract domain."""
-    if isinstance(a, Const) and isinstance(b, Const):
-        x, y = a.value, b.value
-        if op == "eq":
-            return Tribool.of(x == y)
-        if op == "ne":
-            return Tribool.of(x != y)
-        if op == "ult":
-            return Tribool.of(x < y)
-        if op == "ule":
-            return Tribool.of(x <= y)
-        sx = x - (1 << 64) if x >> 63 else x
-        sy = y - (1 << 64) if y >> 63 else y
-        if op == "slt":
-            return Tribool.of(sx < sy)
-        if op == "sle":
-            return Tribool.of(sx <= sy)
-        raise AssertionError(op)
-    if a == b and isinstance(a, (Const, InitReg)):
-        # expr.cmp folds structurally equal operands.
-        if op in ("eq", "ule", "sle"):
-            return Tribool.TRUE
-        if op in ("ne", "ult", "slt"):
-            return Tribool.FALSE
-    return Tribool.UNKNOWN
-
-
-def _sign(v: AbsVal) -> Tribool:
-    return _tricmp("slt", v, Const(0))
-
-
-@dataclass(frozen=True)
-class AbsFlags:
-    """Three-valued flags with the producing operation's kind/operands,
-    mirroring ``symex.state.FlagsState``."""
-
-    kind: str  # "initial" | "sub" | "add" | "logic"
-    zf: Tribool
-    sf: Tribool
-    cf: Tribool
-    of: Tribool
-    a: AbsVal = TOP
-    b: AbsVal = TOP
-    # Mirrors ``FlagsState.cf_patched``: CF was rewritten post hoc
-    # (INC/DEC preserve CF), so unsigned conditions must read ``cf``.
-    cf_patched: bool = False
-
-    @classmethod
-    def initial(cls) -> "AbsFlags":
-        u = Tribool.UNKNOWN
-        return cls("initial", u, u, u, u)
-
-    @classmethod
-    def from_sub(cls, a: AbsVal, b: AbsVal, result: AbsVal) -> "AbsFlags":
-        sa, sb, sr = _sign(a), _sign(b), _sign(result)
-        return cls(
-            "sub",
-            zf=_tricmp("eq", a, b),
-            sf=sr,
-            cf=_tricmp("ult", a, b),
-            of=(sa ^ sb) & (sr ^ sa),
-            a=a,
-            b=b,
-        )
-
-    @classmethod
-    def from_add(cls, a: AbsVal, b: AbsVal, result: AbsVal) -> "AbsFlags":
-        sa, sb, sr = _sign(a), _sign(b), _sign(result)
-        return cls(
-            "add",
-            zf=_tricmp("eq", result, Const(0)),
-            sf=sr,
-            cf=_tricmp("ult", result, a),
-            of=(~(sa ^ sb)) & (sr ^ sa),
-        )
-
-    @classmethod
-    def from_logic(cls, result: AbsVal) -> "AbsFlags":
-        return cls(
-            "logic",
-            zf=_tricmp("eq", result, Const(0)),
-            sf=_sign(result),
-            cf=Tribool.FALSE,
-            of=Tribool.FALSE,
-        )
-
-    def with_cf(self, cf: Tribool) -> "AbsFlags":
-        return AbsFlags(self.kind, self.zf, self.sf, cf, self.of, self.a, self.b, cf_patched=True)
-
-    def condition(self, mnemonic: str) -> Tribool:
-        """Is the given Jcc taken?  Mirrors ``FlagsState.condition``."""
-        if self.kind == "sub":
-            a, b = self.a, self.b
-            direct = {
-                "je": lambda: _tricmp("eq", a, b),
-                "jne": lambda: _tricmp("ne", a, b),
-                "jl": lambda: _tricmp("slt", a, b),
-                "jle": lambda: _tricmp("sle", a, b),
-                "jg": lambda: _tricmp("slt", b, a),
-                "jge": lambda: _tricmp("sle", b, a),
-                "jb": lambda: _tricmp("ult", a, b),
-                "jbe": lambda: _tricmp("ule", a, b),
-                "ja": lambda: _tricmp("ult", b, a),
-                "jae": lambda: _tricmp("ule", b, a),
-            }
-            if self.cf_patched and mnemonic in ("jb", "jbe", "ja", "jae"):
-                pass  # borrow of a-b is stale; fall through to patched cf
-            elif mnemonic in direct:
-                return direct[mnemonic]()
-        sf_xor_of = self.sf ^ self.of
-        generic = {
-            "je": self.zf,
-            "jne": ~self.zf,
-            "jl": sf_xor_of,
-            "jle": self.zf | sf_xor_of,
-            "jg": (~self.zf) & (~sf_xor_of),
-            "jge": ~sf_xor_of,
-            "jb": self.cf,
-            "jbe": self.cf | self.zf,
-            "ja": (~self.cf) & (~self.zf),
-            "jae": ~self.cf,
-            "js": self.sf,
-            "jns": ~self.sf,
-        }
-        return generic[mnemonic]
-
-
-class _AbsState:
-    """One abstract path's state (registers, flags, known stack)."""
-
-    __slots__ = ("regs", "flags", "stack", "stack_write_offsets", "wild_writes")
-
-    def __init__(self) -> None:
-        self.regs: Dict[Reg, AbsVal] = _initial_regs()
-        self.flags = AbsFlags.initial()
-        self.stack: Dict[int, AbsVal] = {}
-        self.stack_write_offsets: Set[int] = set()
-        self.wild_writes = 0
-
-    def clone(self) -> "_AbsState":
-        new = _AbsState.__new__(_AbsState)
-        new.regs = dict(self.regs)
-        new.flags = self.flags
-        new.stack = dict(self.stack)
-        new.stack_write_offsets = set(self.stack_write_offsets)
-        new.wild_writes = self.wild_writes
-        return new
-
-    # -- stack helpers ---------------------------------------------------
-
-    def rsp_offset_of(self, addr: AbsVal) -> Optional[int]:
-        if isinstance(addr, InitReg) and addr.reg == _RSP:
-            return addr.offset
-        return None
-
-    def rsp_delta(self) -> Optional[int]:
-        return self.rsp_offset_of(self.regs[Reg.RSP])
-
-    def load(self, addr: AbsVal, width: int = 8) -> AbsVal:
-        offset = self.rsp_offset_of(addr)
-        if offset is not None and offset % 8 == 0 and width == 8:
-            # Unwritten payload slots are stk<n> symbols: unknown.
-            return self.stack.get(offset, TOP)
-        if offset is not None and width == 1:
-            slot = offset - (offset % 8)
-            word = self.stack.get(slot, TOP)
-            if isinstance(word, Const):
-                return Const((word.value >> ((offset % 8) * 8)) & 0xFF)
-            return TOP
-        return TOP  # wild read: fresh mem<n> symbol
-
-    def store(self, addr: AbsVal, value: AbsVal, width: int = 8) -> None:
-        offset = self.rsp_offset_of(addr)
-        if offset is not None and offset % 8 == 0 and width == 8:
-            self.stack[offset] = value
-            self.stack_write_offsets.add(offset)
-            return
-        if offset is not None and width == 1:
-            slot = offset - (offset % 8)
-            shift = (offset % 8) * 8
-            old = self.stack.get(slot, TOP)
-            if isinstance(old, Const) and isinstance(value, Const):
-                merged: AbsVal = Const(
-                    (old.value & ~(0xFF << shift)) | ((value.value & 0xFF) << shift)
-                )
-            else:
-                merged = TOP
-            self.stack[slot] = merged
-            self.stack_write_offsets.add(offset)
-            return
-        self.wild_writes += 1
-
-    def push(self, value: AbsVal) -> None:
-        new_rsp = abs_sub(self.regs[Reg.RSP], Const(8))
-        self.regs[Reg.RSP] = new_rsp
-        self.store(new_rsp, value, 8)
-
-    def pop(self) -> AbsVal:
-        rsp = self.regs[Reg.RSP]
-        value = self.load(rsp, 8)
-        self.regs[Reg.RSP] = abs_add(rsp, Const(8))
-        return value
+from ..symex.executor import EndKind, SymbolicExecutor
+from ..symex.state import reg_sym
 
 
 @dataclass(frozen=True)
 class WindowSummary:
-    """Static dataflow summary of one gadget candidate window."""
+    """What the usable symbolic paths of one window do, merged."""
 
     start_addr: int
-    #: Sound: False proves symex yields no usable path from here.
-    reaches_transfer: bool
-    #: May-set of indirect-transfer kinds some path can end with.
+    #: Transfer kinds the usable paths end with (empty: none is usable).
     ends: FrozenSet[EndKind]
-    #: May-clobbered registers over all transfer-ending paths.
+    #: Registers some usable path leaves different from its entry value.
     clobbered: FrozenSet[Reg]
-    #: rsp delta at the transfer: Const / TOP (unknown) / BOT (no path).
-    stack_delta: AbsVal
-    #: Known rsp0-relative byte offsets some path writes.
+    #: Each usable path's rsp delta; None for an rsp that is not rsp0 + c.
+    stack_deltas: FrozenSet[Optional[int]]
+    #: rsp0-relative byte offsets some usable path writes.
     stack_write_offsets: FrozenSet[int]
-    #: Whether some path writes through a non-rsp0-relative pointer.
+    #: Whether some usable path writes through a non-rsp0-relative pointer.
     has_wild_writes: bool
-    #: Instruction count of the shortest transfer-ending path.
-    min_insns: int
-    #: Whether some explored path forked on a conditional jump.
+    #: Whether some usable path went through a conditional jump.
     conditional: bool
-    #: Whether some explored path merged a direct jmp/call.
-    merged_direct_jumps: bool
-    #: Exploration hit the step cap: may-sets above may be incomplete.
-    truncated: bool
 
     @property
     def usable(self) -> bool:
-        """Could symbolic execution emit any record for this window?"""
-        return self.reaches_transfer
+        """Would extraction emit any record for this window?"""
+        return bool(self.ends)
 
     @property
     def known_stack_delta(self) -> Optional[int]:
-        return self.stack_delta.value if isinstance(self.stack_delta, Const) else None
-
-
-_END_KINDS = {
-    Op.RET: EndKind.RET,
-    Op.JMP_R: EndKind.JMP_REG,
-    Op.JMP_M: EndKind.JMP_MEM,
-    Op.CALL_R: EndKind.CALL_REG,
-    Op.SYSCALL: EndKind.SYSCALL,
-}
-
-
-class WindowAnalyzer:
-    """Abstract interpreter over a :class:`DecodeGraph`."""
-
-    def __init__(self, graph: DecodeGraph, *, max_insns: int = 16, max_steps: int = 256) -> None:
-        self.graph = graph
-        self.max_insns = max_insns
-        self.max_steps = max_steps
-
-    # -- the semantic prefilter predicate ----------------------------------
-
-    def reaches_transfer(self, addr: int) -> bool:
-        """True unless the window at ``addr`` provably yields no usable
-        symbolic path within the ``max_insns`` budget (sound cull)."""
-        return self.graph.reaches_transfer_within(addr - self.graph.base_addr, self.max_insns)
-
-    # -- full window summaries ----------------------------------------------
-
-    def summarize(self, addr: int) -> WindowSummary:
-        offset = addr - self.graph.base_addr
-        reaches = self.graph.reaches_transfer_within(offset, self.max_insns)
-        ends: Set[EndKind] = set()
-        clobbered: Set[Reg] = set()
-        stack_delta: AbsVal = BOT
-        stack_writes: Set[int] = set()
-        wild = False
-        min_insns = 0
-        conditional = False
-        merged_any = False
-        truncated = False
-
-        if reaches:
-            work: List[Tuple[int, _AbsState, int, bool]] = [(offset, _AbsState(), 0, False)]
-            steps = 0
-            while work:
-                if steps >= self.max_steps:
-                    truncated = True
-                    break
-                cursor, state, count, merged = work.pop()
-                end = self._run_path(work, cursor, state, count, merged)
-                steps += 1
-                if end is None:
-                    continue
-                kind, state, count, merged, forked = end
-                ends.add(kind)
-                clobbered.update(
-                    r for r in ALL_REGS if state.regs[r] != InitReg(int(r))
-                )
-                delta = state.rsp_delta()
-                stack_delta = join(
-                    stack_delta, Const(delta) if delta is not None else TOP
-                )
-                stack_writes.update(state.stack_write_offsets)
-                wild = wild or state.wild_writes > 0
-                min_insns = count if min_insns == 0 else min(min_insns, count)
-                conditional = conditional or forked
-                merged_any = merged_any or merged
-
-        return WindowSummary(
-            start_addr=addr,
-            reaches_transfer=reaches,
-            ends=frozenset(ends),
-            clobbered=frozenset(clobbered),
-            stack_delta=stack_delta,
-            stack_write_offsets=frozenset(stack_writes),
-            has_wild_writes=wild,
-            min_insns=min_insns,
-            conditional=conditional,
-            merged_direct_jumps=merged_any,
-            truncated=truncated,
-        )
-
-    def _run_path(
-        self,
-        work: List[Tuple[int, _AbsState, int, bool]],
-        cursor: int,
-        state: _AbsState,
-        count: int,
-        merged: bool,
-    ) -> Optional[Tuple[EndKind, _AbsState, int, bool, bool]]:
-        """Run one abstract path until a transfer, a dead end, or the
-        instruction budget; forked branches go onto ``work``."""
-        forked = False
-        while count < self.max_insns:
-            insn = self.graph.decode_at(cursor)
-            if insn is None or insn.op == Op.HLT:
-                return None
-            count += 1
-            op = insn.op
-            if op == Op.RET:
-                state.load(state.regs[Reg.RSP], 8)
-                state.regs[Reg.RSP] = abs_add(state.regs[Reg.RSP], Const(8))
-                return (EndKind.RET, state, count, merged, forked)
-            if op in _END_KINDS:
-                if op == Op.CALL_R:
-                    state.push(Const(insn.end))
-                return (_END_KINDS[op], state, count, merged, forked)
-            if op == Op.JMP_REL:
-                merged = True
-                cursor = insn.target - self.graph.base_addr
-                continue
-            if op == Op.CALL_REL:
-                state.push(Const(insn.end))
-                merged = True
-                cursor = insn.target - self.graph.base_addr
-                continue
-            if insn.is_cond_jump():
-                taken = state.flags.condition(OP_TABLE[op].mnemonic)
-                if taken.definite:
-                    # The executor statically resolves this branch the
-                    # same way (mirroring invariant), so no fork.
-                    target = insn.target if taken is Tribool.TRUE else insn.end
-                    cursor = target - self.graph.base_addr
-                    continue
-                forked = True
-                work.append(
-                    (insn.target - self.graph.base_addr, state.clone(), count, merged)
-                )
-                cursor = insn.end - self.graph.base_addr
-                continue
-            self._step(state, insn)
-            cursor = insn.end - self.graph.base_addr
+        """The constant rsp delta all usable paths agree on, if any."""
+        if len(self.stack_deltas) == 1:
+            (delta,) = self.stack_deltas
+            return delta
         return None
 
-    def _step(self, state: _AbsState, insn: Instruction) -> None:
-        """Abstract transfer function for one straight-line instruction,
-        mirroring ``SymbolicExecutor._execute_straightline``."""
-        op = insn.op
-        regs = state.regs
-        if op == Op.NOP:
-            return
-        if op in (Op.MOV_RI, Op.MOV_RI32):
-            regs[insn.dst] = Const(insn.imm)
-            return
-        if op == Op.MOV_RR:
-            regs[insn.dst] = regs[insn.src]
-            return
-        if op == Op.LOAD:
-            regs[insn.dst] = state.load(abs_add(regs[insn.base], Const(insn.disp)), 8)
-            return
-        if op == Op.STORE:
-            state.store(abs_add(regs[insn.base], Const(insn.disp)), regs[insn.src], 8)
-            return
-        if op == Op.LOADB:
-            regs[insn.dst] = state.load(abs_add(regs[insn.base], Const(insn.disp)), 1)
-            return
-        if op == Op.STOREB:
-            state.store(abs_add(regs[insn.base], Const(insn.disp)), regs[insn.src], 1)
-            return
-        if op == Op.LEA:
-            regs[insn.dst] = abs_add(regs[insn.base], Const(insn.disp))
-            return
-        if op == Op.XCHG:
-            regs[insn.dst], regs[insn.src] = regs[insn.src], regs[insn.dst]
-            return
-        if op == Op.PUSH_R:
-            state.push(regs[insn.dst])
-            return
-        if op == Op.PUSH_I:
-            state.push(Const(insn.imm))
-            return
-        if op in (Op.POP_R, Op.POP1):
-            regs[insn.dst] = state.pop()
-            return
-        if op == Op.LEAVE:
-            regs[Reg.RSP] = regs[Reg.RBP]
-            regs[Reg.RBP] = state.pop()
-            return
-        if op in (Op.ADD_RR, Op.ADD_RI):
-            a = regs[insn.dst]
-            b = regs[insn.src] if op == Op.ADD_RR else Const(insn.imm)
-            result = abs_add(a, b)
-            state.flags = AbsFlags.from_add(a, b, result)
-            regs[insn.dst] = result
-            return
-        if op in (Op.SUB_RR, Op.SUB_RI):
-            a = regs[insn.dst]
-            b = regs[insn.src] if op == Op.SUB_RR else Const(insn.imm)
-            result = abs_sub(a, b)
-            state.flags = AbsFlags.from_sub(a, b, result)
-            regs[insn.dst] = result
-            return
-        if op in (Op.AND_RR, Op.AND_RI, Op.OR_RR, Op.OR_RI, Op.XOR_RR, Op.XOR_RI):
-            a = regs[insn.dst]
-            b = regs[insn.src] if insn.src is not None else Const(insn.imm)
-            name = {
-                Op.AND_RR: "and", Op.AND_RI: "and",
-                Op.OR_RR: "or", Op.OR_RI: "or",
-                Op.XOR_RR: "xor", Op.XOR_RI: "xor",
-            }[op]
-            result = abs_binop(name, a, b)
-            state.flags = AbsFlags.from_logic(result)
-            regs[insn.dst] = result
-            return
-        if op in (Op.SHL_RI, Op.SHR_RI, Op.SAR_RI):
-            name = {Op.SHL_RI: "shl", Op.SHR_RI: "shr", Op.SAR_RI: "sar"}[op]
-            result = abs_shift(name, regs[insn.dst], insn.imm)
-            state.flags = AbsFlags.from_logic(result)
-            regs[insn.dst] = result
-            return
-        if op == Op.MUL_RR:
-            result = abs_binop("mul", regs[insn.dst], regs[insn.src])
-            state.flags = AbsFlags.from_logic(result)
-            regs[insn.dst] = result
-            return
-        if op == Op.NOT_R:
-            regs[insn.dst] = abs_unop("not", regs[insn.dst])
-            return
-        if op == Op.NEG_R:
-            result = abs_unop("neg", regs[insn.dst])
-            state.flags = AbsFlags.from_logic(result)
-            regs[insn.dst] = result
-            return
-        if op == Op.INC_R:
-            a = regs[insn.dst]
-            result = abs_add(a, Const(1))
-            state.flags = AbsFlags.from_add(a, Const(1), result).with_cf(state.flags.cf)
-            regs[insn.dst] = result
-            return
-        if op == Op.DEC_R:
-            a = regs[insn.dst]
-            result = abs_sub(a, Const(1))
-            state.flags = AbsFlags.from_sub(a, Const(1), result).with_cf(state.flags.cf)
-            regs[insn.dst] = result
-            return
-        if op in (Op.UDIV_RR, Op.UMOD_RR):
-            name = "udiv" if op == Op.UDIV_RR else "umod"
-            regs[insn.dst] = abs_binop(name, regs[insn.dst], regs[insn.src])
-            return
-        if op in (Op.CMP_RR, Op.CMP_RI):
-            a = regs[insn.dst]
-            b = regs[insn.src] if op == Op.CMP_RR else Const(insn.imm)
-            state.flags = AbsFlags.from_sub(a, b, abs_sub(a, b))
-            return
-        if op in (Op.TEST_RR, Op.TEST_RI):
-            a = regs[insn.dst]
-            b = regs[insn.src] if op == Op.TEST_RR else Const(insn.imm)
-            state.flags = AbsFlags.from_logic(abs_binop("and", a, b))
-            return
-        raise AssertionError(f"unhandled straightline op {op}")  # pragma: no cover
+
+def summarize_window(executor: SymbolicExecutor, addr: int) -> WindowSummary:
+    """Summarise the window at ``addr`` from its symbolic paths."""
+    ends: Set[EndKind] = set()
+    clobbered: Set[Reg] = set()
+    deltas: Set[Optional[int]] = set()
+    stack_writes: Set[int] = set()
+    wild = conditional = False
+    for path in executor.execute_paths(addr):
+        if not path.is_usable:
+            continue
+        state = path.state
+        ends.add(path.end)
+        clobbered.update(r for r in ALL_REGS if state.get(r) != reg_sym(r))
+        deltas.add(state.rsp_offset())
+        for write in state.mem_writes:
+            if write.stack_offset is None:
+                wild = True
+            else:
+                stack_writes.add(write.stack_offset)
+        conditional = conditional or path.conditional_jumps > 0
+    return WindowSummary(
+        start_addr=addr,
+        ends=frozenset(ends),
+        clobbered=frozenset(clobbered),
+        stack_deltas=frozenset(deltas),
+        stack_write_offsets=frozenset(stack_writes),
+        has_wild_writes=wild,
+        conditional=conditional,
+    )

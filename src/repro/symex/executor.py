@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import Instruction, Op, OP_TABLE
 from ..isa.registers import Reg
 from .expr import (
@@ -40,6 +39,9 @@ from .expr import (
     bool_not,
 )
 from .state import FlagsState, SymState
+
+if TYPE_CHECKING:
+    from ..staticanalysis.decode_graph import DecodeGraph
 
 
 class EndKind(enum.Enum):
@@ -84,47 +86,21 @@ class _Pending:
 
 
 class SymbolicExecutor:
-    """Executes code windows symbolically over a bytes+base view."""
+    """Executes code windows symbolically over a section's decode graph.
 
-    def __init__(
-        self,
-        code: bytes,
-        base_addr: int,
-        *,
-        max_insns: int = 24,
-        max_paths: int = 8,
-        follow_calls: bool = True,
-    ) -> None:
-        self.code = code
-        self.base_addr = base_addr
+    Gadget windows overlap heavily (every suffix is probed too), so the
+    executor reads each instruction from the graph, which decodes every
+    offset of the section once.
+    """
+
+    def __init__(self, graph: "DecodeGraph", *, max_insns: int = 24, max_paths: int = 8) -> None:
+        self.graph = graph
         self.max_insns = max_insns
         self.max_paths = max_paths
-        self.follow_calls = follow_calls
-        # Gadget windows overlap heavily (every suffix is probed too),
-        # so memoize decoding per address.
-        self._decode_cache: dict = {}
         #: Lifetime observability counters (read by extraction spans):
         #: symbolic instructions stepped and paths completed (any end).
         self.insns_executed = 0
         self.paths_completed = 0
-
-    def preload_decode_cache(self, cache: dict) -> None:
-        """Adopt an externally built addr → Instruction|None cache
-        (e.g. from ``staticanalysis.DecodeGraph``) to avoid re-decoding."""
-        self._decode_cache.update(cache)
-
-    def _decode_at(self, addr: int) -> Optional[Instruction]:
-        if addr in self._decode_cache:
-            return self._decode_cache[addr]
-        offset = addr - self.base_addr
-        insn: Optional[Instruction] = None
-        if 0 <= offset < len(self.code):
-            try:
-                insn = decode(self.code, offset, addr=addr)
-            except DecodeError:
-                insn = None
-        self._decode_cache[addr] = insn
-        return insn
 
     def execute_paths(self, start_addr: int) -> List[PathSummary]:
         """All completed paths starting at ``start_addr``."""
@@ -145,8 +121,9 @@ class SymbolicExecutor:
         insns = pending.insns
         merged = pending.merged
         conds = pending.conds
+        decode_addr = self.graph.decode_addr
         while len(insns) < self.max_insns:
-            insn = self._decode_at(addr)
+            insn = decode_addr(addr)
             if insn is None:
                 return [self._dead(pending.addr if not insns else insns[0].addr, insns, state, merged, conds)]
             insns = insns + [insn]
@@ -175,8 +152,6 @@ class SymbolicExecutor:
                 addr = insn.target
                 continue
             if op == Op.CALL_REL:
-                if not self.follow_calls:
-                    return [self._dead(insns[0].addr, insns, state, merged, conds)]
                 self._push(state, bv_const(insn.end))
                 merged += 1
                 addr = insn.target
@@ -393,6 +368,10 @@ def execute_paths(
     max_insns: int = 24,
     max_paths: int = 8,
 ) -> List[PathSummary]:
-    """Convenience wrapper over :class:`SymbolicExecutor`."""
-    executor = SymbolicExecutor(code, base_addr, max_insns=max_insns, max_paths=max_paths)
+    """Convenience wrapper over :class:`SymbolicExecutor` on a fresh
+    decode graph of ``code``."""
+    from ..staticanalysis.decode_graph import DecodeGraph
+
+    graph = DecodeGraph(code, base_addr)
+    executor = SymbolicExecutor(graph, max_insns=max_insns, max_paths=max_paths)
     return executor.execute_paths(start_addr)

@@ -1,6 +1,8 @@
 """Tests for the concrete emulator: ALU semantics, stack, control flow,
 syscalls, faults."""
 
+import time
+
 import pytest
 
 from repro.binfmt import STACK_TOP, make_image
@@ -597,6 +599,39 @@ def test_mmap_model_refuses_to_clobber_existing_mapping():
     handler.memory.map(0x700000, PAGE_SIZE, PERM_R)
     ret = handler.dispatch(int(Sys.MMAP), (0x700000, 0x1000, 7, 0, 0, 0))
     assert ret == _ENOMEM
+    # An overlap past the first page counts too, as does a PROT_NONE page.
+    handler.memory.map(0x800000 + 9 * PAGE_SIZE, PAGE_SIZE, 0)
+    ret = handler.dispatch(int(Sys.MMAP), (0x800000, 16 * PAGE_SIZE, 7, 0, 0, 0))
+    assert ret == _ENOMEM
+    assert not handler.memory.is_mapped(0x800000)
+
+
+def test_mmap_model_huge_length_returns_promptly():
+    # With stop_on_attack off the model maps what the guest asks for; a
+    # 2**60-byte request must get -ENOMEM, not a walk over 2**48 pages.
+    from repro.emulator.syscalls import MMAP_BASE, MMAP_MAX_LENGTH
+
+    for addr in (0, 0x10000000):
+        emu = emu_for(
+            f"""
+            mov rax, 9
+            mov rdi, {addr:#x}
+            mov rsi, {1 << 60:#x}
+            mov rdx, 7
+            syscall
+            hlt
+            """,
+            stop_on_attack=False,
+        )
+        started = time.perf_counter()
+        emu.run()
+        assert time.perf_counter() - started < 5.0
+        assert emu.cpu.get(Reg.RAX) == _ENOMEM
+        assert len(emu.syscalls.events) == 1
+        assert emu.syscalls.mmap_cursor == MMAP_BASE
+    handler = _handler(stop_on_attack=False)
+    assert handler.dispatch(int(Sys.MMAP), (0, MMAP_MAX_LENGTH, 3, 0x22, 0, 0)) == MMAP_BASE
+    assert handler.dispatch(int(Sys.MMAP), (0, MMAP_MAX_LENGTH + 1, 3, 0x22, 0, 0)) == _ENOMEM
 
 
 # -- write(2) length clamping ------------------------------------------------

@@ -38,6 +38,7 @@ from repro.isa.encoding import decode_window, encode_program
 from repro.isa.instructions import Instruction, Op
 from repro.isa.registers import MASK64, Reg
 from repro.obfuscation.pipeline import CONFIGS, build_program
+from repro.staticanalysis import DecodeGraph, summarize_window
 from repro.symex.executor import SymbolicExecutor
 from repro.symex.expr import free_symbols
 
@@ -321,7 +322,7 @@ def test_dec_jb_regression_symex_uses_preserved_cf():
     depend on the *initial* carry, never on the DEC borrow rax < 1."""
     image = make_image(_DEC_JB)
     base = image.text.addr
-    executor = SymbolicExecutor(_DEC_JB, base, max_insns=8, max_paths=4)
+    executor = SymbolicExecutor(DecodeGraph(_DEC_JB, base), max_insns=8, max_paths=4)
     paths = [p for p in executor.execute_paths(base) if p.is_usable]
     assert len(paths) == 2
     for path in paths:
@@ -335,16 +336,28 @@ def test_dec_jb_regression_symex_uses_preserved_cf():
         assert check_window(_DEC_JB, 0, env_seed) == []
 
 
-def test_prefilter_mirrors_cf_patch():
-    """The abstract-flags mirror must not claim a definite unsigned
-    branch direction from stale sub operands after a DEC."""
-    from repro.staticanalysis.window import AbsFlags, Tribool, Const
+def test_window_summary_follows_cf_patch():
+    """Window summaries are read off the symbolic executor, so after a
+    DEC an unsigned Jcc forks on the preserved carry, never resolving
+    from the stale constant DEC operands; an equality Jcc still folds."""
 
-    flags = AbsFlags.from_sub(Const(5), Const(1), Const(4)).with_cf(Tribool.UNKNOWN)
-    assert flags.condition("jb") is Tribool.UNKNOWN
-    assert flags.condition("jae") is Tribool.UNKNOWN
-    # Equality conditions may still use the precise operands.
-    assert flags.condition("jne") is Tribool.TRUE
+    def summary(jcc):
+        text = _window(
+            [
+                (I(op=Op.MOV_RI, dst=R.RAX, imm=5), None),
+                (I(op=Op.DEC_R, dst=R.RAX), None),
+                (I(op=jcc, rel=0), 4),
+                (I(op=Op.MOV_RI, dst=R.RAX, imm=7), None),
+                (I(op=Op.RET), None),
+            ]
+        )
+        base = make_image(text).text.addr
+        executor = SymbolicExecutor(DecodeGraph(text, base), max_insns=8, max_paths=4)
+        return summarize_window(executor, base)
+
+    assert summary(Op.JB).conditional
+    assert summary(Op.JAE).conditional
+    assert not summary(Op.JNE).conditional
 
 
 # ---------------------------------------------------------------------------

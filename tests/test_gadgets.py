@@ -1,5 +1,8 @@
 """Tests for gadget extraction, classification, and subsumption."""
 
+from dataclasses import FrozenInstanceError
+
+import pytest
 
 from repro.binfmt import make_image
 from repro.gadgets import (
@@ -46,6 +49,14 @@ def test_extracts_pop_ret():
     assert Reg.RDI in g.ctrl_regs
     assert g.post_regs[Reg.RDI] == stack_sym(0)
     assert g.stack_delta == 16
+
+
+def test_records_are_frozen():
+    (g,) = [r for r in extract("pop rdi\nret") if r.location == 0x400000]
+    for name, value in (("gadget_id", 7), ("stack_delta", 0), ("pre_cond", [])):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, value)
+    assert g.gadget_id == 0 and g.stack_delta == 16
 
 
 def test_extracts_suffixes_too():

@@ -1,90 +1,25 @@
-"""Unit tests for the static-analysis abstract domains.
+"""Unit tests for the static-analysis layer.
 
-Three layers: the flat constant/init-register domain and intervals
-(``domain.py``), window dataflow over assembled machine code
-(``window.py``), and taint propagation over mini-C IR (``taint.py``).
+Three layers: intervals (``domain.py``), window summaries read off the
+symbolic executor over assembled machine code (``window.py``), and
+taint propagation over mini-C IR (``taint.py``).
 """
 
 
+from repro.binfmt.image import TEXT_BASE, make_image
+from repro.gadgets import semantic_census
 from repro.isa import Reg, assemble
 from repro.lang import parse
 from repro.compiler.lowering import lower_program
 from repro.staticanalysis import (
-    BOT,
-    Const,
     DecodeGraph,
-    InitReg,
     Interval,
     ModuleChecker,
-    TOP,
-    Tribool,
-    WindowAnalyzer,
+    classify_summary,
+    summarize_window,
 )
-from repro.staticanalysis.domain import (
-    INF,
-    abs_add,
-    abs_binop,
-    abs_shift,
-    abs_sub,
-    join,
-)
-from repro.symex.executor import EndKind
-
-
-# ---------------------------------------------------------------------------
-# Flat domain
-# ---------------------------------------------------------------------------
-
-
-def test_join_lattice_laws():
-    a, b = Const(1), Const(2)
-    assert join(a, a) == a
-    assert join(a, b) is TOP
-    assert join(BOT, a) == a
-    assert join(a, BOT) == a
-    assert join(TOP, a) is TOP
-    assert join(BOT, BOT) is BOT
-
-
-def test_abs_add_sub_init_reg_offsets():
-    rsp = InitReg(int(Reg.RSP))
-    assert abs_add(rsp, Const(8)) == InitReg(int(Reg.RSP), 8)
-    assert abs_sub(InitReg(int(Reg.RSP), 8), Const(8)) == rsp
-    assert abs_add(Const(3), Const(4)) == Const(7)
-    # x - x folds to zero only for *known-equal* values, never for TOP.
-    assert abs_sub(rsp, rsp) == Const(0)
-    assert abs_sub(TOP, TOP) is TOP
-
-
-def test_abs_binop_mirrors_expr_folds():
-    rax = InitReg(int(Reg.RAX))
-    assert abs_binop("xor", rax, rax) == Const(0)
-    assert abs_binop("xor", TOP, TOP) is TOP  # singleton equality is not a fold
-    assert abs_binop("and", rax, rax) == rax
-    assert abs_binop("or", Const(0xF0), Const(0x0F)) == Const(0xFF)
-    assert abs_binop("udiv", Const(5), Const(0)) is TOP
-    assert abs_shift("shl", Const(1), 4) == Const(16)
-    assert abs_shift("shl", rax, 0) == rax
-
-
-def test_const_masking_wraps_to_64_bits():
-    assert Const(1 << 64) == Const(0)
-    assert abs_add(Const((1 << 64) - 1), Const(1)) == Const(0)
-
-
-# ---------------------------------------------------------------------------
-# Tribool
-# ---------------------------------------------------------------------------
-
-
-def test_tribool_kleene_laws():
-    t, f, u = Tribool.TRUE, Tribool.FALSE, Tribool.UNKNOWN
-    assert (t & u) is u and (f & u) is f
-    assert (t | u) is t and (f | u) is u
-    assert (~u) is u and (~t) is f
-    assert (t ^ f) is t and (t ^ u) is u
-    assert t.definite and f.definite and not u.definite
-    assert Tribool.of(1 < 2) is t
+from repro.staticanalysis.domain import INF
+from repro.symex.executor import EndKind, SymbolicExecutor
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +55,15 @@ def test_interval_arithmetic_and_clamps():
 
 def _summarize(asm: str, *, max_insns: int = 16):
     code = assemble(asm, base_addr=0x400000)
-    graph = DecodeGraph(code, 0x400000)
-    return WindowAnalyzer(graph, max_insns=max_insns).summarize(0x400000)
+    executor = SymbolicExecutor(DecodeGraph(code, 0x400000), max_insns=max_insns, max_paths=128)
+    return summarize_window(executor, 0x400000)
 
 
 def test_stack_delta_plain_ret():
     s = _summarize("ret")
-    assert s.reaches_transfer and s.ends == frozenset({EndKind.RET})
+    assert s.usable and s.ends == frozenset({EndKind.RET})
     assert s.known_stack_delta == 8
-    assert s.min_insns == 1 and not s.conditional
+    assert not s.conditional
 
 
 def test_stack_delta_through_push_pop_and_add_rsp():
@@ -141,11 +76,44 @@ def test_stack_delta_through_push_pop_and_add_rsp():
 
 def test_stack_delta_unknown_after_pop_rsp():
     s = _summarize("pop rsp\nret")
-    assert s.stack_delta is TOP and s.known_stack_delta is None
+    assert s.stack_deltas == frozenset({None}) and s.known_stack_delta is None
+    assert "stack_pivot" in classify_summary(s)
+
+
+def test_join_lattice_laws():
+    """Per-path rsp deltas join like a flat lattice: no usable path is
+    bottom, paths that agree keep their constant, anything else is top
+    (a stack pivot)."""
+    fork = "cmp rax, rbx\nje out\nret\nout: "
+    none = _summarize("mov rax, 1\nhlt")
+    assert not none.usable and none.stack_deltas == frozenset()
+    assert none.known_stack_delta is None and classify_summary(none) == frozenset()
+    agree = _summarize(fork + "ret")
+    assert agree.stack_deltas == frozenset({8}) and agree.known_stack_delta == 8
+    for differ in (_summarize(fork + "pop rcx\nret"), _summarize(fork + "pop rsp\nret")):
+        assert len(differ.stack_deltas) == 2 and differ.known_stack_delta is None
+        assert "stack_pivot" in classify_summary(differ)
+    assert "stack_pivot" not in classify_summary(agree)
+
+
+def test_const_masking_wraps_to_64_bits():
+    # rsp arithmetic wraps at 64 bits and the delta reads as signed.
+    wrap = "mov rax, 0xfffffffffffffff0\nadd rsp, rax\nret"
+    for asm in ("sub rsp, 16\nret", "add rsp, -16\nret", wrap):
+        assert _summarize(asm).known_stack_delta == -8, asm
+
+
+def test_negative_stack_delta_is_not_a_register_load():
+    # call pushes its return address: rsp ends 8 below entry, so the
+    # window consumes no payload and only moves rax.
+    s = _summarize("mov rax, 1\ncall rbx")
+    assert s.known_stack_delta == -8 and Reg.RAX in s.clobbered
+    classes = classify_summary(s)
+    assert "reg_move" in classes and "reg_load" not in classes
 
 
 def test_resolved_branch_does_not_fork():
-    # cmp rax, rax folds: je is statically taken, mirroring the symbolic
+    # cmp rax, rax folds: je is statically taken by the symbolic
     # executor, so only the taken side is explored.
     s = _summarize(
         """
@@ -155,7 +123,7 @@ def test_resolved_branch_does_not_fork():
         out: ret
         """
     )
-    assert s.reaches_transfer and not s.conditional
+    assert s.usable and not s.conditional
     assert s.ends == frozenset({EndKind.RET})
 
 
@@ -172,20 +140,37 @@ def test_unknown_branch_forks_both_sides():
     assert s.ends == frozenset({EndKind.RET, EndKind.JMP_REG})
 
 
+def test_taken_branch_to_transfer_is_conditional():
+    # Only the taken side reaches a transfer; the path still went
+    # through the conditional jump, so the window is a branch gadget.
+    asm = """
+        cmp rax, rbx
+        jne out
+        hlt
+        out: call r15
+        """
+    s = _summarize(asm)
+    assert s.ends == frozenset({EndKind.CALL_REG})
+    assert s.conditional
+    assert "branch" in classify_summary(s)
+    # In the census: the windows at cmp and at jne are branch gadgets.
+    metrics = semantic_census(make_image(assemble(asm, base_addr=TEXT_BASE)))
+    assert metrics.class_counts["branch"] == 2
+
+
 def test_unreachable_window_is_culled():
     code = assemble("mov rax, 1\nhlt", base_addr=0x400000)
     graph = DecodeGraph(code, 0x400000)
-    analyzer = WindowAnalyzer(graph, max_insns=8)
-    assert not analyzer.reaches_transfer(0x400000)
-    assert not analyzer.summarize(0x400000).usable
+    assert not graph.reaches_transfer_within(0, 8)
+    assert not summarize_window(SymbolicExecutor(graph, max_insns=8), 0x400000).usable
 
 
 def test_budget_bounds_reachability():
     body = "\n".join("mov rax, 1" for _ in range(6)) + "\nret"
     code = assemble(body, base_addr=0x400000)
     graph = DecodeGraph(code, 0x400000)
-    assert WindowAnalyzer(graph, max_insns=7).reaches_transfer(0x400000)
-    assert not WindowAnalyzer(graph, max_insns=6).reaches_transfer(0x400000)
+    assert graph.reaches_transfer_within(0, 7)
+    assert not graph.reaches_transfer_within(0, 6)
 
 
 def test_successor_table_entries():
