@@ -17,7 +17,7 @@ from ..binfmt.image import BinaryImage
 from ..isa.registers import Reg
 from ..symex.executor import EndKind
 from ..symex.expr import BVSym
-from ..symex.state import stack_sym_offset
+from ..symex.state import reg_of_symbol, stack_sym_offset
 from ..gadgets.extract import ExtractionConfig, extract_gadgets
 from ..gadgets.record import GadgetRecord
 from ..planner.goals import ResolvedGoal
@@ -69,11 +69,10 @@ def _as_writer(gadget: GadgetRecord) -> Optional[Tuple[Reg, Reg]]:
     write = side[0]
     if not isinstance(write.addr, BVSym) or not isinstance(write.value, BVSym):
         return None
-    if not write.addr.name.endswith("0") or not write.value.name.endswith("0"):
+    addr_reg, value_reg = reg_of_symbol(write.addr.name), reg_of_symbol(write.value.name)
+    if addr_reg is None or value_reg is None:
         return None
-    from ..isa.registers import reg_by_name
-
-    return reg_by_name(write.addr.name[:-1]), reg_by_name(write.value.name[:-1])
+    return addr_reg, value_reg
 
 
 def _as_syscall(gadget: GadgetRecord) -> bool:

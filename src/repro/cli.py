@@ -51,9 +51,6 @@ from .obfuscation.pipeline import CONFIGS, build_program
 from .planner import (
     GadgetPlanner,
     PlannerConfig,
-    execve_goal,
-    mmap_goal,
-    mprotect_goal,
     standard_goals,
 )
 
@@ -226,14 +223,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     image = _load_image(args.binary)
-    if args.goal == "all":
-        goals = standard_goals(image)
-    else:
-        goals = {
-            "execve": [execve_goal()],
-            "mprotect": [mprotect_goal(addr=image.data.addr & ~0xFFF, length=7)],
-            "mmap": [mmap_goal(length=7)],
-        }[args.goal]
+    goals = [g for g in standard_goals(image) if args.goal in ("all", g.name)]
     defense = None
     if args.defense:
         from .defenses import parse_policy

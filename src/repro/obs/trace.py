@@ -135,7 +135,7 @@ class Tracer:
 
     def _pop(self, span: Span) -> None:
         # Usually a plain stack pop, but a span held open across a
-        # generator's yields (plan.search) can exit out of order when
+        # generator's yields can exit out of order when
         # the generator is abandoned — remove by identity so later
         # spans don't get misparented under a dead one.
         for index in range(len(self._stack) - 1, -1, -1):

@@ -140,27 +140,11 @@ class GadgetPlanner:
         self._locate_cache: Dict[int, Optional[int]] = {}
 
     def _word_locator(self, value: int) -> Optional[int]:
-        """A static address whose 8 bytes hold ``value`` (data-reuse).
-
-        Prefers the immutable text section over writable data, since
-        data contents may have changed by the time an exploit fires.
-        """
+        """A static address whose 8 bytes hold ``value`` (data-reuse)."""
         value &= (1 << 64) - 1
-        if value in self._locate_cache:
-            return self._locate_cache[value]
-        import struct
-
-        needle = struct.pack("<Q", value)
-        found: Optional[int] = None
-        for section in [self.image.text] + [
-            s for s in self.image.sections if s.name != ".text"
-        ]:
-            index = section.data.find(needle)
-            if index >= 0:
-                found = section.addr + index
-                break
-        self._locate_cache[value] = found
-        return found
+        if value not in self._locate_cache:
+            self._locate_cache[value] = find_bytes_in_image(self.image, value.to_bytes(8, "little"))
+        return self._locate_cache[value]
 
     def _validate(self, payload, resolved, targets, report: PlannerReport) -> bool:
         """Validate ``payload``, under the defense when there is one,
@@ -232,15 +216,15 @@ class GadgetPlanner:
                         continue
                     stats = SearchStats()
                     report.search_stats[goal.name] = stats
-                    for plan in search_plans(
+                    plans = search_plans(
                         library,
                         resolved,
                         solver=self.solver,
                         config=self.planner_config,
                         stats=stats,
                         locator=self._word_locator,
-                    ):
-                        complete.append((resolved, plan))
+                    )
+                    complete.extend((resolved, plan) for plan in plans)
                 goals_sp.add("goals", len(goals))
                 goals_sp.add("complete_plans", len(complete))
             report.timings.planning = goals_sp.wall

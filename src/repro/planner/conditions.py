@@ -21,22 +21,28 @@ initial flags cannot provide conditions reliably and are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..isa.registers import Reg, reg_by_name
+from ..isa.registers import Reg
 from ..solver.solver import Solver
 from ..symex.expr import (
     BV,
     BVConst,
+    BVSym,
     Bool,
+    BoolConst,
     bv_const,
     bv_eq,
     bv_sym,
     free_symbols,
     substitute,
 )
-from ..symex.state import is_controlled_symbol
+from ..symex.invert import solve_for
+from ..symex.state import is_controlled_symbol, reg_of_symbol
 from ..gadgets.record import GadgetRecord
+
+#: Entry registers one regression may pin to witness values.
+MAX_REGRESSED_REGS = 2
 
 
 @dataclass(frozen=True)
@@ -78,22 +84,43 @@ class Provision:
         )
 
 
-def _classify_symbols(syms) -> Tuple[List[str], List[str], bool]:
-    """Split free symbols into (controlled stack, initial registers, ok)."""
-    stack: List[str] = []
+def _register_symbols(syms) -> Optional[List[str]]:
+    """The entry-register symbols among ``syms``, or None when any other
+    symbol is not a controlled payload word (wild memory, flags, the
+    stack below the entry ``rsp``)."""
     regs: List[str] = []
     for s in syms:
-        if is_controlled_symbol(s):
-            stack.append(s)
-        elif s.endswith("0") and not s.startswith(("mem", "flag_", "stk")):
+        if reg_of_symbol(s) is not None:
             regs.append(s)
+        elif not is_controlled_symbol(s):
+            return None
+    return regs
+
+
+def _regress(constraints: List[Bool], reg_syms: List[str], solver: Solver) -> Optional[Provision]:
+    """The one regression rule: check ``constraints``, fix every register
+    in ``reg_syms`` to its value in the model, and keep the non-trivial
+    residuals as payload bindings."""
+    result = solver.check(constraints)
+    if not result.is_sat:
+        return None
+    if not reg_syms:  # nothing to fix: the constraints bind as they stand
+        return Provision(bindings=list(constraints))
+    reg_subst: Dict[str, BV] = {}
+    regressed: List[RegCondition] = []
+    for name in sorted(reg_syms):
+        value = result.model.get(name, 0)
+        reg_subst[name] = bv_const(value)
+        regressed.append(RegCondition(reg=reg_of_symbol(name), value=value))
+    bindings: List[Bool] = []
+    for c in constraints:
+        residual = substitute(c, reg_subst)
+        if isinstance(residual, BoolConst):
+            if not residual.value:
+                return None
         else:
-            return [], [], False  # wild memory / flags / uncontrolled stack
-    return stack, regs, True
-
-
-def _reg_from_symbol(name: str) -> Reg:
-    return reg_by_name(name[:-1])
+            bindings.append(residual)
+    return Provision(bindings=bindings, regressed=regressed)
 
 
 def regress_equation(
@@ -101,7 +128,7 @@ def regress_equation(
     target: int,
     solver: Solver,
     *,
-    max_regressed_regs: int = 2,
+    max_regressed_regs: int = MAX_REGRESSED_REGS,
 ) -> Optional[Provision]:
     """Make ``expr == target`` achievable: bind payload words, regress regs.
 
@@ -111,88 +138,31 @@ def regress_equation(
     if isinstance(expr, BVConst):
         return Provision() if expr.value == target & ((1 << 64) - 1) else None
     syms = free_symbols(expr)
-    stack_syms, reg_syms, ok = _classify_symbols(syms)
-    if not ok or len(reg_syms) > max_regressed_regs:
+    reg_syms = _register_symbols(syms)
+    if reg_syms is None or len(reg_syms) > max_regressed_regs:
         return None
     # Fast path: a single-variable invertible chain needs no solver.
     if len(syms) == 1:
-        from ..symex.invert import solve_for
-
         inverted = solve_for(expr, target)
         if inverted is not None:
             name, value = inverted
-            if stack_syms:
-                return Provision(bindings=[bv_eq(bv_sym(name), bv_const(value))])
-            if max_regressed_regs < 1:
-                return None
-            return Provision(regressed=[RegCondition(reg=_reg_from_symbol(name), value=value)])
-    equation = bv_eq(expr, bv_const(target))
-    if not reg_syms:
-        # Purely payload-driven: record the binding if satisfiable.
-        result = solver.check([equation])
-        if not result.is_sat:
-            return None
-        return Provision(bindings=[equation])
-    # Mixed: pick witness values for the registers from a model, then
-    # keep the payload residual symbolic.
-    result = solver.check([equation])
-    if not result.is_sat:
-        return None
-    reg_subst: Dict[str, BV] = {}
-    regressed: List[RegCondition] = []
-    for name in sorted(reg_syms):
-        value = result.model.get(name, 0)
-        reg_subst[name] = bv_const(value)
-        regressed.append(RegCondition(reg=_reg_from_symbol(name), value=value))
-    residual = substitute(equation, reg_subst)
-    bindings: List[Bool] = []
-    from ..symex.expr import BoolConst
-
-    if isinstance(residual, BoolConst):
-        if not residual.value:
-            return None
-    else:
-        bindings.append(residual)
-    return Provision(bindings=bindings, regressed=regressed)
+            if reg_syms:
+                return Provision(regressed=[RegCondition(reg=reg_of_symbol(name), value=value)])
+            return Provision(bindings=[bv_eq(bv_sym(name), bv_const(value))])
+    return _regress([bv_eq(expr, bv_const(target))], reg_syms, solver)
 
 
-def discharge_preconditions(
-    gadget: GadgetRecord,
-    solver: Solver,
-    *,
-    max_regressed_regs: int = 2,
-) -> Optional[Provision]:
+def discharge_preconditions(gadget: GadgetRecord, solver: Solver) -> Optional[Provision]:
     """Turn a gadget's path constraints into bindings + entry conditions."""
     if not gadget.pre_cond:
         return Provision()
     all_syms = set()
     for c in gadget.pre_cond:
         all_syms |= free_symbols(c)
-    stack_syms, reg_syms, ok = _classify_symbols(all_syms)
-    if not ok or len(reg_syms) > max_regressed_regs:
+    reg_syms = _register_symbols(all_syms)
+    if reg_syms is None or len(reg_syms) > MAX_REGRESSED_REGS:
         return None
-    result = solver.check(list(gadget.pre_cond))
-    if not result.is_sat:
-        return None
-    if not reg_syms:
-        return Provision(bindings=list(gadget.pre_cond))
-    reg_subst = {}
-    regressed = []
-    for name in sorted(reg_syms):
-        value = result.model.get(name, 0)
-        reg_subst[name] = bv_const(value)
-        regressed.append(RegCondition(reg=_reg_from_symbol(name), value=value))
-    bindings = []
-    from ..symex.expr import BoolConst
-
-    for c in gadget.pre_cond:
-        residual = substitute(c, reg_subst)
-        if isinstance(residual, BoolConst):
-            if not residual.value:
-                return None
-        else:
-            bindings.append(residual)
-    return Provision(bindings=bindings, regressed=regressed)
+    return _regress(list(gadget.pre_cond), reg_syms, solver)
 
 
 def provide_reg_condition(
@@ -233,9 +203,7 @@ def _provide_via_known_bytes(
 ) -> Optional[Provision]:
     """Data-reuse: make a wild-load post-value equal ``target`` by
     steering the load address at known image bytes."""
-    from ..symex.expr import BVSym
-
-    if not isinstance(post, BVSym) or not post.name.startswith("mem"):
+    if not isinstance(post, BVSym):
         return None
     read = next(
         (

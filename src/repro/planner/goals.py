@@ -143,8 +143,13 @@ class ResolvedGoal:
 
 
 def find_bytes_in_image(image: BinaryImage, needle: bytes) -> Optional[int]:
-    """Search every section for ``needle``; return its address or None."""
-    for section in image.sections:
+    """The address of ``needle`` in the image, or None.
+
+    Searches ``.text`` first, then the other sections in image order:
+    immutable text beats writable data, whose contents may have changed
+    by the time an exploit fires.
+    """
+    for section in sorted(image.sections, key=lambda s: s.name != ".text"):
         index = section.data.find(needle)
         if index >= 0:
             return section.addr + index

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..isa.registers import Reg
 from ..symex.executor import EndKind
 from ..symex.expr import BVConst, BVSym, free_symbols
-from ..symex.state import is_controlled_symbol
+from ..symex.state import is_controlled_symbol, reg_of_symbol
 from ..gadgets.record import GadgetRecord
 
 
@@ -44,14 +44,11 @@ def chain_kind(gadget: GadgetRecord) -> ChainKind:
     if gadget.end is EndKind.RET:
         if all(is_controlled_symbol(s) for s in syms) and syms:
             return ChainKind.RET
-        if isinstance(gadget.jump_target, BVConst):
-            return ChainKind.UNUSABLE  # fixed target: not chainable
         return ChainKind.UNUSABLE
     # Indirect endings.
     if syms and all(is_controlled_symbol(s) for s in syms):
         return ChainKind.CONTROLLED_TARGET
-    reg_syms = [s for s in syms if s.endswith("0") and not s.startswith(("mem", "stk", "flag_"))]
-    if len(syms) == 1 and len(reg_syms) == 1:
+    if len(syms) == 1 and reg_of_symbol(next(iter(syms))) is not None:
         return ChainKind.CONNECTOR
     return ChainKind.UNUSABLE
 
@@ -83,9 +80,9 @@ class GadgetLibrary:
     by_reg: Dict[Reg, List[GadgetRecord]] = field(default_factory=dict)
     goal_gadgets: List[GadgetRecord] = field(default_factory=list)
     writers: List[GadgetRecord] = field(default_factory=list)
-    connectors: List[GadgetRecord] = field(default_factory=list)
-    chainable: List[GadgetRecord] = field(default_factory=list)
     kinds: Dict[int, ChainKind] = field(default_factory=dict)
+    #: Gadgets usable in some chain position (goal gadgets included).
+    size: int = 0
 
     @classmethod
     def build(cls, records: List[GadgetRecord]) -> "GadgetLibrary":
@@ -93,14 +90,12 @@ class GadgetLibrary:
         for gadget in records:
             kind = chain_kind(gadget)
             lib.kinds[gadget.gadget_id] = kind
+            if kind is ChainKind.UNUSABLE:
+                continue
+            lib.size += 1
             if kind is ChainKind.GOAL:
                 lib.goal_gadgets.append(gadget)
                 continue
-            if kind is ChainKind.UNUSABLE:
-                continue
-            lib.chainable.append(gadget)
-            if kind is ChainKind.CONNECTOR:
-                lib.connectors.append(gadget)
             if gadget.has_side_memory_writes:
                 lib.writers.append(gadget)
             for reg in gadget.clob_regs:
@@ -116,10 +111,5 @@ class GadgetLibrary:
     def kind_of(self, gadget: GadgetRecord) -> ChainKind:
         return self.kinds[gadget.gadget_id]
 
-    def providers_for(self, reg: Reg, limit: Optional[int] = None) -> List[GadgetRecord]:
-        gadgets = self.by_reg.get(reg, [])
-        return gadgets[:limit] if limit else gadgets
-
-    @property
-    def size(self) -> int:
-        return len(self.chainable) + len(self.goal_gadgets)
+    def providers_for(self, reg: Reg) -> List[GadgetRecord]:
+        return self.by_reg.get(reg, [])

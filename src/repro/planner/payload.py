@@ -27,7 +27,7 @@ from ..emulator.syscalls import AttackTriggered, SyscallEvent
 from ..isa.registers import ALL_REGS, MASK64, Reg
 from ..solver.solver import Solver
 from ..symex.expr import BV, Bool, bv_const, bv_eq, bv_sym, free_symbols, substitute
-from ..symex.state import stack_sym_offset
+from ..symex.state import reg_sym, stack_sym_offset
 from ..gadgets.record import GadgetRecord
 from .goals import ResolvedGoal
 from .plan import PartialPlan
@@ -75,15 +75,26 @@ class AttackPayload:
         return "\n".join(lines)
 
 
-def _rename_to_payload(expr, entry_cursor: int, prefix: str = "p"):
-    """Rename local stk symbols to global payload-offset symbols."""
+def _rename_to_payload(expr, entry_cursor: int):
+    """Rename local stk symbols to global ``p<offset>`` payload symbols."""
     mapping: Dict[str, BV] = {}
     for name in free_symbols(expr):
         offset = stack_sym_offset(name)
         if offset is None:
             continue
-        mapping[name] = bv_sym(f"{prefix}{entry_cursor + offset}")
+        mapping[name] = bv_sym(f"p{entry_cursor + offset}")
     return substitute(expr, mapping)
+
+
+def _payload_offset(name: str) -> Optional[int]:
+    """Inverse of :func:`_rename_to_payload`'s naming: the payload byte
+    offset a ``p<offset>`` symbol names, or None for any other symbol."""
+    if not name.startswith("p"):
+        return None
+    try:
+        return int(name[1:])
+    except ValueError:
+        return None
 
 
 def assemble_payload(
@@ -109,7 +120,7 @@ def assemble_payload(
         gadget = step.gadget
         cursors.append(cursor)
         entry_values = established.get(step.sid, {})
-        reg_subst = {f"{reg}0": bv_const(value) for reg, value in entry_values.items()}
+        reg_subst = {reg_sym(reg).name: bv_const(value) for reg, value in entry_values.items()}
 
         step_constraints = list(plan.bindings.get(step.sid, ()))
         if index + 1 < len(steps):
@@ -118,9 +129,7 @@ def assemble_payload(
         for constraint in step_constraints:
             concretized = substitute(constraint, reg_subst)
             renamed = _rename_to_payload(concretized, cursor)
-            leftover = {
-                s for s in free_symbols(renamed) if not s.startswith("p") or not s[1:].lstrip("-").isdigit()
-            }
+            leftover = {s for s in free_symbols(renamed) if _payload_offset(s) is None}
             if leftover:
                 raise AssemblyError(f"constraint depends on uncontrolled inputs: {leftover}")
             constraints.append(renamed)
@@ -136,15 +145,11 @@ def assemble_payload(
 
     words: Dict[int, int] = {0: steps[0].gadget.location}
     for name, value in result.model.items():
-        if name.startswith("p"):
-            try:
-                offset = int(name[1:])
-            except ValueError:
-                continue
-            if offset % 8 == 0 and offset >= 0:
-                if offset in words and words[offset] != value:
-                    raise AssemblyError(f"conflicting payload word at {offset}")
-                words[offset] = value
+        offset = _payload_offset(name)
+        if offset is not None and offset % 8 == 0 and offset >= 0:
+            if offset in words and words[offset] != value:
+                raise AssemblyError(f"conflicting payload word at {offset}")
+            words[offset] = value
     top = max(max(words) + 8, max_offset)
     if top > 0x1C000:
         # Beyond the validation harness's stack headroom.  (The threat

@@ -24,6 +24,7 @@ from .conditions import (
     provide_mem_condition,
     provide_reg_condition,
     regress_equation,
+    target_provision,
 )
 from .goals import ResolvedGoal
 from .library import ChainKind, GadgetLibrary
@@ -95,8 +96,8 @@ def search_plans(
     config: Optional[PlannerConfig] = None,
     stats: Optional[SearchStats] = None,
     locator=None,
-) -> Iterator[PartialPlan]:
-    """Yield complete plans, best-first (Algorithm 1).
+) -> List[PartialPlan]:
+    """The complete plans, best-first (Algorithm 1).
 
     ``locator`` (value → static address of those bytes, or None)
     enables data-reuse providers; see
@@ -112,23 +113,21 @@ def search_plans(
     def push(plan: PartialPlan) -> None:
         heapq.heappush(queue, (plan.priority_key(), next(counter), plan))
 
-    # The span brackets the whole search, staying open across yields
-    # (this is a generator); counters are stamped in the finally so an
-    # abandoned search still reports the work it did.
-    search_sp = span("plan.search")
-    search_sp.__enter__()
-    try:
+    complete: List[PartialPlan] = []
+    with span("plan.search") as search_sp:
         for seed in _seed_plans(library, resolved, solver):
             stats.seeds += 1
             push(seed)
 
-        emitted = 0
-        while queue and stats.nodes_expanded < config.max_nodes and emitted < config.max_plans:
+        while (
+            queue
+            and stats.nodes_expanded < config.max_nodes
+            and len(complete) < config.max_plans
+        ):
             _, _, plan = heapq.heappop(queue)
             if plan.is_complete:
-                emitted += 1
                 stats.plans_emitted += 1
-                yield plan
+                complete.append(plan)
                 continue
             stats.nodes_expanded += 1
             open_cond = plan.open_conds[0]
@@ -137,12 +136,12 @@ def search_plans(
                 stats.dead_ends += 1
             for successor in successors:
                 push(successor)
-    finally:
+
         search_sp.add("seeds", stats.seeds)
         search_sp.add("nodes_expanded", stats.nodes_expanded)
         search_sp.add("plans_emitted", stats.plans_emitted)
         search_sp.add("dead_ends", stats.dead_ends)
-        search_sp.__exit__(None, None, None)
+    return complete
 
 
 def _expand(
@@ -214,26 +213,11 @@ def _expand_reg(
         bindings = list(provision.bindings)
         if kind is ChainKind.CONNECTOR:
             # The connector's indirect jump must land on the goal gadget.
-            goal_gadget = plan.steps[GOAL_STEP].gadget
-            from .conditions import target_provision
-
-            tp = target_provision(gadget, goal_gadget.location, solver)
+            tp = target_provision(gadget, plan.steps[GOAL_STEP].gadget.location, solver)
             if tp is None:
-                # Target depends on a register: regress it as a condition.
-                from ..symex.expr import BVSym
-
-                target = gadget.jump_target
-                if isinstance(target, BVSym) and target.name.endswith("0"):
-                    from ..isa.registers import reg_by_name
-
-                    regressed.append(
-                        RegCondition(reg=reg_by_name(target.name[:-1]), value=goal_gadget.location)
-                    )
-                else:
-                    continue
-            else:
-                bindings.extend(tp.bindings)
-                regressed.extend(tp.regressed)
+                continue
+            bindings.extend(tp.bindings)
+            regressed.extend(tp.regressed)
         successor = plan.add_provider_step(gadget, open_cond, bindings, regressed)
         if successor is None:
             continue

@@ -60,6 +60,15 @@ def reg_sym(reg: Reg) -> BVSym:
     return bv_sym(f"{reg}{REG_SYM_SUFFIX}")
 
 
+_REG_OF_SYMBOL: Dict[str, Reg] = {reg_sym(r).name: r for r in ALL_REGS}
+
+
+def reg_of_symbol(name: str) -> Optional[Reg]:
+    """Inverse of :func:`reg_sym`: the register, or None for any other
+    symbol (payload word, wild read, flag)."""
+    return _REG_OF_SYMBOL.get(name)
+
+
 def stack_sym(offset: int) -> BVSym:
     """The symbol naming the payload word at ``rsp0 + offset``."""
     suffix = f"m{-offset}" if offset < 0 else str(offset)

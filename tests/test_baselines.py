@@ -130,6 +130,21 @@ def test_angrop_ignores_conditional_gadgets():
     assert gp_report.per_goal["mprotect"] >= 1
 
 
+def test_angrop_writer_signature_skips_payload_word_values():
+    """``pop rcx; mov [rax], rcx`` stores the payload word ``stk0``, not
+    an entry register, so it is no ``mem[reg1] = reg2`` writer; angrop
+    keeps the clean ``mov [rdi+0], rsi`` one."""
+    source = CLEAN_GADGETS + """
+g_stk_store:
+    pop rcx
+    mov [rax+0], rcx
+    ret
+"""
+    report = AngropLike().run(image_for(source), goals=[execve_goal()])
+    assert report.per_goal["execve"] == 1
+    assert report.payloads[0].event.is_shell_spawn()
+
+
 def test_sgc_solves_arithmetic_setters():
     """rax reachable only via pop rbx' + arithmetic — SGC's solver can
     use `pop rax; add rax, 1; ret`-style value equations."""

@@ -12,6 +12,7 @@ from repro.planner import (
     GadgetPlanner,
     PlannerConfig,
     execve_goal,
+    find_bytes_in_image,
     mmap_goal,
     mprotect_goal,
     resolve_goal,
@@ -295,3 +296,53 @@ def test_describe_chain_renders():
     text = report.payloads[0].describe()
     assert "payload[mmap]" in text
     assert "goal:" in text
+
+
+def test_connector_wires_an_indirect_call_into_the_goal():
+    """rdi is only settable through ``mov rdi, r12; call r15``: the
+    connector's call target regresses to ``r15 == syscall gadget`` and
+    the connector runs immediately before the goal."""
+    source = """
+        hlt
+    g_pop_r12:
+        pop r12
+        ret
+    g_pop_r15:
+        pop r15
+        ret
+    g_pop_rax:
+        pop rax
+        ret
+    g_pop_rsi:
+        pop rsi
+        ret
+    g_pop_rdx:
+        pop rdx
+        ret
+    g_connector:
+        mov rdi, r12
+        call r15
+    g_syscall:
+        syscall
+        ret
+    """
+    unit = assemble_unit(source, base_addr=0x400000)
+    report, _ = plan_on(source, goals=[mprotect_goal(addr=0x600000)])
+    assert report.per_goal["mprotect"] == 1
+    payload = report.payloads[0]
+    assert payload.validated
+    assert [g.location for g in payload.chain[-2:]] == [
+        unit.labels["g_connector"],
+        unit.labels["g_syscall"],
+    ]
+
+
+def test_find_bytes_in_image_prefers_text():
+    """Immutable text wins over writable data even when the section
+    list names .data first."""
+    needle = b"\x90\xde\xad\xbe\xef\x90\x13\x37"
+    unit = assemble_unit("hlt\n", base_addr=0x400000)
+    image = make_image(unit.code + needle, data=needle, symbols=dict(unit.labels))
+    image.sections.reverse()
+    assert image.sections[0].name == ".data"
+    assert find_bytes_in_image(image, needle) == image.text.addr + len(unit.code)
