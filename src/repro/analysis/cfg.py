@@ -44,9 +44,6 @@ class CFG:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_starts(self) -> List[int]:
-        return sorted(self.blocks)
-
     def conditional_edges(self) -> int:
         return sum(
             1

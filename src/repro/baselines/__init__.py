@@ -5,10 +5,7 @@ from .common import BaselineReport, BaselineTool
 from .ropgadget import ROPGadgetLike
 from .sgc import SGCLike
 
-ALL_BASELINES = (ROPGadgetLike, AngropLike, SGCLike)
-
 __all__ = [
-    "ALL_BASELINES",
     "AngropLike",
     "BaselineReport",
     "BaselineTool",

@@ -47,10 +47,6 @@ Value = Union[Temp, Const]
 # Instructions
 # ---------------------------------------------------------------------------
 
-BIN_OPS = ("add", "sub", "mul", "udiv", "umod", "and", "or", "xor", "shl", "shr", "sar")
-UN_OPS = ("not", "neg")
-CMP_OPS = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
-
 
 @dataclass(frozen=True)
 class IRInstr:

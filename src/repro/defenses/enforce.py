@@ -4,10 +4,11 @@ A :class:`PolicyEnforcer` attaches to an :class:`~repro.emulator.cpu.Emulator`
 through two existing hook points:
 
 * ``Emulator.step_hook`` — inspects every instruction *before* it
-  executes; indirect control transfers (``ret``, ``jmp reg``,
-  ``jmp [mem]``, ``call reg``) have their concrete target peeked from
-  registers/stack/memory and checked against the policy's CFI target
-  sets and the shadow stack.  A violation raises
+  executes; for indirect control transfers (``ret``, ``jmp reg``,
+  ``jmp [mem]``, ``call reg``) it asks
+  :meth:`~repro.emulator.cpu.Emulator.transfer_target` where the
+  transfer lands and checks that against the policy's CFI target sets
+  and the shadow stack.  A violation raises
   :class:`DefenseViolation`, modelling the process kill a hardware or
   instrumentation CFI monitor performs.
 * ``SyscallHandler.syscall_filter`` — vetoes W^X-violating
@@ -33,7 +34,7 @@ from ..emulator.cpu import Emulator
 from ..emulator.memory import PERM_W
 from ..emulator.syscalls import PROT_EXEC, PROT_WRITE, Sys, SyscallEvent
 from ..isa.instructions import Instruction, Op
-from ..isa.registers import MASK64, Reg
+from ..isa.registers import MASK64
 from ..obs import metrics, span
 from .cfi import CFITargets, KIND_CALL, KIND_JUMP, KIND_RET
 from .policy import CFIMode, DefensePolicy
@@ -105,7 +106,7 @@ class PolicyEnforcer:
     def step_hook(self, emu: Emulator, insn: Instruction) -> None:
         op = insn.op
         if op is Op.RET:
-            target = emu.memory.read_u64(emu.cpu.get(Reg.RSP))
+            target = emu.transfer_target(insn)
             self._check_cfi(KIND_RET, target)
             if self.policy.shadow_stack:
                 self.checks += 1
@@ -119,13 +120,10 @@ class PolicyEnforcer:
                         addr=target,
                     )
                 self.shadow.pop()
-        elif op is Op.JMP_R:
-            self._check_cfi(KIND_JUMP, emu.cpu.get(insn.dst))
-        elif op is Op.JMP_M:
-            addr = (emu.cpu.get(insn.base) + insn.disp) & MASK64
-            self._check_cfi(KIND_JUMP, emu.memory.read_u64(addr))
+        elif op is Op.JMP_R or op is Op.JMP_M:
+            self._check_cfi(KIND_JUMP, emu.transfer_target(insn))
         elif op is Op.CALL_R:
-            self._check_cfi(KIND_CALL, emu.cpu.get(insn.dst))
+            self._check_cfi(KIND_CALL, emu.transfer_target(insn))
             if self.policy.shadow_stack:
                 self.shadow.append(insn.end)
         elif op is Op.CALL_REL:

@@ -10,7 +10,7 @@ from .cpu import (
     StepLimitExceeded,
     run_image,
 )
-from .memory import Memory, MemoryFault, PAGE_SIZE, PERM_R, PERM_W, PERM_X, Region
+from .memory import Memory, MemoryFault, PAGE_SIZE, PERM_R, PERM_W, PERM_X
 from .syscalls import AttackTriggered, ProcessExit, Sys, SyscallEvent, SyscallHandler
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "PERM_W",
     "PERM_X",
     "ProcessExit",
-    "Region",
     "StepLimitExceeded",
     "Sys",
     "SyscallEvent",

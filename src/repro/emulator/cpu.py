@@ -14,7 +14,7 @@ The emulator serves two roles in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..binfmt.image import BinaryImage, STACK_SIZE, STACK_TOP
 from ..isa.encoding import DecodeError, decode
@@ -117,7 +117,6 @@ class Emulator:
         *,
         stop_on_attack: bool = True,
         step_limit: int = 2_000_000,
-        trace: bool = False,
         step_hook: Optional[Callable[["Emulator", Instruction], None]] = None,
     ) -> None:
         self.image = image
@@ -125,8 +124,6 @@ class Emulator:
         self.cpu = CPUState()
         self.step_limit = step_limit
         self.steps = 0
-        self.trace_enabled = trace
-        self.trace: List[Instruction] = []
         #: Profiling hook: called as ``hook(emulator, insn)`` before
         #: each instruction executes.  ``None`` (the default) costs one
         #: attribute check per step; profilers/coverage tools install a
@@ -148,7 +145,8 @@ class Emulator:
         self.cpu.rip = image.entry
         self.syscalls = SyscallHandler(self.memory, stop_on_attack=stop_on_attack)
         # Decoded-instruction cache, invalidated when executable pages
-        # are written (self-modifying code bumps exec_write_gen).
+        # are written or page permissions change (both bump
+        # exec_write_gen).
         self._insn_cache: Dict[int, Instruction] = {}
         self._cache_gen = self.memory.exec_write_gen
 
@@ -175,21 +173,12 @@ class Emulator:
         cached = self._insn_cache.get(rip)
         if cached is not None:
             return cached
-        try:
-            window = self.memory.read(rip, MAX_DECODE_SIZE, execute=True)
-        except MemoryFault:
-            # Near a mapping edge: fall back to byte-at-a-time.
-            window = bytearray()
-            for i in range(MAX_DECODE_SIZE):
-                try:
-                    window += self.memory.read(rip + i, 1, execute=True)
-                except MemoryFault:
-                    break
-            window = bytes(window)
-        if not window:
+        # Near a mapping edge the window stops at the last executable byte.
+        size = self.memory.readable_run(rip, MAX_DECODE_SIZE, PERM_X)
+        if not size:
             raise InvalidInstruction(f"fetch from non-executable memory at {rip:#x}")
         try:
-            insn = decode(window, 0, addr=rip)
+            insn = decode(self.memory.read(rip, size, execute=True), 0, addr=rip)
         except DecodeError as exc:
             raise InvalidInstruction(str(exc)) from None
         self._insn_cache[rip] = insn
@@ -201,8 +190,6 @@ class Emulator:
             raise StepLimitExceeded(f"exceeded {self.step_limit} steps")
         self.steps += 1
         insn = self.fetch()
-        if self.trace_enabled:
-            self.trace.append(insn)
         if self.step_hook is not None:
             self.step_hook(self, insn)
         self._execute(insn)
@@ -235,6 +222,25 @@ class Emulator:
 
     def _mem_addr(self, insn: Instruction) -> int:
         return (self.cpu.get(insn.base) + insn.disp) & MASK64
+
+    def transfer_target(self, insn: Instruction) -> int:
+        """Where the indirect transfer ``insn`` (``ret``, ``jmp reg``,
+        ``jmp [mem]``, ``call reg``) lands from the current state.
+
+        Reads state without changing it, so a step hook may ask before
+        ``insn`` executes.  ``call reg`` reads the register as it is
+        after the return address is pushed: ``call rsp`` lands at
+        ``rsp - 8``.
+        """
+        op = insn.op
+        if op is Op.RET:
+            return self.memory.read_u64(self.cpu.get(Reg.RSP))
+        if op is Op.JMP_M:
+            return self.memory.read_u64(self._mem_addr(insn))
+        target = self.cpu.get(insn.dst)
+        if op is Op.CALL_R and insn.dst is Reg.RSP:
+            return (target - 8) & MASK64
+        return target
 
     def _execute(self, insn: Instruction) -> None:
         cpu = self.cpu
@@ -352,16 +358,14 @@ class Emulator:
             cpu.flags.update(_flags_logic(a & b))
         elif op == Op.JMP_REL:
             next_rip = insn.target
-        elif op == Op.JMP_R:
-            next_rip = cpu.get(insn.dst)
-        elif op == Op.JMP_M:
-            next_rip = self.memory.read_u64(self._mem_addr(insn))
+        elif op == Op.JMP_R or op == Op.JMP_M:
+            next_rip = self.transfer_target(insn)
         elif op == Op.CALL_REL:
             self.push(insn.end)
             next_rip = insn.target
         elif op == Op.CALL_R:
+            next_rip = self.transfer_target(insn)
             self.push(insn.end)
-            next_rip = cpu.get(insn.dst)
         elif op in COND_PREDICATES:
             if COND_PREDICATES[op](cpu.flags):
                 next_rip = insn.target

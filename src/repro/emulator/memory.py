@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 PAGE_SIZE = 0x1000
 PAGE_MASK = ~(PAGE_SIZE - 1)
@@ -23,19 +22,6 @@ class MemoryFault(Exception):
         self.kind = kind
 
 
-@dataclass
-class Region:
-    """A mapped region, for introspection via :meth:`Memory.mappings`."""
-
-    start: int
-    size: int
-    perms: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size
-
-
 class Memory:
     """Sparse paged memory.
 
@@ -47,10 +33,10 @@ class Memory:
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
         self._perms: Dict[int, int] = {}
-        self._regions: List[Region] = []
-        #: Bumped whenever a write lands in an executable page; the
-        #: emulator uses it to invalidate its decoded-instruction cache
-        #: (self-modifying code support).
+        #: Bumped whenever a write lands in an executable page or
+        #: :meth:`protect` changes a page's permissions; the emulator
+        #: uses it to invalidate its decoded-instruction cache
+        #: (self-modifying code, and code whose page loses PROT_EXEC).
         self.exec_write_gen = 0
 
     def map(self, start: int, size: int, perms: int) -> None:
@@ -63,7 +49,6 @@ class Memory:
         while page <= last:
             self._perms[page] = perms
             page += PAGE_SIZE
-        self._regions.append(Region(start=start, size=size, perms=perms))
 
     def protect(self, start: int, size: int, perms: int) -> None:
         """Change permissions on already-mapped pages (mprotect)."""
@@ -73,11 +58,10 @@ class Memory:
         while page <= last:
             if page not in self._perms:
                 raise MemoryFault(page, "mprotect of unmapped page")
-            self._perms[page] = perms
+            if self._perms[page] != perms:
+                self._perms[page] = perms
+                self.exec_write_gen += 1
             page += PAGE_SIZE
-
-    def mappings(self) -> Tuple[Region, ...]:
-        return tuple(self._regions)
 
     def is_mapped(self, addr: int) -> bool:
         return (addr & PAGE_MASK) in self._perms
@@ -85,20 +69,22 @@ class Memory:
     def perms_at(self, addr: int) -> int:
         return self._perms.get(addr & PAGE_MASK, 0)
 
-    def readable_run(self, addr: int, limit: int) -> int:
-        """Contiguous readable bytes starting at ``addr``, capped at
-        ``limit``.
+    def readable_run(self, addr: int, limit: int, perm: int = PERM_R) -> int:
+        """Contiguous bytes starting at ``addr`` on pages mapped with
+        ``perm``, capped at ``limit``.
 
         Walks page permissions only — never allocates or copies — so a
         guest-supplied multi-GiB ``limit`` costs O(mapped pages), not
         O(limit).  Syscall models use this to clamp guest-controlled
-        lengths to what is actually mapped (partial-I/O semantics).
+        lengths to what is actually mapped (partial-I/O semantics);
+        instruction fetch uses it with ``PERM_X`` to stop its decode
+        window at the last executable byte.
         """
         if limit <= 0:
             return 0
         run = 0
         page = addr & PAGE_MASK
-        while self._perms.get(page, 0) & PERM_R:
+        while self._perms.get(page, 0) & perm:
             run = min(limit, page + PAGE_SIZE - addr)
             if run == limit:
                 break
@@ -147,12 +133,14 @@ class Memory:
             remaining -= take
         return bytes(out)
 
-    def write(self, addr: int, data: bytes) -> None:
+    def write(self, addr: int, data: bytes, *, perm: int = PERM_W) -> None:
+        """Write ``data`` at ``addr``; every page must be mapped with
+        ``perm``."""
         remaining = len(data)
         cursor = addr
         src = 0
         while remaining > 0:
-            page = self._page_for(cursor, PERM_W, "write")
+            page = self._page_for(cursor, perm, "write")
             if self._perms.get(cursor & PAGE_MASK, 0) & PERM_X:
                 self.exec_write_gen += 1
             off = cursor & (PAGE_SIZE - 1)
@@ -164,20 +152,7 @@ class Memory:
 
     def write_initial(self, addr: int, data: bytes) -> None:
         """Populate memory ignoring the W permission (image loading)."""
-        remaining = len(data)
-        cursor = addr
-        src = 0
-        while remaining > 0:
-            page_addr = cursor & PAGE_MASK
-            if page_addr not in self._perms:
-                raise MemoryFault(cursor, "load into unmapped memory")
-            page = self._pages.setdefault(page_addr, bytearray(PAGE_SIZE))
-            off = cursor & (PAGE_SIZE - 1)
-            take = min(remaining, PAGE_SIZE - off)
-            page[off : off + take] = data[src : src + take]
-            cursor += take
-            src += take
-            remaining -= take
+        self.write(addr, data, perm=0)
 
     # -- typed accessors ----------------------------------------------------
 

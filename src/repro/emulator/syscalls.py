@@ -1,10 +1,11 @@
 """Linux-flavoured syscall models for the NFL machine.
 
 Syscall numbers follow the x86-64 Linux ABI so the paper's attack goal
-states transfer verbatim (``rax = 59`` → ``execve``).  The three
-attack-relevant syscalls (``execve``, ``mprotect``, ``mmap``) are
-modelled as *events*: the emulator records them with their decoded
-arguments, and the exploit tests assert on the recorded event.
+states transfer verbatim (``rax = 59`` → ``execve``).  The four
+attack-relevant syscalls (``execve``, ``mprotect``, ``mmap``,
+``mremap``) are modelled as *events*: each passes the policy hook once,
+then the emulator records it with its decoded arguments, and the
+exploit tests assert on the recorded event.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ MMAP_BASE = 0x7F0000000000
 #: guest-chosen number of pages.
 MMAP_MAX_LENGTH = 1 << 26
 
+_EFAULT = -14 & ((1 << 64) - 1)
 _EINVAL = -22 & ((1 << 64) - 1)
 _ENOMEM = -12 & ((1 << 64) - 1)
+_ENOSYS = -38 & ((1 << 64) - 1)
 
 
 class Sys(enum.IntEnum):
@@ -108,51 +111,25 @@ class SyscallHandler:
         try:
             sys_no = Sys(number)
         except ValueError:
-            return -38 & ((1 << 64) - 1)  # -ENOSYS
+            return _ENOSYS
         if sys_no == Sys.WRITE:
             return self._sys_write(args)
         if sys_no == Sys.READ:
             return 0  # EOF
         if sys_no == Sys.EXIT:
             raise ProcessExit(args[0] & 0xFF)
-        if sys_no == Sys.EXECVE:
-            veto = self._veto(sys_no, args)
+        # Kernel semantics: mprotect's addr must be page-aligned and its
+        # prot a combination of PROT_READ|WRITE|EXEC, else -EINVAL
+        # *before* any effect (and before any policy hook sees a
+        # malformed request).  length need not be aligned — it is
+        # rounded up to whole pages.
+        if sys_no == Sys.MPROTECT and (args[0] % PAGE_SIZE or args[2] & ~PROT_ALL):
+            return _EINVAL
+        if self.syscall_filter is not None:
+            veto = self.syscall_filter(sys_no, args)
             if veto is not None:
                 return veto
-            return self._attack_event(self._decode_execve(args))
-        if sys_no == Sys.MPROTECT:
-            return self._sys_mprotect(args)
-        if sys_no == Sys.MMAP:
-            veto = self._veto(sys_no, args)
-            if veto is not None:
-                return veto
-            return self._attack_event(
-                SyscallEvent(
-                    Sys.MMAP,
-                    args[:6],
-                    addr=args[0],
-                    length=args[1],
-                    prot=args[2],
-                    flags=args[3],
-                )
-            )
-        if sys_no == Sys.MREMAP:
-            veto = self._veto(sys_no, args)
-            if veto is not None:
-                return veto
-            # mremap(old_addr, old_size, new_size, flags, new_addr) has
-            # no prot argument — decoding it like mmap mislabelled
-            # new_size/flags as prot and misreported the goal state.
-            return self._attack_event(
-                SyscallEvent(
-                    Sys.MREMAP,
-                    args[:5],
-                    addr=args[0],
-                    length=args[2],
-                    flags=args[3],
-                )
-            )
-        raise AssertionError(f"unhandled syscall {sys_no}")  # pragma: no cover
+        return self._attack_event(self._decode_event(sys_no, args))
 
     def _sys_write(self, args: tuple) -> int:
         _fd, buf, count = args[0], args[1], args[2]
@@ -164,41 +141,37 @@ class SyscallHandler:
         # (partial-write semantics) and fault only when nothing is.
         readable = self.memory.readable_run(buf, count)
         if readable == 0:
-            return -14 & ((1 << 64) - 1)  # -EFAULT
+            return _EFAULT
         try:
             data = self.memory.read(buf, readable)
         except MemoryFault:  # pragma: no cover - readable_run said ok
-            return -14 & ((1 << 64) - 1)
+            return _EFAULT
         self.stdout += data
         return readable
 
-    def _veto(self, sys_no: "Sys", args: tuple) -> Optional[int]:
-        if self.syscall_filter is None:
-            return None
-        return self.syscall_filter(sys_no, args)
-
-    def _sys_mprotect(self, args: tuple) -> int:
-        addr, length, prot = args[0], args[1], args[2]
-        # Kernel semantics: addr must be page-aligned and prot must be a
-        # combination of PROT_READ|WRITE|EXEC, else -EINVAL *before* any
-        # effect (and before any policy hook sees a malformed request).
-        # length need not be aligned — it is rounded up to whole pages.
-        if addr % PAGE_SIZE != 0 or prot & ~PROT_ALL:
-            return _EINVAL
-        veto = self._veto(Sys.MPROTECT, args)
-        if veto is not None:
-            return veto
-        return self._attack_event(
-            SyscallEvent(Sys.MPROTECT, args[:3], addr=addr, length=length, prot=prot)
+    def _decode_event(self, sys_no: Sys, args: tuple) -> SyscallEvent:
+        """The event record of attack syscall ``sys_no`` (execve,
+        mprotect, mmap or mremap) with its decoded arguments."""
+        if sys_no == Sys.EXECVE:
+            try:
+                path = self.memory.read_cstring(args[0])
+            except MemoryFault:
+                path = None
+            return SyscallEvent(Sys.EXECVE, args[:3], path=path)
+        if sys_no == Sys.MPROTECT:
+            return SyscallEvent(
+                Sys.MPROTECT, args[:3], addr=args[0], length=args[1], prot=args[2]
+            )
+        if sys_no == Sys.MMAP:
+            return SyscallEvent(
+                Sys.MMAP, args[:6], addr=args[0], length=args[1], prot=args[2], flags=args[3]
+            )
+        # mremap(old_addr, old_size, new_size, flags, new_addr) has no
+        # prot argument — decoding it like mmap mislabelled
+        # new_size/flags as prot and misreported the goal state.
+        return SyscallEvent(
+            Sys.MREMAP, args[:5], addr=args[0], length=args[2], flags=args[3]
         )
-
-    def _decode_execve(self, args: tuple) -> SyscallEvent:
-        path_ptr = args[0]
-        try:
-            path = self.memory.read_cstring(path_ptr)
-        except MemoryFault:
-            path = None
-        return SyscallEvent(Sys.EXECVE, args[:3], path=path)
 
     def _attack_event(self, event: SyscallEvent) -> int:
         self.events.append(event)

@@ -98,10 +98,6 @@ def relayout(spec: WindowSpec, base: int = TEXT_BASE) -> List[Instruction]:
     return out
 
 
-def window_bytes(insns: List[Instruction]) -> bytes:
-    return encode_program(insns)
-
-
 def _gen_body_insn(rng: random.Random) -> Instruction:
     """One non-branch body instruction."""
     r = rng.choice(_GP_REGS)

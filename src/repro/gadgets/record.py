@@ -83,9 +83,6 @@ class GadgetRecord:
     def has_side_memory_writes(self) -> bool:
         return any(w.stack_offset is None for w in self.mem_writes)
 
-    def changed_regs(self) -> FrozenSet[Reg]:
-        return self.clob_regs
-
     def describe(self) -> str:
         """A human-readable multi-line rendering (examples use this)."""
         lines = [f"gadget #{self.gadget_id} @ {self.location:#x} [{self.jmp_type.value}]"]

@@ -1,18 +1,13 @@
 """The NFL machine: registers, instructions, encoding, and (dis)assembly."""
 
 from .registers import (
-    ALL_FLAGS,
     ALL_REGS,
     ARG_REGS,
-    CALLEE_SAVED,
-    CALLER_SAVED,
     Flag,
     MASK64,
     Reg,
-    RET_REG,
     reg_by_name,
     to_signed,
-    to_unsigned,
 )
 from .instructions import (
     BLOCK_TERMINATORS,
@@ -29,14 +24,11 @@ from .assembler import AssembledUnit, AssemblyError, assemble, assemble_unit
 from .disassembler import disassemble, disassemble_lines, format_listing
 
 __all__ = [
-    "ALL_FLAGS",
     "ALL_REGS",
     "ARG_REGS",
     "AssembledUnit",
     "AssemblyError",
     "BLOCK_TERMINATORS",
-    "CALLEE_SAVED",
-    "CALLER_SAVED",
     "COND_JUMPS",
     "DecodeError",
     "Flag",
@@ -47,7 +39,6 @@ __all__ = [
     "OperandLayout",
     "OP_TABLE",
     "Reg",
-    "RET_REG",
     "UNCOND_JUMPS",
     "assemble",
     "assemble_unit",
@@ -61,5 +52,4 @@ __all__ = [
     "format_listing",
     "reg_by_name",
     "to_signed",
-    "to_unsigned",
 ]

@@ -42,25 +42,6 @@ ALL_REGS = tuple(Reg)
 #: Registers used to pass the first six integer arguments (SysV-like).
 ARG_REGS = (Reg.RDI, Reg.RSI, Reg.RDX, Reg.RCX, Reg.R8, Reg.R9)
 
-#: Register holding a function's return value and the syscall number.
-RET_REG = Reg.RAX
-
-#: Callee-saved registers under the NFL calling convention.
-CALLEE_SAVED = (Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.R15)
-
-#: Caller-saved (volatile) registers.
-CALLER_SAVED = (
-    Reg.RAX,
-    Reg.RCX,
-    Reg.RDX,
-    Reg.RSI,
-    Reg.RDI,
-    Reg.R8,
-    Reg.R9,
-    Reg.R10,
-    Reg.R11,
-)
-
 _NAME_TO_REG = {r.name.lower(): r for r in Reg}
 
 
@@ -84,8 +65,6 @@ class Flag(enum.Enum):
         return self.value
 
 
-ALL_FLAGS = tuple(Flag)
-
 #: 64-bit wrap-around mask used throughout the project.
 MASK64 = (1 << 64) - 1
 
@@ -96,8 +75,3 @@ def to_signed(value: int) -> int:
     if value >= 1 << 63:
         return value - (1 << 64)
     return value
-
-
-def to_unsigned(value: int) -> int:
-    """Wrap a Python integer into the unsigned 64-bit domain."""
-    return value & MASK64

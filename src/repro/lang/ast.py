@@ -35,7 +35,6 @@ class Type:
 
 
 U64 = Type("u64")
-PTR_U64 = Type("ptr", U64)
 
 
 def array_of(elem: Type, count: int) -> Type:

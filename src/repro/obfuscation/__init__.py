@@ -1,6 +1,6 @@
 """Obfuscation passes: O-LLVM and Tigress equivalents over the MC IR."""
 
-from .base import ObfuscationPass, apply_passes
+from .base import ObfuscationPass
 from .bogus_control_flow import BogusControlFlow
 from .encode_data import EncodeData
 from .flattening import ControlFlowFlattening
@@ -46,7 +46,6 @@ __all__ = [
     "TIGRESS",
     "VIRTUALIZATION",
     "Virtualization",
-    "apply_passes",
     "apply_self_modification",
     "build_program",
     "make_always_true",

@@ -9,7 +9,6 @@ seed, so every experiment in the paper reproduction is replayable.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from ..compiler.ir import IRFunction, IRModule
 
@@ -42,9 +41,3 @@ class ObfuscationPass:
 
     def run_function(self, module: IRModule, fn: IRFunction) -> None:  # pragma: no cover
         raise NotImplementedError
-
-
-def apply_passes(module: IRModule, passes: Iterable[ObfuscationPass]) -> IRModule:
-    for p in passes:
-        module = p.run(module)
-    return module

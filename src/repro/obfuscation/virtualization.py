@@ -83,11 +83,7 @@ OP_BRNZ = 33
 OP_CALL = 34
 OP_RETV = 35
 
-#: Arities of runtime builtins, for CALL encoding.
-BUILTIN_ARITY = {"print": 1, "print_str": 1, "print_char": 1, "exit": 1, "syscall": 4}
-
 WORDS_PER_INSTR = 4
-BYTES_PER_INSTR = 8 * WORDS_PER_INSTR
 
 
 @dataclass

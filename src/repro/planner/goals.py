@@ -44,9 +44,6 @@ class AttackGoal:
     syscall: Sys
     regs: Tuple[Tuple[Reg, GoalValue], ...]
 
-    def reg_map(self) -> Dict[Reg, GoalValue]:
-        return dict(self.regs)
-
     def __str__(self) -> str:
         args = ", ".join(f"{r}={v:#x}" if isinstance(v, int) else f"{r}={v}" for r, v in self.regs)
         return f"{self.name}({args})"

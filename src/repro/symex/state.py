@@ -361,8 +361,5 @@ class SymState:
 
     # -- stack slot views for the record builder ------------------------------
 
-    def stack_reads(self) -> Dict[int, BVSym]:
-        return dict(self._stack_reads)
-
     def stack_writes(self) -> Dict[int, BV]:
         return dict(self._stack_writes)

@@ -27,6 +27,7 @@ from repro.defenses import (
     KIND_JUMP,
     KIND_RET,
     POLICIES,
+    PolicyEnforcer,
     SurvivalCensus,
     defense_census,
     enforced_emulator,
@@ -37,7 +38,7 @@ from repro.defenses import (
     validate_defense_matrix,
     validate_payload_with_policy,
 )
-from repro.emulator import Sys
+from repro.emulator import Emulator, Sys
 from repro.gadgets.extract import extract_gadgets
 from repro.gadgets.subsumption import deduplicate_gadgets
 from repro.isa import Reg, assemble_unit
@@ -268,6 +269,19 @@ def test_cfi_kills_indirect_jump_off_image():
         emu, _ = enforced_emulator(image, policy)
         with pytest.raises(DefenseViolation):
             emu.run()
+
+
+def test_cfi_checks_call_rsp_where_the_emulator_lands():
+    """``call rsp`` pushes first and then reads rsp, so it lands at
+    ``rsp - 8``; the enforcer must check that address, not the old rsp."""
+    emu = Emulator(image_for("call rsp\nhlt"))
+    rsp0 = emu.cpu.get(Reg.RSP)
+    targets = CFITargets(
+        aligned=frozenset({rsp0 - 8}), return_sites=frozenset(), entries=frozenset()
+    )
+    enforcer = PolicyEnforcer(POLICIES["coarse_cfi"], targets)
+    enforcer.step_hook(emu, emu.fetch())
+    assert enforcer.checks == 1
 
 
 # -- enforcement: W^X --------------------------------------------------------

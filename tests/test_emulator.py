@@ -4,20 +4,24 @@ syscalls, faults."""
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.binfmt import STACK_TOP, make_image
+from repro.binfmt import STACK_TOP, BinaryImage, Section, make_image
 from repro.emulator import (
     AttackTriggered,
     DivideError,
     Emulator,
     InvalidInstruction,
     MemoryFault,
+    PAGE_SIZE,
+    PERM_R,
+    PERM_W,
     ProcessExit,
     StepLimitExceeded,
     Sys,
     run_image,
 )
-from repro.isa import Flag, Reg, assemble_unit
+from repro.isa import ALL_REGS, MASK64, Flag, Reg, assemble_unit
 
 
 def emu_for(source, data=b"", **kwargs):
@@ -453,10 +457,11 @@ def test_stack_initial_rsp_below_top():
     assert emu.cpu.get(Reg.RSP) < STACK_TOP
 
 
-def test_trace_records_instructions():
-    emu = emu_for("mov rax, 1\nmov rbx, 2\nhlt", trace=True)
+def test_step_hook_sees_every_instruction():
+    seen = []
+    emu = emu_for("mov rax, 1\nmov rbx, 2\nhlt", step_hook=lambda _emu, insn: seen.append(insn))
     emu.run()
-    assert len(emu.trace) == 3
+    assert len(seen) == 3
 
 
 def test_run_catching_attack_returns_none_on_crash():
@@ -566,6 +571,37 @@ def test_syscall_filter_vetoes_mprotect():
     handler = _handler(syscall_filter=filt)
     ret = handler.dispatch(int(Sys.MPROTECT), (0x600000, 0x1000, 7, 0, 0, 0))
     assert ret == _EACCES
+    assert handler.events == [], "vetoed call must not count as an attack"
+
+
+@pytest.mark.parametrize(
+    "sys_no, args",
+    [
+        (Sys.EXECVE, (0xDEAD000, 0, 0, 0, 0, 0)),
+        (Sys.MPROTECT, (0x600000, 0x1000, 7, 0, 0, 0)),
+        (Sys.MMAP, (0x700000, 0x2000, 7, 0x22, 0, 0)),
+        (Sys.MREMAP, (0x600000, 0x1000, 0x3000, 1, 0x700000, 0)),
+    ],
+)
+def test_syscall_filter_sees_each_attack_syscall_once(sys_no, args):
+    seen = []
+
+    def allow(sys_no, args):
+        seen.append((sys_no, args))
+        return None
+
+    with pytest.raises(AttackTriggered):
+        _handler(syscall_filter=allow).dispatch(int(sys_no), args)
+    assert seen == [(sys_no, args)], "called once, with the raw args"
+
+    def veto(sys_no, args):
+        seen.append((sys_no, args))
+        return 0x1234
+
+    seen.clear()
+    handler = _handler(syscall_filter=veto)
+    assert handler.dispatch(int(sys_no), args) == 0x1234, "the veto becomes rax"
+    assert seen == [(sys_no, args)]
     assert handler.events == [], "vetoed call must not count as an attack"
 
 
@@ -680,3 +716,111 @@ def test_write_unmapped_buffer_returns_efault():
 def test_write_zero_count_returns_zero():
     handler = _write_handler()
     assert handler.dispatch(int(Sys.WRITE), (1, 0x1000, 0, 0, 0, 0)) == 0
+
+
+# -- instruction fetch at mapping and permission edges ------------------------
+
+
+def test_fetch_stops_at_the_last_executable_byte():
+    """A ``ret`` in the last byte of .text, with an unmapped page after
+    it, decodes from the one executable byte left."""
+    head = "call last\nhlt\n"
+    size = len(assemble_unit(head + "last:\nret", base_addr=0x400000).code)
+    unit = assemble_unit(f"{head}.zero {PAGE_SIZE - size}\nlast:\nret", base_addr=0x400000)
+    assert len(unit.code) == PAGE_SIZE
+    emu = Emulator(make_image(unit.code, symbols=unit.labels))
+    assert not emu.memory.is_mapped(0x400000 + PAGE_SIZE)
+    assert emu.run() == 0
+    assert emu.steps == 3
+
+
+def test_fetch_straddling_into_a_non_executable_page_is_invalid():
+    insn = assemble_unit("mov rax, 0x1122334455667788").code
+    split = 3
+    image = BinaryImage(
+        sections=[
+            Section(".text", 0x400000, bytes(PAGE_SIZE - split) + insn[:split], executable=True),
+            Section(".data", 0x400000 + PAGE_SIZE, insn[split:], writable=True),
+        ],
+        symbols={},
+        entry=0x400000 + PAGE_SIZE - split,
+    )
+    emu = Emulator(image)
+    with pytest.raises(InvalidInstruction):
+        emu.step()
+
+
+def test_mprotect_dropping_exec_invalidates_the_decode_cache():
+    """``g`` is decoded and cached by the first call; once its page
+    loses PROT_EXEC the second call must not run the cached ``ret``."""
+    nops = "\n".join(["nop"] * 0x1100)
+    unit = assemble_unit(
+        f"""
+        g:
+            ret
+        {nops}
+        _start:
+            call g
+            mov rax, 10
+            mov rdi, 0x400000
+            mov rsi, 0x1000
+            mov rdx, 3          ; PROT_READ|PROT_WRITE
+            syscall
+            call g
+            hlt
+        """,
+        base_addr=0x400000,
+    )
+    assert unit.labels["_start"] >= 0x401000
+    image = make_image(unit.code, symbols=unit.labels, entry=unit.labels["_start"])
+    emu = Emulator(image, stop_on_attack=False)
+    with pytest.raises(InvalidInstruction, match="0x400000"):
+        emu.run()
+    assert emu.memory.perms_at(0x400000) == PERM_R | PERM_W
+
+
+# -- where an indirect transfer lands -----------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    form=st.sampled_from(("ret", "jmp {reg}", "jmp [{reg}{disp:+d}]", "call {reg}")),
+    reg=st.sampled_from(ALL_REGS),
+    values=st.lists(
+        st.integers(min_value=0, max_value=MASK64),
+        min_size=len(ALL_REGS),
+        max_size=len(ALL_REGS),
+    ),
+    rsp_slot=st.integers(min_value=-64, max_value=64),
+    base_slot=st.integers(min_value=-64, max_value=64),
+    disp=st.integers(min_value=-256, max_value=256),
+    word=st.integers(min_value=0, max_value=MASK64),
+)
+@example(
+    form="call {reg}",
+    reg=Reg.RSP,
+    values=[0] * len(ALL_REGS),
+    rsp_slot=0,
+    base_slot=0,
+    disp=0,
+    word=0x401000,
+)
+def test_transfer_target_is_where_the_step_lands(
+    form, reg, values, rsp_slot, base_slot, disp, word
+):
+    source = form.format(reg=reg.name.lower(), disp=disp)
+    emu = emu_for(source)
+    rsp0 = emu.cpu.get(Reg.RSP)
+    for r, value in zip(ALL_REGS, values):
+        emu.cpu.set(r, value)
+    rsp = rsp0 + 8 * rsp_slot
+    emu.cpu.set(Reg.RSP, rsp)
+    emu.memory.write_u64(rsp, word)
+    if form.startswith("jmp ["):
+        emu.cpu.set(reg, rsp0 + 8 * base_slot)
+        emu.memory.write_u64(rsp0 + 8 * base_slot + disp, word)
+    target = emu.transfer_target(emu.fetch())
+    emu.step()
+    assert emu.cpu.rip == target
+    if source == "call rsp":
+        assert target == rsp - 8

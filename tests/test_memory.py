@@ -91,6 +91,21 @@ def test_exec_write_generation_counter():
     assert mem.exec_write_gen > gen
 
 
+def test_protect_bumps_generation_on_permission_change():
+    mem = fresh(perms=PERM_R | PERM_X, size=PAGE_SIZE)
+    gen = mem.exec_write_gen
+    mem.protect(BASE, 1, PERM_R | PERM_X)  # unchanged: no bump
+    assert mem.exec_write_gen == gen
+    mem.protect(BASE, 1, PERM_R)
+    assert mem.exec_write_gen > gen
+    # A protect that faults partway still invalidates for the pages it changed.
+    gen = mem.exec_write_gen
+    with pytest.raises(MemoryFault):
+        mem.protect(BASE, 2 * PAGE_SIZE, PERM_R | PERM_X)
+    assert mem.perms_at(BASE) == PERM_R | PERM_X
+    assert mem.exec_write_gen > gen
+
+
 def test_u64_and_u8_accessors():
     mem = fresh()
     mem.write_u64(BASE, 0x1122334455667788)
@@ -112,8 +127,6 @@ def test_read_cstring():
 
 def test_mappings_listing():
     mem = fresh()
-    (region,) = mem.mappings()
-    assert region.start == BASE
     assert mem.is_mapped(BASE)
     assert not mem.is_mapped(BASE - PAGE_SIZE)
     assert mem.perms_at(BASE) == (PERM_R | PERM_W)
