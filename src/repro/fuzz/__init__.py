@@ -10,7 +10,7 @@ auto-shrinker (:mod:`.shrink`), and a permanent regression corpus
 command.
 """
 
-from .campaign import ORACLE_NAMES, SCHEDULE, FuzzFailure, FuzzReport, OracleStats, run_fuzz
+from .campaign import ORACLE_NAMES, ORACLES, FuzzFailure, FuzzReport, OracleStats, run_fuzz
 from .corpus import (
     CORPUS_VERSION,
     DEFAULT_CORPUS,
@@ -39,7 +39,7 @@ from .shrink import shrink_case, window_chain, window_insn_count
 
 __all__ = [
     "ORACLE_NAMES",
-    "SCHEDULE",
+    "ORACLES",
     "FuzzFailure",
     "FuzzReport",
     "OracleStats",

@@ -1,15 +1,18 @@
 """The deterministic fuzzing campaign (what ``nfl fuzz`` runs).
 
-Each iteration derives one ``random.Random`` per oracle from
-``(seed, iteration, oracle)``, so a campaign is a pure function of its
-seed: two runs with the same arguments produce byte-identical
-summaries (no wall-clock, no paths, no ordering races on stdout).
+Each iteration draws one :class:`~repro.fuzz.oracles.Case` per due
+oracle from a ``random.Random`` derived from ``(seed, iteration,
+oracle)``, so a campaign is a pure function of its seed: two runs with
+the same arguments produce byte-identical summaries (no wall-clock, no
+paths, no ordering races on stdout).  Every drawn case is checked
+through :func:`~repro.fuzz.oracles.run_case`, the same dispatcher that
+corpus replay and the shrinker use.
 
 Cheap oracles (round-trip, emulator-vs-symex, scan) run every iteration;
 expensive ones (winnow, planner, obfuscation) run on fixed
 sparse schedules so ``--iters 200`` stays within a CI smoke budget.
 When the caller restricts ``--oracle``, the schedule collapses to
-every-iteration for the selected oracles.
+every-iteration for the selected oracles (still in table order).
 
 Failures are auto-shrunk and, when a corpus directory is available,
 banked as permanent regression cases.
@@ -20,44 +23,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..emulator.cpu import Emulator
-from ..gadgets.extract import ExtractionConfig, extract_gadgets
-from ..binfmt.image import make_image
+from ..gadgets.extract import ExtractionConfig
 from ..isa.encoding import encode_program
 from ..obs import metrics, span
 from .corpus import save_case
 from .gen import gen_bytes, gen_chain_tail, gen_formula, gen_program, gen_window
-from .oracles import (
-    Case,
-    EmulatorFactory,
-    check_obfuscation,
-    check_planner,
-    check_prefilter,
-    check_roundtrip,
-    check_scan,
-    check_serialize,
-    check_solver_preprocess,
-    check_window,
-    check_winnow,
-)
+from .oracles import Case, EmulatorFactory, run_case
 from .shrink import shrink_case, window_insn_count
-
-#: Oracle name → (period, phase): runs on iterations i % period == phase.
-SCHEDULE = {
-    "roundtrip": (1, 0),
-    "emu_symex": (1, 0),
-    "prefilter": (5, 2),
-    "winnow": (10, 3),
-    "serialize": (10, 3),
-    "planner": (100, 41),
-    "obfuscation": (25, 11),
-    "solver_preprocess": (8, 1),
-    "scan": (1, 0),
-}
-
-ORACLE_NAMES = tuple(SCHEDULE)
 
 #: Configs the obfuscation-equivalence oracle rotates through (cheap
 #: single-pass configs; the heavyweight VM/JIT ones are covered by the
@@ -67,6 +42,109 @@ _OBF_ROTATION = ("substitution", "bogus_control_flow", "flattening", "encode_dat
 #: Step caps the scan oracle draws: small ones that bind on a fuzz
 #: image, so the DFS order decides the answer, and the default.
 _SCAN_STEPS = (1, 2, 3, 4, 5, 6, 7, 8, ExtractionConfig().max_scan_steps)
+
+
+def _rng(seed: int, i: int, name: str) -> random.Random:
+    return random.Random(f"{seed}:{i}:{name}")
+
+
+def _draw_roundtrip(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "roundtrip")
+    data = gen_bytes(rng, 48) if i % 2 == 0 else encode_program(gen_window(rng))
+    return Case(oracle="roundtrip", kind="image", text=data)
+
+
+def _draw_emu_symex(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "emu_symex")
+    if i % 3 == 2:
+        text = gen_bytes(rng, 40)
+        offset = rng.randrange(0, max(1, len(text) - 4))
+    else:
+        text = encode_program(gen_window(rng))
+        offset = 0
+    return Case(
+        oracle="emu_symex",
+        kind="window",
+        text=text,
+        offset=offset,
+        env_seed=rng.randrange(1 << 16),
+    )
+
+
+def _draw_prefilter(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "prefilter")
+    text = gen_bytes(rng, 56) if i % 2 else encode_program(gen_window(rng))
+    return Case(oracle="prefilter", kind="image", text=text, max_insns=6, max_paths=6)
+
+
+def _pool_text(seed: int, i: int) -> bytes:
+    """The image both pool oracles check, drawn from the winnow stream."""
+    rng = _rng(seed, i, "winnow")
+    return b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
+
+
+def _draw_winnow(seed: int, i: int) -> Case:
+    return Case(oracle="winnow", kind="image", text=_pool_text(seed, i))
+
+
+def _draw_serialize(seed: int, i: int) -> Case:
+    return Case(oracle="serialize", kind="image", text=_pool_text(seed, i))
+
+
+def _draw_planner(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "planner")
+    text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
+    text += gen_chain_tail(rng)
+    return Case(oracle="planner", kind="image", text=text)
+
+
+def _draw_obfuscation(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "obfuscation")
+    source = gen_program(rng)
+    configs = ("none", *rng.sample(_OBF_ROTATION, 2))
+    return Case(
+        oracle="obfuscation", kind="program", source=source, configs=configs, env_seed=seed
+    )
+
+
+def _draw_solver_preprocess(seed: int, i: int) -> Case:
+    env_seed = _rng(seed, i, "solver_preprocess").randrange(1 << 30)
+    count = len(gen_formula(random.Random(env_seed)))
+    return Case(
+        oracle="solver_preprocess",
+        kind="formula",
+        text=bytes(range(count)),
+        env_seed=env_seed,
+    )
+
+
+def _draw_scan(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "scan")
+    # Random bytes between laid-out windows: the windows' in-range
+    # conditional jumps give the DFS a choice to order, which a purely
+    # random image almost never does.
+    text = b"".join(gen_bytes(rng, 6) + encode_program(gen_window(rng)) for _ in range(4))
+    steps = rng.choice(_SCAN_STEPS)
+    return Case(oracle="scan", kind="image", text=text, max_insns=steps)
+
+
+#: Oracle name → (period, phase, draw): on iterations with
+#: ``i % period == phase`` the campaign checks ``draw(seed, i)``.
+#: Adding an oracle takes a check function, its ``run_case`` branch
+#: and one row here.
+ORACLES: Dict[str, Tuple[int, int, Callable[[int, int], Case]]] = {
+    "roundtrip": (1, 0, _draw_roundtrip),
+    "emu_symex": (1, 0, _draw_emu_symex),
+    "prefilter": (5, 2, _draw_prefilter),
+    "winnow": (10, 3, _draw_winnow),
+    "serialize": (10, 3, _draw_serialize),
+    "planner": (100, 41, _draw_planner),
+    "obfuscation": (25, 11, _draw_obfuscation),
+    "solver_preprocess": (8, 1, _draw_solver_preprocess),
+    "scan": (1, 0, _draw_scan),
+}
+
+ORACLE_NAMES = tuple(ORACLES)
 
 
 @dataclass
@@ -125,23 +203,21 @@ def run_fuzz(
     corpus_dir: Optional[Path] = None,
     shrink: bool = True,
 ) -> FuzzReport:
-    """Run a deterministic campaign; returns the (stable) report."""
-    if oracles is not None:
-        unknown = set(oracles) - set(ORACLE_NAMES)
-        if unknown:
-            raise ValueError(f"unknown oracle(s): {', '.join(sorted(unknown))}")
-    enabled = tuple(oracles) if oracles is not None else ORACLE_NAMES
+    """Run a deterministic campaign; returns the (stable) report.
+
+    ``oracles`` selects a non-empty subset of :data:`ORACLE_NAMES` and
+    runs each of them on every iteration; they still run in
+    :data:`ORACLE_NAMES` order.  Raises ``ValueError`` for an empty
+    selection or an unknown name.
+    """
     explicit = oracles is not None
+    enabled = set(oracles) if explicit else set(ORACLE_NAMES)
+    unknown = sorted(enabled - set(ORACLE_NAMES))
+    if unknown or not enabled:
+        problem = f"unknown oracle(s): {', '.join(unknown)}" if unknown else "no oracle selected"
+        raise ValueError(f"{problem}; available: {', '.join(ORACLE_NAMES)}")
     report = FuzzReport(seed=seed, iters=iters)
     counters = metrics()
-
-    def due(name: str, i: int) -> bool:
-        if name not in enabled:
-            return False
-        if explicit:
-            return True
-        period, phase = SCHEDULE[name]
-        return i % period == phase
 
     def record(name: str, i: int, case: Case, messages: List[str]) -> None:
         stat = report.stats.setdefault(name, OracleStats())
@@ -174,113 +250,13 @@ def run_fuzz(
 
     with span("fuzz") as root:
         for i in range(iters):
-            if due("roundtrip", i):
-                rng = random.Random(f"{seed}:{i}:roundtrip")
-                if i % 2 == 0:
-                    data = gen_bytes(rng, 48)
-                else:
-                    data = encode_program(gen_window(rng))
-                case = Case(oracle="roundtrip", kind="image", text=data)
-                with span("fuzz.roundtrip"):
-                    record("roundtrip", i, case, check_roundtrip(data))
-            if due("emu_symex", i):
-                rng = random.Random(f"{seed}:{i}:emu_symex")
-                if i % 3 == 2:
-                    text = gen_bytes(rng, 40)
-                    offset = rng.randrange(0, max(1, len(text) - 4))
-                else:
-                    text = encode_program(gen_window(rng))
-                    offset = 0
-                case = Case(
-                    oracle="emu_symex",
-                    kind="window",
-                    text=text,
-                    offset=offset,
-                    env_seed=rng.randrange(1 << 16),
-                )
-                with span("fuzz.emu_symex"):
-                    messages = check_window(
-                        case.text,
-                        case.offset,
-                        case.env_seed,
-                        max_insns=case.max_insns,
-                        max_paths=case.max_paths,
-                        emulator_factory=emulator_factory,
-                    )
-                record("emu_symex", i, case, messages)
-            if due("prefilter", i):
-                rng = random.Random(f"{seed}:{i}:prefilter")
-                text = gen_bytes(rng, 56) if i % 2 else encode_program(gen_window(rng))
-                case = Case(oracle="prefilter", kind="image", text=text, max_insns=6, max_paths=6)
-                with span("fuzz.prefilter"):
-                    record(
-                        "prefilter", i, case, check_prefilter(text, max_insns=6, max_paths=6)
-                    )
-            if due("winnow", i) or due("serialize", i):
-                rng = random.Random(f"{seed}:{i}:winnow")
-                text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
-                if due("winnow", i):
-                    case = Case(oracle="winnow", kind="image", text=text)
-                    with span("fuzz.winnow"):
-                        record("winnow", i, case, check_winnow(text))
-                if due("serialize", i):
-                    case = Case(oracle="serialize", kind="image", text=text)
-                    with span("fuzz.serialize"):
-                        records = extract_gadgets(
-                            make_image(text),
-                            ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64),
-                        )
-                        record("serialize", i, case, check_serialize(records))
-            if due("planner", i):
-                rng = random.Random(f"{seed}:{i}:planner")
-                text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
-                text += gen_chain_tail(rng)
-                case = Case(oracle="planner", kind="image", text=text)
-                with span("fuzz.planner"):
-                    record("planner", i, case, check_planner(text))
-            if due("obfuscation", i):
-                rng = random.Random(f"{seed}:{i}:obfuscation")
-                source = gen_program(rng)
-                picks = rng.sample(_OBF_ROTATION, 2)
-                configs = ("none", *picks)
-                case = Case(
-                    oracle="obfuscation",
-                    kind="program",
-                    source=source,
-                    configs=configs,
-                    env_seed=seed,
-                )
-                with span("fuzz.obfuscation"):
-                    record(
-                        "obfuscation",
-                        i,
-                        case,
-                        check_obfuscation(source, configs, seed=seed),
-                    )
-            if due("solver_preprocess", i):
-                rng = random.Random(f"{seed}:{i}:solver_preprocess")
-                env_seed = rng.randrange(1 << 30)
-                conjuncts = gen_formula(random.Random(env_seed))
-                case = Case(
-                    oracle="solver_preprocess",
-                    kind="formula",
-                    text=bytes(range(len(conjuncts))),
-                    env_seed=env_seed,
-                )
-                with span("fuzz.solver_preprocess"):
-                    record("solver_preprocess", i, case, check_solver_preprocess(conjuncts))
-            if due("scan", i):
-                rng = random.Random(f"{seed}:{i}:scan")
-                # Random bytes between laid-out windows: the windows'
-                # in-range conditional jumps give the DFS a choice to
-                # order, which a purely random image almost never does.
-                text = b"".join(
-                    gen_bytes(rng, 6) + encode_program(gen_window(rng)) for _ in range(4)
-                )
-                steps = rng.choice(_SCAN_STEPS)
-                case = Case(oracle="scan", kind="image", text=text, max_insns=steps)
-                with span("fuzz.scan"):
-                    record("scan", i, case, check_scan(text, max_scan_steps=steps))
+            for name, (period, phase, draw) in ORACLES.items():
+                if name not in enabled or (not explicit and i % period != phase):
+                    continue
+                case = draw(seed, i)
+                with span(f"fuzz.{name}"):
+                    messages = run_case(case, emulator_factory=emulator_factory)
+                record(name, i, case, messages)
         root.add("iters", iters)
         root.add("failures", report.total_failures)
     return report

@@ -47,8 +47,8 @@ def case_from_dict(data: dict) -> Case:
         text=bytes.fromhex(data.get("text_hex", "")),
         offset=int(data.get("offset", 0)),
         env_seed=int(data.get("env_seed", 0)),
-        max_insns=int(data.get("max_insns", 8)),
-        max_paths=int(data.get("max_paths", 4)),
+        max_insns=int(data.get("max_insns", Case.max_insns)),
+        max_paths=int(data.get("max_paths", Case.max_paths)),
         source=data.get("source", ""),
         configs=tuple(data.get("configs", ())),
         note=data.get("description", ""),

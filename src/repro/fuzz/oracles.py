@@ -49,7 +49,7 @@ The oracles:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from hashlib import blake2b
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -97,14 +97,6 @@ class Case:
     source: str = ""
     configs: Tuple[str, ...] = ()
     note: str = ""
-
-
-@dataclass
-class OracleOutcome:
-    """A single oracle invocation's result."""
-
-    failures: List[str] = field(default_factory=list)
-    inconclusive: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +229,6 @@ def check_window(
     window and compares the instruction trace, all sixteen
     post-registers, and the jump target.
     """
-    outcome = _check_window_outcome(
-        text, offset, env_seed,
-        max_insns=max_insns, max_paths=max_paths, emulator_factory=emulator_factory,
-    )
-    return outcome.failures
-
-
-def _check_window_outcome(
-    text: bytes,
-    offset: int,
-    env_seed: int,
-    *,
-    max_insns: int,
-    max_paths: int,
-    emulator_factory: EmulatorFactory,
-) -> OracleOutcome:
     image = make_image(text)
     base = image.text.addr
     addr = base + offset
@@ -261,37 +237,32 @@ def _check_window_outcome(
     )
     paths = [p for p in executor.execute_paths(addr) if p.is_usable]
     if not paths:
-        return OracleOutcome()
+        return []
 
     snapshot = emulator_factory(image, stop_on_attack=False)
     _seed_machine(snapshot, env_seed)
 
     feasible = []
-    inconclusive = False
     for path in paths:
         if path.state.stack_smashed:
-            inconclusive = True
             continue
         if any(w.stack_offset is None for w in path.state.mem_writes):
-            inconclusive = True  # wild write: concrete side effects unmodeled
-            continue
+            continue  # wild write: concrete side effects unmodeled
         env = _PathEnv(snapshot, path.state.mem_reads)
         try:
             if all(eval_bool(c, env) for c in path.state.constraints):
                 feasible.append((path, env))
         except Inconclusive:
-            inconclusive = True
+            pass
     if not feasible:
-        return OracleOutcome(inconclusive=inconclusive)
+        return []
     if len(feasible) > 1:
         traces = {tuple(i.addr for i in p.insns) for p, _ in feasible}
         if len(traces) > 1:
-            return OracleOutcome(
-                failures=[
-                    f"symex: {len(feasible)} distinct paths of window {offset:+#x} are "
-                    "simultaneously feasible (constraints not mutually exclusive)"
-                ]
-            )
+            return [
+                f"symex: {len(feasible)} distinct paths of window {offset:+#x} are "
+                "simultaneously feasible (constraints not mutually exclusive)"
+            ]
     path, env = feasible[0]
 
     # Pre-evaluate every claim; any unbindable symbol → inconclusive.
@@ -301,7 +272,7 @@ def _check_window_outcome(
             eval_bv(path.jump_target, env) & MASK64 if path.end is not EndKind.SYSCALL else None
         )
     except Inconclusive:
-        return OracleOutcome(inconclusive=True)
+        return []
 
     live = emulator_factory(image, stop_on_attack=False)
     _seed_machine(live, env_seed)
@@ -310,20 +281,16 @@ def _check_window_outcome(
     for k in range(steps):
         expected = path.insns[k].addr
         if live.cpu.rip != expected:
-            return OracleOutcome(
-                failures=[
-                    f"divergence at step {k}: emulator rip {live.cpu.rip:#x} != "
-                    f"symex {expected:#x} ({path.insns[k]})"
-                ]
-            )
+            return [
+                f"divergence at step {k}: emulator rip {live.cpu.rip:#x} != "
+                f"symex {expected:#x} ({path.insns[k]})"
+            ]
         try:
             live.step()
         except DivideError:
-            return OracleOutcome(inconclusive=True)
+            return []
         except (EmulatorError, MemoryFault) as exc:
-            return OracleOutcome(
-                failures=[f"emulator fault at step {k} ({path.insns[k]}): {exc}"]
-            )
+            return [f"emulator fault at step {k} ({path.insns[k]}): {exc}"]
     failures: List[str] = []
     for reg in ALL_REGS:
         got = live.cpu.get(reg)
@@ -339,7 +306,7 @@ def _check_window_outcome(
         failures.append(
             f"syscall path: emulator rip {live.cpu.rip:#x} != {path.insns[-1].addr:#x}"
         )
-    return OracleOutcome(failures=failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +433,14 @@ def _probe_claims(record: GadgetRecord, trial: int) -> Optional[Tuple]:
     return regs + (target,)
 
 
-def check_winnow(text: bytes, *, config: Optional[ExtractionConfig] = None) -> List[str]:
+#: Extraction bounds of the two pool oracles (winnow and serialize).
+_POOL_EXTRACTION = ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64)
+
+
+def check_winnow(text: bytes) -> List[str]:
     """Winnow validity: survivors ⊆ records, and every dropped record
     has a same-fingerprint survivor agreeing under fresh probes."""
-    image = make_image(text)
-    config = config or ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64)
-    records = extract_gadgets(image, config)
+    records = extract_gadgets(make_image(text), _POOL_EXTRACTION)
     if not records:
         return []
     survivors = deduplicate_gadgets(records)
@@ -515,8 +484,9 @@ def check_winnow(text: bytes, *, config: Optional[ExtractionConfig] = None) -> L
 # ---------------------------------------------------------------------------
 
 
-def check_serialize(records: Sequence[GadgetRecord]) -> List[str]:
-    blob = pool_to_bytes(list(records))
+def check_serialize(text: bytes) -> List[str]:
+    records = extract_gadgets(make_image(text), _POOL_EXTRACTION)
+    blob = pool_to_bytes(records)
     back = pool_from_bytes(blob)
     if pool_to_bytes(back) != blob:
         return ["serialize: pool_to_bytes(pool_from_bytes(blob)) != blob"]
@@ -525,7 +495,7 @@ def check_serialize(records: Sequence[GadgetRecord]) -> List[str]:
     return []
 
 
-def check_planner(text: bytes, *, config: Optional[ExtractionConfig] = None) -> List[str]:
+def check_planner(text: bytes) -> List[str]:
     from ..defenses.enforce import validate_payload_with_policy
     from ..defenses.policy import POLICIES
     from ..planner import GadgetPlanner, resolve_goal, standard_goals
@@ -533,7 +503,7 @@ def check_planner(text: bytes, *, config: Optional[ExtractionConfig] = None) -> 
     from ..planner.search import PlannerConfig
 
     image = make_image(text)
-    config = config or ExtractionConfig(max_insns=5, max_paths=4, max_candidates=48)
+    config = ExtractionConfig(max_insns=5, max_paths=4, max_candidates=48)
     pcfg = PlannerConfig(max_nodes=400, max_plans=2, max_steps=6)
     base = GadgetPlanner(image, extraction=config, planner=pcfg, validate=False).run()
     goals = {goal.name: goal for goal in standard_goals(image)}
@@ -624,12 +594,16 @@ def check_solver_preprocess(conjuncts: Sequence[Bool]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# case dispatch (corpus replay + shrinker re-checks)
+# case dispatch (campaign, corpus replay and shrinker re-checks)
 # ---------------------------------------------------------------------------
 
 
 def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> List[str]:
-    """Re-run the oracle a case names; empty list = green/inconclusive."""
+    """Run the oracle a case names; empty list = green/inconclusive.
+
+    The one place a :class:`Case` becomes a check call, so a failure
+    the campaign finds replays from the corpus under the same arguments.
+    """
     if case.oracle == "roundtrip":
         return check_roundtrip(case.text)
     if case.oracle == "emu_symex":
@@ -646,11 +620,7 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
     if case.oracle == "winnow":
         return check_winnow(case.text)
     if case.oracle == "serialize":
-        image = make_image(case.text)
-        records = extract_gadgets(
-            image, ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64)
-        )
-        return check_serialize(records)
+        return check_serialize(case.text)
     if case.oracle == "planner":
         return check_planner(case.text)
     if case.oracle == "obfuscation":

@@ -2,19 +2,16 @@
 
 from .sat import SATBudgetExceeded, SATResult, SATSolver, solve_clauses
 from .bitblast import BitBlaster, BlastError
-from .solver import DEFAULT_SOLVER, Solver, SolverResult, Status, check, prove
+from .solver import Solver, SolverResult, Status
 
 __all__ = [
     "BitBlaster",
     "BlastError",
-    "DEFAULT_SOLVER",
     "SATBudgetExceeded",
     "SATResult",
     "SATSolver",
     "Solver",
     "SolverResult",
     "Status",
-    "check",
-    "prove",
     "solve_clauses",
 ]

@@ -191,6 +191,12 @@ def _query_digest(conjuncts: Sequence[Bool]) -> str:
 #: ``repro.pipeline.PIPELINE_VERSION``.
 MAX_BLAST_CLAUSES = 250_000
 
+#: Entries the check memo holds before it is cleared.
+_MEMO_LIMIT = 100_000
+
+#: Seed of the sampling layer's random assignments.
+_SAMPLE_SEED = 0x5EED
+
 
 class Solver:
     """Stateless checker over conjunctions of :class:`Bool` constraints.
@@ -206,20 +212,13 @@ class Solver:
         *,
         max_conflicts: int = 200_000,
         sample_attempts: int = 24,
-        rng_seed: int = 0x5EED,
-        memoize: bool = True,
-        memo_limit: int = 100_000,
     ) -> None:
         self.max_conflicts = max_conflicts
         self.sample_attempts = sample_attempts
-        self._rng = random.Random(rng_seed)
-        self.memoize = memoize
-        self.memo_limit = memo_limit
+        self._rng = random.Random(_SAMPLE_SEED)
         self._memo: Dict[tuple, SolverResult] = {}
         self.queries = 0
         self.memo_hits = 0
-        self.sat_calls = 0  # checks that sampling left to layers 4-5
-        self.sat_conflicts = 0  # CDCL conflicts spent across those calls
         self.unknowns = 0  # budget/blast failures answered UNKNOWN
 
     # -- public API -----------------------------------------------------------
@@ -227,26 +226,16 @@ class Solver:
     def check(self, constraints: Sequence[Bool]) -> SolverResult:
         """Decide satisfiability of the conjunction of ``constraints``."""
         self.queries += 1
-        key = None
-        if self.memoize:
-            try:
-                key = tuple(constraints)
-            except TypeError:  # pragma: no cover - defensive
-                key = None
-            if key is not None and key in self._memo:
-                self.memo_hits += 1
-                cached = self._memo[key]
-                return SolverResult(cached.status, dict(cached.model))
+        key = tuple(constraints)
+        cached = self._memo.get(key)
+        if cached is not None:
+            self.memo_hits += 1
+            return SolverResult(cached.status, dict(cached.model))
         result = self._check_uncached(constraints)
-        if key is not None:
-            if len(self._memo) >= self.memo_limit:
-                self._memo.clear()
-            self._memo[key] = SolverResult(result.status, dict(result.model))
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = SolverResult(result.status, dict(result.model))
         return result
-
-    @property
-    def memo_hit_rate(self) -> float:
-        return self.memo_hits / self.queries if self.queries else 0.0
 
     def _check_uncached(self, constraints: Sequence[Bool]) -> SolverResult:
         conjuncts = _flatten_conjuncts(constraints)
@@ -277,9 +266,6 @@ class Solver:
         else:
             query = [bool_not(goal)]
         return self.check(query).is_unsat
-
-    def satisfiable(self, constraints: Sequence[Bool]) -> bool:
-        return self.check(constraints).is_sat
 
     # -- internals ---------------------------------------------------------------
 
@@ -315,7 +301,6 @@ class Solver:
     def _check_with_sat(
         self, conjuncts: List[Bool], symbols: List[str], bindings: Dict[str, int]
     ) -> SolverResult:
-        self.sat_calls += 1
         registry = metrics()
         registry.counter("solver.sat_calls").inc()
         cost = {"vars": 0, "clauses": 0, "conflicts": 0}
@@ -368,7 +353,6 @@ class Solver:
                 result = None
                 conflicts = budget.conflicts
             sat_sp.add("conflicts", conflicts)
-        self.sat_conflicts += conflicts
         cost["conflicts"] = conflicts
         metrics().histogram("solver.conflicts_per_check").observe(conflicts)
         if result is None:
@@ -377,15 +361,3 @@ class Solver:
             return SolverResult(Status.UNSAT)
         model = {name: blaster.extract_value(name, result.model) for name in symbols}
         return SolverResult(Status.SAT, model=model)
-
-
-#: A module-level default solver for casual callers.
-DEFAULT_SOLVER = Solver()
-
-
-def check(constraints: Sequence[Bool]) -> SolverResult:
-    return DEFAULT_SOLVER.check(constraints)
-
-
-def prove(formula: Bool) -> bool:
-    return DEFAULT_SOLVER.prove(formula)

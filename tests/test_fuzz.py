@@ -32,7 +32,7 @@ from repro.fuzz import (
     spec_of,
     window_insn_count,
 )
-from repro.fuzz.campaign import ORACLE_NAMES
+from repro.fuzz.campaign import ORACLE_NAMES, ORACLES
 from repro.isa import assemble_unit
 from repro.isa.encoding import decode_window, encode_program
 from repro.isa.instructions import Instruction, Op
@@ -259,6 +259,32 @@ def test_campaign_rejects_unknown_oracle():
     assert set(ORACLE_NAMES) >= {"roundtrip", "emu_symex", "prefilter", "winnow", "scan"}
 
 
+def test_campaign_rejects_empty_selection():
+    import pytest
+
+    from repro.cli import main
+
+    with pytest.raises(ValueError, match="available: roundtrip"):
+        run_fuzz(seed=0, iters=1, oracles=[])
+    assert main(["fuzz", "--oracle", ",", "--iters", "1", "--no-bank"]) == 2
+
+
+def test_every_oracle_runs_every_iteration_when_selected():
+    """Explicit mode runs each draw off its scheduled phase too."""
+    report = run_fuzz(seed=0, iters=3, oracles=list(ORACLE_NAMES))
+    assert {name: stat.runs for name, stat in report.stats.items()} == {
+        name: 3 for name in ORACLE_NAMES
+    }
+    assert report.total_failures == 0
+
+
+def test_every_draw_names_its_oracle_and_survives_the_corpus():
+    for name, (_period, phase, draw) in ORACLES.items():
+        case = draw(0, phase)
+        assert case.oracle == name
+        assert case_from_dict(case_to_dict(case)) == case
+
+
 # ---------------------------------------------------------------------------
 # the injected bug: caught, shrunk, banked, replayable
 # ---------------------------------------------------------------------------
@@ -381,3 +407,5 @@ def test_case_json_roundtrip():
     assert back.oracle == case.oracle
     assert back.configs == case.configs
     assert back.note == "desc"
+    # Absent fields take the Case defaults.
+    assert case_from_dict({"oracle": "scan", "kind": "image"}) == Case(oracle="scan", kind="image")
