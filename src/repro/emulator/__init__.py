@@ -1,7 +1,6 @@
 """Concrete execution: memory, CPU, syscall models."""
 
 from .cpu import (
-    COND_PREDICATES,
     CPUState,
     DivideError,
     Emulator,
@@ -15,7 +14,6 @@ from .syscalls import AttackTriggered, ProcessExit, Sys, SyscallEvent, SyscallHa
 
 __all__ = [
     "AttackTriggered",
-    "COND_PREDICATES",
     "CPUState",
     "DivideError",
     "Emulator",

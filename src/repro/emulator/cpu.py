@@ -14,12 +14,23 @@ The emulator serves two roles in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..binfmt.image import BinaryImage, STACK_SIZE, STACK_TOP
 from ..isa.encoding import DecodeError, decode
-from ..isa.instructions import Instruction, Op
-from ..isa.registers import ALL_REGS, Flag, MASK64, Reg, to_signed
+from ..isa.instructions import COND_JUMPS, Instruction, Op
+from ..isa.registers import ALL_REGS, Flag, MASK64, Reg
+from ..isa.semantics import (
+    CONSTANTS,
+    JCC,
+    SEMANTICS,
+    WIDTHS,
+    IntDomain,
+    Loc,
+    Step,
+    flag_values,
+    register,
+)
 from ..obs import span
 from .memory import Memory, MemoryFault, PERM_R, PERM_W, PERM_X
 from .syscalls import AttackTriggered, ProcessExit, SyscallHandler
@@ -58,56 +69,6 @@ class CPUState:
         self.regs[reg] = value & MASK64
 
 
-def _flags_logic(result: int) -> Dict[Flag, bool]:
-    result &= MASK64
-    return {
-        Flag.ZF: result == 0,
-        Flag.SF: bool(result >> 63),
-        Flag.CF: False,
-        Flag.OF: False,
-    }
-
-
-def _flags_add(a: int, b: int, result: int) -> Dict[Flag, bool]:
-    result_m = result & MASK64
-    sa, sb, sr = a >> 63, b >> 63, result_m >> 63
-    return {
-        Flag.ZF: result_m == 0,
-        Flag.SF: bool(sr),
-        Flag.CF: result > MASK64,
-        Flag.OF: sa == sb and sa != sr,
-    }
-
-
-def _flags_sub(a: int, b: int) -> Dict[Flag, bool]:
-    result_m = (a - b) & MASK64
-    sa, sb, sr = a >> 63, b >> 63, result_m >> 63
-    return {
-        Flag.ZF: result_m == 0,
-        Flag.SF: bool(sr),
-        Flag.CF: a < b,
-        Flag.OF: sa != sb and sa != sr,
-    }
-
-
-#: Condition predicates for the Jcc family, shared with documentation:
-#: signed comparisons use SF/OF/ZF, unsigned use CF/ZF — as on x86.
-COND_PREDICATES = {
-    Op.JE: lambda f: f[Flag.ZF],
-    Op.JNE: lambda f: not f[Flag.ZF],
-    Op.JL: lambda f: f[Flag.SF] != f[Flag.OF],
-    Op.JLE: lambda f: f[Flag.ZF] or (f[Flag.SF] != f[Flag.OF]),
-    Op.JG: lambda f: (not f[Flag.ZF]) and f[Flag.SF] == f[Flag.OF],
-    Op.JGE: lambda f: f[Flag.SF] == f[Flag.OF],
-    Op.JB: lambda f: f[Flag.CF],
-    Op.JBE: lambda f: f[Flag.CF] or f[Flag.ZF],
-    Op.JA: lambda f: (not f[Flag.CF]) and (not f[Flag.ZF]),
-    Op.JAE: lambda f: not f[Flag.CF],
-    Op.JS: lambda f: f[Flag.SF],
-    Op.JNS: lambda f: not f[Flag.SF],
-}
-
-
 class Emulator:
     """A concrete interpreter for NFL binaries."""
 
@@ -144,10 +105,10 @@ class Emulator:
         self.cpu.set(Reg.RSP, STACK_TOP - 0x20000)
         self.cpu.rip = image.entry
         self.syscalls = SyscallHandler(self.memory, stop_on_attack=stop_on_attack)
-        # Decoded-instruction cache, invalidated when executable pages
-        # are written or page permissions change (both bump
-        # exec_write_gen).
-        self._insn_cache: Dict[int, Instruction] = {}
+        # Decoded instructions and their translated handlers,
+        # invalidated when executable pages are written or page
+        # permissions change (both bump exec_write_gen).
+        self._insn_cache: Dict[int, Tuple[Instruction, "Handler"]] = {}
         self._cache_gen = self.memory.exec_write_gen
 
     # -- stack helpers -----------------------------------------------------
@@ -165,14 +126,14 @@ class Emulator:
 
     # -- execution ----------------------------------------------------------
 
-    def fetch(self) -> Instruction:
+    def _fetch_entry(self) -> Tuple[Instruction, "Handler"]:
         rip = self.cpu.rip
         if self._cache_gen != self.memory.exec_write_gen:
             self._insn_cache.clear()
             self._cache_gen = self.memory.exec_write_gen
-        cached = self._insn_cache.get(rip)
-        if cached is not None:
-            return cached
+        entry = self._insn_cache.get(rip)
+        if entry is not None:
+            return entry
         # Near a mapping edge the window stops at the last executable byte.
         size = self.memory.readable_run(rip, MAX_DECODE_SIZE, PERM_X)
         if not size:
@@ -181,18 +142,22 @@ class Emulator:
             insn = decode(self.memory.read(rip, size, execute=True), 0, addr=rip)
         except DecodeError as exc:
             raise InvalidInstruction(str(exc)) from None
-        self._insn_cache[rip] = insn
-        return insn
+        entry = self._insn_cache[rip] = (insn, _translate(insn))
+        return entry
+
+    def fetch(self) -> Instruction:
+        """The instruction at ``rip``."""
+        return self._fetch_entry()[0]
 
     def step(self) -> None:
         """Execute one instruction."""
         if self.steps >= self.step_limit:
             raise StepLimitExceeded(f"exceeded {self.step_limit} steps")
         self.steps += 1
-        insn = self.fetch()
+        insn, handler = self._fetch_entry()
         if self.step_hook is not None:
             self.step_hook(self, insn)
-        self._execute(insn)
+        self.cpu.rip = handler(self)
 
     def run(self) -> int:
         """Run until exit; returns the exit status.
@@ -218,10 +183,7 @@ class Emulator:
             return None
         return None
 
-    # -- the dispatcher -------------------------------------------------------
-
-    def _mem_addr(self, insn: Instruction) -> int:
-        return (self.cpu.get(insn.base) + insn.disp) & MASK64
+    # -- control transfers ----------------------------------------------------
 
     def transfer_target(self, insn: Instruction) -> int:
         """Where the indirect transfer ``insn`` (``ret``, ``jmp reg``,
@@ -236,142 +198,121 @@ class Emulator:
         if op is Op.RET:
             return self.memory.read_u64(self.cpu.get(Reg.RSP))
         if op is Op.JMP_M:
-            return self.memory.read_u64(self._mem_addr(insn))
+            return self.memory.read_u64((self.cpu.get(insn.base) + insn.disp) & MASK64)
         target = self.cpu.get(insn.dst)
         if op is Op.CALL_R and insn.dst is Reg.RSP:
             return (target - 8) & MASK64
         return target
 
-    def _execute(self, insn: Instruction) -> None:
-        cpu = self.cpu
-        op = insn.op
-        next_rip = insn.end
+    def _call(self, return_addr: int, landing: int) -> int:
+        self.push(return_addr)
+        return landing
 
-        if op == Op.NOP:
-            pass
-        elif op == Op.HLT:
-            raise ProcessExit(0)
-        elif op == Op.SYSCALL:
-            number = cpu.get(Reg.RAX)
-            args = tuple(
-                cpu.get(r) for r in (Reg.RDI, Reg.RSI, Reg.RDX, Reg.R10, Reg.R8, Reg.R9)
+    def _syscall(self, next_rip: int) -> int:
+        regs = self.cpu.regs
+        args = tuple(regs[r] for r in (Reg.RDI, Reg.RSI, Reg.RDX, Reg.R10, Reg.R8, Reg.R9))
+        self.cpu.set(Reg.RAX, self.syscalls.dispatch(regs[Reg.RAX], args))
+        return next_rip
+
+
+# -- translation: one handler per decoded instruction -------------------------
+
+#: A translated instruction: runs it on the emulator, returns the next rip.
+Handler = Callable[[Emulator], int]
+
+
+def _translate(insn: Instruction) -> Handler:
+    """The handler for ``insn``: its semantics row over :class:`IntDomain`,
+    or a control transfer, with operands resolved once."""
+    op, end = insn.op, insn.end & MASK64
+    if op in SEMANTICS:
+        steps = [_int_step(step, insn) for step in SEMANTICS[op]]
+
+        def run(emu: Emulator) -> int:
+            for step in steps:
+                step(emu)
+            return end
+
+        return run
+    target = (insn.target or 0) & MASK64
+    if op in COND_JUMPS:
+        taken = JCC[op]
+
+        def jcc(emu: Emulator) -> int:
+            f = emu.cpu.flags
+            jumps = taken(IntDomain, f[Flag.ZF], f[Flag.SF], f[Flag.CF], f[Flag.OF])
+            return target if jumps else end
+
+        return jcc
+    if op is Op.HLT:
+        return _halt
+    if op is Op.SYSCALL:
+        return lambda emu: emu._syscall(end)
+    if op is Op.RET:
+        return lambda emu: emu.pop()
+    if op is Op.JMP_REL:
+        return lambda emu: target
+    if op is Op.CALL_REL:
+        return lambda emu: emu._call(end, target)
+    if op is Op.CALL_R:
+        return lambda emu: emu._call(end, emu.transfer_target(insn))
+    return lambda emu: emu.transfer_target(insn)  # jmp reg, jmp [mem]
+
+
+def _halt(emu: Emulator) -> int:
+    raise ProcessExit(0)
+
+
+def _int_step(step: Step, insn: Instruction) -> Callable[[Emulator], None]:
+    """One step of a semantics row over :class:`IntDomain`."""
+    reads = [_reader(loc, insn) for loc in step.reads]
+    writes = [_writer(loc, insn) for loc in step.writes]
+    fn = step.fn and getattr(IntDomain, step.fn)
+    rule, keep_cf, traps = step.flags, step.keep_cf, step.traps
+
+    def run(emu: Emulator) -> None:
+        values = [read(emu) for read in reads]
+        if traps and not values[1]:
+            raise DivideError(f"division by zero at {insn.addr:#x}")
+        results = [fn(*values)] if fn else values
+        if rule is not None:
+            flags = emu.cpu.flags
+            flags[Flag.ZF], flags[Flag.SF], cf, flags[Flag.OF] = flag_values(
+                IntDomain, rule, results[0], *values
             )
-            cpu.set(Reg.RAX, self.syscalls.dispatch(number, args))
-        elif op == Op.RET:
-            next_rip = self.pop()
-        elif op == Op.LEAVE:
-            cpu.set(Reg.RSP, cpu.get(Reg.RBP))
-            cpu.set(Reg.RBP, self.pop())
-        elif op in (Op.MOV_RI, Op.MOV_RI32):
-            cpu.set(insn.dst, insn.imm)
-        elif op == Op.MOV_RR:
-            cpu.set(insn.dst, cpu.get(insn.src))
-        elif op == Op.LOAD:
-            cpu.set(insn.dst, self.memory.read_u64(self._mem_addr(insn)))
-        elif op == Op.STORE:
-            self.memory.write_u64(self._mem_addr(insn), cpu.get(insn.src))
-        elif op == Op.LOADB:
-            cpu.set(insn.dst, self.memory.read_u8(self._mem_addr(insn)))
-        elif op == Op.STOREB:
-            self.memory.write_u8(self._mem_addr(insn), cpu.get(insn.src) & 0xFF)
-        elif op == Op.LEA:
-            cpu.set(insn.dst, self._mem_addr(insn))
-        elif op == Op.XCHG:
-            a, b = cpu.get(insn.dst), cpu.get(insn.src)
-            cpu.set(insn.dst, b)
-            cpu.set(insn.src, a)
-        elif op == Op.PUSH_R:
-            self.push(cpu.get(insn.dst))
-        elif op == Op.PUSH_I:
-            self.push(insn.imm)
-        elif op in (Op.POP_R, Op.POP1):
-            cpu.set(insn.dst, self.pop())
-        elif op in (Op.ADD_RR, Op.ADD_RI):
-            a = cpu.get(insn.dst)
-            b = cpu.get(insn.src) if op == Op.ADD_RR else insn.imm & MASK64
-            result = a + b
-            cpu.flags.update(_flags_add(a, b, result))
-            cpu.set(insn.dst, result)
-        elif op in (Op.SUB_RR, Op.SUB_RI):
-            a = cpu.get(insn.dst)
-            b = cpu.get(insn.src) if op == Op.SUB_RR else insn.imm & MASK64
-            cpu.flags.update(_flags_sub(a, b))
-            cpu.set(insn.dst, a - b)
-        elif op in (Op.AND_RR, Op.AND_RI, Op.OR_RR, Op.OR_RI, Op.XOR_RR, Op.XOR_RI):
-            a = cpu.get(insn.dst)
-            b = cpu.get(insn.src) if insn.src is not None else insn.imm & MASK64
-            if op in (Op.AND_RR, Op.AND_RI):
-                result = a & b
-            elif op in (Op.OR_RR, Op.OR_RI):
-                result = a | b
-            else:
-                result = a ^ b
-            cpu.flags.update(_flags_logic(result))
-            cpu.set(insn.dst, result)
-        elif op in (Op.SHL_RI, Op.SHR_RI, Op.SAR_RI):
-            a = cpu.get(insn.dst)
-            count = insn.imm & 0x3F
-            if op == Op.SHL_RI:
-                result = (a << count) & MASK64
-            elif op == Op.SHR_RI:
-                result = a >> count
-            else:
-                result = (to_signed(a) >> count) & MASK64
-            cpu.flags.update(_flags_logic(result))
-            cpu.set(insn.dst, result)
-        elif op == Op.MUL_RR:
-            result = (cpu.get(insn.dst) * cpu.get(insn.src)) & MASK64
-            cpu.flags.update(_flags_logic(result))
-            cpu.set(insn.dst, result)
-        elif op == Op.NOT_R:
-            cpu.set(insn.dst, ~cpu.get(insn.dst))
-        elif op == Op.NEG_R:
-            result = (-cpu.get(insn.dst)) & MASK64
-            cpu.flags.update(_flags_logic(result))
-            cpu.set(insn.dst, result)
-        elif op == Op.INC_R:
-            a = cpu.get(insn.dst)
-            result = a + 1
-            flags = _flags_add(a, 1, result)
-            flags[Flag.CF] = cpu.flags[Flag.CF]  # INC preserves CF, as on x86
-            cpu.flags.update(flags)
-            cpu.set(insn.dst, result)
-        elif op == Op.DEC_R:
-            a = cpu.get(insn.dst)
-            flags = _flags_sub(a, 1)
-            flags[Flag.CF] = cpu.flags[Flag.CF]
-            cpu.flags.update(flags)
-            cpu.set(insn.dst, a - 1)
-        elif op in (Op.UDIV_RR, Op.UMOD_RR):
-            divisor = cpu.get(insn.src)
-            if divisor == 0:
-                raise DivideError(f"division by zero at {insn.addr:#x}")
-            a = cpu.get(insn.dst)
-            cpu.set(insn.dst, a // divisor if op == Op.UDIV_RR else a % divisor)
-        elif op in (Op.CMP_RR, Op.CMP_RI):
-            a = cpu.get(insn.dst)
-            b = cpu.get(insn.src) if op == Op.CMP_RR else insn.imm & MASK64
-            cpu.flags.update(_flags_sub(a, b))
-        elif op in (Op.TEST_RR, Op.TEST_RI):
-            a = cpu.get(insn.dst)
-            b = cpu.get(insn.src) if op == Op.TEST_RR else insn.imm & MASK64
-            cpu.flags.update(_flags_logic(a & b))
-        elif op == Op.JMP_REL:
-            next_rip = insn.target
-        elif op == Op.JMP_R or op == Op.JMP_M:
-            next_rip = self.transfer_target(insn)
-        elif op == Op.CALL_REL:
-            self.push(insn.end)
-            next_rip = insn.target
-        elif op == Op.CALL_R:
-            next_rip = self.transfer_target(insn)
-            self.push(insn.end)
-        elif op in COND_PREDICATES:
-            if COND_PREDICATES[op](cpu.flags):
-                next_rip = insn.target
-        else:  # pragma: no cover - exhaustive over Op
-            raise AssertionError(f"unhandled opcode {op}")
-        cpu.rip = next_rip & MASK64
+            if not keep_cf:
+                flags[Flag.CF] = cf
+        for write, value in zip(writes, results):
+            write(emu, value)
+
+    return run
+
+
+def _reader(loc: Loc, insn: Instruction) -> Callable[[Emulator], int]:
+    reg = register(loc, insn)
+    if reg is not None:
+        return lambda emu: emu.cpu.regs[reg]
+    if loc in CONSTANTS:
+        value = CONSTANTS[loc](IntDomain, insn)
+        return lambda emu: value
+    if loc is Loc.STACK:
+        return lambda emu: emu.pop()
+    base, disp = insn.base, insn.disp
+    if loc is Loc.EA:
+        return lambda emu: (emu.cpu.regs[base] + disp) & MASK64
+    load = Memory.read_u64 if WIDTHS[loc] == 8 else Memory.read_u8
+    return lambda emu: load(emu.memory, (emu.cpu.regs[base] + disp) & MASK64)
+
+
+def _writer(loc: Loc, insn: Instruction) -> Callable[[Emulator, int], None]:
+    reg = register(loc, insn)
+    if reg is not None:
+        return lambda emu, value: emu.cpu.set(reg, value)
+    if loc is Loc.STACK:
+        return lambda emu, value: emu.push(value)
+    base, disp = insn.base, insn.disp
+    store = Memory.write_u64 if WIDTHS[loc] == 8 else Memory.write_u8
+    return lambda emu, value: store(emu.memory, (emu.cpu.regs[base] + disp) & MASK64, value)
 
 
 def run_image(image: BinaryImage, *, step_limit: int = 2_000_000) -> tuple[int, bytes]:

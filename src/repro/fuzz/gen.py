@@ -27,8 +27,9 @@ from typing import List, Optional, Tuple
 
 from ..binfmt.image import DATA_BASE, TEXT_BASE
 from ..isa.encoding import encode_program
-from ..isa.instructions import Instruction, Op
+from ..isa.instructions import COND_JUMPS, OP_TABLE, Instruction, Op, OperandLayout
 from ..isa.registers import MASK64, Reg
+from ..isa.semantics import SEMANTICS
 from ..symex.expr import (
     BV,
     Bool,
@@ -54,7 +55,10 @@ WindowSpec = List[Tuple[Instruction, Optional[int]]]
 #: forms, so most windows keep a constant-offset stack pointer).
 _GP_REGS = [Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.RDI, Reg.R8, Reg.R9]
 
-_COND_OPS = [Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE, Op.JB, Op.JBE, Op.JA, Op.JAE, Op.JS, Op.JNS]
+_COND_OPS = sorted(COND_JUMPS)
+
+#: The ops a window body draws from: every row of the semantics table.
+_BODY_OPS = sorted(SEMANTICS)
 
 _TERMINATORS = [Op.RET, Op.RET, Op.RET, Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL]
 
@@ -99,46 +103,37 @@ def relayout(spec: WindowSpec, base: int = TEXT_BASE) -> List[Instruction]:
 
 
 def _gen_body_insn(rng: random.Random) -> Instruction:
-    """One non-branch body instruction."""
-    r = rng.choice(_GP_REGS)
-    s = rng.choice(_GP_REGS)
-    roll = rng.random()
-    if roll < 0.10:
-        return Instruction(op=Op.MOV_RI, dst=r, imm=rng.choice([0, 1, 7, rng.getrandbits(16), rng.getrandbits(63)]))
-    if roll < 0.18:
-        return Instruction(op=Op.MOV_RR, dst=r, src=s)
-    if roll < 0.26:
-        op = rng.choice([Op.ADD_RR, Op.SUB_RR, Op.AND_RR, Op.OR_RR, Op.XOR_RR, Op.MUL_RR])
-        return Instruction(op=op, dst=r, src=s)
-    if roll < 0.34:
-        op = rng.choice([Op.ADD_RI, Op.SUB_RI, Op.AND_RI, Op.OR_RI, Op.XOR_RI, Op.CMP_RI, Op.TEST_RI])
-        return Instruction(op=op, dst=r, imm=rng.randrange(0, 1 << 31))
-    if roll < 0.40:
-        op = rng.choice([Op.SHL_RI, Op.SHR_RI, Op.SAR_RI])
+    """One non-branch body instruction: any row of the semantics table,
+    with operands in the forms gadget windows meet."""
+    op = rng.choice(_BODY_OPS)
+    layout = OP_TABLE[op].layout
+    r, s = rng.choice(_GP_REGS), rng.choice(_GP_REGS)
+    if layout is OperandLayout.REG_IMM64:
+        # Often a pointer into mapped .data, for a wild load off it.
+        pointer = DATA_BASE + rng.randrange(0, 64) * 8
+        imm = rng.choice([0, 1, 7, rng.getrandbits(16), rng.getrandbits(63), pointer])
+        return Instruction(op=op, dst=r, imm=imm)
+    if layout is OperandLayout.REG_IMM32:
+        return Instruction(op=op, dst=r, imm=rng.randrange(-(1 << 31), 1 << 31))
+    if layout is OperandLayout.REG_IMM8:
         return Instruction(op=op, dst=r, imm=rng.randrange(0, 64))
-    if roll < 0.48:
-        op = rng.choice([Op.INC_R, Op.DEC_R, Op.NOT_R, Op.NEG_R])
-        return Instruction(op=op, dst=r)
-    if roll < 0.56:
-        op = rng.choice([Op.CMP_RR, Op.TEST_RR])
+    if layout is OperandLayout.IMM64:
+        return Instruction(op=op, imm=rng.getrandbits(64))
+    if op is Op.LEA:
+        if rng.random() < 0.25:  # a frame pointer for a later leave
+            return Instruction(op=op, dst=Reg.RBP, base=Reg.RSP, disp=rng.randrange(0, 8) * 8)
+        return Instruction(op=op, dst=r, base=s, disp=rng.randrange(-64, 64))
+    # Other memory operands are payload slots, which symex tracks.
+    disp = rng.randrange(0, 64) if op in (Op.LOADB, Op.STOREB) else rng.randrange(0, 8) * 8
+    if layout is OperandLayout.REG_MEM:
+        return Instruction(op=op, dst=r, base=Reg.RSP, disp=disp)
+    if layout is OperandLayout.MEM_REG:
+        return Instruction(op=op, base=Reg.RSP, disp=disp, src=r)
+    if layout is OperandLayout.REG_REG:
         return Instruction(op=op, dst=r, src=s)
-    if roll < 0.66:
-        if rng.random() < 0.5:
-            return Instruction(op=Op.PUSH_R, dst=r)
-        return Instruction(op=Op.POP1, dst=r)
-    if roll < 0.76:
-        disp = rng.randrange(0, 8) * 8
-        if rng.random() < 0.5:
-            return Instruction(op=Op.LOAD, dst=r, base=Reg.RSP, disp=disp)
-        return Instruction(op=Op.STORE, base=Reg.RSP, disp=disp, src=r)
-    if roll < 0.82:
-        return Instruction(op=Op.LEA, dst=r, base=s, disp=rng.randrange(-64, 64))
-    if roll < 0.88:
-        return Instruction(op=Op.XCHG, dst=r, src=s)
-    if roll < 0.94:
-        # A register pointed into mapped .data, then a wild load off it.
-        return Instruction(op=Op.MOV_RI, dst=r, imm=DATA_BASE + rng.randrange(0, 64) * 8)
-    return Instruction(op=Op.NOP)
+    if layout is OperandLayout.NONE:
+        return Instruction(op=op)
+    return Instruction(op=op, dst=r)
 
 
 def gen_window(rng: random.Random, max_body: int = 6) -> List[Instruction]:

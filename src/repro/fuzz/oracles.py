@@ -62,6 +62,7 @@ from ..gadgets.subsumption import deduplicate_gadgets, fingerprint
 from ..isa.encoding import DecodeError, decode, decode_window, encode
 from ..isa.instructions import Op, opcode_operands
 from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
+from ..isa.semantics import JCC, IntDomain
 from ..obfuscation.pipeline import CONFIGS, build_program
 from ..pipeline import pool_from_bytes, pool_to_bytes
 from ..solver.bitblast import BitBlaster
@@ -149,6 +150,7 @@ def check_roundtrip(data: bytes) -> List[str]:
 _STACK_SALT_LO = -0x200
 _STACK_SALT_HI = 0x400
 
+#: In the order the semantics table's Jcc predicates take them.
 _FLAG_ORDER = (Flag.ZF, Flag.SF, Flag.CF, Flag.OF)
 
 
@@ -227,7 +229,9 @@ def check_window(
     Picks the (unique) symbolic path whose constraints hold under a
     seeded concrete machine, then drives the emulator down the same
     window and compares the instruction trace, all sixteen
-    post-registers, and the jump target.
+    post-registers, the jump target, the four flags, and every Jcc
+    condition the symbolic flags give against the semantics table's
+    predicate on the emulator's flags.
     """
     image = make_image(text)
     base = image.text.addr
@@ -271,6 +275,12 @@ def check_window(
         expect_target = (
             eval_bv(path.jump_target, env) & MASK64 if path.end is not EndKind.SYSCALL else None
         )
+        flags = path.state.flags
+        expect = {
+            f"post-flag {f.value}": eval_bool(v, env)
+            for f, v in zip(_FLAG_ORDER, (flags.zf, flags.sf, flags.cf, flags.of))
+        }
+        expect.update({op.name.lower(): eval_bool(flags.condition(op), env) for op in JCC})
     except Inconclusive:
         return []
 
@@ -306,6 +316,10 @@ def check_window(
         failures.append(
             f"syscall path: emulator rip {live.cpu.rip:#x} != {path.insns[-1].addr:#x}"
         )
+    live_flags = tuple(live.cpu.flags[f] for f in _FLAG_ORDER)
+    got = {f"post-flag {f.value}": v for f, v in zip(_FLAG_ORDER, live_flags)}
+    got.update({op.name.lower(): taken(IntDomain, *live_flags) for op, taken in JCC.items()})
+    failures += [f"{k}: emulator {got[k]} != symex {v}" for k, v in expect.items() if got[k] != v]
     return failures
 
 

@@ -10,8 +10,9 @@ The instruction set is small but deliberately shaped like x86-64:
   all five gadget-terminator families from Table I of the paper.
 
 Each opcode carries static metadata (:class:`OpInfo`) describing its
-operand layout; the encoder, decoder, emulator and symbolic executor are
-all driven from this single table.
+operand layout, which drives the encoder and decoder.  What each data
+opcode does is stated once in :mod:`repro.isa.semantics`, which both
+the emulator and the symbolic executor run.
 """
 
 from __future__ import annotations

@@ -17,28 +17,12 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from ..isa.instructions import Instruction, Op, OP_TABLE
+from ..isa.instructions import Instruction, Op
 from ..isa.registers import Reg
-from .expr import (
-    BV,
-    BoolConst,
-    bv_add,
-    bv_and,
-    bv_const,
-    bv_mul,
-    bv_neg,
-    bv_not,
-    bv_or,
-    bv_sar,
-    bv_shl,
-    bv_shr,
-    bv_sub,
-    bv_udiv,
-    bv_umod,
-    bv_xor,
-    bool_not,
-)
-from .state import FlagsState, SymState
+from ..isa.semantics import CONSTANTS, SEMANTICS, WIDTHS, Loc, register
+from . import expr
+from .expr import BV, BoolConst, bool_not, bv_add, bv_const, bv_sub
+from .state import SymState
 
 if TYPE_CHECKING:
     from ..staticanalysis.decode_graph import DecodeGraph
@@ -131,14 +115,11 @@ class SymbolicExecutor:
             op = insn.op
 
             if op == Op.RET:
-                target = state.load(state.get(Reg.RSP), 8)
-                state.set(Reg.RSP, bv_add(state.get(Reg.RSP), bv_const(8)))
-                return [self._done(insns, state, EndKind.RET, target, merged, conds)]
+                return [self._done(insns, state, EndKind.RET, self._pop(state), merged, conds)]
             if op == Op.JMP_R:
                 return [self._done(insns, state, EndKind.JMP_REG, state.get(insn.dst), merged, conds)]
             if op == Op.JMP_M:
-                addr_expr = bv_add(state.get(insn.base), bv_const(insn.disp))
-                target = state.load(addr_expr, 8)
+                target = self._read(state, insn, Loc.MEM)
                 return [self._done(insns, state, EndKind.JMP_MEM, target, merged, conds)]
             if op == Op.CALL_R:
                 self._push(state, bv_const(insn.end))
@@ -157,8 +138,7 @@ class SymbolicExecutor:
                 addr = insn.target
                 continue
             if insn.is_cond_jump():
-                mnemonic = OP_TABLE[op].mnemonic
-                condition = state.flags.condition(mnemonic)
+                condition = state.flags.condition(op)
                 if isinstance(condition, BoolConst):
                     # Statically resolved (e.g. after xor reg, reg).
                     addr = insn.target if condition.value else insn.end
@@ -228,136 +208,36 @@ class SymbolicExecutor:
         )
 
     def _execute_straightline(self, state: SymState, insn: Instruction) -> None:
-        op = insn.op
-        if op == Op.NOP:
-            return
-        if op in (Op.MOV_RI, Op.MOV_RI32):
-            state.set(insn.dst, bv_const(insn.imm))
-            return
-        if op == Op.MOV_RR:
-            state.set(insn.dst, state.get(insn.src))
-            return
-        if op == Op.LOAD:
-            addr = bv_add(state.get(insn.base), bv_const(insn.disp))
-            state.set(insn.dst, state.load(addr, 8))
-            return
-        if op == Op.STORE:
-            addr = bv_add(state.get(insn.base), bv_const(insn.disp))
-            state.store(addr, state.get(insn.src), 8)
-            return
-        if op == Op.LOADB:
-            addr = bv_add(state.get(insn.base), bv_const(insn.disp))
-            state.set(insn.dst, state.load(addr, 1))
-            return
-        if op == Op.STOREB:
-            addr = bv_add(state.get(insn.base), bv_const(insn.disp))
-            state.store(addr, state.get(insn.src), 1)
-            return
-        if op == Op.LEA:
-            state.set(insn.dst, bv_add(state.get(insn.base), bv_const(insn.disp)))
-            return
-        if op == Op.XCHG:
-            a, b = state.get(insn.dst), state.get(insn.src)
-            state.set(insn.dst, b)
-            state.set(insn.src, a)
-            return
-        if op == Op.PUSH_R:
-            self._push(state, state.get(insn.dst))
-            return
-        if op == Op.PUSH_I:
-            self._push(state, bv_const(insn.imm))
-            return
-        if op in (Op.POP_R, Op.POP1):
-            state.set(insn.dst, self._pop(state))
-            return
-        if op == Op.LEAVE:
-            state.set(Reg.RSP, state.get(Reg.RBP))
-            state.set(Reg.RBP, self._pop(state))
-            return
-        if op in (Op.ADD_RR, Op.ADD_RI):
-            a = state.get(insn.dst)
-            b = state.get(insn.src) if op == Op.ADD_RR else bv_const(insn.imm)
-            result = bv_add(a, b)
-            state.flags = FlagsState.from_add(a, b, result)
-            state.set(insn.dst, result)
-            return
-        if op in (Op.SUB_RR, Op.SUB_RI):
-            a = state.get(insn.dst)
-            b = state.get(insn.src) if op == Op.SUB_RR else bv_const(insn.imm)
-            result = bv_sub(a, b)
-            state.flags = FlagsState.from_sub(a, b, result)
-            state.set(insn.dst, result)
-            return
-        if op in (Op.AND_RR, Op.AND_RI, Op.OR_RR, Op.OR_RI, Op.XOR_RR, Op.XOR_RI):
-            a = state.get(insn.dst)
-            b = state.get(insn.src) if insn.src is not None else bv_const(insn.imm)
-            if op in (Op.AND_RR, Op.AND_RI):
-                result = bv_and(a, b)
-            elif op in (Op.OR_RR, Op.OR_RI):
-                result = bv_or(a, b)
-            else:
-                result = bv_xor(a, b)
-            state.flags = FlagsState.from_logic(result)
-            state.set(insn.dst, result)
-            return
-        if op in (Op.SHL_RI, Op.SHR_RI, Op.SAR_RI):
-            a = state.get(insn.dst)
-            count = insn.imm & 0x3F
-            if op == Op.SHL_RI:
-                result = bv_shl(a, count)
-            elif op == Op.SHR_RI:
-                result = bv_shr(a, count)
-            else:
-                result = bv_sar(a, count)
-            state.flags = FlagsState.from_logic(result)
-            state.set(insn.dst, result)
-            return
-        if op == Op.MUL_RR:
-            result = bv_mul(state.get(insn.dst), state.get(insn.src))
-            state.flags = FlagsState.from_logic(result)
-            state.set(insn.dst, result)
-            return
-        if op == Op.NOT_R:
-            state.set(insn.dst, bv_not(state.get(insn.dst)))
-            return
-        if op == Op.NEG_R:
-            result = bv_neg(state.get(insn.dst))
-            state.flags = FlagsState.from_logic(result)
-            state.set(insn.dst, result)
-            return
-        if op == Op.INC_R:
-            a = state.get(insn.dst)
-            result = bv_add(a, bv_const(1))
-            old_cf = state.flags.cf
-            state.flags = FlagsState.from_add(a, bv_const(1), result)
-            state.flags.cf = old_cf  # INC preserves CF, as on x86
-            state.flags.cf_patched = True
-            state.set(insn.dst, result)
-            return
-        if op == Op.DEC_R:
-            a = state.get(insn.dst)
-            result = bv_sub(a, bv_const(1))
-            old_cf = state.flags.cf
-            state.flags = FlagsState.from_sub(a, bv_const(1), result)
-            state.flags.cf = old_cf
-            state.flags.cf_patched = True
-            state.set(insn.dst, result)
-            return
-        if op in (Op.UDIV_RR, Op.UMOD_RR):
-            a, b = state.get(insn.dst), state.get(insn.src)
-            state.set(insn.dst, bv_udiv(a, b) if op == Op.UDIV_RR else bv_umod(a, b))
-            return
-        if op in (Op.CMP_RR, Op.CMP_RI):
-            a = state.get(insn.dst)
-            b = state.get(insn.src) if op == Op.CMP_RR else bv_const(insn.imm)
-            state.flags = FlagsState.from_sub(a, b, bv_sub(a, b))
-            return
-        if op in (Op.TEST_RR, Op.TEST_RI):
-            a = state.get(insn.dst)
-            b = state.get(insn.src) if op == Op.TEST_RR else bv_const(insn.imm)
-            state.flags = FlagsState.from_logic(bv_and(a, b))
-            return
-        raise AssertionError(f"unhandled straightline op {op}")  # pragma: no cover
+        """Run ``insn``'s semantics row with the expression builders."""
+        for step in SEMANTICS[insn.op]:
+            values = [self._read(state, insn, loc) for loc in step.reads]
+            results = values if step.fn is None else [getattr(expr, step.fn)(*values)]
+            if step.flags is not None:
+                state.flags = state.flags.after(step, results[0], *values)
+            for loc, value in zip(step.writes, results):
+                self._write(state, insn, loc, value)
+
+    def _read(self, state: SymState, insn: Instruction, loc: Loc) -> BV:
+        reg = register(loc, insn)
+        if reg is not None:
+            return state.get(reg)
+        if loc in CONSTANTS:
+            return CONSTANTS[loc](expr, insn)
+        if loc is Loc.STACK:
+            return self._pop(state)
+        addr = bv_add(state.get(insn.base), bv_const(insn.disp))
+        if loc is Loc.EA:
+            return addr
+        return state.load(addr, WIDTHS[loc])
+
+    def _write(self, state: SymState, insn: Instruction, loc: Loc, value: BV) -> None:
+        reg = register(loc, insn)
+        if reg is not None:
+            state.set(reg, value)
+        elif loc is Loc.STACK:
+            self._push(state, value)
+        else:
+            state.store(self._read(state, insn, Loc.EA), value, WIDTHS[loc])
 
 
 def execute_paths(

@@ -16,6 +16,8 @@ Design notes:
   no barrel shifter is needed.
 * Booleans are a separate sort (comparisons and connectives), as in
   SMT-LIB's QF_BV.
+* This module is the symbolic value domain of :mod:`repro.isa.semantics`:
+  the symbolic executor runs each instruction's row with these builders.
 """
 
 from __future__ import annotations
@@ -423,6 +425,15 @@ def bv_ne(a: BVLike, b: BVLike) -> Bool:
     return cmp(CmpOp.NE, a, b)
 
 
+def bv_ult(a: BVLike, b: BVLike) -> Bool:
+    return cmp(CmpOp.ULT, a, b)
+
+
+def bv_negative(a: BVLike) -> Bool:
+    """The sign bit of ``a``, as ``a <s 0``."""
+    return cmp(CmpOp.SLT, a, bv_const(0))
+
+
 def bool_and(*args: Bool) -> Bool:
     flat = []
     for arg in args:
@@ -488,6 +499,10 @@ def bool_not(arg: Bool) -> Bool:
         if arg.op is CmpOp.SLE:
             return Cmp(CmpOp.SLT, arg.rhs, arg.lhs)
     return BoolExpr(BoolConn.NOT, (arg,))
+
+
+def bool_xor(a: Bool, b: Bool) -> Bool:
+    return bool_or(bool_and(a, bool_not(b)), bool_and(bool_not(a), b))
 
 
 AnyExpr = Union[BV, Bool]

@@ -19,25 +19,22 @@ The state models exactly what the paper's gadget records need:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..isa.instructions import Op
 from ..isa.registers import ALL_REGS, Reg
+from ..isa.semantics import JCC, FlagRule, Step, flag_values
+from . import expr
 from .expr import (
     BV,
     BVConst,
     BVSym,
     Bool,
     CmpOp,
-    FALSE,
     TRUE,
-    bool_and,
-    bool_not,
-    bool_or,
     bv_and,
     bv_const,
-    bv_eq,
     bv_or,
     bv_shl,
     bv_shr,
@@ -99,38 +96,40 @@ def is_controlled_symbol(name: str) -> bool:
     return offset is not None and offset >= 0
 
 
-class FlagsKind(enum.Enum):
-    """What operation produced the current flags."""
-
-    INITIAL = "initial"  # unknown at gadget entry
-    SUB = "sub"  # sub/cmp: conditions phrase directly over (a, b)
-    ADD = "add"
-    LOGIC = "logic"  # and/or/xor/test/shift/neg: CF=OF=0
-
-
-def _sign(e: BV) -> Bool:
-    return cmp(CmpOp.SLT, e, bv_const(0))
-
-
-def _bool_xor(a: Bool, b: Bool) -> Bool:
-    return bool_or(bool_and(a, bool_not(b)), bool_and(bool_not(a), b))
+#: The readable form of each condition after ``sub``/``cmp a, b``,
+#: phrased over the operands rather than the flag bits.
+_SUB_CONDITIONS = {
+    Op.JE: lambda a, b: cmp(CmpOp.EQ, a, b),
+    Op.JNE: lambda a, b: cmp(CmpOp.NE, a, b),
+    Op.JL: lambda a, b: cmp(CmpOp.SLT, a, b),
+    Op.JLE: lambda a, b: cmp(CmpOp.SLE, a, b),
+    Op.JG: lambda a, b: cmp(CmpOp.SLT, b, a),
+    Op.JGE: lambda a, b: cmp(CmpOp.SLE, b, a),
+    Op.JB: lambda a, b: cmp(CmpOp.ULT, a, b),
+    Op.JBE: lambda a, b: cmp(CmpOp.ULE, a, b),
+    Op.JA: lambda a, b: cmp(CmpOp.ULT, b, a),
+    Op.JAE: lambda a, b: cmp(CmpOp.ULE, b, a),
+}
+_CF_CONDITIONS = frozenset({Op.JB, Op.JBE, Op.JA, Op.JAE})
 
 
 @dataclass
 class FlagsState:
     """Symbolic flags plus their provenance."""
 
-    kind: FlagsKind
+    #: The rule that set the flags; None while they are the unknown
+    #: flags at gadget entry.
+    kind: Optional[FlagRule]
     zf: Bool
     sf: Bool
     cf: Bool
     of: Bool
-    # Operands of the producing sub/cmp, for readable conditions.
+    # Operands of the producing add/sub/cmp, for readable conditions.
     a: Optional[BV] = None
     b: Optional[BV] = None
-    # True when ``cf`` was overwritten after construction (INC/DEC
-    # preserve CF on x86): the SUB/ADD borrow no longer describes it,
-    # so CF-dependent conditions must use ``cf`` itself, not a/b.
+    # True when ``cf`` was kept from the previous flags (INC/DEC
+    # preserve CF on x86): the SUB borrow no longer describes it, so
+    # CF-dependent conditions must use ``cf`` itself, not a/b.
     cf_patched: bool = False
 
     @classmethod
@@ -139,84 +138,29 @@ class FlagsState:
             return cmp(CmpOp.NE, bv_sym(f"{FLAG_SYM_PREFIX}{name}"), bv_const(0))
 
         return cls(
-            kind=FlagsKind.INITIAL,
+            kind=None,
             zf=flag("zf"),
             sf=flag("sf"),
             cf=flag("cf"),
             of=flag("of"),
         )
 
-    @classmethod
-    def from_sub(cls, a: BV, b: BV, result: BV) -> "FlagsState":
-        return cls(
-            kind=FlagsKind.SUB,
-            zf=bv_eq(a, b),
-            sf=_sign(result),
-            cf=cmp(CmpOp.ULT, a, b),
-            of=bool_and(_bool_xor(_sign(a), _sign(b)), _bool_xor(_sign(result), _sign(a))),
-            a=a,
-            b=b,
-        )
+    def after(self, step: Step, result: BV, a: BV, b: Optional[BV] = None) -> "FlagsState":
+        """The flags ``step`` leaves, from its result and operands ``a``, ``b``."""
+        zf, sf, cf, of = flag_values(expr, step.flags, result, a, b)
+        if step.keep_cf:
+            cf = self.cf
+        if step.flags is FlagRule.LOGIC:
+            return FlagsState(step.flags, zf, sf, cf, of)
+        return FlagsState(step.flags, zf, sf, cf, of, a, b, step.keep_cf)
 
-    @classmethod
-    def from_add(cls, a: BV, b: BV, result: BV) -> "FlagsState":
-        return cls(
-            kind=FlagsKind.ADD,
-            zf=bv_eq(result, bv_const(0)),
-            sf=_sign(result),
-            cf=cmp(CmpOp.ULT, result, a),
-            of=bool_and(
-                bool_not(_bool_xor(_sign(a), _sign(b))), _bool_xor(_sign(result), _sign(a))
-            ),
-            a=a,
-            b=b,
-        )
-
-    @classmethod
-    def from_logic(cls, result: BV) -> "FlagsState":
-        return cls(
-            kind=FlagsKind.LOGIC,
-            zf=bv_eq(result, bv_const(0)),
-            sf=_sign(result),
-            cf=FALSE,
-            of=FALSE,
-        )
-
-    def condition(self, mnemonic: str) -> Bool:
-        """The Bool under which the given Jcc is taken."""
-        if self.kind is FlagsKind.SUB and self.a is not None:
-            a, b = self.a, self.b
-            direct = {
-                "je": cmp(CmpOp.EQ, a, b),
-                "jne": cmp(CmpOp.NE, a, b),
-                "jl": cmp(CmpOp.SLT, a, b),
-                "jle": cmp(CmpOp.SLE, a, b),
-                "jg": cmp(CmpOp.SLT, b, a),
-                "jge": cmp(CmpOp.SLE, b, a),
-                "jb": cmp(CmpOp.ULT, a, b),
-                "jbe": cmp(CmpOp.ULE, a, b),
-                "ja": cmp(CmpOp.ULT, b, a),
-                "jae": cmp(CmpOp.ULE, b, a),
-            }
-            if self.cf_patched and mnemonic in ("jb", "jbe", "ja", "jae"):
-                pass  # borrow of a-b is stale; fall through to patched cf
-            elif mnemonic in direct:
-                return direct[mnemonic]
-        generic = {
-            "je": self.zf,
-            "jne": bool_not(self.zf),
-            "jl": _bool_xor(self.sf, self.of),
-            "jle": bool_or(self.zf, _bool_xor(self.sf, self.of)),
-            "jg": bool_and(bool_not(self.zf), bool_not(_bool_xor(self.sf, self.of))),
-            "jge": bool_not(_bool_xor(self.sf, self.of)),
-            "jb": self.cf,
-            "jbe": bool_or(self.cf, self.zf),
-            "ja": bool_and(bool_not(self.cf), bool_not(self.zf)),
-            "jae": bool_not(self.cf),
-            "js": self.sf,
-            "jns": bool_not(self.sf),
-        }
-        return generic[mnemonic]
+    def condition(self, op: Op) -> Bool:
+        """The Bool under which the conditional jump ``op`` is taken."""
+        if self.kind is FlagRule.SUB and not (self.cf_patched and op in _CF_CONDITIONS):
+            direct = _SUB_CONDITIONS.get(op)
+            if direct is not None:
+                return direct(self.a, self.b)
+        return JCC[op](expr, self.zf, self.sf, self.cf, self.of)
 
 
 @dataclass(frozen=True)

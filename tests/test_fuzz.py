@@ -36,7 +36,8 @@ from repro.fuzz.campaign import ORACLE_NAMES, ORACLES
 from repro.isa import assemble_unit
 from repro.isa.encoding import decode_window, encode_program
 from repro.isa.instructions import Instruction, Op
-from repro.isa.registers import MASK64, Reg
+from repro.isa.registers import MASK64, Flag, Reg
+from repro.isa.semantics import SEMANTICS
 from repro.obfuscation.pipeline import CONFIGS, build_program
 from repro.staticanalysis import DecodeGraph, summarize_window
 from repro.symex.executor import SymbolicExecutor
@@ -51,6 +52,16 @@ class OffByOneEmulator(Emulator):
         value = self.memory.read_u64(rsp)
         self.cpu.set(Reg.RSP, (rsp + 16) & MASK64)
         return value
+
+
+class CarryFlipEmulator(Emulator):
+    """Deliberately broken: ``add`` leaves CF inverted."""
+
+    def step(self) -> None:
+        op = self.fetch().op
+        super().step()
+        if op in (Op.ADD_RR, Op.ADD_RI):
+            self.cpu.flags[Flag.CF] = not self.cpu.flags[Flag.CF]
 
 
 def _window(spec):
@@ -88,6 +99,14 @@ def test_gen_window_is_wellformed_and_seed_stable():
         blob = encode_program(a)
         chain = list(decode_window(blob, 0, base_addr=0, max_insns=100))
         assert len(chain) == len(a)  # every generated window decodes fully
+
+
+def test_gen_window_draws_every_semantics_row():
+    import random
+
+    rng = random.Random("rows")
+    drawn = {insn.op for _ in range(200) for insn in gen_window(rng)}
+    assert set(SEMANTICS) <= drawn
 
 
 def test_gen_program_compiles_and_runs_everywhere():
@@ -294,6 +313,14 @@ def test_injected_off_by_one_is_caught():
     messages = check_window(_POP_RET, 0, env_seed=1, emulator_factory=OffByOneEmulator)
     assert messages, "broken pop must diverge from symex"
     assert any("rsp" in m for m in messages)
+
+
+def test_injected_carry_flip_is_caught_on_flags_and_jcc():
+    window = _window([(I(op=Op.ADD_RR, dst=R.RAX, src=R.RBX), None), (I(op=Op.RET), None)])
+    assert check_window(window, 0, env_seed=1) == []
+    messages = check_window(window, 0, env_seed=1, emulator_factory=CarryFlipEmulator)
+    assert any(m.startswith("post-flag cf") for m in messages)
+    assert any(m.startswith("jb:") for m in messages)
 
 
 def test_injected_off_by_one_shrinks_to_tiny_reproducer(tmp_path):

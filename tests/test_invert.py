@@ -5,9 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.emulator.cpu import COND_PREDICATES, _flags_sub
 from repro.isa.instructions import COND_JUMPS, Op
-from repro.isa.registers import Flag
+from repro.isa.semantics import JCC, FlagRule, IntDomain, flag_values
 from repro.symex.expr import (
     MASK64,
     bv_add,
@@ -30,8 +29,12 @@ S64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
 
 def _all_flag_states():
     """All 16 assignments of (ZF, SF, CF, OF)."""
-    for zf, sf, cf, of in itertools.product((False, True), repeat=4):
-        yield {Flag.ZF: zf, Flag.SF: sf, Flag.CF: cf, Flag.OF: of}
+    return itertools.product((False, True), repeat=4)
+
+
+def _taken(op, flags):
+    """The semantics table's Jcc predicate on concrete (ZF, SF, CF, OF)."""
+    return JCC[op](IntDomain, *flags)
 
 
 def check_inversion(expr, target):
@@ -114,7 +117,7 @@ def test_property_random_invertible_chains(consts, t):
 
 
 def test_invert_jcc_covers_every_conditional_jump():
-    assert set(JCC_INVERSE) == set(COND_JUMPS) == set(COND_PREDICATES)
+    assert set(JCC_INVERSE) == set(COND_JUMPS) == set(JCC)
 
 
 @pytest.mark.parametrize("op", sorted(COND_JUMPS, key=lambda o: o.value))
@@ -128,10 +131,8 @@ def test_invert_jcc_round_trip(op):
 @pytest.mark.parametrize("op", sorted(COND_JUMPS, key=lambda o: o.value))
 def test_invert_jcc_predicate_complement(op):
     """For every flag assignment, exactly one of op / invert(op) fires."""
-    taken = COND_PREDICATES[op]
-    inverse_taken = COND_PREDICATES[invert_jcc(op)]
     for flags in _all_flag_states():
-        assert taken(flags) != inverse_taken(flags)
+        assert _taken(op, flags) != _taken(invert_jcc(op), flags)
 
 
 def test_invert_jcc_rejects_non_conditionals():
@@ -144,13 +145,14 @@ def test_invert_jcc_rejects_non_conditionals():
 def test_invert_jcc_complement_on_cmp_flags(a, b):
     """Complementarity on *reachable* flag states too: flags as a real
     ``cmp a, b`` would set them, over signed and unsigned orderings."""
-    flags = _flags_sub(a & MASK64, b & MASK64)
+    a64, b64 = a & MASK64, b & MASK64
+    flags = flag_values(IntDomain, FlagRule.SUB, IntDomain.bv_sub(a64, b64), a64, b64)
     for op in COND_JUMPS:
-        assert COND_PREDICATES[op](flags) != COND_PREDICATES[invert_jcc(op)](flags)
+        assert _taken(op, flags) != _taken(invert_jcc(op), flags)
     # Sanity: the CMP-derived predicates mean what their names say.
-    assert COND_PREDICATES[Op.JE](flags) == ((a & MASK64) == (b & MASK64))
-    assert COND_PREDICATES[Op.JL](flags) == (a < b)
-    assert COND_PREDICATES[Op.JB](flags) == ((a & MASK64) < (b & MASK64))
-    assert COND_PREDICATES[Op.JLE](flags) == (a <= b)
-    assert COND_PREDICATES[Op.JBE](flags) == ((a & MASK64) <= (b & MASK64))
-    assert COND_PREDICATES[Op.JS](flags) == (((a - b) & MASK64) >> 63 == 1)
+    assert _taken(Op.JE, flags) == ((a & MASK64) == (b & MASK64))
+    assert _taken(Op.JL, flags) == (a < b)
+    assert _taken(Op.JB, flags) == ((a & MASK64) < (b & MASK64))
+    assert _taken(Op.JLE, flags) == (a <= b)
+    assert _taken(Op.JBE, flags) == ((a & MASK64) <= (b & MASK64))
+    assert _taken(Op.JS, flags) == (((a - b) & MASK64) >> 63 == 1)
