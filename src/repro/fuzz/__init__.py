@@ -26,6 +26,7 @@ from .oracles import (
     Case,
     Inconclusive,
     check_obfuscation,
+    check_plan_search,
     check_planner,
     check_prefilter,
     check_roundtrip,
@@ -61,6 +62,7 @@ __all__ = [
     "Case",
     "Inconclusive",
     "check_obfuscation",
+    "check_plan_search",
     "check_planner",
     "check_prefilter",
     "check_roundtrip",

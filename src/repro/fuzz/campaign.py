@@ -98,6 +98,13 @@ def _draw_planner(seed: int, i: int) -> Case:
     return Case(oracle="planner", kind="image", text=text)
 
 
+def _draw_plan_search(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "plan_search")
+    text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
+    text += gen_chain_tail(rng)
+    return Case(oracle="plan_search", kind="image", text=text)
+
+
 def _draw_obfuscation(seed: int, i: int) -> Case:
     rng = _rng(seed, i, "obfuscation")
     source = gen_program(rng)
@@ -139,6 +146,7 @@ ORACLES: Dict[str, Tuple[int, int, Callable[[int, int], Case]]] = {
     "winnow": (10, 3, _draw_winnow),
     "serialize": (10, 3, _draw_serialize),
     "planner": (100, 41, _draw_planner),
+    "plan_search": (2, 1, _draw_plan_search),
     "obfuscation": (25, 11, _draw_obfuscation),
     "solver_preprocess": (8, 1, _draw_solver_preprocess),
     "scan": (1, 0, _draw_scan),

@@ -33,6 +33,11 @@ The oracles:
     Every assembled payload gets the same verdict and syscall event
     from the unprotected validator and from enforced validation under
     the ``none`` policy.
+``plan_search``
+    The planner's search (provision memo, bitmask ordering closure,
+    threat checks of new pairs only, carried constraint load) returns
+    the same plans in the same order, after the same number of nodes,
+    as :func:`reference_search`, which recomputes all of them.
 ``obfuscation``
     Every obfuscation config preserves a program's concrete output.
 ``scan``
@@ -48,6 +53,8 @@ The oracles:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from dataclasses import dataclass, replace
 from hashlib import blake2b
@@ -65,11 +72,24 @@ from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
 from ..isa.semantics import JCC, IntDomain
 from ..obfuscation.pipeline import CONFIGS, build_program
 from ..pipeline import pool_from_bytes, pool_to_bytes
+from ..planner import GadgetPlanner
+from ..planner.conditions import (
+    MemCondition,
+    RegCondition,
+    provide_mem_condition,
+    provide_reg_condition,
+    target_provision,
+)
+from ..planner.goals import find_bytes_in_image, resolve_goal, standard_goals
+from ..planner.library import ChainKind, GadgetLibrary
+from ..planner.payload import validate_payload
+from ..planner.plan import GOAL_STEP, CausalLink, OpenCondition, PartialPlan, Step
+from ..planner.search import PlannerConfig, SearchStats, _seed_plans, search_plans
 from ..solver.bitblast import BitBlaster
 from ..solver.sat import SATBudgetExceeded, SATSolver
-from ..solver.solver import Solver
+from ..solver.solver import Solver, SolverResult, Status
 from ..symex.executor import EndKind, SymbolicExecutor
-from ..symex.expr import Bool, eval_bool, eval_bv
+from ..symex.expr import Bool, eval_bool, eval_bv, expr_size
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
 from ..staticanalysis.decode_graph import INDIRECT_ENDS, shared_decode_graph
 from .gen import gen_formula
@@ -512,9 +532,6 @@ def check_serialize(text: bytes) -> List[str]:
 def check_planner(text: bytes) -> List[str]:
     from ..defenses.enforce import validate_payload_with_policy
     from ..defenses.policy import POLICIES
-    from ..planner import GadgetPlanner, resolve_goal, standard_goals
-    from ..planner.payload import validate_payload
-    from ..planner.search import PlannerConfig
 
     image = make_image(text)
     config = ExtractionConfig(max_insns=5, max_paths=4, max_candidates=48)
@@ -531,6 +548,254 @@ def check_planner(text: bytes) -> List[str]:
                 f"planner: payload {index} validates {plain} with event {payload.event} "
                 f"unprotected, but {enforced.ok} with event {enforced.event} under none"
             )
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# planner search: memo, closure and new-pair threat checks vs recomputation
+# ---------------------------------------------------------------------------
+
+#: The search budgets of the plan_search oracle (small: the reference
+#: redoes every provision and every ordering walk).
+_SEARCH_CONFIG = PlannerConfig(max_nodes=150, max_plans=4, max_steps=6)
+
+
+class _UnblastedSolver(Solver):
+    """A solver that answers UNKNOWN wherever it would bit-blast.
+
+    The plan_search oracle checks the search, not the solver, and each
+    side asks its own instance the same queries in the same order, so
+    both get the same answers.  Blasting one 64-bit divider can cost
+    seconds, which a smoke campaign cannot afford per case.
+    """
+
+    def _blast_and_solve(self, conjuncts, symbols, cost) -> SolverResult:
+        return SolverResult(Status.UNKNOWN)
+
+
+def _dfs_precedes(orderings, before: int, after: int) -> bool:
+    """Is there a walk of ordering edges from ``before`` to ``after``?"""
+    adjacency: Dict[int, List[int]] = {}
+    for a, b in orderings:
+        adjacency.setdefault(a, []).append(b)
+    stack, seen = [before], {before}
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt == after:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _ref_with_ordering(plan: PartialPlan, before: int, after: int) -> Optional[PartialPlan]:
+    if (before, after) in plan.orderings:
+        return plan
+    if before == after or _dfs_precedes(plan.orderings, after, before):
+        return None
+    return replace(plan, orderings=plan.orderings | {(before, after)}, closure=None)
+
+
+def _ref_resolve_threats(plan: Optional[PartialPlan]) -> Optional[PartialPlan]:
+    """Threat elimination rescanning every (link, step) pair from the
+    first link after each resolution."""
+    changed = True
+    while changed and plan is not None:
+        changed = False
+        for link in plan.links:
+            for sid, step in plan.steps.items():
+                p, c = link.provider, link.consumer
+                if sid in (p, c) or not step.clobbers(link.condition.reg):
+                    continue
+                if _dfs_precedes(plan.orderings, sid, p) or _dfs_precedes(plan.orderings, c, sid):
+                    continue
+                resolved = _ref_with_ordering(plan, c, sid)
+                if resolved is None:
+                    resolved = _ref_with_ordering(plan, sid, p)
+                if resolved is None:
+                    return None
+                plan, changed = resolved, True
+                break
+            if changed:
+                break
+    return plan
+
+
+def _ref_provide(plan: PartialPlan, sid: int, gadget, open_cond, bindings, regressed):
+    """Link ``sid`` (added when not yet a step) as ``open_cond``'s provider."""
+    steps, orderings = dict(plan.steps), plan.orderings
+    next_sid = plan._next_sid
+    if sid not in steps:
+        steps[sid] = Step(sid, gadget)
+        next_sid += 1
+    elif (sid, open_cond.consumer) not in orderings:
+        if _dfs_precedes(orderings, open_cond.consumer, sid):
+            return None
+    links = plan.links
+    if isinstance(open_cond.condition, RegCondition):
+        links += (CausalLink(sid, open_cond.consumer, open_cond.condition),)
+    new_bindings = dict(plan.bindings)
+    if bindings or sid not in plan.steps:
+        new_bindings[sid] = tuple(new_bindings.get(sid, ())) + tuple(bindings)
+    new = PartialPlan(
+        steps=steps,
+        orderings=orderings | {(sid, open_cond.consumer)},
+        links=links,
+        open_conds=tuple(oc for oc in plan.open_conds if oc is not open_cond)
+        + tuple(OpenCondition(sid, rc) for rc in regressed),
+        bindings=new_bindings,
+        immediate_pre_goal=plan.immediate_pre_goal,
+        _next_sid=next_sid,
+    )
+    return _ref_resolve_threats(new)
+
+
+def _ref_expand(plan: PartialPlan, library, solver: Solver, config: PlannerConfig, locator):
+    """:func:`repro.planner.search._expand` with every provision
+    recomputed; yields only the live successors."""
+    oc = plan.open_conds[0]
+    cond = oc.condition
+    fresh = plan.num_steps < config.max_steps
+    if isinstance(cond, MemCondition):
+        produced = 0
+        for gadget in library.writers if fresh else ():
+            if produced >= config.providers_per_cond:
+                break
+            if library.kind_of(gadget) is ChainKind.CONNECTOR:
+                continue
+            prov = provide_mem_condition(gadget, cond, solver)
+            if prov is not None:
+                new = _ref_provide(plan, plan._next_sid, gadget, oc, prov.bindings, prov.regressed)
+                if new is not None:
+                    produced += 1
+                    yield new
+        return
+    for sid, step in plan.steps.items():
+        if sid in (oc.consumer, GOAL_STEP) or cond.reg not in step.gadget.clob_regs:
+            continue
+        prov = provide_reg_condition(step.gadget, cond, solver, locator=locator)
+        if prov is None:
+            continue
+        already = plan.established_at(sid)
+        if any(already.get(rc.reg, rc.value) != rc.value for rc in prov.regressed):
+            continue
+        regressed = [rc for rc in prov.regressed if already.get(rc.reg) != rc.value]
+        new = _ref_provide(plan, sid, step.gadget, oc, prov.bindings, regressed)
+        if new is not None:
+            yield new
+    produced = 0
+    for gadget in library.providers_for(cond.reg) if fresh else ():
+        if produced >= config.providers_per_cond:
+            break
+        connector = library.kind_of(gadget) is ChainKind.CONNECTOR
+        if connector and (plan.immediate_pre_goal is not None or oc.consumer != GOAL_STEP):
+            continue
+        prov = provide_reg_condition(gadget, cond, solver, locator=locator)
+        if prov is None:
+            continue
+        if connector:
+            tp = target_provision(gadget, plan.steps[GOAL_STEP].gadget.location, solver)
+            if tp is None:
+                continue
+            prov = prov.merged_with(tp)
+        new = _ref_provide(plan, plan._next_sid, gadget, oc, prov.bindings, prov.regressed)
+        if new is None:
+            continue
+        if connector:
+            new.immediate_pre_goal = new._next_sid - 1
+        produced += 1
+        yield new
+
+
+def reference_search(
+    library, resolved, solver: Solver, config: PlannerConfig, locator
+) -> Tuple[List[PartialPlan], int]:
+    """:func:`~repro.planner.search.search_plans` recomputing everything:
+    no provision memo, reachability by DFS over the orderings, threats
+    rescanned from the first link, and the constraint load re-summed on
+    every push.  Returns the complete plans and the nodes expanded."""
+    counter = itertools.count()
+    queue: List = []
+
+    def push(plan: PartialPlan) -> None:
+        load = sum(expr_size(c) for cs in plan.bindings.values() for c in cs)
+        heapq.heappush(queue, ((len(plan.open_conds), load, plan.num_steps), next(counter), plan))
+
+    for seed in _seed_plans(library, resolved, solver):
+        push(seed)
+    complete: List[PartialPlan] = []
+    nodes = 0
+    while queue and nodes < config.max_nodes and len(complete) < config.max_plans:
+        plan = heapq.heappop(queue)[2]
+        if plan.is_complete:
+            complete.append(plan)
+            continue
+        nodes += 1
+        for successor in list(_ref_expand(plan, library, solver, config, locator)):
+            push(successor)
+    return complete, nodes
+
+
+def _plan_shape(plan: PartialPlan) -> Tuple:
+    return (
+        tuple((sid, step.gadget.location) for sid, step in plan.steps.items()),
+        tuple(sorted(plan.orderings)),
+        plan.links,
+        tuple((oc.consumer, oc.condition) for oc in plan.open_conds),
+        tuple(sorted(plan.bindings.items())),
+        plan.immediate_pre_goal,
+    )
+
+
+def check_plan_search(text: bytes) -> List[str]:
+    """The planner's search against :func:`reference_search`, per
+    standard goal: the same plans in the same order and the same nodes
+    expanded; each plan's closure agrees with a DFS over its orderings,
+    and its carried load with the re-summed one."""
+    image = make_image(text)
+    library = GadgetLibrary.build(extract_gadgets(image, _POOL_EXTRACTION))
+
+    def locator(value: int) -> Optional[int]:
+        return find_bytes_in_image(image, (value & MASK64).to_bytes(8, "little"))
+
+    failures: List[str] = []
+    for goal in standard_goals(image):
+        try:
+            resolved = resolve_goal(image, goal)
+        except ValueError:
+            continue
+        stats = SearchStats()
+        got = search_plans(
+            library,
+            resolved,
+            solver=_UnblastedSolver(),
+            config=_SEARCH_CONFIG,
+            stats=stats,
+            locator=locator,
+        )
+        want, nodes = reference_search(
+            library, resolved, _UnblastedSolver(), _SEARCH_CONFIG, locator
+        )
+        where = f"plan_search[{goal.name}]"
+        if stats.nodes_expanded != nodes:
+            failures.append(f"{where}: {stats.nodes_expanded} nodes expanded, reference {nodes}")
+        if [_plan_shape(p) for p in got] != [_plan_shape(p) for p in want]:
+            failures.append(f"{where}: {len(got)} plans differ from the reference's {len(want)}")
+        dead = stats.dead_no_provider + stats.dead_no_provision + stats.dead_step_cap
+        if dead + stats.dead_threat != stats.dead_ends:
+            failures.append(f"{where}: dead-end reasons do not sum to {stats.dead_ends}")
+        for index, plan in enumerate(got):
+            for a in plan.steps:
+                for b in plan.steps:
+                    if plan.precedes(a, b) != _dfs_precedes(plan.orderings, a, b):
+                        failures.append(
+                            f"{where}: plan {index} closure says s{a}<s{b} is "
+                            f"{plan.precedes(a, b)}, DFS disagrees"
+                        )
+            load = sum(expr_size(c) for cs in plan.bindings.values() for c in cs)
+            if plan.constraint_load() != load:
+                failures.append(f"{where}: plan {index} carries load {plan.load}, sums to {load}")
     return failures
 
 
@@ -637,6 +902,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_serialize(case.text)
     if case.oracle == "planner":
         return check_planner(case.text)
+    if case.oracle == "plan_search":
+        return check_plan_search(case.text)
     if case.oracle == "obfuscation":
         return check_obfuscation(case.source, case.configs or ("none",), seed=case.env_seed)
     if case.oracle == "solver_preprocess":

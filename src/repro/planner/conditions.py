@@ -20,8 +20,8 @@ initial flags cannot provide conditions reliably and are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.registers import Reg
 from ..solver.solver import Solver
@@ -70,12 +70,16 @@ class MemCondition:
 Condition = object  # RegCondition | MemCondition
 
 
-@dataclass
+@dataclass(frozen=True)
 class Provision:
-    """The result of successfully regressing a condition through a gadget."""
+    """The result of successfully regressing a condition through a gadget.
 
-    bindings: List[Bool] = field(default_factory=list)  # over local stk syms
-    regressed: List[RegCondition] = field(default_factory=list)
+    Immutable: the planner's search memoises provisions, so one
+    provision is shared by every plan that uses it.
+    """
+
+    bindings: Tuple[Bool, ...] = ()  # over local stk syms
+    regressed: Tuple[RegCondition, ...] = ()
 
     def merged_with(self, other: "Provision") -> "Provision":
         return Provision(
@@ -105,7 +109,7 @@ def _regress(constraints: List[Bool], reg_syms: List[str], solver: Solver) -> Op
     if not result.is_sat:
         return None
     if not reg_syms:  # nothing to fix: the constraints bind as they stand
-        return Provision(bindings=list(constraints))
+        return Provision(bindings=tuple(constraints))
     reg_subst: Dict[str, BV] = {}
     regressed: List[RegCondition] = []
     for name in sorted(reg_syms):
@@ -120,7 +124,7 @@ def _regress(constraints: List[Bool], reg_syms: List[str], solver: Solver) -> Op
                 return None
         else:
             bindings.append(residual)
-    return Provision(bindings=bindings, regressed=regressed)
+    return Provision(bindings=tuple(bindings), regressed=tuple(regressed))
 
 
 def regress_equation(
@@ -147,8 +151,8 @@ def regress_equation(
         if inverted is not None:
             name, value = inverted
             if reg_syms:
-                return Provision(regressed=[RegCondition(reg=reg_of_symbol(name), value=value)])
-            return Provision(bindings=[bv_eq(bv_sym(name), bv_const(value))])
+                return Provision(regressed=(RegCondition(reg=reg_of_symbol(name), value=value),))
+            return Provision(bindings=(bv_eq(bv_sym(name), bv_const(value)),))
     return _regress([bv_eq(expr, bv_const(target))], reg_syms, solver)
 
 

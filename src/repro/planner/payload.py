@@ -25,6 +25,7 @@ from ..emulator.cpu import Emulator
 from ..emulator.memory import PERM_R, PERM_W
 from ..emulator.syscalls import AttackTriggered, SyscallEvent
 from ..isa.registers import ALL_REGS, MASK64, Reg
+from ..obs import span
 from ..solver.solver import Solver
 from ..symex.expr import BV, Bool, bv_const, bv_eq, bv_sym, free_symbols, substitute
 from ..symex.state import reg_sym, stack_sym_offset
@@ -194,9 +195,27 @@ def deliver_payload(
     regions therefore fail validation: they do not exist at runtime.)
     ``on_divert`` is called with the emulator just before control
     transfers to ``entry``; mitigations install their hooks there, so
-    they watch the payload but not the legitimate decoder stub.
+    they watch the payload but not the legitimate decoder stub.  The
+    run, decoder stub included, is one ``emulate.run`` span with its
+    step count.
     """
     emu = Emulator(image, stop_on_attack=True, step_limit=step_limit)
+    with span("emulate.run") as sp:
+        try:
+            return _divert(emu, image, words, entry, step_limit, on_divert)
+        finally:
+            sp.add("steps", emu.steps)
+
+
+def _divert(
+    emu: Emulator,
+    image: BinaryImage,
+    words: Sequence[int],
+    entry: int,
+    step_limit: int,
+    on_divert: Optional[Callable[[Emulator], object]],
+) -> Optional[SyscallEvent]:
+    """:func:`deliver_payload`'s run on ``emu``, a fresh process."""
     emu.memory.map(JUNK_REGION, 0x2000, PERM_R | PERM_W)
     if "__sm_start" in image.symbols:
         resume = image.symbols.get("_start", image.entry)

@@ -6,13 +6,15 @@
 * δ — :attr:`PartialPlan.open_conds`: conditions not yet fulfilled;
 * ε — threats are resolved eagerly on every mutation (promotion /
   demotion, Sec. IV-D "Unsafe Causal Link Elimination"); a plan that
-  cannot resolve a threat is discarded by returning ``None``.
+  cannot resolve a threat is discarded by returning ``None``.  Only the
+  pairs a mutation adds are checked: the plan it starts from is
+  threat-free, and orderings only grow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..isa.registers import Reg
 from ..symex.expr import Bool, expr_size
@@ -55,7 +57,17 @@ class OpenCondition:
 
 @dataclass
 class PartialPlan:
-    """One (possibly incomplete) attack plan."""
+    """One (possibly incomplete) attack plan.
+
+    Two summaries are carried along with the tuple and kept current by
+    every mutation; a plan built directly derives them in
+    ``__post_init__``:
+
+    * ``closure`` — β's transitive closure, one bitmask per step: bit
+      ``t`` of ``closure[s]`` is set when the orderings force s before t;
+    * ``load`` — the total :func:`expr_size` of the bindings, the second
+      heuristic key.
+    """
 
     steps: Dict[int, Step]
     orderings: FrozenSet[Tuple[int, int]]
@@ -66,6 +78,16 @@ class PartialPlan:
     #: Step that must immediately precede the goal (indirect connector).
     immediate_pre_goal: Optional[int] = None
     _next_sid: int = 1
+    closure: Optional[Dict[int, int]] = None
+    load: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.closure is None:
+            self.closure = {sid: 0 for sid in self.steps}
+            for before, after in self.orderings:
+                self._close(before, after)
+        if self.load is None:
+            self.load = sum(expr_size(c) for cs in self.bindings.values() for c in cs)
 
     # -- constructors -----------------------------------------------------
 
@@ -98,32 +120,30 @@ class PartialPlan:
             bindings=dict(self.bindings),
             immediate_pre_goal=self.immediate_pre_goal,
             _next_sid=self._next_sid,
+            closure=dict(self.closure),
+            load=self.load,
         )
 
     # -- ordering machinery ------------------------------------------------
 
-    def _reachable(self, orderings: FrozenSet[Tuple[int, int]], src: int, dst: int) -> bool:
-        """Is dst reachable from src via ordering edges?"""
-        if src == dst:
-            return True
-        adjacency: Dict[int, List[int]] = {}
-        for a, b in orderings:
-            adjacency.setdefault(a, []).append(b)
-        stack = [src]
-        seen = {src}
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+    def _close(self, before: int, after: int) -> None:
+        """Fold the edge before<after into ``closure`` (in place, so only
+        on a plan no one else holds yet)."""
+        closure = self.closure
+        closure.setdefault(before, 0)
+        gained = (1 << after) | closure.setdefault(after, 0)
+        bit = 1 << before
+        for sid, mask in closure.items():
+            if sid == before or mask & bit:
+                closure[sid] = mask | gained
+
+    def precedes(self, before: int, after: int) -> bool:
+        """Do the orderings force ``before`` to run before ``after``?"""
+        return bool(self.closure.get(before, 0) >> after & 1)
 
     def can_order(self, before: int, after: int) -> bool:
         """Would adding before<after keep the orderings acyclic?"""
-        return not self._reachable(self.orderings, after, before)
+        return before != after and not self.precedes(after, before)
 
     def with_ordering(self, before: int, after: int) -> Optional["PartialPlan"]:
         if (before, after) in self.orderings:
@@ -132,56 +152,69 @@ class PartialPlan:
             return None
         new = self.clone()
         new.orderings = self.orderings | {(before, after)}
+        new._close(before, after)
         return new
 
     def possibly_between(self, step: int, before: int, after: int) -> bool:
         """Could ``step`` be linearized strictly between before and after?"""
         if step in (before, after):
             return False
-        if self._reachable(self.orderings, step, before):
+        if self.precedes(step, before):
             return False  # step must come before `before`
-        if self._reachable(self.orderings, after, step):
+        if self.precedes(after, step):
             return False  # step must come after `after`
         return True
 
     # -- threat resolution ----------------------------------------------------
 
-    def resolve_threats(self) -> Optional["PartialPlan"]:
-        """Order away every unsafe causal link (ε elimination).
+    def _new_threats(
+        self, old_links: int, new_step: Optional[int]
+    ) -> Iterator[Tuple[CausalLink, int]]:
+        """The (link, step) pairs a mutation can have made threats, in
+        (link, step) order: every link against ``new_step``, and each
+        link from index ``old_links`` on against every step.
 
-        For each link p --[reg]--> c and each step s ∉ {p, c} that
-        clobbers reg and could sit between them, force s<p (promotion)
-        or c<s (demotion).  Deterministic preference: demotion first.
-        Returns None when a threat cannot be resolved.
+        Every plan a mutation starts from is threat-free, and orderings
+        only grow, so a pair that was no threat before stays none.
+        """
+        for index, link in enumerate(self.links):
+            if index >= old_links:
+                sids: Iterable[int] = self.steps
+            elif new_step is not None:
+                sids = (new_step,)
+            else:
+                continue
+            reg = link.condition.reg
+            for sid in sids:
+                if sid not in (link.provider, link.consumer) and self.steps[sid].clobbers(reg):
+                    yield link, sid
+
+    def _resolve_threats(
+        self, pairs: Iterable[Tuple[CausalLink, int]], stats=None
+    ) -> Optional["PartialPlan"]:
+        """Order away every unsafe causal link among ``pairs`` (ε elimination).
+
+        For a link p --[reg]--> c and a step s ∉ {p, c} that clobbers
+        reg and could sit between them, force c<s (demotion) or, failing
+        that, s<p (promotion).  A resolved pair stays resolved, so the
+        scan goes on from the pair after it.  Returns None when a threat
+        cannot be resolved.  ``stats`` (the search's
+        :class:`~repro.planner.search.SearchStats`) counts the pairs checked.
         """
         plan: Optional[PartialPlan] = self
-        changed = True
-        while changed and plan is not None:
-            changed = False
-            for link in plan.links:
-                if not isinstance(link.condition, RegCondition):
-                    continue
-                reg = link.condition.reg
-                for sid, step in plan.steps.items():
-                    if sid in (link.provider, link.consumer):
-                        continue
-                    if not step.clobbers(reg):
-                        continue
-                    if not plan.possibly_between(sid, link.provider, link.consumer):
-                        continue
-                    demoted = plan.with_ordering(link.consumer, sid)
-                    if demoted is not None:
-                        plan = demoted
-                        changed = True
-                        break
-                    promoted = plan.with_ordering(sid, link.provider)
-                    if promoted is not None:
-                        plan = promoted
-                        changed = True
-                        break
-                    return None  # unresolvable threat → dead plan
-                if changed:
-                    break
+        checks = 0
+        for link, sid in pairs:
+            checks += 1
+            if not plan.possibly_between(sid, link.provider, link.consumer):
+                continue
+            resolved = plan.with_ordering(link.consumer, sid)
+            if resolved is None:
+                resolved = plan.with_ordering(sid, link.provider)
+            plan = resolved
+            if plan is None:
+                break  # unresolvable threat → dead plan
+        if stats is not None:
+            stats.threat_checks += checks
         return plan
 
     # -- step addition ------------------------------------------------------------
@@ -190,8 +223,9 @@ class PartialPlan:
         self,
         gadget: GadgetRecord,
         open_cond: OpenCondition,
-        bindings: List[Bool],
-        regressed: List[RegCondition],
+        bindings: Sequence[Bool],
+        regressed: Sequence[RegCondition],
+        stats=None,
     ) -> Optional["PartialPlan"]:
         """Insert a fresh step providing ``open_cond``."""
         new = self.clone()
@@ -199,6 +233,7 @@ class PartialPlan:
         new._next_sid += 1
         new.steps[sid] = Step(sid=sid, gadget=gadget)
         new.orderings = new.orderings | {(sid, open_cond.consumer)}
+        new._close(sid, open_cond.consumer)
         if isinstance(open_cond.condition, RegCondition):
             new.links = new.links + (
                 CausalLink(provider=sid, consumer=open_cond.consumer, condition=open_cond.condition),
@@ -207,7 +242,8 @@ class PartialPlan:
             OpenCondition(sid, rc) for rc in regressed
         )
         new.bindings[sid] = tuple(bindings)
-        return new.resolve_threats()
+        new.load += sum(expr_size(c) for c in bindings)
+        return new._resolve_threats(new._new_threats(len(self.links), sid), stats)
 
     def reuse_provider_step(
         self,
@@ -215,6 +251,7 @@ class PartialPlan:
         open_cond: OpenCondition,
         extra_bindings: Tuple[Bool, ...] = (),
         extra_regressed: Tuple[RegCondition, ...] = (),
+        stats=None,
     ) -> Optional["PartialPlan"]:
         """Link an existing step as provider for ``open_cond``.
 
@@ -236,7 +273,8 @@ class PartialPlan:
         )
         if extra_bindings:
             new.bindings[sid] = tuple(new.bindings.get(sid, ())) + tuple(extra_bindings)
-        return new.resolve_threats()
+            new.load += sum(expr_size(c) for c in extra_bindings)
+        return new._resolve_threats(new._new_threats(len(self.links), None), stats)
 
     def established_at(self, sid: int) -> Dict[Reg, int]:
         """Register values already demanded at step ``sid``'s entry."""
@@ -261,10 +299,7 @@ class PartialPlan:
 
     def constraint_load(self) -> int:
         """Total constraint size — the paper's second heuristic key."""
-        total = 0
-        for constraints in self.bindings.values():
-            total += sum(expr_size(c) for c in constraints)
-        return total
+        return self.load
 
     def priority_key(self) -> Tuple[int, int, int]:
         """Heuristic ordering: fewest open conditions, then fewest/simplest

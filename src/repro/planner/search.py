@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterator, List, Optional
 
+from ..gadgets.record import GadgetRecord
 from ..obs import span
 from ..solver.solver import Solver
 from .conditions import (
     MemCondition,
+    Provision,
     RegCondition,
     discharge_preconditions,
     provide_mem_condition,
@@ -47,10 +49,65 @@ class PlannerConfig:
 
 @dataclass
 class SearchStats:
+    """One search's counters; the ``plan.search`` span carries them all."""
+
     nodes_expanded: int = 0
     plans_emitted: int = 0
     dead_ends: int = 0
     seeds: int = 0
+    #: Provision requests, and those the search's memo answered.
+    provides: int = 0
+    provide_hits: int = 0
+    #: (causal link, step) pairs checked for a threat.
+    threat_checks: int = 0
+    pushes: int = 0
+    #: ``dead_ends`` by reason: no provider to ask, every provision
+    #: None, the step cap, every successor lost to a threat or cycle.
+    dead_no_provider: int = 0
+    dead_no_provision: int = 0
+    dead_step_cap: int = 0
+    dead_threat: int = 0
+
+
+_MISSING = object()
+
+
+class _Provisions:
+    """Every provision one search asks for, computed once.
+
+    The answer depends only on the gadget and what is asked of it, not
+    on the plan, and most requests repeat one already made.  Records are
+    keyed by ``id``: ``GadgetRecord`` is not hashable, and the library
+    keeps every record alive until the search returns.  A
+    :class:`~repro.planner.conditions.Provision` is immutable, so one
+    entry is shared by every plan that uses it.
+    """
+
+    def __init__(self, solver: Solver, locator, stats: SearchStats) -> None:
+        self.solver = solver
+        self.locator = locator
+        self.stats = stats
+        self.memo: Dict[tuple, Optional[Provision]] = {}
+
+    def _get(self, rule, gadget: GadgetRecord, want, *extra) -> Optional[Provision]:
+        """``rule(gadget, want, solver, *extra)``, the first time it is asked."""
+        self.stats.provides += 1
+        key = (rule, id(gadget), want)
+        found = self.memo.get(key, _MISSING)
+        if found is _MISSING:
+            found = self.memo[key] = rule(gadget, want, self.solver, *extra)
+        else:
+            self.stats.provide_hits += 1
+        return found
+
+    def reg(self, gadget: GadgetRecord, cond: RegCondition) -> Optional[Provision]:
+        return self._get(provide_reg_condition, gadget, cond, self.locator)
+
+    def mem(self, gadget: GadgetRecord, cond: MemCondition) -> Optional[Provision]:
+        return self._get(provide_mem_condition, gadget, cond)
+
+    def target(self, gadget: GadgetRecord, next_addr: int) -> Optional[Provision]:
+        return self._get(target_provision, gadget, next_addr)
 
 
 def _seed_plans(
@@ -106,11 +163,13 @@ def search_plans(
     solver = solver or Solver()
     config = config or PlannerConfig()
     stats = stats if stats is not None else SearchStats()
+    provisions = _Provisions(solver, locator, stats)
 
     counter = itertools.count()
     queue: List = []
 
     def push(plan: PartialPlan) -> None:
+        stats.pushes += 1
         heapq.heappush(queue, (plan.priority_key(), next(counter), plan))
 
     complete: List[PartialPlan] = []
@@ -130,17 +189,24 @@ def search_plans(
                 complete.append(plan)
                 continue
             stats.nodes_expanded += 1
-            open_cond = plan.open_conds[0]
-            successors = list(_expand(plan, open_cond, library, solver, config, locator))
+            asked = stats.provides
+            tried = list(_expand(plan, plan.open_conds[0], library, provisions, config))
+            successors = [successor for successor in tried if successor is not None]
             if not successors:
                 stats.dead_ends += 1
+                if tried:
+                    stats.dead_threat += 1
+                elif plan.num_steps >= config.max_steps:
+                    stats.dead_step_cap += 1
+                elif stats.provides > asked:
+                    stats.dead_no_provision += 1
+                else:
+                    stats.dead_no_provider += 1
             for successor in successors:
                 push(successor)
 
-        search_sp.add("seeds", stats.seeds)
-        search_sp.add("nodes_expanded", stats.nodes_expanded)
-        search_sp.add("plans_emitted", stats.plans_emitted)
-        search_sp.add("dead_ends", stats.dead_ends)
+        for key, value in asdict(stats).items():
+            search_sp.add(key, value)
     return complete
 
 
@@ -148,15 +214,17 @@ def _expand(
     plan: PartialPlan,
     open_cond: OpenCondition,
     library: GadgetLibrary,
-    solver: Solver,
+    provisions: _Provisions,
     config: PlannerConfig,
-    locator=None,
-) -> Iterator[PartialPlan]:
+) -> Iterator[Optional[PartialPlan]]:
+    """Every successor ``open_cond`` gives ``plan``, in the order tried;
+    None where a provision applied but the plan died of a threat or an
+    ordering cycle."""
     condition = open_cond.condition
     if isinstance(condition, RegCondition):
-        yield from _expand_reg(plan, open_cond, condition, library, solver, config, locator)
+        yield from _expand_reg(plan, open_cond, condition, library, provisions, config)
     elif isinstance(condition, MemCondition):
-        yield from _expand_mem(plan, open_cond, condition, library, solver, config)
+        yield from _expand_mem(plan, open_cond, condition, library, provisions, config)
     else:  # pragma: no cover - no other condition kinds
         raise AssertionError(condition)
 
@@ -166,10 +234,10 @@ def _expand_reg(
     open_cond: OpenCondition,
     condition: RegCondition,
     library: GadgetLibrary,
-    solver: Solver,
+    provisions: _Provisions,
     config: PlannerConfig,
-    locator=None,
-) -> Iterator[PartialPlan]:
+) -> Iterator[Optional[PartialPlan]]:
+    stats = provisions.stats
     # (a) Reuse an existing step: either it already yields the value
     # (constant post), or it can be *made* to yield it by regressing
     # further entry conditions onto the same instance — how one ret2csu
@@ -179,7 +247,7 @@ def _expand_reg(
             continue
         if condition.reg not in step.gadget.clob_regs:
             continue
-        provision = provide_reg_condition(step.gadget, condition, solver, locator=locator)
+        provision = provisions.reg(step.gadget, condition)
         if provision is None:
             continue
         already = plan.established_at(sid)
@@ -188,11 +256,7 @@ def _expand_reg(
         new_regressed = tuple(
             rc for rc in provision.regressed if already.get(rc.reg) != rc.value
         )
-        reused = plan.reuse_provider_step(
-            sid, open_cond, tuple(provision.bindings), new_regressed
-        )
-        if reused is not None:
-            yield reused
+        yield plan.reuse_provider_step(sid, open_cond, provision.bindings, new_regressed, stats)
     # (b) Instantiate a fresh provider from the library.
     if plan.num_steps >= config.max_steps:
         return
@@ -206,24 +270,23 @@ def _expand_reg(
                 continue
             if open_cond.consumer != GOAL_STEP:
                 continue  # connectors only wire directly into the goal
-        provision = provide_reg_condition(gadget, condition, solver, locator=locator)
+        provision = provisions.reg(gadget, condition)
         if provision is None:
             continue
-        regressed = list(provision.regressed)
-        bindings = list(provision.bindings)
+        regressed = provision.regressed
+        bindings = provision.bindings
         if kind is ChainKind.CONNECTOR:
             # The connector's indirect jump must land on the goal gadget.
-            tp = target_provision(gadget, plan.steps[GOAL_STEP].gadget.location, solver)
+            tp = provisions.target(gadget, plan.steps[GOAL_STEP].gadget.location)
             if tp is None:
                 continue
-            bindings.extend(tp.bindings)
-            regressed.extend(tp.regressed)
-        successor = plan.add_provider_step(gadget, open_cond, bindings, regressed)
-        if successor is None:
-            continue
-        if kind is ChainKind.CONNECTOR:
-            successor.immediate_pre_goal = successor._next_sid - 1
-        produced += 1
+            bindings += tp.bindings
+            regressed += tp.regressed
+        successor = plan.add_provider_step(gadget, open_cond, bindings, regressed, stats)
+        if successor is not None:
+            if kind is ChainKind.CONNECTOR:
+                successor.immediate_pre_goal = successor._next_sid - 1
+            produced += 1
         yield successor
 
 
@@ -232,9 +295,9 @@ def _expand_mem(
     open_cond: OpenCondition,
     condition: MemCondition,
     library: GadgetLibrary,
-    solver: Solver,
+    provisions: _Provisions,
     config: PlannerConfig,
-) -> Iterator[PartialPlan]:
+) -> Iterator[Optional[PartialPlan]]:
     if plan.num_steps >= config.max_steps:
         return
     produced = 0
@@ -243,12 +306,12 @@ def _expand_mem(
             break
         if library.kind_of(gadget) is ChainKind.CONNECTOR:
             continue  # keep write steps freely orderable
-        provision = provide_mem_condition(gadget, condition, solver)
+        provision = provisions.mem(gadget, condition)
         if provision is None:
             continue
         successor = plan.add_provider_step(
-            gadget, open_cond, list(provision.bindings), list(provision.regressed)
+            gadget, open_cond, provision.bindings, provision.regressed, provisions.stats
         )
         if successor is not None:
             produced += 1
-            yield successor
+        yield successor

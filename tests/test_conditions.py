@@ -26,25 +26,40 @@ def test_constant_needs_nothing_or_fails():
     solver = Solver()
     provision = regress_equation(bv_const(5), 5, solver)
     assert provision is not None
-    assert provision.bindings == [] and provision.regressed == []
+    assert provision.bindings == () and provision.regressed == ()
     assert regress_equation(bv_const((1 << 64) - 1), -1, solver) is not None
     assert regress_equation(bv_const(5), 6, solver) is None
     assert solver.queries == 0
 
 
+def test_provisions_are_immutable():
+    """The planner's search shares one memoised provision among every
+    plan that uses it, so no caller may change one in place."""
+    import dataclasses
+
+    import pytest
+
+    provision = regress_equation(bv_add(STK8, bv_const(5)), 12, Solver())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        provision.bindings = ()
+    merged = provision.merged_with(provision)
+    assert merged.bindings == provision.bindings * 2
+    assert provision.bindings == (bv_eq(STK8, bv_const(7)),)
+
+
 def test_single_payload_word_inverts_to_a_binding():
     solver = Solver()
     provision = regress_equation(bv_add(STK8, bv_const(5)), 12, solver)
-    assert provision.bindings == [bv_eq(STK8, bv_const(7))]
-    assert provision.regressed == []
+    assert provision.bindings == (bv_eq(STK8, bv_const(7)),)
+    assert provision.regressed == ()
     assert solver.queries == 0  # solve_for, not the solver
 
 
 def test_single_register_inverts_to_a_regressed_condition():
     solver = Solver()
     provision = regress_equation(bv_xor(RAX0, bv_const(0xFF)), 0, solver)
-    assert provision.bindings == []
-    assert provision.regressed == [RegCondition(reg=Reg.RAX, value=0xFF)]
+    assert provision.bindings == ()
+    assert provision.regressed == (RegCondition(reg=Reg.RAX, value=0xFF),)
     assert solver.queries == 0
 
 
@@ -52,8 +67,8 @@ def test_payload_only_equation_keeps_the_equation_as_binding():
     solver = Solver()
     expr = bv_add(STK8, STK16)
     provision = regress_equation(expr, 10, solver)
-    assert provision.bindings == [bv_eq(expr, bv_const(10))]
-    assert provision.regressed == []
+    assert provision.bindings == (bv_eq(expr, bv_const(10)),)
+    assert provision.regressed == ()
     assert solver.queries == 1
 
 
@@ -64,7 +79,7 @@ def test_mixed_equation_fixes_register_witness_and_keeps_payload_residual():
     assert len(provision.regressed) == 1
     witness = provision.regressed[0]
     assert witness.reg is Reg.RAX
-    assert provision.bindings == [bv_eq(bv_add(bv_const(witness.value), STK8), bv_const(10))]
+    assert provision.bindings == (bv_eq(bv_add(bv_const(witness.value), STK8), bv_const(10)),)
     # The residual pins the payload word to the value that, together
     # with the witness, satisfies the original equation.
     stk = (10 - witness.value) & ((1 << 64) - 1)
@@ -103,7 +118,7 @@ def test_wild_flag_and_negative_stack_symbols_are_rejected():
 def test_discharge_without_preconditions_is_free():
     solver = Solver()
     provision = discharge_preconditions(SimpleNamespace(pre_cond=()), solver)
-    assert provision.bindings == [] and provision.regressed == []
+    assert provision.bindings == () and provision.regressed == ()
     assert solver.queries == 0
 
 
@@ -121,7 +136,7 @@ def test_discharge_takes_register_witnesses_and_keeps_residuals():
     assert [rc.reg for rc in provision.regressed] == [Reg.RBX, Reg.RDX]
     rbx, rdx = (rc.value for rc in provision.regressed)
     assert rbx == rdx
-    assert provision.bindings == [bv_eq(bv_add(bv_const(rdx), STK8), bv_const(7))]
+    assert provision.bindings == (bv_eq(bv_add(bv_const(rdx), STK8), bv_const(7)),)
     assert solver.queries == 1
 
 
@@ -129,8 +144,8 @@ def test_discharge_payload_only_preconditions_bind_as_is():
     solver = Solver()
     pre = (cmp(CmpOp.ULT, STK8, bv_const(100)), cmp(CmpOp.NE, STK16, bv_const(0)))
     provision = discharge_preconditions(SimpleNamespace(pre_cond=pre), solver)
-    assert provision.bindings == list(pre)
-    assert provision.regressed == []
+    assert provision.bindings == tuple(pre)
+    assert provision.regressed == ()
 
 
 def test_discharge_rejects_unsat_too_many_registers_and_wild_inputs():

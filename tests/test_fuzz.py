@@ -14,6 +14,7 @@ from repro.fuzz import (
     Case,
     case_from_dict,
     case_to_dict,
+    check_plan_search,
     check_planner,
     check_prefilter,
     check_roundtrip,
@@ -233,6 +234,31 @@ def test_planner_oracle_flags_enforcement_that_slides_undefended_payloads(monkey
     failures = check_planner(gen_chain_tail(random.Random(0)))
     assert failures
     assert all("validates True" in f and "False with event None" in f for f in failures)
+
+
+def _plan_search_text(seed: int) -> bytes:
+    rng = random.Random(seed)
+    text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
+    return text + gen_chain_tail(rng)
+
+
+def test_plan_search_oracle_agrees_with_the_recomputing_search():
+    for seed in range(6):
+        assert check_plan_search(_plan_search_text(seed)) == []
+    case = Case(oracle="plan_search", kind="image", text=gen_chain_tail(random.Random(0)))
+    assert run_case(case) == []
+
+
+def test_plan_search_oracle_flags_a_closure_that_forgets_transitivity(monkeypatch):
+    from repro.planner.plan import PartialPlan
+
+    def direct_edge_only(self, before, after):
+        self.closure.setdefault(after, 0)
+        self.closure[before] = self.closure.get(before, 0) | (1 << after)
+
+    monkeypatch.setattr(PartialPlan, "_close", direct_edge_only)
+    failures = [f for seed in range(6) for f in check_plan_search(_plan_search_text(seed))]
+    assert any("closure says" in f for f in failures)
 
 
 def test_campaign_deterministic_and_green():

@@ -1,13 +1,17 @@
 """Unit tests for the partial-plan machinery: orderings, threats,
 causal links, linearization — the α/β/γ/δ/ε bookkeeping of Sec. IV-D."""
 
+import random
+
 import pytest
 
 from repro.binfmt import make_image
 from repro.gadgets import ExtractionConfig, extract_gadgets
 from repro.isa import Reg, assemble_unit
 from repro.planner.conditions import RegCondition
-from repro.planner.plan import GOAL_STEP, PartialPlan
+from repro.planner.plan import GOAL_STEP, PartialPlan, Step
+from repro.planner.search import SearchStats
+from repro.symex.expr import bv_const, bv_eq, bv_sym, expr_size
 
 
 def gadget_pool():
@@ -161,3 +165,106 @@ def test_immediate_pre_goal_linearization(pool):
     order = p2.linearize()
     assert order[-1] == GOAL_STEP
     assert order[-2] == rdi_sid
+
+
+# ---------------------------------------------------------------------------
+# β's transitive closure (one bitmask per step) against a DFS
+# ---------------------------------------------------------------------------
+
+
+def dfs_precedes(orderings, before, after):
+    adjacency = {}
+    for a, b in orderings:
+        adjacency.setdefault(a, []).append(b)
+    stack, seen = [before], {before}
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt == after:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def assert_closure_is_dfs(plan):
+    for a in plan.steps:
+        for b in plan.steps:
+            assert plan.precedes(a, b) == dfs_precedes(plan.orderings, a, b), (a, b)
+            assert plan.can_order(a, b) == (a != b and not dfs_precedes(plan.orderings, b, a))
+
+
+def bare_plan(pool, n):
+    steps = {sid: Step(sid, pool["g_pop_rax"]) for sid in range(n)}
+    return PartialPlan(steps=steps, orderings=frozenset(), links=(), open_conds=(), bindings={})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closure_matches_dfs_on_random_orderings(pool, seed):
+    """with_ordering keeps the closure equal to DFS reachability after
+    every edge it accepts, and refuses exactly the edges that close a
+    cycle; a plan built from the same orderings derives the same one."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 10)
+    plan = bare_plan(pool, n)
+    for _ in range(rng.randrange(1, 30)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        grown = plan.with_ordering(a, b)
+        if a == b or dfs_precedes(plan.orderings, b, a):
+            assert grown is None
+            continue
+        assert (a, b) in grown.orderings
+        assert_closure_is_dfs(grown)
+        plan = grown
+    rebuilt = PartialPlan(
+        steps=dict(plan.steps), orderings=plan.orderings, links=(), open_conds=(), bindings={}
+    )
+    assert rebuilt.closure == plan.closure
+
+
+def test_closure_of_a_plan_built_like_the_sgc_baseline(pool):
+    """The SGC baseline builds a complete plan directly: a total chain
+    order plus every step before the goal.  Its closure is derived."""
+    chain = [3, 1, 4, 2]
+    steps = {GOAL_STEP: Step(GOAL_STEP, pool["g_syscall"])}
+    steps.update({sid: Step(sid, pool["g_pop_rax"]) for sid in chain})
+    orderings = {(a, b) for a, b in zip(chain, chain[1:])} | {(s, GOAL_STEP) for s in chain}
+    plan = PartialPlan(
+        steps=steps,
+        orderings=frozenset(orderings),
+        links=(),
+        open_conds=(),
+        bindings={GOAL_STEP: (), **{s: () for s in chain}},
+    )
+    assert_closure_is_dfs(plan)
+    assert plan.precedes(3, 2) and plan.precedes(3, GOAL_STEP) and not plan.precedes(2, 3)
+    assert plan.linearize() == chain + [GOAL_STEP]
+
+
+def test_step_mutations_keep_closure_and_load(pool):
+    plan = initial_plan(pool, [(Reg.RAX, 59), (Reg.RDI, 7)])
+    rax_cond = next(c for c in plan.open_conds if c.condition.reg == Reg.RAX)
+    binding = bv_eq(bv_sym("stk8"), bv_const(59))
+    p1 = plan.add_provider_step(pool["g_pop_rax"], rax_cond, [binding], [])
+    rdi_cond = next(c for c in p1.open_conds if c.condition.reg == Reg.RDI)
+    p2 = p1.add_provider_step(pool["g_clob_rax"], rdi_cond, [], [])
+    for p in (plan, p1, p2):
+        assert_closure_is_dfs(p)
+        assert p.constraint_load() == sum(
+            expr_size(c) for cs in p.bindings.values() for c in cs
+        )
+    assert p1.constraint_load() == expr_size(binding) > 0
+
+
+def test_threat_checks_are_counted_once_per_new_pair(pool):
+    """Adding the rdi clobberer checks only the pairs it adds: the rax
+    link against the new step, and the new rdi link against each
+    step that clobbers rdi."""
+    stats = SearchStats()
+    plan = initial_plan(pool, [(Reg.RAX, 59), (Reg.RDI, 7)])
+    rax_cond = next(c for c in plan.open_conds if c.condition.reg == Reg.RAX)
+    p1 = plan.add_provider_step(pool["g_pop_rax"], rax_cond, [], [], stats)
+    assert stats.threat_checks == 0  # one link, no other step clobbers rax
+    rdi_cond = next(c for c in p1.open_conds if c.condition.reg == Reg.RDI)
+    p1.add_provider_step(pool["g_clob_rax"], rdi_cond, [], [], stats)
+    assert stats.threat_checks == 1  # (rax link, clobberer); nothing else clobbers rdi

@@ -99,6 +99,36 @@ def test_no_syscall_gadget_no_payloads():
     assert report.total_payloads == 0
 
 
+def test_search_span_explains_the_search():
+    """``plan.search`` carries the search's counters: provide requests
+    and memo hits, threat-pair checks, pushes and dead ends by reason;
+    each validation run is an ``emulate.run`` span with its steps."""
+    from repro.obs import Tracer, tracing
+
+    tracer = Tracer()
+    with tracing(tracer):
+        report, _ = plan_on(RICH_GADGETS, goals=[execve_goal()])
+    spans = [span for root in tracer.roots for span, _ in root.walk()]
+    (search,) = [s for s in spans if s.name == "plan.search"]
+    stats = report.search_stats["execve"]
+    counters = search.counters
+    assert counters["provides"] == stats.provides > counters["provide_hits"] > 0
+    assert counters["threat_checks"] == stats.threat_checks > 0
+    assert counters["pushes"] == stats.pushes >= stats.seeds + stats.plans_emitted
+    runs = [s for s in spans if s.name == "emulate.run"]
+    assert len(runs) == report.total_payloads > 0
+    assert all(run.counters["steps"] > 0 for run in runs)
+
+
+def test_dead_ends_are_counted_by_reason():
+    report, _ = plan_on(RICH_GADGETS, goals=[mprotect_goal(addr=0x600000)], max_steps=4)
+    stats = report.search_stats["mprotect"]
+    assert stats.dead_step_cap == stats.dead_ends == 1
+    report, _ = plan_on("pop rax\nret\nsyscall\nret", goals=[mprotect_goal(addr=0x600000)])
+    stats = report.search_stats["mprotect"]
+    assert stats.dead_no_provider == stats.dead_ends == 1
+
+
 def test_missing_register_setter_blocks_goal():
     # No way to set rdx → mprotect (needs rdx=7) must fail...
     source = """
