@@ -6,12 +6,17 @@ perform zero symbolic execution, and return the identical pool.  Both
 runs are recorded with ``repro.obs`` tracers; the cold trace is written
 to JSONL and validated against the trace schema (one in-process
 ``extract.symex.run`` span that executed every candidate), and two warm
-traces must agree byte for byte once timestamps are stripped.
+traces must agree byte for byte once timestamps are stripped.  A
+winnowing run on the same cache then fills the winnow entry, and a warm
+winnowing run must be answered by that entry alone: no extracted pool,
+the cold extracted count in its stats, no ``extract.cache`` span and
+the identical survivors.
 
 A solver smoke traces one query the word-level pass refutes and one it
 leaves to the blast: the export must hold the latter's ``solver.blast``
-(vars, clauses) and ``solver.sat`` (conflicts) spans, and ``nfl
-trace``'s summary a slow-query log with both.
+(vars, clauses) and ``solver.sat`` (conflicts, decisions,
+propagations) spans, and ``nfl trace``'s summary a slow-query log with
+both and the solver's answers by path.
 
 A defense-census smoke rides on the warm cache: the combined
 coarse-CFI + W^X policy filtered over the same obfuscated image must
@@ -26,6 +31,7 @@ from pathlib import Path
 
 from repro.bench.harness import build
 from repro.gadgets.extract import ExtractionConfig, ExtractionStats
+from repro.gadgets.subsumption import SubsumptionStats
 from repro.obs import (
     Tracer,
     format_trace_summary,
@@ -69,6 +75,7 @@ def main() -> int:
 
         warm, warm_stats, warm_wall, warm_tracer = _traced_extract(image, config, cache)
         _, _, _, warm_tracer2 = _traced_extract(image, config, cache)
+        winnow_smoke(image, config, cache, len(cold))
 
     print(
         f"cold: {len(cold)} gadgets in {cold_wall:.2f}s "
@@ -100,6 +107,28 @@ def main() -> int:
     return 0
 
 
+def winnow_smoke(image, config, cache, extracted: int) -> None:
+    """A warm winnowing run reads the winnow entry and nothing else."""
+    cold_es = ExtractionStats()
+    cold_records, cold_survivors = run_pipeline(
+        image, config, cache=cache, extraction_stats=cold_es
+    )
+    assert cold_es.cache_hits == 1, "the extract entry of the runs above must serve the winnow"
+    assert len(cold_records) == extracted
+    es, ss = ExtractionStats(), SubsumptionStats()
+    tracer = Tracer()
+    with tracing(tracer):
+        records, survivors = run_pipeline(
+            image, config, cache=cache, extraction_stats=es, winnow_stats=ss
+        )
+    names = [span.name for root in tracer.roots for span, _ in root.walk()]
+    assert records is None, "a winnow hit returns no extracted pool"
+    assert es.records == extracted and es.cache_hits == 1 and ss.cache_hits == 1
+    assert "extract.cache" not in names, f"a winnow hit read the extract entry: {names}"
+    assert pool_to_bytes(survivors) == pool_to_bytes(cold_survivors), "warm survivors differ"
+    print(f"winnow smoke OK ({extracted} extracted, {len(survivors)} survivors, spans {names})")
+
+
 def solver_smoke() -> None:
     """Solver spans and the slow-query log in a schema-valid trace."""
     x, y = bv_sym("x"), bv_sym("y")
@@ -118,8 +147,9 @@ def solver_smoke() -> None:
         summary = format_trace_summary(trace_path.read_text().splitlines())
     by_name = {s["name"]: s for s in spans}
     assert {"vars", "clauses"} <= set(by_name["solver.blast"]["counters"]), by_name
-    assert "conflicts" in by_name["solver.sat"]["counters"], by_name
+    assert {"conflicts", "decisions", "propagations"} <= set(by_name["solver.sat"]["counters"])
     assert "solver.slow_queries (slowest 2):" in summary, summary
+    assert "solver.answers.refutation=1" in summary and "solver.answers.blast=1" in summary
     assert "rule=order_cycle" in summary and "rule=-" in summary, summary
     print(f"solver smoke OK ({by_name['solver.blast']['counters']['clauses']} clauses)")
 

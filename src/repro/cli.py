@@ -164,11 +164,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
             winnow_stats=ss,
         )
     if survivors is None:
-        print(f"{len(records)} gadgets extracted")
+        print(f"{es.records} gadgets extracted")
         print(_pipeline_stats_line(es, None))
         shown = records
     else:
-        print(f"{len(records)} gadgets extracted, {len(survivors)} after subsumption")
+        print(f"{es.records} gadgets extracted, {len(survivors)} after subsumption")
         print(_pipeline_stats_line(es, ss))
         shown = survivors
     for record in shown[: args.list]:
@@ -201,14 +201,14 @@ def cmd_census(args: argparse.Namespace) -> int:
         config = ExtractionConfig(max_insns=args.max_insns)
         es, ss = ExtractionStats(), SubsumptionStats()
         with _maybe_traced(args):
-            records, survivors = run_pipeline(
+            _, survivors = run_pipeline(
                 image,
                 config,
                 cache=_make_cache(args),
                 extraction_stats=es,
                 winnow_stats=ss,
             )
-        print(f"{len(records)} semantic gadgets, {len(survivors)} after subsumption")
+        print(f"{es.records} semantic gadgets, {len(survivors)} after subsumption")
         print(_pipeline_stats_line(es, ss))
     return 0
 

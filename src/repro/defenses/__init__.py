@@ -19,7 +19,7 @@ See ``EXPERIMENTS.md`` ("Defense matrix") for the experiment built on
 top, and ``benchmarks/test_defense_matrix.py`` for the artifact.
 """
 
-from .cfi import CFITargets, KIND_CALL, KIND_JUMP, KIND_RET
+from .cfi import CFITargets, KIND_CALL, KIND_JUMP, KIND_RET, shared_cfi_targets
 from .census import (
     BENCH_DEFENSES_SCHEMA,
     defense_census,
@@ -71,6 +71,7 @@ __all__ = [
     "killed_by",
     "parse_policy",
     "resolve_policies",
+    "shared_cfi_targets",
     "validate_defense_matrix",
     "validate_payload_with_policy",
 ]

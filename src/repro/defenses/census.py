@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..binfmt.image import BinaryImage
-from ..gadgets.extract import ExtractionConfig
+from ..gadgets.extract import ExtractionConfig, ExtractionStats
 from ..obs import span
 from ..pipeline.cache import ResultCache
 from ..pipeline.stages import run_pipeline
-from .cfi import CFITargets
+from .cfi import shared_cfi_targets
 from .policy import CFIMode, DefensePolicy, POLICIES, parse_policy
 from .survive import SurvivalCensus, filter_pool
 
@@ -74,10 +74,11 @@ def defense_census(
     extraction = extraction or ExtractionConfig()
     resolved = resolve_policies(policies)
     with span("defense.census") as sp:
-        pool, deduped = run_pipeline(image, extraction, cache=cache)
+        extracted = ExtractionStats()
+        _, deduped = run_pipeline(image, extraction, cache=cache, extraction_stats=extracted)
         targets = None
         if any(p.cfi is not CFIMode.OFF for p in resolved):
-            targets = CFITargets.build(image)
+            targets = shared_cfi_targets(image.to_bytes())
         censuses: List[SurvivalCensus] = []
         for policy in resolved:
             census = SurvivalCensus(policy=policy.name)
@@ -87,7 +88,7 @@ def defense_census(
         sp.add("pool", len(deduped))
     return {
         "pool_size": len(deduped),
-        "gadgets_total": len(pool),
+        "gadgets_total": extracted.records,
         "policies": [c.to_dict() for c in censuses],
     }
 

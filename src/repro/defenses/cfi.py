@@ -24,6 +24,7 @@ gives the defender no label there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import FrozenSet
 
@@ -84,3 +85,17 @@ class CFITargets:
         filter uses: a chain position for the gadget may still exist.)
         """
         return target in self.return_sites or target in self.entries
+
+
+@functools.lru_cache(maxsize=8)
+def shared_cfi_targets(image_bytes: bytes) -> CFITargets:
+    """A process-wide cache of :class:`CFITargets` per image.
+
+    Every CFI request against one binary (each policy, goal set and
+    payload validation of a sweep) needs the same target sets, and
+    recovering the CFG costs as much as planning a small request.
+    Keyed by the image's bytes, as :func:`~repro.staticanalysis.
+    decode_graph.shared_decode_graph` is by its text; the targets are
+    frozen sets, so sharing cannot change any caller's results.
+    """
+    return CFITargets.build(BinaryImage.from_bytes(image_bytes))

@@ -36,7 +36,7 @@ from ..emulator.syscalls import PROT_EXEC, PROT_WRITE, Sys, SyscallEvent
 from ..isa.instructions import Instruction, Op
 from ..isa.registers import MASK64
 from ..obs import metrics, span
-from .cfi import CFITargets, KIND_CALL, KIND_JUMP, KIND_RET
+from .cfi import CFITargets, KIND_CALL, KIND_JUMP, KIND_RET, shared_cfi_targets
 from .policy import CFIMode, DefensePolicy
 
 _EACCES = -13 & ((1 << 64) - 1)
@@ -70,7 +70,7 @@ class PolicyEnforcer:
         if policy.cfi is not CFIMode.OFF and targets is None:
             if image is None:
                 raise ValueError("CFI enforcement needs CFITargets or the image")
-            targets = CFITargets.build(image)
+            targets = shared_cfi_targets(image.to_bytes())
         self.policy = policy
         self.targets = targets
         self.shadow: List[int] = []

@@ -32,6 +32,7 @@ from .oracles import (
     check_roundtrip,
     check_scan,
     check_serialize,
+    check_warm_cache,
     check_window,
     check_winnow,
     run_case,
@@ -68,6 +69,7 @@ __all__ = [
     "check_roundtrip",
     "check_scan",
     "check_serialize",
+    "check_warm_cache",
     "check_window",
     "check_winnow",
     "run_case",

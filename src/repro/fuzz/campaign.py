@@ -105,6 +105,19 @@ def _draw_plan_search(seed: int, i: int) -> Case:
     return Case(oracle="plan_search", kind="image", text=text)
 
 
+#: Policies the warm_cache oracle draws: no defense, each CFI mode (the
+#: shared CFI targets), a shadow stack and a syscall veto.
+_WARM_POLICIES = ("none", "coarse_cfi", "fine_cfi", "shadow_stack", "wx")
+
+
+def _draw_warm_cache(seed: int, i: int) -> Case:
+    rng = _rng(seed, i, "warm_cache")
+    text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
+    text += gen_chain_tail(rng)
+    policy = rng.choice(_WARM_POLICIES)
+    return Case(oracle="warm_cache", kind="image", text=text, configs=(policy,))
+
+
 def _draw_obfuscation(seed: int, i: int) -> Case:
     rng = _rng(seed, i, "obfuscation")
     source = gen_program(rng)
@@ -147,6 +160,7 @@ ORACLES: Dict[str, Tuple[int, int, Callable[[int, int], Case]]] = {
     "serialize": (10, 3, _draw_serialize),
     "planner": (100, 41, _draw_planner),
     "plan_search": (2, 1, _draw_plan_search),
+    "warm_cache": (10, 7, _draw_warm_cache),
     "obfuscation": (25, 11, _draw_obfuscation),
     "solver_preprocess": (8, 1, _draw_solver_preprocess),
     "scan": (1, 0, _draw_scan),

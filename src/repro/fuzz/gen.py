@@ -120,8 +120,6 @@ def _gen_body_insn(rng: random.Random) -> Instruction:
     if layout is OperandLayout.IMM64:
         return Instruction(op=op, imm=rng.getrandbits(64))
     if op is Op.LEA:
-        if rng.random() < 0.25:  # a frame pointer for a later leave
-            return Instruction(op=op, dst=Reg.RBP, base=Reg.RSP, disp=rng.randrange(0, 8) * 8)
         return Instruction(op=op, dst=r, base=s, disp=rng.randrange(-64, 64))
     # Other memory operands are payload slots, which symex tracks.
     disp = rng.randrange(0, 64) if op in (Op.LOADB, Op.STOREB) else rng.randrange(0, 8) * 8
@@ -136,10 +134,27 @@ def _gen_body_insn(rng: random.Random) -> Instruction:
     return Instruction(op=op, dst=r)
 
 
+#: How often a drawn ``leave`` gets a frame pointer right before it.
+#: ``leave`` sets ``rsp := rbp``; with rbp off the stack the window's
+#: stack goes wild and the emu_symex check is inconclusive.
+_LEAVE_FRAME_ODDS = 0.9
+
+
+def _frame_pointer(rng: random.Random) -> Instruction:
+    """``lea rbp, [rsp + 8k]``: rbp on a payload slot."""
+    return Instruction(op=Op.LEA, dst=Reg.RBP, base=Reg.RSP, disp=rng.randrange(0, 8) * 8)
+
+
 def gen_window(rng: random.Random, max_body: int = 6) -> List[Instruction]:
     """A laid-out instruction window ending in an indirect transfer."""
     n = rng.randrange(0, max_body + 1)
-    spec: WindowSpec = [(_gen_body_insn(rng), None) for _ in range(n)]
+    spec: WindowSpec = []
+    for _ in range(n):
+        insn = _gen_body_insn(rng)
+        if insn.op is Op.LEAVE and rng.random() < _LEAVE_FRAME_ODDS:
+            spec.append((_frame_pointer(rng), None))
+        spec.append((insn, None))
+    n = len(spec)
     if n >= 1 and rng.random() < 0.45:
         # Insert one forward conditional jump over 0..2 later insns.
         pos = rng.randrange(0, n)

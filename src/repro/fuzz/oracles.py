@@ -38,6 +38,12 @@ The oracles:
     threat checks of new pairs only, carried constraint load) returns
     the same plans in the same order, after the same number of nodes,
     as :func:`reference_search`, which recomputes all of them.
+``warm_cache``
+    A planner run through one :class:`~repro.pipeline.ResultCache` —
+    cold, warm, warm again and from the cache's in-process memo —
+    reports what a run with no cache does, under a drawn defense
+    policy; afterwards the memoised winnow pool still equals a fresh
+    decode of its entry (no caller changed a shared record).
 ``obfuscation``
     Every obfuscation config preserves a program's concrete output.
 ``scan``
@@ -65,13 +71,13 @@ from ..emulator.cpu import DivideError, Emulator, EmulatorError, run_image
 from ..emulator.memory import MemoryFault
 from ..gadgets.extract import ExtractionConfig, extract_gadgets, syntactic_scan
 from ..gadgets.record import GadgetRecord
-from ..gadgets.subsumption import deduplicate_gadgets, fingerprint
+from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, deduplicate_gadgets, fingerprint
 from ..isa.encoding import DecodeError, decode, decode_window, encode
 from ..isa.instructions import Op, opcode_operands
 from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
 from ..isa.semantics import JCC, IntDomain
 from ..obfuscation.pipeline import CONFIGS, build_program
-from ..pipeline import pool_from_bytes, pool_to_bytes
+from ..pipeline import ResultCache, pool_from_bytes, pool_to_bytes
 from ..planner import GadgetPlanner
 from ..planner.conditions import (
     MemCondition,
@@ -552,6 +558,72 @@ def check_planner(text: bytes) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# warm requests: winnow-first lookup and the decode memo vs no cache
+# ---------------------------------------------------------------------------
+
+
+def _report_shape(report) -> Dict[str, object]:
+    """What a planner report must keep whatever its pools came from."""
+    es = report.extraction_stats
+    return {
+        "gadgets_total": report.gadgets_total,
+        "gadgets_after_subsumption": report.gadgets_after_subsumption,
+        "gadgets_surviving": report.gadgets_surviving,
+        "per_goal": sorted(report.per_goal.items()),
+        "payloads": [
+            (p.goal_name, [g.location for g in p.chain], p.words) for p in report.payloads
+        ],
+        "extraction": (es.records, es.candidates, es.semantically_culled),
+    }
+
+
+def check_warm_cache(text: bytes, policy: str) -> List[str]:
+    """A cache-less planner run against four runs on one cache: cold
+    (both stages computed and stored), warm (the winnow entry decoded),
+    warm again (decoded and kept) and a memo hit."""
+    import tempfile
+    from pathlib import Path
+
+    from ..defenses.policy import POLICIES
+
+    image = make_image(text)
+    config = ExtractionConfig(max_insns=5, max_paths=4, max_candidates=48)
+
+    def run(cache: Optional[ResultCache]):
+        planner = GadgetPlanner(
+            image,
+            extraction=config,
+            planner=_SEARCH_CONFIG,
+            solver=_UnblastedSolver(max_conflicts=WINNOW_MAX_CONFLICTS),
+            cache=cache,
+            defense=POLICIES[policy],
+        )
+        return _report_shape(planner.run())
+
+    want = run(None)
+    failures: List[str] = []
+    with tempfile.TemporaryDirectory(prefix="nfl-fuzz-") as root:
+        cache = ResultCache(root=Path(root))
+        for name in ("cold", "warm", "re-read", "memo"):
+            got = run(cache)
+            failures += [
+                f"warm_cache[{policy}]: the {name} run's {key} is {got[key]!r:.60}, "
+                f"with no cache {want[key]!r:.60}"
+                for key in want
+                if got[key] != want[key]
+            ]
+        if cache.stats.memo_hits != 1:
+            failures.append(f"warm_cache: {cache.stats.memo_hits} memo hits, expected 1")
+        memoised = cache.load_pool("winnow", image.to_bytes(), config)
+        fresh = ResultCache(root=Path(root)).load_pool("winnow", image.to_bytes(), config)
+        if memoised is None or fresh is None:
+            failures.append("warm_cache: the winnow entry is gone")
+        elif pool_to_bytes(memoised[0]) != pool_to_bytes(fresh[0]):
+            failures.append("warm_cache: the memoised winnow pool differs from its entry")
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # planner search: memo, closure and new-pair threat checks vs recomputation
 # ---------------------------------------------------------------------------
 
@@ -904,6 +976,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_planner(case.text)
     if case.oracle == "plan_search":
         return check_plan_search(case.text)
+    if case.oracle == "warm_cache":
+        return check_warm_cache(case.text, case.configs[0] if case.configs else "none")
     if case.oracle == "obfuscation":
         return check_obfuscation(case.source, case.configs or ("none",), seed=case.env_seed)
     if case.oracle == "solver_preprocess":

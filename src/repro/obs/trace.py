@@ -298,20 +298,21 @@ def strip_timestamps(lines: List[str]) -> List[str]:
     return stable
 
 
-def _slow_logs(lines: List[str]) -> Dict[str, List[Dict[str, Any]]]:
-    """The metrics line's slow logs, if the trace has one."""
+def _metrics_snapshot(lines: List[str]) -> Dict[str, Any]:
+    """The trace's metrics line, if it has one."""
     for line in reversed(lines):
         if line.strip():
             record = json.loads(line)
             if record.get("type") == "metrics":
-                return record["metrics"].get("slow_logs", {})
+                return record["metrics"]
             return {}
     return {}
 
 
 def format_trace_summary(lines: List[str]) -> str:
     """A human tree rendering of a JSONL trace (``nfl trace FILE``),
-    followed by any slow log in its metrics snapshot (for instance the
+    followed by the counters of its metrics snapshot (for instance the
+    solver's answers by path) and any slow log in it (for instance the
     solver's slowest queries)."""
     spans = validate_trace_lines(lines)
     depth: Dict[int, int] = {}
@@ -328,7 +329,12 @@ def format_trace_summary(lines: List[str]) -> str:
             f"{'  ' * d}{record['name']:<{max(1, 36 - 2 * d)}}"
             f" wall={record['wall']:.3f}s cpu={record['cpu']:.3f}s{suffix}"
         )
-    for name, entries in _slow_logs(lines).items():
+    snapshot = _metrics_snapshot(lines)
+    counters = snapshot.get("counters", {})
+    if counters:
+        out.append("counters:")
+        out.extend(f"  {name}={counters[name]}" for name in sorted(counters))
+    for name, entries in snapshot.get("slow_logs", {}).items():
         out.append(f"{name} (slowest {len(entries)}):")
         for entry in entries:
             fields = " ".join(f"{k}={entry[k]}" for k in sorted(entry) if k != "wall")

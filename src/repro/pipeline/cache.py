@@ -19,6 +19,13 @@ Entries are one file each (JSON meta header + canonical pool bytes),
 written atomically via rename, so concurrent producers race benignly:
 both compute the same bytes, last rename wins.  A corrupt or
 truncated entry is deleted and treated as a miss.
+
+Each :class:`ResultCache` keeps a small in-process memo of decoded
+entries, so a request served again and again (a sweep re-planning one
+binary under many goals and policies) decodes each entry once.  A
+memo hit is validated by the entry file's size and mtime, and only an
+entry read twice is kept: a pool that is read once, as a cold run's is,
+is never held past its request.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import json
 import os
 import struct
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -38,12 +46,20 @@ from .serialize import FORMAT_VERSION, config_key_bytes, pool_from_bytes, pool_t
 #: Bump when extraction/winnow semantics change: every old key dies.
 #: 3: the winnow's default conflict budget went from 2000 to 4000, and
 #: a ``winnow`` entry written at 2000 must not be served at 4000.
-PIPELINE_VERSION = 3
+#: 4: a ``winnow`` entry's meta also holds the extract stage's
+#: counters, so a winnow hit answers without the extract entry.
+PIPELINE_VERSION = 4
+
+#: Decoded entries one :class:`ResultCache` keeps in memory (LRU).
+MEMO_ENTRIES = 8
 
 #: Environment override for the default cache root.
 CACHE_DIR_ENV = "NFL_CACHE_DIR"
 
 _ENTRY_MAGIC = b"NFLC"
+
+#: A decoded entry as the memo holds it: the records and the meta.
+_Decoded = Tuple[Tuple[GadgetRecord, ...], Dict[str, Any]]
 
 
 def default_cache_dir() -> Path:
@@ -60,14 +76,28 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
+    #: Hits split by how they were answered: from the in-process memo,
+    #: or by decoding the entry file.
+    memo_hits: int = 0
+    decodes: int = 0
 
 
 @dataclass
 class ResultCache:
-    """Content-addressed pool store under one root directory."""
+    """Content-addressed pool store under one root directory.
+
+    ``_memo`` maps a content key to the entry file's (size, mtime_ns)
+    stamp at its last read, and to the decoded ``(records, meta)`` once
+    a second read found the same stamp.  Hits hand out a new list and
+    dict each; the records themselves are shared, so no caller may
+    change a :class:`GadgetRecord`'s fields in place.
+    """
 
     root: Path = field(default_factory=default_cache_dir)
     stats: CacheStats = field(default_factory=CacheStats)
+    _memo: "OrderedDict[str, Tuple[Tuple[int, int], Optional[_Decoded]]]" = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -97,9 +127,20 @@ class ResultCache:
         self, kind: str, image_bytes: bytes, config: Any
     ) -> Optional[Tuple[List[GadgetRecord], Dict[str, Any]]]:
         """The cached (records, meta) for this key, or None on a miss."""
-        path = self._path(self.key(kind, image_bytes, config))
+        key = self.key(kind, image_bytes, config)
+        path = self._path(key)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                st = os.fstat(handle.fileno())
+                stamp = (st.st_size, st.st_mtime_ns)
+                seen = self._memo.get(key)
+                if seen is not None and seen[0] == stamp and seen[1] is not None:
+                    self._memo.move_to_end(key)
+                    self.stats.hits += 1
+                    self.stats.memo_hits += 1
+                    records, meta = seen[1]
+                    return list(records), dict(meta)
+                blob = handle.read()
         except OSError:
             self.stats.misses += 1
             return None
@@ -108,13 +149,21 @@ class ResultCache:
         except Exception:
             # Corrupt/truncated entry (killed writer, disk trouble):
             # drop it so the next run rewrites a good one.
+            self._memo.pop(key, None)
             try:
                 path.unlink()
             except OSError:
                 pass
             self.stats.misses += 1
             return None
+        # Keep the decode only when this stamp was read before.
+        kept = (tuple(records), dict(meta)) if seen is not None and seen[0] == stamp else None
+        self._memo[key] = (stamp, kept)
+        self._memo.move_to_end(key)
+        while len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
         self.stats.hits += 1
+        self.stats.decodes += 1
         return records, meta
 
     def store_pool(

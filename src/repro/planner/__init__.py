@@ -173,7 +173,7 @@ class GadgetPlanner:
             report.defense_policy = self.defense.name
 
         with span("plan") as plan_root:
-            records, deduped = run_pipeline(
+            _, deduped = run_pipeline(
                 self.image,
                 self.extraction_config,
                 cache=self.cache,
@@ -181,7 +181,7 @@ class GadgetPlanner:
                 extraction_stats=report.extraction_stats,
                 winnow_stats=report.subsumption_stats,
             )
-            report.gadgets_total = len(records)
+            report.gadgets_total = report.extraction_stats.records
             report.gadgets_after_subsumption = len(deduped)
             report.timings.extraction = report.extraction_stats.wall_total
             report.timings.subsumption = report.subsumption_stats.wall_total
@@ -189,13 +189,15 @@ class GadgetPlanner:
             if self.defense is not None:
                 # A pure post-filter over the winnowed pool: the cached
                 # pools above are shared across policies untouched.
-                from ..defenses.cfi import CFITargets
+                from ..defenses.cfi import shared_cfi_targets
                 from ..defenses.policy import CFIMode
                 from ..defenses.survive import SurvivalCensus, filter_pool
 
                 with span("plan.defense_filter") as def_sp:
                     if self.defense.cfi is not CFIMode.OFF:
-                        cfi_targets = CFITargets.build(self.image)
+                        hits = shared_cfi_targets.cache_info().hits
+                        cfi_targets = shared_cfi_targets(self.image.to_bytes())
+                        def_sp.add("cfi_memo_hits", shared_cfi_targets.cache_info().hits - hits)
                     report.survival = SurvivalCensus(policy=self.defense.name)
                     deduped = filter_pool(
                         self.defense, deduped, targets=cfi_targets, census=report.survival

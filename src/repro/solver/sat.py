@@ -20,20 +20,26 @@ class SATResult:
     """Outcome of a :meth:`SATSolver.solve` call.
 
     ``conflicts`` reports the CDCL conflicts the verdict cost — the
-    effort signal the observability layer histograms per check.
+    effort signal the observability layer histograms per check — and
+    ``decisions`` and ``propagations`` the branching and the literals
+    unit propagation assigned.
     """
 
-    __slots__ = ("satisfiable", "model", "conflicts")
+    __slots__ = ("satisfiable", "model", "conflicts", "decisions", "propagations")
 
     def __init__(
         self,
         satisfiable: bool,
         model: Optional[Dict[int, bool]] = None,
         conflicts: int = 0,
+        decisions: int = 0,
+        propagations: int = 0,
     ):
         self.satisfiable = satisfiable
         self.model = model or {}
         self.conflicts = conflicts
+        self.decisions = decisions
+        self.propagations = propagations
 
     def __bool__(self) -> bool:
         return self.satisfiable
@@ -41,7 +47,8 @@ class SATResult:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SATResult(sat={self.satisfiable}, |model|={len(self.model)}, "
-            f"conflicts={self.conflicts})"
+            f"conflicts={self.conflicts}, decisions={self.decisions}, "
+            f"propagations={self.propagations})"
         )
 
 
@@ -73,6 +80,10 @@ class SATSolver:
         self._var_decay = 0.95
         self._propagate_head = 0
         self._ok = True
+        #: Effort counters: calls to :meth:`_decide`, and literals that
+        #: unit propagation put on the trail.
+        self.decisions = 0
+        self.propagations = 0
 
     # -- problem construction ------------------------------------------------
 
@@ -135,6 +146,12 @@ class SATSolver:
 
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause index or None."""
+        start = len(self._trail)
+        conflict = self._propagate_from_head()
+        self.propagations += len(self._trail) - start
+        return conflict
+
+    def _propagate_from_head(self) -> Optional[int]:
         while self._propagate_head < len(self._trail):
             lit = self._trail[self._propagate_head]
             self._propagate_head += 1
@@ -238,6 +255,7 @@ class SATSolver:
         self._propagate_head = min(self._propagate_head, len(self._trail))
 
     def _decide(self) -> Optional[int]:
+        self.decisions += 1
         best_var = None
         best_act = -1.0
         for var in range(1, self.num_vars + 1):
@@ -252,6 +270,11 @@ class SATSolver:
 
     # -- main loop -----------------------------------------------------------
 
+    def _result(
+        self, satisfiable: bool, model: Optional[Dict[int, bool]] = None, *, conflicts: int
+    ) -> SATResult:
+        return SATResult(satisfiable, model, conflicts, self.decisions, self.propagations)
+
     def solve(self, max_conflicts: Optional[int] = None) -> SATResult:
         """Run CDCL; ``max_conflicts`` bounds effort (None = unbounded).
 
@@ -261,7 +284,7 @@ class SATSolver:
         if not self._ok:
             return SATResult(False)
         if self._propagate() is not None:
-            return SATResult(False)
+            return self._result(False, conflicts=0)
         conflicts = 0
         restart_count = 1
         restart_limit = 32 * _luby(restart_count)
@@ -272,9 +295,9 @@ class SATSolver:
                 conflicts += 1
                 conflicts_since_restart += 1
                 if max_conflicts is not None and conflicts > max_conflicts:
-                    raise SATBudgetExceeded(conflicts)
+                    raise SATBudgetExceeded(conflicts, self.decisions, self.propagations)
                 if not self._trail_lim:
-                    return SATResult(False, conflicts=conflicts)
+                    return self._result(False, conflicts=conflicts)
                 learned, back_level = self._analyze(conflict)
                 self._backjump(back_level)
                 if len(learned) == 1:
@@ -297,17 +320,20 @@ class SATSolver:
                     model = dict(self.assignment)
                     for var in range(1, self.num_vars + 1):
                         model.setdefault(var, False)
-                    return SATResult(True, model, conflicts=conflicts)
+                    return self._result(True, model, conflicts=conflicts)
                 self._trail_lim.append(len(self._trail))
                 self._assign(decision, reason=None)
 
 
 class SATBudgetExceeded(Exception):
-    """The conflict budget was exhausted before a verdict."""
+    """The conflict budget was exhausted before a verdict; the effort
+    spent is reported as on :class:`SATResult`."""
 
-    def __init__(self, conflicts: int):
+    def __init__(self, conflicts: int, decisions: int = 0, propagations: int = 0):
         super().__init__(f"SAT budget exceeded after {conflicts} conflicts")
         self.conflicts = conflicts
+        self.decisions = decisions
+        self.propagations = propagations
 
 
 def solve_clauses(clauses: Sequence[Sequence[int]], max_conflicts: Optional[int] = None) -> SATResult:

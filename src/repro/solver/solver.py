@@ -24,9 +24,12 @@ Layered decision procedure:
 
 Every query that reaches layer 4 opens a ``solver.query`` span, with
 ``solver.blast`` (``vars`` and ``clauses`` counters) and ``solver.sat``
-(``conflicts``) beneath it when it is blasted, bumps
-``solver.refuted.<rule>`` when a rule refutes it, and is entered in the
-``solver.slow_queries`` slow log, which ``nfl trace`` prints.
+(``conflicts``, ``decisions``, ``propagations``) beneath it when it is
+blasted, bumps ``solver.refuted.<rule>`` when a rule refutes it, and is
+entered in the ``solver.slow_queries`` slow log, which ``nfl trace``
+prints.  Every :meth:`Solver.check` answer is counted by the path that
+gave it (:data:`ANSWER_PATHS`), on the instance and as a
+``solver.answers.<path>`` counter.
 """
 
 from __future__ import annotations
@@ -197,6 +200,11 @@ _MEMO_LIMIT = 100_000
 #: Seed of the sampling layer's random assignments.
 _SAMPLE_SEED = 0x5EED
 
+#: The paths a :meth:`Solver.check` answer takes: the check memo,
+#: equality propagation alone, random sampling, a word-level
+#: refutation, or a blast (whatever its verdict, UNKNOWN included).
+ANSWER_PATHS = ("memo", "propagation", "sampling", "refutation", "blast")
+
 
 class Solver:
     """Stateless checker over conjunctions of :class:`Bool` constraints.
@@ -220,6 +228,7 @@ class Solver:
         self.queries = 0
         self.memo_hits = 0
         self.unknowns = 0  # budget/blast failures answered UNKNOWN
+        self.answers: Dict[str, int] = dict.fromkeys(ANSWER_PATHS, 0)
 
     # -- public API -----------------------------------------------------------
 
@@ -230,6 +239,7 @@ class Solver:
         cached = self._memo.get(key)
         if cached is not None:
             self.memo_hits += 1
+            self._answered("memo")
             return SolverResult(cached.status, dict(cached.model))
         result = self._check_uncached(constraints)
         if len(self._memo) >= _MEMO_LIMIT:
@@ -241,15 +251,22 @@ class Solver:
         conjuncts = _flatten_conjuncts(constraints)
         residual, bindings, consistent = _propagate_equalities(conjuncts)
         if not consistent:
+            self._answered("propagation")
             return SolverResult(Status.UNSAT)
         if not residual:
+            self._answered("propagation")
             return SolverResult(Status.SAT, model=dict(bindings))
         symbols = sorted(set().union(*(free_symbols(c) for c in residual)))
         sampled = self._try_sampling(residual, symbols)
         if sampled is not None:
+            self._answered("sampling")
             sampled.update(bindings)
             return SolverResult(Status.SAT, model=sampled)
         return self._check_with_sat(residual, symbols, bindings)
+
+    def _answered(self, path: str) -> None:
+        self.answers[path] += 1
+        metrics().counter(f"solver.answers.{path}").inc()
 
     def prove(self, formula: Bool) -> bool:
         """True iff ``formula`` is valid (its negation is UNSAT)."""
@@ -303,13 +320,15 @@ class Solver:
     ) -> SolverResult:
         registry = metrics()
         registry.counter("solver.sat_calls").inc()
-        cost = {"vars": 0, "clauses": 0, "conflicts": 0}
+        cost = {"vars": 0, "clauses": 0, "conflicts": 0, "decisions": 0, "propagations": 0}
         with span("solver.query") as query_sp:
             rule = self.refute(conjuncts)
             if rule is not None:
                 registry.counter(f"solver.refuted.{rule}").inc()
+                self._answered("refutation")
                 result = SolverResult(Status.UNSAT)
             else:
+                self._answered("blast")
                 result = self._blast_and_solve(conjuncts, symbols, cost)
         if result.status is Status.UNKNOWN:
             self.unknowns += 1
@@ -348,13 +367,14 @@ class Solver:
         with span("solver.sat") as sat_sp:
             try:
                 result = sat.solve(max_conflicts=self.max_conflicts)
-                conflicts = result.conflicts
+                effort = result
             except SATBudgetExceeded as budget:
                 result = None
-                conflicts = budget.conflicts
-            sat_sp.add("conflicts", conflicts)
-        cost["conflicts"] = conflicts
-        metrics().histogram("solver.conflicts_per_check").observe(conflicts)
+                effort = budget
+            for name in ("conflicts", "decisions", "propagations"):
+                cost[name] = getattr(effort, name)
+                sat_sp.add(name, cost[name])
+        metrics().histogram("solver.conflicts_per_check").observe(cost["conflicts"])
         if result is None:
             return SolverResult(Status.UNKNOWN)
         if not result.satisfiable:

@@ -35,6 +35,7 @@ from repro.defenses import (
     format_defense_census,
     gadget_survives,
     parse_policy,
+    shared_cfi_targets,
     validate_defense_matrix,
     validate_payload_with_policy,
 )
@@ -174,6 +175,32 @@ def test_cfi_targets_from_cfg():
     for mode in (CFIMode.COARSE, CFIMode.FINE):
         assert not targets.valid_target(mode, KIND_JUMP, 0x7FFF0000)
     assert targets.valid_target(CFIMode.OFF, KIND_JUMP, 0x7FFF0000)
+
+
+def test_shared_cfi_targets_are_built_once_per_image():
+    image = image_for(CALLER)
+    shared = shared_cfi_targets(image.to_bytes())
+    assert shared == CFITargets.build(image)
+    assert shared_cfi_targets(image.to_bytes()) is shared
+    assert PolicyEnforcer(POLICIES["fine_cfi"], image=image).targets is shared
+
+
+def test_planner_reads_cfi_targets_from_the_shared_memo(rich_image):
+    """Every CFI request after the first on one image is a memo hit,
+    which the ``plan.defense_filter`` span counts."""
+
+    def filter_span_counters(policy):
+        tracer = Tracer()
+        with tracing(tracer):
+            run_planner(rich_image, POLICIES[policy])
+        (root,) = tracer.roots
+        (span,) = [s for s, _ in root.walk() if s.name == "plan.defense_filter"]
+        return span.counters
+
+    shared_cfi_targets.cache_clear()
+    assert filter_span_counters("coarse_cfi")["cfi_memo_hits"] == 0
+    assert filter_span_counters("fine_cfi")["cfi_memo_hits"] == 1
+    assert "cfi_memo_hits" not in filter_span_counters("shadow_stack")
 
 
 # -- survival filtering ------------------------------------------------------
@@ -524,6 +551,18 @@ def test_defense_census_counts_and_format(rich_image):
     assert rows["shadow_stack"]["killed_shadow_stack"] > 0
     table = format_defense_census(doc, title="rich")
     assert "policy" in table and "shadow_stack" in table
+
+
+def test_defense_census_counts_the_extracted_pool_when_warm(tmp_path, rich_image):
+    """A warm census is answered by the winnow entry alone and still
+    reports the extracted count."""
+    from repro.pipeline import ResultCache
+
+    cache = ResultCache(root=tmp_path)
+    cold = defense_census(rich_image, ["none", "coarse_cfi"], cache=cache)
+    warm = defense_census(rich_image, ["none", "coarse_cfi"], cache=cache)
+    assert warm == cold
+    assert cold["gadgets_total"] == len(extract_gadgets(rich_image))
 
 
 def test_validate_defense_matrix_schema():

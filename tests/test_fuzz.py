@@ -110,6 +110,37 @@ def test_gen_window_draws_every_semantics_row():
     assert set(SEMANTICS) <= drawn
 
 
+def test_leave_reaches_conclusive_emu_symex_checks():
+    """``leave`` makes ``rsp := rbp``, so a window without a frame
+    pointer goes wild and proves nothing.  Over a fixed run of emu_symex
+    draws, conclusive windows (the emulator side ran) with ``leave`` in
+    them must be about as common as those of any other row."""
+    from collections import Counter
+
+    draw = ORACLES["emu_symex"][2]
+    conclusive = Counter()
+    for i in range(1500):
+        case = draw(1, i)
+        built = []
+
+        def factory(*args, **kwargs):
+            built.append(None)
+            return Emulator(*args, **kwargs)
+
+        check_window(
+            case.text,
+            case.offset,
+            case.env_seed,
+            max_insns=case.max_insns,
+            emulator_factory=factory,
+        )
+        if len(built) == 2:  # the snapshot, then the live run
+            window = decode_window(case.text, case.offset, base_addr=0, max_insns=case.max_insns)
+            conclusive.update({insn.op for insn in window} & set(SEMANTICS))
+    others = [conclusive[op] for op in SEMANTICS if op is not Op.LEAVE]
+    assert conclusive[Op.LEAVE] >= min(others) // 2 > 0, (conclusive[Op.LEAVE], sorted(others))
+
+
 def test_gen_program_compiles_and_runs_everywhere():
     import random
 
@@ -234,6 +265,36 @@ def test_planner_oracle_flags_enforcement_that_slides_undefended_payloads(monkey
     failures = check_planner(gen_chain_tail(random.Random(0)))
     assert failures
     assert all("validates True" in f and "False with event None" in f for f in failures)
+
+
+def test_warm_cache_oracle_agrees_with_a_cacheless_run():
+    from repro.fuzz.oracles import check_warm_cache
+
+    for seed, policy in enumerate(("none", "coarse_cfi", "fine_cfi", "shadow_stack")):
+        assert check_warm_cache(_plan_search_text(seed), policy) == []
+    case = Case(
+        oracle="warm_cache", kind="image", text=gen_chain_tail(random.Random(0)), configs=("wx",)
+    )
+    assert run_case(case) == []
+
+
+def test_warm_cache_oracle_flags_a_planner_that_changes_shared_records(monkeypatch):
+    """A library build that appends to a record's pre-condition changes
+    the memoised pool in place, which a fresh decode shows."""
+    from repro.fuzz.oracles import check_warm_cache
+    from repro.planner.library import GadgetLibrary
+    from repro.symex.expr import bv_eq, bv_sym
+
+    real = GadgetLibrary.build.__func__
+
+    def build_and_scribble(cls, records, *args, **kwargs):
+        for record in records[:1]:
+            record.pre_cond.append(bv_eq(bv_sym("scribble"), bv_sym("scribble")))
+        return real(cls, records, *args, **kwargs)
+
+    monkeypatch.setattr(GadgetLibrary, "build", classmethod(build_and_scribble))
+    failures = check_warm_cache(gen_chain_tail(random.Random(0)), "none")
+    assert "warm_cache: the memoised winnow pool differs from its entry" in failures
 
 
 def _plan_search_text(seed: int) -> bytes:

@@ -227,10 +227,20 @@ def test_trace_summary_prints_slow_logs():
     summary = format_trace_summary(lines)
     assert "solver.slow_queries (slowest 1):" in summary
     assert "wall=0.2500s clauses=7 digest=abc" in summary
+    assert "counters:" not in summary
     # Slow logs are timings: the stable projection leaves them out.
     assert strip_timestamps(lines) == strip_timestamps(
         _sample_tracer().to_lines(metrics=MetricsRegistry().to_dict())
     )
+
+
+def test_trace_summary_prints_registry_counters():
+    reg = MetricsRegistry()
+    reg.counter("solver.answers.memo").inc(3)
+    reg.counter("solver.answers.blast").inc()
+    summary = format_trace_summary(_sample_tracer().to_lines(metrics=reg.to_dict()))
+    tail = summary.splitlines()[-3:]
+    assert tail == ["counters:", "  solver.answers.blast=1", "  solver.answers.memo=3"]
 
 
 def test_global_registry_reset():

@@ -223,6 +223,8 @@ def test_winnow_cache_keyed_by_solver_budget(tmp_path):
 
 
 def test_run_pipeline_warm_end_to_end(tmp_path):
+    """A warm run is answered by the winnow entry alone: no extracted
+    pool comes back, and the extraction stats keep the cold count."""
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
     cold_records, cold_survivors = run_pipeline(image, SMALL, cache=cache)
@@ -230,28 +232,146 @@ def test_run_pipeline_warm_end_to_end(tmp_path):
     records, survivors = run_pipeline(
         image, SMALL, cache=cache, extraction_stats=es, winnow_stats=ss
     )
+    assert records is None
+    assert es.records == len(cold_records)
     assert es.cache_hit and ss.cache_hit
     assert es.symex_invocations == 0 and ss.solver_checks == 0
-    assert pool_to_bytes(records) == pool_to_bytes(cold_records)
     assert pool_to_bytes(survivors) == pool_to_bytes(cold_survivors)
 
 
 def test_cache_entry_from_an_older_pipeline_version_is_a_miss(tmp_path, monkeypatch):
-    """Version 3 retired the ``winnow`` entries that ``nfl extract`` wrote
-    at a 2000-conflict budget under version 2."""
+    """Version 4 put the extract stage's counters into the ``winnow``
+    entry's meta; a version 3 entry lacks them and must not be served."""
     import repro.pipeline.cache as cache_module
 
-    assert cache_module.PIPELINE_VERSION == 3
+    assert cache_module.PIPELINE_VERSION == 4
     image = _image("bubble_sort", "none")
     records = extract_gadgets(image, SMALL)
     cache = ResultCache(root=tmp_path)
     with monkeypatch.context() as patch:
-        patch.setattr(cache_module, "PIPELINE_VERSION", 2)
+        patch.setattr(cache_module, "PIPELINE_VERSION", 3)
         cache.store_pool("winnow", image.to_bytes(), SMALL, records)
         assert cache.load_pool("winnow", image.to_bytes(), SMALL) is not None
     stats = SubsumptionStats()
     winnow_pool(records, stats, cache=cache, image=image, config=SMALL)
     assert stats.cache_misses == 1 and stats.cache_hits == 0
+
+
+def test_winnow_hit_restores_the_extract_counters(tmp_path):
+    image = _image("bubble_sort", "llvm_obf")
+    cache = ResultCache(root=tmp_path)
+    cold = ExtractionStats()
+    run_pipeline(image, SMALL, cache=cache, extraction_stats=cold)
+    assert cold.cache_misses == 1 and cold.cache_hits == 0
+    warm = ExtractionStats()
+    run_pipeline(image, SMALL, cache=cache, extraction_stats=warm)
+    assert (warm.records, warm.candidates, warm.semantically_culled) == (
+        cold.records,
+        cold.candidates,
+        cold.semantically_culled,
+    )
+    assert warm.cache_hits == 1 and warm.cache_misses == 0
+    # The extract stage did no work, so it took no time either.
+    assert warm.wall_total == 0.0
+
+
+# -- in-process memo of decoded entries ---------------------------------------
+
+
+def _memo(cache, kind, image_bytes):
+    """The decode the cache's memo keeps for one entry, or None."""
+    entry = cache._memo.get(cache.key(kind, image_bytes, SMALL))
+    return None if entry is None else entry[1]
+
+
+def test_cache_memo_keeps_a_decode_only_once_an_entry_is_read_again(tmp_path):
+    cache, image_bytes, records, _ = _stored_entry(tmp_path)
+    assert _memo(cache, "extract", image_bytes) is None, "a store fills no memo"
+
+    first, _ = cache.load_pool("extract", image_bytes, SMALL)
+    assert _memo(cache, "extract", image_bytes) is None, "a first read keeps no decode"
+    second, _ = cache.load_pool("extract", image_bytes, SMALL)
+    assert _memo(cache, "extract", image_bytes) is not None
+    assert (cache.stats.decodes, cache.stats.memo_hits) == (2, 0)
+
+    third, meta = cache.load_pool("extract", image_bytes, SMALL)
+    fourth, meta_again = cache.load_pool("extract", image_bytes, SMALL)
+    assert (cache.stats.decodes, cache.stats.memo_hits, cache.stats.hits) == (2, 2, 4)
+    expected = pool_to_bytes(records)
+    assert all(pool_to_bytes(pool) == expected for pool in (first, second, third, fourth))
+    # Each hit is a new list and a new dict over the shared records.
+    assert third is not fourth and third is not second
+    assert meta == {"candidates": 3} and meta is not meta_again
+    third.clear()
+    meta["candidates"] = 0
+    fifth, meta_fifth = cache.load_pool("extract", image_bytes, SMALL)
+    assert pool_to_bytes(fifth) == expected and meta_fifth == {"candidates": 3}
+
+
+def _touch(path, blob, stamp):
+    """Rewrite ``path`` with ``blob`` and a new mtime, so the file's
+    stamp differs from any earlier one even on a coarse clock."""
+    import os
+
+    path.write_bytes(blob)
+    os.utime(path, ns=(stamp, stamp))
+
+
+def test_cache_memo_rereads_a_rewritten_entry(tmp_path):
+    cache, image_bytes, records, path = _stored_entry(tmp_path)
+    for _ in range(3):
+        cache.load_pool("extract", image_bytes, SMALL)
+    assert cache.stats.memo_hits == 1
+
+    shorter = ResultCache(root=tmp_path / "other").store_pool(
+        "extract", image_bytes, SMALL, records[:1], meta={"candidates": 1}
+    )
+    _touch(path, shorter.read_bytes(), 10**18)
+    loaded, meta = cache.load_pool("extract", image_bytes, SMALL)
+    assert pool_to_bytes(loaded) == pool_to_bytes(records[:1]) and meta == {"candidates": 1}
+    assert cache.stats.memo_hits == 1, "a new stamp must not be a memo hit"
+
+
+def test_cache_memo_drops_a_corrupt_entry(tmp_path):
+    cache, image_bytes, _, path = _stored_entry(tmp_path)
+    for _ in range(3):
+        cache.load_pool("extract", image_bytes, SMALL)
+    _touch(path, b"NFLC garbage", 10**18)
+    assert cache.load_pool("extract", image_bytes, SMALL) is None
+    assert not path.exists(), "corrupt entry must be unlinked"
+    assert cache.stats.misses == 1
+    assert cache.key("extract", image_bytes, SMALL) not in cache._memo
+
+
+def test_cache_memo_is_bounded(tmp_path):
+    from repro.pipeline.cache import MEMO_ENTRIES
+
+    cache, image_bytes, records, _ = _stored_entry(tmp_path)
+    configs = [
+        ExtractionConfig(max_insns=SMALL.max_insns, max_paths=SMALL.max_paths, max_candidates=n)
+        for n in range(1, MEMO_ENTRIES + 3)
+    ]
+    for config in configs:
+        cache.store_pool("extract", image_bytes, config, records)
+        for _ in range(2):
+            cache.load_pool("extract", image_bytes, config)
+    assert len(cache._memo) == MEMO_ENTRIES
+    # The least recently read entries were evicted: reading the oldest
+    # again decodes it, while the newest is a memo hit.
+    hits = cache.stats.memo_hits
+    cache.load_pool("extract", image_bytes, configs[0])
+    assert cache.stats.memo_hits == hits
+    cache.load_pool("extract", image_bytes, configs[-1])
+    assert cache.stats.memo_hits == hits + 1
+
+
+def test_cache_memo_belongs_to_one_cache_instance(tmp_path):
+    cache, image_bytes, _, _ = _stored_entry(tmp_path)
+    for _ in range(2):
+        cache.load_pool("extract", image_bytes, SMALL)
+    fresh = ResultCache(root=tmp_path)
+    fresh.load_pool("extract", image_bytes, SMALL)
+    assert fresh.stats.memo_hits == 0 and fresh.stats.decodes == 1
 
 
 # -- memoization ------------------------------------------------------------
@@ -472,3 +592,40 @@ def test_warm_trace_byte_stable_modulo_timestamps(tmp_path):
     second, es2, _ = _traced_pipeline(image, cache)
     assert es1.symex_invocations == 0 and es2.symex_invocations == 0
     assert strip_timestamps(first) == strip_timestamps(second)
+
+
+def test_warm_trace_reads_only_the_winnow_entry(tmp_path):
+    from repro.obs import validate_trace_lines
+
+    image = _image("bubble_sort", "llvm_obf")
+    cache = ResultCache(root=tmp_path)
+    cold, es, _ = _traced_pipeline(image, cache)
+    # Cold: the winnow lookup misses, then extraction runs beside it
+    # (not under the ``winnow`` span), then the winnow and its store.
+    stages = {
+        "winnow.cache",
+        "extract.cache",
+        "extract",
+        "extract.cache.store",
+        "winnow",
+        "winnow.cache.store",
+    }
+    spans = validate_trace_lines(cold)
+    assert [s["name"] for s in spans if s["parent"] == 0 and s["name"] in stages] == [
+        "winnow.cache",
+        "extract.cache",
+        "extract",
+        "extract.cache.store",
+        "winnow",
+        "winnow.cache.store",
+    ]
+    assert es.cache_misses == 1 and es.symex_invocations > 0
+
+    # Warm: one winnow entry read; its decode is kept on the second
+    # read and served from the memo on the third.
+    for answered_by in ("decodes", "decodes", "memo_hits"):
+        warm, es, _ = _traced_pipeline(image, cache)
+        spans = validate_trace_lines(warm)
+        assert [s["name"] for s in spans] == ["pipeline", "winnow.cache"]
+        assert spans[1]["counters"] == {"hits": 1, answered_by: 1}
+        assert es.cache_hits == 1 and es.symex_invocations == 0

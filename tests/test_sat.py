@@ -98,8 +98,35 @@ def test_budget_exceeded_raises():
         for i1 in range(5):
             for i2 in range(i1 + 1, 5):
                 solver.add_clause([-var(i1, j), -var(i2, j)])
-    with pytest.raises(SATBudgetExceeded):
+    with pytest.raises(SATBudgetExceeded) as budget:
         solver.solve(max_conflicts=3)
+    # The overrun reports the effort it spent, as a verdict does.
+    assert budget.value.conflicts == 4
+    assert budget.value.decisions >= budget.value.conflicts
+    assert budget.value.propagations > 0
+
+
+def test_effort_counters():
+    """One decision per ``_decide`` call (the last one finds nothing to
+    decide), and propagations are the literals unit propagation put on
+    the trail: a chain x1 -> x2 -> ... -> x5 under x1 assigns four."""
+    solver = SATSolver()
+    for v in range(1, 5):
+        solver.add_clause([-v, v + 1])
+    solver.add_clause([1])
+    result = solver.solve()
+    assert result.satisfiable
+    assert (result.decisions, result.propagations, result.conflicts) == (1, 4, 0)
+
+    pigeons = SATSolver()
+    for i in range(3):
+        pigeons.add_clause([2 * i + 1, 2 * i + 2])
+    for j in (1, 2):
+        for a, b in itertools.combinations(range(3), 2):
+            pigeons.add_clause([-(2 * a + j), -(2 * b + j)])
+    unsat = pigeons.solve()
+    assert not unsat.satisfiable and unsat.conflicts > 0
+    assert unsat.decisions > 0 and unsat.propagations > unsat.decisions
 
 
 @st.composite

@@ -336,3 +336,49 @@ def test_cold_winnow_blasts_nothing_large():
     blasts = [n for root in tracer.roots for n, _ in root.walk() if n.name == "solver.blast"]
     assert max((b.counters["clauses"] for b in blasts), default=0) <= 10_000
     assert metrics().to_dict()["counters"].get("solver.refuted.complement", 0) >= 2
+
+
+def test_sat_span_and_slow_log_carry_search_effort():
+    # x * y == 15 with both factors in 2..15: the search must branch.
+    query = [
+        bv_eq(bv_mul(X, Y), bv_const(15)),
+        cmp(CmpOp.ULT, bv_const(1), X),
+        cmp(CmpOp.ULT, X, bv_const(16)),
+        cmp(CmpOp.ULT, bv_const(1), Y),
+        cmp(CmpOp.ULT, Y, bv_const(16)),
+    ]
+    result, spans, _ = _traced_check(Solver(sample_attempts=0), query)
+    assert result.is_sat and result.model["x"] * result.model["y"] == 15
+    (sat,) = spans["solver.sat"]
+    assert sat.counters["decisions"] > 0
+    assert sat.counters["propagations"] > sat.counters["decisions"]
+    (entry,) = metrics().to_dict()["slow_logs"]["solver.slow_queries"]
+    assert {k: entry[k] for k in ("conflicts", "decisions", "propagations")} == {
+        k: sat.counters[k] for k in ("conflicts", "decisions", "propagations")
+    }
+
+
+def test_answers_are_counted_by_path():
+    solver = Solver()
+    queries = {
+        "propagation": [bv_eq(X, bv_const(5))],
+        "sampling": [cmp(CmpOp.ULT, X, bv_const(100))],
+        "refutation": [cmp(CmpOp.ULT, X, Y), cmp(CmpOp.ULT, Y, X)],
+        "blast": [cmp(CmpOp.ULT, X, Y), cmp(CmpOp.ULT, Y, bv_const(2)), bv_ne(X, bv_const(0))],
+    }
+    reset_metrics()
+    for path, query in queries.items():
+        before = dict(solver.answers)
+        solver.check(query)
+        assert solver.answers == {**before, path: before[path] + 1}, path
+    solver.check(queries["blast"])
+    assert solver.answers == {
+        "memo": 1,
+        "propagation": 1,
+        "sampling": 1,
+        "refutation": 1,
+        "blast": 1,
+    }
+    assert sum(solver.answers.values()) == solver.queries
+    counters = metrics().to_dict()["counters"]
+    assert {path: counters[f"solver.answers.{path}"] for path in solver.answers} == solver.answers
