@@ -110,18 +110,23 @@ class Emulator:
         # permissions change (both bump exec_write_gen).
         self._insn_cache: Dict[int, Tuple[Instruction, "Handler"]] = {}
         self._cache_gen = self.memory.exec_write_gen
+        #: Decode-cache misses (instructions decoded and translated) and
+        #: invalidations of the whole cache by an ``exec_write_gen`` bump.
+        self.translations = 0
+        self.flushes = 0
 
     # -- stack helpers -----------------------------------------------------
 
     def push(self, value: int) -> None:
-        rsp = (self.cpu.get(Reg.RSP) - 8) & MASK64
-        self.cpu.set(Reg.RSP, rsp)
+        regs = self.cpu.regs
+        rsp = regs[_RSP] = (regs[_RSP] - 8) & MASK64
         self.memory.write_u64(rsp, value)
 
     def pop(self) -> int:
-        rsp = self.cpu.get(Reg.RSP)
+        regs = self.cpu.regs
+        rsp = regs[_RSP]
         value = self.memory.read_u64(rsp)
-        self.cpu.set(Reg.RSP, (rsp + 8) & MASK64)
+        regs[_RSP] = (rsp + 8) & MASK64
         return value
 
     # -- execution ----------------------------------------------------------
@@ -131,9 +136,11 @@ class Emulator:
         if self._cache_gen != self.memory.exec_write_gen:
             self._insn_cache.clear()
             self._cache_gen = self.memory.exec_write_gen
+            self.flushes += 1
         entry = self._insn_cache.get(rip)
         if entry is not None:
             return entry
+        self.translations += 1
         # Near a mapping edge the window stops at the last executable byte.
         size = self.memory.readable_run(rip, MAX_DECODE_SIZE, PERM_X)
         if not size:
@@ -154,7 +161,11 @@ class Emulator:
         if self.steps >= self.step_limit:
             raise StepLimitExceeded(f"exceeded {self.step_limit} steps")
         self.steps += 1
-        insn, handler = self._fetch_entry()
+        # The decode-cache hit inline; _fetch_entry flushes and decodes.
+        entry = None
+        if self._cache_gen == self.memory.exec_write_gen:
+            entry = self._insn_cache.get(self.cpu.rip)
+        insn, handler = entry or self._fetch_entry()
         if self.step_hook is not None:
             self.step_hook(self, insn)
         self.cpu.rip = handler(self)
@@ -220,13 +231,19 @@ class Emulator:
 #: A translated instruction: runs it on the emulator, returns the next rip.
 Handler = Callable[[Emulator], int]
 
+_RSP = Reg.RSP
+_ZF, _SF, _CF, _OF = Flag.ZF, Flag.SF, Flag.CF, Flag.OF
+
 
 def _translate(insn: Instruction) -> Handler:
     """The handler for ``insn``: its semantics row over :class:`IntDomain`,
     or a control transfer, with operands resolved once."""
     op, end = insn.op, insn.end & MASK64
     if op in SEMANTICS:
-        steps = [_int_step(step, insn) for step in SEMANTICS[op]]
+        row = SEMANTICS[op]
+        if len(row) == 1:
+            return _step_handler(row[0], insn, end)
+        steps = [_int_step(step, insn) for step in row]
 
         def run(emu: Emulator) -> int:
             for step in steps:
@@ -240,7 +257,7 @@ def _translate(insn: Instruction) -> Handler:
 
         def jcc(emu: Emulator) -> int:
             f = emu.cpu.flags
-            jumps = taken(IntDomain, f[Flag.ZF], f[Flag.SF], f[Flag.CF], f[Flag.OF])
+            jumps = taken(IntDomain, f[_ZF], f[_SF], f[_CF], f[_OF])
             return target if jumps else end
 
         return jcc
@@ -263,8 +280,61 @@ def _halt(emu: Emulator) -> int:
     raise ProcessExit(0)
 
 
+def _step_handler(step: Step, insn: Instruction, end: int) -> Handler:
+    """The handler of a one-step row, specialised to the step's shape.
+
+    A move or a one-operand function composes its reader and writer; a
+    flagged two-operand step reads both operands into locals.  Any
+    other step (two writes, a trapping divide, a flagged one-operand
+    step) runs as :func:`_int_step`.
+    """
+    reads = [_reader(loc, insn) for loc in step.reads]
+    writes = [_writer(loc, insn) for loc in step.writes]
+    fn = step.fn and getattr(IntDomain, step.fn)
+    rule, keep_cf = step.flags, step.keep_cf
+    if rule is None and len(reads) == len(writes) == 1:
+        (read,), (write,) = reads, writes
+        if fn is None:
+
+            def move(emu: Emulator) -> int:
+                write(emu, read(emu))
+                return end
+
+            return move
+
+        def unary(emu: Emulator) -> int:
+            write(emu, fn(read(emu)))
+            return end
+
+        return unary
+    if rule is not None and len(reads) == 2 and len(writes) <= 1:
+        read_a, read_b = reads
+        write = writes[0] if writes else None
+
+        def flagged(emu: Emulator) -> int:
+            a = read_a(emu)
+            b = read_b(emu)
+            r = fn(a, b)
+            flags = emu.cpu.flags
+            flags[_ZF], flags[_SF], cf, flags[_OF] = flag_values(IntDomain, rule, r, a, b)
+            if not keep_cf:
+                flags[_CF] = cf
+            if write is not None:
+                write(emu, r)
+            return end
+
+        return flagged
+    run_step = _int_step(step, insn)
+
+    def run(emu: Emulator) -> int:
+        run_step(emu)
+        return end
+
+    return run
+
+
 def _int_step(step: Step, insn: Instruction) -> Callable[[Emulator], None]:
-    """One step of a semantics row over :class:`IntDomain`."""
+    """One step of a semantics row over :class:`IntDomain`, whatever its shape."""
     reads = [_reader(loc, insn) for loc in step.reads]
     writes = [_writer(loc, insn) for loc in step.writes]
     fn = step.fn and getattr(IntDomain, step.fn)
@@ -277,11 +347,11 @@ def _int_step(step: Step, insn: Instruction) -> Callable[[Emulator], None]:
         results = [fn(*values)] if fn else values
         if rule is not None:
             flags = emu.cpu.flags
-            flags[Flag.ZF], flags[Flag.SF], cf, flags[Flag.OF] = flag_values(
+            flags[_ZF], flags[_SF], cf, flags[_OF] = flag_values(
                 IntDomain, rule, results[0], *values
             )
             if not keep_cf:
-                flags[Flag.CF] = cf
+                flags[_CF] = cf
         for write, value in zip(writes, results):
             write(emu, value)
 
@@ -307,7 +377,11 @@ def _reader(loc: Loc, insn: Instruction) -> Callable[[Emulator], int]:
 def _writer(loc: Loc, insn: Instruction) -> Callable[[Emulator, int], None]:
     reg = register(loc, insn)
     if reg is not None:
-        return lambda emu, value: emu.cpu.set(reg, value)
+
+        def set_reg(emu: Emulator, value: int) -> None:
+            emu.cpu.regs[reg] = value & MASK64
+
+        return set_reg
     if loc is Loc.STACK:
         return lambda emu, value: emu.push(value)
     base, disp = insn.base, insn.disp
@@ -322,4 +396,6 @@ def run_image(image: BinaryImage, *, step_limit: int = 2_000_000) -> tuple[int, 
         status = emu.run()
         sp.add("steps", emu.steps)
         sp.add("syscall_events", len(emu.syscalls.events))
+        sp.add("translations", emu.translations)
+        sp.add("flushes", emu.flushes)
     return status, bytes(emu.syscalls.stdout)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import struct
-from typing import Dict
+from typing import Dict, Optional
 
 PAGE_SIZE = 0x1000
 PAGE_MASK = ~(PAGE_SIZE - 1)
+PAGE_OFFSET = PAGE_SIZE - 1
+
+#: A memo page address no access matches (page addresses are aligned).
+_NO_PAGE = 1
 
 PERM_R = 1
 PERM_W = 2
@@ -28,6 +31,13 @@ class Memory:
     Pages are allocated lazily inside mapped regions.  Permissions are
     tracked per page so that ``mprotect`` can flip individual pages —
     the behaviour the mprotect attack goal depends on.
+
+    :meth:`read` and :meth:`write` remember the last page each one
+    passed its permission check on, and an access that lies within that
+    page skips the page loop.  The read memo holds a page mapped R; the
+    write memo only a page mapped W and not X, so every write to an
+    executable page still takes the loop and bumps
+    :attr:`exec_write_gen`.  :meth:`map` and :meth:`protect` drop both.
     """
 
     def __init__(self) -> None:
@@ -38,11 +48,19 @@ class Memory:
         #: uses it to invalidate its decoded-instruction cache
         #: (self-modifying code, and code whose page loses PROT_EXEC).
         self.exec_write_gen = 0
+        self._forget_pages()
+
+    def _forget_pages(self) -> None:
+        """Drop the read and write memos (permissions may have changed)."""
+        self._read_at = self._write_at = _NO_PAGE
+        self._read_page: Optional[bytearray] = None
+        self._write_page: Optional[bytearray] = None
 
     def map(self, start: int, size: int, perms: int) -> None:
         """Map ``[start, start+size)`` with the given permissions."""
         if size <= 0:
             raise ValueError("mapping size must be positive")
+        self._forget_pages()
         first = start & PAGE_MASK
         last = (start + size - 1) & PAGE_MASK
         page = first
@@ -52,6 +70,7 @@ class Memory:
 
     def protect(self, start: int, size: int, perms: int) -> None:
         """Change permissions on already-mapped pages (mprotect)."""
+        self._forget_pages()
         first = start & PAGE_MASK
         last = (start + size - 1) & PAGE_MASK
         page = first
@@ -119,6 +138,10 @@ class Memory:
     # -- byte-level primitives --------------------------------------------
 
     def read(self, addr: int, size: int, *, execute: bool = False) -> bytes:
+        off = addr & PAGE_OFFSET
+        # A negative size reads nothing, as in the loop: no wrapped slice.
+        if addr - off == self._read_at and 0 <= off + size <= PAGE_SIZE and not execute:
+            return bytes(self._read_page[off : off + size])
         needed = PERM_X if execute else PERM_R
         kind = "execute" if execute else "read"
         out = bytearray()
@@ -126,7 +149,9 @@ class Memory:
         cursor = addr
         while remaining > 0:
             page = self._page_for(cursor, needed, kind)
-            off = cursor & (PAGE_SIZE - 1)
+            if not execute:
+                self._read_at, self._read_page = cursor & PAGE_MASK, page
+            off = cursor & PAGE_OFFSET
             take = min(remaining, PAGE_SIZE - off)
             out += page[off : off + take]
             cursor += take
@@ -136,14 +161,22 @@ class Memory:
     def write(self, addr: int, data: bytes, *, perm: int = PERM_W) -> None:
         """Write ``data`` at ``addr``; every page must be mapped with
         ``perm``."""
+        off = addr & PAGE_OFFSET
+        # The memo page is mapped W, so any ``perm`` within W passes.
+        if addr - off == self._write_at and off + len(data) <= PAGE_SIZE and not perm & ~PERM_W:
+            self._write_page[off : off + len(data)] = data
+            return
         remaining = len(data)
         cursor = addr
         src = 0
         while remaining > 0:
             page = self._page_for(cursor, perm, "write")
-            if self._perms.get(cursor & PAGE_MASK, 0) & PERM_X:
+            perms = self._perms[cursor & PAGE_MASK]
+            if perms & PERM_X:
                 self.exec_write_gen += 1
-            off = cursor & (PAGE_SIZE - 1)
+            elif perms & PERM_W:
+                self._write_at, self._write_page = cursor & PAGE_MASK, page
+            off = cursor & PAGE_OFFSET
             take = min(remaining, PAGE_SIZE - off)
             page[off : off + take] = data[src : src + take]
             cursor += take
@@ -157,10 +190,10 @@ class Memory:
     # -- typed accessors ----------------------------------------------------
 
     def read_u64(self, addr: int) -> int:
-        return struct.unpack("<Q", self.read(addr, 8))[0]
+        return int.from_bytes(self.read(addr, 8), "little")
 
     def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, struct.pack("<Q", value & ((1 << 64) - 1)))
+        self.write(addr, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
 
     def read_u8(self, addr: int) -> int:
         return self.read(addr, 1)[0]

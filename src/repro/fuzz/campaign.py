@@ -8,8 +8,8 @@ paths, no ordering races on stdout).  Every drawn case is checked
 through :func:`~repro.fuzz.oracles.run_case`, the same dispatcher that
 corpus replay and the shrinker use.
 
-Cheap oracles (round-trip, emulator-vs-symex, scan) run every iteration;
-expensive ones (winnow, planner, obfuscation) run on fixed
+Cheap oracles (round-trip, emulator-vs-symex, scan, memory) run every
+iteration; expensive ones (winnow, planner, obfuscation) run on fixed
 sparse schedules so ``--iters 200`` stays within a CI smoke budget.
 When the caller restricts ``--oracle``, the schedule collapses to
 every-iteration for the selected oracles (still in table order).
@@ -30,7 +30,7 @@ from ..gadgets.extract import ExtractionConfig
 from ..isa.encoding import encode_program
 from ..obs import metrics, span
 from .corpus import save_case
-from .gen import gen_bytes, gen_chain_tail, gen_formula, gen_program, gen_window
+from .gen import gen_bytes, gen_chain_tail, gen_formula, gen_memory_ops, gen_program, gen_window
 from .oracles import Case, EmulatorFactory, run_case
 from .shrink import shrink_case, window_insn_count
 
@@ -148,6 +148,12 @@ def _draw_scan(seed: int, i: int) -> Case:
     return Case(oracle="scan", kind="image", text=text, max_insns=steps)
 
 
+def _draw_memory(seed: int, i: int) -> Case:
+    env_seed = _rng(seed, i, "memory").randrange(1 << 30)
+    count = len(gen_memory_ops(random.Random(env_seed)))
+    return Case(oracle="memory", kind="ops", text=bytes(range(count)), env_seed=env_seed)
+
+
 #: Oracle name → (period, phase, draw): on iterations with
 #: ``i % period == phase`` the campaign checks ``draw(seed, i)``.
 #: Adding an oracle takes a check function, its ``run_case`` branch
@@ -164,6 +170,7 @@ ORACLES: Dict[str, Tuple[int, int, Callable[[int, int], Case]]] = {
     "obfuscation": (25, 11, _draw_obfuscation),
     "solver_preprocess": (8, 1, _draw_solver_preprocess),
     "scan": (1, 0, _draw_scan),
+    "memory": (1, 0, _draw_memory),
 }
 
 ORACLE_NAMES = tuple(ORACLES)

@@ -1,6 +1,6 @@
 """Seeded input generators for the differential fuzzer.
 
-Four families:
+Five families:
 
 * :func:`gen_program` — well-formed mini-C programs whose only output
   is a self-checksum ``print``, suitable for cross-config equivalence;
@@ -9,7 +9,9 @@ Four families:
   indirect transfer (the gadget-chain shape extraction consumes), and
   :func:`gen_chain_tail`, the gadgets a planner case chains;
 * :func:`gen_formula` — small bit-vector conjunctions shaped to meet
-  the solver's word-level refutation rules.
+  the solver's word-level refutation rules;
+* :func:`gen_memory_ops` — ``Memory`` call sequences biased to page
+  edges and permission changes.
 
 Everything is driven by an explicit ``random.Random`` so a campaign
 iteration is reproducible from ``(seed, iteration, oracle)`` alone.
@@ -26,6 +28,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..binfmt.image import DATA_BASE, TEXT_BASE
+from ..emulator.memory import PAGE_SIZE
 from ..isa.encoding import encode_program
 from ..isa.instructions import COND_JUMPS, OP_TABLE, Instruction, Op, OperandLayout
 from ..isa.registers import MASK64, Reg
@@ -303,3 +306,48 @@ def gen_formula(rng: random.Random) -> List[Bool]:
             conjuncts.append(cmp(op, low, high))
     rng.shuffle(conjuncts)
     return conjuncts
+
+
+#: Where the memory ops draw addresses: pages -1 .. _MEM_PAGES from
+#: this base, around the two pages the opening ``map`` covers.
+_MEM_BASE = 0x10000
+_MEM_PAGES = 3
+#: Page offsets an address favours: either side of a page's edges and
+#: of an 8-byte word there.
+_MEM_EDGES = (0, 1, 7, 8, 9, PAGE_SIZE - 9, PAGE_SIZE - 8, PAGE_SIZE - 7, PAGE_SIZE - 1)
+_MEM_SIZES = (0, 1, 3, 7, 8, 9, 16, PAGE_SIZE - 1, PAGE_SIZE + 9)
+_MEM_CALLS = ("read", "write", "read_u64", "write_u64", "read_u8", "map", "protect")
+_MEM_WEIGHTS = (4, 4, 6, 6, 2, 1, 2)
+
+#: One ``Memory`` call: its method name and arguments.  ``read`` takes
+#: ``(addr, size, execute)``, ``map``/``protect`` ``(addr, size, perms)``.
+MemoryOp = Tuple
+
+
+def gen_memory_ops(rng: random.Random, count: int = 48) -> List[MemoryOp]:
+    """A ``Memory`` call sequence after an opening read-write ``map`` of
+    two pages: reads and writes of every width, biased to page edges so
+    accesses straddle pages and fall outside the mapping, mixed with
+    ``map``/``protect`` calls that change what an earlier access
+    memoised."""
+
+    def addr() -> int:
+        page = rng.randrange(-1, _MEM_PAGES + 1)
+        off = rng.choice(_MEM_EDGES) if rng.random() < 0.8 else rng.randrange(PAGE_SIZE)
+        return _MEM_BASE + page * PAGE_SIZE + off
+
+    ops: List[MemoryOp] = [("map", _MEM_BASE, 2 * PAGE_SIZE, 3)]
+    for _ in range(count):
+        call = rng.choices(_MEM_CALLS, _MEM_WEIGHTS)[0]
+        if call == "read":
+            ops.append((call, addr(), rng.choice(_MEM_SIZES), rng.random() < 0.2))
+        elif call == "write":
+            ops.append((call, addr(), rng.randbytes(rng.choice(_MEM_SIZES))))
+        elif call == "write_u64":
+            ops.append((call, addr(), rng.getrandbits(64)))
+        elif call in ("map", "protect"):
+            size = rng.choice((0, 1, PAGE_SIZE, 2 * PAGE_SIZE))
+            ops.append((call, addr(), size, rng.randrange(8)))
+        else:
+            ops.append((call, addr()))
+    return ops

@@ -55,6 +55,11 @@ The oracles:
     plain :class:`~repro.solver.bitblast.BitBlaster` + CDCL search
     satisfies, the solver as a whole never answers UNSAT there either,
     and every SAT model it returns satisfies the conjunction.
+``memory``
+    :class:`~repro.emulator.memory.Memory`, whose reads and writes
+    skip the page loop within the last page they checked, returns the
+    same bytes, raises the same faults and bumps ``exec_write_gen``
+    alike as :class:`ReferenceMemory`, which takes the loop every time.
 """
 
 from __future__ import annotations
@@ -62,13 +67,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import struct
 from dataclasses import dataclass, replace
 from hashlib import blake2b
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..binfmt.image import TEXT_BASE, make_image
 from ..emulator.cpu import DivideError, Emulator, EmulatorError, run_image
-from ..emulator.memory import MemoryFault
+from ..emulator.memory import PAGE_MASK, PAGE_SIZE, PERM_R, PERM_W, PERM_X, Memory, MemoryFault
 from ..gadgets.extract import ExtractionConfig, extract_gadgets, syntactic_scan
 from ..gadgets.record import GadgetRecord
 from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, deduplicate_gadgets, fingerprint
@@ -98,7 +104,7 @@ from ..symex.executor import EndKind, SymbolicExecutor
 from ..symex.expr import Bool, eval_bool, eval_bv, expr_size
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
 from ..staticanalysis.decode_graph import INDIRECT_ENDS, shared_decode_graph
-from .gen import gen_formula
+from .gen import MemoryOp, gen_formula, gen_memory_ops
 
 EmulatorFactory = Callable[..., Emulator]
 
@@ -112,9 +118,10 @@ class Case:
     """One replayable fuzz case (what the corpus serializes)."""
 
     oracle: str
-    kind: str  # "window" | "image" | "program" | "formula"
+    kind: str  # "window" | "image" | "program" | "formula" | "ops"
     #: Code bytes; for a "formula" case, the indices of the conjuncts of
-    #: ``gen_formula(Random(env_seed))`` it keeps, one byte each.
+    #: ``gen_formula(Random(env_seed))`` it keeps, one byte each, and for
+    #: an "ops" case those of ``gen_memory_ops(Random(env_seed))``.
     text: bytes = b""
     offset: int = 0
     env_seed: int = 0
@@ -945,6 +952,95 @@ def check_solver_preprocess(conjuncts: Sequence[Bool]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# memory's one-page memo vs the page loop
+# ---------------------------------------------------------------------------
+
+
+class ReferenceMemory(Memory):
+    """:class:`Memory` with the page loop on every access and no memo:
+    the reference the ``memory`` oracle checks the one-page memos
+    against.  Mapping and permissions are :class:`Memory`'s own."""
+
+    def read(self, addr: int, size: int, *, execute: bool = False) -> bytes:
+        needed = PERM_X if execute else PERM_R
+        kind = "execute" if execute else "read"
+        out = bytearray()
+        remaining = size
+        cursor = addr
+        while remaining > 0:
+            page = self._page_for(cursor, needed, kind)
+            off = cursor & (PAGE_SIZE - 1)
+            take = min(remaining, PAGE_SIZE - off)
+            out += page[off : off + take]
+            cursor += take
+            remaining -= take
+        return bytes(out)
+
+    def write(self, addr: int, data: bytes, *, perm: int = PERM_W) -> None:
+        remaining = len(data)
+        cursor = addr
+        src = 0
+        while remaining > 0:
+            page = self._page_for(cursor, perm, "write")
+            if self._perms.get(cursor & PAGE_MASK, 0) & PERM_X:
+                self.exec_write_gen += 1
+            off = cursor & (PAGE_SIZE - 1)
+            take = min(remaining, PAGE_SIZE - off)
+            page[off : off + take] = data[src : src + take]
+            cursor += take
+            src += take
+            remaining -= take
+
+    def read_u64(self, addr: int) -> int:
+        return struct.unpack("<Q", self.read(addr, 8))[0]
+
+    def write_u64(self, addr: int, value: int) -> None:
+        self.write(addr, struct.pack("<Q", value & MASK64))
+
+
+def memory_ops(case: Case) -> List[MemoryOp]:
+    """The ``Memory`` calls an "ops" case names."""
+    ops = gen_memory_ops(random.Random(case.env_seed))
+    return [ops[k] for k in case.text if k < len(ops)]
+
+
+def _memory_outcome(mem: Memory, op: MemoryOp) -> Tuple:
+    call, addr, *args = op
+    try:
+        if call == "read":
+            size, execute = args
+            result = mem.read(addr, size, execute=execute)
+        else:
+            result = getattr(mem, call)(addr, *args)
+    except MemoryFault as fault:
+        return ("fault", fault.kind, fault.addr)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", result)
+
+
+def check_memory(ops: Sequence[MemoryOp]) -> List[str]:
+    """Run ``ops`` on a :class:`Memory` and a :class:`ReferenceMemory`;
+    after each call the result or fault, and ``exec_write_gen``, must
+    agree, and at the end so must every page's bytes."""
+    got, want = Memory(), ReferenceMemory()
+    for index, op in enumerate(ops):
+        outcome, expected = _memory_outcome(got, op), _memory_outcome(want, op)
+        where = f"memory: op {index} {op[0]}({op[1]:#x}, ...)"
+        if outcome != expected:
+            return [f"{where} gave {outcome!r:.120}, the page loop {expected!r:.120}"]
+        if got.exec_write_gen != want.exec_write_gen:
+            return [
+                f"{where} left exec_write_gen {got.exec_write_gen}, "
+                f"the page loop {want.exec_write_gen}"
+            ]
+    pages = {addr: bytes(page) for addr, page in got._pages.items()}
+    if pages != {addr: bytes(page) for addr, page in want._pages.items()}:
+        return ["memory: the pages' bytes differ after the last op"]
+    return []
+
+
+# ---------------------------------------------------------------------------
 # case dispatch (campaign, corpus replay and shrinker re-checks)
 # ---------------------------------------------------------------------------
 
@@ -984,6 +1080,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_solver_preprocess(formula_conjuncts(case))
     if case.oracle == "scan":
         return check_scan(case.text, max_scan_steps=case.max_insns)
+    if case.oracle == "memory":
+        return check_memory(memory_ops(case))
     raise ValueError(f"unknown oracle {case.oracle!r}")
 
 

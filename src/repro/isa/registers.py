@@ -65,6 +65,11 @@ class Flag(enum.Enum):
         return self.value
 
 
+# Members are identity-compared singletons, so an identity hash agrees
+# with equality, and it is C-level where Enum's hashes the name in Python.
+Flag.__hash__ = object.__hash__  # type: ignore[assignment]
+
+
 #: 64-bit wrap-around mask used throughout the project.
 MASK64 = (1 << 64) - 1
 

@@ -45,8 +45,9 @@ def _through_cache(
     meta_fields: _MetaFields,
     size_field: str,
     compute: Callable[[], List[GadgetRecord]],
-) -> List[GadgetRecord]:
-    """``compute()``'s pool, answered from ``cache`` when it holds one.
+) -> Tuple[List[GadgetRecord], Optional[dict]]:
+    """``compute()``'s pool, answered from ``cache`` when it holds one,
+    and the meta of the entry that answered (None when it was computed).
 
     A miss computes and stores the pool together with the counters
     ``meta_fields`` names; a hit restores them and sets ``size_field``
@@ -57,7 +58,7 @@ def _through_cache(
     (``memo_hits``) or from decoding the entry (``decodes``).
     """
     if cache is None:
-        return compute()
+        return compute(), None
     with span(f"{stage}.cache") as load_sp:
         memo_hits = cache.stats.memo_hits
         hit = cache.load_pool(kind, image_bytes, config)
@@ -71,7 +72,7 @@ def _through_cache(
             for name in names:
                 setattr(owner, name, int(meta.get(name, 0)))
         setattr(stats, size_field, len(pool))
-        return pool
+        return pool, meta
     load_sp.add("misses")
     stats.cache_misses += 1
     pool = compute()
@@ -79,7 +80,7 @@ def _through_cache(
         meta = {name: getattr(owner, name) for owner, names in meta_fields for name in names}
         cache.store_pool(kind, image_bytes, config, pool, meta=meta)
     stats.wall_total += store_sp.wall
-    return pool
+    return pool, None
 
 
 #: The extract stage's counters its cache entry keeps (the record count
@@ -110,7 +111,7 @@ def extract_pool(
         ((stats, _EXTRACT_META),),
         "records",
         lambda: extract_gadgets(image, config, stats),
-    )
+    )[0]
 
 
 def winnow_pool(
@@ -162,7 +163,9 @@ def _winnow_through_cache(
     """The winnow behind the cache, over the pool ``records()`` returns,
     which is called on a miss only.  With ``extraction_stats`` the
     entry's meta also keeps the extract stage's counters, and a hit
-    restores them."""
+    restores them.  An entry a bare :func:`winnow_pool` call wrote has
+    no such counters; a hit on it calls ``records()`` after all, so
+    the extract stage answers them through its own entry."""
     solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
     stats = stats if stats is not None else SubsumptionStats()
     kind = "winnow"
@@ -171,7 +174,7 @@ def _winnow_through_cache(
     meta_fields: _MetaFields = ((stats, ("input_count", "buckets")),)
     if extraction_stats is not None:
         meta_fields += ((extraction_stats, _EXTRACT_META),)
-    return _through_cache(
+    pool, meta = _through_cache(
         "winnow",
         kind,
         cache,
@@ -182,6 +185,10 @@ def _winnow_through_cache(
         "output_count",
         lambda: deduplicate_gadgets(records(), solver=solver, stats=stats),
     )
+    if extraction_stats is not None and meta is not None:
+        if not all(name in meta for name in _EXTRACT_META):
+            records()
+    return pool
 
 
 def run_pipeline(
@@ -203,6 +210,9 @@ def run_pipeline(
     miss, as the winnow's input.  A winnow hit therefore returns None
     for ``extracted``: ``extraction_stats`` then holds the counters the
     entry kept, with ``records`` the extracted count and one cache hit.
+    (A winnow entry that keeps no extract counters, written by a bare
+    :func:`winnow_pool` call, runs the extract stage for them, and that
+    stage's pool is returned.)
     Read the count from ``extraction_stats.records``, which every path
     fills.  ``solver`` winnows; by default a fresh solver with the
     winnow's default budget.  Under an active tracer the whole run

@@ -197,7 +197,8 @@ def deliver_payload(
     transfers to ``entry``; mitigations install their hooks there, so
     they watch the payload but not the legitimate decoder stub.  The
     run, decoder stub included, is one ``emulate.run`` span with its
-    step count.
+    step count, its decode-cache misses (``translations``) and its
+    decode-cache invalidations (``flushes``).
     """
     emu = Emulator(image, stop_on_attack=True, step_limit=step_limit)
     with span("emulate.run") as sp:
@@ -205,6 +206,8 @@ def deliver_payload(
             return _divert(emu, image, words, entry, step_limit, on_divert)
         finally:
             sp.add("steps", emu.steps)
+            sp.add("translations", emu.translations)
+            sp.add("flushes", emu.flushes)
 
 
 def _divert(

@@ -779,6 +779,42 @@ def test_mprotect_dropping_exec_invalidates_the_decode_cache():
     assert emu.memory.perms_at(0x400000) == PERM_R | PERM_W
 
 
+def test_code_stored_into_a_memoised_page_made_executable_is_redecoded():
+    """``f`` lives in .data.  The program stores into that page (the
+    write memo now holds it, W and not X), mprotects it RWX, calls
+    ``f``, patches ``f``'s immediate with one u64 store and calls it
+    again: the second call must run the new bytes."""
+    f = assemble_unit("mov rax, 0x1111111111111111\nret").code
+    imm = f.index((0x1111111111111111).to_bytes(8, "little"))
+    emu = emu_for(
+        f"""
+            mov rbx, 0x600000
+            mov rcx, 0
+            mov [rbx+0x100], rcx
+            mov rax, 10
+            mov rdi, 0x600000
+            mov rsi, 0x1000
+            mov rdx, 7          ; PROT_READ|PROT_WRITE|PROT_EXEC
+            syscall
+            call rbx
+            mov rdx, rax
+            mov rcx, 0x2222222222222222
+            mov [rbx+{imm}], rcx
+            call rbx
+            hlt
+        """,
+        data=f + bytes(0x200),
+        stop_on_attack=False,
+    )
+    assert emu.run() == 0
+    assert emu.cpu.get(Reg.RDX) == 0x1111111111111111
+    assert emu.cpu.get(Reg.RAX) == 0x2222222222222222
+    assert emu.flushes == 2  # the mprotect, then the patch
+    # No instruction ran twice from the cache: ``f`` was decoded again
+    # after the patch flushed it.
+    assert emu.translations == emu.steps == 18
+
+
 # -- where an indirect transfer lands -----------------------------------------
 
 

@@ -357,6 +357,42 @@ def test_solver_preprocess_oracle_catches_unsound_refutation(monkeypatch):
     assert len(shrink_case(case).text) == 1
 
 
+def test_memory_oracle_green_and_replayable():
+    from repro.fuzz.gen import gen_memory_ops
+    from repro.fuzz.oracles import check_memory, memory_ops
+
+    ops = gen_memory_ops(random.Random(3))
+    assert check_memory(ops) == []
+    case = Case(oracle="memory", kind="ops", text=bytes([0, 2, 5]), env_seed=3)
+    assert memory_ops(case) == [ops[0], ops[2], ops[5]]
+    assert run_case(case) == []
+
+
+def test_memory_oracle_catches_a_memo_that_outlives_protect(monkeypatch):
+    """A ``protect`` that keeps the read and write memos lets a later
+    access skip the permission check it changed.  A short campaign
+    finds that, and the shrinker cuts the case to a few ops."""
+    from repro.emulator.memory import Memory
+    from repro.fuzz.oracles import memory_ops
+
+    protect = Memory.protect
+
+    def stale_protect(self, start, size, perms):
+        memos = (self._read_at, self._read_page, self._write_at, self._write_page)
+        try:
+            protect(self, start, size, perms)
+        finally:
+            self._read_at, self._read_page, self._write_at, self._write_page = memos
+
+    monkeypatch.setattr(Memory, "protect", stale_protect)
+    report = run_fuzz(seed=0, iters=20, oracles=["memory"])
+    assert report.total_failures > 0
+    failure = report.failures[0]
+    assert len(memory_ops(failure.shrunk)) < len(memory_ops(failure.case))
+    assert {op[0] for op in memory_ops(failure.shrunk)} >= {"protect"}
+    assert run_case(failure.shrunk)
+
+
 def test_campaign_rejects_unknown_oracle():
     import pytest
 

@@ -13,6 +13,7 @@ from repro.emulator.memory import (
 )
 
 BASE = 0x10000
+MASK = (1 << 64) - 1
 
 
 def fresh(perms=PERM_R | PERM_W, size=4 * PAGE_SIZE):
@@ -194,3 +195,91 @@ def test_readable_run_never_allocates_pages():
     mem = fresh(size=4 * PAGE_SIZE)
     mem.readable_run(BASE, 1 << 40)
     assert mem._pages == {}, "permission walk must not materialize pages"
+
+
+# -- the one-page memo of read and write --------------------------------------
+
+
+def test_u64_access_straddling_a_page_boundary():
+    mem = fresh()
+    edge = BASE + PAGE_SIZE
+    mem.write_u64(edge - 16, 1)  # memoise the first page for both directions
+    assert mem.read_u64(edge - 16) == 1
+    mem.write_u64(edge - 3, 0x1122334455667788)
+    assert mem.read(edge - 3, 3) == b"\x88\x77\x66"
+    assert mem.read(edge, 5) == b"\x55\x44\x33\x22\x11"
+    assert mem.read_u64(edge - 3) == 0x1122334455667788
+    assert mem.read_u64(edge - 8) == 0x6677880000000000
+
+
+def test_straddling_store_into_a_read_only_page_writes_the_first_part_then_faults():
+    mem = fresh(size=PAGE_SIZE)
+    mem.map(BASE + PAGE_SIZE, PAGE_SIZE, PERM_R)
+    mem.write_u64(BASE, 1)
+    with pytest.raises(MemoryFault) as fault:
+        mem.write_u64(BASE + PAGE_SIZE - 4, MASK)
+    assert (fault.value.addr, fault.value.kind) == (BASE + PAGE_SIZE, "write permission denied")
+    assert mem.read(BASE + PAGE_SIZE - 4, 8) == b"\xff" * 4 + b"\x00" * 4
+
+
+def test_memoised_write_page_made_executable_bumps_the_generation():
+    mem = fresh(size=PAGE_SIZE)
+    mem.write_u64(BASE, 1)
+    gen = mem.exec_write_gen
+    mem.write_u64(BASE + 8, 2)  # the memo: a W, not X page
+    assert mem.exec_write_gen == gen
+    mem.protect(BASE, PAGE_SIZE, PERM_R | PERM_W | PERM_X)
+    gen = mem.exec_write_gen
+    mem.write_u64(BASE + 16, 3)
+    assert mem.exec_write_gen == gen + 1
+    mem.write_u64(BASE + 24, 4)
+    assert mem.exec_write_gen == gen + 2, "an executable page is never memoised"
+    assert [mem.read_u64(BASE + 8 * k) for k in range(4)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("kept", [PERM_W, PERM_R, 0])
+def test_protect_after_a_memoised_access_takes_effect(kept):
+    mem = fresh(size=PAGE_SIZE)
+    mem.write_u64(BASE, 7)
+    assert mem.read_u64(BASE) == 7  # both memos now hold the page
+    mem.protect(BASE, PAGE_SIZE, kept)
+    if kept & PERM_R:
+        assert mem.read_u64(BASE) == 7
+    else:
+        with pytest.raises(MemoryFault, match="read permission denied"):
+            mem.read_u64(BASE)
+    if kept & PERM_W:
+        mem.write_u64(BASE, 8)
+    else:
+        with pytest.raises(MemoryFault, match="write permission denied"):
+            mem.write_u64(BASE, 8)
+
+
+def test_map_drops_the_memo():
+    mem = fresh(size=PAGE_SIZE)
+    mem.write_u64(BASE, 7)
+    assert mem.read_u64(BASE) == 7
+    mem.map(BASE, PAGE_SIZE, PERM_X)
+    with pytest.raises(MemoryFault, match="read permission denied"):
+        mem.read_u64(BASE)
+    with pytest.raises(MemoryFault, match="write permission denied"):
+        mem.write_u64(BASE, 8)
+    gen = mem.exec_write_gen
+    mem.write_initial(BASE, b"\x01")
+    assert mem.exec_write_gen == gen + 1
+
+
+def test_read_of_a_negative_size_is_empty_on_a_memoised_page():
+    mem = fresh(size=PAGE_SIZE)
+    mem.write(BASE + 100, b"abcdef")
+    assert mem.read(BASE + 100, 3) == b"abc"
+    assert mem.read(BASE + 100, 0) == b""
+    assert mem.read(BASE + 100, -50) == b""
+    assert mem.read(BASE + 100, -200) == b""
+
+
+def test_execute_read_of_a_memoised_page_checks_exec():
+    mem = fresh(size=PAGE_SIZE)
+    assert mem.read(BASE, 4) == b"\x00" * 4  # the read memo holds the page
+    with pytest.raises(MemoryFault, match="execute permission denied"):
+        mem.read(BASE, 4, execute=True)

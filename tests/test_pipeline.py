@@ -275,6 +275,28 @@ def test_winnow_hit_restores_the_extract_counters(tmp_path):
     assert warm.wall_total == 0.0
 
 
+def test_winnow_hit_on_a_bare_winnow_entry_reads_the_extract_stage(tmp_path):
+    """An entry a bare ``winnow_pool`` call wrote keeps no extract
+    counters; a ``run_pipeline`` hit on it takes them from the extract
+    stage's own entry instead of reading 0."""
+    image = _image("bubble_sort", "none")
+    cache = ResultCache(root=tmp_path)
+    cold = ExtractionStats()
+    records = extract_pool(image, SMALL, cold, cache=cache)
+    survivors = winnow_pool(records, cache=cache, image=image, config=SMALL)
+    assert cold.candidates > cold.semantically_culled > 0
+    warm = ExtractionStats()
+    extracted, winnowed = run_pipeline(image, SMALL, cache=cache, extraction_stats=warm)
+    assert (warm.records, warm.candidates, warm.semantically_culled) == (
+        len(records),
+        cold.candidates,
+        cold.semantically_culled,
+    )
+    assert pool_to_bytes(winnowed) == pool_to_bytes(survivors)
+    assert pool_to_bytes(extracted) == pool_to_bytes(records)
+    assert warm.cache_hits == 1 and warm.cache_misses == 0
+
+
 # -- in-process memo of decoded entries ---------------------------------------
 
 
