@@ -26,7 +26,12 @@ The oracles:
 ``winnow``
     Subsumption only drops records with a same-fingerprint survivor
     that agrees under fresh concrete probes (trial keys disjoint from
-    the ones the winnower itself used).
+    the ones the winnower itself used).  The fingerprint, read from the
+    winnower's shared probe tables, equals :func:`reference_fingerprint`
+    (a fresh probe env per trial, every register evaluated) for every
+    record, as do its jump target's refutation probes, and the sampled
+    equality agrees with :func:`reference_sampled_equal` for every
+    same-bucket pair.
 ``serialize``
     ``pool_from_bytes(pool_to_bytes(pool))`` is byte-stable.
 ``planner``
@@ -77,6 +82,7 @@ from ..emulator.cpu import DivideError, Emulator, EmulatorError, run_image
 from ..emulator.memory import PAGE_MASK, PAGE_SIZE, PERM_R, PERM_W, PERM_X, Memory, MemoryFault
 from ..gadgets.extract import ExtractionConfig, extract_gadgets, syntactic_scan
 from ..gadgets.record import GadgetRecord
+from ..gadgets import subsumption
 from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, deduplicate_gadgets, fingerprint
 from ..isa.encoding import DecodeError, decode, decode_window, encode
 from ..isa.instructions import Op, opcode_operands
@@ -483,15 +489,85 @@ def _probe_claims(record: GadgetRecord, trial: int) -> Optional[Tuple]:
 #: Extraction bounds of the two pool oracles (winnow and serialize).
 _POOL_EXTRACTION = ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64)
 
+#: The winnower's probe trials: four fingerprint, twelve refute.
+_FINGERPRINT_TRIALS = range(4)
+_REFUTE_TRIALS = range(4, 16)
+
+
+def reference_fingerprint(record: GadgetRecord) -> Tuple:
+    """The fingerprint with a fresh probe env per trial and
+    :func:`eval_bv` on every register: the reference the shared probe
+    tables are checked against."""
+    samples = []
+    for trial in _FINGERPRINT_TRIALS:
+        env = subsumption._ProbeEnv(trial)
+        regs = tuple(eval_bv(record.post_regs[r], env) for r in ALL_REGS)
+        samples.append((regs, eval_bv(record.jump_target, env)))
+    effects = (
+        record.end,
+        len(record.mem_writes),
+        tuple((w.width, w.stack_offset) for w in record.mem_writes),
+    )
+    return (tuple(samples), effects)
+
+
+def reference_sampled_equal(ea, eb) -> bool:
+    """Sampled equality with a fresh probe env per refutation trial."""
+    for trial in _REFUTE_TRIALS:
+        env = subsumption._ProbeEnv(trial)
+        if eval_bv(ea, env) != eval_bv(eb, env):
+            return False
+    return True
+
+
+def _probe_table_failures(records: Sequence[GadgetRecord]) -> List[str]:
+    """The shared probe tables answer as fresh envs would: every
+    fingerprint, every jump target under the refutation trials, and the
+    sampled equality of every post-expression pair of every same-bucket
+    record pair that is not syntactically equal (the winnow samples
+    only those)."""
+    failures: List[str] = []
+    buckets: Dict[Tuple, List[GadgetRecord]] = {}
+    for r in records:
+        want = reference_fingerprint(r)
+        if fingerprint(r) != want:
+            failures.append(
+                f"winnow: fingerprint of #{r.gadget_id} @ {r.location:#x} differs "
+                "from its reference"
+            )
+        target = r.jump_target
+        refuted = [subsumption._probe(target, env) for env in subsumption._REFUTE_TABLES]
+        if refuted != [eval_bv(target, subsumption._ProbeEnv(t)) for t in _REFUTE_TRIALS]:
+            failures.append(
+                f"winnow: refutation probes of #{r.gadget_id} @ {r.location:#x} differ "
+                "from their reference"
+            )
+        buckets.setdefault(want, []).append(r)
+    for bucket in buckets.values():
+        for a, b in itertools.combinations(bucket, 2):
+            pairs = [(a.post_regs[r], b.post_regs[r]) for r in ALL_REGS]
+            pairs.append((a.jump_target, b.jump_target))
+            if any(
+                subsumption._sampled_equal(ea, eb) != reference_sampled_equal(ea, eb)
+                for ea, eb in pairs
+                if ea != eb
+            ):
+                failures.append(
+                    f"winnow: sampled equality of #{a.gadget_id} and #{b.gadget_id} "
+                    "differs from its reference"
+                )
+    return failures
+
 
 def check_winnow(text: bytes) -> List[str]:
-    """Winnow validity: survivors ⊆ records, and every dropped record
-    has a same-fingerprint survivor agreeing under fresh probes."""
+    """Winnow validity: the probe tables match their references,
+    survivors ⊆ records, and every dropped record has a same-fingerprint
+    survivor agreeing under fresh probes."""
     records = extract_gadgets(make_image(text), _POOL_EXTRACTION)
     if not records:
         return []
     survivors = deduplicate_gadgets(records)
-    failures: List[str] = []
+    failures = _probe_table_failures(records)
     record_ids = {id(r) for r in records}
     surv_ids = {id(s) for s in survivors}
     for s in survivors:

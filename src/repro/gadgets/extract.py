@@ -83,6 +83,15 @@ class ExtractionStats:
         return self.cache_hits > 0
 
 
+def _needs_dfs(dist: int, max_scan_steps: int) -> bool:
+    """Does an offset at transfer distance ``dist`` need the scan's DFS?
+
+    No when the distance alone decides: a transfer at the offset itself
+    (``dist == 1``), or none reachable within the budget.
+    """
+    return 1 < dist <= max_scan_steps
+
+
 def syntactic_scan(graph: DecodeGraph, offset: int, config: ExtractionConfig) -> bool:
     """Cheap prefilter: can *some* walk from ``offset`` reach an indirect
     transfer within budget?  Conditional jumps explore both sides (a
@@ -94,10 +103,22 @@ def syntactic_scan(graph: DecodeGraph, offset: int, config: ExtractionConfig) ->
     offsets visited in DFS order (taken side of a conditional jump
     below its fall-through on the stack), not walk depth: a short walk
     to a transfer that the DFS reaches late does not count.
+
+    ``graph.dist_to_transfer`` answers first.  A DFS that finds a
+    transfer has visited every offset of some walk to it, so it needs
+    at least that walk's length in steps; and the executor's rules
+    ``(True, True)`` the table is built under keep every edge of the
+    other rule pairs, so no walk under any pair is shorter than the
+    table's distance.  An offset with no transfer within
+    ``max_scan_steps`` is therefore rejected, and one that is a transfer
+    accepted, without a walk.
     """
     succ = graph.successors(config.merge_direct_jumps, config.include_conditional)
     if not 0 <= offset < len(succ):
         return False
+    dist = graph.dist_to_transfer[offset]
+    if not _needs_dfs(dist, config.max_scan_steps):
+        return dist == 1 and config.max_scan_steps >= 1
     work: List[int] = [offset]
     seen: Set[int] = set()
     while work and len(seen) < config.max_scan_steps:
@@ -120,32 +141,45 @@ def candidate_offsets(
     """Candidate start addresses, aligned probes first.
 
     ``graph`` defaults to the process-wide :func:`shared_decode_graph`
-    of the image's text section.
+    of the image's text section.  Runs under the ``extract.candidates``
+    span, whose ``bounded`` counter is the probes the distance table
+    decided without a DFS.
     """
     text = image.text
     base = text.addr
     if graph is None:
         graph = shared_decode_graph(text.data, base)
-    aligned: List[int] = []
-    seen: Set[int] = set()
-    cfg = recover_cfg(image, decoder=graph.decode_addr)
-    for block in cfg.blocks.values():
-        for insn in block.instructions:
-            if insn.addr not in seen:
-                seen.add(insn.addr)
-                aligned.append(insn.addr)
-    unaligned: List[int] = []
-    if config.probe_unaligned:
-        for offset in range(len(text.data)):
-            addr = base + offset
-            if addr not in seen:
-                unaligned.append(addr)
-    candidates = [a for a in aligned + unaligned if syntactic_scan(graph, a - base, config)]
-    if config.max_candidates is not None and len(candidates) > config.max_candidates:
-        # Sample evenly instead of truncating, so the cap preserves the
-        # aligned/unaligned mix and spans the whole text section.
-        step = len(candidates) / config.max_candidates
-        candidates = [candidates[int(i * step)] for i in range(config.max_candidates)]
+    with span("extract.candidates") as sp:
+        # The distance table first, so its reverse BFS has freed its
+        # predecessor lists before the probe lists below are built.
+        dist = graph.dist_to_transfer
+        aligned: List[int] = []
+        seen: Set[int] = set()
+        cfg = recover_cfg(image, decoder=graph.decode_addr)
+        for block in cfg.blocks.values():
+            for insn in block.instructions:
+                if insn.addr not in seen:
+                    seen.add(insn.addr)
+                    aligned.append(insn.addr)
+        unaligned: List[int] = []
+        if config.probe_unaligned:
+            for offset in range(len(text.data)):
+                addr = base + offset
+                if addr not in seen:
+                    unaligned.append(addr)
+        probes = aligned + unaligned
+        candidates = [a for a in probes if syntactic_scan(graph, a - base, config)]
+        cap = config.max_candidates
+        if cap == 0:
+            candidates = []
+        elif cap is not None and len(candidates) > cap:
+            # Sample evenly instead of truncating, so the cap preserves the
+            # aligned/unaligned mix and spans the whole text section.
+            step = len(candidates) / cap
+            candidates = [candidates[int(i * step)] for i in range(cap)]
+        steps = config.max_scan_steps
+        sp.add("bounded", sum(1 for a in probes if not _needs_dfs(dist[a - base], steps)))
+        sp.add("candidates", len(candidates))
     return candidates
 
 
@@ -169,9 +203,7 @@ def plan_candidates(
     # census and the baseline scanners (same bytes → same graph).
     graph = shared_decode_graph(text.data, text.addr)
     with span("extract.plan") as plan_sp:
-        with span("extract.candidates") as cand_sp:
-            candidates = candidate_offsets(image, config, graph)
-        cand_sp.add("candidates", len(candidates))
+        candidates = candidate_offsets(image, config, graph)
         if stats is not None:
             stats.candidates = len(candidates)
         if config.semantic_prefilter:

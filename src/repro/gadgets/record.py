@@ -117,16 +117,19 @@ class GadgetRecord:
         return record_from_bytes(blob)
 
 
+_ENTRY_SYMS = tuple((r, reg_sym(r)) for r in ALL_REGS)
+
+
 def record_from_path(gadget_id: int, path: PathSummary) -> GadgetRecord:
     """Build a Table II record from one symbolic path summary."""
     state = path.state
-    clobbered = frozenset(r for r in ALL_REGS if state.get(r) != reg_sym(r))
+    post_regs = {r: state.regs[r] for r in ALL_REGS}
+    # An untouched register still holds its prebuilt entry symbol.
+    clobbered = frozenset(
+        r for r, sym in _ENTRY_SYMS if post_regs[r] is not sym and post_regs[r] != sym
+    )
     controlled = frozenset(
-        r
-        for r in ALL_REGS
-        if r != Reg.RSP
-        and state.get(r) != reg_sym(r)
-        and _fully_controlled(state.get(r))
+        r for r in clobbered if r != Reg.RSP and _fully_controlled(post_regs[r])
     )
     length = sum(i.size for i in path.insns)
     return GadgetRecord(
@@ -137,7 +140,7 @@ def record_from_path(gadget_id: int, path: PathSummary) -> GadgetRecord:
         jmp_type=_jmp_type(path),
         end=path.end,
         pre_cond=list(state.constraints),
-        post_regs={r: state.get(r) for r in ALL_REGS},
+        post_regs=post_regs,
         jump_target=path.jump_target,
         clob_regs=clobbered,
         ctrl_regs=controlled,

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..isa.registers import ALL_REGS
 from ..obs import metrics, span
 from ..solver.solver import Solver
-from ..symex.expr import Bool, bool_and, bool_not, eval_bool, eval_bv
+from ..symex.expr import BV, Bool, BVSym, bool_and, bool_not, eval_bool, eval_bv
 from .record import GadgetRecord
 
 _NUM_PROBES = 4
@@ -71,32 +71,44 @@ class _ProbeEnv(dict):
         return value
 
 
+#: One probe table per trial, shared by every fingerprint and sampled
+#: comparison in the process: trials 0-3 fingerprint, and 12 more
+#: refute equivalence before any SAT call.  A symbol's probe value
+#: depends only on its name and the trial, so each symbol is hashed
+#: once per trial; the tables grow only with the symbol vocabulary
+#: (registers, ``stk<off>``, ``mem<n>``, ``flag_*``).
+_PROBE_TABLES = tuple(_ProbeEnv(trial) for trial in range(_NUM_PROBES + 12))
+_FINGERPRINT_TABLES = _PROBE_TABLES[:_NUM_PROBES]
+_REFUTE_TABLES = _PROBE_TABLES[_NUM_PROBES:]
+
+
+def _probe(expr: BV, env: _ProbeEnv) -> int:
+    """``eval_bv(expr, env)``, reading a bare symbol from the table."""
+    if type(expr) is BVSym:
+        return env[expr.name]
+    return eval_bv(expr, env)
+
+
 def fingerprint(record: GadgetRecord) -> Tuple:
     """Semantic fingerprint: post-state sampled on fixed inputs."""
-    samples = []
-    for trial in range(_NUM_PROBES):
-        env = _ProbeEnv(trial)
-        regs = tuple(eval_bv(record.post_regs[r], env) for r in ALL_REGS)
-        target = eval_bv(record.jump_target, env)
-        samples.append((regs, target))
+    post = [record.post_regs[r] for r in ALL_REGS]
+    samples = tuple(
+        (tuple(_probe(e, env) for e in post), _probe(record.jump_target, env))
+        for env in _FINGERPRINT_TABLES
+    )
     # Structural effects must match exactly for interchangeability.
     effects = (
         record.end,
         len(record.mem_writes),
         tuple((w.width, w.stack_offset) for w in record.mem_writes),
     )
-    return (tuple(samples), effects)
-
-
-#: Extra sample vectors used to refute equivalence before any SAT call.
-_REFUTE_TRIALS = tuple(range(_NUM_PROBES, _NUM_PROBES + 12))
+    return (samples, effects)
 
 
 def _sampled_equal(ea, eb) -> bool:
     """True when the two expressions agree on every refutation sample."""
-    for trial in _REFUTE_TRIALS:
-        env = _ProbeEnv(trial)
-        if eval_bv(ea, env) != eval_bv(eb, env):
+    for env in _REFUTE_TABLES:
+        if _probe(ea, env) != _probe(eb, env):
             return False
     return True
 
@@ -165,8 +177,7 @@ def _pre_implies_uncached(
 ) -> bool:
     # Sampling refutation: a vector satisfying `stronger` but not
     # `weaker` disproves the implication without any solver work.
-    for trial in _REFUTE_TRIALS:
-        env = _ProbeEnv(trial)
+    for env in _REFUTE_TABLES:
         try:
             if all(eval_bool(c, env) for c in stronger) and not all(
                 eval_bool(c, env) for c in weaker

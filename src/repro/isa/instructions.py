@@ -216,6 +216,9 @@ OP_TABLE: dict[Op, OpInfo] = {
     Op.JNS: _info(Op.JNS, "jns", OperandLayout.REL32),
 }
 
+#: Encoded size of each opcode, read by :attr:`Instruction.size`.
+_OP_SIZES: dict[Op, int] = {op: info.size for op, info in OP_TABLE.items()}
+
 #: Conditional direct jumps.
 COND_JUMPS = frozenset(
     {Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE, Op.JB, Op.JBE, Op.JA, Op.JAE, Op.JS, Op.JNS}
@@ -256,7 +259,7 @@ class Instruction:
 
     @property
     def size(self) -> int:
-        return self.info.size
+        return _OP_SIZES[self.op]
 
     @property
     def end(self) -> int:

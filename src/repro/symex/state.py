@@ -52,12 +52,17 @@ WILD_SYM_PREFIX = "mem"
 FLAG_SYM_PREFIX = "flag_"
 
 
+#: The entry symbol of every register, built once: every state starts
+#: from these objects, so an untouched register is the same object.
+_ENTRY_REGS: Dict[Reg, BVSym] = {r: bv_sym(f"{r}{REG_SYM_SUFFIX}") for r in ALL_REGS}
+
+
 def reg_sym(reg: Reg) -> BVSym:
     """The symbol naming register ``reg``'s value at gadget entry."""
-    return bv_sym(f"{reg}{REG_SYM_SUFFIX}")
+    return _ENTRY_REGS[reg]
 
 
-_REG_OF_SYMBOL: Dict[str, Reg] = {reg_sym(r).name: r for r in ALL_REGS}
+_REG_OF_SYMBOL: Dict[str, Reg] = {sym.name: r for r, sym in _ENTRY_REGS.items()}
 
 
 def reg_of_symbol(name: str) -> Optional[Reg]:
@@ -113,46 +118,86 @@ _SUB_CONDITIONS = {
 _CF_CONDITIONS = frozenset({Op.JB, Op.JBE, Op.JA, Op.JAE})
 
 
-@dataclass
 class FlagsState:
-    """Symbolic flags plus their provenance."""
+    """Symbolic flags plus their provenance.
 
-    #: The rule that set the flags; None while they are the unknown
-    #: flags at gadget entry.
-    kind: Optional[FlagRule]
-    zf: Bool
-    sf: Bool
-    cf: Bool
-    of: Bool
-    # Operands of the producing add/sub/cmp, for readable conditions.
-    a: Optional[BV] = None
-    b: Optional[BV] = None
-    # True when ``cf`` was kept from the previous flags (INC/DEC
-    # preserve CF on x86): the SUB borrow no longer describes it, so
-    # CF-dependent conditions must use ``cf`` itself, not a/b.
-    cf_patched: bool = False
+    ``kind``, the operands ``a``/``b`` and ``cf_patched`` are set when
+    a step sets the flags.  The flag bits ``zf``/``sf``/``cf``/``of``
+    are computed by :func:`~repro.isa.semantics.flag_values` only when
+    first read (by ``condition()`` or an attribute), as no gadget
+    record reads them and a ``cmp``/``sub`` condition is phrased over
+    the operands.
+    """
+
+    __slots__ = ("kind", "a", "b", "cf_patched", "_result", "_cf_from", "_bits")
+
+    def __init__(
+        self,
+        kind: Optional[FlagRule],
+        result: Optional[BV] = None,
+        a: Optional[BV] = None,
+        b: Optional[BV] = None,
+        cf_patched: bool = False,
+        cf_from: Optional["FlagsState"] = None,
+        bits: Optional[Tuple[Bool, Bool, Bool, Bool]] = None,
+    ) -> None:
+        #: The rule that set the flags; None while they are the unknown
+        #: flags at gadget entry.
+        self.kind = kind
+        # Operands of the producing add/sub/cmp, for readable conditions.
+        self.a = a
+        self.b = b
+        # True when ``cf`` was kept from the previous flags (INC/DEC
+        # preserve CF on x86): the SUB borrow no longer describes it, so
+        # CF-dependent conditions must use ``cf`` itself, not a/b.
+        self.cf_patched = cf_patched
+        self._result = result
+        #: The flags whose ``cf`` these keep, until the bits are computed.
+        self._cf_from = cf_from
+        self._bits = bits
 
     @classmethod
     def initial(cls) -> "FlagsState":
         def flag(name: str) -> Bool:
             return cmp(CmpOp.NE, bv_sym(f"{FLAG_SYM_PREFIX}{name}"), bv_const(0))
 
-        return cls(
-            kind=None,
-            zf=flag("zf"),
-            sf=flag("sf"),
-            cf=flag("cf"),
-            of=flag("of"),
-        )
+        return cls(None, bits=(flag("zf"), flag("sf"), flag("cf"), flag("of")))
 
     def after(self, step: Step, result: BV, a: BV, b: Optional[BV] = None) -> "FlagsState":
         """The flags ``step`` leaves, from its result and operands ``a``, ``b``."""
-        zf, sf, cf, of = flag_values(expr, step.flags, result, a, b)
+        cf_from = None
         if step.keep_cf:
-            cf = self.cf
+            # Point at the flags that compute this CF, never at another
+            # keeper still waiting, so a run of inc/dec keeps one
+            # earlier state alive rather than a chain of them.
+            cf_from = self._cf_from or self
         if step.flags is FlagRule.LOGIC:
-            return FlagsState(step.flags, zf, sf, cf, of)
-        return FlagsState(step.flags, zf, sf, cf, of, a, b, step.keep_cf)
+            return FlagsState(step.flags, result, cf_from=cf_from)
+        return FlagsState(step.flags, result, a, b, step.keep_cf, cf_from)
+
+    def _force(self) -> Tuple[Bool, Bool, Bool, Bool]:
+        zf, sf, cf, of = flag_values(expr, self.kind, self._result, self.a, self.b)
+        if self._cf_from is not None:
+            cf = self._cf_from.cf
+        self._bits = (zf, sf, cf, of)
+        self._result = self._cf_from = None
+        return self._bits
+
+    @property
+    def zf(self) -> Bool:
+        return (self._bits or self._force())[0]
+
+    @property
+    def sf(self) -> Bool:
+        return (self._bits or self._force())[1]
+
+    @property
+    def cf(self) -> Bool:
+        return (self._bits or self._force())[2]
+
+    @property
+    def of(self) -> Bool:
+        return (self._bits or self._force())[3]
 
     def condition(self, op: Op) -> Bool:
         """The Bool under which the conditional jump ``op`` is taken."""
@@ -160,7 +205,11 @@ class FlagsState:
             direct = _SUB_CONDITIONS.get(op)
             if direct is not None:
                 return direct(self.a, self.b)
-        return JCC[op](expr, self.zf, self.sf, self.cf, self.of)
+        return JCC[op](expr, *(self._bits or self._force()))
+
+
+#: The unknown flags at gadget entry, shared by every fresh state.
+_ENTRY_FLAGS = FlagsState.initial()
 
 
 @dataclass(frozen=True)
@@ -197,8 +246,8 @@ class SymState:
     """One symbolic execution path's complete state."""
 
     def __init__(self) -> None:
-        self.regs: Dict[Reg, BV] = {r: reg_sym(r) for r in ALL_REGS}
-        self.flags: FlagsState = FlagsState.initial()
+        self.regs: Dict[Reg, BV] = dict(_ENTRY_REGS)
+        self.flags: FlagsState = _ENTRY_FLAGS
         self.constraints: List[Bool] = []
         self._stack_writes: Dict[int, BV] = {}
         self._stack_reads: Dict[int, BVSym] = {}

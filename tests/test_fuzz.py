@@ -20,6 +20,7 @@ from repro.fuzz import (
     check_roundtrip,
     check_scan,
     check_window,
+    check_winnow,
     gen_bytes,
     gen_chain_tail,
     gen_program,
@@ -242,6 +243,26 @@ def test_scan_oracle_flags_depth_budget_scan(monkeypatch):
     assert run_case(case) == failures
     report = run_fuzz(seed=4, iters=30, oracles=["scan"], shrink=False)
     assert report.total_failures > 0
+
+
+_POP_RET_POOL = assemble_unit("pop rdi\nret\npop rsi\nret\npop rdi\nret", base_addr=0).code
+
+
+def test_winnow_oracle_green_on_shared_probe_tables():
+    assert check_winnow(_POP_RET_POOL) == []
+
+
+def test_winnow_oracle_flags_probe_tables_that_ignore_the_trial(monkeypatch):
+    """A probe table keyed by symbol name only (every trial reads trial
+    0's values) is caught by the fingerprint and refutation checks."""
+    from repro.gadgets import subsumption
+
+    table = subsumption._ProbeEnv(0)
+    monkeypatch.setattr(subsumption, "_FINGERPRINT_TABLES", (table,) * 4)
+    monkeypatch.setattr(subsumption, "_REFUTE_TABLES", (table,) * 12)
+    failures = check_winnow(_POP_RET_POOL)
+    assert any("fingerprint of #0" in f and "differs from its reference" in f for f in failures)
+    assert any("refutation probes of #0" in f for f in failures)
 
 
 def test_planner_oracle_delivers_every_payload():

@@ -15,9 +15,10 @@ from repro.gadgets import (
     subsumes,
     total_gadgets,
 )
-from repro.gadgets.extract import syntactic_scan
+from repro.gadgets.extract import candidate_offsets, syntactic_scan
 from repro.gadgets.subsumption import SubsumptionStats
 from repro.isa import Op, Reg, assemble_unit
+from repro.obs import Tracer, tracing
 from repro.staticanalysis import DecodeGraph
 from repro.symex import bv_const, stack_sym
 
@@ -192,6 +193,65 @@ def test_scan_budget_counts_dfs_steps_not_walk_depth():
         assert not syntactic_scan(graph, je, ExtractionConfig(max_scan_steps=steps))
     for steps in (7, 8, 48):
         assert syntactic_scan(graph, je, ExtractionConfig(max_scan_steps=steps))
+
+
+def test_scan_distance_bound_matches_reference_on_cold_images(monkeypatch):
+    """The distance table decides most offsets without a walk; at every
+    offset of the four cold-sweep images, under every pair of walk
+    rules, the bounded scan still answers as the decode-at-every-step
+    reference does.  The reference's decoder is memoised per image to
+    keep this test fast; decoding is pure, so its answers are the same."""
+    import repro.fuzz.oracles as oracles
+    from nflbench.reference import COLD_IMAGES, build
+
+    from repro.gadgets.extract import _needs_dfs
+    from repro.isa.encoding import DecodeError, decode
+
+    for key in COLD_IMAGES:
+        text = build(key).image.text
+        graph = DecodeGraph(text.data, text.addr)
+        decoded = {}
+
+        def memo_decode(code, offset, addr=0, _decoded=decoded):
+            if offset not in _decoded:
+                try:
+                    _decoded[offset] = decode(code, offset, addr=addr)
+                except DecodeError as exc:
+                    _decoded[offset] = exc
+            insn = _decoded[offset]
+            if isinstance(insn, DecodeError):
+                raise insn
+            return insn
+
+        monkeypatch.setattr(oracles, "decode", memo_decode)
+        offsets = range(len(text.data))
+        assert any(not _needs_dfs(graph.dist_to_transfer[o], 48) for o in offsets)
+        for merge in (True, False):
+            for conditional in (True, False):
+                config = ExtractionConfig(merge_direct_jumps=merge, include_conditional=conditional)
+                for off in offsets:
+                    want = oracles.reference_scan(text.data, text.addr, off, config)
+                    assert syntactic_scan(graph, off, config) == want, (key, off, merge, conditional)
+
+
+def test_zero_candidate_cap_yields_no_candidates():
+    image = image_for("pop rdi\nret\npop rsi\nret")
+    assert candidate_offsets(image, ExtractionConfig()) != []
+    assert candidate_offsets(image, ExtractionConfig(max_candidates=0)) == []
+    assert extract_gadgets(image, ExtractionConfig(max_candidates=0)) == []
+
+
+def test_candidates_span_counts_bounded_probes():
+    image = image_for("pop rdi\nret\nnop\nhlt")
+    tracer = Tracer()
+    with tracing(tracer):
+        candidates = candidate_offsets(image, ExtractionConfig())
+    (sp,) = tracer.roots
+    assert sp.name == "extract.candidates"
+    assert sp.counters["candidates"] == len(candidates)
+    # Only the pop needs a walk: the ret is a transfer, and neither the
+    # nop nor the hlt reaches one.
+    assert sp.counters["bounded"] == len(image.text.data) - 1 == 3
 
 
 # ---------------------------------------------------------------------------

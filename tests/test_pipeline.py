@@ -574,7 +574,7 @@ def _traced_pipeline(image, cache):
 
 
 def test_trace_covers_pipeline_in_one_process():
-    from repro.obs import validate_trace_lines
+    from repro.obs import format_trace_summary, validate_trace_lines
 
     image = _image("bubble_sort", "llvm_obf")
     lines, es, ss = _traced_pipeline(image, None)
@@ -596,6 +596,11 @@ def test_trace_covers_pipeline_in_one_process():
     assert symex_run["counters"]["candidates"] == es.symex_invocations > 0
     assert buckets_run["counters"]["survivors"] == ss.output_count > 0
     assert not [s["name"] for s in spans if "shard" in s["counters"]]
+    # The candidate scan counts the probes its distance table decided,
+    # and `nfl trace` prints the count.
+    (cand,) = [s for s in spans if s["name"] == "extract.candidates"]
+    assert 0 < cand["counters"]["bounded"] <= len(image.text.data)
+    assert f"bounded={cand['counters']['bounded']}" in format_trace_summary(lines)
     # The stats fields are span-derived: the trace and the summary agree.
     extract_root = next(s for s in spans if s["name"] == "extract")
     assert extract_root["wall"] == pytest.approx(es.wall_total, rel=0.05)

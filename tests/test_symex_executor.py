@@ -2,6 +2,7 @@
 direct-jump merging, memory modelling — plus a differential property
 test pitting the symbolic semantics against the concrete emulator."""
 
+import gc
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,10 @@ from repro.symex import (
     reg_sym,
     stack_sym,
 )
+from repro.isa.semantics import FlagRule, flag_values
+from repro.symex import expr
 from repro.symex.expr import BVConst, free_symbols
-from repro.symex.state import is_controlled_symbol
+from repro.symex.state import FLAG_SYM_PREFIX, FlagsState, SymState, is_controlled_symbol
 
 
 def paths_for(source, start_label=None, **kwargs):
@@ -208,6 +211,100 @@ def test_controlled_symbols_classification():
 def test_max_stack_offset_tracks_payload_length():
     (path,) = paths_for("pop rax\npop rbx\npop rcx\nret")
     assert path.state.max_stack_offset_read == 24  # ret read at offset 24
+
+
+# ---------------------------------------------------------------------------
+# Lazy flags
+# ---------------------------------------------------------------------------
+
+
+def _taken_constraint(paths):
+    """The constraint a two-way fork put on its taken side (the path
+    that ends at the window's last ``ret``)."""
+    assert len(paths) == 2
+    taken = max(paths, key=lambda p: p.insns[-1].addr)
+    (constraint,) = taken.state.constraints
+    return constraint
+
+
+def test_cmp_dec_jb_keeps_the_cmp_borrow():
+    """DEC keeps CF (corpus case emu_symex-0c986a5ead33): after ``cmp;
+    dec`` a ``jb`` tests the cmp's borrow, not one phrased over dec's
+    operands."""
+    paths = paths_for("cmp rax, rbx\ndec rax\njb out\nret\nout: ret")
+    assert paths[0].state.flags.cf_patched
+    rax0, rbx0 = reg_sym(Reg.RAX), reg_sym(Reg.RBX)
+    assert _taken_constraint(paths) == expr.bv_ult(rax0, rbx0)
+    # With no cmp before it, dec; jb tests the unknown entry CF.
+    (sym,) = free_symbols(_taken_constraint(paths_for("dec rax\njb out\nret\nout: ret")))
+    assert sym == FLAG_SYM_PREFIX + "cf"
+
+
+def test_and_js_uses_logic_flags():
+    paths = paths_for("and rax, rbx\njs out\nret\nout: ret")
+    flags = paths[0].state.flags
+    assert flags.kind is FlagRule.LOGIC and flags.a is None and flags.b is None
+    product = expr.bv_and(reg_sym(Reg.RAX), reg_sym(Reg.RBX))
+    assert _taken_constraint(paths) == expr.bv_negative(product)
+    assert flags.cf == expr.FALSE and flags.of == expr.FALSE
+
+
+def test_unread_flags_are_never_computed(monkeypatch):
+    import repro.symex.state as state_module
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return flag_values(*args)
+
+    monkeypatch.setattr(state_module, "flag_values", counting)
+    (path,) = paths_for("add rax, rbx\nsub rcx, 4\ninc rdx\nand rsi, rdi\nret")
+    # A cmp; jne condition is phrased over the operands.
+    assert len(paths_for("cmp rax, rbx\njne out\nret\nout: ret")) == 2
+    assert calls == []
+    assert path.state.flags.zf == expr.bv_eq(path.state.get(Reg.RSI), bv_const(0))
+    assert calls == [FlagRule.LOGIC]
+
+
+def _reachable_flags(root):
+    """Every FlagsState reachable from ``root`` through states,
+    containers and expressions."""
+    found, seen, work = [], set(), [root]
+    while work:
+        obj = work.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, FlagsState):
+            found.append(obj)
+        if isinstance(obj, (SymState, FlagsState, dict, list, tuple, expr.BV, expr.Bool)):
+            work.extend(gc.get_referents(obj))
+    return found
+
+
+_FLAGGED = ("cmp rax, rbx", "add rax, 1", "dec rcx", "inc rdx", "and rax, rbx", "sub rsi, 8",
+            "dec rdi", "or rbx, rcx", "xor rdx, rax", "test rsi, rsi", "cmp rdi, 3",
+            "inc rax", "dec rax", "shl rbx, 2", "neg rcx", "add rdx, rsi")
+
+
+def test_flagged_window_keeps_no_earlier_flags_alive():
+    assert len(_FLAGGED) == 16
+    (path,) = paths_for("\n".join(_FLAGGED) + "\nret")
+    assert _reachable_flags(path.state) == [path.state.flags]
+
+
+def test_inc_dec_run_keeps_one_cf_source_until_read():
+    """A run of inc/dec points at the flags that compute its CF, not
+    at each other; reading the bits drops that link."""
+    (path,) = paths_for("cmp rax, rbx\n" + "dec rcx\ninc rdx\n" * 8 + "ret")
+    flags = path.state.flags
+    reachable = _reachable_flags(path.state)
+    assert len(reachable) == 2 and reachable[0] is flags
+    source = reachable[1]
+    assert source.kind is FlagRule.SUB and not source.cf_patched
+    assert flags.cf == expr.bv_ult(reg_sym(Reg.RAX), reg_sym(Reg.RBX))
+    assert _reachable_flags(path.state) == [flags]
 
 
 # ---------------------------------------------------------------------------
