@@ -39,10 +39,13 @@ The oracles:
     from the unprotected validator and from enforced validation under
     the ``none`` policy.
 ``plan_search``
-    The planner's search (provision memo, bitmask ordering closure,
-    threat checks of new pairs only, carried constraint load) returns
-    the same plans in the same order, after the same number of nodes,
-    as :func:`reference_search`, which recomputes all of them.
+    The planner's search (provision memo, offer lists, bitmask ordering
+    closure, threat checks of new pairs only, carried constraint load,
+    the connector and provider drop rules) returns the same plans in the
+    same order, after the same number of nodes, as
+    :func:`reference_search`, which recomputes all of them; every plan
+    it returns linearizes, and those of a reference that drops nothing
+    which linearize are an in-order prefix of its plans.
 ``warm_cache``
     A planner run through one :class:`~repro.pipeline.ResultCache` —
     cold, warm, warm again and from the cache's in-process memo —
@@ -99,13 +102,13 @@ from ..planner.conditions import (
     target_provision,
 )
 from ..planner.goals import find_bytes_in_image, resolve_goal, standard_goals
-from ..planner.library import ChainKind, GadgetLibrary
+from ..planner.library import ChainKind, GadgetLibrary, chain_kind
 from ..planner.payload import validate_payload
 from ..planner.plan import GOAL_STEP, CausalLink, OpenCondition, PartialPlan, Step
 from ..planner.search import PlannerConfig, SearchStats, _seed_plans, search_plans
 from ..solver.bitblast import BitBlaster
 from ..solver.sat import SATBudgetExceeded, SATSolver
-from ..solver.solver import Solver, SolverResult, Status
+from ..solver.solver import Solver, SolverResult, Status, _query_digest
 from ..symex.executor import EndKind, SymbolicExecutor
 from ..symex.expr import Bool, eval_bool, eval_bv, expr_size
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
@@ -716,16 +719,23 @@ _SEARCH_CONFIG = PlannerConfig(max_nodes=150, max_plans=4, max_steps=6)
 
 
 class _UnblastedSolver(Solver):
-    """A solver that answers UNKNOWN wherever it would bit-blast.
+    """A solver that answers UNKNOWN wherever it would bit-blast, and
+    draws its samples from a generator seeded by the query.
 
-    The plan_search oracle checks the search, not the solver, and each
-    side asks its own instance the same queries in the same order, so
-    both get the same answers.  Blasting one 64-bit divider can cost
-    seconds, which a smoke campaign cannot afford per case.
+    The plan_search oracle checks the search, not the solver.  Blasting
+    one 64-bit divider can cost seconds, which a smoke campaign cannot
+    afford per case.  Seeding each sampling run from the query makes
+    every answer a function of the query alone, so the unpruned
+    reference, which asks more queries and in another order than the
+    search, still gets the search's answer to each one.
     """
 
     def _blast_and_solve(self, conjuncts, symbols, cost) -> SolverResult:
         return SolverResult(Status.UNKNOWN)
+
+    def _try_sampling(self, conjuncts, symbols):
+        self._rng = random.Random(_query_digest(conjuncts))
+        return super()._try_sampling(conjuncts, symbols)
 
 
 def _dfs_precedes(orderings, before: int, after: int) -> bool:
@@ -863,17 +873,49 @@ def _ref_expand(plan: PartialPlan, library, solver: Solver, config: PlannerConfi
         yield new
 
 
+def _ref_dead(plan: PartialPlan, pool: Sequence[GadgetRecord]) -> bool:
+    """The search's two drop rules, recomputed: the connector is ordered
+    before a step other than the goal, or an open condition asks for a
+    register no usable non-goal gadget of ``pool`` overwrites, or for
+    memory none writes."""
+    connector = plan.immediate_pre_goal
+    if connector is not None and any(
+        _dfs_precedes(plan.orderings, connector, sid)
+        for sid in plan.steps
+        if sid not in (connector, GOAL_STEP)
+    ):
+        return True
+    chain = [r for r in pool if chain_kind(r) not in (ChainKind.UNUSABLE, ChainKind.GOAL)]
+    for oc in plan.open_conds:
+        if isinstance(oc.condition, MemCondition):
+            if not any(r.has_side_memory_writes for r in chain):
+                return True
+        elif not any(oc.condition.reg in r.clob_regs for r in chain):
+            return True
+    return False
+
+
 def reference_search(
-    library, resolved, solver: Solver, config: PlannerConfig, locator
-) -> Tuple[List[PartialPlan], int]:
+    library,
+    resolved,
+    solver: Solver,
+    config: PlannerConfig,
+    locator,
+    pool: Optional[Sequence[GadgetRecord]] = None,
+) -> Tuple[List[PartialPlan], int, bool]:
     """:func:`~repro.planner.search.search_plans` recomputing everything:
-    no provision memo, reachability by DFS over the orderings, threats
-    rescanned from the first link, and the constraint load re-summed on
-    every push.  Returns the complete plans and the nodes expanded."""
+    no provision memo or offer list, reachability by DFS over the
+    orderings, threats rescanned from the first link, the constraint
+    load re-summed on every push, and the drop rules checked against
+    ``pool`` (the library's records) on every push.  With no ``pool`` it
+    drops nothing.  Returns the complete plans, the nodes expanded and
+    whether the queue ran empty."""
     counter = itertools.count()
     queue: List = []
 
     def push(plan: PartialPlan) -> None:
+        if pool is not None and _ref_dead(plan, pool):
+            return
         load = sum(expr_size(c) for cs in plan.bindings.values() for c in cs)
         heapq.heappush(queue, ((len(plan.open_conds), load, plan.num_steps), next(counter), plan))
 
@@ -889,7 +931,7 @@ def reference_search(
         nodes += 1
         for successor in list(_ref_expand(plan, library, solver, config, locator)):
             push(successor)
-    return complete, nodes
+    return complete, nodes, not queue
 
 
 def _plan_shape(plan: PartialPlan) -> Tuple:
@@ -907,9 +949,14 @@ def check_plan_search(text: bytes) -> List[str]:
     """The planner's search against :func:`reference_search`, per
     standard goal: the same plans in the same order and the same nodes
     expanded; each plan's closure agrees with a DFS over its orderings,
-    and its carried load with the re-summed one."""
+    its carried load with the re-summed one, and it linearizes; the
+    dead-end reasons and the two prunes sum to the dead ends.  Against
+    the reference that drops nothing: its complete plans that linearize
+    are an in-order prefix of the search's, and all of them wherever
+    that reference ran out of plans to expand."""
     image = make_image(text)
-    library = GadgetLibrary.build(extract_gadgets(image, _POOL_EXTRACTION))
+    pool = extract_gadgets(image, _POOL_EXTRACTION)
+    library = GadgetLibrary.build(pool)
 
     def locator(value: int) -> Optional[int]:
         return find_bytes_in_image(image, (value & MASK64).to_bytes(8, "little"))
@@ -929,18 +976,31 @@ def check_plan_search(text: bytes) -> List[str]:
             stats=stats,
             locator=locator,
         )
-        want, nodes = reference_search(
+        want, nodes, _ = reference_search(
+            library, resolved, _UnblastedSolver(), _SEARCH_CONFIG, locator, pool
+        )
+        unpruned, _, emptied = reference_search(
             library, resolved, _UnblastedSolver(), _SEARCH_CONFIG, locator
         )
         where = f"plan_search[{goal.name}]"
         if stats.nodes_expanded != nodes:
             failures.append(f"{where}: {stats.nodes_expanded} nodes expanded, reference {nodes}")
-        if [_plan_shape(p) for p in got] != [_plan_shape(p) for p in want]:
+        shapes = [_plan_shape(p) for p in got]
+        if shapes != [_plan_shape(p) for p in want]:
             failures.append(f"{where}: {len(got)} plans differ from the reference's {len(want)}")
+        linear = [_plan_shape(p) for p in unpruned if p.linearize() is not None]
+        if shapes[: len(linear)] != linear or (emptied and len(shapes) != len(linear)):
+            failures.append(
+                f"{where}: the unpruned reference's {len(linear)} linearizable plans are not "
+                f"{'all' if emptied else 'a prefix'} of the search's {len(got)}"
+            )
         dead = stats.dead_no_provider + stats.dead_no_provision + stats.dead_step_cap
-        if dead + stats.dead_threat != stats.dead_ends:
+        pruned = stats.pruned_connector + stats.pruned_no_provider
+        if dead + stats.dead_threat + pruned != stats.dead_ends:
             failures.append(f"{where}: dead-end reasons do not sum to {stats.dead_ends}")
         for index, plan in enumerate(got):
+            if plan.linearize() is None:
+                failures.append(f"{where}: plan {index} is complete but does not linearize")
             for a in plan.steps:
                 for b in plan.steps:
                     if plan.precedes(a, b) != _dfs_precedes(plan.orderings, a, b):

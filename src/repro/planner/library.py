@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from ..isa.registers import Reg
 from ..symex.executor import EndKind
 from ..symex.expr import BVConst, BVSym, free_symbols
 from ..symex.state import is_controlled_symbol, reg_of_symbol
 from ..gadgets.record import GadgetRecord
+from .conditions import MemCondition
 
 
 class ChainKind(enum.Enum):
@@ -81,6 +82,9 @@ class GadgetLibrary:
     goal_gadgets: List[GadgetRecord] = field(default_factory=list)
     writers: List[GadgetRecord] = field(default_factory=list)
     kinds: Dict[int, ChainKind] = field(default_factory=dict)
+    #: Registers some non-goal gadget overwrites: ``by_reg``'s keys, and
+    #: ``rsp``, which a reused step may still provide.
+    clobbered: Set[Reg] = field(default_factory=set)
     #: Gadgets usable in some chain position (goal gadgets included).
     size: int = 0
 
@@ -98,6 +102,7 @@ class GadgetLibrary:
                 continue
             if gadget.has_side_memory_writes:
                 lib.writers.append(gadget)
+            lib.clobbered |= gadget.clob_regs
             for reg in gadget.clob_regs:
                 if reg is Reg.RSP:
                     continue
@@ -113,3 +118,14 @@ class GadgetLibrary:
 
     def providers_for(self, reg: Reg) -> List[GadgetRecord]:
         return self.by_reg.get(reg, [])
+
+    def can_provide(self, condition) -> bool:
+        """Could some step ever provide ``condition``?
+
+        A register condition needs a step that overwrites the register,
+        fresh or reused, and every step but the goal comes from this
+        library; a memory condition needs a fresh writer.
+        """
+        if isinstance(condition, MemCondition):
+            return bool(self.writers)
+        return condition.reg in self.clobbered

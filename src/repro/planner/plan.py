@@ -226,8 +226,10 @@ class PartialPlan:
         bindings: Sequence[Bool],
         regressed: Sequence[RegCondition],
         stats=None,
+        load: Optional[int] = None,
     ) -> Optional["PartialPlan"]:
-        """Insert a fresh step providing ``open_cond``."""
+        """Insert a fresh step providing ``open_cond``; ``load`` is the
+        bindings' total :func:`expr_size` when the caller knows it."""
         new = self.clone()
         sid = new._next_sid
         new._next_sid += 1
@@ -242,7 +244,7 @@ class PartialPlan:
             OpenCondition(sid, rc) for rc in regressed
         )
         new.bindings[sid] = tuple(bindings)
-        new.load += sum(expr_size(c) for c in bindings)
+        new.load += sum(expr_size(c) for c in bindings) if load is None else load
         return new._resolve_threats(new._new_threats(len(self.links), sid), stats)
 
     def reuse_provider_step(
@@ -292,6 +294,17 @@ class PartialPlan:
     @property
     def is_complete(self) -> bool:
         return not self.open_conds
+
+    @property
+    def connector_misplaced(self) -> bool:
+        """Is the connector ordered before a step other than the goal?
+
+        The connector must run right before the goal, so such a plan and
+        every plan grown from it (orderings only grow) never linearize.
+        A plan without this flaw that is complete always does.
+        """
+        connector = self.immediate_pre_goal
+        return connector is not None and bool(self.closure[connector] & ~(1 << GOAL_STEP))
 
     @property
     def num_steps(self) -> int:

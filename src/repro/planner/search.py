@@ -13,11 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..gadgets.record import GadgetRecord
 from ..obs import span
 from ..solver.solver import Solver
+from ..symex.expr import expr_size
 from .conditions import (
     MemCondition,
     Provision,
@@ -62,11 +63,18 @@ class SearchStats:
     threat_checks: int = 0
     pushes: int = 0
     #: ``dead_ends`` by reason: no provider to ask, every provision
-    #: None, the step cap, every successor lost to a threat or cycle.
+    #: None, the step cap, every successor lost to a threat or cycle ...
     dead_no_provider: int = 0
     dead_no_provision: int = 0
     dead_step_cap: int = 0
     dead_threat: int = 0
+    #: ... and plans dropped as soon as they are made, never queued: a
+    #: connector ordered before a step other than the goal, an open
+    #: condition no library gadget can provide.
+    pruned_connector: int = 0
+    pruned_no_provider: int = 0
+    #: Solver queries asked during the search (``Solver.queries``).
+    solver_checks: int = 0
 
 
 _MISSING = object()
@@ -108,6 +116,56 @@ class _Provisions:
 
     def target(self, gadget: GadgetRecord, next_addr: int) -> Optional[Provision]:
         return self._get(target_provision, gadget, next_addr)
+
+
+_PENDING = object()
+
+
+def _load(bindings) -> int:
+    return sum(expr_size(c) for c in bindings)
+
+
+class _Offers:
+    """The fresh providers one register condition can be given, in
+    library order, each found once per search.
+
+    ``entries`` holds ``[gadget, is_connector, provision, load]`` for
+    every provider scanned so far whose provision is not None (``load``
+    is its bindings' total :func:`expr_size`), and for every connector
+    that a plan which may not use one scanned: that one's provision is
+    ``_PENDING`` until a plan that may use it reaches it.  The scan
+    frontier ``scanned`` moves only when a plan needs more offers than
+    the list holds, so every provision is first asked exactly where a
+    plain walk over ``providers_for`` would first ask it, and the
+    ``_Provisions`` memo stays the only store of answers.
+    """
+
+    __slots__ = ("providers", "connector", "scanned", "entries", "plain", "connectors")
+
+    def __init__(self, library: GadgetLibrary, reg) -> None:
+        self.providers = library.providers_for(reg)
+        self.connector = [library.kind_of(g) is ChainKind.CONNECTOR for g in self.providers]
+        self.scanned = 0
+        self.entries: List[list] = []
+        #: Whether some provider is not a connector (any plan has one to
+        #: ask about), and whether some is (a plan that may use one has).
+        self.plain = not all(self.connector)
+        self.connectors = any(self.connector)
+
+    def scan(self, provisions: _Provisions, condition: RegCondition, may_connect: bool) -> bool:
+        """Append the next offer past the frontier; False when none is left."""
+        while self.scanned < len(self.providers):
+            gadget = self.providers[self.scanned]
+            connector = self.connector[self.scanned]
+            self.scanned += 1
+            if connector and not may_connect:
+                self.entries.append([gadget, True, _PENDING, 0])
+                return True
+            provision = provisions.reg(gadget, condition)
+            if provision is not None:
+                self.entries.append([gadget, connector, provision, _load(provision.bindings)])
+                return True
+        return False
 
 
 def _seed_plans(
@@ -159,18 +217,35 @@ def search_plans(
     ``locator`` (value → static address of those bytes, or None)
     enables data-reuse providers; see
     :func:`repro.planner.conditions.provide_reg_condition`.
+
+    A plan that can never complete or never linearize is dropped when
+    it is made, and so is never expanded: one whose connector is
+    ordered before a step other than the goal, or with an open
+    condition that no library gadget can provide.  Every plan grown
+    from it would share the flaw, so the plans returned, and their
+    order, are those the search would emit without the drops, less
+    any that do not linearize; only the nodes saved may reach more.
     """
     solver = solver or Solver()
     config = config or PlannerConfig()
     stats = stats if stats is not None else SearchStats()
     provisions = _Provisions(solver, locator, stats)
+    offers: Dict[RegCondition, _Offers] = {}
+    queries = solver.queries
 
     counter = itertools.count()
     queue: List = []
 
     def push(plan: PartialPlan) -> None:
-        stats.pushes += 1
-        heapq.heappush(queue, (plan.priority_key(), next(counter), plan))
+        if plan.connector_misplaced:
+            stats.pruned_connector += 1
+        elif not all(library.can_provide(oc.condition) for oc in plan.open_conds):
+            stats.pruned_no_provider += 1
+        else:
+            stats.pushes += 1
+            heapq.heappush(queue, (plan.priority_key(), next(counter), plan))
+            return
+        stats.dead_ends += 1
 
     complete: List[PartialPlan] = []
     with span("plan.search") as search_sp:
@@ -189,8 +264,7 @@ def search_plans(
                 complete.append(plan)
                 continue
             stats.nodes_expanded += 1
-            asked = stats.provides
-            tried = list(_expand(plan, plan.open_conds[0], library, provisions, config))
+            tried, asked = _expand(plan, plan.open_conds[0], library, provisions, config, offers)
             successors = [successor for successor in tried if successor is not None]
             if not successors:
                 stats.dead_ends += 1
@@ -198,13 +272,14 @@ def search_plans(
                     stats.dead_threat += 1
                 elif plan.num_steps >= config.max_steps:
                     stats.dead_step_cap += 1
-                elif stats.provides > asked:
+                elif asked:
                     stats.dead_no_provision += 1
                 else:
                     stats.dead_no_provider += 1
             for successor in successors:
                 push(successor)
 
+        stats.solver_checks += solver.queries - queries
         for key, value in asdict(stats).items():
             search_sp.add(key, value)
     return complete
@@ -216,17 +291,17 @@ def _expand(
     library: GadgetLibrary,
     provisions: _Provisions,
     config: PlannerConfig,
-) -> Iterator[Optional[PartialPlan]]:
-    """Every successor ``open_cond`` gives ``plan``, in the order tried;
-    None where a provision applied but the plan died of a threat or an
-    ordering cycle."""
+    offers: Dict[RegCondition, _Offers],
+) -> Tuple[List[Optional[PartialPlan]], bool]:
+    """Every successor ``open_cond`` gives ``plan``, in the order tried
+    (None where a provision applied but the plan died of a threat or an
+    ordering cycle), and whether any provider was there to ask."""
     condition = open_cond.condition
     if isinstance(condition, RegCondition):
-        yield from _expand_reg(plan, open_cond, condition, library, provisions, config)
-    elif isinstance(condition, MemCondition):
-        yield from _expand_mem(plan, open_cond, condition, library, provisions, config)
-    else:  # pragma: no cover - no other condition kinds
-        raise AssertionError(condition)
+        return _expand_reg(plan, open_cond, condition, library, provisions, config, offers)
+    if isinstance(condition, MemCondition):
+        return _expand_mem(plan, open_cond, condition, library, provisions, config)
+    raise AssertionError(condition)  # pragma: no cover - no other condition kinds
 
 
 def _expand_reg(
@@ -236,8 +311,11 @@ def _expand_reg(
     library: GadgetLibrary,
     provisions: _Provisions,
     config: PlannerConfig,
-) -> Iterator[Optional[PartialPlan]]:
+    offers: Dict[RegCondition, _Offers],
+) -> Tuple[List[Optional[PartialPlan]], bool]:
     stats = provisions.stats
+    tried: List[Optional[PartialPlan]] = []
+    asked = False
     # (a) Reuse an existing step: either it already yields the value
     # (constant post), or it can be *made* to yield it by regressing
     # further entry conditions onto the same instance — how one ret2csu
@@ -247,6 +325,7 @@ def _expand_reg(
             continue
         if condition.reg not in step.gadget.clob_regs:
             continue
+        asked = True
         provision = provisions.reg(step.gadget, condition)
         if provision is None:
             continue
@@ -256,38 +335,53 @@ def _expand_reg(
         new_regressed = tuple(
             rc for rc in provision.regressed if already.get(rc.reg) != rc.value
         )
-        yield plan.reuse_provider_step(sid, open_cond, provision.bindings, new_regressed, stats)
-    # (b) Instantiate a fresh provider from the library.
+        tried.append(
+            plan.reuse_provider_step(sid, open_cond, provision.bindings, new_regressed, stats)
+        )
+    # (b) Instantiate a fresh provider from the condition's offers.
     if plan.num_steps >= config.max_steps:
-        return
-    produced = 0
-    for gadget in library.providers_for(condition.reg):
-        if produced >= config.providers_per_cond:
+        return tried, asked
+    found = offers.get(condition)
+    if found is None:
+        found = offers[condition] = _Offers(library, condition.reg)
+    # Connectors only wire directly into the goal, one per plan.
+    may_connect = plan.immediate_pre_goal is None and open_cond.consumer == GOAL_STEP
+    asked = asked or found.plain or (may_connect and found.connectors)
+    entries = found.entries
+    produced = index = 0
+    while produced < config.providers_per_cond:
+        if index == len(entries) and not found.scan(provisions, condition, may_connect):
             break
-        kind = library.kind_of(gadget)
-        if kind is ChainKind.CONNECTOR:
-            if plan.immediate_pre_goal is not None:
-                continue
-            if open_cond.consumer != GOAL_STEP:
-                continue  # connectors only wire directly into the goal
-        provision = provisions.reg(gadget, condition)
-        if provision is None:
+        entry = entries[index]
+        gadget, connector, provision, load = entry
+        index += 1
+        if not connector:
+            bindings, regressed = provision.bindings, provision.regressed
+        elif not may_connect:
             continue
-        regressed = provision.regressed
-        bindings = provision.bindings
-        if kind is ChainKind.CONNECTOR:
+        else:
+            if provision is _PENDING:
+                provision = provisions.reg(gadget, condition)
+                if provision is None:
+                    index -= 1
+                    del entries[index]
+                    continue
+                load = _load(provision.bindings)
+                entry[2:] = provision, load
             # The connector's indirect jump must land on the goal gadget.
             tp = provisions.target(gadget, plan.steps[GOAL_STEP].gadget.location)
             if tp is None:
                 continue
-            bindings += tp.bindings
-            regressed += tp.regressed
-        successor = plan.add_provider_step(gadget, open_cond, bindings, regressed, stats)
+            bindings = provision.bindings + tp.bindings
+            regressed = provision.regressed + tp.regressed
+            load += _load(tp.bindings)
+        successor = plan.add_provider_step(gadget, open_cond, bindings, regressed, stats, load)
         if successor is not None:
-            if kind is ChainKind.CONNECTOR:
+            if connector:
                 successor.immediate_pre_goal = successor._next_sid - 1
             produced += 1
-        yield successor
+        tried.append(successor)
+    return tried, asked
 
 
 def _expand_mem(
@@ -297,15 +391,18 @@ def _expand_mem(
     library: GadgetLibrary,
     provisions: _Provisions,
     config: PlannerConfig,
-) -> Iterator[Optional[PartialPlan]]:
+) -> Tuple[List[Optional[PartialPlan]], bool]:
+    tried: List[Optional[PartialPlan]] = []
+    asked = False
     if plan.num_steps >= config.max_steps:
-        return
+        return tried, asked
     produced = 0
     for gadget in library.writers:
         if produced >= config.providers_per_cond:
             break
         if library.kind_of(gadget) is ChainKind.CONNECTOR:
             continue  # keep write steps freely orderable
+        asked = True
         provision = provisions.mem(gadget, condition)
         if provision is None:
             continue
@@ -314,4 +411,5 @@ def _expand_mem(
         )
         if successor is not None:
             produced += 1
-        yield successor
+        tried.append(successor)
+    return tried, asked

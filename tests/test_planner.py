@@ -5,6 +5,10 @@ raise the goal syscall with the planned arguments — no paper-tiger
 chains."""
 
 
+import functools
+from dataclasses import replace
+
+from repro.bench.harness import BENCH_EXTRACTION, BENCH_PLANNER, build
 from repro.binfmt import make_image
 from repro.emulator import Sys
 from repro.isa import assemble_unit
@@ -17,6 +21,10 @@ from repro.planner import (
     mprotect_goal,
     resolve_goal,
 )
+from repro.pipeline import run_pipeline
+from repro.planner.goals import standard_goals
+from repro.planner.library import GadgetLibrary
+from repro.planner.search import SearchStats, search_plans
 
 
 def image_for(source, data=b""):
@@ -54,6 +62,37 @@ g_syscall:
     syscall
     ret
 """
+
+#: rdi is only settable through the connector ``mov rdi, r12; call r15``.
+CONNECTOR_GADGETS = """
+    hlt
+g_pop_r12:
+    pop r12
+    ret
+g_pop_r15:
+    pop r15
+    ret
+g_pop_rax:
+    pop rax
+    ret
+g_pop_rsi:
+    pop rsi
+    ret
+g_pop_rdx:
+    pop rdx
+    ret
+g_connector:
+    mov rdi, r12
+    call r15
+g_syscall:
+    syscall
+    ret
+"""
+
+#: ``pop rsi; pop r15`` also overwrites the connector's call target.
+THREATENED_CONNECTOR = CONNECTOR_GADGETS.replace(
+    "g_pop_rsi:\n    pop rsi\n", "g_pop_rsi:\n    pop rsi\n    pop r15\n"
+)
 
 
 def test_mprotect_chain_found_and_validated():
@@ -124,9 +163,117 @@ def test_dead_ends_are_counted_by_reason():
     report, _ = plan_on(RICH_GADGETS, goals=[mprotect_goal(addr=0x600000)], max_steps=4)
     stats = report.search_stats["mprotect"]
     assert stats.dead_step_cap == stats.dead_ends == 1
+    # Nothing overwrites rdi, so the only seed is dropped when made.
     report, _ = plan_on("pop rax\nret\nsyscall\nret", goals=[mprotect_goal(addr=0x600000)])
     stats = report.search_stats["mprotect"]
-    assert stats.dead_no_provider == stats.dead_ends == 1
+    assert stats.pruned_no_provider == stats.dead_ends == 1
+    assert stats.dead_no_provider == stats.nodes_expanded == stats.pushes == 0
+
+
+def test_a_condition_no_gadget_can_provide_is_dropped_when_made():
+    """A plan waiting on a register no gadget overwrites, or on memory
+    no gadget writes, is never queued."""
+    no_rdx = RICH_GADGETS.replace("g_pop_rdx:\n    pop rdx\n    ret\n", "")
+    report, _ = plan_on(no_rdx, goals=[mprotect_goal(addr=0x600000)])
+    stats = report.search_stats["mprotect"]
+    assert report.per_goal["mprotect"] == 0
+    assert stats.pruned_no_provider == stats.seeds == stats.dead_ends == 1
+    assert stats.nodes_expanded == 0
+    no_writer = RICH_GADGETS.replace("g_write:\n    mov [rdi+0], rsi\n    ret\n", "")
+    report, _ = plan_on(no_writer, goals=[execve_goal()])
+    stats = report.search_stats["execve"]
+    assert report.per_goal["execve"] == 0
+    assert stats.pruned_no_provider == stats.seeds == stats.dead_ends == 1
+
+
+def test_a_connector_ordered_before_another_step_is_dropped_when_made():
+    """``pop rsi; pop r15`` threatens the r15 link into the connector,
+    and demotion orders the connector before it: those plans could
+    never put the connector right before the goal, so they are dropped
+    instead of emitted, and the one plan left linearizes."""
+    report, _ = plan_on(THREATENED_CONNECTOR, goals=[mprotect_goal(addr=0x600000)])
+    stats = report.search_stats["mprotect"]
+    assert report.per_goal["mprotect"] == stats.plans_emitted == 1
+    assert stats.pruned_connector == stats.dead_ends == 2
+
+
+def test_nfl_trace_prints_the_prune_and_solver_counters(tmp_path, capsys):
+    """``plan.search`` carries both prune counters and ``solver_checks``
+    (the solver queries the search asked), and ``nfl trace`` prints them."""
+    from repro.cli import main
+    from repro.obs import Tracer, tracing
+
+    # rdx only through a gadget guarded by rcx == 0: one solver query.
+    source = THREATENED_CONNECTOR.replace(
+        "g_pop_rdx:\n    pop rdx\n    ret\n",
+        "g_pop_rcx:\n    pop rcx\n    ret\n"
+        "g_cond:\n    pop rdx\n    cmp rcx, 0\n    jne bad\n    ret\nbad:\n    hlt\n",
+    )
+    tracer = Tracer()
+    with tracing(tracer):
+        report, _ = plan_on(source, goals=[mprotect_goal(addr=0x600000)])
+    stats = report.search_stats["mprotect"]
+    assert stats.pruned_connector == 2 and stats.solver_checks == 1
+    trace = tmp_path / "plan.jsonl"
+    trace.write_text("\n".join(tracer.to_lines()) + "\n")
+    assert main(["trace", str(trace)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "plan.search" in ln]
+    for name in ("pruned_connector", "pruned_no_provider", "solver_checks"):
+        assert f" {name}={getattr(stats, name)}" in line
+
+
+#: The cold images of the benchmark's cold-sweep workload.
+COLD_IMAGES = ("binary_search/none", "netperf/none", "string_ops/llvm_obf", "bubble_sort/tigress")
+
+
+@functools.lru_cache(maxsize=None)
+def bench_searches(key, max_nodes):
+    """Each standard goal's (stats, complete plans) on a benchmark image,
+    searched as ``GadgetPlanner.run`` searches them at the benchmark's
+    planner budgets, except ``max_nodes``."""
+    name, obfuscation = key.split("/")
+    image = build(name, obfuscation).image
+    planner = GadgetPlanner(image, extraction=BENCH_EXTRACTION)
+    _, pool = run_pipeline(image, BENCH_EXTRACTION, solver=planner.solver)
+    library = GadgetLibrary.build(pool)
+    config = replace(BENCH_PLANNER, max_nodes=max_nodes)
+    out = {}
+    for goal in standard_goals(image):
+        stats = SearchStats()
+        plans = search_plans(
+            library,
+            resolve_goal(image, goal),
+            solver=planner.solver,
+            config=config,
+            stats=stats,
+            locator=planner._word_locator,
+        )
+        out[goal.name] = (stats, plans)
+    return out
+
+
+def test_every_complete_plan_linearizes_on_the_bench_images():
+    """A complete plan always has a valid linearization: on the cold
+    images at the benchmark budget, and on bubble_sort/tigress with room
+    for its mprotect and mmap searches to exhaust their spaces."""
+    runs = [(key, BENCH_PLANNER.max_nodes) for key in COLD_IMAGES]
+    runs.append(("bubble_sort/tigress", 20_000))
+    for key, max_nodes in runs:
+        for goal, (stats, plans) in bench_searches(key, max_nodes).items():
+            assert stats.plans_emitted == len(plans)
+            assert all(plan.linearize() is not None for plan in plans), (key, goal)
+
+
+def test_searches_with_no_plan_end_early_on_the_bench_images():
+    """Searches that no plan can finish run out of queued plans in a few
+    dozen nodes instead of spending the benchmark's node budget."""
+    for key, goal in (
+        ("string_ops/llvm_obf", "execve"),
+        ("string_ops/llvm_obf", "mmap"),
+        ("bubble_sort/tigress", "execve"),
+    ):
+        stats, plans = bench_searches(key, BENCH_PLANNER.max_nodes)[goal]
+        assert plans == [] and stats.nodes_expanded < BENCH_PLANNER.max_nodes // 20, (key, goal)
 
 
 def test_missing_register_setter_blocks_goal():
@@ -332,32 +479,8 @@ def test_connector_wires_an_indirect_call_into_the_goal():
     """rdi is only settable through ``mov rdi, r12; call r15``: the
     connector's call target regresses to ``r15 == syscall gadget`` and
     the connector runs immediately before the goal."""
-    source = """
-        hlt
-    g_pop_r12:
-        pop r12
-        ret
-    g_pop_r15:
-        pop r15
-        ret
-    g_pop_rax:
-        pop rax
-        ret
-    g_pop_rsi:
-        pop rsi
-        ret
-    g_pop_rdx:
-        pop rdx
-        ret
-    g_connector:
-        mov rdi, r12
-        call r15
-    g_syscall:
-        syscall
-        ret
-    """
-    unit = assemble_unit(source, base_addr=0x400000)
-    report, _ = plan_on(source, goals=[mprotect_goal(addr=0x600000)])
+    unit = assemble_unit(CONNECTOR_GADGETS, base_addr=0x400000)
+    report, _ = plan_on(CONNECTOR_GADGETS, goals=[mprotect_goal(addr=0x600000)])
     assert report.per_goal["mprotect"] == 1
     payload = report.payloads[0]
     assert payload.validated
