@@ -14,28 +14,35 @@ The emulator serves two roles in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..binfmt.image import BinaryImage, STACK_SIZE, STACK_TOP
 from ..isa.encoding import DecodeError, decode
-from ..isa.instructions import COND_JUMPS, Instruction, Op
+from ..isa.instructions import Instruction, Op
 from ..isa.registers import ALL_REGS, Flag, MASK64, Reg
 from ..isa.semantics import (
     CONSTANTS,
+    CONTROL_OPS,
     JCC,
     SEMANTICS,
     WIDTHS,
     IntDomain,
     Loc,
+    Place,
+    SourceDomain,
     Step,
     flag_values,
-    register,
 )
 from ..obs import span
-from .memory import Memory, MemoryFault, PERM_R, PERM_W, PERM_X
+from .memory import Memory, MemoryFault, PAGE_OFFSET, PAGE_SIZE, PERM_R, PERM_W, PERM_X
 from .syscalls import AttackTriggered, ProcessExit, SyscallHandler
 
 MAX_DECODE_SIZE = 16
+
+#: The most instructions one block holds, which bounds what a long
+#: straight line costs when jumps land all along it (a block per target).
+MAX_BLOCK_INSNS = 64
 
 
 class EmulatorError(Exception):
@@ -105,15 +112,18 @@ class Emulator:
         self.cpu.set(Reg.RSP, STACK_TOP - 0x20000)
         self.cpu.rip = image.entry
         self.syscalls = SyscallHandler(self.memory, stop_on_attack=stop_on_attack)
-        # Decoded instructions and their translated handlers,
-        # invalidated when executable pages are written or page
-        # permissions change (both bump exec_write_gen).
-        self._insn_cache: Dict[int, Tuple[Instruction, "Handler"]] = {}
+        # Decoded instructions and their translated handlers, and the
+        # blocks made of them, dropped when executable pages are written
+        # or page permissions change (both bump exec_write_gen).
+        self._insn_cache: Dict[int, Tuple[Instruction, Handler]] = {}
+        self._block_cache: Dict[int, Block] = {}
         self._cache_gen = self.memory.exec_write_gen
-        #: Decode-cache misses (instructions decoded and translated) and
-        #: invalidations of the whole cache by an ``exec_write_gen`` bump.
+        #: Decode-cache misses (instructions decoded and translated),
+        #: invalidations of both caches by an ``exec_write_gen`` bump, and
+        #: blocks built.
         self.translations = 0
         self.flushes = 0
+        self.blocks = 0
 
     # -- stack helpers -----------------------------------------------------
 
@@ -131,12 +141,17 @@ class Emulator:
 
     # -- execution ----------------------------------------------------------
 
-    def _fetch_entry(self) -> Tuple[Instruction, "Handler"]:
-        rip = self.cpu.rip
+    def _flush(self) -> None:
+        self._insn_cache.clear()
+        self._block_cache.clear()
+        self._cache_gen = self.memory.exec_write_gen
+        self.flushes += 1
+
+    def _fetch_entry(self, rip: int) -> Tuple[Instruction, Handler]:
+        """The decoded instruction at ``rip`` and its handler: the one
+        decoder, through the decode cache."""
         if self._cache_gen != self.memory.exec_write_gen:
-            self._insn_cache.clear()
-            self._cache_gen = self.memory.exec_write_gen
-            self.flushes += 1
+            self._flush()
         entry = self._insn_cache.get(rip)
         if entry is not None:
             return entry
@@ -154,7 +169,7 @@ class Emulator:
 
     def fetch(self) -> Instruction:
         """The instruction at ``rip``."""
-        return self._fetch_entry()[0]
+        return self._fetch_entry(self.cpu.rip)[0]
 
     def step(self) -> None:
         """Execute one instruction."""
@@ -165,7 +180,7 @@ class Emulator:
         entry = None
         if self._cache_gen == self.memory.exec_write_gen:
             entry = self._insn_cache.get(self.cpu.rip)
-        insn, handler = entry or self._fetch_entry()
+        insn, handler = entry or self._fetch_entry(self.cpu.rip)
         if self.step_hook is not None:
             self.step_hook(self, insn)
         self.cpu.rip = handler(self)
@@ -173,14 +188,71 @@ class Emulator:
     def run(self) -> int:
         """Run until exit; returns the exit status.
 
+        With no ``step_hook``, runs whole blocks (:meth:`_run_blocks`),
+        and :meth:`step` only where a block cannot run.
         :class:`AttackTriggered` propagates to the caller when
         ``stop_on_attack`` is set — exploit validation catches it.
         """
         try:
             while True:
+                if self.step_hook is None:
+                    self._run_blocks()
                 self.step()
         except ProcessExit as exit_exc:
             return exit_exc.status
+
+    def _run_blocks(self) -> None:
+        """Run the block at each ``rip`` until one cannot run: its code
+        is on a W|X page or does not decode, it would cross
+        ``step_limit``, or a step hook is installed.
+
+        ``steps`` counts a whole block before it runs.  An exception
+        from the block leaves ``steps`` and ``rip`` as :meth:`step`
+        would: the faulting instruction counted, ``rip`` on it.
+        """
+        cpu, memory, cache = self.cpu, self.memory, self._block_cache
+        while self.step_hook is None:
+            if self._cache_gen != memory.exec_write_gen:
+                self._flush()
+            rip = cpu.rip
+            block = cache.get(rip)
+            if block is None:
+                block = cache[rip] = self._build_block(rip)
+            start = self.steps
+            if not block or start + len(block) > self.step_limit:
+                return
+            self.steps = start + len(block)
+            try:
+                for insn, handler in block:
+                    rip = handler(self)
+            except BaseException:
+                self.steps = start + 1 + [entry[0] for entry in block].index(insn)
+                cpu.rip = insn.addr
+                raise
+            cpu.rip = rip
+
+    def _build_block(self, rip: int) -> Block:
+        """The entries from ``rip`` up to and including the first control
+        op, on pages mapped X and not W, at most :data:`MAX_BLOCK_INSNS`;
+        empty when the first cannot join."""
+        entries: List[Tuple[Instruction, Handler]] = []
+        addr = rip
+        perms_at = self.memory.perms_at
+        while len(entries) < MAX_BLOCK_INSNS and perms_at(addr) & (PERM_W | PERM_X) == PERM_X:
+            try:
+                entry = self._fetch_entry(addr)
+            except InvalidInstruction:
+                break
+            insn = entry[0]
+            if perms_at(insn.end - 1) & (PERM_W | PERM_X) != PERM_X:
+                break
+            entries.append(entry)
+            if insn.op in CONTROL_OPS:
+                break
+            addr = insn.end & MASK64
+        if entries:
+            self.blocks += 1
+        return tuple(entries)
 
     def run_catching_attack(self):
         """Run and return the attack event if one fires, else ``None``."""
@@ -230,43 +302,27 @@ class Emulator:
 
 #: A translated instruction: runs it on the emulator, returns the next rip.
 Handler = Callable[[Emulator], int]
+#: Straight-line decode-cache entries that :meth:`Emulator.run` runs as one.
+Block = Tuple[Tuple[Instruction, Handler], ...]
 
 _RSP = Reg.RSP
-_ZF, _SF, _CF, _OF = Flag.ZF, Flag.SF, Flag.CF, Flag.OF
 
 
 def _translate(insn: Instruction) -> Handler:
-    """The handler for ``insn``: its semantics row over :class:`IntDomain`,
-    or a control transfer, with operands resolved once."""
+    """The handler for ``insn``: its op's generated handler (a
+    semantics row or a Jcc predicate), or a control transfer, with
+    operands resolved once."""
     op, end = insn.op, insn.end & MASK64
-    if op in SEMANTICS:
-        row = SEMANTICS[op]
-        if len(row) == 1:
-            return _step_handler(row[0], insn, end)
-        steps = [_int_step(step, insn) for step in row]
-
-        def run(emu: Emulator) -> int:
-            for step in steps:
-                step(emu)
-            return end
-
-        return run
-    target = (insn.target or 0) & MASK64
-    if op in COND_JUMPS:
-        taken = JCC[op]
-
-        def jcc(emu: Emulator) -> int:
-            f = emu.cpu.flags
-            jumps = taken(IntDomain, f[_ZF], f[_SF], f[_CF], f[_OF])
-            return target if jumps else end
-
-        return jcc
+    if op in SEMANTICS or op in JCC:
+        factory = _FACTORIES.get(op) or _compile_factory(op)
+        return factory(insn, end)
     if op is Op.HLT:
         return _halt
     if op is Op.SYSCALL:
         return lambda emu: emu._syscall(end)
     if op is Op.RET:
         return lambda emu: emu.pop()
+    target = (insn.target or 0) & MASK64
     if op is Op.JMP_REL:
         return lambda emu: target
     if op is Op.CALL_REL:
@@ -280,113 +336,180 @@ def _halt(emu: Emulator) -> int:
     raise ProcessExit(0)
 
 
-def _step_handler(step: Step, insn: Instruction, end: int) -> Handler:
-    """The handler of a one-step row, specialised to the step's shape.
+# -- handlers generated from the semantics table --------------------------------
 
-    A move or a one-operand function composes its reader and writer; a
-    flagged two-operand step reads both operands into locals.  Any
-    other step (two writes, a trapping divide, a flagged one-operand
-    step) runs as :func:`_int_step`.
+#: Per op, the compiled factory ``make(insn, end) -> Handler``.
+_FACTORIES: Dict[Op, Callable[[Instruction, int], Handler]] = {}
+
+#: What generated source may name besides its operands, all constants,
+#: so the source depends on the op alone.  ``IMM(insn)``, ``COUNT(insn)``
+#: and ``ONE(insn)`` read a constant operand as :data:`CONSTANTS` states
+#: it over :class:`IntDomain`.
+_NAMESPACE: Dict[str, object] = {
+    "MASK64": MASK64,
+    "SIGN64": 1 << 63,
+    "DivideError": DivideError,
+    **{flag.name: flag for flag in Flag},
+    **{reg.name: reg for reg in Reg},
+    **{loc.name: partial(read, IntDomain) for loc, read in CONSTANTS.items()},
+}
+
+
+def _compile_factory(op: Op) -> Callable[[Instruction, int], Handler]:
+    source = factory_source(op)
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, f"<handler {op.name}>", "exec"), namespace)
+    factory = _FACTORIES[op] = namespace["make"]
+    return factory
+
+
+def factory_source(op: Op) -> str:
+    """The Python source of ``make(insn, end)``, which returns ``op``'s
+    handler with ``insn``'s operands bound: the op's semantics row, or
+    its Jcc predicate, over :class:`SourceDomain`.
+
+    Register, flag and memory accesses are inlined; a memory access
+    takes :class:`Memory`'s one-page memo inline and calls it otherwise,
+    and a stack access calls ``emu.pop``/``emu.push``.
     """
-    reads = [_reader(loc, insn) for loc in step.reads]
-    writes = [_writer(loc, insn) for loc in step.writes]
-    fn = step.fn and getattr(IntDomain, step.fn)
-    rule, keep_cf = step.flags, step.keep_cf
-    if rule is None and len(reads) == len(writes) == 1:
-        (read,), (write,) = reads, writes
-        if fn is None:
-
-            def move(emu: Emulator) -> int:
-                write(emu, read(emu))
-                return end
-
-            return move
-
-        def unary(emu: Emulator) -> int:
-            write(emu, fn(read(emu)))
-            return end
-
-        return unary
-    if rule is not None and len(reads) == 2 and len(writes) <= 1:
-        read_a, read_b = reads
-        write = writes[0] if writes else None
-
-        def flagged(emu: Emulator) -> int:
-            a = read_a(emu)
-            b = read_b(emu)
-            r = fn(a, b)
-            flags = emu.cpu.flags
-            flags[_ZF], flags[_SF], cf, flags[_OF] = flag_values(IntDomain, rule, r, a, b)
-            if not keep_cf:
-                flags[_CF] = cf
-            if write is not None:
-                write(emu, r)
-            return end
-
-        return flagged
-    run_step = _int_step(step, insn)
-
-    def run(emu: Emulator) -> int:
-        run_step(emu)
-        return end
-
-    return run
+    if op in JCC:
+        taken = JCC[op](SourceDomain, *(f"flags[{f}]" for f in ("ZF", "SF", "CF", "OF")))
+        fields = {"target": "(insn.target or 0) & MASK64"}
+        body = ["flags = emu.cpu.flags", f"return target if {taken} else end"]
+        return _factory_text(fields, body)
+    gen = _RowSource()
+    for step in SEMANTICS[op]:
+        gen.step(step)
+    return _factory_text(gen.fields, gen.prologue() + gen.lines + ["return end"])
 
 
-def _int_step(step: Step, insn: Instruction) -> Callable[[Emulator], None]:
-    """One step of a semantics row over :class:`IntDomain`, whatever its shape."""
-    reads = [_reader(loc, insn) for loc in step.reads]
-    writes = [_writer(loc, insn) for loc in step.writes]
-    fn = step.fn and getattr(IntDomain, step.fn)
-    rule, keep_cf, traps = step.flags, step.keep_cf, step.traps
-
-    def run(emu: Emulator) -> None:
-        values = [read(emu) for read in reads]
-        if traps and not values[1]:
-            raise DivideError(f"division by zero at {insn.addr:#x}")
-        results = [fn(*values)] if fn else values
-        if rule is not None:
-            flags = emu.cpu.flags
-            flags[_ZF], flags[_SF], cf, flags[_OF] = flag_values(
-                IntDomain, rule, results[0], *values
-            )
-            if not keep_cf:
-                flags[_CF] = cf
-        for write, value in zip(writes, results):
-            write(emu, value)
-
-    return run
+def _factory_text(fields: Dict[str, str], body: List[str]) -> str:
+    lines = ["def make(insn, end):"]
+    lines += [f"    {name} = {value}" for name, value in fields.items()]
+    lines.append("    def handler(emu):")
+    lines += [f"        {line}" for line in body]
+    lines.append("    return handler")
+    return "\n".join(lines) + "\n"
 
 
-def _reader(loc: Loc, insn: Instruction) -> Callable[[Emulator], int]:
-    reg = register(loc, insn)
-    if reg is not None:
-        return lambda emu: emu.cpu.regs[reg]
-    if loc in CONSTANTS:
-        value = CONSTANTS[loc](IntDomain, insn)
-        return lambda emu: value
-    if loc is Loc.STACK:
-        return lambda emu: emu.pop()
-    base, disp = insn.base, insn.disp
-    if loc is Loc.EA:
-        return lambda emu: (emu.cpu.regs[base] + disp) & MASK64
-    load = Memory.read_u64 if WIDTHS[loc] == 8 else Memory.read_u8
-    return lambda emu: load(emu.memory, (emu.cpu.regs[base] + disp) & MASK64)
+class _RowSource:
+    """The statements of a semantics row's handler, step by step."""
 
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        #: The operands the handler closes over, with how the factory
+        #: reads each from ``insn``.
+        self.fields: Dict[str, str] = {}
+        self.state: List[str] = []  # of "regs", "flags", "mem"
+        self.temps = 0
 
-def _writer(loc: Loc, insn: Instruction) -> Callable[[Emulator, int], None]:
-    reg = register(loc, insn)
-    if reg is not None:
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
 
-        def set_reg(emu: Emulator, value: int) -> None:
-            emu.cpu.regs[reg] = value & MASK64
+    def prologue(self) -> List[str]:
+        homes = {"regs": "emu.cpu.regs", "flags": "emu.cpu.flags", "mem": "emu.memory"}
+        return [f"{name} = {homes[name]}" for name in homes if name in self.state]
 
-        return set_reg
-    if loc is Loc.STACK:
-        return lambda emu, value: emu.push(value)
-    base, disp = insn.base, insn.disp
-    store = Memory.write_u64 if WIDTHS[loc] == 8 else Memory.write_u8
-    return lambda emu, value: store(emu.memory, (emu.cpu.regs[base] + disp) & MASK64, value)
+    def use(self, *names: str) -> None:
+        """Note the machine state (``regs``, ``flags``, ``mem``) and the
+        instruction fields the handler reads."""
+        for name in names:
+            if name in ("regs", "flags", "mem"):
+                if name not in self.state:
+                    self.state.append(name)
+            else:
+                self.fields.setdefault(name, f"insn.{name}")
+
+    def register(self, place: Place) -> Optional[str]:
+        """The expression of the register ``place`` names, or None."""
+        if place is Loc.DST or place is Loc.SRC:
+            self.use("regs", place.value)
+            return f"regs[{place.value}]"
+        if isinstance(place, Reg):
+            self.use("regs")
+            return f"regs[{place.name}]"
+        return None
+
+    def address(self) -> None:
+        self.use("regs", "base", "disp", "mem")
+        self.lines += ["ea = (regs[base] + disp) & MASK64", f"off = ea & {PAGE_OFFSET}"]
+
+    def read(self, place: Place) -> str:
+        """Emit the read of ``place``; returns the name holding it."""
+        if place in CONSTANTS:
+            self.fields.setdefault(place.value, f"{place.name}(insn)")
+            return place.value
+        var = self.temp()
+        reg = self.register(place)
+        if reg is not None:
+            self.lines.append(f"{var} = {reg}")
+        elif place is Loc.STACK:
+            self.lines.append(f"{var} = emu.pop()")
+        elif place is Loc.EA:
+            self.use("regs", "base", "disp")
+            self.lines.append(f"{var} = (regs[base] + disp) & MASK64")
+        elif WIDTHS[place] == 8:
+            self.address()
+            self.lines += [
+                f"if ea - off == mem._read_at and off <= {PAGE_SIZE - 8}:",
+                f"    {var} = int.from_bytes(mem._read_page[off:off + 8], 'little')",
+                "else:",
+                f"    {var} = mem.read_u64(ea)",
+            ]
+        else:
+            self.address()
+            self.lines += [
+                f"{var} = mem._read_page[off] if ea - off == mem._read_at else mem.read_u8(ea)"
+            ]
+        return var
+
+    def write(self, place: Place, value: str) -> None:
+        reg = self.register(place)
+        if reg is not None:
+            self.lines.append(f"{reg} = {value}")
+        elif place is Loc.STACK:
+            self.lines.append(f"emu.push({value})")
+        elif WIDTHS[place] == 8:
+            self.address()
+            self.lines += [
+                f"if ea - off == mem._write_at and off <= {PAGE_SIZE - 8}:",
+                f"    mem._write_page[off:off + 8] = {value}.to_bytes(8, 'little')",
+                "else:",
+                f"    mem.write_u64(ea, {value})",
+            ]
+        else:
+            self.address()
+            self.lines += [
+                "if ea - off == mem._write_at:",
+                f"    mem._write_page[off] = {value} & 0xFF",
+                "else:",
+                f"    mem.write_u8(ea, {value})",
+            ]
+
+    def step(self, step: Step) -> None:
+        """Every read, the divisor trap, the operation, the flags, then
+        every write, as :class:`Step` orders them."""
+        values = [self.read(place) for place in step.reads]
+        if step.traps:
+            self.use("addr")
+            self.lines += [
+                f"if not {values[1]}:",
+                "    raise DivideError('division by zero at %#x' % addr)",
+            ]
+        results = values
+        if step.fn is not None:
+            result = self.temp()
+            self.lines.append(f"{result} = {getattr(SourceDomain, step.fn)(*values)}")
+            results = [result]
+        if step.flags is not None:
+            self.use("flags")
+            zf, sf, cf, of = flag_values(SourceDomain, step.flags, results[0], *values)
+            self.lines += [f"flags[ZF] = {zf}", f"flags[SF] = {sf}", f"flags[OF] = {of}"]
+            if not step.keep_cf:
+                self.lines.append(f"flags[CF] = {cf}")
+        for place, value in zip(step.writes, results):
+            self.write(place, value)
 
 
 def run_image(image: BinaryImage, *, step_limit: int = 2_000_000) -> tuple[int, bytes]:
@@ -398,4 +521,5 @@ def run_image(image: BinaryImage, *, step_limit: int = 2_000_000) -> tuple[int, 
         sp.add("syscall_events", len(emu.syscalls.events))
         sp.add("translations", emu.translations)
         sp.add("flushes", emu.flushes)
+        sp.add("blocks", emu.blocks)
     return status, bytes(emu.syscalls.stdout)

@@ -38,6 +38,9 @@ class Memory:
     write memo only a page mapped W and not X, so every write to an
     executable page still takes the loop and bumps
     :attr:`exec_write_gen`.  :meth:`map` and :meth:`protect` drop both.
+    The emulator's generated handlers test and use both memos inline
+    (``_read_at``/``_read_page``, ``_write_at``/``_write_page``), and
+    call :meth:`read_u64` and its kin when they miss.
     """
 
     def __init__(self) -> None:

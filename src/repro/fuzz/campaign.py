@@ -30,7 +30,15 @@ from ..gadgets.extract import ExtractionConfig
 from ..isa.encoding import encode_program
 from ..obs import metrics, span
 from .corpus import save_case
-from .gen import gen_bytes, gen_chain_tail, gen_formula, gen_memory_ops, gen_program, gen_window
+from .gen import (
+    gen_bytes,
+    gen_chain_tail,
+    gen_formula,
+    gen_memory_ops,
+    gen_program,
+    gen_straight_code,
+    gen_window,
+)
 from .oracles import Case, EmulatorFactory, run_case
 from .shrink import shrink_case, window_insn_count
 
@@ -154,6 +162,52 @@ def _draw_memory(seed: int, i: int) -> Case:
     return Case(oracle="memory", kind="ops", text=bytes(range(count)), env_seed=env_seed)
 
 
+#: Configs the blocks oracle builds programs under: every one whose
+#: programs run in a few thousand steps, ``self_modify`` (W|X code) too.
+_BLOCK_CONFIGS = ("none", *_OBF_ROTATION, "self_modify")
+
+
+def _draw_blocks(seed: int, i: int) -> Case:
+    """A program build, raw bytes, or straight-line code (mapped W|X and
+    patching itself, one draw in three), with a step limit that often
+    falls inside a block."""
+    rng = _rng(seed, i, "blocks")
+    env_seed = rng.randrange(1 << 16)
+    if i % 4 == 0:
+        limit = rng.choice((2_000_000, rng.randrange(1, 3000)))
+        source, config = gen_program(rng), rng.choice(_BLOCK_CONFIGS)
+        return Case(
+            oracle="blocks",
+            kind="program",
+            source=source,
+            configs=(config,),
+            env_seed=env_seed,
+            max_insns=limit,
+        )
+    limit = rng.choice((2_000_000, rng.randrange(1, 40)))
+    if i % 4 == 1:
+        text = gen_bytes(rng, 64)
+        offset = rng.randrange(0, 32)
+        return Case(
+            oracle="blocks",
+            kind="image",
+            text=text,
+            offset=offset,
+            env_seed=env_seed,
+            max_insns=limit,
+        )
+    wx = rng.random() < 1 / 3
+    text = encode_program(gen_straight_code(rng, self_patch=wx))
+    return Case(
+        oracle="blocks",
+        kind="image",
+        text=text,
+        env_seed=env_seed,
+        max_insns=limit,
+        configs=("wx",) if wx else (),
+    )
+
+
 #: Oracle name → (period, phase, draw): on iterations with
 #: ``i % period == phase`` the campaign checks ``draw(seed, i)``.
 #: Adding an oracle takes a check function, its ``run_case`` branch
@@ -171,6 +225,7 @@ ORACLES: Dict[str, Tuple[int, int, Callable[[int, int], Case]]] = {
     "solver_preprocess": (8, 1, _draw_solver_preprocess),
     "scan": (1, 0, _draw_scan),
     "memory": (1, 0, _draw_memory),
+    "blocks": (2, 0, _draw_blocks),
 }
 
 ORACLE_NAMES = tuple(ORACLES)

@@ -6,8 +6,10 @@ Five families:
   is a self-checksum ``print``, suitable for cross-config equivalence;
 * :func:`gen_bytes` — raw byte images (unaligned-decode stress);
 * :func:`gen_window` — laid-out instruction windows ending in an
-  indirect transfer (the gadget-chain shape extraction consumes), and
-  :func:`gen_chain_tail`, the gadgets a planner case chains;
+  indirect transfer (the gadget-chain shape extraction consumes),
+  :func:`gen_straight_code`, window bodies run together up to a
+  ``hlt``, and :func:`gen_chain_tail`, the gadgets a planner case
+  chains;
 * :func:`gen_formula` — small bit-vector conjunctions shaped to meet
   the solver's word-level refutation rules;
 * :func:`gen_memory_ops` — ``Memory`` call sequences biased to page
@@ -172,6 +174,41 @@ def gen_window(rng: random.Random, max_body: int = 6) -> List[Instruction]:
     else:
         term = Instruction(op=term_op)
     spec.append((term, None))
+    return relayout(spec, TEXT_BASE)
+
+
+def gen_straight_code(
+    rng: random.Random, *, windows: int = 4, self_patch: bool = False
+) -> List[Instruction]:
+    """Straight-line code laid out at ``TEXT_BASE``: the bodies of a few
+    windows, their forward conditional jumps kept, run into each other
+    and end in ``hlt``.
+
+    With ``self_patch``, a ``mov r, addr; mov [r], s`` pair (or its
+    byte store) writes over a later instruction of the same run, so
+    mapped writable the code changes under its own straight line.
+    """
+    spec: WindowSpec = []
+    for _ in range(windows):
+        body = spec_of(gen_window(rng))[:-1]
+        shift = len(spec)
+        spec += [(insn, None if target is None else target + shift) for insn, target in body]
+    if self_patch and spec:
+        pos = rng.randrange(0, len(spec))
+        later = rng.randrange(pos, len(spec))
+        r, s = rng.sample(_GP_REGS, 2)
+        store = Op.STORE if rng.random() < 0.5 else Op.STOREB
+        patch = [
+            (Instruction(op=Op.MOV_RI, dst=r, imm=0), None),
+            (Instruction(op=store, base=r, disp=0, src=s), None),
+        ]
+        spec = [
+            (insn, None if target is None or target < pos else target + 2)
+            for insn, target in spec[:pos] + patch + spec[pos:]
+        ]
+        victim = relayout(spec + [(Instruction(op=Op.HLT), None)], TEXT_BASE)[later + 2]
+        spec[pos] = (replace(spec[pos][0], imm=victim.addr + rng.randrange(victim.size)), None)
+    spec.append((Instruction(op=Op.HLT), None))
     return relayout(spec, TEXT_BASE)
 
 

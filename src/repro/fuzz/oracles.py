@@ -68,6 +68,14 @@ The oracles:
     skip the page loop within the last page they checked, returns the
     same bytes, raises the same faults and bumps ``exec_write_gen``
     alike as :class:`ReferenceMemory`, which takes the loop every time.
+``blocks``
+    :meth:`Emulator.run <repro.emulator.cpu.Emulator.run>`, which runs
+    straight-line blocks of generated handlers, ends as
+    :class:`ReferenceEmulator` does, which decodes afresh and runs one
+    instruction per step, each semantics row step by step over
+    ``IntDomain``: the same exit status or exception, step count,
+    ``rip``, registers, flags, pages, permissions, output and syscall
+    events.
 """
 
 from __future__ import annotations
@@ -80,17 +88,36 @@ from dataclasses import dataclass, replace
 from hashlib import blake2b
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..binfmt.image import TEXT_BASE, make_image
-from ..emulator.cpu import DivideError, Emulator, EmulatorError, run_image
+from ..binfmt.image import TEXT_BASE, BinaryImage, Section, make_image
+from ..emulator.cpu import (
+    MAX_DECODE_SIZE,
+    DivideError,
+    Emulator,
+    EmulatorError,
+    InvalidInstruction,
+    StepLimitExceeded,
+    run_image,
+)
 from ..emulator.memory import PAGE_MASK, PAGE_SIZE, PERM_R, PERM_W, PERM_X, Memory, MemoryFault
+from ..emulator.syscalls import AttackTriggered, ProcessExit
 from ..gadgets.extract import ExtractionConfig, extract_gadgets, syntactic_scan
 from ..gadgets.record import GadgetRecord
 from ..gadgets import subsumption
 from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, deduplicate_gadgets, fingerprint
 from ..isa.encoding import DecodeError, decode, decode_window, encode
-from ..isa.instructions import Op, opcode_operands
+from ..isa.instructions import COND_JUMPS, Instruction, Op, opcode_operands
 from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
-from ..isa.semantics import JCC, IntDomain
+from ..isa.semantics import (
+    CONSTANTS,
+    JCC,
+    SEMANTICS,
+    WIDTHS,
+    IntDomain,
+    Loc,
+    Step as SemanticStep,
+    flag_values,
+    register,
+)
 from ..obfuscation.pipeline import CONFIGS, build_program
 from ..pipeline import ResultCache, pool_from_bytes, pool_to_bytes
 from ..planner import GadgetPlanner
@@ -134,7 +161,8 @@ class Case:
     text: bytes = b""
     offset: int = 0
     env_seed: int = 0
-    #: Window length; for a "scan" case, the scan's ``max_scan_steps``.
+    #: Window length; for a "scan" case, the scan's ``max_scan_steps``,
+    #: and for a "blocks" case, the emulators' ``step_limit``.
     max_insns: int = 8
     max_paths: int = 4
     source: str = ""
@@ -1177,6 +1205,192 @@ def check_memory(ops: Sequence[MemoryOp]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# block dispatch of generated handlers vs one generic step at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_handler(insn: Instruction) -> Callable[[Emulator], int]:
+    """What ``insn`` does, returning the next rip: each step of its
+    semantics row over :class:`IntDomain`, one read and one write at a
+    time, or its control transfer.  The reference for the emulator's
+    generated handlers."""
+    op, end = insn.op, insn.end & MASK64
+    if op in SEMANTICS:
+        steps = [_int_step(step, insn) for step in SEMANTICS[op]]
+
+        def run(emu: Emulator) -> int:
+            for step in steps:
+                step(emu)
+            return end
+
+        return run
+    target = (insn.target or 0) & MASK64
+    if op in COND_JUMPS:
+
+        def jcc(emu: Emulator) -> int:
+            flags = emu.cpu.flags
+            taken = JCC[op](IntDomain, *(flags[f] for f in _FLAG_ORDER))
+            return target if taken else end
+
+        return jcc
+    if op is Op.HLT:
+
+        def halt(emu: Emulator) -> int:
+            raise ProcessExit(0)
+
+        return halt
+    if op is Op.SYSCALL:
+        return lambda emu: emu._syscall(end)
+    if op is Op.RET:
+        return lambda emu: emu.pop()
+    if op is Op.JMP_REL:
+        return lambda emu: target
+    if op is Op.CALL_REL:
+        return lambda emu: emu._call(end, target)
+    if op is Op.CALL_R:
+        return lambda emu: emu._call(end, emu.transfer_target(insn))
+    return lambda emu: emu.transfer_target(insn)  # jmp reg, jmp [mem]
+
+
+def _int_step(step: SemanticStep, insn: Instruction) -> Callable[[Emulator], None]:
+    """One step of a semantics row over :class:`IntDomain`, whatever its shape."""
+    reads = [_reader(loc, insn) for loc in step.reads]
+    writes = [_writer(loc, insn) for loc in step.writes]
+    fn = step.fn and getattr(IntDomain, step.fn)
+    rule, keep_cf, traps = step.flags, step.keep_cf, step.traps
+
+    def run(emu: Emulator) -> None:
+        values = [read(emu) for read in reads]
+        if traps and not values[1]:
+            raise DivideError(f"division by zero at {insn.addr:#x}")
+        results = [fn(*values)] if fn else values
+        if rule is not None:
+            flags = emu.cpu.flags
+            flags[Flag.ZF], flags[Flag.SF], cf, flags[Flag.OF] = flag_values(
+                IntDomain, rule, results[0], *values
+            )
+            if not keep_cf:
+                flags[Flag.CF] = cf
+        for write, value in zip(writes, results):
+            write(emu, value)
+
+    return run
+
+
+def _reader(loc, insn: Instruction) -> Callable[[Emulator], int]:
+    reg = register(loc, insn)
+    if reg is not None:
+        return lambda emu: emu.cpu.regs[reg]
+    if loc in CONSTANTS:
+        value = CONSTANTS[loc](IntDomain, insn)
+        return lambda emu: value
+    if loc is Loc.STACK:
+        return lambda emu: emu.pop()
+    base, disp = insn.base, insn.disp
+    if loc is Loc.EA:
+        return lambda emu: (emu.cpu.regs[base] + disp) & MASK64
+    load = Memory.read_u64 if WIDTHS[loc] == 8 else Memory.read_u8
+    return lambda emu: load(emu.memory, (emu.cpu.regs[base] + disp) & MASK64)
+
+
+def _writer(loc, insn: Instruction) -> Callable[[Emulator, int], None]:
+    reg = register(loc, insn)
+    if reg is not None:
+
+        def set_reg(emu: Emulator, value: int) -> None:
+            emu.cpu.regs[reg] = value & MASK64
+
+        return set_reg
+    if loc is Loc.STACK:
+        return lambda emu, value: emu.push(value)
+    base, disp = insn.base, insn.disp
+    store = Memory.write_u64 if WIDTHS[loc] == 8 else Memory.write_u8
+    return lambda emu, value: store(emu.memory, (emu.cpu.regs[base] + disp) & MASK64, value)
+
+
+class ReferenceEmulator(Emulator):
+    """:class:`Emulator` that decodes the instruction at ``rip`` afresh on
+    every step, runs it with :func:`reference_handler`, and runs one
+    step at a time: no decode cache, no generated handler, no block."""
+
+    def step(self) -> None:
+        if self.steps >= self.step_limit:
+            raise StepLimitExceeded(f"exceeded {self.step_limit} steps")
+        self.steps += 1
+        rip = self.cpu.rip
+        size = self.memory.readable_run(rip, MAX_DECODE_SIZE, PERM_X)
+        if not size:
+            raise InvalidInstruction(f"fetch from non-executable memory at {rip:#x}")
+        try:
+            insn = decode(self.memory.read(rip, size, execute=True), 0, addr=rip)
+        except DecodeError as exc:
+            raise InvalidInstruction(str(exc)) from None
+        self.cpu.rip = reference_handler(insn)(self)
+
+    def run(self) -> int:
+        try:
+            while True:
+                self.step()
+        except ProcessExit as exit_exc:
+            return exit_exc.status
+
+
+def blocks_image(case: Case) -> BinaryImage:
+    """The image a "blocks" case runs: a built program, or its code at
+    ``TEXT_BASE`` (mapped W|X when ``configs`` is ``("wx",)``)."""
+    if case.kind == "program":
+        return build_program(case.source, CONFIGS[case.configs[0]], seed=case.env_seed).image
+    image = make_image(case.text)
+    if case.configs == ("wx",):
+        image.sections[0] = Section(".text", TEXT_BASE, case.text, writable=True, executable=True)
+    return image
+
+
+def _blocks_run(emu: Emulator, case: Case) -> Tuple:
+    """Run ``emu`` as the case says; the outcome and the machine after it."""
+    if case.kind != "program":
+        _seed_machine(emu, case.env_seed)
+        # Zeroes make divisors trap and pointers fault more often.
+        rng = random.Random(f"blocks:{case.env_seed}")
+        for reg in ALL_REGS:
+            if reg is not Reg.RSP and rng.random() < 0.25:
+                emu.cpu.set(reg, 0)
+        emu.cpu.rip = TEXT_BASE + case.offset
+    try:
+        outcome: Tuple = ("exit", emu.run())
+    except (EmulatorError, MemoryFault, AttackTriggered) as exc:
+        outcome = (type(exc).__name__, getattr(exc, "addr", None), str(exc))
+    return (
+        ("outcome", outcome),
+        ("steps", emu.steps),
+        ("rip", emu.cpu.rip),
+        ("registers", dict(emu.cpu.regs)),
+        ("flags", dict(emu.cpu.flags)),
+        ("pages", {addr: bytes(page) for addr, page in emu.memory._pages.items()}),
+        ("permissions", dict(emu.memory._perms)),
+        ("stdout", bytes(emu.syscalls.stdout)),
+        ("syscall events", list(emu.syscalls.events)),
+    )
+
+
+def check_blocks(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> List[str]:
+    """Run a "blocks" case on ``emulator_factory``'s emulator and on a
+    :class:`ReferenceEmulator`, with ``step_limit`` ``case.max_insns``;
+    reports each part of the end state that differs."""
+    image = blocks_image(case)
+    made = [
+        factory(image, stop_on_attack=False, step_limit=case.max_insns)
+        for factory in (emulator_factory, ReferenceEmulator)
+    ]
+    got, want = (_blocks_run(emu, case) for emu in made)
+    return [
+        f"blocks: {name} {mine!r:.160} after run(), one step at a time {theirs!r:.160}"
+        for (name, mine), (_, theirs) in zip(got, want)
+        if mine != theirs
+    ]
+
+
+# ---------------------------------------------------------------------------
 # case dispatch (campaign, corpus replay and shrinker re-checks)
 # ---------------------------------------------------------------------------
 
@@ -1218,6 +1432,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_scan(case.text, max_scan_steps=case.max_insns)
     if case.oracle == "memory":
         return check_memory(memory_ops(case))
+    if case.oracle == "blocks":
+        return check_blocks(case, emulator_factory=emulator_factory)
     raise ValueError(f"unknown oracle {case.oracle!r}")
 
 

@@ -3,12 +3,14 @@
 Every :class:`~repro.isa.instructions.Op` outside :data:`CONTROL_OPS`
 has one row in :data:`SEMANTICS`: the :class:`Step` register transfers
 it makes, in order.  A step's operation is the name of a function of a
-value domain.  There are two domains with the same names:
-:class:`IntDomain` (Python ints masked to 64 bits, bool flags), which
-the emulator runs, and the module :mod:`repro.symex.expr` (its
-expression builders), which the symbolic executor runs.  The flag rules
-(:func:`flag_values`) and the Jcc predicates (:data:`JCC`) are written
-once over a domain as well.
+value domain.  There are three domains with the same names:
+:class:`IntDomain` (Python ints masked to 64 bits, bool flags);
+:class:`SourceDomain`, whose values are Python expressions computing
+IntDomain's values, from which the emulator compiles one handler per
+op; and the module :mod:`repro.symex.expr` (its expression builders),
+which the symbolic executor runs.  The flag rules (:func:`flag_values`)
+and the Jcc predicates (:data:`JCC`) are written once over a domain as
+well.
 """
 
 from __future__ import annotations
@@ -199,3 +201,35 @@ class IntDomain:
     bool_or = staticmethod(operator.or_)
     bool_not = staticmethod(operator.not_)
     bool_xor = staticmethod(operator.ne)
+
+
+class SourceDomain:
+    """The source domain: each operation takes its operands' Python
+    expressions and returns the expression that computes IntDomain's
+    value of it.  An expression is a name or is parenthesised whole; it
+    may name ``MASK64`` and ``SIGN64`` (bit 63), and may repeat an
+    operand, so operands must be names or constants."""
+
+    FALSE = "False"
+    bv_const = staticmethod(lambda v: repr(v & MASK64))
+    bv_add = staticmethod(lambda a, b: f"(({a} + {b}) & MASK64)")
+    bv_sub = staticmethod(lambda a, b: f"(({a} - {b}) & MASK64)")
+    bv_mul = staticmethod(lambda a, b: f"(({a} * {b}) & MASK64)")
+    bv_udiv = staticmethod(lambda a, b: f"({a} // {b})")
+    bv_umod = staticmethod(lambda a, b: f"({a} % {b})")
+    bv_and = staticmethod(lambda a, b: f"({a} & {b})")
+    bv_or = staticmethod(lambda a, b: f"({a} | {b})")
+    bv_xor = staticmethod(lambda a, b: f"({a} ^ {b})")
+    bv_shl = staticmethod(lambda a, count: f"(({a} << {count}) & MASK64)")
+    bv_shr = staticmethod(lambda a, count: f"({a} >> {count})")
+    # (a ^ SIGN64) - SIGN64 is to_signed(a) for a 64-bit a.
+    bv_sar = staticmethod(lambda a, count: f"(((({a} ^ SIGN64) - SIGN64) >> {count}) & MASK64)")
+    bv_not = staticmethod(lambda a: f"({a} ^ MASK64)")
+    bv_neg = staticmethod(lambda a: f"(-{a} & MASK64)")
+    bv_eq = staticmethod(lambda a, b: f"({a} == {b})")
+    bv_ult = staticmethod(lambda a, b: f"({a} < {b})")
+    bv_negative = staticmethod(lambda a: f"({a} >> 63 == 1)")
+    bool_and = staticmethod(lambda a, b: f"({a} & {b})")
+    bool_or = staticmethod(lambda a, b: f"({a} | {b})")
+    bool_not = staticmethod(lambda a: f"(not {a})")
+    bool_xor = staticmethod(lambda a, b: f"({a} != {b})")

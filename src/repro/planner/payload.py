@@ -197,8 +197,10 @@ def deliver_payload(
     transfers to ``entry``; mitigations install their hooks there, so
     they watch the payload but not the legitimate decoder stub.  The
     run, decoder stub included, is one ``emulate.run`` span with its
-    step count, its decode-cache misses (``translations``) and its
-    decode-cache invalidations (``flushes``).
+    step count, its decode-cache misses (``translations``), its
+    decode-cache invalidations (``flushes``) and the blocks it built
+    (``blocks``: none, as a delivery runs one :meth:`Emulator.step` at
+    a time).
     """
     emu = Emulator(image, stop_on_attack=True, step_limit=step_limit)
     with span("emulate.run") as sp:
@@ -208,6 +210,7 @@ def deliver_payload(
             sp.add("steps", emu.steps)
             sp.add("translations", emu.translations)
             sp.add("flushes", emu.flushes)
+            sp.add("blocks", emu.blocks)
 
 
 def _divert(

@@ -22,6 +22,7 @@ from repro.emulator import (
     run_image,
 )
 from repro.isa import ALL_REGS, MASK64, Flag, Reg, assemble_unit
+from repro.obs import Tracer, format_trace_summary, tracing
 
 
 def emu_for(source, data=b"", **kwargs):
@@ -716,6 +717,66 @@ def test_write_unmapped_buffer_returns_efault():
 def test_write_zero_count_returns_zero():
     handler = _write_handler()
     assert handler.dispatch(int(Sys.WRITE), (1, 0x1000, 0, 0, 0, 0)) == 0
+
+
+# -- block dispatch --------------------------------------------------------------
+
+
+COUNTDOWN = """
+    mov rcx, 5
+loop:
+    dec rcx
+    jne loop
+    hlt
+"""
+
+
+def test_run_dispatches_blocks_and_counts_them_like_steps():
+    """``mov; dec; jne`` is one block and the loop body ``dec; jne``
+    another; ``hlt`` a third.  The steps are the per-step loop's."""
+    emu = emu_for(COUNTDOWN)
+    assert emu.run() == 0
+    assert (emu.steps, emu.blocks, emu.translations) == (12, 3, 4)
+    stepped = emu_for(COUNTDOWN, step_hook=lambda _emu, _insn: None)
+    assert stepped.run() == 0
+    assert (stepped.steps, stepped.blocks, stepped.translations) == (12, 0, 4)
+
+
+@pytest.mark.parametrize("limit", range(1, 12))
+def test_step_limit_inside_a_block_stops_where_single_steps_stop(limit):
+    emu, stepped = emu_for(COUNTDOWN, step_limit=limit), emu_for(COUNTDOWN, step_limit=limit)
+    with pytest.raises(StepLimitExceeded):
+        emu.run()
+    with pytest.raises(StepLimitExceeded):
+        while True:
+            stepped.step()
+    assert (emu.steps, emu.cpu.rip, emu.cpu.regs) == (limit, stepped.cpu.rip, stepped.cpu.regs)
+
+
+def test_fault_inside_a_block_counts_it_and_leaves_rip_on_it():
+    emu = emu_for("mov rax, 1\nmov rbx, 0\nmov rcx, [rbx+0]\nmov rax, 2\nhlt")
+    with pytest.raises(MemoryFault):
+        emu.run()
+    assert emu.steps == 3
+    assert emu.fetch().op.name == "LOAD"
+    assert emu.cpu.get(Reg.RAX) == 1
+
+
+def test_emulate_run_span_counts_blocks_and_nfl_trace_shows_them():
+    tracer = Tracer()
+    with tracing(tracer):
+        run_image(emu_for(COUNTDOWN).image)
+    (root,) = tracer.roots
+    assert root.name == "emulate.run"
+    assert root.counters == {
+        "steps": 12,
+        "syscall_events": 0,
+        "translations": 4,
+        "flushes": 0,
+        "blocks": 3,
+    }
+    summary = format_trace_summary(tracer.to_lines())
+    assert "blocks=3 flushes=0 steps=12" in summary
 
 
 # -- instruction fetch at mapping and permission edges ------------------------

@@ -8,8 +8,11 @@ and the DEC/Jcc carry-flag regression the fuzzer surfaced.
 import json
 import random
 
+import pytest
+
 from repro.binfmt.image import make_image
 from repro.emulator.cpu import Emulator
+from repro.emulator.memory import PERM_W
 from repro.fuzz import (
     Case,
     case_from_dict,
@@ -412,6 +415,99 @@ def test_memory_oracle_catches_a_memo_that_outlives_protect(monkeypatch):
     assert len(memory_ops(failure.shrunk)) < len(memory_ops(failure.case))
     assert {op[0] for op in memory_ops(failure.shrunk)} >= {"protect"}
     assert run_case(failure.shrunk)
+
+
+class LimitBlindEmulator(Emulator):
+    """Deliberately broken: a block runs whole even past ``step_limit``."""
+
+    def _run_blocks(self) -> None:
+        limit, self.step_limit = self.step_limit, 1 << 62
+        try:
+            super()._run_blocks()
+        finally:
+            self.step_limit = limit
+
+
+class StartRipEmulator(Emulator):
+    """Deliberately broken: an exception from a block leaves ``rip`` at
+    the block's first instruction."""
+
+    def _build_block(self, rip):
+        block = super()._build_block(rip)
+        if not block:
+            return block
+        (insn, handler), *rest = block
+
+        def first(emu):
+            emu.block_start = insn.addr
+            return handler(emu)
+
+        return ((insn, first), *rest)
+
+    def _run_blocks(self) -> None:
+        try:
+            super()._run_blocks()
+        except BaseException:
+            self.cpu.rip = self.block_start
+            raise
+
+
+class WXBlocksEmulator(Emulator):
+    """Deliberately broken: blocks are built over W|X pages too."""
+
+    def _build_block(self, rip):
+        perms_at = self.memory.perms_at
+        self.memory.perms_at = lambda addr: perms_at(addr) & ~PERM_W
+        try:
+            return super()._build_block(rip)
+        finally:
+            del self.memory.perms_at
+
+
+def _blocks_draws(count):
+    draw = ORACLES["blocks"][2]
+    return [draw(1, i) for i in range(count)]
+
+
+def test_blocks_oracle_green_and_replayable():
+    from repro.fuzz.oracles import check_blocks
+
+    for case in _blocks_draws(24):
+        assert check_blocks(case) == [], case
+        assert run_case(case_from_dict(case_to_dict(case))) == []
+
+
+def test_blocks_draws_reach_every_ending():
+    """The draws end runs at ``hlt`` and at an exit syscall, trap on a
+    zero divisor and fault inside a block, and stop at a step limit
+    that falls inside one."""
+    from repro.fuzz.oracles import blocks_image, _blocks_run
+
+    endings = set()
+    for case in _blocks_draws(120):
+        emu = Emulator(blocks_image(case), stop_on_attack=False, step_limit=case.max_insns)
+        kind = dict(_blocks_run(emu, case))["outcome"][0]
+        if kind == "exit":
+            kind = "hlt" if emu.fetch().op is Op.HLT else "exit syscall"
+        elif emu.cpu.rip not in emu._block_cache:
+            kind += " inside a block"
+        endings.add(kind)
+    assert endings >= {
+        "hlt",
+        "exit syscall",
+        "DivideError inside a block",
+        "MemoryFault inside a block",
+        "StepLimitExceeded",
+    }
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [LimitBlindEmulator, StartRipEmulator, WXBlocksEmulator],
+    ids=lambda cls: cls.__name__,
+)
+def test_blocks_oracle_catches_broken_block_dispatch(broken):
+    assert any(run_case(case, emulator_factory=broken) for case in _blocks_draws(40))
 
 
 def test_campaign_rejects_unknown_oracle():

@@ -386,3 +386,46 @@ def test_dedup_preserves_memory_write_gadgets():
     kept = deduplicate_gadgets(records)
     assert any(r.has_side_memory_writes for r in kept)
     assert any(r.ctrl_regs for r in kept)
+
+
+# -- sampled equality against its fresh-env reference -------------------------
+
+
+def _sampled_pairs():
+    """Syntactically different posts: equal ones, and for each probe
+    trial a pair that differs on that trial alone (``x`` against ``x``
+    plus one exactly where ``x`` takes that trial's probe value)."""
+    from repro.gadgets.subsumption import _probe_value
+    from repro.symex.expr import CmpOp, bv_add, bv_ite, bv_mul, bv_shl, bv_sub, bv_sym, cmp
+
+    x, y = bv_sym("x"), bv_sym("y")
+    equal = [
+        (bv_add(x, x), bv_shl(x, 1)),
+        (bv_mul(x, bv_const(3)), bv_add(bv_add(x, x), x)),
+        (bv_sub(bv_add(x, y), y), bv_add(bv_sub(x, y), y)),
+    ]
+    one, zero = bv_const(1), bv_const(0)
+    single = {
+        trial: (x, bv_add(x, bv_ite(cmp(CmpOp.EQ, x, _probe_value("x", trial)), one, zero)))
+        for trial in range(16)
+    }
+    return equal, single
+
+
+def test_sampled_equal_matches_the_fresh_env_reference():
+    """``_sampled_equal`` reads the shared probe tables of the twelve
+    refutation trials (4-15): equal posts agree on all of them, a post
+    that differs on one of those trials is refuted, and one that
+    differs only on a fingerprint trial (0-3) is not."""
+    from repro.fuzz.oracles import reference_sampled_equal
+    from repro.gadgets.subsumption import _sampled_equal
+
+    equal, single = _sampled_pairs()
+    for ea, eb in equal:
+        assert ea != eb
+        assert _sampled_equal(ea, eb) and reference_sampled_equal(ea, eb)
+    for trial, (ea, eb) in single.items():
+        assert ea != eb
+        want = trial < 4
+        assert reference_sampled_equal(ea, eb) is want, trial
+        assert _sampled_equal(ea, eb) is want, trial

@@ -1,18 +1,29 @@
 """Tests for the one semantics table (repro.isa.semantics).
 
 Every data op has exactly one row; the int and expr domains agree on
-every row, flags and Jcc predicates included; and the emulator's
-translated handlers follow a rewritten instruction.
+every row, flags and Jcc predicates included; the emulator's handlers,
+generated from the rows over the source domain, agree with the rows
+run over the int domain; and the translated handlers follow a
+rewritten instruction.
 """
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.binfmt.image import TEXT_BASE, BinaryImage, Section
-from repro.emulator.cpu import Emulator
+from repro.binfmt.image import (
+    DATA_BASE,
+    STACK_TOP,
+    TEXT_BASE,
+    BinaryImage,
+    Section,
+    make_image,
+)
+from repro.emulator.cpu import Emulator, _translate
+from repro.emulator.memory import PAGE_SIZE
+from repro.fuzz.oracles import reference_handler
 from repro.isa.encoding import encode
 from repro.isa.instructions import COND_JUMPS, Instruction, Op
-from repro.isa.registers import Reg
+from repro.isa.registers import ALL_REGS, Flag, Reg
 from repro.isa.semantics import (
     CONSTANTS,
     CONTROL_OPS,
@@ -20,6 +31,7 @@ from repro.isa.semantics import (
     SEMANTICS,
     IntDomain,
     Loc,
+    SourceDomain,
     flag_values,
 )
 from repro.symex import expr
@@ -41,6 +53,7 @@ def test_every_row_names_operations_of_both_domains():
         for step in steps:
             if step.fn is not None:
                 assert callable(getattr(IntDomain, step.fn)), (op, step.fn)
+                assert callable(getattr(SourceDomain, step.fn)), (op, step.fn)
                 assert callable(getattr(expr, step.fn)), (op, step.fn)
                 assert len(step.writes) <= 1, op
             else:
@@ -104,3 +117,81 @@ def test_rewritten_instruction_runs_its_new_semantics():
     emu.step()
     assert emu.cpu.get(Reg.RAX) == 0
     assert emu.fetch().op is Op.HLT
+
+
+# -- generated handlers against the int domain -------------------------------
+
+#: Register values: often small (zero divisors, zero results) or at a sign edge.
+WORDS = st.one_of(
+    st.integers(0, 3), st.sampled_from([1 << 63, (1 << 63) - 1, (1 << 64) - 1]), U64
+)
+#: Where a memory operand points: into .data's one page, at its last
+#: word, across its end, across two stack pages, or anywhere (None).
+BASES = st.sampled_from(
+    [
+        DATA_BASE + 8,
+        DATA_BASE + PAGE_SIZE - 8,
+        DATA_BASE + PAGE_SIZE - 4,
+        STACK_TOP - 0x20000 - 4,
+        None,
+    ]
+)
+
+
+def _outcome(emu, handler):
+    try:
+        result = ("rip", handler(emu))
+    except Exception as exc:  # the exception is the outcome
+        result = (type(exc).__name__, str(exc))
+    pages = {addr: bytes(page) for addr, page in emu.memory._pages.items()}
+    return result, dict(emu.cpu.regs), dict(emu.cpu.flags), pages
+
+
+@pytest.mark.parametrize(
+    "op", DATA_OPS + sorted(JCC, key=lambda op: op.value), ids=lambda op: op.name
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_handler_agrees_with_the_int_domain(op, data):
+    """On random registers, flags and memory, an op's generated handler
+    returns the same next rip, or raises the same exception, and leaves
+    the same registers, flags and memory as its row stepped over
+    :class:`IntDomain`: inc/dec keep CF, a zero divisor traps, every Jcc
+    predicate holds."""
+    regs = st.sampled_from(ALL_REGS)
+    insn = Instruction(
+        op=op,
+        dst=data.draw(regs, label="dst"),
+        src=data.draw(regs, label="src"),
+        base=data.draw(regs, label="base"),
+        disp=data.draw(st.integers(-16, 16), label="disp"),
+        imm=data.draw(st.one_of(WORDS, st.integers(-(1 << 31), 0)), label="imm"),
+        rel=data.draw(st.integers(-64, 64), label="rel"),
+        addr=TEXT_BASE,
+    )
+    values = {reg: data.draw(WORDS, label=str(reg)) for reg in ALL_REGS}
+    flags = {flag: data.draw(st.booleans(), label=str(flag)) for flag in Flag}
+    base = data.draw(BASES, label="base points at")
+    words = data.draw(st.lists(U64, min_size=4, max_size=4), label="memory")
+    primed = data.draw(st.booleans(), label="memos primed")
+    runs = []
+    for handler in (_translate(insn), reference_handler(insn)):
+        emu = Emulator(make_image(b"\0"))
+        rsp = emu.cpu.get(Reg.RSP)
+        emu.cpu.regs.update(values)
+        emu.cpu.flags.update(flags)
+        if insn.base is not Reg.RSP:
+            emu.cpu.set(Reg.RSP, rsp)
+        for k, word in enumerate(words):
+            emu.memory.write_u64(DATA_BASE + 8 * k, word)
+            emu.memory.write_u64(rsp + 8 * k - 16, word)
+        if base is not None:
+            emu.cpu.set(insn.base, base - insn.disp)
+        if primed:  # the inline memo paths: both memos on the operand's page
+            target = emu.cpu.get(insn.base) + insn.disp
+            if emu.memory.is_mapped(target):
+                emu.memory.write(target & ~(PAGE_SIZE - 1), b"\0")
+                emu.memory.read(target & ~(PAGE_SIZE - 1), 1)
+        runs.append(_outcome(emu, handler))
+    generated, reference = runs
+    assert generated == reference
