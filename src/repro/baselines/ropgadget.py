@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..binfmt.image import BinaryImage
+from ..isa.encoding import BYTE_TABLE
 from ..isa.instructions import Instruction, Op
 from ..isa.registers import Reg
 from ..gadgets.classify import SyntacticGadget, scan_syntactic_gadgets
@@ -22,6 +23,11 @@ from ..planner.goals import ResolvedGoal
 from ..planner.payload import AttackPayload
 from ..staticanalysis.decode_graph import shared_decode_graph
 from .common import BaselineTool
+
+#: First bytes whose encoding is ``syscall`` (the opcode and its alias).
+_SYSCALL_BYTES = frozenset(
+    byte for byte, shape in enumerate(BYTE_TABLE) if shape is not None and shape.op is Op.SYSCALL
+)
 
 
 def _match_pop_ret(g: SyntacticGadget) -> Optional[Reg]:
@@ -54,15 +60,18 @@ class ROPGadgetLike(BaselineTool):
         # Include a syscall-terminated scan: extend windows ending at
         # syscall (the classifier drops them, so scan separately).  All
         # decoding rides the shared per-process decode graph — the same
-        # decode work extraction and the other baselines use.
+        # decode work extraction and the other baselines use — and the
+        # sweep reads first bytes, building only the syscalls.
         text = image.text
         graph = shared_decode_graph(text.data, text.addr)
         gadgets = scan_syntactic_gadgets(image, graph=graph)
-        for insn in graph.insns:
-            if insn is not None and insn.op == Op.SYSCALL:
-                gadgets.append(
-                    SyntacticGadget(addr=insn.addr, insns=[insn], kind=JmpType.UIJ)
-                )
+        for offset, byte in enumerate(text.data):
+            if byte in _SYSCALL_BYTES:
+                insn = graph.decode_at(offset)
+                if insn is not None:
+                    gadgets.append(
+                        SyntacticGadget(addr=insn.addr, insns=[insn], kind=JmpType.UIJ)
+                    )
         return gadgets
 
     def build_chains(

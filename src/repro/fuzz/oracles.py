@@ -55,9 +55,13 @@ The oracles:
 ``obfuscation``
     Every obfuscation config preserves a program's concrete output.
 ``scan``
-    The syntactic scan's bounded DFS over the decode graph's successor
-    table accepts exactly the offsets that the same DFS decoding at
-    every step accepts, under every pair of walk rules.
+    The decode graph, which reads shapes from the byte table and builds
+    instructions lazily, returns :func:`decode`'s instruction at every
+    offset, and its successor tables and transfer distances equal those
+    built over an instruction decoded at every offset; the syntactic
+    scan's bounded DFS over those tables accepts exactly the offsets
+    that the same DFS decoding at every step accepts, under every pair
+    of walk rules.
 ``solver_preprocess``
     The solver's word-level pass never refutes a conjunction that a
     plain :class:`~repro.solver.bitblast.BitBlaster` + CDCL search
@@ -139,7 +143,7 @@ from ..solver.solver import Solver, SolverResult, Status, _query_digest
 from ..symex.executor import EndKind, SymbolicExecutor
 from ..symex.expr import Bool, eval_bool, eval_bv, expr_size
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
-from ..staticanalysis.decode_graph import INDIRECT_ENDS, shared_decode_graph
+from ..staticanalysis.decode_graph import shared_decode_graph
 from .gen import MemoryOp, gen_formula, gen_memory_ops
 
 EmulatorFactory = Callable[..., Emulator]
@@ -424,6 +428,67 @@ def check_prefilter(text: bytes, *, max_insns: int = 6, max_paths: int = 6) -> L
 #: The four (merge_direct_jumps, include_conditional) ablation pairs.
 _SCAN_RULES = ((True, True), (True, False), (False, True), (False, False))
 
+#: Instructions that end a gadget usefully: the references' own
+#: statement of what the byte table marks ``TRANSFER``.
+INDIRECT_ENDS = frozenset({Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL})
+
+
+def reference_successors(
+    code: bytes, base: int, merge_direct_jumps: bool, include_conditional: bool
+) -> List[Optional[Tuple[int, ...]]]:
+    """The successor table built over an :class:`Instruction` decoded at
+    every offset: the reference the decode graph's table, built from
+    byte-table shapes, is checked against."""
+    insns: List[Optional[Instruction]] = []
+    for offset in range(len(code)):
+        try:
+            insns.append(decode(code, offset, addr=base + offset))
+        except DecodeError:
+            insns.append(None)
+    n = len(code)
+    table: List[Optional[Tuple[int, ...]]] = []
+    for insn in insns:
+        if insn is None or insn.op == Op.HLT:
+            table.append(())
+            continue
+        if insn.op in INDIRECT_ENDS:
+            table.append(None)
+            continue
+        if insn.op in (Op.JMP_REL, Op.CALL_REL):
+            succs = (insn.target - base,) if merge_direct_jumps else ()
+        elif insn.is_cond_jump() and include_conditional:
+            succs = (insn.target - base, insn.end - base)
+        else:
+            succs = (insn.end - base,)
+        table.append(tuple(o for o in succs if 0 <= o < n))
+    return table
+
+
+def reference_dist(table: List[Optional[Tuple[int, ...]]]) -> List[int]:
+    """Transfer distances by reverse BFS over a successor table (the
+    executor's rules, ``(True, True)``): ``1`` at a transfer, ``-1``
+    where none is reachable."""
+    n = len(table)
+    preds: List[List[int]] = [[] for _ in range(n)]
+    dist = [-1] * n
+    frontier = []
+    for offset, succs in enumerate(table):
+        if succs is None:
+            dist[offset] = 1
+            frontier.append(offset)
+            continue
+        for succ in succs:
+            preds[succ].append(offset)
+    while frontier:
+        nxt = []
+        for offset in frontier:
+            for pred in preds[offset]:
+                if dist[pred] == -1:
+                    dist[pred] = dist[offset] + 1
+                    nxt.append(pred)
+        frontier = nxt
+    return dist
+
 
 def reference_scan(code: bytes, base: int, offset: int, config: ExtractionConfig) -> bool:
     """The syntactic scan as a walk that decodes at every step.
@@ -461,12 +526,48 @@ def reference_scan(code: bytes, base: int, offset: int, config: ExtractionConfig
 
 
 def check_scan(text: bytes, *, max_scan_steps: int) -> List[str]:
-    """The table walk agrees with :func:`reference_scan` at every offset,
-    under all four walk-rule pairs; reports the first offset that
-    differs per pair."""
+    """The decode graph agrees with the per-offset decode it replaces,
+    and the table walk with :func:`reference_scan`.
+
+    At every offset, ``decode_at`` is :func:`decode`'s instruction (None
+    where it raises); under each of the four walk-rule pairs the
+    successor table equals :func:`reference_successors` and the table
+    walk accepts what the decode walk does; ``dist_to_transfer`` equals
+    :func:`reference_dist`.  Reports the first differing offset of each
+    check."""
     graph = shared_decode_graph(text, TEXT_BASE)
     failures: List[str] = []
+    for off in range(len(text)):
+        try:
+            want_insn: Optional[Instruction] = decode(text, off, addr=TEXT_BASE + off)
+        except DecodeError:
+            want_insn = None
+        try:
+            got_insn = graph.decode_at(off)
+        except DecodeError as exc:
+            failures.append(
+                f"scan: at +{off} the graph's decode raises ({exc}), decode says {want_insn}"
+            )
+            break
+        if got_insn != want_insn:
+            failures.append(
+                f"scan: at +{off} the graph decodes {got_insn}, decode says {want_insn}"
+            )
+            break
+    tables = {}
     for merge, conditional in _SCAN_RULES:
+        rules = f"merge={merge}, conditional={conditional}"
+        want_table = tables[merge, conditional] = reference_successors(
+            text, TEXT_BASE, merge, conditional
+        )
+        got_table = graph.successors(merge, conditional)
+        for off, (got, want) in enumerate(zip(got_table, want_table)):
+            if got != want:
+                failures.append(
+                    f"scan: at +{off} ({rules}) the successor table says {got}, "
+                    f"the instructions {want}"
+                )
+                break
         config = ExtractionConfig(
             merge_direct_jumps=merge,
             include_conditional=conditional,
@@ -477,11 +578,15 @@ def check_scan(text: bytes, *, max_scan_steps: int) -> List[str]:
             want = reference_scan(text, TEXT_BASE, off, config)
             if got != want:
                 failures.append(
-                    f"scan: at +{off} (merge={merge}, conditional={conditional}, "
-                    f"steps={max_scan_steps}) the table walk says {got}, "
-                    f"the decode walk {want}"
+                    f"scan: at +{off} ({rules}, steps={max_scan_steps}) the table walk "
+                    f"says {got}, the decode walk {want}"
                 )
                 break
+    want_dist = reference_dist(tables[True, True])
+    for off, (got, want) in enumerate(zip(graph.dist_to_transfer, want_dist)):
+        if got != want:
+            failures.append(f"scan: at +{off} dist_to_transfer is {got}, the reference {want}")
+            break
     return failures
 
 

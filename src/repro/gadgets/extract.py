@@ -24,9 +24,10 @@ Three stages of filtering feed the symbolic executor:
    several records, one per feasible side — Fig. 4's distinct feature).
 
 All three stages share one :class:`~repro.staticanalysis.DecodeGraph`,
-so every byte of the section is decoded exactly once per extraction;
-the syntactic scan walks plain successor offsets and never touches an
-instruction.
+which reads each offset's shape once from the ISA's byte table and
+builds an instruction only the first time CFG recovery or the symbolic
+executor reads that offset; the syntactic scan walks plain successor
+offsets and never touches an instruction.
 """
 
 from __future__ import annotations

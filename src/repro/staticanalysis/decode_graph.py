@@ -4,8 +4,10 @@ Gadget candidates overlap almost completely: every byte offset of the
 text section starts a window, and two windows one byte apart share all
 but one decode.  The syntactic scan, the semantic prefilter and the
 symbolic executor therefore all work over a :class:`DecodeGraph` that
-decodes each offset of the section exactly once and precomputes
-reachability facts on the induced control-flow graph:
+reads each offset's shape (does it decode, where does it end, where
+does a direct transfer land) once from the ISA's byte table, builds an
+instruction only the first time a caller reads its offset, and
+precomputes reachability facts on the induced control-flow graph:
 
 * ``dist_to_transfer`` — for every offset, the minimum number of
   executed instructions (counting the terminator) of any walk that ends
@@ -29,11 +31,8 @@ import functools
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from ..isa.encoding import DecodeError, decode
-from ..isa.instructions import Instruction, Op
-
-#: Instructions that end a gadget usefully (mirrors gadgets.extract).
-INDIRECT_ENDS = frozenset({Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL})
+from ..isa.encoding import BYTE_TABLE, DIRECT, HALT, PLAIN, TRANSFER, decode
+from ..isa.instructions import Instruction
 
 #: Sentinel distance for "no transfer reachable".
 UNREACHABLE = -1
@@ -47,41 +46,68 @@ def shared_decode_graph(code: bytes, base_addr: int) -> "DecodeGraph":
     extraction, the syntactic census and every baseline scanner; tools
     that analyse the same image byte-for-byte (the Fig. 1 / Table 1
     comparisons run three tools over each build) should decode it once.
-    Graphs are immutable apart from memoised reachability tables, so
-    sharing cannot change any caller's results.  The small LRU bound
-    keeps at most a handful of text sections alive.
+    Graphs are immutable apart from memoised instructions and
+    reachability tables, so sharing cannot change any caller's results.
+    The small LRU bound keeps at most a handful of text sections alive.
     """
     return DecodeGraph(code, base_addr)
 
 
 class DecodeGraph:
-    """Decode cache + reachability tables for one (code, base) view."""
+    """Decode shapes + reachability tables for one (code, base) view.
+
+    One pass over :data:`~repro.isa.encoding.BYTE_TABLE` records, for
+    every offset, where the instruction there ends (0 where none
+    decodes) and where a direct transfer lands; the walk tables are
+    built from those ints.  An :class:`Instruction` is built the first
+    time a caller reads its offset and kept, so every read of an offset
+    returns the same object.
+    """
 
     def __init__(self, code: bytes, base_addr: int) -> None:
         self.code = code
         self.base_addr = base_addr
         n = len(code)
-        insns: List[Optional[Instruction]] = [None] * n
-        for offset in range(n):
-            try:
-                insns[offset] = decode(code, offset, addr=base_addr + offset)
-            except DecodeError:
-                pass
-        self.insns = insns
+        ends = [0] * n
+        targets: Dict[int, int] = {}
+        table = BYTE_TABLE
+        for offset, byte in enumerate(code):
+            shape = table[byte]
+            if shape is None:
+                continue
+            end = offset + shape.size
+            if end > n or (shape.zero_high_nibble and code[offset + 1] & 0xF0):
+                continue
+            ends[offset] = end
+            if shape.kind >= DIRECT:  # the rel32 kinds, DIRECT and COND
+                rel = int.from_bytes(code[offset + 1 : end], "little", signed=True)
+                targets[offset] = end + rel
+        self._ends = ends
+        self._targets = targets
+        self._insns: List[Optional[Instruction]] = [None] * n
         self._dist: Optional[List[int]] = None
         self._successors: Dict[Tuple[bool, bool], List[Optional[Tuple[int, ...]]]] = {}
 
     # -- decoding ---------------------------------------------------------
 
     def decode_at(self, offset: int) -> Optional[Instruction]:
-        """The instruction decoded at ``offset``, or None."""
-        if 0 <= offset < len(self.insns):
-            return self.insns[offset]
+        """The instruction decoded at ``offset``, or None; built on the
+        first read and the same object on every later one."""
+        if 0 <= offset < len(self._ends) and self._ends[offset]:
+            insn = self._insns[offset]
+            if insn is None:
+                insn = self._insns[offset] = decode(self.code, offset, addr=self.base_addr + offset)
+            return insn
         return None
 
     def decode_addr(self, addr: int) -> Optional[Instruction]:
         """Address-keyed variant of :meth:`decode_at`."""
         return self.decode_at(addr - self.base_addr)
+
+    @property
+    def insns(self) -> List[Optional[Instruction]]:
+        """Every offset's :meth:`decode_at`, for whole-section readers."""
+        return [self.decode_at(offset) for offset in range(len(self.code))]
 
     # -- walk rules -------------------------------------------------------
 
@@ -99,29 +125,39 @@ class DecodeGraph:
         walk stepping there stops.  ``(True, True)`` are the symbolic
         executor's rules, over-approximated: both sides of every
         conditional jump are listed even when the executor would
-        statically resolve one away.  Built once per rule pair.
+        statically resolve one away.  Built once per rule pair, from
+        the byte table's control kinds, without an instruction.
         """
         key = (merge_direct_jumps, include_conditional)
         table = self._successors.get(key)
         if table is not None:
             return table
-        n = len(self.insns)
-        base = self.base_addr
+        code = self.code
+        n = len(code)
+        targets = self._targets
+        shapes = BYTE_TABLE
         table = []
-        for insn in self.insns:
-            if insn is None or insn.op == Op.HLT:
-                table.append(())
+        append = table.append
+        for offset, end in enumerate(self._ends):
+            if not end:
+                append(())
                 continue
-            if insn.op in INDIRECT_ENDS:
-                table.append(None)
-                continue
-            if insn.op in (Op.JMP_REL, Op.CALL_REL):
-                succs = (insn.target - base,) if merge_direct_jumps else ()
-            elif insn.is_cond_jump() and include_conditional:
-                succs = (insn.target - base, insn.end - base)
+            kind = shapes[code[offset]].kind
+            if kind == PLAIN:
+                append((end,) if end < n else ())
+            elif kind == TRANSFER:
+                append(None)
+            elif kind == HALT:
+                append(())
             else:
-                succs = (insn.end - base,)
-            table.append(tuple(o for o in succs if 0 <= o < n))
+                target = targets[offset]
+                if kind == DIRECT:
+                    succs = (target,) if merge_direct_jumps else ()
+                elif include_conditional:
+                    succs = (target, end)
+                else:
+                    succs = (end,)
+                append(tuple(o for o in succs if 0 <= o < n))
         self._successors[key] = table
         return table
 
@@ -137,7 +173,7 @@ class DecodeGraph:
         exists.  Computed once by reverse BFS (unit edge weights).
         """
         if self._dist is None:
-            n = len(self.insns)
+            n = len(self.code)
             preds: List[List[int]] = [[] for _ in range(n)]
             queue: deque = deque()
             dist = [UNREACHABLE] * n
@@ -169,7 +205,7 @@ class DecodeGraph:
         (including merged direct jumps) consumes one unit of the
         executor's length budget.
         """
-        if not 0 <= offset < len(self.insns):
+        if not 0 <= offset < len(self.code):
             return False
         d = self.dist_to_transfer[offset]
         return d != UNREACHABLE and d <= budget

@@ -440,6 +440,14 @@ def test_execute_from_data_faults():
             emu.step()
 
 
+def test_invalid_opcode_message_names_the_guest_address():
+    """The fetch window starts at ``rip``, but the message names ``rip``,
+    not the window's offset 0."""
+    emu = Emulator(make_image(bytes([0x23] * 4)))
+    with pytest.raises(InvalidInstruction, match="invalid opcode byte 0x23 at 0x400000"):
+        emu.step()
+
+
 def test_unmapped_access_faults():
     emu = emu_for("mov rax, [rbx+0]")
     emu.cpu.set(Reg.RBX, 0x123456789)

@@ -248,6 +248,35 @@ def test_scan_oracle_flags_depth_budget_scan(monkeypatch):
     assert report.total_failures > 0
 
 
+class _UnsignedRelGraph(DecodeGraph):
+    """A planted bug: direct-transfer targets read rel32 unsigned."""
+
+    def __init__(self, code, base_addr):
+        super().__init__(code, base_addr)
+        for offset in self._targets:
+            end = self._ends[offset]
+            self._targets[offset] = end + int.from_bytes(code[offset + 1 : end], "little")
+
+
+_BACK_JE = assemble_unit("top: nop\nje top\nret", base_addr=0).code
+
+
+def test_scan_oracle_flags_unsigned_rel32_targets(monkeypatch):
+    import repro.fuzz.oracles as oracles
+
+    assert check_scan(_BACK_JE, max_scan_steps=48) == []
+    monkeypatch.setattr(oracles, "shared_decode_graph", _UnsignedRelGraph)
+    failures = check_scan(_BACK_JE, max_scan_steps=48)
+    # The je at +1 jumps back to +0; read unsigned, its target leaves
+    # the section, so both tables that follow the taken side lose it.
+    assert failures[:2] == [
+        "scan: at +1 (merge=True, conditional=True) the successor table says (6,), "
+        "the instructions (0, 6)",
+        "scan: at +1 (merge=False, conditional=True) the successor table says (6,), "
+        "the instructions (0, 6)",
+    ]
+
+
 _POP_RET_POOL = assemble_unit("pop rdi\nret\npop rsi\nret\npop rdi\nret", base_addr=0).code
 
 

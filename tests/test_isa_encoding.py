@@ -16,6 +16,7 @@ from repro.isa import (
     encode,
     encode_program,
 )
+from repro.isa.encoding import BYTE_TABLE
 
 REGS = list(Reg)
 
@@ -93,6 +94,32 @@ def test_decode_rejects_bad_reg_nibble():
     bad = bytes([int(Op.POP_R), 0x53])
     with pytest.raises(DecodeError):
         decode(bad)
+
+
+@pytest.mark.parametrize("first", range(256))
+def test_decode_agrees_with_the_byte_table(first):
+    """``decode`` raises exactly where :data:`BYTE_TABLE` says a byte
+    string is invalid, decodes the table's size, and raises on the same
+    bytes cut short by one."""
+    shape = BYTE_TABLE[first]
+    for operand in (0x00, 0x0F, 0x10, 0xF0, 0xFF):
+        data = bytes([first, operand]) + bytes(range(1, 9))
+        invalid = shape is None or (shape.zero_high_nibble and operand & 0xF0)
+        if invalid:
+            with pytest.raises(DecodeError):
+                decode(data)
+            continue
+        insn = decode(data)
+        assert insn.op is shape.op and insn.size == shape.size
+        with pytest.raises(DecodeError):
+            decode(data[: shape.size - 1])
+
+
+def test_decode_error_names_the_address():
+    with pytest.raises(DecodeError, match="at 0x400001"):
+        decode(b"\x00\x0f", 1, addr=0x400001)
+    with pytest.raises(DecodeError, match="at 0x1"):
+        decode(b"\x00\x0f", 1)
 
 
 def test_imm32_range_check():

@@ -197,51 +197,50 @@ def test_successor_table_entries():
     assert graph.successors(True, True) is both  # built once per rule pair
 
 
-def _dist_by_executor_rule(graph):
-    """``dist_to_transfer`` as computed before it read the successor
-    table: a reverse BFS over the symbolic executor's rules written out
-    on each instruction."""
-    from collections import deque
+def test_graph_insns_equal_a_per_offset_decode():
+    from repro.isa.encoding import DecodeError, decode
 
-    from repro.isa import Op
+    code = assemble("mov rax, 0x1122334455667788\nje 0x400000\nret", base_addr=0x400000)
+    want = []
+    for offset in range(len(code)):
+        try:
+            want.append(decode(code, offset, addr=0x400000 + offset))
+        except DecodeError:
+            want.append(None)
+    graph = DecodeGraph(code, 0x400000)
+    assert graph.insns == want
+    assert all(a is b for a, b in zip(graph.insns, graph.insns))  # built once per offset
 
-    ends = {Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL}
-    n, base = len(graph.insns), graph.base_addr
-    preds = [[] for _ in range(n)]
-    dist = [-1] * n
-    queue = deque()
-    for offset, insn in enumerate(graph.insns):
-        if insn is None or insn.op == Op.HLT:
-            continue
-        if insn.op in ends:
-            dist[offset] = 1
-            queue.append(offset)
-            continue
-        if insn.op in (Op.JMP_REL, Op.CALL_REL):
-            succs = [insn.target - base]
-        elif insn.is_cond_jump():
-            succs = [insn.target - base, insn.end - base]
-        else:
-            succs = [insn.end - base]
-        for succ in succs:
-            if 0 <= succ < n:
-                preds[succ].append(offset)
-    while queue:
-        offset = queue.popleft()
-        for pred in preds[offset]:
-            if dist[pred] == -1:
-                dist[pred] = dist[offset] + 1
-                queue.append(pred)
-    return dist
+
+def test_extraction_builds_instructions_at_few_offsets():
+    """The candidate scan walks shapes; instructions are built only
+    where CFG recovery and the symbolic executor read them."""
+    from repro.bench import BENCH_EXTRACTION, DEFAULT_SEED, netperf_image
+    from repro.gadgets import extract_gadgets
+    from repro.obfuscation.pipeline import CONFIGS
+    from repro.staticanalysis import shared_decode_graph
+
+    image = netperf_image(CONFIGS["llvm_obf"], seed=DEFAULT_SEED).image
+    shared_decode_graph.cache_clear()
+    extract_gadgets(image, BENCH_EXTRACTION)
+    graph = shared_decode_graph(image.text.data, image.text.addr)
+    built = sum(insn is not None for insn in graph._insns)
+    assert 0 < built < len(graph.code) / 3
 
 
 def test_dist_to_transfer_unchanged_on_benchmark_images():
+    """The distance table against a reverse BFS over the executor's
+    rules written out on an instruction decoded at every offset."""
     from nflbench.reference import CENSUS_IMAGES, COLD_IMAGES, build
+
+    from repro.fuzz.oracles import reference_dist, reference_successors
 
     for key in CENSUS_IMAGES + COLD_IMAGES:
         text = build(key).image.text
         graph = DecodeGraph(text.data, text.addr)
-        assert graph.dist_to_transfer == _dist_by_executor_rule(graph), key
+        executor_rules = reference_successors(text.data, text.addr, True, True)
+        assert graph.successors(True, True) == executor_rules, key
+        assert graph.dist_to_transfer == reference_dist(executor_rules), key
 
 
 # ---------------------------------------------------------------------------
