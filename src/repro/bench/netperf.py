@@ -149,21 +149,6 @@ def run_netperf_with_arg(
     return emu, event
 
 
-def locate_overflow() -> "List[OverflowFinding]":
-    """Statically locate the ``break_args`` bug in the client source.
-
-    Runs the abstract-interpretation overflow checker
-    (:func:`repro.staticanalysis.check_module_source`) over the
-    compiled IR of :data:`NETPERF_SOURCE`.  No function names, buffer
-    names, or addresses are special-cased — the checker flags the two
-    16-byte stack buffers on its own, which is how an analyst knows
-    where to aim :func:`find_overflow_offset`'s cyclic pattern.
-    """
-    from ..staticanalysis import check_module_source
-
-    return check_module_source(NETPERF_SOURCE)
-
-
 def find_overflow_offset(linked: LinkedProgram, *, max_len: int = 2400) -> Optional[int]:
     """Classic cyclic-pattern offset discovery.
 

@@ -12,7 +12,6 @@
     nfl fuzz [--seed N] [--iters N] [--oracle O1,O2] [--replay-corpus]
     nfl trace trace.jsonl
     nfl study prog.mc [--configs none,llvm_obf,...]
-    nfl lint prog.mc [--sources optarg,recv,...]
 
 Every subcommand works on NFLF images produced by ``nfl cc`` (or by
 :func:`repro.obfuscation.build_program` programmatically).
@@ -40,12 +39,7 @@ from .obs import (
     tracing,
 )
 from .pipeline import ResultCache, run_pipeline
-from .staticanalysis import (
-    DEFAULT_SOURCES,
-    check_module_source,
-    format_findings,
-    format_metrics,
-)
+from .staticanalysis import format_metrics
 from .isa.disassembler import disassemble_lines
 from .obfuscation.pipeline import CONFIGS, build_program
 from .planner import (
@@ -211,14 +205,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         print(f"{es.records} semantic gadgets, {len(survivors)} after subsumption")
         print(_pipeline_stats_line(es, ss))
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    source = Path(args.source).read_text()
-    sources = tuple(args.sources.split(",")) if args.sources else DEFAULT_SOURCES
-    findings = check_module_source(source, sources=sources)
-    print(format_findings(findings))
-    return 1 if findings else 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -401,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-insns", type=int, default=8)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("lint", help="static overflow checker for MC source")
-    p.add_argument("source")
-    p.add_argument("--sources", help="comma-separated attacker-input name prefixes")
-    p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("plan", help="run Gadget-Planner against a binary")
     p.add_argument("binary")

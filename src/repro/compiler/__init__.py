@@ -26,7 +26,6 @@ from .ir import (
     UnOp,
     Value,
     negate_cmp,
-    swap_cmp,
 )
 from .lowering import BUILTINS, LoweringError, lower_program
 from .link import LinkedProgram, layout_data, link_module
@@ -79,5 +78,4 @@ __all__ = [
     "link_module",
     "lower_program",
     "negate_cmp",
-    "swap_cmp",
 ]

@@ -227,14 +227,6 @@ class Block:
     instrs: List[IRInstr] = field(default_factory=list)
     terminator: Optional[Terminator] = None
 
-    def successors(self) -> Tuple[str, ...]:
-        t = self.terminator
-        if isinstance(t, Jump):
-            return (t.target,)
-        if isinstance(t, Branch):
-            return (t.then, t.els)
-        return ()
-
     def __str__(self) -> str:
         lines = [f"{self.label}:"]
         lines += [f"  {i}" for i in self.instrs]
@@ -342,20 +334,3 @@ _CMP_NEGATIONS = {
 def negate_cmp(op: str) -> str:
     return _CMP_NEGATIONS[op]
 
-
-_CMP_SWAPPED = {
-    "eq": "eq",
-    "ne": "ne",
-    "ult": "ugt",
-    "ule": "uge",
-    "ugt": "ult",
-    "uge": "ule",
-    "slt": "sgt",
-    "sle": "sge",
-    "sgt": "slt",
-    "sge": "sle",
-}
-
-
-def swap_cmp(op: str) -> str:
-    return _CMP_SWAPPED[op]

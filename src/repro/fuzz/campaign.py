@@ -27,7 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..emulator.cpu import Emulator
 from ..gadgets.extract import ExtractionConfig
-from ..isa.encoding import encode_program
+from ..isa.encoding import encode, encode_program
+from ..isa.instructions import COND_JUMPS, Instruction, Op
 from ..obs import metrics, span
 from .corpus import save_case
 from .gen import (
@@ -50,6 +51,7 @@ _OBF_ROTATION = ("substitution", "bogus_control_flow", "flattening", "encode_dat
 #: Step caps the scan oracle draws: small ones that bind on a fuzz
 #: image, so the DFS order decides the answer, and the default.
 _SCAN_STEPS = (1, 2, 3, 4, 5, 6, 7, 8, ExtractionConfig().max_scan_steps)
+_COND_OPS = sorted(COND_JUMPS)
 
 
 def _rng(seed: int, i: int, name: str) -> random.Random:
@@ -150,8 +152,18 @@ def _draw_scan(seed: int, i: int) -> Case:
     rng = _rng(seed, i, "scan")
     # Random bytes between laid-out windows: the windows' in-range
     # conditional jumps give the DFS a choice to order, which a purely
-    # random image almost never does.
-    text = b"".join(gen_bytes(rng, 6) + encode_program(gen_window(rng)) for _ in range(4))
+    # random image almost never does.  Every window after the first
+    # opens, one time in two, with a jmp or jcc back to an earlier
+    # window's start, as the windows' own jumps only go forward.
+    text, starts = b"", []
+    for _ in range(4):
+        text += gen_bytes(rng, 6)
+        if starts and rng.random() < 0.5:
+            op = Op.JMP_REL if rng.random() < 0.5 else rng.choice(_COND_OPS)
+            end = len(text) + Instruction(op=op).size
+            text += encode(Instruction(op=op, rel=rng.choice(starts) - end))
+        starts.append(len(text))
+        text += encode_program(gen_window(rng))
     steps = rng.choice(_SCAN_STEPS)
     return Case(oracle="scan", kind="image", text=text, max_insns=steps)
 

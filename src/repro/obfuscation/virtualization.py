@@ -83,8 +83,6 @@ OP_BRNZ = 33
 OP_CALL = 34
 OP_RETV = 35
 
-WORDS_PER_INSTR = 4
-
 
 @dataclass
 class VMCode:

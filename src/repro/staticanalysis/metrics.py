@@ -79,15 +79,6 @@ class GadgetSetMetrics:
         present = sum(1 for c in GADGET_CLASSES if self.class_counts.get(c, 0) > 0)
         return present / len(GADGET_CLASSES)
 
-    @property
-    def special_purpose_counts(self) -> Dict[str, int]:
-        """Brown-style special-purpose availability: the gadget kinds a
-        practical chain cannot do without."""
-        return {
-            c: self.class_counts.get(c, 0)
-            for c in ("syscall", "stack_pivot", "mem_write", "reg_load")
-        }
-
 
 def compute_metrics(summaries: Iterable[WindowSummary]) -> GadgetSetMetrics:
     metrics = GadgetSetMetrics(class_counts={c: 0 for c in GADGET_CLASSES})

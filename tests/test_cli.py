@@ -80,56 +80,6 @@ def test_census_without_static_flag(compiled, capsys):
     assert "functional diversity" not in out
 
 
-VULNERABLE_SOURCE = """
-u8 optarg[256];
-u64 optarg_len = 0;
-u64 main() {
-    u8 buf[8];
-    for (u64 i = 0; i < optarg_len; i++) { buf[i] = optarg[i]; }
-    print(buf[0]);
-    return 0;
-}
-"""
-
-CLEAN_SOURCE = """
-u8 optarg[256];
-u64 optarg_len = 0;
-u64 main() {
-    u8 buf[8];
-    for (u64 i = 0; i < optarg_len; i++) {
-        if (i < 8) { buf[i] = optarg[i]; }
-    }
-    print(buf[0]);
-    return 0;
-}
-"""
-
-
-def test_lint_flags_overflow_with_nonzero_exit(tmp_path, capsys):
-    src = tmp_path / "vuln.mc"
-    src.write_text(VULNERABLE_SOURCE)
-    assert main(["lint", str(src)]) == 1
-    out = capsys.readouterr().out
-    assert "overflow finding" in out
-    assert "buf" in out and "optarg" in out
-
-
-def test_lint_clean_source_exits_zero(tmp_path, capsys):
-    src = tmp_path / "clean.mc"
-    src.write_text(CLEAN_SOURCE)
-    assert main(["lint", str(src)]) == 0
-    assert "no overflow findings" in capsys.readouterr().out
-
-
-def test_lint_custom_sources(tmp_path, capsys):
-    src = tmp_path / "vuln.mc"
-    src.write_text(VULNERABLE_SOURCE.replace("optarg", "netbuf"))
-    # Default sources do not include "netbuf": clean.
-    assert main(["lint", str(src)]) == 0
-    # Telling the checker the real attacker surface flags it.
-    assert main(["lint", str(src), "--sources", "netbuf"]) == 1
-
-
 def test_plan_subcommand(tmp_path, capsys):
     # A binary with a known chain: compile a trivial program (the
     # runtime provides goal gadgets) and ask for mprotect.

@@ -1,51 +1,16 @@
 """Unit tests for the static-analysis layer.
 
-Three layers: intervals (``domain.py``), window summaries read off the
-symbolic executor over assembled machine code (``window.py``), and
-taint propagation over mini-C IR (``taint.py``).
+Two layers: window summaries read off the symbolic executor over
+assembled machine code (``window.py``), and the shared decode graph's
+tables and scan (``decode_graph.py``).
 """
 
 
 from repro.binfmt.image import TEXT_BASE, make_image
 from repro.gadgets import semantic_census
 from repro.isa import Reg, assemble
-from repro.lang import parse
-from repro.compiler.lowering import lower_program
-from repro.staticanalysis import (
-    DecodeGraph,
-    Interval,
-    ModuleChecker,
-    classify_summary,
-    summarize_window,
-)
-from repro.staticanalysis.domain import INF
+from repro.staticanalysis import DecodeGraph, classify_summary, summarize_window
 from repro.symex.executor import EndKind, SymbolicExecutor
-
-
-# ---------------------------------------------------------------------------
-# Intervals
-# ---------------------------------------------------------------------------
-
-
-def test_interval_join_and_widen():
-    a, b = Interval(0, 3), Interval(2, 9)
-    assert a.join(b) == Interval(0, 9)
-    # Widening jumps a growing bound straight to its extreme.
-    assert a.widen(b) == Interval(0, INF)
-    assert b.widen(a) == Interval(0, 9)
-    assert Interval.const(5).join(Interval.const(5)) == Interval(5, 5)
-
-
-def test_interval_arithmetic_and_clamps():
-    a = Interval(1, 4)
-    assert a.add(Interval(2, 3)) == Interval(3, 7)
-    assert a.sub_const(1) == Interval(0, 3)
-    assert a.scale(8) == Interval(8, 32)
-    assert Interval(0, INF).clamp_below(8) == Interval(0, 7)
-    assert Interval(0, INF).clamp_below_eq(8) == Interval(0, 8)
-    assert Interval(0, 9).clamp_above_eq(4) == Interval(4, 9)
-    assert str(Interval(0, INF)) == "[0, inf]"
-    assert not Interval(0, INF).is_bounded and Interval(0, 9).is_bounded
 
 
 # ---------------------------------------------------------------------------
@@ -241,131 +206,3 @@ def test_dist_to_transfer_unchanged_on_benchmark_images():
         executor_rules = reference_successors(text.data, text.addr, True, True)
         assert graph.successors(True, True) == executor_rules, key
         assert graph.dist_to_transfer == reference_dist(executor_rules), key
-
-
-# ---------------------------------------------------------------------------
-# Taint over mini-C IR
-# ---------------------------------------------------------------------------
-
-
-def _check(source: str):
-    return ModuleChecker(lower_program(parse(source))).check()
-
-
-def test_taint_propagates_through_copies():
-    findings = _check(
-        """
-        u8 optarg[64];
-        u64 main() {
-            u8 buf[4];
-            u64 x = optarg[0];
-            u64 y = x;
-            u64 z = y + 1;
-            buf[z] = 1;
-            return 0;
-        }
-        """
-    )
-    assert len(findings) == 1
-    f = findings[0]
-    assert f.buffer.startswith("buf") and f.buffer_size == 4
-    assert "optarg" in f.sources
-
-
-def test_untainted_unbounded_write_not_flagged():
-    # The checker targets *attacker-controlled* overflows: an unbounded
-    # write of untainted data is out of scope (and would drown netperf
-    # in noise from its protocol scaffolding).
-    findings = _check(
-        """
-        u64 n = 0;
-        u64 main() {
-            u8 buf[4];
-            for (u64 i = 0; i < n; i++) { buf[i] = 0; }
-            return 0;
-        }
-        """
-    )
-    assert findings == []
-
-
-def test_bounds_check_suppresses_finding():
-    findings = _check(
-        """
-        u8 optarg[256];
-        u64 optarg_len = 0;
-        u64 main() {
-            u8 buf[8];
-            for (u64 i = 0; i < optarg_len; i++) {
-                if (i < 8) { buf[i] = optarg[i]; }
-            }
-            return 0;
-        }
-        """
-    )
-    assert findings == []
-
-
-def test_unchecked_copy_is_flagged():
-    findings = _check(
-        """
-        u8 optarg[256];
-        u64 optarg_len = 0;
-        u64 main() {
-            u8 buf[8];
-            for (u64 i = 0; i < optarg_len; i++) { buf[i] = optarg[i]; }
-            return 0;
-        }
-        """
-    )
-    assert len(findings) == 1 and findings[0].buffer_size == 8
-
-
-def test_interprocedural_write_through_param():
-    findings = _check(
-        """
-        u8 optarg[256];
-        u64 optarg_len = 0;
-        u64 fill(u8* dst, u64 n) {
-            for (u64 i = 0; i < n; i++) { dst[i] = optarg[i]; }
-            return n;
-        }
-        u64 main() {
-            u8 small[16];
-            fill(small, optarg_len);
-            return 0;
-        }
-        """
-    )
-    assert len(findings) == 1
-    f = findings[0]
-    assert f.callee == "fill" and f.function == "main"
-    assert f.buffer.startswith("small")
-
-
-def test_custom_sources():
-    source = """
-    u8 network_in[64];
-    u64 main() {
-        u8 buf[4];
-        u64 i = network_in[0];
-        buf[i] = 1;
-        return 0;
-    }
-    """
-    module = lower_program(parse(source))
-    assert ModuleChecker(module).check() == []
-    flagged = ModuleChecker(module, sources=("network_",)).check()
-    assert len(flagged) == 1
-
-
-def test_netperf_break_args_found_without_hints():
-    from repro.bench.netperf import locate_overflow
-
-    findings = locate_overflow()
-    assert len(findings) == 2
-    assert all(f.callee == "break_args" for f in findings)
-    assert all(f.buffer_size == 16 for f in findings)
-    assert all("optarg" in f.sources for f in findings)
-    buffers = {f.buffer.split(".")[0] for f in findings}
-    assert buffers == {"arg1", "arg2"}
