@@ -15,8 +15,8 @@ from repro.bench import (
     netperf_image,
     table7_performance,
 )
-from repro.fuzz.oracles import reference_scan
-from repro.gadgets import ExtractionConfig, ExtractionStats, extract, extract_gadgets
+from repro.fuzz.oracles import reference_candidates
+from repro.gadgets import ExtractionConfig, ExtractionStats, extract_gadgets
 from repro.gadgets.extract import candidate_offsets
 from repro.obfuscation.pipeline import CONFIGS
 from repro.staticanalysis import DecodeGraph
@@ -39,13 +39,14 @@ def test_table7_performance(benchmark, record_table):
     assert angrop_total.seconds <= gp["total"].seconds, "angrop should be the fastest"
 
 
-def test_extraction_stage_speedup(benchmark, record_table, monkeypatch):
+def test_extraction_stage_speedup(benchmark, record_table):
     """The static-analysis layer's effect on the extraction stage:
 
-    * the candidate scan's bounded DFS over the shared
-      :class:`DecodeGraph`'s successor table is several-fold faster than
-      the same walk decoding at every step (the fuzz oracle's
-      reference), with identical candidates;
+    * the candidate scan (CFG recovery over the shared
+      :class:`DecodeGraph`'s shapes, then one memoised scan table) is
+      several-fold faster than the same candidates computed the
+      reference way, over a CFG of decoded instructions and a DFS
+      decoding at every step of every probe, with identical candidates;
     * the semantic prefilter then drops a quarter-plus of the surviving
       candidates before symbolic execution, with an identical pool.
     """
@@ -55,20 +56,13 @@ def test_extraction_stage_speedup(benchmark, record_table, monkeypatch):
         max_paths=BENCH_EXTRACTION.max_paths,
         max_candidates=BENCH_EXTRACTION.max_candidates,
     )
-
-    def decode_walk(graph, offset, config):
-        return reference_scan(graph.code, graph.base_addr, offset, config)
-
-    def scan():
-        return candidate_offsets(image, config, DecodeGraph(image.text.data, image.text.addr))
+    assert config.max_candidates is None  # reference_candidates applies no cap
 
     def run():
         t0 = time.perf_counter()
-        with monkeypatch.context() as patch:
-            patch.setattr(extract, "syntactic_scan", decode_walk)
-            legacy = scan()
+        legacy = reference_candidates(image, config)
         t1 = time.perf_counter()
-        shared = scan()
+        shared = candidate_offsets(image, config, DecodeGraph(image.text.data, image.text.addr))
         t2 = time.perf_counter()
         stats = ExtractionStats()
         extract_gadgets(image, config, stats)
@@ -80,7 +74,7 @@ def test_extraction_stage_speedup(benchmark, record_table, monkeypatch):
     )
     text = (
         f"candidate scan, legacy decode loop:  {legacy_s:.2f}s\n"
-        f"candidate scan, successor table:     {shared_s:.2f}s "
+        f"candidate scan, memoised scan table: {shared_s:.2f}s "
         f"({legacy_s / shared_s:.1f}x faster)\n"
         f"full extraction (graph + prefilter): {full_s:.2f}s\n"
         f"candidates: {len(shared)}, culled by prefilter: "

@@ -6,33 +6,47 @@ flow, collect leaders, and split the instruction stream into basic
 blocks.  Gadget extraction uses the recovered blocks as its aligned
 probe points (the paper: "decode from the valid starting position of
 each basic block"), on top of its unaligned probing.
+
+The walk reads a :class:`~repro.staticanalysis.DecodeGraph`'s int
+tables (where each instruction ends, where a direct transfer lands)
+and the byte table's control kind and opcode of each first byte, so it
+builds no instruction.  Blocks keep instruction addresses; their
+instructions are read from the graph on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..binfmt.image import BinaryImage
-from ..isa.encoding import DecodeError, decode
-from ..isa.instructions import Instruction, Op
+from ..isa.encoding import BYTE_TABLE, DIRECT, PLAIN
+from ..isa.instructions import COND_JUMPS, Instruction, Op
+from ..staticanalysis.decode_graph import DecodeGraph, shared_decode_graph
+
+#: Terminators whose next instruction also runs: a call returns there,
+#: and a syscall or a not-taken conditional jump continues there.
+_FALLS_THROUGH = frozenset({Op.CALL_REL, Op.CALL_R, Op.SYSCALL, *COND_JUMPS})
 
 
 @dataclass
 class BasicBlock:
     start: int
-    instructions: List[Instruction] = field(default_factory=list)
-    successors: Tuple[int, ...] = ()
+    addrs: List[int]  # instruction addresses, never empty
+    successors: Tuple[int, ...]
+    graph: DecodeGraph = field(repr=False, compare=False)
+
+    @property
+    def instructions(self) -> List[Instruction]:
+        return [self.graph.decode_addr(addr) for addr in self.addrs]
 
     @property
     def end(self) -> int:
-        if not self.instructions:
-            return self.start
-        return self.instructions[-1].end
+        return self.terminator.end
 
     @property
-    def terminator(self) -> Optional[Instruction]:
-        return self.instructions[-1] if self.instructions else None
+    def terminator(self) -> Instruction:
+        return self.graph.decode_addr(self.addrs[-1])
 
 
 @dataclass
@@ -45,109 +59,76 @@ class CFG:
         return len(self.blocks)
 
     def conditional_edges(self) -> int:
-        return sum(
-            1
-            for b in self.blocks.values()
-            if b.terminator is not None and b.terminator.is_cond_jump()
-        )
+        return sum(1 for b in self.blocks.values() if b.terminator.is_cond_jump())
 
 
-def _successor_addrs(insn: Instruction) -> Tuple[List[int], bool]:
-    """(direct successor addresses, falls_through)."""
-    op = insn.op
-    if op == Op.JMP_REL:
-        return [insn.target], False
-    if insn.is_cond_jump():
-        return [insn.target], True
-    if op == Op.CALL_REL:
-        # Treat the callee as a separate entry; the call falls through.
-        return [insn.target], True
-    if op in (Op.RET, Op.HLT, Op.JMP_R, Op.JMP_M):
-        return [], False
-    if op == Op.CALL_R:
-        return [], True
-    if op == Op.SYSCALL:
-        return [], True
-    return [], True  # non-terminator
-
-
-def recover_cfg(
-    image: BinaryImage,
-    *,
-    decoder: Optional[Callable[[int], Optional[Instruction]]] = None,
-) -> CFG:
+def recover_cfg(image: BinaryImage, graph: Optional[DecodeGraph] = None) -> CFG:
     """Recover basic blocks over the image's text section.
 
-    ``decoder`` (addr → Instruction|None) lets callers share a decode
-    cache — gadget extraction passes its ``DecodeGraph`` so the section
-    is not decoded a second time.
+    ``graph`` is the text section's decode graph, by default the
+    process-wide :func:`shared_decode_graph`.  Direct jump, call and
+    conditional-jump targets in the section become leaders, as does the
+    next instruction after a call, a syscall or a conditional jump;
+    ``ret``, ``hlt`` and indirect jumps end a walk.
     """
     text = image.text
-    data = text.data
     base = text.addr
+    if graph is None:
+        graph = shared_decode_graph(text.data, base)
+    code = graph.code
+    ends = graph._ends
+    targets = graph._targets
+    n = len(ends)
 
-    def in_text(addr: int) -> bool:
-        return base <= addr < base + len(data)
+    entries = {addr for addr in image.symbols.values() if base <= addr < base + n}
+    if base <= image.entry < base + n:
+        entries.add(image.entry)
 
-    def _decode_fresh(addr: int) -> Optional[Instruction]:
-        try:
-            return decode(data, addr - base, addr=addr)
-        except DecodeError:
-            return None
-
-    decode_at = decoder if decoder is not None else _decode_fresh
-
-    entries = {addr for name, addr in image.symbols.items() if in_text(addr)}
-    entries.add(image.entry)
-
-    # Pass 1: walk from entries, decode instructions, collect leaders.
-    insn_at: Dict[int, Instruction] = {}
-    leaders: Set[int] = set(e for e in entries if in_text(e))
+    # Pass 1: walk from entries over the graph's shapes, collect leaders.
+    leaders: Set[int] = {addr - base for addr in entries}
+    visited = bytearray(n)
     work = list(leaders)
-    visited: Set[int] = set()
     while work:
-        addr = work.pop()
-        while in_text(addr) and addr not in visited:
-            insn = decode_at(addr)
-            if insn is None:
-                break
-            visited.add(addr)
-            insn_at[addr] = insn
-            targets, falls = _successor_addrs(insn)
-            for t in targets:
-                if in_text(t):
-                    leaders.add(t)
-                    work.append(t)
-            if insn.is_terminator():
-                if falls and in_text(insn.end):
-                    leaders.add(insn.end)
-                    work.append(insn.end)
-                break
-            addr = insn.end
+        offset = work.pop()
+        while offset < n and not visited[offset] and ends[offset]:
+            visited[offset] = 1
+            shape = BYTE_TABLE[code[offset]]
+            if shape.kind == PLAIN:
+                offset = ends[offset]
+                continue
+            if shape.kind >= DIRECT:  # the rel32 kinds, DIRECT and COND
+                target = targets[offset]
+                if 0 <= target < n:
+                    leaders.add(target)
+                    work.append(target)
+            end = ends[offset]
+            if shape.op in _FALLS_THROUGH and end < n:
+                leaders.add(end)
+                work.append(end)
+            break
 
-    # Pass 2: split the decoded stream at leaders.
-    cfg = CFG(entries=set(e for e in entries if in_text(e)))
+    # Pass 2: split the walked stream at leaders.
+    cfg = CFG(entries=entries)
     for leader in sorted(leaders):
-        if leader not in insn_at:
+        if not visited[leader]:
             continue
-        block = BasicBlock(start=leader)
-        addr = leader
-        while addr in insn_at:
-            insn = insn_at[addr]
-            block.instructions.append(insn)
-            if insn.is_terminator() or insn.end in leaders:
+        addrs: List[int] = []
+        offset = leader
+        while offset < n and visited[offset]:
+            addrs.append(base + offset)
+            shape = BYTE_TABLE[code[offset]]
+            end = ends[offset]
+            if shape.kind != PLAIN or end in leaders:
                 break
-            addr = insn.end
-        term = block.terminator
+            offset = end
         successors: List[int] = []
-        if term is not None:
-            targets, falls = _successor_addrs(term)
-            if term.is_terminator():
-                successors.extend(t for t in targets if t in leaders)
-                if falls and term.end in leaders:
-                    successors.append(term.end)
-            elif term.end in leaders:
-                successors.append(term.end)
-        block.successors = tuple(successors)
-        cfg.blocks[leader] = block
+        if shape.kind == PLAIN:
+            if end in leaders:
+                successors.append(base + end)
+        else:
+            if shape.kind >= DIRECT and targets[offset] in leaders:
+                successors.append(base + targets[offset])
+            if shape.op in _FALLS_THROUGH and end in leaders:
+                successors.append(base + end)
+        cfg.blocks[base + leader] = BasicBlock(base + leader, addrs, tuple(successors), graph)
     return cfg

@@ -294,6 +294,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             status = "OK" if not failures else "FAILURES"
             print(f"corpus replay: {status} ({len(cases)} case(s), {len(failures)} failure(s))")
             return 1 if failures else 0
+
+        def found(oracle: str, iteration: int, messages: List[str]) -> None:
+            # Printed before shrinking, so a run killed mid-campaign
+            # still names the draw that failed.
+            print(f"  found [{oracle}] iter {iteration}: {messages[0]}", flush=True)
+
         try:
             report = run_fuzz(
                 seed=args.seed,
@@ -301,6 +307,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 oracles=oracles,
                 corpus_dir=corpus_dir,
                 shrink=not args.no_shrink,
+                on_failure=found,
             )
         except ValueError as exc:
             print(exc, file=sys.stderr)

@@ -17,6 +17,10 @@ of the binary, built from the obfuscated artifact itself:
   entry).  Fine-grained forward-edge CFI restricts indirect
   jumps/calls to these.
 
+The sets are read from the recovered blocks' addresses and, for
+return sites, the byte table's opcode and size at each block's last
+address, so building them decodes no instruction.
+
 Transfers that leave the text section (into the stack, heap, or a
 fresh ``mmap``) are CFI violations under either granularity — the CFG
 gives the defender no label there.
@@ -30,6 +34,7 @@ from typing import FrozenSet
 
 from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
+from ..isa.encoding import BYTE_TABLE
 from ..isa.instructions import Op
 from .policy import CFIMode
 
@@ -51,13 +56,17 @@ class CFITargets:
     def build(cls, image: BinaryImage) -> "CFITargets":
         """Derive the target sets from the image's recovered CFG."""
         cfg = recover_cfg(image)
+        code = image.text.data
+        base = image.text.addr
         aligned = set()
         return_sites = set()
         for block in cfg.blocks.values():
-            for insn in block.instructions:
-                aligned.add(insn.addr)
-                if insn.op in (Op.CALL_REL, Op.CALL_R):
-                    return_sites.add(insn.end)
+            aligned.update(block.addrs)
+            # A call ends its block, so it is the block's last address.
+            last = block.addrs[-1]
+            shape = BYTE_TABLE[code[last - base]]
+            if shape.op in (Op.CALL_REL, Op.CALL_R):
+                return_sites.add(last + shape.size)
         entries = set(cfg.entries)
         # Entries and return sites are instruction boundaries by
         # construction; keep ``aligned`` a superset even when recovery

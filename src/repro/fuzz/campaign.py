@@ -154,7 +154,9 @@ def _draw_scan(seed: int, i: int) -> Case:
     # conditional jumps give the DFS a choice to order, which a purely
     # random image almost never does.  Every window after the first
     # opens, one time in two, with a jmp or jcc back to an earlier
-    # window's start, as the windows' own jumps only go forward.
+    # window's start, as the windows' own jumps only go forward; half
+    # of those are followed by a hlt, so a jcc's fall-through dead-ends
+    # while its taken side may still reach a transfer.
     text, starts = b"", []
     for _ in range(4):
         text += gen_bytes(rng, 6)
@@ -162,6 +164,8 @@ def _draw_scan(seed: int, i: int) -> Case:
             op = Op.JMP_REL if rng.random() < 0.5 else rng.choice(_COND_OPS)
             end = len(text) + Instruction(op=op).size
             text += encode(Instruction(op=op, rel=rng.choice(starts) - end))
+            if rng.random() < 0.5:
+                text += encode(Instruction(op=Op.HLT))
         starts.append(len(text))
         text += encode_program(gen_window(rng))
     steps = rng.choice(_SCAN_STEPS)
@@ -298,13 +302,16 @@ def run_fuzz(
     emulator_factory: EmulatorFactory = Emulator,
     corpus_dir: Optional[Path] = None,
     shrink: bool = True,
+    on_failure: Optional[Callable[[str, int, List[str]], None]] = None,
 ) -> FuzzReport:
     """Run a deterministic campaign; returns the (stable) report.
 
     ``oracles`` selects a non-empty subset of :data:`ORACLE_NAMES` and
     runs each of them on every iteration; they still run in
     :data:`ORACLE_NAMES` order.  Raises ``ValueError`` for an empty
-    selection or an unknown name.
+    selection or an unknown name.  ``on_failure(oracle, iteration,
+    messages)`` is called for each failing case as soon as it is found,
+    before it is shrunk.
     """
     explicit = oracles is not None
     enabled = set(oracles) if explicit else set(ORACLE_NAMES)
@@ -323,6 +330,8 @@ def run_fuzz(
             return
         stat.failures += 1
         counters.counter("fuzz.failures").inc()
+        if on_failure is not None:
+            on_failure(name, i, messages)
         shrunk = case
         if shrink:
             with span("fuzz.shrink"):

@@ -61,7 +61,9 @@ The oracles:
     built over an instruction decoded at every offset; the syntactic
     scan's bounded DFS over those tables accepts exactly the offsets
     that the same DFS decoding at every step accepts, under every pair
-    of walk rules.
+    of walk rules.  CFG recovery over the graph's shapes, from an entry
+    at the section's start, recovers :func:`reference_cfg`'s blocks:
+    the same starts, instruction addresses and successors.
 ``solver_preprocess``
     The solver's word-level pass never refutes a conjunction that a
     plain :class:`~repro.solver.bitblast.BitBlaster` + CDCL search
@@ -90,8 +92,9 @@ import random
 import struct
 from dataclasses import dataclass, replace
 from hashlib import blake2b
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..analysis.cfg import recover_cfg
 from ..binfmt.image import TEXT_BASE, BinaryImage, Section, make_image
 from ..emulator.cpu import (
     MAX_DECODE_SIZE,
@@ -525,6 +528,112 @@ def reference_scan(code: bytes, base: int, offset: int, config: ExtractionConfig
     return False
 
 
+#: A recovered block: its instructions and its successor addresses.
+RefBlock = Tuple[List[Instruction], Tuple[int, ...]]
+
+
+def _ref_successor_addrs(insn: Instruction) -> Tuple[List[int], bool]:
+    """(direct successor addresses, falls_through)."""
+    op = insn.op
+    if op == Op.JMP_REL:
+        return [insn.target], False
+    if insn.is_cond_jump():
+        return [insn.target], True
+    if op == Op.CALL_REL:
+        # Treat the callee as a separate entry; the call falls through.
+        return [insn.target], True
+    if op in (Op.RET, Op.HLT, Op.JMP_R, Op.JMP_M):
+        return [], False
+    return [], True  # call reg, syscall, or a non-terminator
+
+
+def reference_cfg(image: BinaryImage) -> Tuple[Set[int], Dict[int, RefBlock]]:
+    """Recursive-traversal CFG recovery over an :class:`Instruction`
+    decoded at every step: the reference
+    :func:`~repro.analysis.cfg.recover_cfg`, which walks the decode
+    graph's int shapes, is checked against.  Returns the in-text
+    entries and the blocks by leader address, in sorted order."""
+    text = image.text
+    data = text.data
+    base = text.addr
+
+    def in_text(addr: int) -> bool:
+        return base <= addr < base + len(data)
+
+    def decode_at(addr: int) -> Optional[Instruction]:
+        try:
+            return decode(data, addr - base, addr=addr)
+        except DecodeError:
+            return None
+
+    entries = {addr for addr in image.symbols.values() if in_text(addr)}
+    if in_text(image.entry):
+        entries.add(image.entry)
+
+    # Pass 1: walk from entries, decode instructions, collect leaders.
+    insn_at: Dict[int, Instruction] = {}
+    leaders: Set[int] = set(entries)
+    work = list(leaders)
+    while work:
+        addr = work.pop()
+        while in_text(addr) and addr not in insn_at:
+            insn = decode_at(addr)
+            if insn is None:
+                break
+            insn_at[addr] = insn
+            targets, falls = _ref_successor_addrs(insn)
+            for t in targets:
+                if in_text(t):
+                    leaders.add(t)
+                    work.append(t)
+            if insn.is_terminator():
+                if falls and in_text(insn.end):
+                    leaders.add(insn.end)
+                    work.append(insn.end)
+                break
+            addr = insn.end
+
+    # Pass 2: split the decoded stream at leaders.
+    blocks: Dict[int, RefBlock] = {}
+    for leader in sorted(leaders):
+        if leader not in insn_at:
+            continue
+        insns: List[Instruction] = []
+        addr = leader
+        while addr in insn_at:
+            insn = insn_at[addr]
+            insns.append(insn)
+            if insn.is_terminator() or insn.end in leaders:
+                break
+            addr = insn.end
+        term = insns[-1]
+        targets, falls = _ref_successor_addrs(term)
+        successors: List[int] = []
+        if term.is_terminator():
+            successors.extend(t for t in targets if t in leaders)
+            if falls and term.end in leaders:
+                successors.append(term.end)
+        elif term.end in leaders:
+            successors.append(term.end)
+        blocks[leader] = (insns, tuple(successors))
+    return entries, blocks
+
+
+def reference_candidates(image: BinaryImage, config: ExtractionConfig) -> List[int]:
+    """The candidate list with no decode graph: :func:`reference_cfg`'s
+    instruction addresses (blocks by leader, each address once), then
+    every other text offset, kept where :func:`reference_scan` accepts.
+    Ignores ``max_candidates``."""
+    text = image.text
+    base = text.addr
+    _, blocks = reference_cfg(image)
+    probes = list(dict.fromkeys(insn.addr for insns, _ in blocks.values() for insn in insns))
+    if config.probe_unaligned:
+        aligned = set(probes)
+        probes += [base + o for o in range(len(text.data)) if base + o not in aligned]
+    return [a for a in probes if reference_scan(text.data, base, a - base, config)]
+
+
 def check_scan(text: bytes, *, max_scan_steps: int) -> List[str]:
     """The decode graph agrees with the per-offset decode it replaces,
     and the table walk with :func:`reference_scan`.
@@ -586,6 +695,17 @@ def check_scan(text: bytes, *, max_scan_steps: int) -> List[str]:
     for off, (got, want) in enumerate(zip(graph.dist_to_transfer, want_dist)):
         if got != want:
             failures.append(f"scan: at +{off} dist_to_transfer is {got}, the reference {want}")
+            break
+    image = make_image(text)
+    cfg = recover_cfg(image, graph)
+    got_blocks = [(b.start, b.addrs, b.successors) for b in cfg.blocks.values()]
+    want_blocks = [
+        (start, [insn.addr for insn in insns], succs)
+        for start, (insns, succs) in reference_cfg(image)[1].items()
+    ]
+    for got, want in itertools.zip_longest(got_blocks, want_blocks):
+        if got != want:
+            failures.append(f"scan: the CFG has block {got}, the reference {want}")
             break
     return failures
 

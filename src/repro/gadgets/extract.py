@@ -14,7 +14,8 @@ Three stages of filtering feed the symbolic executor:
 
 1. a cheap syntactic prefilter (``syntactic_scan``) culls offsets from
    which a bounded DFS over the decode graph's successor table, under
-   the configured walk rules, reaches no indirect transfer;
+   the configured walk rules, reaches no indirect transfer; one pass
+   answers every offset, and most are decided without a DFS;
 2. a *semantic* prefilter (``DecodeGraph.reaches_transfer_within``)
    culls survivors whose decode-graph distance to any indirect transfer
    exceeds the window budget — a sound proof that symbolic execution
@@ -25,15 +26,16 @@ Three stages of filtering feed the symbolic executor:
 
 All three stages share one :class:`~repro.staticanalysis.DecodeGraph`,
 which reads each offset's shape once from the ISA's byte table and
-builds an instruction only the first time CFG recovery or the symbolic
-executor reads that offset; the syntactic scan walks plain successor
-offsets and never touches an instruction.
+builds an instruction only the first time the symbolic executor reads
+that offset.  The syntactic scan is one memoised table per graph, rule
+pair and budget (``DecodeGraph.scan_table``), and CFG recovery walks
+the graph's int shapes, so the candidate stage builds no instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
@@ -84,15 +86,6 @@ class ExtractionStats:
         return self.cache_hits > 0
 
 
-def _needs_dfs(dist: int, max_scan_steps: int) -> bool:
-    """Does an offset at transfer distance ``dist`` need the scan's DFS?
-
-    No when the distance alone decides: a transfer at the offset itself
-    (``dist == 1``), or none reachable within the budget.
-    """
-    return 1 < dist <= max_scan_steps
-
-
 def syntactic_scan(graph: DecodeGraph, offset: int, config: ExtractionConfig) -> bool:
     """Cheap prefilter: can *some* walk from ``offset`` reach an indirect
     transfer within budget?  Conditional jumps explore both sides (a
@@ -105,33 +98,16 @@ def syntactic_scan(graph: DecodeGraph, offset: int, config: ExtractionConfig) ->
     below its fall-through on the stack), not walk depth: a short walk
     to a transfer that the DFS reaches late does not count.
 
-    ``graph.dist_to_transfer`` answers first.  A DFS that finds a
-    transfer has visited every offset of some walk to it, so it needs
-    at least that walk's length in steps; and the executor's rules
-    ``(True, True)`` the table is built under keep every edge of the
-    other rule pairs, so no walk under any pair is shorter than the
-    table's distance.  An offset with no transfer within
-    ``max_scan_steps`` is therefore rejected, and one that is a transfer
-    accepted, without a walk.
+    A read of the graph's :meth:`~DecodeGraph.scan_table` for the
+    config's rules and budget, which answers every offset of the
+    section from one pass.
     """
-    succ = graph.successors(config.merge_direct_jumps, config.include_conditional)
-    if not 0 <= offset < len(succ):
+    if not 0 <= offset < len(graph.code):
         return False
-    dist = graph.dist_to_transfer[offset]
-    if not _needs_dfs(dist, config.max_scan_steps):
-        return dist == 1 and config.max_scan_steps >= 1
-    work: List[int] = [offset]
-    seen: Set[int] = set()
-    while work and len(seen) < config.max_scan_steps:
-        cursor = work.pop()
-        if cursor in seen:
-            continue
-        seen.add(cursor)
-        nexts = succ[cursor]
-        if nexts is None:
-            return True
-        work.extend(nexts)
-    return False
+    table = graph.scan_table(
+        config.merge_direct_jumps, config.include_conditional, config.max_scan_steps
+    )
+    return table.first[offset] > 0
 
 
 def candidate_offsets(
@@ -141,35 +117,31 @@ def candidate_offsets(
 ) -> List[int]:
     """Candidate start addresses, aligned probes first.
 
-    ``graph`` defaults to the process-wide :func:`shared_decode_graph`
-    of the image's text section.  Runs under the ``extract.candidates``
-    span, whose ``bounded`` counter is the probes the distance table
-    decided without a DFS.
+    The aligned probes are the recovered basic blocks' instruction
+    addresses, blocks by start, each address once; the unaligned ones
+    every other offset of the text section in order.  ``graph``
+    defaults to the process-wide :func:`shared_decode_graph` of the
+    image's text section.  Runs under the ``extract.candidates`` span,
+    whose ``bounded`` and ``walked`` counters are the section offsets
+    the scan table's distance rule and DFS decided.
     """
     text = image.text
     base = text.addr
     if graph is None:
         graph = shared_decode_graph(text.data, base)
     with span("extract.candidates") as sp:
-        # The distance table first, so its reverse BFS has freed its
-        # predecessor lists before the probe lists below are built.
-        dist = graph.dist_to_transfer
-        aligned: List[int] = []
-        seen: Set[int] = set()
-        cfg = recover_cfg(image, decoder=graph.decode_addr)
-        for block in cfg.blocks.values():
-            for insn in block.instructions:
-                if insn.addr not in seen:
-                    seen.add(insn.addr)
-                    aligned.append(insn.addr)
-        unaligned: List[int] = []
+        # The scan table first, so the distance table's reverse BFS has
+        # freed its predecessor lists before the probe lists are built.
+        scan = graph.scan_table(
+            config.merge_direct_jumps, config.include_conditional, config.max_scan_steps
+        )
+        first = scan.first
+        cfg = recover_cfg(image, graph)
+        probes = list(dict.fromkeys(a - base for b in cfg.blocks.values() for a in b.addrs))
         if config.probe_unaligned:
-            for offset in range(len(text.data)):
-                addr = base + offset
-                if addr not in seen:
-                    unaligned.append(addr)
-        probes = aligned + unaligned
-        candidates = [a for a in probes if syntactic_scan(graph, a - base, config)]
+            aligned = set(probes)
+            probes += [o for o in range(len(first)) if o not in aligned]
+        candidates = [base + o for o in probes if first[o]]
         cap = config.max_candidates
         if cap == 0:
             candidates = []
@@ -178,8 +150,8 @@ def candidate_offsets(
             # aligned/unaligned mix and spans the whole text section.
             step = len(candidates) / cap
             candidates = [candidates[int(i * step)] for i in range(cap)]
-        steps = config.max_scan_steps
-        sp.add("bounded", sum(1 for a in probes if not _needs_dfs(dist[a - base], steps)))
+        sp.add("bounded", scan.bounded)
+        sp.add("walked", scan.walked)
         sp.add("candidates", len(candidates))
     return candidates
 

@@ -23,19 +23,62 @@ precomputes reachability facts on the induced control-flow graph:
   place the walk rules are written down; the syntactic scan runs its
   bounded DFS over these tables, and ``dist_to_transfer`` is a reverse
   BFS over the executor's pair of them.
+* ``scan_table`` — per rule pair and scan budget, the DFS position of
+  the first indirect transfer from every offset (0 where none lies
+  within the budget), filled once from the highest offset down: the
+  distance table decides most offsets, an offset with one successor
+  already decided is derived from it, and only the rest run the DFS.
+  The syntactic scan and the candidate stage read this table.
+
+CFG recovery (:func:`repro.analysis.cfg.recover_cfg`) walks the same
+int tables and builds no instruction either.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..isa.encoding import BYTE_TABLE, DIRECT, HALT, PLAIN, TRANSFER, decode
 from ..isa.instructions import Instruction
 
 #: Sentinel distance for "no transfer reachable".
 UNREACHABLE = -1
+
+
+class ScanTable(NamedTuple):
+    """The syntactic scan's answers for one rule pair and budget.
+
+    ``first[o]`` is the DFS position of the first indirect transfer
+    from ``o`` (an upper bound where derived), 0 where none lies within
+    the budget; ``bounded`` and ``walked`` count the offsets the
+    distance table and the DFS decided.
+    """
+
+    first: List[int]
+    bounded: int
+    walked: int
+
+
+def _first_transfer(succ: List[Optional[Tuple[int, ...]]], offset: int, budget: int) -> int:
+    """The scan's DFS from ``offset``: the position, counting
+    distinct offsets in visit order, of the first indirect transfer it
+    reaches, or 0 where ``budget`` offsets pass without one.  The taken
+    side of a conditional jump lies below its fall-through on the
+    stack."""
+    work: List[int] = [offset]
+    seen = set()
+    while work and len(seen) < budget:
+        cursor = work.pop()
+        if cursor in seen:
+            continue
+        seen.add(cursor)
+        nexts = succ[cursor]
+        if nexts is None:
+            return len(seen)
+        work.extend(nexts)
+    return 0
 
 
 @functools.lru_cache(maxsize=8)
@@ -47,7 +90,8 @@ def shared_decode_graph(code: bytes, base_addr: int) -> "DecodeGraph":
     that analyse the same image byte-for-byte (the Fig. 1 / Table 1
     comparisons run three tools over each build) should decode it once.
     Graphs are immutable apart from memoised instructions and
-    reachability tables, so sharing cannot change any caller's results.
+    reachability and scan tables, so sharing cannot change any caller's
+    results.
     The small LRU bound keeps at most a handful of text sections alive.
     """
     return DecodeGraph(code, base_addr)
@@ -59,9 +103,10 @@ class DecodeGraph:
     One pass over :data:`~repro.isa.encoding.BYTE_TABLE` records, for
     every offset, where the instruction there ends (0 where none
     decodes) and where a direct transfer lands; the walk tables are
-    built from those ints.  An :class:`Instruction` is built the first
-    time a caller reads its offset and kept, so every read of an offset
-    returns the same object.
+    built from those ints, and CFG recovery walks them directly.  An
+    :class:`Instruction` is built the first time a caller reads its
+    offset and kept, so every read of an offset returns the same
+    object.
     """
 
     def __init__(self, code: bytes, base_addr: int) -> None:
@@ -87,6 +132,7 @@ class DecodeGraph:
         self._insns: List[Optional[Instruction]] = [None] * n
         self._dist: Optional[List[int]] = None
         self._successors: Dict[Tuple[bool, bool], List[Optional[Tuple[int, ...]]]] = {}
+        self._scans: Dict[Tuple[bool, bool, int], ScanTable] = {}
 
     # -- decoding ---------------------------------------------------------
 
@@ -159,6 +205,66 @@ class DecodeGraph:
                     succs = (end,)
                 append(tuple(o for o in succs if 0 <= o < n))
         self._successors[key] = table
+        return table
+
+    # -- the syntactic scan -----------------------------------------------
+
+    def scan_table(
+        self, merge_direct_jumps: bool, include_conditional: bool, max_scan_steps: int
+    ) -> ScanTable:
+        """The syntactic scan's answer at every offset, built once per
+        rule pair and budget.
+
+        The scan from ``o`` accepts when a DFS over
+        :meth:`successors` meets an indirect transfer among the first
+        ``max_scan_steps`` distinct offsets it visits.  Offsets are
+        decided from the highest down:
+
+        * by :attr:`dist_to_transfer`: a transfer at ``o`` is accepted
+          at position 1, and ``o`` is rejected when no walk under the
+          executor's rules (whose edges include every other pair's)
+          reaches a transfer within the budget, since a DFS that meets
+          one at position ``k`` has visited a walk to it of at most
+          ``k`` instructions;
+        * from ``o``'s one successor ``s`` when it is already decided:
+          ``o`` pushes only ``s``, so the DFS from ``o`` visits ``o``
+          and then the DFS order from ``s`` with ``o`` removed, cycles
+          included.  No transfer within the budget from ``s`` means
+          none from ``o``, and a first transfer at position ``<= h``
+          from ``s`` puts one at ``<= h + 1`` from ``o``;
+        * by the DFS itself, which finds the exact position, for every
+          other offset: conditional jumps, a successor not yet decided
+          and a derived bound past the budget.
+
+        A new derivation rule must keep that argument: it holds only
+        for an offset whose DFS pushes a single offset.
+        """
+        key = (merge_direct_jumps, include_conditional, max_scan_steps)
+        table = self._scans.get(key)
+        if table is not None:
+            return table
+        succ = self.successors(merge_direct_jumps, include_conditional)
+        dist = self.dist_to_transfer
+        first = [0] * len(succ)
+        bounded = walked = 0
+        for offset in range(len(succ) - 1, -1, -1):
+            d = dist[offset]
+            if d == 1 or d == UNREACHABLE or d > max_scan_steps:
+                if d == 1 and max_scan_steps >= 1:
+                    first[offset] = 1
+                bounded += 1
+                continue
+            nexts = succ[offset]
+            if len(nexts) == 1 and nexts[0] > offset:
+                h = first[nexts[0]]
+                if not h:
+                    continue
+                if h < max_scan_steps:
+                    first[offset] = h + 1
+                    continue
+            walked += 1
+            first[offset] = _first_transfer(succ, offset, max_scan_steps)
+        table = self._scans[key] = ScanTable(first, bounded, walked)
         return table
 
     # -- distance to an indirect transfer ---------------------------------

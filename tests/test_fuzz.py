@@ -40,7 +40,7 @@ from repro.fuzz import (
 from repro.fuzz.campaign import ORACLE_NAMES, ORACLES
 from repro.isa import assemble_unit
 from repro.isa.encoding import decode_window, encode_program
-from repro.isa.instructions import Instruction, Op
+from repro.isa.instructions import COND_JUMPS, Instruction, Op
 from repro.isa.registers import MASK64, Flag, Reg
 from repro.isa.semantics import SEMANTICS
 from repro.obfuscation.pipeline import CONFIGS, build_program
@@ -248,6 +248,25 @@ def test_scan_oracle_flags_depth_budget_scan(monkeypatch):
     assert report.total_failures > 0
 
 
+def test_fuzz_cli_names_a_failure_before_shrinking_it(monkeypatch, capsys):
+    """A campaign killed while it shrinks (as by a CI ``timeout``) has
+    already printed the failing draw: oracle, iteration and message."""
+    import repro.fuzz.campaign as campaign
+    import repro.fuzz.oracles as oracles
+    from repro.cli import main
+
+    def killed(case, **_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(oracles, "syntactic_scan", _depth_budget_scan)
+    monkeypatch.setattr(campaign, "shrink_case", killed)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fuzz", "--seed", "4", "--iters", "30", "--oracle", "scan", "--no-bank"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("  found [scan] iter ")
+    assert "the table walk says True, the decode walk False" in line
+
+
 class _UnsignedRelGraph(DecodeGraph):
     """A planted bug: direct-transfer targets read rel32 unsigned."""
 
@@ -275,6 +294,23 @@ def test_scan_oracle_flags_unsigned_rel32_targets(monkeypatch):
         "scan: at +1 (merge=False, conditional=True) the successor table says (6,), "
         "the instructions (0, 6)",
     ]
+
+
+def test_scan_oracle_flags_cfg_walk_without_syscall_fall_through(monkeypatch):
+    """A planted bug in CFG recovery over the graph's shapes: only a
+    direct call or a conditional jump falls through, so the ``ret``
+    after a ``syscall`` is never walked."""
+    import repro.analysis.cfg as cfg
+
+    text = assemble_unit("syscall\nret", base_addr=0).code
+    assert check_scan(text, max_scan_steps=48) == []
+    monkeypatch.setattr(cfg, "_FALLS_THROUGH", frozenset({Op.CALL_REL, *COND_JUMPS}))
+    assert check_scan(text, max_scan_steps=48) == [
+        "scan: the CFG has block (4194304, [4194304], ()), "
+        "the reference (4194304, [4194304], (4194305,))"
+    ]
+    report = run_fuzz(seed=1, iters=40, oracles=["scan"], shrink=False)
+    assert report.total_failures > 0
 
 
 _POP_RET_POOL = assemble_unit("pop rdi\nret\npop rsi\nret\npop rdi\nret", base_addr=0).code

@@ -195,43 +195,76 @@ def test_scan_budget_counts_dfs_steps_not_walk_depth():
         assert syntactic_scan(graph, je, ExtractionConfig(max_scan_steps=steps))
 
 
+def _memo_decode():
+    """A decode memoised per offset, for the references to call on one
+    image; decoding is pure, so its answers are the same."""
+    from repro.isa.encoding import DecodeError, decode
+
+    decoded = {}
+
+    def memo_decode(code, offset, addr=0):
+        if offset not in decoded:
+            try:
+                decoded[offset] = decode(code, offset, addr=addr)
+            except DecodeError as exc:
+                decoded[offset] = exc
+        insn = decoded[offset]
+        if isinstance(insn, DecodeError):
+            raise insn
+        return insn
+
+    return memo_decode
+
+
 def test_scan_distance_bound_matches_reference_on_cold_images(monkeypatch):
     """The distance table decides most offsets without a walk; at every
     offset of the four cold-sweep images, under every pair of walk
     rules, the bounded scan still answers as the decode-at-every-step
     reference does.  The reference's decoder is memoised per image to
-    keep this test fast; decoding is pure, so its answers are the same."""
+    keep this test fast."""
     import repro.fuzz.oracles as oracles
     from nflbench.reference import COLD_IMAGES, build
-
-    from repro.gadgets.extract import _needs_dfs
-    from repro.isa.encoding import DecodeError, decode
 
     for key in COLD_IMAGES:
         text = build(key).image.text
         graph = DecodeGraph(text.data, text.addr)
-        decoded = {}
-
-        def memo_decode(code, offset, addr=0, _decoded=decoded):
-            if offset not in _decoded:
-                try:
-                    _decoded[offset] = decode(code, offset, addr=addr)
-                except DecodeError as exc:
-                    _decoded[offset] = exc
-            insn = _decoded[offset]
-            if isinstance(insn, DecodeError):
-                raise insn
-            return insn
-
-        monkeypatch.setattr(oracles, "decode", memo_decode)
+        monkeypatch.setattr(oracles, "decode", _memo_decode())
         offsets = range(len(text.data))
-        assert any(not _needs_dfs(graph.dist_to_transfer[o], 48) for o in offsets)
+        assert graph.scan_table(True, True, 48).bounded > 0
         for merge in (True, False):
             for conditional in (True, False):
                 config = ExtractionConfig(merge_direct_jumps=merge, include_conditional=conditional)
                 for off in offsets:
                     want = oracles.reference_scan(text.data, text.addr, off, config)
                     assert syntactic_scan(graph, off, config) == want, (key, off, merge, conditional)
+
+
+def test_candidates_and_cfi_targets_match_references_on_nflbench_images(monkeypatch):
+    """On the six nflbench extraction images and the two warm ones, the
+    candidate list (CFG recovery over the graph's shapes, then the scan
+    table) equals the per-offset decode walk over the reference CFG's
+    probes, in order, under both scan budgets below; and the CFI target
+    sets equal those read off the reference CFG's instructions."""
+    import repro.fuzz.oracles as oracles
+    from nflbench.reference import CENSUS_IMAGES, COLD_IMAGES, WARM_IMAGES, build
+    from repro.defenses.cfi import CFITargets
+
+    for key in COLD_IMAGES + CENSUS_IMAGES + WARM_IMAGES:
+        image = build(key).image
+        monkeypatch.setattr(oracles, "decode", _memo_decode())
+        graph = DecodeGraph(image.text.data, image.text.addr)
+        for steps in (8, 48):
+            config = ExtractionConfig(max_scan_steps=steps)
+            want = oracles.reference_candidates(image, config)
+            assert candidate_offsets(image, config, graph) == want, (key, steps)
+        entries, blocks = oracles.reference_cfg(image)
+        insns = [insn for block, _ in blocks.values() for insn in block]
+        return_sites = {i.end for i in insns if i.op in (Op.CALL_REL, Op.CALL_R)}
+        assert CFITargets.build(image) == CFITargets(
+            aligned=frozenset({i.addr for i in insns} | return_sites | entries),
+            return_sites=frozenset(return_sites),
+            entries=frozenset(entries),
+        ), key
 
 
 def test_zero_candidate_cap_yields_no_candidates():
@@ -249,9 +282,11 @@ def test_candidates_span_counts_bounded_probes():
     (sp,) = tracer.roots
     assert sp.name == "extract.candidates"
     assert sp.counters["candidates"] == len(candidates)
-    # Only the pop needs a walk: the ret is a transfer, and neither the
-    # nop nor the hlt reaches one.
+    # The distance table decides the ret (a transfer) and the nop and
+    # hlt (no transfer reachable); the pop, whose one successor is the
+    # ret, is derived from it, so nothing needs a walk.
     assert sp.counters["bounded"] == len(image.text.data) - 1 == 3
+    assert sp.counters["walked"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -596,11 +596,15 @@ def test_trace_covers_pipeline_in_one_process():
     assert symex_run["counters"]["candidates"] == es.symex_invocations > 0
     assert buckets_run["counters"]["survivors"] == ss.output_count > 0
     assert not [s["name"] for s in spans if "shard" in s["counters"]]
-    # The candidate scan counts the probes its distance table decided,
-    # and `nfl trace` prints the count.
+    # The candidate scan counts the offsets its distance table and its
+    # DFS decided, and `nfl trace` prints both counts.
     (cand,) = [s for s in spans if s["name"] == "extract.candidates"]
-    assert 0 < cand["counters"]["bounded"] <= len(image.text.data)
-    assert f"bounded={cand['counters']['bounded']}" in format_trace_summary(lines)
+    counters = cand["counters"]
+    assert 0 < counters["bounded"] and 0 < counters["walked"]
+    assert counters["bounded"] + counters["walked"] <= len(image.text.data)
+    summary = format_trace_summary(lines)
+    assert f"bounded={counters['bounded']}" in summary
+    assert f"walked={counters['walked']}" in summary
     # The stats fields are span-derived: the trace and the summary agree.
     extract_root = next(s for s in spans if s["name"] == "extract")
     assert extract_root["wall"] == pytest.approx(es.wall_total, rel=0.05)
