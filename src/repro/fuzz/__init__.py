@@ -21,10 +21,11 @@ from .corpus import (
     replay_corpus,
     save_case,
 )
-from .gen import gen_bytes, gen_chain_tail, gen_program, gen_window, relayout, spec_of
+from .gen import gen_asm, gen_bytes, gen_chain_tail, gen_program, gen_window, relayout, spec_of
 from .oracles import (
     Case,
     Inconclusive,
+    check_asm,
     check_obfuscation,
     check_plan_search,
     check_planner,
@@ -54,6 +55,7 @@ __all__ = [
     "load_corpus",
     "replay_corpus",
     "save_case",
+    "gen_asm",
     "gen_bytes",
     "gen_chain_tail",
     "gen_program",
@@ -62,6 +64,7 @@ __all__ = [
     "spec_of",
     "Case",
     "Inconclusive",
+    "check_asm",
     "check_obfuscation",
     "check_plan_search",
     "check_planner",

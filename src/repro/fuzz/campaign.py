@@ -8,7 +8,7 @@ paths, no ordering races on stdout).  Every drawn case is checked
 through :func:`~repro.fuzz.oracles.run_case`, the same dispatcher that
 corpus replay and the shrinker use.
 
-Cheap oracles (round-trip, emulator-vs-symex, scan, memory) run every
+Cheap oracles (round-trip, emulator-vs-symex, scan, memory, asm) run every
 iteration; expensive ones (winnow, planner, obfuscation) run on fixed
 sparse schedules so ``--iters 200`` stays within a CI smoke budget.
 When the caller restricts ``--oracle``, the schedule collapses to
@@ -32,6 +32,7 @@ from ..isa.instructions import COND_JUMPS, Instruction, Op
 from ..obs import metrics, span
 from .corpus import save_case
 from .gen import (
+    gen_asm,
     gen_bytes,
     gen_chain_tail,
     gen_formula,
@@ -224,6 +225,12 @@ def _draw_blocks(seed: int, i: int) -> Case:
     )
 
 
+def _draw_asm(seed: int, i: int) -> Case:
+    source, base, extern = gen_asm(_rng(seed, i, "asm"))
+    configs = tuple(f"{name}={value:#x}" for name, value in extern.items())
+    return Case(oracle="asm", kind="asm", source=source, offset=base, configs=configs)
+
+
 #: Oracle name → (period, phase, draw): on iterations with
 #: ``i % period == phase`` the campaign checks ``draw(seed, i)``.
 #: Adding an oracle takes a check function, its ``run_case`` branch
@@ -242,6 +249,7 @@ ORACLES: Dict[str, Tuple[int, int, Callable[[int, int], Case]]] = {
     "scan": (1, 0, _draw_scan),
     "memory": (1, 0, _draw_memory),
     "blocks": (2, 0, _draw_blocks),
+    "asm": (1, 0, _draw_asm),
 }
 
 ORACLE_NAMES = tuple(ORACLES)

@@ -1,6 +1,6 @@
 """Seeded input generators for the differential fuzzer.
 
-Five families:
+Six families:
 
 * :func:`gen_program` — well-formed mini-C programs whose only output
   is a self-checksum ``print``, suitable for cross-config equivalence;
@@ -13,7 +13,9 @@ Five families:
 * :func:`gen_formula` — small bit-vector conjunctions shaped to meet
   the solver's word-level refutation rules;
 * :func:`gen_memory_ops` — ``Memory`` call sequences biased to page
-  edges and permission changes.
+  edges and permission changes;
+* :func:`gen_asm` — assembly source over every op and directive, with
+  labels, comments, repeated statements and malformed lines.
 
 Everything is driven by an explicit ``random.Random`` so a campaign
 iteration is reproducible from ``(seed, iteration, oracle)`` alone.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..binfmt.image import DATA_BASE, TEXT_BASE
 from ..emulator.memory import PAGE_SIZE
@@ -388,3 +390,161 @@ def gen_memory_ops(rng: random.Random, count: int = 48) -> List[MemoryOp]:
         else:
             ops.append((call, addr()))
     return ops
+
+
+#: Labels an assembly draw may define and reference (every label
+#: character class), and the ones it pre-defines, as a linker passes
+#: data symbols.
+_ASM_LABELS = ("start", "loop", ".L1", "$tail", "fn_x2", "_data")
+_ASM_EXTERN = ("ext_buf", "ext_data")
+_ASM_BASES = (0, 0x1000, TEXT_BASE)
+#: Every op's operand shapes, under its mnemonic: ``pop`` is POP1's
+#: (no statement assembles to the legacy two-byte POP_R).
+_ASM_OPS = [op for op in OP_TABLE if op is not Op.POP_R]
+_ASM_MNEMONICS = {Op.MOV_RI32: "mov32"}
+#: Statements that cannot assemble: a missing or extra operand, a bad
+#: register, literal, directive or string, a value out of its field's
+#: range, a register or immediate where memory belongs, and an
+#: undefined label.
+_ASM_MALFORMED = (
+    "pop",
+    "push",
+    "mov rax",
+    "jmp rax, rbx",
+    "mov [rax], 5",
+    "frob rax",
+    "mov rax, [rzz+8]",
+    "mov rax, [rbx+zz]",
+    "mov32 rax, 0x80000000",
+    "shl rax, 300",
+    "add rax, -0x80000001",
+    "lea rax, rbx",
+    "add rax, [rbx]",
+    "jmp [rax+0x100000000]",
+    "inc ext_buf",
+    "jmp nowhere",
+    ".asciz abc",
+    '.asciz "\\u0100"',
+    ".quad zz",
+    ".bogus 1",
+)
+#: Pieces of an ``.asciz`` body: comment characters and escapes too.
+_ASM_STRING_PIECES = ("a", "Z", " ", ";", "#", ":", ",", "\\n", '\\"', "\\\\", "\\x41", "'")
+_ASM_DISPS = (0, 1, 8, 0x7F, 0x7FFFFFFF)
+
+
+def _asm_int(rng: random.Random, value: int) -> str:
+    sign = "-" if value < 0 else ""
+    return f"{sign}{abs(value):#x}" if rng.random() < 0.5 else str(value)
+
+
+def _asm_reg(rng: random.Random) -> str:
+    name = rng.choice(list(Reg)).name.lower()
+    return name.upper() if rng.random() < 0.1 else name
+
+
+def _asm_mem(rng: random.Random) -> str:
+    base = rng.choice(list(Reg)).name.lower()
+    if rng.random() < 0.25:
+        return f"[{base}]"
+    disp = rng.choice(_ASM_DISPS) if rng.random() < 0.5 else rng.randrange(1 << 12)
+    sign = rng.choice("+-")
+    gap = " " if rng.random() < 0.3 else ""
+    return f"[{base}{gap}{sign}{gap}{_asm_int(rng, disp)}]"
+
+
+def _asm_statement(rng: random.Random, labels: List[str], base: int) -> str:
+    """One well-formed instruction or directive."""
+    if rng.random() < 0.15:
+        kind = rng.choice((".quad", ".byte", ".zero", ".asciz"))
+        count = rng.randrange(1, 4)
+        if kind == ".quad":
+            wide = (rng.getrandbits(64), -rng.randrange(1 << 40), 0)
+            values = [rng.choice(wide) for _ in range(count)]
+            return ".quad " + ", ".join(_asm_int(rng, v) for v in values)
+        if kind == ".byte":
+            values = [rng.randrange(-128, 256) for _ in range(count)]
+            return ".byte " + ", ".join(_asm_int(rng, v) for v in values)
+        if kind == ".zero":
+            return f".zero {rng.randrange(0, 12)}"
+        body = "".join(rng.choice(_ASM_STRING_PIECES) for _ in range(rng.randrange(0, 8)))
+        return f'.asciz "{body}"'
+    op = rng.choice(_ASM_OPS)
+    info = OP_TABLE[op]
+    mnemonic = _ASM_MNEMONICS.get(op, info.mnemonic)
+    layout = info.layout
+
+    def imm(bits: int) -> str:
+        if bits >= 32 and rng.random() < 0.3:
+            return rng.choice(labels)
+        if bits == 8:
+            return _asm_int(rng, rng.randrange(256))
+        if bits == 32:
+            return _asm_int(rng, rng.choice((-(1 << 31), (1 << 31) - 1, rng.randrange(-999, 999))))
+        return _asm_int(rng, rng.choice((rng.getrandbits(64), -rng.randrange(1 << 20), 7)))
+
+    if layout is OperandLayout.NONE:
+        return mnemonic
+    if layout in (OperandLayout.REG, OperandLayout.REG_IN_OPCODE):
+        return f"{mnemonic} {_asm_reg(rng)}"
+    if layout is OperandLayout.REG_REG:
+        return f"{mnemonic} {_asm_reg(rng)}, {_asm_reg(rng)}"
+    if layout is OperandLayout.REG_IMM64:
+        return f"{mnemonic} {_asm_reg(rng)}, {imm(64)}"
+    if layout is OperandLayout.REG_IMM32:
+        return f"{mnemonic} {_asm_reg(rng)}, {imm(32)}"
+    if layout is OperandLayout.REG_IMM8:
+        return f"{mnemonic} {_asm_reg(rng)}, {imm(8)}"
+    if layout is OperandLayout.REG_MEM:
+        return f"{mnemonic} {_asm_reg(rng)}, {_asm_mem(rng)}"
+    if layout is OperandLayout.MEM_REG:
+        return f"{mnemonic} {_asm_mem(rng)}, {_asm_reg(rng)}"
+    if layout is OperandLayout.IMM64:
+        return f"{mnemonic} {imm(64)}"
+    if layout is OperandLayout.MEM:
+        return f"{mnemonic} {_asm_mem(rng)}"
+    # REL32: a label, or an absolute target near the draw's code.
+    if rng.random() < 0.6:
+        return f"{mnemonic} {rng.choice(labels)}"
+    return f"{mnemonic} {_asm_int(rng, base + rng.randrange(-64, 256))}"
+
+
+def gen_asm(rng: random.Random) -> Tuple[str, int, Dict[str, int]]:
+    """Assembly source with its base address and pre-defined labels.
+
+    Labels are defined on their own line or before a statement (two at
+    a time, too) and referenced before and after their definition;
+    statements cover every op's operand shapes and every directive,
+    with comments, blank lines and mixed indentation.  About one
+    statement in seven repeats an earlier one's text at a new address,
+    and a draw makes malformed statements at a rate of 0, 0.1 or 0.2
+    (0.1 on average)."""
+    base = rng.choice(_ASM_BASES)
+    extern = {name: DATA_BASE + rng.randrange(0, 1 << 12, 8) for name in _ASM_EXTERN}
+    defined = rng.sample(_ASM_LABELS, rng.randrange(1, len(_ASM_LABELS) + 1))
+    referable = defined + list(extern)
+    bad_rate = rng.choice((0.0, 0.1, 0.2))
+    count = rng.randrange(6, 24)
+    sites: Dict[int, List[str]] = {}
+    for name in defined:
+        sites.setdefault(rng.randrange(count), []).append(name)
+    statements: List[str] = []
+    lines: List[str] = []
+    for k in range(count):
+        if rng.random() < bad_rate:
+            text = rng.choice(_ASM_MALFORMED + (f"{defined[0]}: nop",))
+        elif statements and rng.random() < 0.15:
+            text = rng.choice(statements)
+        else:
+            text = _asm_statement(rng, referable, base)
+        statements.append(text)
+        heads = [f"{name}:" for name in sites.get(k, ())]
+        if heads and rng.random() < 0.5:
+            lines.append(" ".join(heads))
+            heads = []
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "; a comment line", "   # another")))
+        indent = rng.choice(("", "    ", "\t"))
+        comment = rng.choice(("", "", "", "  ; note: x, [y]", " # n#2"))
+        lines.append(indent + " ".join(heads + [text]) + comment)
+    return "\n".join(lines) + "\n", base, extern

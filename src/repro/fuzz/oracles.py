@@ -82,6 +82,13 @@ The oracles:
     ``IntDomain``: the same exit status or exception, step count,
     ``rip``, registers, flags, pages, permissions, output and syscall
     events.
+``asm``
+    :func:`~repro.isa.assembler.assemble_unit`, which keeps each
+    statement text's bytes or pending form in a process-wide memo,
+    returns what :func:`reference_assemble` does, which parses and
+    builds every statement afresh: the same code, labels and
+    instructions, cold and warm, or an :class:`AssemblyError` naming
+    the same line.
 """
 
 from __future__ import annotations
@@ -89,6 +96,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import re
 import struct
 from dataclasses import dataclass, replace
 from hashlib import blake2b
@@ -111,9 +119,10 @@ from ..gadgets.extract import ExtractionConfig, extract_gadgets, syntactic_scan
 from ..gadgets.record import GadgetRecord
 from ..gadgets import subsumption
 from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, deduplicate_gadgets, fingerprint
+from ..isa.assembler import AssembledUnit, AssemblyError, assemble_unit
 from ..isa.encoding import DecodeError, decode, decode_window, encode
-from ..isa.instructions import COND_JUMPS, Instruction, Op, opcode_operands
-from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
+from ..isa.instructions import COND_JUMPS, OP_TABLE, Instruction, Op, OperandLayout, opcode_operands
+from ..isa.registers import ALL_REGS, MASK64, Flag, Reg, reg_by_name
 from ..isa.semantics import (
     CONSTANTS,
     JCC,
@@ -161,18 +170,22 @@ class Case:
     """One replayable fuzz case (what the corpus serializes)."""
 
     oracle: str
-    kind: str  # "window" | "image" | "program" | "formula" | "ops"
+    kind: str  # "window" | "image" | "program" | "formula" | "ops" | "asm"
     #: Code bytes; for a "formula" case, the indices of the conjuncts of
     #: ``gen_formula(Random(env_seed))`` it keeps, one byte each, and for
     #: an "ops" case those of ``gen_memory_ops(Random(env_seed))``.
     text: bytes = b""
+    #: Window start; for an "asm" case, the base address.
     offset: int = 0
     env_seed: int = 0
     #: Window length; for a "scan" case, the scan's ``max_scan_steps``,
     #: and for a "blocks" case, the emulators' ``step_limit``.
     max_insns: int = 8
     max_paths: int = 4
+    #: Program source; for an "asm" case, assembly text.
     source: str = ""
+    #: Build or policy configs; for an "asm" case, its pre-defined
+    #: labels as ``name=value``.
     configs: Tuple[str, ...] = ()
     note: str = ""
 
@@ -1616,6 +1629,336 @@ def check_blocks(case: Case, *, emulator_factory: EmulatorFactory = Emulator) ->
 
 
 # ---------------------------------------------------------------------------
+# the statement memo vs the two-pass assembler
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _RefMem:
+    base: Reg
+    disp: int
+
+
+@dataclass
+class _RefStatement:
+    """A parsed source statement awaiting label resolution."""
+
+    line_no: int
+    operands: List[object]
+    size: int
+    op: Optional[Op] = None
+    data: Optional[bytes] = None  # for directives
+
+
+_REF_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):$")
+_REF_MEM_RE = re.compile(r"^\[\s*([a-z0-9]+)\s*(?:([+-])\s*(\w+))?\s*\]$")
+
+# Mnemonics that map to a single opcode regardless of operand shapes.
+_REF_SIMPLE: Dict[str, Op] = {}
+for _op, _inf in OP_TABLE.items():
+    _REF_SIMPLE.setdefault(_inf.mnemonic, _op)
+for _amb in ("mov", "jmp", "call", "push"):
+    _REF_SIMPLE.pop(_amb, None)
+_REF_SIMPLE["pop"] = Op.POP1
+
+_REF_RR_OPS = {
+    "add": (Op.ADD_RR, Op.ADD_RI),
+    "sub": (Op.SUB_RR, Op.SUB_RI),
+    "and": (Op.AND_RR, Op.AND_RI),
+    "or": (Op.OR_RR, Op.OR_RI),
+    "xor": (Op.XOR_RR, Op.XOR_RI),
+    "cmp": (Op.CMP_RR, Op.CMP_RI),
+    "test": (Op.TEST_RR, Op.TEST_RI),
+}
+
+
+def _ref_code(raw: str) -> str:
+    """``raw`` before its first ``;`` or ``#`` outside a double-quoted
+    string, one character at a time."""
+    quoted = escaped = False
+    for index, ch in enumerate(raw):
+        if escaped:
+            escaped = False
+        elif quoted:
+            if ch == "\\":
+                escaped = True
+            elif ch == '"':
+                quoted = False
+        elif ch == '"':
+            quoted = True
+        elif ch in ";#":
+            return raw[:index]
+    return raw
+
+
+def _ref_int(token: str, line_no: int) -> int:
+    try:
+        return int(token, 0)
+    except ValueError:
+        raise AssemblyError(f"bad integer literal {token!r}", line_no) from None
+
+
+def _ref_operand(token: str, line_no: int):
+    token = token.strip()
+    mem = _REF_MEM_RE.match(token)
+    if mem:
+        base = reg_by_name(mem.group(1))
+        disp = 0
+        if mem.group(2):
+            disp = _ref_int(mem.group(3), line_no)
+            if mem.group(2) == "-":
+                disp = -disp
+        return _RefMem(base=base, disp=disp)
+    try:
+        return reg_by_name(token)
+    except ValueError:
+        pass
+    try:
+        return int(token, 0)
+    except ValueError:
+        return token  # a label reference
+
+
+def _ref_split_operands(rest: str) -> List[str]:
+    if not rest.strip():
+        return []
+    parts: List[str] = []
+    depth = 0
+    current = ""
+    for ch in rest:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append(current)
+            current = ""
+        else:
+            current += ch
+    parts.append(current)
+    return [p.strip() for p in parts]
+
+
+def _ref_select_op(mnemonic: str, operands: List, line_no: int) -> Op:
+    """Pick the opcode for a mnemonic based on its operand shapes."""
+
+    def is_reg(x) -> bool:
+        return isinstance(x, Reg)
+
+    def is_mem(x) -> bool:
+        return isinstance(x, _RefMem)
+
+    def is_immish(x) -> bool:
+        return isinstance(x, (int, str))
+
+    if mnemonic == "mov":
+        if len(operands) != 2:
+            raise AssemblyError("mov takes two operands", line_no)
+        a, b = operands
+        if is_reg(a) and is_reg(b):
+            return Op.MOV_RR
+        if is_reg(a) and is_immish(b):
+            return Op.MOV_RI
+        if is_reg(a) and is_mem(b):
+            return Op.LOAD
+        if is_mem(a) and is_reg(b):
+            return Op.STORE
+        raise AssemblyError("unsupported mov operand combination", line_no)
+    if mnemonic == "mov32":
+        return Op.MOV_RI32
+    if mnemonic in ("jmp", "call", "push"):
+        if len(operands) != 1:
+            raise AssemblyError(f"{mnemonic} takes one operand", line_no)
+        (a,) = operands
+        if mnemonic == "jmp":
+            return Op.JMP_R if is_reg(a) else Op.JMP_M if is_mem(a) else Op.JMP_REL
+        if mnemonic == "call":
+            return Op.CALL_R if is_reg(a) else Op.CALL_REL
+        return Op.PUSH_R if is_reg(a) else Op.PUSH_I
+    if mnemonic in _REF_RR_OPS:
+        if len(operands) != 2:
+            raise AssemblyError(f"{mnemonic} takes two operands", line_no)
+        rr, ri = _REF_RR_OPS[mnemonic]
+        return rr if is_reg(operands[1]) else ri
+    op = _REF_SIMPLE.get(mnemonic)
+    if op is None:
+        raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line_no)
+    return op
+
+
+def _ref_build(stmt: _RefStatement, labels: Dict[str, int], addr: int) -> Instruction:
+    """Second pass: resolve labels and build the final Instruction."""
+    op = stmt.op
+    assert op is not None
+    info = OP_TABLE[op]
+    layout = info.layout
+
+    def resolve(v) -> int:
+        if isinstance(v, int):
+            return v
+        if isinstance(v, str):
+            if v not in labels:
+                raise AssemblyError(f"undefined label {v!r}", stmt.line_no)
+            return labels[v]
+        raise AssemblyError(f"expected immediate or label, got {v!r}", stmt.line_no)
+
+    ops = stmt.operands
+    kwargs: dict = {"addr": addr}
+    if layout is OperandLayout.NONE:
+        pass
+    elif layout in (OperandLayout.REG, OperandLayout.REG_IN_OPCODE):
+        kwargs["dst"] = ops[0]
+    elif layout is OperandLayout.REG_REG:
+        kwargs["dst"], kwargs["src"] = ops[0], ops[1]
+    elif layout in (OperandLayout.REG_IMM64, OperandLayout.REG_IMM32, OperandLayout.REG_IMM8):
+        kwargs["dst"] = ops[0]
+        kwargs["imm"] = resolve(ops[1])
+    elif layout is OperandLayout.REG_MEM:
+        mem = ops[1]
+        kwargs["dst"], kwargs["base"], kwargs["disp"] = ops[0], mem.base, mem.disp
+    elif layout is OperandLayout.MEM_REG:
+        mem = ops[0]
+        kwargs["base"], kwargs["disp"], kwargs["src"] = mem.base, mem.disp, ops[1]
+    elif layout is OperandLayout.IMM64:
+        kwargs["imm"] = resolve(ops[0])
+    elif layout is OperandLayout.REL32:
+        kwargs["rel"] = resolve(ops[0]) - (addr + info.size)
+    elif layout is OperandLayout.MEM:
+        mem = ops[0]
+        kwargs["base"], kwargs["disp"] = mem.base, mem.disp
+    else:  # pragma: no cover - exhaustive
+        raise AssertionError(layout)
+    return Instruction(op=op, **kwargs)
+
+
+def _ref_directive(mnemonic: str, rest: str, line_no: int) -> bytes:
+    if mnemonic == ".quad":
+        values = [_ref_int(v.strip(), line_no) for v in rest.split(",")]
+        return b"".join(struct.pack("<Q", v & MASK64) for v in values)
+    if mnemonic == ".byte":
+        values = [_ref_int(v.strip(), line_no) for v in rest.split(",")]
+        return bytes(v & 0xFF for v in values)
+    if mnemonic == ".zero":
+        return b"\x00" * _ref_int(rest.strip(), line_no)
+    if mnemonic == ".asciz":
+        text = rest.strip()
+        if not (text.startswith('"') and text.endswith('"')):
+            raise AssemblyError(".asciz expects a double-quoted string", line_no)
+        body = text[1:-1].encode().decode("unicode_escape").encode("latin-1")
+        return body + b"\x00"
+    raise AssemblyError(f"unknown directive {mnemonic!r}", line_no)
+
+
+#: What a malformed statement may raise short of an AssemblyError in
+#: the reference; each becomes one naming its line.
+_REF_FAULTS = (ValueError, IndexError, AttributeError, TypeError, struct.error)
+
+
+def reference_assemble(
+    source: str, base_addr: int = 0, extra_labels: Optional[Dict[str, int]] = None
+) -> Tuple[bytes, Dict[str, int], List[Instruction]]:
+    """The two-pass assembler with no memo: every statement is parsed
+    with the per-character operand split and built as an
+    :class:`Instruction` on every call.  Returns ``(code, labels,
+    instructions)``; any fault in a statement raises an
+    :class:`AssemblyError` naming its line, the first pass's before the
+    second's."""
+    statements: List[_RefStatement] = []
+    labels: Dict[str, int] = dict(extra_labels or {})
+    addr = base_addr
+
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        line = _ref_code(raw).strip()
+        if not line:
+            continue
+        while True:
+            match = _REF_LABEL_RE.match(line.split(None, 1)[0]) if line else None
+            if match is None:
+                break
+            name = match.group(1)
+            if name in labels:
+                raise AssemblyError(f"duplicate label {name!r}", line_no)
+            labels[name] = addr
+            line = line.split(None, 1)[1].strip() if line != match.group(0) else ""
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        mnemonic = parts[0].lower()
+        rest = parts[1] if len(parts) > 1 else ""
+        try:
+            if mnemonic.startswith("."):
+                data = _ref_directive(mnemonic, rest, line_no)
+                statements.append(_RefStatement(line_no, [], len(data), data=data))
+                addr += len(data)
+                continue
+            operands = [_ref_operand(t, line_no) for t in _ref_split_operands(rest)]
+            op = _ref_select_op(mnemonic, operands, line_no)
+        except AssemblyError:
+            raise
+        except _REF_FAULTS as exc:
+            raise AssemblyError(str(exc), line_no) from None
+        size = OP_TABLE[op].size
+        statements.append(_RefStatement(line_no, operands, size, op=op))
+        addr += size
+
+    out = bytearray()
+    insns: List[Instruction] = []
+    addr = base_addr
+    for stmt in statements:
+        if stmt.data is not None:
+            out += stmt.data
+        else:
+            try:
+                insn = _ref_build(stmt, labels, addr)
+                out += encode(insn)
+            except AssemblyError:
+                raise
+            except _REF_FAULTS as exc:
+                raise AssemblyError(str(exc), stmt.line_no) from None
+            insns.append(insn)
+        addr += stmt.size
+    return bytes(out), labels, insns
+
+
+_LINE_RE = re.compile(r"line (\d+):")
+
+
+def asm_extra_labels(case: Case) -> Dict[str, int]:
+    """The pre-defined labels an "asm" case names (``name=value``)."""
+    return {name: int(value, 0) for name, value in (c.split("=", 1) for c in case.configs)}
+
+
+def _asm_outcome(assembler, source: str, base_addr: int, extra_labels: Dict[str, int]) -> Tuple:
+    try:
+        result = assembler(source, base_addr, extra_labels)
+    except AssemblyError as exc:
+        where = _LINE_RE.match(str(exc))
+        return ("error", int(where.group(1)) if where else None)
+    except Exception as exc:  # any other fault is a finding, reported as such
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(result, AssembledUnit):
+        result = (result.code, result.labels, result.instructions)
+    return ("ok", *result)
+
+
+def check_asm(source: str, base_addr: int, extra_labels: Dict[str, int]) -> List[str]:
+    """Assemble ``source`` twice with :func:`assemble_unit` (the second
+    time every statement is in the memo) and once with
+    :func:`reference_assemble`: the code, labels and instructions, or the
+    line an :class:`AssemblyError` names, must agree."""
+    want = _asm_outcome(reference_assemble, source, base_addr, extra_labels)
+    failures = []
+    for call in ("first", "second"):
+        got = _asm_outcome(assemble_unit, source, base_addr, extra_labels)
+        if got != want:
+            failures.append(
+                f"asm: {call} assemble_unit at {base_addr:#x} gave {got!r:.160}, "
+                f"the two-pass reference {want!r:.160}"
+            )
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # case dispatch (campaign, corpus replay and shrinker re-checks)
 # ---------------------------------------------------------------------------
 
@@ -1659,6 +2002,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_memory(memory_ops(case))
     if case.oracle == "blocks":
         return check_blocks(case, emulator_factory=emulator_factory)
+    if case.oracle == "asm":
+        return check_asm(case.source, case.offset, asm_extra_labels(case))
     raise ValueError(f"unknown oracle {case.oracle!r}")
 
 

@@ -11,7 +11,7 @@ only if the original oracle still fails on it):
 * **byte trim** — for raw-image oracles, delete chunks (then single
   bytes) ddmin-style.
 
-Programs shrink by dropping whole source lines.  The shrinker never
+Programs and assembly sources shrink by dropping whole source lines.  The shrinker never
 invents inputs: every accepted candidate failed the same oracle, so
 the final case is a true minimal-ish reproducer suitable for the
 regression corpus.
@@ -79,7 +79,7 @@ def shrink_case(
         # A formula case's bytes are conjunct indices, an ops case's
         # memory-op indices: dropping one drops a conjunct or an op.
         return _shrink_bytes(case, fails, budget)
-    if case.kind == "program":
+    if case.kind in ("program", "asm"):
         return _shrink_program(case, fails, budget)
     return case
 

@@ -1,15 +1,20 @@
 """Tests for the two-pass assembler and the disassembler."""
 
+import re
+
 import pytest
 
+from repro.fuzz.oracles import reference_assemble
 from repro.isa import (
     AssemblyError,
+    Instruction,
     Op,
     Reg,
     assemble,
     assemble_unit,
     decode_all,
     disassemble,
+    encode,
     format_listing,
 )
 
@@ -174,3 +179,106 @@ def test_format_listing_roundtrip_text():
     assert "mov rax, 0x3b" in listing
     assert "syscall" in listing
     assert "ret" in listing
+
+
+# ---------------------------------------------------------------------------
+# comments, malformed statements and the statement memo
+# ---------------------------------------------------------------------------
+
+
+def test_asciz_keeps_a_hash_inside_its_string():
+    assert assemble('.asciz "a#b"  # a comment') == b"a#b\x00"
+
+
+def test_asciz_keeps_a_semicolon_inside_its_string():
+    assert assemble('.asciz "a;b"  ; a comment') == b"a;b\x00"
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        ("pop", "pop takes one operand"),
+        ("mov rax, [rzz+8]", "unknown register name: 'rzz'"),
+        ("mov32 rax, 0x80000000", "imm32 out of range"),
+        ("shl rax, 300", "imm8 out of range"),
+    ],
+)
+def test_malformed_statement_names_its_line(statement, message):
+    with pytest.raises(AssemblyError, match=rf"^line 3: {re.escape(message)}"):
+        assemble(f"nop\nret\n{statement}\nnop")
+    with pytest.raises(ValueError):  # callers that catch ValueError still do
+        assemble(statement)
+
+
+def test_memo_resolves_labels_and_rel32_per_call():
+    """One text assembles to each call's own bytes, whatever an earlier
+    call at another address or with other labels left in the memo."""
+    source = "jmp ext\ncall ext\nmov rax, ext\n"
+    for base in (0, 0x400000):
+        for ext in (0x601000, 0x7000):
+            code = assemble_unit(source, base_addr=base, extra_labels={"ext": ext}).code
+            assert code == (
+                encode(Instruction(op=Op.JMP_REL, rel=ext - (base + 5)))
+                + encode(Instruction(op=Op.CALL_REL, rel=ext - (base + 10)))
+                + encode(Instruction(op=Op.MOV_RI, dst=Reg.RAX, imm=ext))
+            )
+
+
+def test_memo_keeps_no_failure():
+    with pytest.raises(AssemblyError, match="^line 1: "):
+        assemble("shl rax, 300")
+    with pytest.raises(AssemblyError, match="^line 4: "):
+        assemble("nop\n\nret\nshl rax, 300")
+    with pytest.raises(AssemblyError, match="^line 2: unknown register"):
+        assemble("nop\nmov rax, [rzz+8]")
+    with pytest.raises(AssemblyError, match="^line 3: unknown register"):
+        assemble("nop\nnop\nmov rax, [rzz+8]")
+
+
+def test_instructions_match_the_reference_assembler():
+    source = """
+    start: push rbp
+        mov rbp, rsp
+        mov rax, [rbp-8]
+        mov [rsp+16], rbx
+        .quad 7
+        mov rax, data
+        jmp start
+        jne 0x1010
+        mov rax, -1
+    data: .asciz "x;y"
+        call rax
+        ret
+    """
+    unit = assemble_unit(source, base_addr=0x1000)
+    code, labels, insns = reference_assemble(source, 0x1000)
+    assert unit.code == code and unit.labels == labels
+    assert unit.instructions == insns
+    assert [i.addr for i in unit.instructions] == [i.addr for i in insns]
+    assert insns[0].addr == 0x1000 and insns[-1].addr == labels["data"] + 4 + 2
+
+
+def test_cold_images_build_byte_identical_twice(monkeypatch):
+    from repro.bench.netperf import NETPERF_PROGRAM
+    from repro.bench.programs import BENCHMARK_SUITE
+    from repro.isa import assembler
+    from repro.obfuscation.pipeline import CONFIGS, build_program
+
+    programs = {**BENCHMARK_SUITE, NETPERF_PROGRAM.name: NETPERF_PROGRAM}
+    builds = [
+        ("binary_search", "none"),
+        ("netperf", "none"),
+        ("string_ops", "llvm_obf"),
+        ("bubble_sort", "tigress"),
+    ]
+
+    def images():
+        return [
+            build_program(programs[p].source, CONFIGS[c], seed=7).image.to_bytes()
+            for p, c in builds
+        ]
+
+    monkeypatch.setattr(assembler, "_MEMO", {})
+    cold = images()
+    assert assembler._MEMO
+    assert images() == cold

@@ -575,6 +575,29 @@ def test_blocks_oracle_catches_broken_block_dispatch(broken):
     assert any(run_case(case, emulator_factory=broken) for case in _blocks_draws(40))
 
 
+def _asm_draws(count: int):
+    draw = ORACLES["asm"][2]
+    return [draw(1, i) for i in range(count)]
+
+
+def test_asm_oracle_green_and_replayable():
+    for case in _asm_draws(60):
+        assert run_case(case_from_dict(case_to_dict(case))) == [], case.source
+
+
+def test_asm_oracle_catches_a_memo_that_caches_rel32_bytes(monkeypatch):
+    """A memo that keeps a rel32 statement's bytes, as if they did not
+    depend on its address, is caught, and the shrinker cuts the case to
+    a line or two."""
+    from repro.isa import assembler
+
+    monkeypatch.setattr(assembler, "_MEMO", {})
+    monkeypatch.setattr(assembler, "_REL32_OPS", frozenset())
+    failing = [case for case in _asm_draws(40) if run_case(case)]
+    assert failing and "the two-pass reference" in run_case(failing[0])[0]
+    assert len(shrink_case(failing[0]).source.splitlines()) <= 2
+
+
 def test_campaign_rejects_unknown_oracle():
     import pytest
 
