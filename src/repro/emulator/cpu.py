@@ -30,8 +30,11 @@ from ..isa.semantics import (
     IntDomain,
     Loc,
     Place,
+    RowSource,
     SourceDomain,
     Step,
+    compile_factory,
+    factory_text,
     flag_values,
 )
 from ..obs import span
@@ -356,10 +359,8 @@ _NAMESPACE: Dict[str, object] = {
 
 
 def _compile_factory(op: Op) -> Callable[[Instruction, int], Handler]:
-    source = factory_source(op)
-    namespace = dict(_NAMESPACE)
-    exec(compile(source, f"<handler {op.name}>", "exec"), namespace)
-    factory = _FACTORIES[op] = namespace["make"]
+    factory = compile_factory(factory_source(op), f"<handler {op.name}>", _NAMESPACE)
+    _FACTORIES[op] = factory
     return factory
 
 
@@ -376,36 +377,18 @@ def factory_source(op: Op) -> str:
         taken = JCC[op](SourceDomain, *(f"flags[{f}]" for f in ("ZF", "SF", "CF", "OF")))
         fields = {"target": "(insn.target or 0) & MASK64"}
         body = ["flags = emu.cpu.flags", f"return target if {taken} else end"]
-        return _factory_text(fields, body)
-    gen = _RowSource()
-    for step in SEMANTICS[op]:
-        gen.step(step)
-    return _factory_text(gen.fields, gen.prologue() + gen.lines + ["return end"])
+        return factory_text("insn, end", "emu", fields, body)
+    gen = _RowSource().row(op)
+    return factory_text("insn, end", "emu", gen.fields, gen.prologue() + gen.lines + ["return end"])
 
 
-def _factory_text(fields: Dict[str, str], body: List[str]) -> str:
-    lines = ["def make(insn, end):"]
-    lines += [f"    {name} = {value}" for name, value in fields.items()]
-    lines.append("    def handler(emu):")
-    lines += [f"        {line}" for line in body]
-    lines.append("    return handler")
-    return "\n".join(lines) + "\n"
-
-
-class _RowSource:
-    """The statements of a semantics row's handler, step by step."""
+class _RowSource(RowSource):
+    """The emulator's emitters: a row over :class:`SourceDomain`, on
+    ``emu``'s registers, flags and memory."""
 
     def __init__(self) -> None:
-        self.lines: List[str] = []
-        #: The operands the handler closes over, with how the factory
-        #: reads each from ``insn``.
-        self.fields: Dict[str, str] = {}
+        super().__init__()
         self.state: List[str] = []  # of "regs", "flags", "mem"
-        self.temps = 0
-
-    def temp(self) -> str:
-        self.temps += 1
-        return f"t{self.temps - 1}"
 
     def prologue(self) -> List[str]:
         homes = {"regs": "emu.cpu.regs", "flags": "emu.cpu.flags", "mem": "emu.memory"}
@@ -487,29 +470,22 @@ class _RowSource:
                 f"    mem.write_u8(ea, {value})",
             ]
 
-    def step(self, step: Step) -> None:
-        """Every read, the divisor trap, the operation, the flags, then
-        every write, as :class:`Step` orders them."""
-        values = [self.read(place) for place in step.reads]
-        if step.traps:
-            self.use("addr")
-            self.lines += [
-                f"if not {values[1]}:",
-                "    raise DivideError('division by zero at %#x' % addr)",
-            ]
-        results = values
-        if step.fn is not None:
-            result = self.temp()
-            self.lines.append(f"{result} = {getattr(SourceDomain, step.fn)(*values)}")
-            results = [result]
-        if step.flags is not None:
-            self.use("flags")
-            zf, sf, cf, of = flag_values(SourceDomain, step.flags, results[0], *values)
-            self.lines += [f"flags[ZF] = {zf}", f"flags[SF] = {sf}", f"flags[OF] = {of}"]
-            if not step.keep_cf:
-                self.lines.append(f"flags[CF] = {cf}")
-        for place, value in zip(step.writes, results):
-            self.write(place, value)
+    def trap(self, divisor: str) -> None:
+        self.use("addr")
+        self.lines += [
+            f"if not {divisor}:",
+            "    raise DivideError('division by zero at %#x' % addr)",
+        ]
+
+    def apply(self, fn: str, values: List[str]) -> str:
+        return getattr(SourceDomain, fn)(*values)
+
+    def set_flags(self, step: Step, index: int, result: str, values: List[str]) -> None:
+        self.use("flags")
+        zf, sf, cf, of = flag_values(SourceDomain, step.flags, result, *values)
+        self.lines += [f"flags[ZF] = {zf}", f"flags[SF] = {sf}", f"flags[OF] = {of}"]
+        if not step.keep_cf:
+            self.lines.append(f"flags[CF] = {cf}")
 
 
 def run_image(image: BinaryImage, *, step_limit: int = 2_000_000) -> tuple[int, bytes]:

@@ -33,6 +33,7 @@ from .oracles import (
     check_roundtrip,
     check_scan,
     check_serialize,
+    check_symex,
     check_warm_cache,
     check_window,
     check_winnow,
@@ -72,6 +73,7 @@ __all__ = [
     "check_roundtrip",
     "check_scan",
     "check_serialize",
+    "check_symex",
     "check_warm_cache",
     "check_window",
     "check_winnow",

@@ -8,7 +8,7 @@ paths, no ordering races on stdout).  Every drawn case is checked
 through :func:`~repro.fuzz.oracles.run_case`, the same dispatcher that
 corpus replay and the shrinker use.
 
-Cheap oracles (round-trip, emulator-vs-symex, scan, memory, asm) run every
+Cheap oracles (round-trip, emulator-vs-symex, symex, scan, memory, asm) run every
 iteration; expensive ones (winnow, planner, obfuscation) run on fixed
 sparse schedules so ``--iters 200`` stays within a CI smoke budget.
 When the caller restricts ``--oracle``, the schedule collapses to
@@ -21,7 +21,7 @@ banked as permanent regression cases.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +29,7 @@ from ..emulator.cpu import Emulator
 from ..gadgets.extract import ExtractionConfig
 from ..isa.encoding import encode, encode_program
 from ..isa.instructions import COND_JUMPS, Instruction, Op
+from ..isa.registers import Reg
 from ..obs import metrics, span
 from .corpus import save_case
 from .gen import (
@@ -79,6 +80,44 @@ def _draw_emu_symex(seed: int, i: int) -> Case:
         text=text,
         offset=offset,
         env_seed=rng.randrange(1 << 16),
+    )
+
+
+#: What the symex oracle's focused draws build bodies from: the stack
+#: ops, word and byte loads and stores, and inc/dec (twice over, so
+#: runs of them keep lazy CF keepers waiting), with flag setters.
+_SYMEX_FOCUS = [
+    Op.PUSH_R, Op.PUSH_I, Op.POP_R, Op.POP1, Op.LEAVE, Op.XCHG, Op.LOAD, Op.STORE,
+    Op.LOADB, Op.STOREB, Op.INC_R, Op.DEC_R, Op.INC_R, Op.DEC_R, Op.CMP_RR, Op.SUB_RI,
+]
+_GP_BASES = (Reg.RAX, Reg.RBX, Reg.RCX, Reg.RSI)
+
+
+def _draw_symex(seed: int, i: int) -> Case:
+    """Raw bytes one draw in three, else a window whose body is drawn
+    from every row or, one draw in three, from :data:`_SYMEX_FOCUS`;
+    half of its stack-slot memory operands move off ``rsp``, so loads
+    and stores go wild."""
+    rng = _rng(seed, i, "symex")
+    if i % 3 == 2:
+        text = gen_bytes(rng, 40)
+        offset = rng.randrange(0, len(text) - 4)
+    else:
+        window = gen_window(rng, 8, _SYMEX_FOCUS) if i % 3 == 1 else gen_window(rng, 8)
+        insns = [
+            replace(insn, base=rng.choice(_GP_BASES))
+            if insn.base is Reg.RSP and rng.random() < 0.5
+            else insn
+            for insn in window
+        ]
+        text, offset = encode_program(insns), 0
+    return Case(
+        oracle="symex",
+        kind="window",
+        text=text,
+        offset=offset,
+        max_insns=rng.choice((8, 16)),
+        max_paths=8,
     )
 
 
@@ -238,6 +277,7 @@ def _draw_asm(seed: int, i: int) -> Case:
 ORACLES: Dict[str, Tuple[int, int, Callable[[int, int], Case]]] = {
     "roundtrip": (1, 0, _draw_roundtrip),
     "emu_symex": (1, 0, _draw_emu_symex),
+    "symex": (1, 0, _draw_symex),
     "prefilter": (5, 2, _draw_prefilter),
     "winnow": (10, 3, _draw_winnow),
     "serialize": (10, 3, _draw_serialize),

@@ -109,10 +109,10 @@ def relayout(spec: WindowSpec, base: int = TEXT_BASE) -> List[Instruction]:
     return out
 
 
-def _gen_body_insn(rng: random.Random) -> Instruction:
-    """One non-branch body instruction: any row of the semantics table,
-    with operands in the forms gadget windows meet."""
-    op = rng.choice(_BODY_OPS)
+def _gen_body_insn(rng: random.Random, ops: List[Op] = _BODY_OPS) -> Instruction:
+    """One non-branch body instruction: a row of the semantics table
+    (any, by default), with operands in the forms gadget windows meet."""
+    op = rng.choice(ops)
     layout = OP_TABLE[op].layout
     r, s = rng.choice(_GP_REGS), rng.choice(_GP_REGS)
     if layout is OperandLayout.REG_IMM64:
@@ -152,12 +152,15 @@ def _frame_pointer(rng: random.Random) -> Instruction:
     return Instruction(op=Op.LEA, dst=Reg.RBP, base=Reg.RSP, disp=rng.randrange(0, 8) * 8)
 
 
-def gen_window(rng: random.Random, max_body: int = 6) -> List[Instruction]:
-    """A laid-out instruction window ending in an indirect transfer."""
+def gen_window(
+    rng: random.Random, max_body: int = 6, ops: List[Op] = _BODY_OPS
+) -> List[Instruction]:
+    """A laid-out instruction window ending in an indirect transfer,
+    its body drawn from ``ops``."""
     n = rng.randrange(0, max_body + 1)
     spec: WindowSpec = []
     for _ in range(n):
-        insn = _gen_body_insn(rng)
+        insn = _gen_body_insn(rng, ops)
         if insn.op is Op.LEAVE and rng.random() < _LEAVE_FRAME_ODDS:
             spec.append((_frame_pointer(rng), None))
         spec.append((insn, None))
@@ -404,13 +407,23 @@ _ASM_OPS = [op for op in OP_TABLE if op is not Op.POP_R]
 _ASM_MNEMONICS = {Op.MOV_RI32: "mov32"}
 #: Statements that cannot assemble: a missing or extra operand, a bad
 #: register, literal, directive or string, a value out of its field's
-#: range, a register or immediate where memory belongs, and an
-#: undefined label.
+#: range, a register or immediate where memory belongs, a register
+#: where an immediate belongs and a number where a register does, and
+#: an undefined label.
 _ASM_MALFORMED = (
     "pop",
     "push",
     "mov rax",
     "jmp rax, rbx",
+    "pop rax, rbx",
+    "ret rax",
+    "nop 0",
+    "shl rax, rcx",
+    "mov32 rax, rbx",
+    "push 1, 2",
+    "jne rax",
+    "inc 5",
+    "xchg rax, 3",
     "mov [rax], 5",
     "frob rax",
     "mov rax, [rzz+8]",
@@ -532,7 +545,7 @@ def gen_asm(rng: random.Random) -> Tuple[str, int, Dict[str, int]]:
     lines: List[str] = []
     for k in range(count):
         if rng.random() < bad_rate:
-            text = rng.choice(_ASM_MALFORMED + (f"{defined[0]}: nop",))
+            text = rng.choice(_ASM_MALFORMED + (f"{defined[0]}: nop", f"jne {defined[0]}, 8"))
         elif statements and rng.random() < 0.15:
             text = rng.choice(statements)
         else:

@@ -82,6 +82,17 @@ The oracles:
     ``IntDomain``: the same exit status or exception, step count,
     ``rip``, registers, flags, pages, permissions, output and syscall
     events.
+``symex``
+    :class:`~repro.symex.executor.SymbolicExecutor`, which runs each
+    data instruction as a handler generated from its semantics row and
+    keeps them on the decode graph, returns what
+    :class:`ReferenceSymbolicExecutor` does, which interprets each row
+    step by step over the expression builders: on a cold and a warm
+    entry table, every path's instructions, end, target, counts,
+    registers, constraints, memory effects, stack tables, wild-read
+    counter, flags (provenance and forced bits) and the executors'
+    counters are equal, and the two runs share no expression object
+    that two reference runs do not.
 ``asm``
     :func:`~repro.isa.assembler.assemble_unit`, which keeps each
     statement text's bytes or pending form in a process-wide memo,
@@ -98,7 +109,7 @@ import itertools
 import random
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from hashlib import blake2b
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -152,10 +163,22 @@ from ..planner.search import PlannerConfig, SearchStats, _seed_plans, search_pla
 from ..solver.bitblast import BitBlaster
 from ..solver.sat import SATBudgetExceeded, SATSolver
 from ..solver.solver import Solver, SolverResult, Status, _query_digest
-from ..symex.executor import EndKind, SymbolicExecutor
-from ..symex.expr import Bool, eval_bool, eval_bv, expr_size
-from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
-from ..staticanalysis.decode_graph import shared_decode_graph
+from ..symex.executor import EndKind, PathSummary, SymbolicExecutor, _dead, _done, _Pending
+from ..symex import expr
+from ..symex.expr import (
+    BV,
+    Bool,
+    BoolConst,
+    bool_not,
+    bv_add,
+    bv_const,
+    bv_sub,
+    eval_bool,
+    eval_bv,
+    expr_size,
+)
+from ..symex.state import FLAG_SYM_PREFIX, SymState, reg_sym, stack_sym_offset
+from ..staticanalysis.decode_graph import DecodeGraph, shared_decode_graph
 from .gen import MemoryOp, gen_formula, gen_memory_ops
 
 EmulatorFactory = Callable[..., Emulator]
@@ -410,6 +433,204 @@ def check_window(
     got = {f"post-flag {f.value}": v for f, v in zip(_FLAG_ORDER, live_flags)}
     got.update({op.name.lower(): taken(IntDomain, *live_flags) for op, taken in JCC.items()})
     failures += [f"{k}: emulator {got[k]} != symex {v}" for k, v in expect.items() if got[k] != v]
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# generated symbolic handlers vs the row interpreter
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSymbolicExecutor(SymbolicExecutor):
+    """:class:`SymbolicExecutor` that reads each instruction from the
+    graph on every step, dispatches control ops one by one and runs a
+    data op's semantics row step by step over the expression builders:
+    no entry table, no generated handler.  The reference for the
+    executor's generated handlers."""
+
+    def _run_path(self, pending: _Pending, work: List[_Pending]) -> PathSummary:
+        state = pending.state
+        addr = pending.addr
+        insns = pending.insns
+        merged = pending.merged
+        conds = pending.conds
+        decode_addr = self.graph.decode_addr
+        while len(insns) < self.max_insns:
+            insn = decode_addr(addr)
+            if insn is None:
+                start = pending.addr if not insns else insns[0].addr
+                return _dead(start, insns, state, merged, conds)
+            insns = insns + [insn]
+            self.insns_executed += 1
+            op = insn.op
+
+            if op == Op.RET:
+                return _done(insns, state, EndKind.RET, _ref_pop(state), merged, conds)
+            if op == Op.JMP_R:
+                return _done(insns, state, EndKind.JMP_REG, state.get(insn.dst), merged, conds)
+            if op == Op.JMP_M:
+                target = _ref_read(state, insn, Loc.MEM)
+                return _done(insns, state, EndKind.JMP_MEM, target, merged, conds)
+            if op == Op.CALL_R:
+                _ref_push(state, bv_const(insn.end))
+                return _done(insns, state, EndKind.CALL_REG, state.get(insn.dst), merged, conds)
+            if op == Op.SYSCALL:
+                return _done(insns, state, EndKind.SYSCALL, bv_const(insn.end), merged, conds)
+            if op == Op.HLT:
+                return _dead(insns[0].addr, insns, state, merged, conds)
+            if op == Op.JMP_REL:
+                merged += 1
+                addr = insn.target
+                continue
+            if op == Op.CALL_REL:
+                _ref_push(state, bv_const(insn.end))
+                merged += 1
+                addr = insn.target
+                continue
+            if insn.is_cond_jump():
+                condition = state.flags.condition(op)
+                if isinstance(condition, BoolConst):
+                    addr = insn.target if condition.value else insn.end
+                    continue
+                taken = state.clone()
+                taken.add_constraint(condition)
+                work.append(_Pending(insn.target, taken, list(insns), merged, conds + 1))
+                state.add_constraint(bool_not(condition))
+                conds += 1
+                addr = insn.end
+                continue
+
+            _ref_execute_straightline(state, insn)
+            addr = insn.end
+        return _dead(insns[0].addr if insns else pending.addr, insns, state, merged, conds)
+
+
+def _ref_push(state: SymState, value: BV) -> None:
+    new_rsp = bv_sub(state.get(Reg.RSP), bv_const(8))
+    state.set(Reg.RSP, new_rsp)
+    state.store(new_rsp, value, 8)
+
+
+def _ref_pop(state: SymState) -> BV:
+    rsp = state.get(Reg.RSP)
+    value = state.load(rsp, 8)
+    state.set(Reg.RSP, bv_add(rsp, bv_const(8)))
+    return value
+
+
+def _ref_execute_straightline(state: SymState, insn: Instruction) -> None:
+    """Run ``insn``'s semantics row with the expression builders."""
+    for step in SEMANTICS[insn.op]:
+        values = [_ref_read(state, insn, loc) for loc in step.reads]
+        results = values if step.fn is None else [getattr(expr, step.fn)(*values)]
+        if step.flags is not None:
+            state.flags = state.flags.after(step, results[0], *values)
+        for loc, value in zip(step.writes, results):
+            _ref_write(state, insn, loc, value)
+
+
+def _ref_read(state: SymState, insn: Instruction, loc) -> BV:
+    reg = register(loc, insn)
+    if reg is not None:
+        return state.get(reg)
+    if loc in CONSTANTS:
+        return CONSTANTS[loc](expr, insn)
+    if loc is Loc.STACK:
+        return _ref_pop(state)
+    addr = bv_add(state.get(insn.base), bv_const(insn.disp))
+    if loc is Loc.EA:
+        return addr
+    return state.load(addr, WIDTHS[loc])
+
+
+def _ref_write(state: SymState, insn: Instruction, loc, value: BV) -> None:
+    reg = register(loc, insn)
+    if reg is not None:
+        state.set(reg, value)
+    elif loc is Loc.STACK:
+        _ref_push(state, value)
+    else:
+        state.store(_ref_read(state, insn, Loc.EA), value, WIDTHS[loc])
+
+
+def _path_shape(path: PathSummary) -> Tuple:
+    """Every fact of a path the oracle compares, as ``(name, value)``
+    pairs; reading the flag bits forces lazy flags."""
+    state, flags = path.state, path.state.flags
+    return (
+        ("insns", [insn.addr for insn in path.insns]),
+        ("end", path.end),
+        ("jump target", path.jump_target),
+        ("merged/conds", (path.merged_direct_jumps, path.conditional_jumps)),
+        ("registers", dict(state.regs)),
+        ("constraints", list(state.constraints)),
+        ("mem reads", list(state.mem_reads)),
+        ("mem writes", list(state.mem_writes)),
+        ("stack writes", dict(state._stack_writes)),
+        ("stack reads", dict(state._stack_reads)),
+        ("wild counter", state._wild_counter),
+        ("stack smashed", state.stack_smashed),
+        ("max stack offset read", state.max_stack_offset_read),
+        ("flags", (flags.kind, flags.a, flags.b, flags.cf_patched)),
+        ("flag bits", (flags.zf, flags.sf, flags.cf, flags.of)),
+    )
+
+
+def _expression_objects(value: object) -> Dict[int, object]:
+    """Every dataclass object (expression node or memory effect) that
+    ``value`` reaches, by identity."""
+    found: Dict[int, object] = {}
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif is_dataclass(item) and id(item) not in found:
+            found[id(item)] = item
+            stack.extend(getattr(item, f.name) for f in fields(item))
+    return found
+
+
+def _shared_objects(first: object, second: object) -> List[str]:
+    """The objects both ``first`` and ``second`` reach, as sorted text."""
+    mine, theirs = _expression_objects(first), _expression_objects(second)
+    return sorted(str(mine[key]) for key in mine.keys() & theirs.keys())
+
+
+def check_symex(text: bytes, offset: int, *, max_insns: int = 8, max_paths: int = 4) -> List[str]:
+    """Run the window at ``offset`` twice on one :class:`SymbolicExecutor`
+    (the second time on the entries the first made) and twice on a
+    :class:`ReferenceSymbolicExecutor`; every path's facts, the
+    counters, and the expression objects the two runs share must agree."""
+    addr = TEXT_BASE + offset
+    made = [
+        executor(DecodeGraph(text, TEXT_BASE), max_insns=max_insns, max_paths=max_paths)
+        for executor in (SymbolicExecutor, ReferenceSymbolicExecutor)
+    ]
+    runs = [[executor.execute_paths(addr) for _ in range(2)] for executor in made]
+    shapes = [[[_path_shape(path) for path in run] for run in pair] for pair in runs]
+    failures: List[str] = []
+    for call, got, want in zip(("cold", "warm"), *shapes):
+        if len(got) != len(want):
+            failures.append(f"symex: {call} run gave {len(got)} paths, the reference {len(want)}")
+        for k, (mine, theirs) in enumerate(zip(got, want)):
+            failures += [
+                f"symex: {call} path {k} {name} {a!r:.160} != reference {b!r:.160}"
+                for (name, a), (_, b) in zip(mine, theirs)
+                if a != b
+            ]
+    counts = [(e.insns_executed, e.paths_completed) for e in made]
+    if counts[0] != counts[1]:
+        failures.append(f"symex: (insns, paths) executed {counts[0]} != reference {counts[1]}")
+    shared = [_shared_objects(*pair) for pair in shapes]
+    if shared[0] != shared[1]:
+        extra = sorted(set(shared[0]) - set(shared[1]))
+        failures.append(
+            f"symex: the two runs share {len(shared[0])} objects, the reference's "
+            f"{len(shared[1])} (only here: {extra[:3]!r:.160})"
+        )
     return failures
 
 
@@ -1786,12 +2007,44 @@ def _ref_select_op(mnemonic: str, operands: List, line_no: int) -> Op:
     return op
 
 
+#: The operands each layout takes, in order: a register ``r``, an
+#: immediate or label ``i``, a memory operand ``m``.
+_REF_KINDS = {
+    OperandLayout.NONE: "",
+    OperandLayout.REG: "r",
+    OperandLayout.REG_IN_OPCODE: "r",
+    OperandLayout.REG_REG: "rr",
+    OperandLayout.REG_IMM64: "ri",
+    OperandLayout.REG_IMM32: "ri",
+    OperandLayout.REG_IMM8: "ri",
+    OperandLayout.REG_MEM: "rm",
+    OperandLayout.MEM_REG: "mr",
+    OperandLayout.IMM64: "i",
+    OperandLayout.REL32: "i",
+    OperandLayout.MEM: "m",
+}
+
+
+def _ref_kind(value) -> str:
+    if isinstance(value, Reg):  # before int: a Reg is an IntEnum
+        return "r"
+    if isinstance(value, _RefMem):
+        return "m"
+    return "i"
+
+
 def _ref_build(stmt: _RefStatement, labels: Dict[str, int], addr: int) -> Instruction:
-    """Second pass: resolve labels and build the final Instruction."""
+    """Second pass: check the operands' count and kinds, resolve labels
+    and build the final Instruction."""
     op = stmt.op
     assert op is not None
     info = OP_TABLE[op]
     layout = info.layout
+    kinds = "".join(_ref_kind(v) for v in stmt.operands)
+    if kinds != _REF_KINDS[layout]:
+        raise AssemblyError(
+            f"{info.mnemonic} takes operands {_REF_KINDS[layout]!r}, got {kinds!r}", stmt.line_no
+        )
 
     def resolve(v) -> int:
         if isinstance(v, int):
@@ -1979,6 +2232,10 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
             max_insns=case.max_insns,
             max_paths=case.max_paths,
             emulator_factory=emulator_factory,
+        )
+    if case.oracle == "symex":
+        return check_symex(
+            case.text, case.offset, max_insns=case.max_insns, max_paths=case.max_paths
         )
     if case.oracle == "prefilter":
         return check_prefilter(case.text, max_insns=case.max_insns, max_paths=case.max_paths)

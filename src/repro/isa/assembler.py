@@ -209,11 +209,13 @@ _REL32_FORM = struct.Struct("<Bi")
 def _build(
     op: Op, operands: Sequence[Operand], labels: Dict[str, int], addr: int
 ) -> Instruction:
-    """The Instruction a statement assembles to at ``addr``; extra
-    operands are ignored."""
+    """The Instruction a statement assembles to at ``addr``: each
+    operand of the kind its slot takes (``Reg`` is an ``IntEnum``, so
+    a register and a number are told apart by class), and no more or
+    fewer operands than the op's layout has."""
     slots = _OP_SLOTS[op]
     mnemonic = OP_TABLE[op].mnemonic
-    if len(operands) < len(slots):
+    if len(operands) != len(slots):
         raise AssemblyError(f"{mnemonic} takes {_COUNTS[len(slots)]}")
     fields: dict = {"addr": addr}
     for slot, value in zip(slots, operands):
@@ -228,12 +230,12 @@ def _build(
                 if value not in labels:
                     raise AssemblyError(f"undefined label {value!r}")
                 value = labels[value]
-            elif not isinstance(value, int):
-                raise AssemblyError(f"expected immediate or label, got {value!r}")
+            elif value.__class__ is not int:
+                raise AssemblyError(f"{mnemonic} expects an immediate or label, got {value}")
             if slot == "rel":
                 value -= addr + OP_TABLE[op].size
             fields[slot] = value
-        elif isinstance(value, int):
+        elif value.__class__ is Reg:
             fields[slot] = value
         else:
             raise AssemblyError(f"{mnemonic} expects a register, got {value!r}")
@@ -350,7 +352,7 @@ def assemble_unit(
 
     for index, line_no, (op, size, operands), at in pending:
         # Most are a jump or call to a label, packed here directly.
-        target = labels.get(operands[0]) if operands and op in _REL32_OPS else None
+        target = labels.get(operands[0]) if len(operands) == 1 and op in _REL32_OPS else None
         if target is not None and -(1 << 31) <= target - at - size < (1 << 31):
             pieces[index] = _REL32_FORM.pack(op, target - at - size)
             continue

@@ -11,8 +11,8 @@ The instruction set is small but deliberately shaped like x86-64:
 
 Each opcode carries static metadata (:class:`OpInfo`) describing its
 operand layout, which drives the encoder and decoder.  What each data
-opcode does is stated once in :mod:`repro.isa.semantics`, which both
-the emulator and the symbolic executor run.
+opcode does is stated once in :mod:`repro.isa.semantics`, from which
+both the emulator and the symbolic executor generate their handlers.
 """
 
 from __future__ import annotations

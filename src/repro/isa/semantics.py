@@ -6,11 +6,17 @@ it makes, in order.  A step's operation is the name of a function of a
 value domain.  There are three domains with the same names:
 :class:`IntDomain` (Python ints masked to 64 bits, bool flags);
 :class:`SourceDomain`, whose values are Python expressions computing
-IntDomain's values, from which the emulator compiles one handler per
-op; and the module :mod:`repro.symex.expr` (its expression builders),
-which the symbolic executor runs.  The flag rules (:func:`flag_values`)
-and the Jcc predicates (:data:`JCC`) are written once over a domain as
-well.
+IntDomain's values; and the module :mod:`repro.symex.expr` (its
+expression builders).  The flag rules (:func:`flag_values`) and the Jcc
+predicates (:data:`JCC`) are written once over a domain as well.
+
+Neither engine interprets a row.  Each compiles every op's row once
+into a handler factory: :class:`RowSource` walks the row step by step,
+and an engine's subclass emits the Python source of each read, write,
+operation and flag update.  The emulator's handlers compute over
+:class:`SourceDomain`; the symbolic executor's call the
+:mod:`repro.symex.expr` builders, the same builders on the same
+operands in the same order as the row states them.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .instructions import COND_JUMPS, Instruction, Op
 from .registers import MASK64, Reg, to_signed
@@ -233,3 +239,71 @@ class SourceDomain:
     bool_or = staticmethod(lambda a, b: f"({a} | {b})")
     bool_not = staticmethod(lambda a: f"(not {a})")
     bool_xor = staticmethod(lambda a, b: f"({a} != {b})")
+
+
+# -- handler factories generated from the rows --------------------------------
+
+
+class RowSource:
+    """The statements of a handler generated from a semantics row, and
+    the fields its factory binds from ``insn``.
+
+    :meth:`step` is the one walk of a row: every read, the divisor
+    trap, the operation, the flags, then every write, as :class:`Step`
+    orders them.  An engine's subclass supplies the emitters, which
+    append to :attr:`lines` and may add :attr:`fields`:
+    ``read(place)`` (returns the name holding the value),
+    ``write(place, value)``, ``trap(divisor)``, ``apply(fn, values)``
+    (returns the expression applying domain operation ``fn``) and
+    ``set_flags(step, index, result, values)`` (``step`` is the row's
+    ``index``-th).
+    """
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        #: The operands the handler closes over, with how the factory
+        #: reads each from ``insn``.
+        self.fields: Dict[str, str] = {}
+        self.temps = 0
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def row(self, op: Op) -> "RowSource":
+        """Emit every step of ``op``'s row; returns self."""
+        for index, step in enumerate(SEMANTICS[op]):
+            self.step(step, index)
+        return self
+
+    def step(self, step: Step, index: int) -> None:
+        values = [self.read(place) for place in step.reads]
+        if step.traps:
+            self.trap(values[1])
+        results = values
+        if step.fn is not None:
+            result = self.temp()
+            self.lines.append(f"{result} = {self.apply(step.fn, values)}")
+            results = [result]
+        if step.flags is not None:
+            self.set_flags(step, index, results[0], values)
+        for place, value in zip(step.writes, results):
+            self.write(place, value)
+
+
+def factory_text(params: str, handler_param: str, fields: Dict[str, str], body: List[str]) -> str:
+    """The source of ``make(params)``, which binds ``fields`` and returns
+    ``handler(handler_param)`` running ``body``."""
+    lines = [f"def make({params}):"]
+    lines += [f"    {name} = {value}" for name, value in fields.items()]
+    lines.append(f"    def handler({handler_param}):")
+    lines += [f"        {line}" for line in body]
+    lines.append("    return handler")
+    return "\n".join(lines) + "\n"
+
+
+def compile_factory(source: str, filename: str, namespace: Dict[str, Any]) -> Callable:
+    """The ``make`` that ``source`` defines, run in a copy of ``namespace``."""
+    namespace = dict(namespace)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]

@@ -133,6 +133,10 @@ class DecodeGraph:
         self._dist: Optional[List[int]] = None
         self._successors: Dict[Tuple[bool, bool], List[Optional[Tuple[int, ...]]]] = {}
         self._scans: Dict[Tuple[bool, bool, int], ScanTable] = {}
+        #: The symbolic executor's entry (the instruction with its
+        #: handler bound) per address it has run, kept here so entries
+        #: live exactly as long as the graph.
+        self.symex_entries: Dict[int, tuple] = {}
 
     # -- decoding ---------------------------------------------------------
 

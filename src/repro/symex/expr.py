@@ -17,7 +17,8 @@ Design notes:
 * Booleans are a separate sort (comparisons and connectives), as in
   SMT-LIB's QF_BV.
 * This module is the symbolic value domain of :mod:`repro.isa.semantics`:
-  the symbolic executor runs each instruction's row with these builders.
+  the symbolic executor's handlers, generated from each instruction's
+  row, call these builders.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ from ..isa.semantics import JCC, FlagRule, Step, flag_values
 from . import expr
 from .expr import (
     BV,
+    BVBin,
+    BVBinOp,
     BVConst,
     BVSym,
     Bool,
@@ -233,8 +235,6 @@ class MemWrite:
 
 def split_base_offset(addr: BV) -> Tuple[BV, int]:
     """Decompose ``addr`` as (base_expr, constant offset)."""
-    from .expr import BVBin, BVBinOp
-
     if isinstance(addr, BVBin) and addr.op is BVBinOp.ADD and isinstance(addr.rhs, BVConst):
         value = addr.rhs.value
         signed = value - (1 << 64) if value >> 63 else value

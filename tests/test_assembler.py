@@ -201,6 +201,13 @@ def test_asciz_keeps_a_semicolon_inside_its_string():
         ("mov rax, [rzz+8]", "unknown register name: 'rzz'"),
         ("mov32 rax, 0x80000000", "imm32 out of range"),
         ("shl rax, 300", "imm8 out of range"),
+        ("shl rax, rcx", "shl expects an immediate or label, got rcx"),
+        ("mov32 rax, rbx", "mov expects an immediate or label, got rbx"),
+        ("inc 5", "inc expects a register, got 5"),
+        ("xchg rax, 3", "xchg expects a register, got 3"),
+        ("ret rax", "ret takes no operands"),
+        ("pop rax, rbx", "pop takes one operand"),
+        ("jne 0x10, 8", "jne takes one operand"),
     ],
 )
 def test_malformed_statement_names_its_line(statement, message):

@@ -22,6 +22,7 @@ from repro.fuzz import (
     check_prefilter,
     check_roundtrip,
     check_scan,
+    check_symex,
     check_window,
     check_winnow,
     gen_bytes,
@@ -764,3 +765,37 @@ def test_case_json_roundtrip():
     assert back.note == "desc"
     # Absent fields take the Case defaults.
     assert case_from_dict({"oracle": "scan", "kind": "image"}) == Case(oracle="scan", kind="image")
+
+
+def test_symex_oracle_green_and_replayable():
+    from repro.fuzz.campaign import _draw_symex
+
+    for i in range(60):
+        case = _draw_symex(2, i)
+        assert run_case(case_from_dict(case_to_dict(case))) == [], i
+
+
+def test_symex_oracle_catches_a_hoisted_constant(monkeypatch):
+    """A handler factory that builds ``bv_const(imm)`` once per
+    instruction gives equal expressions, but shares one object between
+    runs; the oracle reports it, and the shrinker keeps it failing."""
+    from repro.symex import executor
+
+    real = executor.factory_source
+
+    def hoisted(op):
+        source = real(op)
+        return source.replace("    imm = insn.imm\n", "    imm = bv_const(insn.imm)\n").replace(
+            "bv_const(imm)\n", "imm\n"
+        )
+
+    monkeypatch.setattr(executor, "_FACTORIES", {})
+    monkeypatch.setattr(executor, "factory_source", hoisted)
+    text = assemble_unit("mov rax, 0x1234\nret", base_addr=0).code
+    failures = check_symex(text, 0)
+    assert failures == [
+        "symex: the two runs share 28 objects, the reference's 27 (only here: ['0x1234'])"
+    ]
+    case = Case(oracle="symex", kind="window", text=text)
+    assert run_case(case) == failures
+    assert window_insn_count(shrink_case(case)) <= 2

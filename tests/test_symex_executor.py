@@ -399,3 +399,73 @@ def test_property_symbolic_matches_concrete(seed, length):
         assert sym_val == emu.cpu.get(r), f"{r} diverged on seed={seed}"
     assert eval_bv(path.state.get(Reg.RSP), env) == emu.cpu.get(Reg.RSP)
     assert eval_bv(path.jump_target, env) == hlt_addr
+
+
+# ---------------------------------------------------------------------------
+# Generated handlers vs the row interpreter
+# ---------------------------------------------------------------------------
+
+
+def test_generated_executor_matches_the_interpreter_on_benchmark_images():
+    """On both census images and the four cold images, at the benchmark
+    extraction config, the generated executor counts the same
+    instructions and paths as the reference interpreter and its
+    records encode to the same extract pool."""
+    from nflbench.reference import CENSUS_IMAGES, COLD_IMAGES, build
+    from repro.bench import BENCH_EXTRACTION
+    from repro.fuzz.oracles import ReferenceSymbolicExecutor
+    from repro.gadgets.extract import make_executor, plan_candidates, run_candidates
+    from repro.pipeline import pool_to_bytes
+    from repro.staticanalysis.decode_graph import DecodeGraph
+    from repro.symex.executor import SymbolicExecutor
+
+    config = BENCH_EXTRACTION
+    for key in CENSUS_IMAGES + COLD_IMAGES:
+        image = build(key).image
+        graph, candidates = plan_candidates(image, config)
+        generated = make_executor(DecodeGraph(image.text.data, image.text.addr), config)
+        reference = ReferenceSymbolicExecutor(
+            graph, max_insns=generated.max_insns, max_paths=generated.max_paths
+        )
+        assert type(generated) is SymbolicExecutor
+        pools = [
+            pool_to_bytes(run_candidates(executor, candidates, config))
+            for executor in (generated, reference)
+        ]
+        assert pools[0] == pools[1], key
+        assert generated.insns_executed == reference.insns_executed > 0, key
+        assert generated.paths_completed == reference.paths_completed, key
+
+
+def test_entries_live_on_the_graph_and_run_again():
+    """An address keeps one entry, holding the graph's one instruction,
+    and a second run over the same windows reuses the entries."""
+    from repro.staticanalysis.decode_graph import DecodeGraph
+    from repro.symex.executor import SymbolicExecutor
+
+    code = assemble_unit("pop rax\nadd rax, 8\nxchg rax, rbx\nret", base_addr=0x400000).code
+    graph = DecodeGraph(code, 0x400000)
+    executor = SymbolicExecutor(graph)
+    (first,) = executor.execute_paths(0x400000)
+    entries = dict(graph.symex_entries)
+    assert sorted(entries) == [insn.addr for insn in first.insns]
+    assert all(entry[0] is graph.decode_addr(addr) for addr, entry in entries.items())
+    (second,) = executor.execute_paths(0x400000)
+    assert graph.symex_entries == entries
+    assert second.state.regs == first.state.regs
+    assert second.state.get(Reg.RBX) == bv_add(stack_sym(0), bv_const(8))
+    assert executor.insns_executed == 8 and executor.paths_completed == 2
+
+
+def test_constants_are_built_on_every_run():
+    """No expression object a handler builds is shared between runs:
+    each run of ``mov rax, imm`` builds its own constant."""
+    code = assemble_unit("mov rax, 0x1234\nlea rbx, [rcx+16]\nret", base_addr=0x400000).code
+    from repro.staticanalysis.decode_graph import DecodeGraph
+    from repro.symex.executor import SymbolicExecutor
+
+    executor = SymbolicExecutor(DecodeGraph(code, 0x400000))
+    (one,), (two,) = executor.execute_paths(0x400000), executor.execute_paths(0x400000)
+    for reg in (Reg.RAX, Reg.RBX):
+        assert one.state.get(reg) == two.state.get(reg)
+        assert one.state.get(reg) is not two.state.get(reg)
