@@ -21,7 +21,16 @@ from .corpus import (
     replay_corpus,
     save_case,
 )
-from .gen import gen_asm, gen_bytes, gen_chain_tail, gen_program, gen_window, relayout, spec_of
+from .gen import (
+    gen_asm,
+    gen_bytes,
+    gen_chain_tail,
+    gen_program,
+    gen_threat_tail,
+    gen_window,
+    relayout,
+    spec_of,
+)
 from .oracles import (
     Case,
     Inconclusive,
@@ -59,6 +68,7 @@ __all__ = [
     "gen_asm",
     "gen_bytes",
     "gen_chain_tail",
+    "gen_threat_tail",
     "gen_program",
     "gen_window",
     "relayout",

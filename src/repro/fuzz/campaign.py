@@ -40,6 +40,7 @@ from .gen import (
     gen_memory_ops,
     gen_program,
     gen_straight_code,
+    gen_threat_tail,
     gen_window,
 )
 from .oracles import Case, EmulatorFactory, run_case
@@ -151,7 +152,7 @@ def _draw_planner(seed: int, i: int) -> Case:
 def _draw_plan_search(seed: int, i: int) -> Case:
     rng = _rng(seed, i, "plan_search")
     text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
-    text += gen_chain_tail(rng)
+    text += gen_threat_tail(rng, rng.randrange(1, 4))
     return Case(oracle="plan_search", kind="image", text=text)
 
 

@@ -227,6 +227,41 @@ def gen_chain_tail(rng: random.Random) -> bytes:
     return encode_program([insn for head in heads for insn in (head, Instruction(op=Op.RET))])
 
 
+def gen_threat_tail(rng: random.Random, count: int) -> bytes:
+    """A chain tail rich in threats, each gadget ending in ``ret``:
+    ``syscall``; for each syscall-argument register ``pop r`` or, more
+    often, only ``mov r, s`` from another register (so a causal link
+    ends at a step other than the goal, and can be demoted); then
+    ``count`` gadgets that each pop one register and clobber another
+    (``mov``, ``xor`` or a second ``pop``, before or after the pop).
+    Each register gets several providers, most of which threaten a
+    link for another register, so a search must order steps to keep
+    its links safe."""
+    regs = (Reg.RAX, Reg.RDI, Reg.RSI, Reg.RDX)
+    bodies: List[List[Instruction]] = [[Instruction(op=Op.SYSCALL)]]
+    for reg in regs:
+        if rng.random() < 0.3:
+            bodies.append([Instruction(op=Op.POP1, dst=reg)])
+        else:
+            source = rng.choice([r for r in regs if r is not reg])
+            bodies.append([Instruction(op=Op.MOV_RR, dst=reg, src=source)])
+    rng.shuffle(bodies)
+    for _ in range(count):
+        popped, clobbered = rng.sample(regs, 2)
+        clobber = rng.choice(
+            (
+                Instruction(op=Op.MOV_RI32, dst=clobbered, imm=rng.randrange(0, 64)),
+                Instruction(op=Op.XOR_RR, dst=clobbered, src=clobbered),
+                Instruction(op=Op.POP1, dst=clobbered),
+            )
+        )
+        body = [Instruction(op=Op.POP1, dst=popped), clobber]
+        if rng.random() < 0.5:
+            body.reverse()
+        bodies.append(body)
+    return encode_program([insn for body in bodies for insn in body + [Instruction(op=Op.RET)]])
+
+
 def gen_bytes(rng: random.Random, size: int = 48) -> bytes:
     """A raw byte image: random bytes salted with real opcodes so the
     decoder sees plenty of near-valid encodings and alias opcodes."""

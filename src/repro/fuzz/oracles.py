@@ -43,9 +43,12 @@ The oracles:
     closure, threat checks of new pairs only, carried constraint load,
     the connector and provider drop rules) returns the same plans in the
     same order, after the same number of nodes, as
-    :func:`reference_search`, which recomputes all of them; every plan
-    it returns linearizes, and those of a reference that drops nothing
-    which linearize are an in-order prefix of its plans.
+    :func:`reference_search`, which recomputes all of them; at every
+    node either reference expands, the search's own expansion gives the
+    reference's successors, with sound closures, and leaves the plan
+    as it was; every plan it returns linearizes, and those of a
+    reference that drops nothing which linearize are an in-order prefix
+    of its plans.
 ``warm_cache``
     A planner run through one :class:`~repro.pipeline.ResultCache` —
     cold, warm, warm again and from the cache's in-process memo —
@@ -159,7 +162,14 @@ from ..planner.goals import find_bytes_in_image, resolve_goal, standard_goals
 from ..planner.library import ChainKind, GadgetLibrary, chain_kind
 from ..planner.payload import validate_payload
 from ..planner.plan import GOAL_STEP, CausalLink, OpenCondition, PartialPlan, Step
-from ..planner.search import PlannerConfig, SearchStats, _seed_plans, search_plans
+from ..planner.search import (
+    PlannerConfig,
+    SearchStats,
+    _expand,
+    _Provisions,
+    _seed_plans,
+    search_plans,
+)
 from ..solver.bitblast import BitBlaster
 from ..solver.sat import SATBudgetExceeded, SATSolver
 from ..solver.solver import Solver, SolverResult, Status, _query_digest
@@ -1389,13 +1399,15 @@ def reference_search(
     config: PlannerConfig,
     locator,
     pool: Optional[Sequence[GadgetRecord]] = None,
+    on_expand: Optional[Callable[[PartialPlan, List[PartialPlan]], None]] = None,
 ) -> Tuple[List[PartialPlan], int, bool]:
     """:func:`~repro.planner.search.search_plans` recomputing everything:
     no provision memo or offer list, reachability by DFS over the
     orderings, threats rescanned from the first link, the constraint
     load re-summed on every push, and the drop rules checked against
     ``pool`` (the library's records) on every push.  With no ``pool`` it
-    drops nothing.  Returns the complete plans, the nodes expanded and
+    drops nothing.  ``on_expand`` sees each plan expanded and its live
+    successors.  Returns the complete plans, the nodes expanded and
     whether the queue ran empty."""
     counter = itertools.count()
     queue: List = []
@@ -1416,7 +1428,10 @@ def reference_search(
             complete.append(plan)
             continue
         nodes += 1
-        for successor in list(_ref_expand(plan, library, solver, config, locator)):
+        successors = list(_ref_expand(plan, library, solver, config, locator))
+        if on_expand is not None:
+            on_expand(plan, successors)
+        for successor in successors:
             push(successor)
     return complete, nodes, not queue
 
@@ -1432,12 +1447,57 @@ def _plan_shape(plan: PartialPlan) -> Tuple:
     )
 
 
+def _closure_failure(where: str, plan: PartialPlan) -> List[str]:
+    """A failure when ``plan``'s closure disagrees with a DFS over its
+    orderings (at the first pair that does)."""
+    for a in plan.steps:
+        for b in plan.steps:
+            if plan.precedes(a, b) != _dfs_precedes(plan.orderings, a, b):
+                return [f"{where}: closure says s{a}<s{b} is {plan.precedes(a, b)}, DFS disagrees"]
+    return []
+
+
+class _LiveExpansion:
+    """The search's own :func:`~repro.planner.search._expand`, run on each
+    plan a reference search expands, against the successors the
+    reference made of it: the live ones must have the same shapes in
+    the same order and closures a DFS agrees with, and expanding must
+    leave the plan as it was."""
+
+    def __init__(self, library, locator, where: str, failures: List[str]) -> None:
+        self.library = library
+        self.provisions = _Provisions(_UnblastedSolver(), locator, SearchStats())
+        self.offers: Dict = {}
+        self.where = where
+        self.failures = failures
+        self.nodes = 0
+
+    def __call__(self, plan: PartialPlan, want: List[PartialPlan]) -> None:
+        where = f"{self.where} node {self.nodes}"
+        self.nodes += 1
+        before = _plan_shape(plan), dict(plan.closure), plan.load
+        tried, _ = _expand(
+            plan, plan.open_conds[0], self.library, self.provisions, _SEARCH_CONFIG, self.offers
+        )
+        got = [successor for successor in tried if successor is not None]
+        if (_plan_shape(plan), plan.closure, plan.load) != before:
+            self.failures.append(f"{where}: expanding the plan changed it")
+        if [_plan_shape(p) for p in got] != [_plan_shape(p) for p in want]:
+            self.failures.append(
+                f"{where}: {len(got)} successors differ from the reference's {len(want)}"
+            )
+        for index, successor in enumerate(got):
+            self.failures += _closure_failure(f"{where} successor {index}", successor)
+
+
 def check_plan_search(text: bytes) -> List[str]:
     """The planner's search against :func:`reference_search`, per
     standard goal: the same plans in the same order and the same nodes
     expanded; each plan's closure agrees with a DFS over its orderings,
     its carried load with the re-summed one, and it linearizes; the
-    dead-end reasons and the two prunes sum to the dead ends.  Against
+    dead-end reasons and the two prunes sum to the dead ends.  At every
+    node either reference expands, the search's expansion of that plan
+    agrees with the reference's (see :class:`_LiveExpansion`).  Against
     the reference that drops nothing: its complete plans that linearize
     are an in-order prefix of the search's, and all of them wherever
     that reference ran out of plans to expand."""
@@ -1463,13 +1523,15 @@ def check_plan_search(text: bytes) -> List[str]:
             stats=stats,
             locator=locator,
         )
+        where = f"plan_search[{goal.name}]"
         want, nodes, _ = reference_search(
-            library, resolved, _UnblastedSolver(), _SEARCH_CONFIG, locator, pool
+            library, resolved, _UnblastedSolver(), _SEARCH_CONFIG, locator, pool,
+            on_expand=_LiveExpansion(library, locator, where, failures),
         )
         unpruned, _, emptied = reference_search(
-            library, resolved, _UnblastedSolver(), _SEARCH_CONFIG, locator
+            library, resolved, _UnblastedSolver(), _SEARCH_CONFIG, locator,
+            on_expand=_LiveExpansion(library, locator, f"{where} unpruned", failures),
         )
-        where = f"plan_search[{goal.name}]"
         if stats.nodes_expanded != nodes:
             failures.append(f"{where}: {stats.nodes_expanded} nodes expanded, reference {nodes}")
         shapes = [_plan_shape(p) for p in got]
@@ -1488,13 +1550,7 @@ def check_plan_search(text: bytes) -> List[str]:
         for index, plan in enumerate(got):
             if plan.linearize() is None:
                 failures.append(f"{where}: plan {index} is complete but does not linearize")
-            for a in plan.steps:
-                for b in plan.steps:
-                    if plan.precedes(a, b) != _dfs_precedes(plan.orderings, a, b):
-                        failures.append(
-                            f"{where}: plan {index} closure says s{a}<s{b} is "
-                            f"{plan.precedes(a, b)}, DFS disagrees"
-                        )
+            failures += _closure_failure(f"{where} plan {index}", plan)
             load = sum(expr_size(c) for cs in plan.bindings.values() for c in cs)
             if plan.constraint_load() != load:
                 failures.append(f"{where}: plan {index} carries load {plan.load}, sums to {load}")

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..isa.registers import Reg
 from ..symex.expr import Bool, expr_size
@@ -67,6 +67,10 @@ class PartialPlan:
       ``t`` of ``closure[s]`` is set when the orderings force s before t;
     * ``load`` — the total :func:`expr_size` of the bindings, the second
       heuristic key.
+
+    A mutation builds its successor in one pass, resolving threats in
+    place on it.  Nothing writes into a returned plan's dicts, so a
+    successor shares those it does not change with its parent.
     """
 
     steps: Dict[int, Step]
@@ -111,19 +115,6 @@ class PartialPlan:
             bindings={GOAL_STEP: tuple(goal_bindings)},
         )
 
-    def clone(self) -> "PartialPlan":
-        return PartialPlan(
-            steps=dict(self.steps),
-            orderings=self.orderings,
-            links=self.links,
-            open_conds=self.open_conds,
-            bindings=dict(self.bindings),
-            immediate_pre_goal=self.immediate_pre_goal,
-            _next_sid=self._next_sid,
-            closure=dict(self.closure),
-            load=self.load,
-        )
-
     # -- ordering machinery ------------------------------------------------
 
     def _close(self, before: int, after: int) -> None:
@@ -145,78 +136,6 @@ class PartialPlan:
         """Would adding before<after keep the orderings acyclic?"""
         return before != after and not self.precedes(after, before)
 
-    def with_ordering(self, before: int, after: int) -> Optional["PartialPlan"]:
-        if (before, after) in self.orderings:
-            return self
-        if not self.can_order(before, after):
-            return None
-        new = self.clone()
-        new.orderings = self.orderings | {(before, after)}
-        new._close(before, after)
-        return new
-
-    def possibly_between(self, step: int, before: int, after: int) -> bool:
-        """Could ``step`` be linearized strictly between before and after?"""
-        if step in (before, after):
-            return False
-        if self.precedes(step, before):
-            return False  # step must come before `before`
-        if self.precedes(after, step):
-            return False  # step must come after `after`
-        return True
-
-    # -- threat resolution ----------------------------------------------------
-
-    def _new_threats(
-        self, old_links: int, new_step: Optional[int]
-    ) -> Iterator[Tuple[CausalLink, int]]:
-        """The (link, step) pairs a mutation can have made threats, in
-        (link, step) order: every link against ``new_step``, and each
-        link from index ``old_links`` on against every step.
-
-        Every plan a mutation starts from is threat-free, and orderings
-        only grow, so a pair that was no threat before stays none.
-        """
-        for index, link in enumerate(self.links):
-            if index >= old_links:
-                sids: Iterable[int] = self.steps
-            elif new_step is not None:
-                sids = (new_step,)
-            else:
-                continue
-            reg = link.condition.reg
-            for sid in sids:
-                if sid not in (link.provider, link.consumer) and self.steps[sid].clobbers(reg):
-                    yield link, sid
-
-    def _resolve_threats(
-        self, pairs: Iterable[Tuple[CausalLink, int]], stats=None
-    ) -> Optional["PartialPlan"]:
-        """Order away every unsafe causal link among ``pairs`` (ε elimination).
-
-        For a link p --[reg]--> c and a step s ∉ {p, c} that clobbers
-        reg and could sit between them, force c<s (demotion) or, failing
-        that, s<p (promotion).  A resolved pair stays resolved, so the
-        scan goes on from the pair after it.  Returns None when a threat
-        cannot be resolved.  ``stats`` (the search's
-        :class:`~repro.planner.search.SearchStats`) counts the pairs checked.
-        """
-        plan: Optional[PartialPlan] = self
-        checks = 0
-        for link, sid in pairs:
-            checks += 1
-            if not plan.possibly_between(sid, link.provider, link.consumer):
-                continue
-            resolved = plan.with_ordering(link.consumer, sid)
-            if resolved is None:
-                resolved = plan.with_ordering(sid, link.provider)
-            plan = resolved
-            if plan is None:
-                break  # unresolvable threat → dead plan
-        if stats is not None:
-            stats.threat_checks += checks
-        return plan
-
     # -- step addition ------------------------------------------------------------
 
     def add_provider_step(
@@ -230,22 +149,23 @@ class PartialPlan:
     ) -> Optional["PartialPlan"]:
         """Insert a fresh step providing ``open_cond``; ``load`` is the
         bindings' total :func:`expr_size` when the caller knows it."""
-        new = self.clone()
-        sid = new._next_sid
-        new._next_sid += 1
-        new.steps[sid] = Step(sid=sid, gadget=gadget)
-        new.orderings = new.orderings | {(sid, open_cond.consumer)}
-        new._close(sid, open_cond.consumer)
-        if isinstance(open_cond.condition, RegCondition):
-            new.links = new.links + (
-                CausalLink(provider=sid, consumer=open_cond.consumer, condition=open_cond.condition),
-            )
-        new.open_conds = tuple(c for c in new.open_conds if c is not open_cond) + tuple(
-            OpenCondition(sid, rc) for rc in regressed
+        sid = self._next_sid
+        consumer = open_cond.consumer
+        closure = dict(self.closure)
+        # A fresh step has no predecessor: sid<consumer changes its row only.
+        closure[sid] = (1 << consumer) | closure[consumer]
+        new = PartialPlan(
+            steps={**self.steps, sid: Step(sid=sid, gadget=gadget)},
+            orderings=self.orderings | {(sid, consumer)},
+            links=self.links,
+            open_conds=self.open_conds,
+            bindings={**self.bindings, sid: tuple(bindings)},
+            immediate_pre_goal=self.immediate_pre_goal,
+            _next_sid=sid + 1,
+            closure=closure,
+            load=self.load + (sum(expr_size(c) for c in bindings) if load is None else load),
         )
-        new.bindings[sid] = tuple(bindings)
-        new.load += sum(expr_size(c) for c in bindings) if load is None else load
-        return new._resolve_threats(new._new_threats(len(self.links), sid), stats)
+        return new._link(sid, open_cond, regressed, True, stats)
 
     def reuse_provider_step(
         self,
@@ -262,21 +182,90 @@ class PartialPlan:
         several conditions from one step: each reuse may contribute
         further payload bindings and regress further entry conditions.
         """
-        ordered = self.with_ordering(sid, open_cond.consumer)
-        if ordered is None:
+        consumer = open_cond.consumer
+        if not self.can_order(sid, consumer):
             return None
-        new = ordered.clone()
-        if isinstance(open_cond.condition, RegCondition):
-            new.links = new.links + (
-                CausalLink(provider=sid, consumer=open_cond.consumer, condition=open_cond.condition),
-            )
-        new.open_conds = tuple(c for c in new.open_conds if c is not open_cond) + tuple(
-            OpenCondition(sid, rc) for rc in extra_regressed
-        )
+        bindings, load = self.bindings, self.load
         if extra_bindings:
-            new.bindings[sid] = tuple(new.bindings.get(sid, ())) + tuple(extra_bindings)
-            new.load += sum(expr_size(c) for c in extra_bindings)
-        return new._resolve_threats(new._new_threats(len(self.links), None), stats)
+            bindings = {**bindings, sid: tuple(bindings.get(sid, ())) + tuple(extra_bindings)}
+            load += sum(expr_size(c) for c in extra_bindings)
+        new = PartialPlan(
+            steps=self.steps,
+            orderings=self.orderings,
+            links=self.links,
+            open_conds=self.open_conds,
+            bindings=bindings,
+            immediate_pre_goal=self.immediate_pre_goal,
+            _next_sid=self._next_sid,
+            closure=dict(self.closure),
+            load=load,
+        )
+        if (sid, consumer) not in new.orderings:
+            new._order(sid, consumer)
+        return new._link(sid, open_cond, extra_regressed, False, stats)
+
+    def _order(self, before: int, after: int) -> None:
+        """Add before<after to β, in place (a plan no one else holds yet)."""
+        self.orderings = self.orderings | {(before, after)}
+        self._close(before, after)
+
+    def _link(
+        self,
+        sid: int,
+        open_cond: OpenCondition,
+        regressed: Sequence[RegCondition],
+        fresh: bool,
+        stats,
+    ) -> Optional["PartialPlan"]:
+        """Make ``sid`` (a step just added when ``fresh``) ``open_cond``'s
+        provider on this plan, which no one else holds yet, and order away
+        every threat that makes (ε elimination); None when one cannot be.
+
+        Only the (link, step) pairs this adds are checked, in that order:
+        the old links against a fresh step, then the new link against
+        every step.  The plan this grew from is threat-free and orderings
+        only grow, so a pair that was no threat before stays none.  For a
+        link p --[reg]--> c and a step s ∉ {p, c} that clobbers reg and
+        could sit between them, force c<s (demotion) or, failing that,
+        s<p (promotion).  ``stats`` (the search's
+        :class:`~repro.planner.search.SearchStats`) counts the pairs checked.
+        """
+        steps, old_links = self.steps, self.links
+        pairs: List[Tuple[CausalLink, int]] = []
+        if fresh:
+            clobbered = steps[sid].gadget.clob_regs
+            pairs = [(link, sid) for link in old_links if link.condition.reg in clobbered]
+        condition = open_cond.condition
+        if isinstance(condition, RegCondition):
+            link = CausalLink(provider=sid, consumer=open_cond.consumer, condition=condition)
+            self.links = old_links + (link,)
+            reg = condition.reg
+            pairs += [
+                (link, s)
+                for s, step in steps.items()
+                if s != sid and s != link.consumer and reg in step.gadget.clob_regs
+            ]
+        self.open_conds = tuple(c for c in self.open_conds if c is not open_cond) + tuple(
+            OpenCondition(sid, rc) for rc in regressed
+        )
+        plan: Optional[PartialPlan] = self
+        closure = self.closure
+        checks = 0
+        for link, s in pairs:
+            checks += 1
+            p, c = link.provider, link.consumer
+            if closure[s] >> p & 1 or closure[c] >> s & 1:
+                continue  # s cannot sit between p and c
+            if not closure[s] >> c & 1:
+                self._order(c, s)
+            elif not closure[p] >> s & 1:
+                self._order(s, p)
+            else:
+                plan = None  # unresolvable threat → dead plan
+                break
+        if stats is not None:
+            stats.threat_checks += checks
+        return plan
 
     def established_at(self, sid: int) -> Dict[Reg, int]:
         """Register values already demanded at step ``sid``'s entry."""

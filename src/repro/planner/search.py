@@ -236,10 +236,12 @@ def search_plans(
     counter = itertools.count()
     queue: List = []
 
-    def push(plan: PartialPlan) -> None:
+    def push(plan: PartialPlan, added: Tuple[OpenCondition, ...]) -> None:
+        """Queue ``plan`` unless a drop rule holds; ``added`` are the open
+        conditions its parent, pushed before it, did not have."""
         if plan.connector_misplaced:
             stats.pruned_connector += 1
-        elif not all(library.can_provide(oc.condition) for oc in plan.open_conds):
+        elif not all(library.can_provide(oc.condition) for oc in added):
             stats.pruned_no_provider += 1
         else:
             stats.pushes += 1
@@ -251,7 +253,7 @@ def search_plans(
     with span("plan.search") as search_sp:
         for seed in _seed_plans(library, resolved, solver):
             stats.seeds += 1
-            push(seed)
+            push(seed, seed.open_conds)
 
         while (
             queue
@@ -276,8 +278,11 @@ def search_plans(
                     stats.dead_no_provision += 1
                 else:
                     stats.dead_no_provider += 1
+            # A successor keeps the parent's open conditions but the first,
+            # in order, and appends the ones it regressed.
+            kept = len(plan.open_conds) - 1
             for successor in successors:
-                push(successor)
+                push(successor, successor.open_conds[kept:])
 
         stats.solver_checks += solver.queries - queries
         for key, value in asdict(stats).items():

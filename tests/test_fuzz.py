@@ -28,6 +28,7 @@ from repro.fuzz import (
     gen_bytes,
     gen_chain_tail,
     gen_program,
+    gen_threat_tail,
     gen_window,
     load_corpus,
     relayout,
@@ -387,15 +388,18 @@ def test_warm_cache_oracle_flags_a_planner_that_changes_shared_records(monkeypat
     assert "warm_cache: the memoised winnow pool differs from its entry" in failures
 
 
-def _plan_search_text(seed: int) -> bytes:
+def _plan_search_text(seed: int, threats: bool = False) -> bytes:
+    """Three random windows and a chain tail: the plain one, or with
+    ``threats`` one whose gadgets clobber each other's registers."""
     rng = random.Random(seed)
     text = b"".join(encode_program(gen_window(rng, max_body=3)) for _ in range(3))
-    return text + gen_chain_tail(rng)
+    return text + (gen_threat_tail(rng, 2) if threats else gen_chain_tail(rng))
 
 
 def test_plan_search_oracle_agrees_with_the_recomputing_search():
     for seed in range(6):
         assert check_plan_search(_plan_search_text(seed)) == []
+        assert check_plan_search(_plan_search_text(seed, threats=True)) == []
     case = Case(oracle="plan_search", kind="image", text=gen_chain_tail(random.Random(0)))
     assert run_case(case) == []
 
@@ -408,8 +412,86 @@ def test_plan_search_oracle_flags_a_closure_that_forgets_transitivity(monkeypatc
         self.closure[before] = self.closure.get(before, 0) | (1 << after)
 
     monkeypatch.setattr(PartialPlan, "_close", direct_edge_only)
-    failures = [f for seed in range(6) for f in check_plan_search(_plan_search_text(seed))]
+    # A fresh step sets its own closure row; only an ordering a threat
+    # or a reused step adds goes through _close, so the images need threats.
+    failures = [
+        f for seed in range(6) for f in check_plan_search(_plan_search_text(seed, threats=True))
+    ]
     assert any("closure says" in f for f in failures)
+
+
+def _mutant(method: str, old: str, new: str):
+    """``PartialPlan.<method>`` with ``old`` in its source replaced by ``new``."""
+    import inspect
+    import textwrap
+
+    from repro.planner import plan as plan_module
+
+    source = textwrap.dedent(inspect.getsource(getattr(plan_module.PartialPlan, method)))
+    assert source.count(old) == 1
+    namespace = dict(vars(plan_module))
+    exec(source.replace(old, new), namespace)
+    return namespace[method]
+
+
+#: ``_link``'s resolution of one threat as its dedented source has it,
+#: and the same with the two orderings tried the other way round.
+_DEMOTE_FIRST = (
+    "if not closure[s] >> c & 1:\n"
+    "            self._order(c, s)\n"
+    "        elif not closure[p] >> s & 1:\n"
+    "            self._order(s, p)\n"
+)
+_PROMOTE_FIRST = (
+    "if not closure[p] >> s & 1:\n"
+    "            self._order(s, p)\n"
+    "        elif not closure[s] >> c & 1:\n"
+    "            self._order(c, s)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "method, old, new, seen",
+    [
+        # Promote before demoting: other orderings, so other successors.
+        (
+            "_link",
+            _DEMOTE_FIRST,
+            _PROMOTE_FIRST,
+            "successors differ",
+        ),
+        # A fresh step left unchecked against the links already there.
+        (
+            "_link",
+            "pairs = [(link, sid) for link in old_links if link.condition.reg in clobbered]",
+            "pairs = []",
+            "successors differ",
+        ),
+        # A promoted edge recorded in the orderings but not in the closure.
+        (
+            "_link",
+            "self._order(s, p)",
+            "self.orderings = self.orderings | {(s, p)}",
+            "closure says",
+        ),
+        # A fresh step's successor writes into its parent's closure.
+        (
+            "add_provider_step",
+            "closure = dict(self.closure)",
+            "closure = self.closure",
+            "expanding the plan changed it",
+        ),
+    ],
+    ids=["promote_first", "skip_old_links", "promoted_row_unset", "writes_into_parent"],
+)
+def test_plan_search_oracle_flags_a_changed_threat_resolution(monkeypatch, method, old, new, seen):
+    from repro.planner.plan import PartialPlan
+
+    monkeypatch.setattr(PartialPlan, method, _mutant(method, old, new))
+    failures = [
+        f for seed in range(6) for f in check_plan_search(_plan_search_text(seed, threats=True))
+    ]
+    assert any(seen in f for f in failures), failures[:3]
 
 
 def test_campaign_deterministic_and_green():

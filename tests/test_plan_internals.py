@@ -9,7 +9,8 @@ from repro.binfmt import make_image
 from repro.gadgets import ExtractionConfig, extract_gadgets
 from repro.isa import Reg, assemble_unit
 from repro.planner.conditions import RegCondition
-from repro.planner.plan import GOAL_STEP, PartialPlan, Step
+from repro.fuzz.oracles import _ref_provide
+from repro.planner.plan import GOAL_STEP, CausalLink, OpenCondition, PartialPlan, Step
 from repro.planner.search import SearchStats
 from repro.symex.expr import bv_const, bv_eq, bv_sym, expr_size
 
@@ -50,6 +51,21 @@ def pool():
     return gadget_pool()
 
 
+def snapshot(plan):
+    """Every field of ``plan``, copied."""
+    return (
+        dict(plan.steps),
+        dict(plan.closure),
+        plan.orderings,
+        plan.links,
+        plan.open_conds,
+        dict(plan.bindings),
+        plan.load,
+        plan.immediate_pre_goal,
+        plan._next_sid,
+    )
+
+
 def initial_plan(pool, conds):
     return PartialPlan.initial(
         pool["g_syscall"],
@@ -85,9 +101,11 @@ def test_ordering_cycle_rejected(pool):
     oc = plan.open_conds[0]
     new = plan.add_provider_step(pool["g_pop_rax"], oc, [], [])
     (provider_sid,) = [s for s in new.steps if s != GOAL_STEP]
-    assert new.with_ordering(GOAL_STEP, provider_sid) is None  # would cycle
-    same = new.with_ordering(provider_sid, GOAL_STEP)
-    assert same is not None  # already present → no-op
+    assert not new.can_order(GOAL_STEP, provider_sid)  # would cycle
+    assert new.can_order(provider_sid, GOAL_STEP)  # already present
+    # The goal cannot provide a condition of a step that runs before it.
+    at_provider = OpenCondition(provider_sid, RegCondition(Reg.RDI, 1))
+    assert new.reuse_provider_step(GOAL_STEP, at_provider) is None
 
 
 def test_threat_resolution_orders_clobberer(pool):
@@ -102,7 +120,7 @@ def test_threat_resolution_orders_clobberer(pool):
     assert final is not None
     clob_sid = max(final.steps)
     # Threat resolved: the clobberer cannot sit between provider and goal.
-    assert not final.possibly_between(clob_sid, rax_sid, GOAL_STEP)
+    assert final.precedes(clob_sid, rax_sid) or final.precedes(GOAL_STEP, clob_sid)
     order = final.linearize()
     assert order.index(clob_sid) < order.index(rax_sid)
 
@@ -144,13 +162,15 @@ def test_reuse_provider_step_adds_link(pool):
 
 
 def test_clone_isolation(pool):
-    plan = initial_plan(pool, [(Reg.RAX, 59)])
-    clone = plan.clone()
-    oc = clone.open_conds[0]
-    grown = clone.add_provider_step(pool["g_pop_rax"], oc, [], [])
+    """A successor is a plan of its own: growing it leaves it as it was."""
+    plan = initial_plan(pool, [(Reg.RAX, 59), (Reg.RDI, 7)])
+    grown = plan.add_provider_step(pool["g_pop_rax"], plan.open_conds[0], [], [])
+    before = snapshot(grown)
+    grown.add_provider_step(pool["g_clob_rax"], grown.open_conds[0], [], [])
+    assert snapshot(grown) == before
     assert plan.num_steps == 1
     assert grown.num_steps == 2
-    assert len(plan.open_conds) == 1
+    assert len(plan.open_conds) == 2
 
 
 def test_immediate_pre_goal_linearization(pool):
@@ -201,21 +221,20 @@ def bare_plan(pool, n):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_closure_matches_dfs_on_random_orderings(pool, seed):
-    """with_ordering keeps the closure equal to DFS reachability after
-    every edge it accepts, and refuses exactly the edges that close a
-    cycle; a plan built from the same orderings derives the same one."""
+    """Adding an edge keeps the closure equal to DFS reachability, and
+    ``can_order`` refuses exactly the edges that close a cycle; a plan
+    built from the same orderings derives the same closure."""
     rng = random.Random(seed)
     n = rng.randrange(2, 10)
     plan = bare_plan(pool, n)
     for _ in range(rng.randrange(1, 30)):
         a, b = rng.randrange(n), rng.randrange(n)
-        grown = plan.with_ordering(a, b)
-        if a == b or dfs_precedes(plan.orderings, b, a):
-            assert grown is None
+        if not plan.can_order(a, b):
+            assert a == b or dfs_precedes(plan.orderings, b, a)
             continue
-        assert (a, b) in grown.orderings
-        assert_closure_is_dfs(grown)
-        plan = grown
+        plan._order(a, b)
+        assert (a, b) in plan.orderings
+        assert_closure_is_dfs(plan)
     rebuilt = PartialPlan(
         steps=dict(plan.steps), orderings=plan.orderings, links=(), open_conds=(), bindings={}
     )
@@ -268,3 +287,108 @@ def test_threat_checks_are_counted_once_per_new_pair(pool):
     rdi_cond = next(c for c in p1.open_conds if c.condition.reg == Reg.RDI)
     p1.add_provider_step(pool["g_clob_rax"], rdi_cond, [], [], stats)
     assert stats.threat_checks == 1  # (rax link, clobberer); nothing else clobbers rdi
+
+
+# ---------------------------------------------------------------------------
+# successors are built in one pass; threats resolve in place on them
+# ---------------------------------------------------------------------------
+
+
+def two_link_plan(pool, forced=False):
+    """The goal s0 and a neutral step s1, then the links s2 (pop rdi)
+    --[rdi]--> s1 and s3 (pop rax) --[rax]--> s0, in that order; rdx is
+    open at the goal, and ``forced`` also orders s3 < s1.  Threat-free:
+    no other step clobbers rdi or rax."""
+    steps = {
+        GOAL_STEP: Step(GOAL_STEP, pool["g_syscall"]),
+        1: Step(1, pool["g_syscall"]),
+        2: Step(2, pool["g_pop_rdi"]),
+        3: Step(3, pool["g_pop_rax"]),
+    }
+    orderings = {(1, GOAL_STEP), (2, 1), (3, GOAL_STEP)} | ({(3, 1)} if forced else set())
+    return PartialPlan(
+        steps=steps,
+        orderings=frozenset(orderings),
+        links=(
+            CausalLink(2, 1, RegCondition(Reg.RDI, 1)),
+            CausalLink(3, GOAL_STEP, RegCondition(Reg.RAX, 2)),
+        ),
+        open_conds=(OpenCondition(GOAL_STEP, RegCondition(Reg.RDX, 3)),),
+        bindings={sid: () for sid in steps},
+        _next_sid=4,
+    )
+
+
+def test_a_step_threatening_two_links_demotes_then_promotes(pool):
+    """A fresh clobberer of rdi and rax threatens both links.  The rdi
+    link is demoted (s1 < s4); after that only promotion (s4 < s3) can
+    resolve the rax link into the goal.  The orderings are the
+    rescanning reference's, and each (link, step) pair is checked once."""
+    plan = two_link_plan(pool)
+    oc = plan.open_conds[0]
+    stats = SearchStats()
+    grown = plan.add_provider_step(pool["g_clob_rax"], oc, [], [], stats)
+    want = _ref_provide(plan, 4, pool["g_clob_rax"], oc, [], [])
+    assert grown is not None and want is not None
+    assert grown.orderings == want.orderings
+    assert grown.orderings - plan.orderings == {(4, GOAL_STEP), (1, 4), (4, 3)}
+    assert stats.threat_checks == 2  # nothing else clobbers rdx
+    assert_closure_is_dfs(grown)
+
+
+def test_a_threat_no_ordering_resolves_kills_the_plan(pool):
+    """Demotion first can leave a later threat with no resolution: the
+    plan dies (promoting first would have kept it), as it does under
+    the rescanning reference, after both pairs are checked."""
+    # s1 runs after s3, so demoting the rdi link (s1 < s4) forces
+    # s3 < s4, and the rax link into the goal can no longer be resolved.
+    plan = two_link_plan(pool, forced=True)
+    oc = plan.open_conds[0]
+    stats = SearchStats()
+    assert plan.add_provider_step(pool["g_clob_rax"], oc, [], [], stats) is None
+    assert _ref_provide(plan, 4, pool["g_clob_rax"], oc, [], []) is None
+    assert stats.threat_checks == 2
+
+
+def reuse_plan(pool, forced):
+    """s1 (pop rax) --[rax]--> s0 and s2 (pop rdi) before the goal, with
+    rdi open at the goal; ``forced`` also orders s1 < s2."""
+    steps = {
+        GOAL_STEP: Step(GOAL_STEP, pool["g_syscall"]),
+        1: Step(1, pool["g_pop_rax"]),
+        2: Step(2, pool["g_pop_rdi"]),
+    }
+    orderings = {(1, GOAL_STEP), (2, GOAL_STEP)} | ({(1, 2)} if forced else set())
+    return PartialPlan(
+        steps=steps,
+        orderings=frozenset(orderings),
+        links=(CausalLink(1, GOAL_STEP, RegCondition(Reg.RAX, 2)),),
+        open_conds=(OpenCondition(GOAL_STEP, RegCondition(Reg.RDI, 1)),),
+        bindings={sid: () for sid in steps},
+        _next_sid=3,
+    )
+
+
+@pytest.mark.parametrize("live", [True, False])
+def test_mutations_leave_their_parent_unchanged(pool, live):
+    """Both mutations write only into the plan they build, whether it
+    lives or dies of a threat: every field of the parent is as it was."""
+    binding = bv_eq(bv_sym("stk8"), bv_const(7))
+    cases = [
+        (two_link_plan(pool, forced=not live), "add"),
+        (reuse_plan(pool, forced=not live), "reuse"),
+    ]
+    for plan, kind in cases:
+        before = snapshot(plan)
+        oc = plan.open_conds[0]
+        if kind == "add":
+            grown = plan.add_provider_step(
+                pool["g_clob_rax"], oc, [binding], [RegCondition(Reg.RAX, 5)]
+            )
+        else:
+            grown = plan.reuse_provider_step(1, oc, (binding,), (RegCondition(Reg.RSI, 5),))
+        assert (grown is not None) == live, kind
+        assert snapshot(plan) == before, kind
+        if grown is not None:
+            assert grown.closure is not plan.closure
+            assert_closure_is_dfs(grown)
