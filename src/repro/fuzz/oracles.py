@@ -33,7 +33,12 @@ The oracles:
     equality agrees with :func:`reference_sampled_equal` for every
     same-bucket pair.
 ``serialize``
-    ``pool_from_bytes(pool_to_bytes(pool))`` is byte-stable.
+    :func:`~repro.pipeline.pool_to_bytes`, which makes each record's,
+    instruction's and symbol name's bytes once per memo, encodes a
+    draw's extract pool, and then its winnowed pool through the same
+    memo (reusing every record's bytes), to
+    :func:`reference_pool_to_bytes`'s bytes, which are written field
+    by field; ``pool_from_bytes(pool_to_bytes(pool))`` is byte-stable.
 ``planner``
     Every assembled payload gets the same verdict and syscall event
     from the unprotected validator and from enforced validation under
@@ -130,7 +135,7 @@ from ..emulator.cpu import (
 from ..emulator.memory import PAGE_MASK, PAGE_SIZE, PERM_R, PERM_W, PERM_X, Memory, MemoryFault
 from ..emulator.syscalls import AttackTriggered, ProcessExit
 from ..gadgets.extract import ExtractionConfig, extract_gadgets, syntactic_scan
-from ..gadgets.record import GadgetRecord
+from ..gadgets.record import GadgetRecord, JmpType
 from ..gadgets import subsumption
 from ..gadgets.subsumption import WINNOW_MAX_CONFLICTS, deduplicate_gadgets, fingerprint
 from ..isa.assembler import AssembledUnit, AssemblyError, assemble_unit
@@ -150,6 +155,7 @@ from ..isa.semantics import (
 )
 from ..obfuscation.pipeline import CONFIGS, build_program
 from ..pipeline import ResultCache, pool_from_bytes, pool_to_bytes
+from ..pipeline.serialize import FORMAT_VERSION, EncodeMemo, SerializationError
 from ..planner import GadgetPlanner
 from ..planner.conditions import (
     MemCondition,
@@ -1107,15 +1113,177 @@ def check_winnow(text: bytes) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+class _RefWriter:
+    """The pool format written field by field, one call per byte."""
+
+    def __init__(self) -> None:
+        self.buf = bytearray()
+
+    def u8(self, value: int) -> None:
+        self.buf.append(value & 0xFF)
+
+    def u64(self, value: int) -> None:
+        self.buf += struct.pack("<Q", value & ((1 << 64) - 1))
+
+    def varint(self, value: int) -> None:
+        if value < 0:
+            raise SerializationError(f"varint requires value >= 0, got {value}")
+        while True:
+            byte = value & 0x7F
+            value >>= 7
+            self.u8(byte | (0x80 if value else 0))
+            if not value:
+                break
+
+    def sint(self, value: int) -> None:
+        self.varint(value * 2 if value >= 0 else -value * 2 - 1)
+
+    def opt_sint(self, value) -> None:
+        if value is None:
+            self.u8(0)
+        else:
+            self.u8(1)
+            self.sint(value)
+
+    def string(self, text: str) -> None:
+        encoded = text.encode()
+        self.varint(len(encoded))
+        self.buf += encoded
+
+    def reg(self, reg) -> None:
+        self.u8(0xFF if reg is None else int(reg))
+
+    def bool(self, value: bool) -> None:
+        self.u8(1 if value else 0)
+
+
+def _ref_write_expr(w: _RefWriter, e) -> None:
+    if isinstance(e, expr.BVConst):
+        w.u8(0x01)
+        w.u64(e.value)
+    elif isinstance(e, expr.BVSym):
+        w.u8(0x02)
+        w.string(e.name)
+    elif isinstance(e, expr.BVBin):
+        w.u8(0x03)
+        w.u8(list(expr.BVBinOp).index(e.op))
+        _ref_write_expr(w, e.lhs)
+        _ref_write_expr(w, e.rhs)
+    elif isinstance(e, expr.BVUn):
+        w.u8(0x04)
+        w.u8(list(expr.BVUnOp).index(e.op))
+        _ref_write_expr(w, e.arg)
+    elif isinstance(e, expr.BVIte):
+        w.u8(0x05)
+        _ref_write_expr(w, e.cond)
+        _ref_write_expr(w, e.then)
+        _ref_write_expr(w, e.other)
+    elif isinstance(e, BoolConst):
+        w.u8(0x10)
+        w.bool(e.value)
+    elif isinstance(e, expr.Cmp):
+        w.u8(0x11)
+        w.u8(list(expr.CmpOp).index(e.op))
+        _ref_write_expr(w, e.lhs)
+        _ref_write_expr(w, e.rhs)
+    elif isinstance(e, expr.BoolExpr):
+        w.u8(0x12)
+        w.u8(list(expr.BoolConn).index(e.conn))
+        w.varint(len(e.args))
+        for arg in e.args:
+            _ref_write_expr(w, arg)
+    else:
+        raise SerializationError(f"cannot serialize expression {e!r}")
+
+
+def _ref_write_record(w: _RefWriter, record: GadgetRecord) -> None:
+    w.varint(record.gadget_id)
+    w.varint(record.location)
+    w.varint(record.length)
+    w.varint(len(record.insns))
+    for insn in record.insns:
+        w.varint(int(insn.op))
+        w.reg(insn.dst)
+        w.reg(insn.src)
+        w.reg(insn.base)
+        w.sint(insn.disp)
+        w.opt_sint(insn.imm)
+        w.opt_sint(insn.rel)
+        w.varint(insn.addr)
+    w.u8(list(JmpType).index(record.jmp_type))
+    w.u8(list(EndKind).index(record.end))
+    w.varint(len(record.pre_cond))
+    for cond in record.pre_cond:
+        _ref_write_expr(w, cond)
+    for reg in ALL_REGS:
+        _ref_write_expr(w, record.post_regs[reg])
+    _ref_write_expr(w, record.jump_target)
+    for regs in (record.clob_regs, record.ctrl_regs):
+        mask = 0
+        for reg in regs:
+            mask |= 1 << int(reg)
+        w.varint(mask)
+    w.opt_sint(record.stack_delta)
+    w.bool(record.stack_smashed)
+    w.varint(len(record.mem_reads))
+    for read in record.mem_reads:
+        _ref_write_expr(w, read.addr)
+        w.string(read.value_sym.name)
+        w.u8(read.width)
+    w.varint(len(record.mem_writes))
+    for write in record.mem_writes:
+        _ref_write_expr(w, write.addr)
+        _ref_write_expr(w, write.value)
+        w.u8(write.width)
+        w.opt_sint(write.stack_offset)
+    w.sint(record.max_stack_offset)
+    w.varint(record.conditional_jumps)
+    w.varint(record.merged_direct_jumps)
+
+
+def reference_pool_to_bytes(records: Sequence[GadgetRecord]) -> bytes:
+    """The pool format written field by field, every record and
+    instruction afresh: the reference :func:`pool_to_bytes`'s memoised
+    pieces are checked against."""
+    w = _RefWriter()
+    w.buf += b"NFLP"
+    w.u8(FORMAT_VERSION)
+    w.varint(len(records))
+    for record in records:
+        _ref_write_record(w, record)
+    return bytes(w.buf)
+
+
 def check_serialize(text: bytes) -> List[str]:
+    """The extract pool, then its winnowed pool through the same
+    :class:`EncodeMemo` (as :func:`~repro.pipeline.run_pipeline` stores
+    them), encode to :func:`reference_pool_to_bytes`'s bytes, and the
+    extract pool decodes back to the same bytes."""
     records = extract_gadgets(make_image(text), _POOL_EXTRACTION)
-    blob = pool_to_bytes(records)
-    back = pool_from_bytes(blob)
-    if pool_to_bytes(back) != blob:
-        return ["serialize: pool_to_bytes(pool_from_bytes(blob)) != blob"]
+    survivors = deduplicate_gadgets(records)
+    memo = EncodeMemo()
+    failures: List[str] = []
+    blobs = []
+    for name, pool in (("extract", records), ("winnow", survivors)):
+        blobs.append(pool_to_bytes(pool, memo))
+        if blobs[-1] != reference_pool_to_bytes(pool):
+            failures.append(
+                f"serialize: the {name} pool of {len(pool)} records encodes to other "
+                "bytes than the field-by-field reference"
+            )
+    if memo.reused != len(survivors):
+        failures.append(
+            f"serialize: the winnow store reused {memo.reused} of {len(survivors)} records"
+        )
+    try:
+        back = pool_from_bytes(blobs[0])
+    except SerializationError as exc:
+        return failures + [f"serialize: the extract pool's bytes do not decode: {exc}"]
+    if pool_to_bytes(back) != blobs[0]:
+        failures.append("serialize: pool_to_bytes(pool_from_bytes(blob)) != blob")
     if len(back) != len(records):
-        return [f"serialize: {len(records)} records in, {len(back)} out"]
-    return []
+        failures.append(f"serialize: {len(records)} records in, {len(back)} out")
+    return failures
 
 
 def check_planner(text: bytes) -> List[str]:

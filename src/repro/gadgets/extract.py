@@ -251,14 +251,20 @@ def extract_gadgets(
     """Run the full extraction stage over an image.
 
     This is the stage's one driver; :mod:`repro.pipeline` only puts the
-    result cache in front of it.
+    result cache in front of it.  The symbolic executor's entries are
+    dropped from the decode graph on return: the graph outlives the
+    stage in :func:`shared_decode_graph`'s LRU, and a later extraction
+    builds the same entries again.
     """
     config = config or ExtractionConfig()
     stats = stats if stats is not None else ExtractionStats()
     with span("extract") as root:
         graph, candidates = plan_candidates(image, config, stats)
         with span("extract.symex") as sym_sp:
-            records = run_candidates(make_executor(graph, config), candidates, config, stats)
+            try:
+                records = run_candidates(make_executor(graph, config), candidates, config, stats)
+            finally:
+                graph.symex_entries.clear()
         sym_sp.add("records", len(records))
         root.add("records", len(records))
     stats.records = len(records)

@@ -13,6 +13,7 @@ Three cooperating pieces (see DESIGN.md's inventory):
 from .cache import CACHE_DIR_ENV, CacheStats, PIPELINE_VERSION, ResultCache, default_cache_dir
 from .serialize import (
     FORMAT_VERSION,
+    EncodeMemo,
     SerializationError,
     config_key_bytes,
     pool_from_bytes,
@@ -25,6 +26,7 @@ from .stages import extract_pool, run_pipeline, winnow_pool
 __all__ = [
     "CACHE_DIR_ENV",
     "CacheStats",
+    "EncodeMemo",
     "FORMAT_VERSION",
     "PIPELINE_VERSION",
     "ResultCache",

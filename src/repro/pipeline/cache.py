@@ -41,7 +41,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..gadgets.record import GadgetRecord
-from .serialize import FORMAT_VERSION, config_key_bytes, pool_from_bytes, pool_to_bytes
+from .serialize import (
+    FORMAT_VERSION,
+    EncodeMemo,
+    config_key_bytes,
+    pool_from_bytes,
+    pool_to_bytes,
+)
 
 #: Bump when extraction/winnow semantics change: every old key dies.
 #: 3: the winnow's default conflict budget went from 2000 to 4000, and
@@ -173,11 +179,15 @@ class ResultCache:
         config: Any,
         records: Sequence[GadgetRecord],
         meta: Optional[Dict[str, Any]] = None,
+        memo: Optional[EncodeMemo] = None,
     ) -> Path:
-        """Atomically persist a pool; returns the entry path."""
+        """Atomically persist a pool; returns the entry path.  ``memo``
+        is the run's :class:`~repro.pipeline.serialize.EncodeMemo`, so
+        records an earlier store of the run encoded are not encoded
+        again."""
         path = self._path(self.key(kind, image_bytes, config))
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = _encode_entry(records, meta or {})
+        blob = _encode_entry(records, meta or {}, memo)
         fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -193,9 +203,12 @@ class ResultCache:
         return path
 
 
-def _encode_entry(records: Sequence[GadgetRecord], meta: Dict[str, Any]) -> bytes:
+def _encode_entry(
+    records: Sequence[GadgetRecord], meta: Dict[str, Any], memo: Optional[EncodeMemo]
+) -> bytes:
     meta_blob = json.dumps(meta, sort_keys=True).encode()
-    return _ENTRY_MAGIC + struct.pack("<I", len(meta_blob)) + meta_blob + pool_to_bytes(records)
+    header = _ENTRY_MAGIC + struct.pack("<I", len(meta_blob))
+    return b"".join((header, meta_blob, pool_to_bytes(records, memo)))
 
 
 def _decode_entry(blob: bytes) -> Tuple[List[GadgetRecord], Dict[str, Any]]:

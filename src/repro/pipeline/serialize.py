@@ -18,13 +18,23 @@ explicit, versioned encoding instead:
 ``pool_to_bytes(records)`` is deterministic given the records, which
 is what makes "the cached pool is byte-identical to the computed pool"
 testable with a single bytes comparison.
+
+The writer builds a pool from byte pieces, each made once per
+:class:`EncodeMemo`: a record's bytes, an instruction's bytes (the
+decode graph keeps one :class:`Instruction` per offset, which every
+record through it shares) and a symbol name's bytes.  A run that
+stores its extract pool and then its winnowed pool, whose records are
+the same objects, hands both stores one memo, so the second store only
+joins pieces.  :func:`repro.fuzz.oracles.reference_pool_to_bytes`
+writes the same format field by field; the ``serialize`` oracle
+compares the two.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import asdict
-from typing import Any, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..gadgets.record import GadgetRecord, JmpType
 from ..isa.instructions import Instruction, Op
@@ -59,12 +69,6 @@ _CMP_OPS = list(CmpOp)
 _CONNS = list(BoolConn)
 _JMP_TYPES = list(JmpType)
 _END_KINDS = list(EndKind)
-_BIN_INDEX = {op: i for i, op in enumerate(_BIN_OPS)}
-_UN_INDEX = {op: i for i, op in enumerate(_UN_OPS)}
-_CMP_INDEX = {op: i for i, op in enumerate(_CMP_OPS)}
-_CONN_INDEX = {c: i for i, c in enumerate(_CONNS)}
-_JMP_INDEX = {t: i for i, t in enumerate(_JMP_TYPES)}
-_END_INDEX = {k: i for i, k in enumerate(_END_KINDS)}
 
 # Expression node tags.
 _T_BVCONST = 0x01
@@ -83,47 +87,70 @@ class SerializationError(ValueError):
     """Raised on a malformed or version-mismatched pool blob."""
 
 
-class _Writer:
+class EncodeMemo:
+    """The byte pieces :func:`pool_to_bytes` made in one run.
+
+    Records and instructions are keyed by identity, so the memo keeps
+    every one it encoded alive (``kept``), must not outlive the run
+    that owns it, and assumes that none of them changes while it lives.
+    Symbol names are keyed by value.  ``reused`` counts the records
+    whose bytes an earlier pool through this memo made.
+    """
+
+    __slots__ = ("records", "insns", "syms", "kept", "reused")
+
     def __init__(self) -> None:
-        self.buf = bytearray()
+        self.records: Dict[int, bytes] = {}
+        self.insns: Dict[int, bytes] = {}
+        self.syms: Dict[str, bytes] = {}
+        self.kept: List[object] = []
+        self.reused = 0
 
-    def u8(self, value: int) -> None:
-        self.buf.append(value & 0xFF)
 
-    def u64(self, value: int) -> None:
-        self.buf += struct.pack("<Q", value & ((1 << 64) - 1))
+# Byte pieces: every varint below 128, and each enum value with the tag
+# it follows.
+_SMALL_VARINTS = tuple(bytes((value,)) for value in range(0x80))
+_REG_BYTES: Dict[Optional[Reg], bytes] = {None: bytes((_NO_REG,))}
+_REG_BYTES.update((reg, bytes((int(reg),))) for reg in Reg)
+_BIN_HEADS = {op: bytes((_T_BVBIN, i)) for i, op in enumerate(_BIN_OPS)}
+_UN_HEADS = {op: bytes((_T_BVUN, i)) for i, op in enumerate(_UN_OPS)}
+_CMP_HEADS = {op: bytes((_T_CMP, i)) for i, op in enumerate(_CMP_OPS)}
+_CONN_HEADS = {conn: bytes((_T_BOOLEXPR, i)) for i, conn in enumerate(_CONNS)}
+_JMP_BYTES = {kind: bytes((i,)) for i, kind in enumerate(_JMP_TYPES)}
+_END_BYTES = {kind: bytes((i,)) for i, kind in enumerate(_END_KINDS)}
+_ITE_HEAD = bytes((_T_BVITE,))
+_TRUE = bytes((_T_BOOLCONST, 1))
+_FALSE = bytes((_T_BOOLCONST, 0))
+_PACK_CONST = struct.Struct("<BQ").pack
+_MASK64 = (1 << 64) - 1
 
-    def varint(self, value: int) -> None:
-        if value < 0:
-            raise SerializationError(f"varint requires value >= 0, got {value}")
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            self.u8(byte | (0x80 if value else 0))
-            if not value:
-                break
 
-    def sint(self, value: int) -> None:
-        # Zig-zag: arbitrary-precision, exact for any Python int.
-        self.varint(value * 2 if value >= 0 else -value * 2 - 1)
+def _varint(value: int) -> bytes:
+    """LEB128 of ``value``: a table read below 128."""
+    if 0 <= value < 0x80:
+        return _SMALL_VARINTS[value]
+    if value < 0:
+        raise SerializationError(f"varint requires value >= 0, got {value}")
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
 
-    def opt_sint(self, value) -> None:
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.sint(value)
 
-    def string(self, text: str) -> None:
-        encoded = text.encode()
-        self.varint(len(encoded))
-        self.buf += encoded
+def _sint(value: int) -> bytes:
+    # Zig-zag: arbitrary-precision, exact for any Python int.
+    return _varint(value * 2 if value >= 0 else -value * 2 - 1)
 
-    def reg(self, reg) -> None:
-        self.u8(_NO_REG if reg is None else int(reg))
 
-    def bool(self, value: bool) -> None:
-        self.u8(1 if value else 0)
+def _opt_sint(value: Optional[int]) -> bytes:
+    return b"\x00" if value is None else b"\x01" + _sint(value)
+
+
+def _string(text: str) -> bytes:
+    encoded = text.encode()
+    return _varint(len(encoded)) + encoded
 
 
 class _Reader:
@@ -185,41 +212,39 @@ class _Reader:
 # ---------------------------------------------------------------------------
 
 
-def _write_expr(w: _Writer, expr) -> None:
-    if isinstance(expr, BVConst):
-        w.u8(_T_BVCONST)
-        w.u64(expr.value)
-    elif isinstance(expr, BVSym):
-        w.u8(_T_BVSYM)
-        w.string(expr.name)
-    elif isinstance(expr, BVBin):
-        w.u8(_T_BVBIN)
-        w.u8(_BIN_INDEX[expr.op])
-        _write_expr(w, expr.lhs)
-        _write_expr(w, expr.rhs)
-    elif isinstance(expr, BVUn):
-        w.u8(_T_BVUN)
-        w.u8(_UN_INDEX[expr.op])
-        _write_expr(w, expr.arg)
-    elif isinstance(expr, BVIte):
-        w.u8(_T_BVITE)
-        _write_expr(w, expr.cond)
-        _write_expr(w, expr.then)
-        _write_expr(w, expr.other)
-    elif isinstance(expr, BoolConst):
-        w.u8(_T_BOOLCONST)
-        w.bool(expr.value)
-    elif isinstance(expr, Cmp):
-        w.u8(_T_CMP)
-        w.u8(_CMP_INDEX[expr.op])
-        _write_expr(w, expr.lhs)
-        _write_expr(w, expr.rhs)
-    elif isinstance(expr, BoolExpr):
-        w.u8(_T_BOOLEXPR)
-        w.u8(_CONN_INDEX[expr.conn])
-        w.varint(len(expr.args))
+def _put_expr(buf: bytearray, expr, syms: Dict[str, bytes]) -> None:
+    """Append ``expr`` to ``buf`` as a pre-order tagged tree."""
+    kind = type(expr)
+    if kind is BVSym:
+        piece = syms.get(expr.name)
+        if piece is None:
+            piece = syms[expr.name] = bytes((_T_BVSYM,)) + _string(expr.name)
+        buf += piece
+    elif kind is BVConst:
+        buf += _PACK_CONST(_T_BVCONST, expr.value & _MASK64)
+    elif kind is BVBin:
+        buf += _BIN_HEADS[expr.op]
+        _put_expr(buf, expr.lhs, syms)
+        _put_expr(buf, expr.rhs, syms)
+    elif kind is BVUn:
+        buf += _UN_HEADS[expr.op]
+        _put_expr(buf, expr.arg, syms)
+    elif kind is BVIte:
+        buf += _ITE_HEAD
+        _put_expr(buf, expr.cond, syms)
+        _put_expr(buf, expr.then, syms)
+        _put_expr(buf, expr.other, syms)
+    elif kind is Cmp:
+        buf += _CMP_HEADS[expr.op]
+        _put_expr(buf, expr.lhs, syms)
+        _put_expr(buf, expr.rhs, syms)
+    elif kind is BoolExpr:
+        buf += _CONN_HEADS[expr.conn]
+        buf += _varint(len(expr.args))
         for arg in expr.args:
-            _write_expr(w, arg)
+            _put_expr(buf, arg, syms)
+    elif kind is BoolConst:
+        buf += _TRUE if expr.value else _FALSE
     else:
         raise SerializationError(f"cannot serialize expression {expr!r}")
 
@@ -257,15 +282,19 @@ def _read_expr(r: _Reader):
 # ---------------------------------------------------------------------------
 
 
-def _write_insn(w: _Writer, insn: Instruction) -> None:
-    w.varint(int(insn.op))
-    w.reg(insn.dst)
-    w.reg(insn.src)
-    w.reg(insn.base)
-    w.sint(insn.disp)
-    w.opt_sint(insn.imm)
-    w.opt_sint(insn.rel)
-    w.varint(insn.addr)
+def _insn_bytes(insn: Instruction) -> bytes:
+    return b"".join(
+        (
+            _varint(int(insn.op)),
+            _REG_BYTES[insn.dst],
+            _REG_BYTES[insn.src],
+            _REG_BYTES[insn.base],
+            _sint(insn.disp),
+            _opt_sint(insn.imm),
+            _opt_sint(insn.rel),
+            _varint(insn.addr),
+        )
+    )
 
 
 def _read_insn(r: _Reader) -> Instruction:
@@ -281,21 +310,8 @@ def _read_insn(r: _Reader) -> Instruction:
     )
 
 
-def _write_mem_read(w: _Writer, read: MemRead) -> None:
-    _write_expr(w, read.addr)
-    w.string(read.value_sym.name)
-    w.u8(read.width)
-
-
 def _read_mem_read(r: _Reader) -> MemRead:
     return MemRead(addr=_read_expr(r), value_sym=BVSym(r.string()), width=r.u8())
-
-
-def _write_mem_write(w: _Writer, write: MemWrite) -> None:
-    _write_expr(w, write.addr)
-    _write_expr(w, write.value)
-    w.u8(write.width)
-    w.opt_sint(write.stack_offset)
 
 
 def _read_mem_write(r: _Reader) -> MemWrite:
@@ -320,34 +336,47 @@ def _mask_regs(mask: int):
 # ---------------------------------------------------------------------------
 
 
-def _write_record(w: _Writer, record: GadgetRecord) -> None:
-    w.varint(record.gadget_id)
-    w.varint(record.location)
-    w.varint(record.length)
-    w.varint(len(record.insns))
+def _record_bytes(record: GadgetRecord, memo: EncodeMemo) -> bytes:
+    syms = memo.syms
+    insn_bytes = memo.insns
+    buf = bytearray(_varint(record.gadget_id))
+    buf += _varint(record.location)
+    buf += _varint(record.length)
+    buf += _varint(len(record.insns))
     for insn in record.insns:
-        _write_insn(w, insn)
-    w.u8(_JMP_INDEX[record.jmp_type])
-    w.u8(_END_INDEX[record.end])
-    w.varint(len(record.pre_cond))
+        piece = insn_bytes.get(id(insn))
+        if piece is None:
+            piece = insn_bytes[id(insn)] = _insn_bytes(insn)
+            memo.kept.append(insn)
+        buf += piece
+    buf += _JMP_BYTES[record.jmp_type]
+    buf += _END_BYTES[record.end]
+    buf += _varint(len(record.pre_cond))
     for cond in record.pre_cond:
-        _write_expr(w, cond)
+        _put_expr(buf, cond, syms)
+    post_regs = record.post_regs
     for reg in ALL_REGS:  # fixed order: part of the format
-        _write_expr(w, record.post_regs[reg])
-    _write_expr(w, record.jump_target)
-    w.varint(_reg_mask(record.clob_regs))
-    w.varint(_reg_mask(record.ctrl_regs))
-    w.opt_sint(record.stack_delta)
-    w.bool(record.stack_smashed)
-    w.varint(len(record.mem_reads))
+        _put_expr(buf, post_regs[reg], syms)
+    _put_expr(buf, record.jump_target, syms)
+    buf += _varint(_reg_mask(record.clob_regs))
+    buf += _varint(_reg_mask(record.ctrl_regs))
+    buf += _opt_sint(record.stack_delta)
+    buf += b"\x01" if record.stack_smashed else b"\x00"
+    buf += _varint(len(record.mem_reads))
     for read in record.mem_reads:
-        _write_mem_read(w, read)
-    w.varint(len(record.mem_writes))
+        _put_expr(buf, read.addr, syms)
+        buf += _string(read.value_sym.name)
+        buf.append(read.width & 0xFF)
+    buf += _varint(len(record.mem_writes))
     for write in record.mem_writes:
-        _write_mem_write(w, write)
-    w.sint(record.max_stack_offset)
-    w.varint(record.conditional_jumps)
-    w.varint(record.merged_direct_jumps)
+        _put_expr(buf, write.addr, syms)
+        _put_expr(buf, write.value, syms)
+        buf.append(write.width & 0xFF)
+        buf += _opt_sint(write.stack_offset)
+    buf += _sint(record.max_stack_offset)
+    buf += _varint(record.conditional_jumps)
+    buf += _varint(record.merged_direct_jumps)
+    return bytes(buf)
 
 
 def _read_record(r: _Reader) -> GadgetRecord:
@@ -391,47 +420,71 @@ def _read_record(r: _Reader) -> GadgetRecord:
     )
 
 
+_Decoded = TypeVar("_Decoded")
+
+
+def _read_all(blob: bytes, read: Callable[[_Reader], _Decoded], what: str) -> _Decoded:
+    """``read`` over the whole of ``blob``.  A malformed blob raises
+    :class:`SerializationError`, whatever its first bad byte trips
+    (a bad enum index or value, bad UTF-8)."""
+    r = _Reader(blob)
+    try:
+        value = read(r)
+    except SerializationError:
+        raise
+    except (IndexError, ValueError, RecursionError) as exc:
+        raise SerializationError(f"malformed {what}: {exc!r}") from None
+    if r.pos != len(blob):
+        raise SerializationError(f"{len(blob) - r.pos} trailing bytes after {what}")
+    return value
+
+
 def record_to_bytes(record: GadgetRecord) -> bytes:
     """Canonical encoding of one record (no pool header)."""
-    w = _Writer()
-    _write_record(w, record)
-    return bytes(w.buf)
+    return _record_bytes(record, EncodeMemo())
 
 
 def record_from_bytes(blob: bytes) -> GadgetRecord:
     """Inverse of :func:`record_to_bytes`."""
-    r = _Reader(blob)
-    record = _read_record(r)
-    if r.pos != len(blob):
-        raise SerializationError(f"{len(blob) - r.pos} trailing bytes after record")
-    return record
+    return _read_all(blob, _read_record, "record")
 
 
-def pool_to_bytes(records: Sequence[GadgetRecord]) -> bytes:
-    """Canonical encoding of a whole pool (ordered, versioned)."""
-    w = _Writer()
-    w.buf += _POOL_MAGIC
-    w.u8(FORMAT_VERSION)
-    w.varint(len(records))
+_POOL_HEADER = _POOL_MAGIC + bytes((FORMAT_VERSION,))
+
+
+def pool_to_bytes(records: Sequence[GadgetRecord], memo: Optional[EncodeMemo] = None) -> bytes:
+    """Canonical encoding of a whole pool (ordered, versioned).
+
+    Through ``memo``, a record or instruction whose bytes an earlier
+    call made is not encoded again.
+    """
+    memo = memo if memo is not None else EncodeMemo()
+    known = memo.records
+    pieces = [_POOL_HEADER, _varint(len(records))]
     for record in records:
-        _write_record(w, record)
-    return bytes(w.buf)
+        piece = known.get(id(record))
+        if piece is None:
+            piece = known[id(record)] = _record_bytes(record, memo)
+            memo.kept.append(record)
+        else:
+            memo.reused += 1
+        pieces.append(piece)
+    return b"".join(pieces)
 
 
-def pool_from_bytes(blob: bytes) -> List[GadgetRecord]:
-    """Inverse of :func:`pool_to_bytes`."""
-    if blob[: len(_POOL_MAGIC)] != _POOL_MAGIC:
+def _read_pool(r: _Reader) -> List[GadgetRecord]:
+    if r.blob[: len(_POOL_MAGIC)] != _POOL_MAGIC:
         raise SerializationError("bad pool magic")
-    r = _Reader(blob)
     r.pos = len(_POOL_MAGIC)
     version = r.u8()
     if version != FORMAT_VERSION:
         raise SerializationError(f"pool format v{version}, expected v{FORMAT_VERSION}")
-    count = r.varint()
-    records = [_read_record(r) for _ in range(count)]
-    if r.pos != len(blob):
-        raise SerializationError(f"{len(blob) - r.pos} trailing bytes after pool")
-    return records
+    return [_read_record(r) for _ in range(r.varint())]
+
+
+def pool_from_bytes(blob: bytes) -> List[GadgetRecord]:
+    """Inverse of :func:`pool_to_bytes`."""
+    return _read_all(blob, _read_pool, "pool")
 
 
 def config_key_bytes(config: Any) -> bytes:

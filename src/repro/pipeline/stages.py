@@ -28,6 +28,7 @@ from ..gadgets.subsumption import (
 from ..obs import span
 from ..solver.solver import Solver
 from .cache import ResultCache
+from .serialize import EncodeMemo
 
 
 #: Counters a stage keeps in its cache entry's meta, as (stats object,
@@ -45,6 +46,7 @@ def _through_cache(
     meta_fields: _MetaFields,
     size_field: str,
     compute: Callable[[], List[GadgetRecord]],
+    memo: EncodeMemo,
 ) -> Tuple[List[GadgetRecord], Optional[dict]]:
     """``compute()``'s pool, answered from ``cache`` when it holds one,
     and the meta of the entry that answered (None when it was computed).
@@ -55,7 +57,9 @@ def _through_cache(
     ``<stage>.cache.store`` spans sit beside the stage's own span, and
     their walls count towards ``stats.wall_total``.  The load span
     counts whether a hit came from the cache's in-process memo
-    (``memo_hits``) or from decoding the entry (``decodes``).
+    (``memo_hits``) or from decoding the entry (``decodes``).  A store
+    encodes through ``memo``, the run's, and its span counts the
+    records whose bytes an earlier store of the run made (``reused``).
     """
     if cache is None:
         return compute(), None
@@ -78,7 +82,9 @@ def _through_cache(
     pool = compute()
     with span(f"{stage}.cache.store") as store_sp:
         meta = {name: getattr(owner, name) for owner, names in meta_fields for name in names}
-        cache.store_pool(kind, image_bytes, config, pool, meta=meta)
+        reused = memo.reused
+        cache.store_pool(kind, image_bytes, config, pool, meta=meta, memo=memo)
+        store_sp.add("reused", memo.reused - reused)
     stats.wall_total += store_sp.wall
     return pool, None
 
@@ -101,6 +107,17 @@ def extract_pool(
     stats = stats if stats is not None else ExtractionStats()
     if cache is not None and image_bytes is None:
         image_bytes = image.to_bytes()
+    return _extract_through_cache(image, config, stats, cache, image_bytes, EncodeMemo())
+
+
+def _extract_through_cache(
+    image: BinaryImage,
+    config: ExtractionConfig,
+    stats: ExtractionStats,
+    cache: Optional[ResultCache],
+    image_bytes: Optional[bytes],
+    memo: EncodeMemo,
+) -> List[GadgetRecord]:
     return _through_cache(
         "extract",
         "extract",
@@ -111,6 +128,7 @@ def extract_pool(
         ((stats, _EXTRACT_META),),
         "records",
         lambda: extract_gadgets(image, config, stats),
+        memo,
     )[0]
 
 
@@ -147,6 +165,7 @@ def winnow_pool(
         cache=cache,
         image_bytes=image_bytes,
         config=config,
+        memo=EncodeMemo(),
     )
 
 
@@ -159,6 +178,7 @@ def _winnow_through_cache(
     cache: Optional[ResultCache],
     image_bytes: Optional[bytes],
     config: Optional[ExtractionConfig],
+    memo: EncodeMemo,
 ) -> List[GadgetRecord]:
     """The winnow behind the cache, over the pool ``records()`` returns,
     which is called on a miss only.  With ``extraction_stats`` the
@@ -184,6 +204,7 @@ def _winnow_through_cache(
         meta_fields,
         "output_count",
         lambda: deduplicate_gadgets(records(), solver=solver, stats=stats),
+        memo,
     )
     if extraction_stats is not None and meta is not None:
         if not all(name in meta for name in _EXTRACT_META):
@@ -217,7 +238,10 @@ def run_pipeline(
     fills.  ``solver`` winnows; by default a fresh solver with the
     winnow's default budget.  Under an active tracer the whole run
     lands beneath one ``pipeline`` root span, with the stages' spans
-    (and their cache spans) as its children.
+    (and their cache spans) as its children.  Both stores encode
+    through one :class:`~repro.pipeline.serialize.EncodeMemo`, which
+    dies with the run, so the winnow store reuses the bytes the extract
+    store made for its records.
 
     ``jobs`` is accepted and ignored: both stages always run in this
     process.  It is kept only because the benchmark
@@ -227,9 +251,10 @@ def run_pipeline(
     es = extraction_stats if extraction_stats is not None else ExtractionStats()
     ss = winnow_stats if winnow_stats is not None else SubsumptionStats()
     extracted: List[List[GadgetRecord]] = []
+    memo = EncodeMemo()
 
     def extract() -> List[GadgetRecord]:
-        extracted.append(extract_pool(image, config, es, cache=cache, image_bytes=image_bytes))
+        extracted.append(_extract_through_cache(image, config, es, cache, image_bytes, memo))
         return extracted[0]
 
     with span("pipeline"):
@@ -237,7 +262,14 @@ def run_pipeline(
         if not winnow:
             return extract(), None
         survivors = _winnow_through_cache(
-            extract, ss, es, solver=solver, cache=cache, image_bytes=image_bytes, config=config
+            extract,
+            ss,
+            es,
+            solver=solver,
+            cache=cache,
+            image_bytes=image_bytes,
+            config=config,
+            memo=memo,
         )
     if not extracted:
         # A winnow hit: its entry's meta answered the extract stage too.

@@ -134,8 +134,8 @@ class DecodeGraph:
         self._successors: Dict[Tuple[bool, bool], List[Optional[Tuple[int, ...]]]] = {}
         self._scans: Dict[Tuple[bool, bool, int], ScanTable] = {}
         #: The symbolic executor's entry (the instruction with its
-        #: handler bound) per address it has run, kept here so entries
-        #: live exactly as long as the graph.
+        #: handler bound) per address it has run, kept here so no entry
+        #: outlives the graph; an extraction drops them when it returns.
         self.symex_entries: Dict[int, tuple] = {}
 
     # -- decoding ---------------------------------------------------------

@@ -95,7 +95,9 @@ class SymbolicExecutor:
     :data:`Entry` per address it has run in the graph's
     ``symex_entries``: the graph's one instruction there, with its
     handler bound, so a later window runs it with one lookup and one
-    call.  The entries live as long as the graph.
+    call.  The entries live on the graph, and
+    :func:`~repro.gadgets.extract.extract_gadgets` drops them when it
+    returns.
     """
 
     def __init__(self, graph: "DecodeGraph", *, max_insns: int = 24, max_paths: int = 8) -> None:

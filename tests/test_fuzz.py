@@ -335,6 +335,40 @@ def test_winnow_oracle_flags_probe_tables_that_ignore_the_trial(monkeypatch):
     assert any("refutation probes of #0" in f for f in failures)
 
 
+def _serialize_draws(count: int):
+    draw = ORACLES["serialize"][2]
+    return [draw(1, i) for i in range(count)]
+
+
+def test_serialize_oracle_green_on_the_pool_writer():
+    for case in _serialize_draws(30):
+        assert run_case(case) == []
+
+
+def test_serialize_oracle_flags_a_record_memo_keyed_by_location(monkeypatch):
+    """A record memo keyed by location, which several paths from one
+    offset share, writes one path's bytes for another and is caught."""
+    import repro.fuzz.oracles as oracles
+    from repro.pipeline import serialize
+
+    def by_location(records, memo=None):
+        memo = memo if memo is not None else serialize.EncodeMemo()
+        pieces = [serialize._POOL_HEADER, serialize._varint(len(records))]
+        for record in records:
+            piece = memo.records.get(record.location)
+            if piece is None:
+                piece = memo.records[record.location] = serialize._record_bytes(record, memo)
+            else:
+                memo.reused += 1
+            pieces.append(piece)
+        return b"".join(pieces)
+
+    monkeypatch.setattr(oracles, "pool_to_bytes", by_location)
+    failing = [case for case in _serialize_draws(30) if run_case(case)]
+    assert len(failing) >= 10
+    assert "than the field-by-field reference" in run_case(failing[0])[0]
+
+
 def test_planner_oracle_delivers_every_payload():
     text = gen_chain_tail(random.Random(0))
     assert check_planner(text) == []

@@ -22,7 +22,9 @@ from repro.gadgets.subsumption import (
     winnow_bucket,
 )
 from repro.pipeline import (
+    EncodeMemo,
     ResultCache,
+    SerializationError,
     extract_pool,
     pool_from_bytes,
     pool_to_bytes,
@@ -81,6 +83,59 @@ def test_pool_round_trip_and_determinism():
     assert pool_to_bytes(pool_from_bytes(blob)) == blob
     # Re-extracting yields the same bytes: the encoding is canonical.
     assert pool_to_bytes(extract_gadgets(image, SMALL)) == blob
+
+
+def test_nflbench_pools_encode_to_the_reference_bytes():
+    """The extract and winnow pools of the six nflbench extraction
+    images encode to the field-by-field reference's bytes, alone and
+    through one run memo, which reuses every winnowed record's bytes."""
+    from nflbench.reference import CENSUS_IMAGES, COLD_IMAGES, EXTRACTION, build as bench_build
+
+    from repro.fuzz.oracles import reference_pool_to_bytes
+
+    for key in COLD_IMAGES + CENSUS_IMAGES:
+        records = extract_gadgets(bench_build(key).image, EXTRACTION)
+        survivors = deduplicate_gadgets(records)
+        memo = EncodeMemo()
+        for pool in (records, survivors):
+            want = reference_pool_to_bytes(pool)
+            assert pool_to_bytes(pool) == want, key
+            assert pool_to_bytes(pool, memo) == want, key
+        assert memo.reused == len(survivors) > 0, key
+
+
+def test_negative_varint_field_raises():
+    record = extract_gadgets(_image("bubble_sort", "none"), SMALL)[0]
+    for field in ("gadget_id", "location", "conditional_jumps"):
+        bad = dataclasses.replace(record, **{field: -1})
+        with pytest.raises(SerializationError, match="varint requires value >= 0"):
+            pool_to_bytes([record, bad])
+        with pytest.raises(SerializationError):
+            record_to_bytes(bad)
+
+
+def test_every_single_byte_corruption_decodes_or_raises_serialization_error():
+    """Each byte after the header of a 3-record pool, set to 0x7F, 0x80
+    and 0xFF in turn: a bad enum index or value and bad UTF-8 raise
+    SerializationError as a truncation does, and nothing else escapes."""
+    records = extract_gadgets(_image("binary_search", "none"), SMALL)[:3]
+    blob = pool_to_bytes(records)
+    outcomes = {"decoded": 0, "raised": 0}
+    for pos in range(len(b"NFLP") + 2, len(blob)):
+        for value in (0x7F, 0x80, 0xFF):
+            try:
+                pool_from_bytes(blob[:pos] + bytes((value,)) + blob[pos + 1 :])
+                outcomes["decoded"] += 1
+            except SerializationError:
+                outcomes["raised"] += 1
+    assert sum(outcomes.values()) == 3 * (len(blob) - 6)
+    assert outcomes["decoded"] > 0 and outcomes["raised"] > 0
+    one = record_to_bytes(records[0])
+    for pos in range(len(one)):
+        try:
+            record_from_bytes(one[:pos] + b"\xff" + one[pos + 1 :])
+        except SerializationError:
+            pass
 
 
 # -- pipeline entry == stage driver -----------------------------------------
@@ -528,6 +583,27 @@ def test_cache_short_blob_header_is_a_miss(tmp_path):
     assert not path.exists()
 
 
+def test_cache_drops_an_entry_whose_pool_bytes_are_malformed(tmp_path):
+    """A byte that makes the pool reader trip over a bad enum index or
+    bad UTF-8 reads as a corrupt entry: a miss, and the file is gone."""
+    cache, image_bytes, records, path = _stored_entry(tmp_path)
+    blob = path.read_bytes()
+    pool_at = len(blob) - len(pool_to_bytes(records))
+    for pos in range(pool_at + 6, len(blob)):
+        bad = blob[:pos] + b"\xff" + blob[pos + 1 :]
+        try:
+            pool_from_bytes(bad[pool_at:])
+        except SerializationError as exc:
+            if "malformed pool" in str(exc):
+                break
+    else:
+        pytest.fail("no single-byte corruption reached the reader's wrapped errors")
+    path.write_bytes(bad)
+    assert cache.load_pool("extract", image_bytes, SMALL) is None
+    assert not path.exists()
+    assert cache.stats.misses == 1
+
+
 def test_cache_concurrent_stores_race_benignly(tmp_path):
     import threading
 
@@ -660,3 +736,13 @@ def test_warm_trace_reads_only_the_winnow_entry(tmp_path):
         assert [s["name"] for s in spans] == ["pipeline", "winnow.cache"]
         assert spans[1]["counters"] == {"hits": 1, answered_by: 1}
         assert es.cache_hits == 1 and es.symex_invocations == 0
+
+
+def test_cold_winnow_store_reuses_every_record_the_extract_store_encoded(tmp_path):
+    from repro.obs import validate_trace_lines
+
+    image = _image("bubble_sort", "llvm_obf")
+    lines, _, ss = _traced_pipeline(image, ResultCache(root=tmp_path))
+    stores = {s["name"]: s["counters"] for s in validate_trace_lines(lines) if "store" in s["name"]}
+    assert stores["extract.cache.store"]["reused"] == 0
+    assert stores["winnow.cache.store"]["reused"] == ss.output_count > 0

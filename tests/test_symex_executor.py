@@ -457,6 +457,24 @@ def test_entries_live_on_the_graph_and_run_again():
     assert executor.insns_executed == 8 and executor.paths_completed == 2
 
 
+def test_extraction_drops_the_entries_it_built():
+    """The shared decode graph outlives an extraction, its entries do
+    not, and a second extraction rebuilds them to the same pool."""
+    from repro.bench.harness import build
+    from repro.gadgets.extract import ExtractionConfig, extract_gadgets
+    from repro.pipeline import pool_to_bytes
+    from repro.staticanalysis.decode_graph import shared_decode_graph
+
+    image = build("bubble_sort", "llvm_obf", 7).image
+    config = ExtractionConfig(max_insns=5, max_paths=2)
+    graph = shared_decode_graph(image.text.data, image.text.addr)
+    first = pool_to_bytes(extract_gadgets(image, config))
+    assert graph.symex_entries == {}
+    assert shared_decode_graph(image.text.data, image.text.addr) is graph
+    assert pool_to_bytes(extract_gadgets(image, config)) == first
+    assert graph.symex_entries == {}
+
+
 def test_constants_are_built_on_every_run():
     """No expression object a handler builds is shared between runs:
     each run of ``mov rax, imm`` builds its own constant."""
