@@ -7,7 +7,7 @@
     nfl disasm prog.nflf [--start ADDR] [--count N]
     nfl gadgets prog.nflf [--types]
     nfl extract prog.nflf [--no-winnow] [--cache-dir PATH] [--no-cache] [--trace FILE]
-    nfl census prog.nflf [--static] [--semantic] [--defenses [--policies P1,P2]]
+    nfl census prog.nflf [--policies P1,P2] [--cache-dir PATH] [--no-cache] [--trace FILE]
     nfl plan prog.nflf [--goal execve|mprotect|mmap|all] [--defense POLICY] [--max-plans N]
     nfl fuzz [--seed N] [--iters N] [--oracle O1,O2] [--replay-corpus]
     nfl trace trace.jsonl
@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Union
 
 from .binfmt.image import BinaryImage
 from .emulator.cpu import run_image
-from .gadgets.classify import count_by_type, scan_syntactic_gadgets, semantic_census
+from .gadgets.classify import count_by_type, scan_syntactic_gadgets
 from .gadgets.extract import ExtractionConfig, ExtractionStats
 from .gadgets.subsumption import SubsumptionStats
 from .obs import (
@@ -39,7 +39,6 @@ from .obs import (
     tracing,
 )
 from .pipeline import ResultCache, run_pipeline
-from .staticanalysis import format_metrics
 from .isa.disassembler import disassemble_lines
 from .obfuscation.pipeline import CONFIGS, build_program
 from .planner import (
@@ -71,11 +70,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_disasm(args: argparse.Namespace) -> int:
-    image = _load_image(args.binary)
-    start = int(args.start, 0) if args.start else image.text.addr
-    offset = start - image.text.addr
+    section = _load_image(args.binary).text
+    end = section.addr + len(section.data)
+    start = int(args.start, 0) if args.start else section.addr
+    if not section.addr <= start < end:
+        print(
+            f"--start {start:#x} is outside the text section [{section.addr:#x}, {end:#x})",
+            file=sys.stderr,
+        )
+        return 2
     count = 0
-    for addr, text in disassemble_lines(image.text.data[offset:], base_addr=start):
+    for addr, text in disassemble_lines(section.data[start - section.addr :], base_addr=start):
         print(f"{addr:#010x}:  {text}")
         count += 1
         if args.count and count >= args.count:
@@ -171,39 +176,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    image = _load_image(args.binary)
-    if args.defenses:
-        from .defenses import defense_census, format_defense_census
+    from .defenses import defense_census, format_defense_census
 
-        policies = args.policies.split(",") if args.policies else None
-        config = ExtractionConfig(max_insns=args.max_insns)
-        with _maybe_traced(args):
-            doc = defense_census(
-                image,
-                policies,
-                extraction=config,
-                cache=_make_cache(args),
-            )
-        print(format_defense_census(doc, title=args.binary))
-        return 0
-    gadgets = scan_syntactic_gadgets(image, max_insns=args.max_insns)
-    print(f"{len(gadgets)} syntactic gadgets")
-    if args.static:
-        metrics = semantic_census(image, max_insns=args.max_insns)
-        print(format_metrics(metrics))
-    if args.semantic:
-        config = ExtractionConfig(max_insns=args.max_insns)
-        es, ss = ExtractionStats(), SubsumptionStats()
-        with _maybe_traced(args):
-            _, survivors = run_pipeline(
-                image,
-                config,
-                cache=_make_cache(args),
-                extraction_stats=es,
-                winnow_stats=ss,
-            )
-        print(f"{es.records} semantic gadgets, {len(survivors)} after subsumption")
-        print(_pipeline_stats_line(es, ss))
+    image = _load_image(args.binary)
+    policies = args.policies.split(",") if args.policies else None
+    with _maybe_traced(args):
+        doc = defense_census(
+            image,
+            policies,
+            extraction=ExtractionConfig(max_insns=args.max_insns),
+            cache=_make_cache(args),
+        )
+    print(format_defense_census(doc, title=args.binary))
     return 0
 
 
@@ -375,21 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("census", help="gadget-set quality census")
+    p = sub.add_parser("census", help="surviving attack surface per mitigation policy")
     p.add_argument("binary")
-    p.add_argument(
-        "--static", action="store_true", help="add solver-free window metrics from symbolic paths"
-    )
-    p.add_argument("--semantic", action="store_true", help="run the full extraction pipeline")
-    p.add_argument(
-        "--defenses",
-        action="store_true",
-        help="surviving attack surface per mitigation policy",
-    )
     p.add_argument(
         "--policies",
         metavar="P1,P2,...",
-        help="policy names for --defenses (e.g. coarse_cfi,wx or coarse_cfi+wx)",
+        help="policy names (e.g. coarse_cfi,wx or coarse_cfi+wx; default: every policy)",
     )
     p.add_argument("--max-insns", type=int, default=8)
     _add_pipeline_flags(p)

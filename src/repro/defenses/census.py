@@ -3,7 +3,7 @@
 Two drivers:
 
 * :func:`defense_census` — filtering only: how many of an image's
-  winnowed gadgets survive each policy (``nfl census --defenses``, the
+  winnowed gadgets survive each policy (``nfl census``, the
   CI smoke).  Pools come from :mod:`repro.pipeline`, so a shared
   :class:`~repro.pipeline.cache.ResultCache` makes the per-policy cost
   one list scan.

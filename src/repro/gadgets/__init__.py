@@ -5,7 +5,6 @@ from .classify import (
     classify_window,
     count_by_type,
     scan_syntactic_gadgets,
-    semantic_census,
     total_gadgets,
 )
 from .extract import (
@@ -47,7 +46,6 @@ __all__ = [
     "record_from_path",
     "run_candidates",
     "scan_syntactic_gadgets",
-    "semantic_census",
     "subsumes",
     "syntactic_scan",
     "total_gadgets",

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
 
 from ..binfmt.image import BinaryImage
 from ..isa.instructions import Instruction, Op
-from ..symex.executor import SymbolicExecutor
 from .record import JmpType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,34 +117,3 @@ def total_gadgets(image: BinaryImage, **kwargs) -> int:
     """Fig. 1's headline number for one binary."""
     return len(scan_syntactic_gadgets(image, **kwargs))
 
-
-def semantic_census(
-    image: BinaryImage, *, max_insns: int = 8, max_paths: int = 128
-) -> "GadgetSetMetrics":
-    """Brown-et-al-style gadget-set quality metrics, solver-free.
-
-    Where :func:`scan_syntactic_gadgets` counts windows (the Fig. 1
-    view this module exists for), the semantic census *summarises* them:
-    every byte offset that can reach an indirect transfer within
-    ``max_insns`` instructions runs through one symbolic executor over
-    the shared decode graph (at most ``max_paths`` paths per window)
-    into a :class:`~repro.staticanalysis.WindowSummary`, and the
-    aggregate reports functional diversity and special-purpose gadget
-    counts — the "is this gadget set actually usable?" question raw
-    counts cannot answer.
-    """
-    from ..staticanalysis.decode_graph import shared_decode_graph
-    from ..staticanalysis.metrics import GadgetSetMetrics, compute_metrics
-    from ..staticanalysis.window import summarize_window
-
-    text = image.text
-    graph = shared_decode_graph(text.data, text.addr)
-    executor = SymbolicExecutor(graph, max_insns=max_insns, max_paths=max_paths)
-    summaries = (
-        summarize_window(executor, text.addr + offset)
-        for offset in range(len(text.data))
-        if graph.reaches_transfer_within(offset, max_insns)
-    )
-    metrics = compute_metrics(summaries)
-    metrics.total_windows = len(text.data)
-    return metrics

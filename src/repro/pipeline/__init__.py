@@ -6,8 +6,9 @@ Three cooperating pieces (see DESIGN.md's inventory):
   for gadget records and pools (what the cache stores);
 * :mod:`~repro.pipeline.cache` — persistent content-addressed pool
   store keyed by (image bytes, config, pipeline/format versions);
-* :mod:`~repro.pipeline.stages` — :func:`run_pipeline`, the stage
-  drivers behind the cache, in one process.
+* :mod:`~repro.pipeline.stages` — :func:`run_pipeline`, the one entry
+  to extraction + winnowing, with each stage behind the cache, in one
+  process.
 """
 
 from .cache import CACHE_DIR_ENV, CacheStats, PIPELINE_VERSION, ResultCache, default_cache_dir
@@ -21,7 +22,7 @@ from .serialize import (
     record_from_bytes,
     record_to_bytes,
 )
-from .stages import extract_pool, run_pipeline, winnow_pool
+from .stages import run_pipeline
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -33,11 +34,9 @@ __all__ = [
     "SerializationError",
     "config_key_bytes",
     "default_cache_dir",
-    "extract_pool",
     "pool_from_bytes",
     "pool_to_bytes",
     "record_from_bytes",
     "record_to_bytes",
     "run_pipeline",
-    "winnow_pool",
 ]

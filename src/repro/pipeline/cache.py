@@ -218,5 +218,7 @@ def _decode_entry(blob: bytes) -> Tuple[List[GadgetRecord], Dict[str, Any]]:
     (meta_len,) = struct.unpack_from("<I", blob, offset)
     offset += 4
     meta = json.loads(blob[offset : offset + meta_len].decode())
+    if not isinstance(meta, dict):
+        raise ValueError("cache entry meta is not a JSON object")
     records = pool_from_bytes(blob[offset + meta_len :])
     return records, meta

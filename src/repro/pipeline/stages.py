@@ -35,6 +35,10 @@ from .serialize import EncodeMemo
 #: field names) pairs; a hit restores them.
 _MetaFields = Sequence[Tuple[Union[ExtractionStats, SubsumptionStats], Tuple[str, ...]]]
 
+#: The extract stage's counters its cache entry keeps (the record count
+#: is the pool's length).
+_EXTRACT_META = ("candidates", "semantically_culled")
+
 
 def _through_cache(
     stage: str,
@@ -47,13 +51,15 @@ def _through_cache(
     size_field: str,
     compute: Callable[[], List[GadgetRecord]],
     memo: EncodeMemo,
-) -> Tuple[List[GadgetRecord], Optional[dict]]:
-    """``compute()``'s pool, answered from ``cache`` when it holds one,
-    and the meta of the entry that answered (None when it was computed).
+) -> List[GadgetRecord]:
+    """``compute()``'s pool, answered from ``cache`` when it holds one.
 
     A miss computes and stores the pool together with the counters
     ``meta_fields`` names; a hit restores them and sets ``size_field``
-    of ``stats`` to the pool size.  The ``<stage>.cache`` and
+    of ``stats`` to the pool size.  An entry whose meta lacks one of
+    those counters, or holds one that is not an int, is a miss: the
+    cache directory is outside input, and a restored 0 would be a
+    wrong count.  The ``<stage>.cache`` and
     ``<stage>.cache.store`` spans sit beside the stage's own span, and
     their walls count towards ``stats.wall_total``.  The load span
     counts whether a hit came from the cache's in-process memo
@@ -62,21 +68,23 @@ def _through_cache(
     records whose bytes an earlier store of the run made (``reused``).
     """
     if cache is None:
-        return compute(), None
+        return compute()
     with span(f"{stage}.cache") as load_sp:
         memo_hits = cache.stats.memo_hits
         hit = cache.load_pool(kind, image_bytes, config)
     stats.wall_total += load_sp.wall
-    if hit is not None:
+    if hit is not None and all(
+        isinstance(hit[1].get(name), int) for _, names in meta_fields for name in names
+    ):
         pool, meta = hit
         load_sp.add("hits")
         load_sp.add("memo_hits" if cache.stats.memo_hits > memo_hits else "decodes")
         stats.cache_hits += 1
         for owner, names in meta_fields:
             for name in names:
-                setattr(owner, name, int(meta.get(name, 0)))
+                setattr(owner, name, meta[name])
         setattr(stats, size_field, len(pool))
-        return pool, meta
+        return pool
     load_sp.add("misses")
     stats.cache_misses += 1
     pool = compute()
@@ -86,129 +94,6 @@ def _through_cache(
         cache.store_pool(kind, image_bytes, config, pool, meta=meta, memo=memo)
         store_sp.add("reused", memo.reused - reused)
     stats.wall_total += store_sp.wall
-    return pool, None
-
-
-#: The extract stage's counters its cache entry keeps (the record count
-#: is the pool's length).
-_EXTRACT_META = ("candidates", "semantically_culled")
-
-
-def extract_pool(
-    image: BinaryImage,
-    config: Optional[ExtractionConfig] = None,
-    stats: Optional[ExtractionStats] = None,
-    *,
-    cache: Optional[ResultCache] = None,
-    image_bytes: Optional[bytes] = None,
-) -> List[GadgetRecord]:
-    """:func:`~repro.gadgets.extract.extract_gadgets` behind the cache."""
-    config = config or ExtractionConfig()
-    stats = stats if stats is not None else ExtractionStats()
-    if cache is not None and image_bytes is None:
-        image_bytes = image.to_bytes()
-    return _extract_through_cache(image, config, stats, cache, image_bytes, EncodeMemo())
-
-
-def _extract_through_cache(
-    image: BinaryImage,
-    config: ExtractionConfig,
-    stats: ExtractionStats,
-    cache: Optional[ResultCache],
-    image_bytes: Optional[bytes],
-    memo: EncodeMemo,
-) -> List[GadgetRecord]:
-    return _through_cache(
-        "extract",
-        "extract",
-        cache,
-        image_bytes,
-        config,
-        stats,
-        ((stats, _EXTRACT_META),),
-        "records",
-        lambda: extract_gadgets(image, config, stats),
-        memo,
-    )[0]
-
-
-def winnow_pool(
-    records: Sequence[GadgetRecord],
-    stats: Optional[SubsumptionStats] = None,
-    *,
-    solver: Optional[Solver] = None,
-    cache: Optional[ResultCache] = None,
-    image: Optional[BinaryImage] = None,
-    image_bytes: Optional[bytes] = None,
-    config: Optional[ExtractionConfig] = None,
-) -> List[GadgetRecord]:
-    """:func:`~repro.gadgets.subsumption.deduplicate_gadgets` behind the
-    cache.
-
-    Caching keys on (image bytes, extraction config), the inputs the
-    extracted pool is itself a pure function of, and on the solver's
-    conflict budget: a query that overruns it answers UNKNOWN and keeps
-    a gadget a larger budget might drop.  The default budget, which
-    ``nfl extract`` and the planner share, keeps the plain ``winnow``
-    kind.  Image and config must both be supplied for the cache to
-    engage.
-    """
-    if config is None or (image is None and image_bytes is None):
-        cache = None
-    if cache is not None and image_bytes is None:
-        image_bytes = image.to_bytes()
-    return _winnow_through_cache(
-        lambda: records,
-        stats,
-        None,
-        solver=solver,
-        cache=cache,
-        image_bytes=image_bytes,
-        config=config,
-        memo=EncodeMemo(),
-    )
-
-
-def _winnow_through_cache(
-    records: Callable[[], Sequence[GadgetRecord]],
-    stats: Optional[SubsumptionStats],
-    extraction_stats: Optional[ExtractionStats],
-    *,
-    solver: Optional[Solver],
-    cache: Optional[ResultCache],
-    image_bytes: Optional[bytes],
-    config: Optional[ExtractionConfig],
-    memo: EncodeMemo,
-) -> List[GadgetRecord]:
-    """The winnow behind the cache, over the pool ``records()`` returns,
-    which is called on a miss only.  With ``extraction_stats`` the
-    entry's meta also keeps the extract stage's counters, and a hit
-    restores them.  An entry a bare :func:`winnow_pool` call wrote has
-    no such counters; a hit on it calls ``records()`` after all, so
-    the extract stage answers them through its own entry."""
-    solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
-    stats = stats if stats is not None else SubsumptionStats()
-    kind = "winnow"
-    if solver.max_conflicts != WINNOW_MAX_CONFLICTS:
-        kind += ":%d" % solver.max_conflicts
-    meta_fields: _MetaFields = ((stats, ("input_count", "buckets")),)
-    if extraction_stats is not None:
-        meta_fields += ((extraction_stats, _EXTRACT_META),)
-    pool, meta = _through_cache(
-        "winnow",
-        kind,
-        cache,
-        image_bytes,
-        config,
-        stats,
-        meta_fields,
-        "output_count",
-        lambda: deduplicate_gadgets(records(), solver=solver, stats=stats),
-        memo,
-    )
-    if extraction_stats is not None and meta is not None:
-        if not all(name in meta for name in _EXTRACT_META):
-            records()
     return pool
 
 
@@ -231,17 +116,23 @@ def run_pipeline(
     miss, as the winnow's input.  A winnow hit therefore returns None
     for ``extracted``: ``extraction_stats`` then holds the counters the
     entry kept, with ``records`` the extracted count and one cache hit.
-    (A winnow entry that keeps no extract counters, written by a bare
-    :func:`winnow_pool` call, runs the extract stage for them, and that
-    stage's pool is returned.)
     Read the count from ``extraction_stats.records``, which every path
     fills.  ``solver`` winnows; by default a fresh solver with the
-    winnow's default budget.  Under an active tracer the whole run
-    lands beneath one ``pipeline`` root span, with the stages' spans
-    (and their cache spans) as its children.  Both stores encode
-    through one :class:`~repro.pipeline.serialize.EncodeMemo`, which
-    dies with the run, so the winnow store reuses the bytes the extract
-    store made for its records.
+    winnow's default budget.
+
+    Each entry keys on (image bytes, extraction config), the inputs the
+    extracted pool is a pure function of; the winnow's also keys on the
+    solver's conflict budget, since a query that overruns it answers
+    UNKNOWN and keeps a gadget a larger budget might drop.  The default
+    budget, which ``nfl extract`` and the planner share, keeps the
+    plain ``winnow`` kind.
+
+    Under an active tracer the whole run lands beneath one ``pipeline``
+    root span, with the stages' spans (and their cache spans) as its
+    children.  Both stores encode through one
+    :class:`~repro.pipeline.serialize.EncodeMemo`, which dies with the
+    run, so the winnow store reuses the bytes the extract store made
+    for its records.
 
     ``jobs`` is accepted and ignored: both stages always run in this
     process.  It is kept only because the benchmark
@@ -254,22 +145,41 @@ def run_pipeline(
     memo = EncodeMemo()
 
     def extract() -> List[GadgetRecord]:
-        extracted.append(_extract_through_cache(image, config, es, cache, image_bytes, memo))
+        extracted.append(
+            _through_cache(
+                "extract",
+                "extract",
+                cache,
+                image_bytes,
+                config,
+                es,
+                ((es, _EXTRACT_META),),
+                "records",
+                lambda: extract_gadgets(image, config, es),
+                memo,
+            )
+        )
         return extracted[0]
 
     with span("pipeline"):
         image_bytes = image.to_bytes() if cache is not None else None
         if not winnow:
             return extract(), None
-        survivors = _winnow_through_cache(
-            extract,
+        solver = solver or Solver(max_conflicts=WINNOW_MAX_CONFLICTS)
+        kind = "winnow"
+        if solver.max_conflicts != WINNOW_MAX_CONFLICTS:
+            kind += ":%d" % solver.max_conflicts
+        survivors = _through_cache(
+            "winnow",
+            kind,
+            cache,
+            image_bytes,
+            config,
             ss,
-            es,
-            solver=solver,
-            cache=cache,
-            image_bytes=image_bytes,
-            config=config,
-            memo=memo,
+            ((ss, ("input_count", "buckets")), (es, _EXTRACT_META)),
+            "output_count",
+            lambda: deduplicate_gadgets(extract(), solver=solver, stats=ss),
+            memo,
         )
     if not extracted:
         # A winnow hit: its entry's meta answered the extract stage too.

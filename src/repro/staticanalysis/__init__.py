@@ -1,23 +1,12 @@
-"""Static analysis layer: the window analysis over decoded bytes.
+"""Static analysis layer: the shared decode graph over a text section.
 
-A shared decode graph (:mod:`.decode_graph`) whose reachability tables
-are the sound semantic prefilter of gadget extraction, and per-candidate
-:class:`~.window.WindowSummary` values (:mod:`.window`) read off the
-symbolic executor's paths for solver-free gadget-set quality metrics
-(:mod:`.metrics`).
+One :class:`DecodeGraph` per section (:mod:`.decode_graph`, shared
+through :func:`shared_decode_graph`) reads each offset's decode once;
+its successor and distance tables drive the syntactic scan, and its
+reachability table is the sound semantic prefilter of gadget
+extraction.
 """
 
 from .decode_graph import DecodeGraph, shared_decode_graph
-from .metrics import GadgetSetMetrics, classify_summary, compute_metrics, format_metrics
-from .window import WindowSummary, summarize_window
 
-__all__ = [
-    "DecodeGraph",
-    "GadgetSetMetrics",
-    "WindowSummary",
-    "classify_summary",
-    "compute_metrics",
-    "format_metrics",
-    "shared_decode_graph",
-    "summarize_window",
-]
+__all__ = ["DecodeGraph", "shared_decode_graph"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.binfmt.image import BinaryImage
 from repro.cli import main
 
 SOURCE = """
@@ -58,6 +59,30 @@ def test_disasm_lists_instructions(compiled, capsys):
     assert "0x00400000" in out
 
 
+def _text_range(binary):
+    text = BinaryImage.from_bytes(binary.read_bytes()).text
+    return text.addr, text.addr + len(text.data)
+
+
+def test_disasm_rejects_a_start_below_the_text_section(compiled, capsys):
+    addr, end = _text_range(compiled)
+    assert main(["disasm", str(compiled), "--start", hex(addr - 2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"outside the text section [{addr:#x}, {end:#x})" in captured.err
+
+
+def test_disasm_rejects_a_start_past_the_text_section(compiled, capsys):
+    _, end = _text_range(compiled)
+    for start in (end, 0x900000):
+        assert main(["disasm", str(compiled), "--start", hex(start)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside the text section" in captured.err
+    # The section's last byte is still a valid start.
+    assert main(["disasm", str(compiled), "--start", hex(end - 1)]) == 0
+    assert capsys.readouterr().out.startswith(f"{end - 1:#010x}:")
+
+
 def test_gadgets_census(compiled, capsys):
     assert main(["gadgets", str(compiled), "--types", "--list", "3"]) == 0
     out = capsys.readouterr().out
@@ -66,18 +91,13 @@ def test_gadgets_census(compiled, capsys):
 
 
 def test_census_subcommand(compiled, capsys):
-    assert main(["census", str(compiled), "--static"]) == 0
+    """``nfl census`` prints the defense census: one row per policy."""
+    assert main(["census", str(compiled), "--no-cache"]) == 0
     out = capsys.readouterr().out
-    assert "syntactic gadgets" in out
-    assert "semantically usable" in out
-    assert "functional diversity" in out
-
-
-def test_census_without_static_flag(compiled, capsys):
-    assert main(["census", str(compiled)]) == 0
-    out = capsys.readouterr().out
-    assert "syntactic gadgets" in out
-    assert "functional diversity" not in out
+    assert "surviving" in out and "coarse_cfi" in out and "shadow_stack" in out
+    assert main(["census", str(compiled), "--policies", "wx", "--no-cache"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["wx"]
 
 
 def test_plan_subcommand(tmp_path, capsys):

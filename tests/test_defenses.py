@@ -612,7 +612,7 @@ def test_cli_census_defenses(tmp_path, capsys, rich_image):
     binary.write_bytes(rich_image.to_bytes())
     assert (
         main(
-            ["census", str(binary), "--defenses", "--max-insns", "12",
+            ["census", str(binary), "--max-insns", "12",
              "--policies", "none,coarse_cfi,shadow_stack", "--no-cache"]
         )
         == 0

@@ -46,7 +46,7 @@ from repro.isa.instructions import COND_JUMPS, Instruction, Op
 from repro.isa.registers import MASK64, Flag, Reg
 from repro.isa.semantics import SEMANTICS
 from repro.obfuscation.pipeline import CONFIGS, build_program
-from repro.staticanalysis import DecodeGraph, summarize_window
+from repro.staticanalysis import DecodeGraph
 from repro.symex.executor import SymbolicExecutor
 from repro.symex.expr import free_symbols
 
@@ -835,11 +835,11 @@ def test_dec_jb_regression_symex_uses_preserved_cf():
 
 
 def test_window_summary_follows_cf_patch():
-    """Window summaries are read off the symbolic executor, so after a
-    DEC an unsigned Jcc forks on the preserved carry, never resolving
-    from the stale constant DEC operands; an equality Jcc still folds."""
+    """After a DEC, an unsigned Jcc forks the window's symbolic paths on
+    the preserved carry, never resolving from the stale constant DEC
+    operands; an equality Jcc still folds."""
 
-    def summary(jcc):
+    def conditional(jcc):
         text = _window(
             [
                 (I(op=Op.MOV_RI, dst=R.RAX, imm=5), None),
@@ -851,11 +851,12 @@ def test_window_summary_follows_cf_patch():
         )
         base = make_image(text).text.addr
         executor = SymbolicExecutor(DecodeGraph(text, base), max_insns=8, max_paths=4)
-        return summarize_window(executor, base)
+        paths = executor.execute_paths(base)
+        return any(p.is_usable and p.conditional_jumps > 0 for p in paths)
 
-    assert summary(Op.JB).conditional
-    assert summary(Op.JAE).conditional
-    assert not summary(Op.JNE).conditional
+    assert conditional(Op.JB)
+    assert conditional(Op.JAE)
+    assert not conditional(Op.JNE)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,11 @@ from repro.pipeline import (
     EncodeMemo,
     ResultCache,
     SerializationError,
-    extract_pool,
     pool_from_bytes,
     pool_to_bytes,
     record_from_bytes,
     record_to_bytes,
     run_pipeline,
-    winnow_pool,
 )
 from repro.solver.solver import Solver
 from repro.symex.expr import bv_add, bv_const, bv_eq, bv_ne, bv_sub, bv_sym
@@ -145,7 +143,7 @@ def test_every_single_byte_corruption_decodes_or_raises_serialization_error():
 def test_parallel_extraction_byte_identical(name, config_name):
     image = _image(name, config_name)
     stats = ExtractionStats()
-    pool = extract_pool(image, SMALL, stats)
+    pool, _ = run_pipeline(image, SMALL, winnow=False, extraction_stats=stats)
     assert pool_to_bytes(pool) == pool_to_bytes(extract_gadgets(image, SMALL))
     assert stats.records == len(pool)
 
@@ -157,7 +155,8 @@ def test_parallel_winnow_byte_identical(name, config_name):
     driver_stats = SubsumptionStats()
     expected = pool_to_bytes(deduplicate_gadgets(records, stats=driver_stats))
     stats = SubsumptionStats()
-    assert pool_to_bytes(winnow_pool(records, stats)) == expected
+    _, survivors = run_pipeline(image, SMALL, winnow_stats=stats)
+    assert pool_to_bytes(survivors) == expected
     assert stats.solver_checks == driver_stats.solver_checks
     assert stats.output_count == driver_stats.output_count
 
@@ -167,8 +166,8 @@ def test_parallel_winnow_byte_identical(name, config_name):
     probed = _budget_probe(records[0]) + [
         r for r in records if fingerprint(r) != fingerprint(records[0])
     ]
-    tiny = winnow_pool(probed, solver=Solver(max_conflicts=1))
-    assert len(tiny) == len(winnow_pool(probed)) + 1
+    tiny = deduplicate_gadgets(probed, solver=Solver(max_conflicts=1))
+    assert len(tiny) == len(deduplicate_gadgets(probed)) + 1
 
 
 def _budget_probe(record):
@@ -190,11 +189,11 @@ def test_cache_hit_identical_and_skips_symex(tmp_path):
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
     cold_stats = ExtractionStats()
-    cold = extract_pool(image, SMALL, cold_stats, cache=cache)
+    cold, _ = run_pipeline(image, SMALL, cache=cache, winnow=False, extraction_stats=cold_stats)
     assert cold_stats.cache_misses == 1 and cold_stats.symex_invocations > 0
 
     warm_stats = ExtractionStats()
-    warm = extract_pool(image, SMALL, warm_stats, cache=cache)
+    warm, _ = run_pipeline(image, SMALL, cache=cache, winnow=False, extraction_stats=warm_stats)
     assert pool_to_bytes(warm) == pool_to_bytes(cold)
     assert warm_stats.cache_hits == 1
     assert warm_stats.symex_invocations == 0, "warm run must not re-execute"
@@ -206,28 +205,29 @@ def test_cache_hit_identical_and_skips_symex(tmp_path):
 def test_cache_invalidates_on_image_and_config_change(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "llvm_obf")
-    extract_pool(image, SMALL, cache=cache)
+    run_pipeline(image, SMALL, cache=cache, winnow=False)
 
     # Different image bytes -> different key -> miss.
     other_stats = ExtractionStats()
-    extract_pool(_image("binary_search", "llvm_obf"), SMALL, other_stats, cache=cache)
+    other = _image("binary_search", "llvm_obf")
+    run_pipeline(other, SMALL, cache=cache, winnow=False, extraction_stats=other_stats)
     assert other_stats.cache_hits == 0 and other_stats.cache_misses == 1
 
     # Different config -> different key -> miss.
     tweaked = ExtractionConfig(max_insns=SMALL.max_insns + 1, max_paths=SMALL.max_paths)
     cfg_stats = ExtractionStats()
-    extract_pool(image, tweaked, cfg_stats, cache=cache)
+    run_pipeline(image, tweaked, cache=cache, winnow=False, extraction_stats=cfg_stats)
     assert cfg_stats.cache_hits == 0 and cfg_stats.cache_misses == 1
 
 
 def test_cache_corrupt_entry_is_a_miss(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "none")
-    extract_pool(image, SMALL, cache=cache)
+    run_pipeline(image, SMALL, cache=cache, winnow=False)
     (entry,) = list(tmp_path.rglob("*.pool"))
     entry.write_bytes(b"NFLC garbage")
     stats = ExtractionStats()
-    records = extract_pool(image, SMALL, stats, cache=cache)
+    records, _ = run_pipeline(image, SMALL, cache=cache, winnow=False, extraction_stats=stats)
     assert stats.cache_hits == 0 and stats.cache_misses == 1
     assert records == extract_gadgets(image, SMALL)
 
@@ -235,10 +235,9 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
 def test_winnow_cache_round_trip(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "llvm_obf")
-    records = extract_gadgets(image, SMALL)
-    cold = winnow_pool(records, cache=cache, image=image, config=SMALL)
+    _, cold = run_pipeline(image, SMALL, cache=cache)
     warm_stats = SubsumptionStats()
-    warm = winnow_pool(records, warm_stats, cache=cache, image=image, config=SMALL)
+    _, warm = run_pipeline(image, SMALL, cache=cache, winnow_stats=warm_stats)
     assert pool_to_bytes(warm) == pool_to_bytes(cold)
     assert warm_stats.cache_hits == 1
     assert warm_stats.solver_checks == 0, "warm winnow must not re-check"
@@ -252,7 +251,6 @@ def test_winnow_cache_keyed_by_solver_budget(tmp_path):
     from repro.planner import GadgetPlanner
 
     image = _image("bubble_sort", "none")
-    records = extract_gadgets(image, SMALL)
 
     def planner_winnow(cache):
         planner = GadgetPlanner(image, extraction=SMALL, cache=cache, validate=False)
@@ -262,16 +260,12 @@ def test_winnow_cache_keyed_by_solver_budget(tmp_path):
         return report.subsumption_stats
 
     cache = ResultCache(root=tmp_path / "budgets")
-    extract_pool(image, SMALL, cache=cache)
-    winnow_pool(
-        records, solver=Solver(max_conflicts=2000), cache=cache, image=image, config=SMALL
-    )
+    run_pipeline(image, SMALL, cache=cache, solver=Solver(max_conflicts=2000))
     stats = planner_winnow(cache)
     assert stats.cache_misses == 1 and stats.cache_hits == 0
 
     shared = ResultCache(root=tmp_path / "shared")
-    extract_pool(image, SMALL, cache=shared)
-    winnowed = winnow_pool(records, cache=shared, image=image, config=SMALL)
+    _, winnowed = run_pipeline(image, SMALL, cache=shared)
     assert planner_winnow(shared).cache_hits == 1
     loaded, _ = shared.load_pool("winnow", image.to_bytes(), SMALL)
     assert pool_to_bytes(loaded) == pool_to_bytes(winnowed)
@@ -308,7 +302,7 @@ def test_cache_entry_from_an_older_pipeline_version_is_a_miss(tmp_path, monkeypa
         cache.store_pool("winnow", image.to_bytes(), SMALL, records)
         assert cache.load_pool("winnow", image.to_bytes(), SMALL) is not None
     stats = SubsumptionStats()
-    winnow_pool(records, stats, cache=cache, image=image, config=SMALL)
+    run_pipeline(image, SMALL, cache=cache, winnow_stats=stats)
     assert stats.cache_misses == 1 and stats.cache_hits == 0
 
 
@@ -331,25 +325,37 @@ def test_winnow_hit_restores_the_extract_counters(tmp_path):
 
 
 def test_winnow_hit_on_a_bare_winnow_entry_reads_the_extract_stage(tmp_path):
-    """An entry a bare ``winnow_pool`` call wrote keeps no extract
-    counters; a ``run_pipeline`` hit on it takes them from the extract
-    stage's own entry instead of reading 0."""
+    """A ``winnow`` entry whose meta lacks the extract counters, or
+    holds one that is not an int, is a miss: the cache directory is
+    outside input, so the run recomputes both stages and re-stores the
+    entry instead of reading 0."""
     image = _image("bubble_sort", "none")
-    cache = ResultCache(root=tmp_path)
-    cold = ExtractionStats()
-    records = extract_pool(image, SMALL, cold, cache=cache)
-    survivors = winnow_pool(records, cache=cache, image=image, config=SMALL)
-    assert cold.candidates > cold.semantically_culled > 0
-    warm = ExtractionStats()
-    extracted, winnowed = run_pipeline(image, SMALL, cache=cache, extraction_stats=warm)
-    assert (warm.records, warm.candidates, warm.semantically_culled) == (
-        len(records),
-        cold.candidates,
-        cold.semantically_culled,
-    )
-    assert pool_to_bytes(winnowed) == pool_to_bytes(survivors)
-    assert pool_to_bytes(extracted) == pool_to_bytes(records)
-    assert warm.cache_hits == 1 and warm.cache_misses == 0
+    want = ExtractionStats()
+    records, survivors = run_pipeline(image, SMALL, extraction_stats=want)
+    assert want.candidates > want.semantically_culled > 0
+    bare = {"input_count": len(records), "buckets": 1}
+    for n, meta in enumerate((bare, {**bare, "candidates": "7", "semantically_culled": 0})):
+        cache = ResultCache(root=tmp_path / str(n))
+        cache.store_pool("winnow", image.to_bytes(), SMALL, survivors, meta=meta)
+        es, ss = ExtractionStats(), SubsumptionStats()
+        extracted, winnowed = run_pipeline(
+            image, SMALL, cache=cache, extraction_stats=es, winnow_stats=ss
+        )
+        assert ss.cache_misses == 1 and ss.cache_hits == 0
+        assert (es.records, es.candidates, es.semantically_culled) == (
+            len(records),
+            want.candidates,
+            want.semantically_culled,
+        )
+        assert pool_to_bytes(winnowed) == pool_to_bytes(survivors)
+        assert pool_to_bytes(extracted) == pool_to_bytes(records)
+        # The re-stored entry keeps every counter, so the next run hits it.
+        warm = ExtractionStats()
+        assert run_pipeline(image, SMALL, cache=cache, extraction_stats=warm)[0] is None
+        assert (warm.candidates, warm.semantically_culled) == (
+            want.candidates,
+            want.semantically_culled,
+        )
 
 
 # -- in-process memo of decoded entries ---------------------------------------
@@ -513,20 +519,6 @@ def test_cli_extract_cold_then_warm(tmp_path, capsys):
     assert cold_out.splitlines()[0] == warm_out.splitlines()[0]
 
 
-def test_cli_census_semantic_no_cache(tmp_path, capsys):
-    from repro.cli import main
-
-    image = _image("bubble_sort", "none")
-    binary = tmp_path / "prog.nflf"
-    binary.write_bytes(image.to_bytes())
-    assert (
-        main(["census", str(binary), "--semantic", "--max-insns", "4", "--no-cache"])
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "after subsumption" in out and "cache=off" in out
-
-
 def test_cli_summary_line_reports_winnow_cache(tmp_path, capsys):
     """The stats line reports each stage's own cache outcome: after an
     ``--no-winnow`` run fills only the extract entry, the next run hits
@@ -572,6 +564,14 @@ def test_cache_truncated_entry_deleted_and_missed(tmp_path):
     assert cache.load_pool("extract", image_bytes, SMALL) is None
     assert not path.exists(), "corrupt entry must be unlinked"
     assert cache.stats.misses == 1
+
+
+def test_cache_entry_whose_meta_is_not_an_object_is_a_miss(tmp_path):
+    cache = ResultCache(root=tmp_path)
+    image_bytes = _image("bubble_sort", "none").to_bytes()
+    path = cache.store_pool("extract", image_bytes, SMALL, [], meta=[3])
+    assert cache.load_pool("extract", image_bytes, SMALL) is None
+    assert not path.exists()
 
 
 def test_cache_short_blob_header_is_a_miss(tmp_path):

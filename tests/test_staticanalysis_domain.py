@@ -1,86 +1,74 @@
-"""Unit tests for the static-analysis layer.
+"""Unit tests for the static-analysis layer and the window facts it feeds.
 
-Two layers: window summaries read off the symbolic executor over
-assembled machine code (``window.py``), and the shared decode graph's
+Two layers: the symbolic executor's paths over assembled machine code,
+read as extraction's records read them, and the shared decode graph's
 tables and scan (``decode_graph.py``).
 """
 
 
 from repro.binfmt.image import TEXT_BASE, make_image
-from repro.gadgets import semantic_census
+from repro.gadgets import ExtractionConfig, extract_gadgets, record_from_path
 from repro.isa import Reg, assemble
-from repro.staticanalysis import DecodeGraph, classify_summary, summarize_window
+from repro.staticanalysis import DecodeGraph
 from repro.symex.executor import EndKind, SymbolicExecutor
 
 
 # ---------------------------------------------------------------------------
-# Window dataflow over machine code
+# Window paths over machine code
 # ---------------------------------------------------------------------------
 
 
-def _summarize(asm: str, *, max_insns: int = 16):
+def _paths(asm: str, *, max_insns: int = 16):
+    """The usable symbolic paths of the window at the code's start."""
     code = assemble(asm, base_addr=0x400000)
     executor = SymbolicExecutor(DecodeGraph(code, 0x400000), max_insns=max_insns, max_paths=128)
-    return summarize_window(executor, 0x400000)
+    return [path for path in executor.execute_paths(0x400000) if path.is_usable]
+
+
+def _record(asm: str):
+    """The record of the window's one usable path."""
+    (path,) = _paths(asm)
+    return record_from_path(0, path)
 
 
 def test_stack_delta_plain_ret():
-    s = _summarize("ret")
-    assert s.usable and s.ends == frozenset({EndKind.RET})
-    assert s.known_stack_delta == 8
-    assert not s.conditional
+    r = _record("ret")
+    assert r.end is EndKind.RET
+    assert r.stack_delta == 8
+    assert r.conditional_jumps == 0
 
 
 def test_stack_delta_through_push_pop_and_add_rsp():
-    s = _summarize("push rax\npop rbx\nadd rsp, 24\nret")
+    r = _record("push rax\npop rbx\nadd rsp, 24\nret")
     # -8 (push) +8 (pop) +24 (add) +8 (ret)
-    assert s.known_stack_delta == 32
-    assert Reg.RBX in s.clobbered
-    assert -8 in s.stack_write_offsets
+    assert r.stack_delta == 32
+    assert Reg.RBX in r.clob_regs
+    assert -8 in {w.stack_offset for w in r.mem_writes}
 
 
 def test_stack_delta_unknown_after_pop_rsp():
-    s = _summarize("pop rsp\nret")
-    assert s.stack_deltas == frozenset({None}) and s.known_stack_delta is None
-    assert "stack_pivot" in classify_summary(s)
-
-
-def test_join_lattice_laws():
-    """Per-path rsp deltas join like a flat lattice: no usable path is
-    bottom, paths that agree keep their constant, anything else is top
-    (a stack pivot)."""
-    fork = "cmp rax, rbx\nje out\nret\nout: "
-    none = _summarize("mov rax, 1\nhlt")
-    assert not none.usable and none.stack_deltas == frozenset()
-    assert none.known_stack_delta is None and classify_summary(none) == frozenset()
-    agree = _summarize(fork + "ret")
-    assert agree.stack_deltas == frozenset({8}) and agree.known_stack_delta == 8
-    for differ in (_summarize(fork + "pop rcx\nret"), _summarize(fork + "pop rsp\nret")):
-        assert len(differ.stack_deltas) == 2 and differ.known_stack_delta is None
-        assert "stack_pivot" in classify_summary(differ)
-    assert "stack_pivot" not in classify_summary(agree)
+    assert _record("pop rsp\nret").stack_delta is None
 
 
 def test_const_masking_wraps_to_64_bits():
     # rsp arithmetic wraps at 64 bits and the delta reads as signed.
     wrap = "mov rax, 0xfffffffffffffff0\nadd rsp, rax\nret"
     for asm in ("sub rsp, 16\nret", "add rsp, -16\nret", wrap):
-        assert _summarize(asm).known_stack_delta == -8, asm
+        assert _record(asm).stack_delta == -8, asm
 
 
 def test_negative_stack_delta_is_not_a_register_load():
     # call pushes its return address: rsp ends 8 below entry, so the
-    # window consumes no payload and only moves rax.
-    s = _summarize("mov rax, 1\ncall rbx")
-    assert s.known_stack_delta == -8 and Reg.RAX in s.clobbered
-    classes = classify_summary(s)
-    assert "reg_move" in classes and "reg_load" not in classes
+    # window consumes no payload and only moves rax, to a constant.
+    r = _record("mov rax, 1\ncall rbx")
+    assert r.stack_delta == -8 and Reg.RAX in r.clob_regs
+    assert Reg.RAX not in r.ctrl_regs
 
 
 def test_resolved_branch_does_not_fork():
     # cmp rax, rax folds: je is statically taken by the symbolic
     # executor, so only the taken side is explored.
-    s = _summarize(
+    paths = _paths(
         """
         cmp rax, rax
         je out
@@ -88,12 +76,11 @@ def test_resolved_branch_does_not_fork():
         out: ret
         """
     )
-    assert s.usable and not s.conditional
-    assert s.ends == frozenset({EndKind.RET})
+    assert [(p.end, p.conditional_jumps) for p in paths] == [(EndKind.RET, 0)]
 
 
 def test_unknown_branch_forks_both_sides():
-    s = _summarize(
+    paths = _paths(
         """
         cmp rax, rbx
         je out
@@ -101,8 +88,8 @@ def test_unknown_branch_forks_both_sides():
         out: ret
         """
     )
-    assert s.conditional
-    assert s.ends == frozenset({EndKind.RET, EndKind.JMP_REG})
+    assert {p.end for p in paths} == {EndKind.RET, EndKind.JMP_REG}
+    assert all(p.conditional_jumps == 1 for p in paths)
 
 
 def test_taken_branch_to_transfer_is_conditional():
@@ -114,20 +101,20 @@ def test_taken_branch_to_transfer_is_conditional():
         hlt
         out: call r15
         """
-    s = _summarize(asm)
-    assert s.ends == frozenset({EndKind.CALL_REG})
-    assert s.conditional
-    assert "branch" in classify_summary(s)
-    # In the census: the windows at cmp and at jne are branch gadgets.
-    metrics = semantic_census(make_image(assemble(asm, base_addr=TEXT_BASE)))
-    assert metrics.class_counts["branch"] == 2
+    paths = _paths(asm)
+    assert [(p.end, p.conditional_jumps) for p in paths] == [(EndKind.CALL_REG, 1)]
+    # Extracted: the windows at cmp and at jne (2 bytes on) are branch
+    # gadgets.
+    image = make_image(assemble(asm, base_addr=TEXT_BASE))
+    records = extract_gadgets(image, ExtractionConfig(max_insns=8))
+    assert {r.location for r in records if r.conditional_jumps} == {TEXT_BASE, TEXT_BASE + 2}
 
 
 def test_unreachable_window_is_culled():
     code = assemble("mov rax, 1\nhlt", base_addr=0x400000)
     graph = DecodeGraph(code, 0x400000)
     assert not graph.reaches_transfer_within(0, 8)
-    assert not summarize_window(SymbolicExecutor(graph, max_insns=8), 0x400000).usable
+    assert _paths("mov rax, 1\nhlt", max_insns=8) == []
 
 
 def test_budget_bounds_reachability():
